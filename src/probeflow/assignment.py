@@ -20,7 +20,6 @@ returned flows.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -29,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError, SolverError
-from .network import RoadNetwork, Taz, _dijkstra, fmt_float
+from .network import RoadNetwork, Taz, _dijkstra
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -280,57 +280,19 @@ def solve_so(
 # ---------------------------------------------------------------------------
 
 
+DEMAND_COLUMNS = (("origin_taz", int), ("dest_taz", int), ("trips_per_hour", float))
+
+
 def write_demand(demand: DemandMatrix, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["origin_taz", "dest_taz", "trips_per_hour"])
-        for (o, d) in sorted(demand):
-            w.writerow([o, d, fmt_float(demand[(o, d)])])
+    write_table(path, DEMAND_COLUMNS, ((o, d, demand[(o, d)]) for (o, d) in sorted(demand)))
 
 
 def read_demand(path: str | os.PathLike) -> DemandMatrix:
     demand: DemandMatrix = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["origin_taz", "dest_taz", "trips_per_hour"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                key = (int(row["origin_taz"]), int(row["dest_taz"]))
-                rate = float(row["trips_per_hour"])
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad demand row {row}: {exc}") from exc
-            if key in demand:
-                raise InputDataError(f"{path}: duplicate OD pair {key}")
-            if not (rate >= 0.0 and math.isfinite(rate)):
-                raise InputDataError(f"{path}: demand for {key} must be finite and >= 0")
-            demand[key] = rate
+    for o, d, rate in read_table(path, DEMAND_COLUMNS):
+        if (o, d) in demand:
+            raise InputDataError(f"{path}: duplicate OD pair {(o, d)}")
+        if not (rate >= 0.0 and math.isfinite(rate)):
+            raise InputDataError(f"{path}: demand for {(o, d)} must be finite and >= 0")
+        demand[(o, d)] = rate
     return demand
-
-
-def write_assignment(result: AssignmentResult, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment_id", "flow_vph", "time_s"])
-        for sid in sorted(result.flow):
-            w.writerow([sid, fmt_float(result.flow[sid]), fmt_float(result.time[sid])])
-
-
-def read_assignment(path: str | os.PathLike) -> tuple[dict[int, float], dict[int, float]]:
-    """Read flows and times written by :func:`write_assignment`."""
-    flow: dict[int, float] = {}
-    time: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["segment_id", "flow_vph", "time_s"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                sid = int(row["segment_id"])
-                flow[sid] = float(row["flow_vph"])
-                time[sid] = float(row["time_s"])
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad assignment row {row}: {exc}") from exc
-    return flow, time

@@ -371,10 +371,6 @@ def _threads(cfg: PipelineConfig) -> int:
     return cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
 
 
-def _free_flow(net) -> dict[int, float]:
-    return {s.id: s.free_flow_time for s in net.segments}
-
-
 def _supported_intervals(estimates) -> list[int]:
     """Intervals whose estimate rests on at least one observation."""
     return sorted(iv for iv, est in estimates.items()
@@ -471,7 +467,7 @@ def _cmd_match(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     """One geometric matching pass under free-flow travel times."""
     net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
-    matched = match_traces(net, traces, _free_flow(net), cfg.match)
+    matched = match_traces(net, traces, net.free_flow_times(), cfg.match)
     out = _out(cfg) / MATCHED_FILE
     write_matched(matched, out)
     artifacts.append(out)
@@ -481,7 +477,7 @@ def _cmd_infer(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
     matched = read_matched(_input(cfg, "matched"))
     obs = observations_from_matches(matched, cfg.grid)
-    prior = _free_flow(net)
+    prior = net.free_flow_times()
     p = cfg.infer
 
     def solve(interval: int):

@@ -27,7 +27,6 @@ pure function of its inputs.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -36,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
-from .network import RoadNetwork, TimeGrid, fmt_float
+from .network import RoadNetwork, TimeGrid
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -121,9 +121,8 @@ def assemble_matrix(
     """
     if not times_by_interval:
         raise InputDataError("no interval estimates to assemble")
-    ids = sorted(net.segment_ids())
+    ids = net.segment_ids()
     row = {sid: i for i, sid in enumerate(ids)}
-    free_flow = np.array([net.segment_by_id(sid).free_flow_time for sid in ids])
     values = np.zeros((len(ids), grid.interval_count))
     mask = np.zeros_like(values, dtype=bool)
     for iv in sorted(times_by_interval):
@@ -139,10 +138,10 @@ def assemble_matrix(
             t = float(times_by_interval[iv][sid])
             if not math.isfinite(t):
                 raise InputDataError(f"non-finite time for segment {sid}, interval {iv}")
-            values[i, iv] = max(t, free_flow[i])
+            values[i, iv] = max(t, net.seg_fft[i])
             mask[i, iv] = True
     return TravelTimeMatrix(values=values, mask=mask, segment_ids=ids,
-                            free_flow=free_flow, grid=grid)
+                            free_flow=net.seg_fft, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -392,62 +391,43 @@ def interpolate_flows(
 # Tables
 # ---------------------------------------------------------------------------
 
-_MATRIX_HEADER = ["segment_id", "interval", "time_s", "observed"]
-_COMPLETED_HEADER = ["segment_id", "interval", "time_s", "imputed"]
+MATRIX_COLUMNS = (("segment_id", int), ("interval", int), ("time_s", float), ("observed", int))
+COMPLETED_COLUMNS = (("segment_id", int), ("interval", int), ("time_s", float), ("imputed", int))
+
+
+def _matrix_rows(mat: TravelTimeMatrix, flags: np.ndarray):
+    """(segment_id, interval, time, flag) cells, segments ascending."""
+    for i in np.argsort(np.array(mat.segment_ids)):
+        sid = mat.segment_ids[i]
+        for j in range(mat.grid.interval_count):
+            yield sid, j, mat.values[i, j], flags[i, j]
 
 
 def write_matrix(mat: TravelTimeMatrix, path: str | os.PathLike) -> None:
     """Write the matrix as `segment_id,interval,time_s,observed` rows."""
-    order = np.argsort(np.array(mat.segment_ids))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MATRIX_HEADER)
-        for i in order:
-            sid = mat.segment_ids[i]
-            for j in range(mat.grid.interval_count):
-                writer.writerow([sid, j, fmt_float(mat.values[i, j]),
-                                 int(mat.mask[i, j])])
+    write_table(path, MATRIX_COLUMNS, _matrix_rows(mat, mat.mask))
 
 
 def read_matrix(path: str | os.PathLike, net: RoadNetwork, grid: TimeGrid) -> TravelTimeMatrix:
     """Rebuild a TravelTimeMatrix written by write_matrix."""
-    ids = sorted(net.segment_ids())
+    ids = net.segment_ids()
     row = {sid: i for i, sid in enumerate(ids)}
-    free_flow = np.array([net.segment_by_id(sid).free_flow_time for sid in ids])
     values = np.zeros((len(ids), grid.interval_count))
     mask = np.zeros_like(values, dtype=bool)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _MATRIX_HEADER:
-            raise InputDataError(f"unexpected matrix header in {path}: {header}")
-        for rec in reader:
-            try:
-                sid, iv, t, obs = int(rec[0]), int(rec[1]), float(rec[2]), int(rec[3])
-            except (ValueError, IndexError) as exc:
-                raise InputDataError(f"bad matrix row in {path}: {rec}") from exc
-            if sid not in row:
-                raise InputDataError(f"unknown segment id {sid} in {path}")
-            if not 0 <= iv < grid.interval_count:
-                raise InputDataError(f"interval {iv} out of range in {path}")
-            values[row[sid], iv] = t
-            mask[row[sid], iv] = bool(obs)
+    for sid, iv, t, obs in read_table(path, MATRIX_COLUMNS):
+        if sid not in row:
+            raise InputDataError(f"unknown segment id {sid} in {path}")
+        if not 0 <= iv < grid.interval_count:
+            raise InputDataError(f"interval {iv} out of range in {path}")
+        values[row[sid], iv] = t
+        mask[row[sid], iv] = bool(obs)
     return TravelTimeMatrix(values=values, mask=mask, segment_ids=ids,
-                            free_flow=free_flow, grid=grid)
+                            free_flow=net.seg_fft, grid=grid)
 
 
 def write_completed(result: CompletionResult, path: str | os.PathLike) -> None:
     """Write a completed matrix as `segment_id,interval,time_s,imputed` rows."""
-    mat = result.matrix
-    order = np.argsort(np.array(mat.segment_ids))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COMPLETED_HEADER)
-        for i in order:
-            sid = mat.segment_ids[i]
-            for j in range(mat.grid.interval_count):
-                writer.writerow([sid, j, fmt_float(mat.values[i, j]),
-                                 int(result.imputed[i, j])])
+    write_table(path, COMPLETED_COLUMNS, _matrix_rows(result.matrix, result.imputed))
 
 
 def read_completed(
@@ -456,17 +436,8 @@ def read_completed(
     """Read back completed times: per-interval dicts plus the imputed set."""
     times: dict[int, dict[int, float]] = {}
     imputed: set[tuple[int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _COMPLETED_HEADER:
-            raise InputDataError(f"unexpected completed header in {path}: {header}")
-        for rec in reader:
-            try:
-                sid, iv, t, flag = int(rec[0]), int(rec[1]), float(rec[2]), int(rec[3])
-            except (ValueError, IndexError) as exc:
-                raise InputDataError(f"bad completed row in {path}: {rec}") from exc
-            times.setdefault(iv, {})[sid] = t
-            if flag:
-                imputed.add((sid, iv))
+    for sid, iv, t, flag in read_table(path, COMPLETED_COLUMNS):
+        times.setdefault(iv, {})[sid] = t
+        if flag:
+            imputed.add((sid, iv))
     return times, imputed

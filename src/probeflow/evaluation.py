@@ -20,7 +20,6 @@ segment GeoJSON map with VOC buckets.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -32,8 +31,9 @@ import numpy as np
 
 from .errors import InputDataError
 from .mapmatch import GpsTrace, MatchedPath, MatchParams
-from .network import RoadNetwork, TimeGrid, fmt_float
+from .network import RoadNetwork, TimeGrid
 from .refine import RefinementDiagnostics, refine
+from .tables import read_table, write_table
 from .tracegen import TruthTrip
 from .ttinfer import InferParams, SegmentTimeEstimate
 
@@ -316,7 +316,7 @@ def read_report(path: str | os.PathLike) -> MetricReport:
     return build_report(scenarios)
 
 
-_VOC_HEADER = ["interval", "road_class", "mean_voc"]
+VOC_COLUMNS = (("interval", int), ("road_class", str), ("mean_voc", float))
 
 
 def write_voc(series_by_class: dict[str, list[float]], path: str | os.PathLike) -> None:
@@ -326,31 +326,19 @@ def write_voc(series_by_class: dict[str, list[float]], path: str | os.PathLike) 
     lengths = {len(v) for v in series_by_class.values()}
     if len(lengths) != 1:
         raise InputDataError(f"voc series lengths differ: {sorted(lengths)}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_VOC_HEADER)
-        for iv in range(lengths.pop()):
-            for cls in sorted(series_by_class):
-                writer.writerow([iv, cls, fmt_float(series_by_class[cls][iv])])
+    classes = sorted(series_by_class)
+    write_table(path, VOC_COLUMNS, ((iv, cls, series_by_class[cls][iv])
+                                    for iv in range(lengths.pop()) for cls in classes))
 
 
 def read_voc(path: str | os.PathLike) -> dict[str, list[float]]:
     """Read back per-class VOC series written by write_voc."""
     out: dict[str, list[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _VOC_HEADER:
-            raise InputDataError(f"unexpected voc header in {path}: {header}")
-        for rec in reader:
-            try:
-                iv, cls, v = int(rec[0]), rec[1], float(rec[2])
-            except (ValueError, IndexError) as exc:
-                raise InputDataError(f"bad voc row in {path}: {rec}") from exc
-            series = out.setdefault(cls, [])
-            if iv != len(series):
-                raise InputDataError(f"voc rows of class {cls} out of order in {path}")
-            series.append(v)
+    for iv, cls, v in read_table(path, VOC_COLUMNS):
+        series = out.setdefault(cls, [])
+        if iv != len(series):
+            raise InputDataError(f"voc rows of class {cls} out of order in {path}")
+        series.append(v)
     return out
 
 

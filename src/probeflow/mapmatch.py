@@ -26,7 +26,6 @@ directly comparable, bit for bit.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -35,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError
-from .network import RoadNetwork, _dijkstra, fmt_float, haversine, meters_per_degree, project_to_candidates
+from .network import RoadNetwork, _dijkstra, haversine, meters_per_degree, project_to_candidates
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -533,32 +533,23 @@ def score_assignment(
 # ---------------------------------------------------------------------------
 
 
+MATCHED_COLUMNS = (("vehicle_id", int), ("piece", int), ("segment_id", int), ("entry_time_s", float))
+
+
 def write_matched(paths: list[MatchedPath], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "piece", "segment_id", "entry_time_s"])
-        for mp in sorted(paths, key=lambda m: (m.vehicle_id, m.piece)):
-            for sid, t in zip(mp.segments, mp.entry_times):
-                w.writerow([mp.vehicle_id, mp.piece, sid, fmt_float(t)])
+    write_table(path, MATCHED_COLUMNS, (
+        (mp.vehicle_id, mp.piece, sid, t)
+        for mp in sorted(paths, key=lambda m: (m.vehicle_id, m.piece))
+        for sid, t in zip(mp.segments, mp.entry_times)))
 
 
 def read_matched(path: str | os.PathLike) -> list[MatchedPath]:
     """Read matched paths; only traversal data survives the CSV."""
     groups: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["vehicle_id", "piece", "segment_id", "entry_time_s"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                key = (int(row["vehicle_id"]), int(row["piece"]))
-                sid = int(row["segment_id"])
-                t = float(row["entry_time_s"])
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad matched row {row}: {exc}") from exc
-            groups.setdefault(key, ([], []))[0].append(sid)
-            groups[key][1].append(t)
+    for vid, piece, sid, t in read_table(path, MATCHED_COLUMNS):
+        segs, times = groups.setdefault((vid, piece), ([], []))
+        segs.append(sid)
+        times.append(t)
     return [
         MatchedPath(vehicle_id=vid, piece=piece, segments=segs, entry_times=times)
         for (vid, piece), (segs, times) in sorted(groups.items())

@@ -19,7 +19,6 @@ the query latitude). At city scale the error is far below GPS noise.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import logging
@@ -32,6 +31,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import InputDataError
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -607,15 +607,6 @@ def import_osm(
 # ---------------------------------------------------------------------------
 
 
-def fmt_float(x: float) -> str:
-    """Canonical decimal form for floats in output tables.
-
-    Shortest representation that round-trips exactly, so rewriting a file
-    from parsed values reproduces it byte for byte. Accepts numpy scalars.
-    """
-    return repr(float(x))
-
-
 def write_network(net: RoadNetwork, path: str | os.PathLike) -> None:
     """Write a network as JSON (nodes and segments, ids ascending)."""
     doc = {
@@ -645,7 +636,7 @@ def read_network(path: str | os.PathLike) -> RoadNetwork:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputDataError(f"{path}: invalid network JSON: {exc}") from exc
     try:
         nodes = [Node(id=int(n["id"]), lat=float(n["lat"]), lon=float(n["lon"])) for n in doc["nodes"]]
@@ -666,28 +657,17 @@ def read_network(path: str | os.PathLike) -> RoadNetwork:
     return RoadNetwork(nodes, segments)
 
 
+TAZ_COLUMNS = (("taz_id", int), ("centroid_node", int), ("name", str))
+
+
 def write_tazs(tazs: list[Taz], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["taz_id", "centroid_node", "name"])
-        for taz in sorted(tazs, key=lambda t: t.id):
-            w.writerow([taz.id, taz.centroid_node, taz.name])
+    write_table(path, TAZ_COLUMNS,
+                ((t.id, t.centroid_node, t.name) for t in sorted(tazs, key=lambda t: t.id)))
 
 
 def read_tazs(path: str | os.PathLike, net: RoadNetwork | None = None) -> list[Taz]:
     """Read a TAZ table; validates centroids against ``net`` when given."""
-    tazs: list[Taz] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"taz_id", "centroid_node", "name"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise InputDataError(f"{path}: expected columns {sorted(expected)}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                taz = Taz(id=int(row["taz_id"]), centroid_node=int(row["centroid_node"]), name=row["name"])
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad TAZ row {row}: {exc}") from exc
-            tazs.append(taz)
+    tazs = [Taz(*row) for row in read_table(path, TAZ_COLUMNS)]
     ids = [t.id for t in tazs]
     if len(set(ids)) != len(ids):
         raise InputDataError(f"{path}: duplicate TAZ ids")

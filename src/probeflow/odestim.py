@@ -25,7 +25,6 @@ all.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -36,7 +35,8 @@ import numpy as np
 
 from .assignment import AssignmentResult, DemandMatrix, solve_ue
 from .errors import InputDataError, SolverError
-from .network import RoadNetwork, Taz, fmt_float, haversine
+from .network import RoadNetwork, Taz, haversine
+from .tables import read_table, write_table
 from .ttinfer import SegmentTimeEstimate
 
 logger = logging.getLogger(__name__)
@@ -241,55 +241,29 @@ def estimate_od(
 # ---------------------------------------------------------------------------
 
 
+STATE_COLUMNS = (("segment_id", int), ("flow_vph", float), ("time_s", float), ("voc", float))
+OBJECTIVE_COLUMNS = (("outer_iter", int), ("objective", float))
+
+
 def write_state(result: AssignmentResult, net: RoadNetwork, path: str | os.PathLike) -> None:
     """Full-network state: flow, time, and volume-over-capacity per segment."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment_id", "flow_vph", "time_s", "voc"])
-        for seg in net.segments:
-            flow = result.flow[seg.id]
-            w.writerow([seg.id, fmt_float(flow), fmt_float(result.time[seg.id]),
-                        fmt_float(flow / seg.capacity)])
+    write_table(path, STATE_COLUMNS, (
+        (seg.id, result.flow[seg.id], result.time[seg.id], result.flow[seg.id] / seg.capacity)
+        for seg in net.segments))
 
 
 def read_state(path: str | os.PathLike) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
     flows: dict[int, float] = {}
     times: dict[int, float] = {}
     vocs: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["segment_id", "flow_vph", "time_s", "voc"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                sid = int(row["segment_id"])
-                flows[sid] = float(row["flow_vph"])
-                times[sid] = float(row["time_s"])
-                vocs[sid] = float(row["voc"])
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad state row {row}: {exc}") from exc
+    for sid, flow, time, voc in read_table(path, STATE_COLUMNS):
+        flows[sid], times[sid], vocs[sid] = flow, time, voc
     return flows, times, vocs
 
 
 def write_objective_trace(records: list[ObjectiveRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["outer_iter", "objective"])
-        for rec in records:
-            w.writerow([rec.outer_iter, fmt_float(rec.objective)])
+    write_table(path, OBJECTIVE_COLUMNS, records)
 
 
 def read_objective_trace(path: str | os.PathLike) -> list[ObjectiveRecord]:
-    out: list[ObjectiveRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["outer_iter", "objective"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                out.append(ObjectiveRecord(int(row["outer_iter"]), float(row["objective"])))
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad trace row {row}: {exc}") from exc
-    return out
+    return [ObjectiveRecord(*row) for row in read_table(path, OBJECTIVE_COLUMNS)]

@@ -18,7 +18,6 @@ the classical sequential pipeline (one match, one infer).
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -26,7 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import InputDataError
 from .mapmatch import GpsTrace, MatchedPath, MatchParams, Router, match_trace
-from .network import RoadNetwork, TimeGrid, fmt_float
+from .network import RoadNetwork, TimeGrid
+from .tables import read_table, write_table
 from .ttinfer import (
     InferParams,
     SegmentTimeEstimate,
@@ -89,7 +89,7 @@ def refine(
     if not (0.0 < time_weight <= 1.0):
         raise InputDataError("time_weight must be in (0, 1]")
 
-    fft = {s.id: s.free_flow_time for s in net.segments}
+    fft = net.free_flow_times()
     times: dict[int, dict[int, float]] = {}
     estimates: dict[int, SegmentTimeEstimate] = {}
     diagnostics = RefinementDiagnostics()
@@ -159,31 +159,16 @@ def refine(
 # ---------------------------------------------------------------------------
 
 
+DIAGNOSTICS_COLUMNS = (("iteration", int), ("residual", float), ("viterbi_score", float),
+                       ("changed_paths", int), ("max_rel_change", float))
+
+
 def write_diagnostics(diag: RefinementDiagnostics, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "residual", "viterbi_score", "changed_paths", "max_rel_change"])
-        for r in diag.records:
-            w.writerow([r.iteration, fmt_float(r.residual), fmt_float(r.viterbi_score),
-                        r.changed_paths, fmt_float(r.max_rel_change)])
+    write_table(path, DIAGNOSTICS_COLUMNS, (
+        (r.iteration, r.residual, r.viterbi_score, r.changed_paths, r.max_rel_change)
+        for r in diag.records))
 
 
 def read_diagnostics(path: str | os.PathLike) -> RefinementDiagnostics:
-    diag = RefinementDiagnostics()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["iteration", "residual", "viterbi_score", "changed_paths", "max_rel_change"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                diag.records.append(IterationRecord(
-                    iteration=int(row["iteration"]),
-                    residual=float(row["residual"]),
-                    viterbi_score=float(row["viterbi_score"]),
-                    changed_paths=int(row["changed_paths"]),
-                    max_rel_change=float(row["max_rel_change"]),
-                ))
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad diagnostics row {row}: {exc}") from exc
-    return diag
+    return RefinementDiagnostics([IterationRecord(*row)
+                                  for row in read_table(path, DIAGNOSTICS_COLUMNS)])

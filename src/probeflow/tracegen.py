@@ -13,7 +13,6 @@ can be generated in parallel or in any order without changing output.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -28,11 +27,11 @@ from .network import (
     RoadNetwork,
     Taz,
     TimeGrid,
-    fmt_float,
     meters_per_degree,
     position_on_segment,
     shortest_path,
 )
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -331,30 +330,26 @@ def generate_probe_data(
 # ---------------------------------------------------------------------------
 
 
+def _segment_path(text: str) -> list[int]:
+    return [int(s) for s in text.split("/")]
+
+
+TRACE_COLUMNS = (("vehicle_id", int), ("timestamp", float), ("lat", float), ("lon", float))
+TRIP_COLUMNS = (("vehicle_id", int), ("departure_s", float), ("path", _segment_path))
+TRUTH_COLUMNS = (("segment_id", int), ("time_s", float), ("flow_vph", float))
+
+
 def write_traces(traces: list[GpsTrace], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "timestamp", "lat", "lon"])
-        for trace in sorted(traces, key=lambda t: t.vehicle_id):
-            for t, lat, lon in zip(trace.timestamps, trace.lats, trace.lons):
-                w.writerow([trace.vehicle_id, fmt_float(t), fmt_float(lat), fmt_float(lon)])
+    write_table(path, TRACE_COLUMNS, (
+        (trace.vehicle_id, t, lat, lon)
+        for trace in sorted(traces, key=lambda t: t.vehicle_id)
+        for t, lat, lon in zip(trace.timestamps, trace.lats, trace.lons)))
 
 
 def read_traces(path: str | os.PathLike) -> list[GpsTrace]:
     rows: dict[int, list[tuple[float, float, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["vehicle_id", "timestamp", "lat", "lon"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                vid = int(row["vehicle_id"])
-                rows.setdefault(vid, []).append(
-                    (float(row["timestamp"]), float(row["lat"]), float(row["lon"]))
-                )
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad trace row {row}: {exc}") from exc
+    for vid, t, lat, lon in read_table(path, TRACE_COLUMNS):
+        rows.setdefault(vid, []).append((t, lat, lon))
     if not rows:
         raise InputDataError(f"{path}: no trace points")
     traces = []
@@ -370,56 +365,25 @@ def read_traces(path: str | os.PathLike) -> list[GpsTrace]:
 
 
 def write_trips(trips: list[TruthTrip], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "departure_s", "path"])
-        for trip in sorted(trips, key=lambda t: t.vehicle_id):
-            w.writerow([trip.vehicle_id, fmt_float(trip.departure),
-                        "/".join(str(s) for s in trip.path)])
+    write_table(path, TRIP_COLUMNS, (
+        (trip.vehicle_id, trip.departure, "/".join(str(s) for s in trip.path))
+        for trip in sorted(trips, key=lambda t: t.vehicle_id)))
 
 
 def read_trips(path: str | os.PathLike) -> list[TruthTrip]:
     """Read trips; entry times are not stored, rebuild with ``with_times``."""
-    trips = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["vehicle_id", "departure_s", "path"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                trips.append(TruthTrip(
-                    vehicle_id=int(row["vehicle_id"]),
-                    departure=float(row["departure_s"]),
-                    path=[int(s) for s in row["path"].split("/")],
-                    entry_times=None,
-                ))
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad trip row {row}: {exc}") from exc
-    return trips
+    return [TruthTrip(vehicle_id=vid, departure=departure, path=seg_path, entry_times=None)
+            for vid, departure, seg_path in read_table(path, TRIP_COLUMNS)]
 
 
 def write_truth(scenario: GroundTruthScenario, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["segment_id", "time_s", "flow_vph"])
-        for sid in sorted(scenario.time):
-            w.writerow([sid, fmt_float(scenario.time[sid]), fmt_float(scenario.flow[sid])])
+    write_table(path, TRUTH_COLUMNS, ((sid, scenario.time[sid], scenario.flow[sid])
+                                      for sid in sorted(scenario.time)))
 
 
 def read_truth(path: str | os.PathLike) -> tuple[dict[int, float], dict[int, float]]:
     times: dict[int, float] = {}
     flows: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["segment_id", "time_s", "flow_vph"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                sid = int(row["segment_id"])
-                times[sid] = float(row["time_s"])
-                flows[sid] = float(row["flow_vph"])
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad truth row {row}: {exc}") from exc
+    for sid, time, flow in read_table(path, TRUTH_COLUMNS):
+        times[sid], flows[sid] = time, flow
     return times, flows

@@ -17,7 +17,6 @@ therefore never end up worse than not solving at all.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -28,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputDataError
-from .network import RoadNetwork, TimeGrid, fmt_float
+from .network import RoadNetwork, TimeGrid
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -267,31 +267,20 @@ def residual_sq(estimates: dict[int, float], obs: IntervalObservations, net: Roa
 # ---------------------------------------------------------------------------
 
 
+ESTIMATE_COLUMNS = (("interval", int), ("segment_id", int), ("time_s", float), ("support", int))
+
+
 def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["interval", "segment_id", "time_s", "support"])
-        for est in sorted(estimates, key=lambda e: e.interval_index):
-            for sid in sorted(est.time):
-                w.writerow([est.interval_index, sid, fmt_float(est.time[sid]), est.support[sid]])
+    write_table(path, ESTIMATE_COLUMNS, (
+        (est.interval_index, sid, est.time[sid], est.support[sid])
+        for est in sorted(estimates, key=lambda e: e.interval_index)
+        for sid in sorted(est.time)))
 
 
 def read_estimates(path: str | os.PathLike) -> dict[int, SegmentTimeEstimate]:
     out: dict[int, SegmentTimeEstimate] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["interval", "segment_id", "time_s", "support"]
-        if reader.fieldnames != expected:
-            raise InputDataError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            try:
-                interval = int(row["interval"])
-                sid = int(row["segment_id"])
-                t = float(row["time_s"])
-                sup = int(row["support"])
-            except ValueError as exc:
-                raise InputDataError(f"{path}: bad estimate row {row}: {exc}") from exc
-            est = out.setdefault(interval, SegmentTimeEstimate({}, {}, interval))
-            est.time[sid] = t
-            est.support[sid] = sup
+    for interval, sid, t, support in read_table(path, ESTIMATE_COLUMNS):
+        est = out.setdefault(interval, SegmentTimeEstimate({}, {}, interval))
+        est.time[sid] = t
+        est.support[sid] = support
     return out

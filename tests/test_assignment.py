@@ -1,4 +1,4 @@
-"""Traffic assignment: BPR costs, Frank-Wolfe UE/SO, demand and flow tables."""
+"""Traffic assignment: BPR costs, Frank-Wolfe UE/SO, the demand table."""
 
 from __future__ import annotations
 
@@ -8,16 +8,13 @@ import numpy as np
 import pytest
 
 from probeflow.assignment import (
-    AssignmentResult,
     BprCost,
     VdfParams,
     bpr_time,
-    read_assignment,
     read_demand,
     solve_so,
     solve_ue,
     total_system_travel_time,
-    write_assignment,
     write_demand,
 )
 from probeflow.errors import InputDataError, SolverError
@@ -236,17 +233,3 @@ def test_read_demand_rejects_bad_tables(tmp_path):
     p.write_text("origin_taz,dest_taz,trips_per_hour\n1,2,-10\n")
     with pytest.raises(InputDataError):
         read_demand(p)
-
-
-def test_assignment_round_trip(tmp_path):
-    res = AssignmentResult(
-        flow={0: 12.5, 1: 0.0}, time={0: 10.125, 1: 7.2},
-        relative_gap=0.0, iterations=1, converged=True,
-    )
-    path = tmp_path / "assignment.csv"
-    write_assignment(res, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "segment_id,flow_vph,time_s"
-    flow, time = read_assignment(path)
-    assert flow == res.flow
-    assert time == res.time

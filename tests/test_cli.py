@@ -122,6 +122,15 @@ def test_match_on_empty_trace_file_exits_2_naming_it(world, tmp_path, capsys):
     assert "empty_traces.csv" in capsys.readouterr().err
 
 
+def test_match_on_short_trace_row_exits_2_naming_it(world, tmp_path, capsys):
+    short = tmp_path / "short_traces.csv"
+    short.write_text("vehicle_id,timestamp,lat,lon\n1,0.0,37.75,-122.45\n1,30.0\n")
+    rc = main(["match", "--network", world.paths["network"],
+               "--traces", str(short), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "short_traces.csv, line 3" in capsys.readouterr().err
+
+
 def test_import_osm_round_trip(tmp_path):
     xml = """<osm>
       <node id="1" lat="47.600" lon="-122.330"/>

@@ -18,7 +18,6 @@ from probeflow.network import (
     Segment,
     Taz,
     TimeGrid,
-    fmt_float,
     haversine,
     import_osm,
     meters_per_degree,
@@ -30,6 +29,7 @@ from probeflow.network import (
     write_network,
     write_tazs,
 )
+from probeflow.tables import fmt_float
 
 from conftest import make_grid_network
 
@@ -418,6 +418,13 @@ def test_read_network_rejects_garbage(tmp_path):
         read_network(path)
     path.write_text('{"nodes": [], "segments": [{"id": 0}]}')
     with pytest.raises(InputDataError):
+        read_network(path)
+
+
+def test_read_network_rejects_non_utf8(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_bytes(b'{"nodes": [], "segments": [], "name": "\xff"}')
+    with pytest.raises(InputDataError, match="net.json"):
         read_network(path)
 
 
