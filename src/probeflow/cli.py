@@ -30,6 +30,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -614,7 +615,10 @@ def _cmd_export_voc(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     states_dir = Path(cfg.states_dir) if cfg.states_dir is not None else Path(cfg.out_dir)
     flows_by_interval: dict[int, dict[int, float]] = {}
     for path in sorted(states_dir.glob("state_*.csv")):
-        interval = int(path.stem.split("_")[1])
+        match = re.fullmatch(r"state_(\d+)", path.stem)
+        if match is None:
+            raise InputDataError(f"{path}: not a state_<interval>.csv file name")
+        interval = int(match.group(1))
         flow, _, _ = read_state(path)
         flows_by_interval[interval] = flow
     if not flows_by_interval:

@@ -19,10 +19,11 @@ Rows with no observation at all cannot be anchored by data; they are
 filled with the segment's free-flow time, flagged, and kept out of the
 low-rank system.
 
-The singular value decomposition is computed in-repo by a one-sided
-Jacobi method with a fixed round-robin sweep order, descending singular
-values, and a deterministic sign convention, so completion output is a
-pure function of its inputs.
+This iteration is Soft-Impute (Mazumder, Hastie & Tibshirani 2010), and
+each step costs one singular value decomposition. It comes from LAPACK
+through numpy.linalg.svd, with descending singular values and a fixed
+sign convention. Completion output is a pure function of its inputs for
+one numpy and BLAS/LAPACK build.
 """
 
 from __future__ import annotations
@@ -149,128 +150,24 @@ def assemble_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: m-1 rounds of disjoint column pairs."""
-    players = list(range(m)) + ([-1] if m % 2 else [])
-    k = len(players)
-    rounds = []
-    for _ in range(k - 1):
-        p, q = [], []
-        for i in range(k // 2):
-            a, b = players[i], players[k - 1 - i]
-            if a >= 0 and b >= 0:
-                p.append(min(a, b))
-                q.append(max(a, b))
-        rounds.append((np.array(p, dtype=int), np.array(q, dtype=int)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
+def svd(a: np.ndarray):
+    """Thin SVD a = u @ diag(s) @ vt from LAPACK, with a fixed sign convention.
 
-
-def jacobi_svd(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60,
-               v0: np.ndarray | None = None):
-    """Full SVD by one-sided Jacobi rotations: a = u @ diag(s) @ vt.
-
-    Columns are orthogonalized pairwise in a fixed round-robin order
-    (each round's pairs are disjoint, so its rotations apply in one
-    vectorized step). Singular values come out descending; each right
-    singular vector has its leading entry nonnegative, which pins the
-    sign of the pair. Fixed input, fixed output.
-
-    v0, an orthogonal right basis from a nearby matrix, starts the sweep
-    close to convergence (only meaningful when n >= m). Callers that
-    decompose a slowly changing iterate pass the previous vt.T.
+    Singular values come out descending. Each row of vt has its leading
+    entry with |x| > 1e-12 made nonnegative, and the matching column of
+    u is flipped with it, which pins the sign of each singular pair.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise InputDataError("svd needs a nonempty 2-d matrix")
     if not np.all(np.isfinite(a)):
         raise InputDataError("svd input holds non-finite values")
-    n, m = a.shape
-    if n < m:
-        if v0 is not None:
-            raise InputDataError("warm start needs n >= m; transpose the input")
-        u, s, vt = jacobi_svd(a.T, tol=tol, max_sweeps=max_sweeps)
-        return vt.T, s, u.T
-
-    if v0 is None:
-        b = a.copy()
-        v = np.eye(m)
-    else:
-        if v0.shape != (m, m):
-            raise InputDataError(f"warm-start basis shape {v0.shape} != {(m, m)}")
-        b = a @ v0
-        v = v0.copy()
-    rounds = _round_robin(m)
-    for sweep in range(max_sweeps):
-        worst = 0.0
-        for p, q in rounds:
-            bp, bq = b[:, p], b[:, q]
-            alpha = np.einsum("ij,ij->j", bp, bp)
-            beta = np.einsum("ij,ij->j", bq, bq)
-            gamma = np.einsum("ij,ij->j", bp, bq)
-            scale = alpha * beta
-            rot = gamma * gamma > (tol * tol) * scale
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cos2 = np.where(scale > 0.0, gamma * gamma / scale, 0.0)
-            worst = max(worst, float(cos2.max(initial=0.0)))
-            if not rot.any():
-                continue
-            pi, qi = p[rot], q[rot]
-            g = gamma[rot]
-            with np.errstate(over="ignore"):
-                zeta = (beta[rot] - alpha[rot]) / (2.0 * g)
-                # The sign must be +1 at zeta == 0: equal-norm parallel
-                # columns need a 45-degree rotation, not the identity.
-                # hypot keeps huge zeta from overflowing in zeta**2.
-                t = np.where(zeta >= 0.0, 1.0, -1.0) / (np.abs(zeta) + np.hypot(1.0, zeta))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s_ = c * t
-            bp, bq = b[:, pi], b[:, qi]
-            b[:, pi] = c * bp - s_ * bq
-            b[:, qi] = s_ * bp + c * bq
-            vp, vq = v[:, pi], v[:, qi]
-            v[:, pi] = c * vp - s_ * vq
-            v[:, qi] = s_ * vp + c * vq
-        if worst <= tol * tol:
-            break
-    else:
-        logger.warning("svd sweep limit %d reached (residual %.3e)", max_sweeps, worst)
-
-    norms = np.sqrt(np.einsum("ij,ij->j", b, b))
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    u = b[:, order] / np.where(s > 0.0, s, 1.0)
-    v = v[:, order]
-    for j in range(m):
-        lead = np.argmax(np.abs(v[:, j]) > 1e-12)
-        if v[lead, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return u, s, v.T
-
-
-class _WarmShrink:
-    """Soft-threshold singular values by tau, reusing the last right basis.
-
-    The completion iterate changes little between steps, so the previous
-    singular basis is a near-fixed-point start for the Jacobi sweep.
-    """
-
-    def __init__(self, tau: float) -> None:
-        self.tau = tau
-        self._basis: np.ndarray | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        transpose = x.shape[0] < x.shape[1]
-        work = x.T if transpose else x
-        u, s, vt = jacobi_svd(work, v0=self._basis)
-        self._basis = vt.T
-        kept = s - self.tau
-        r = int(np.sum(kept > 0.0))
-        if r == 0:
-            return np.zeros_like(x)
-        z = (u[:, :r] * kept[:r]) @ vt[:r]
-        return z.T if transpose else z
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    lead = np.argmax(np.abs(vt) > 1e-12, axis=1)
+    flip = vt[np.arange(len(s)), lead] < 0.0
+    u[:, flip] = -u[:, flip]
+    vt[flip] = -vt[flip]
+    return u, s, vt
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +205,10 @@ def complete(
 
     observed_rows = mat.mask.any(axis=1)
     fallback = [sid for i, sid in enumerate(mat.segment_ids) if not observed_rows[i]]
-    for sid in fallback:
-        logger.warning("segment %d has no observed interval; filling with free flow", sid)
+    if fallback:
+        logger.warning("%d segments have no observed interval, filled with free flow "
+                       "(first ids: %s)", len(fallback),
+                       ", ".join(str(sid) for sid in fallback[:5]))
 
     out = np.array(mat.values)
     out[~observed_rows] = mat.free_flow[~observed_rows, None]
@@ -325,9 +224,11 @@ def complete(
         x = sub.copy()
         row_means = np.array([row[keep].mean() for row, keep in zip(sub, sub_mask)])
         x[~sub_mask] = np.broadcast_to(row_means[:, None], x.shape)[~sub_mask]
-        shrink = _WarmShrink(tau)
         for k in range(1, max_iter + 1):
-            z = shrink(x)
+            u, s, vt = svd(x)
+            kept = s - tau
+            rank = int(np.sum(kept > 0.0))
+            z = (u[:, :rank] * kept[:rank]) @ vt[:rank]
             xn = x + step * (z - x)
             xn[sub_mask] = obs_vals
             rel = float(np.linalg.norm(xn - x) / max(np.linalg.norm(x), 1e-12))
@@ -339,6 +240,8 @@ def complete(
             logger.warning(
                 "completion stopped at max_iter=%d with relative change %.3e", max_iter, rel
             )
+        logger.info("completion: %d iterations, relative change %.3e, tau %.6g, "
+                    "%d singular values kept", iterations, rel, tau, rank)
         out[observed_rows] = np.maximum(x, mat.free_flow[observed_rows, None])
 
     completed = TravelTimeMatrix(
@@ -355,36 +258,6 @@ def complete(
         iterations=iterations,
         rel_change=rel,
     )
-
-
-def interpolate_flows(
-    flows_by_interval: dict[int, dict[int, float]],
-    grid: TimeGrid,
-) -> dict[int, dict[int, float]]:
-    """Linear interpolation of per-segment flows across estimated intervals.
-
-    Intervals before the first (after the last) estimate hold the first
-    (last) estimated value. This is a plotting heuristic: flows are only
-    actually solved for at the estimated intervals, and nothing enforces
-    flow conservation between them.
-    """
-    if not flows_by_interval:
-        raise InputDataError("no flows to interpolate")
-    known = sorted(flows_by_interval)
-    if not 0 <= known[0] <= known[-1] < grid.interval_count:
-        raise InputDataError("flow intervals outside the grid")
-    segs = sorted(flows_by_interval[known[0]])
-    for iv in known:
-        if sorted(flows_by_interval[iv]) != segs:
-            raise InputDataError(f"interval {iv} covers a different segment set")
-    all_iv = np.arange(grid.interval_count, dtype=float)
-    out: dict[int, dict[int, float]] = {iv: {} for iv in range(grid.interval_count)}
-    for sid in segs:
-        series = np.interp(all_iv, np.array(known, dtype=float),
-                           np.array([flows_by_interval[iv][sid] for iv in known]))
-        for iv in range(grid.interval_count):
-            out[iv][sid] = float(series[iv])
-    return out
 
 
 # ---------------------------------------------------------------------------

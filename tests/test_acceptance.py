@@ -22,7 +22,7 @@ from probeflow.assignment import (
     total_system_travel_time,
 )
 from probeflow.cli import main
-from probeflow.completion import TravelTimeMatrix, complete, jacobi_svd
+from probeflow.completion import TravelTimeMatrix, complete, svd
 from probeflow.evaluation import (
     aggregate_error_pct,
     lag_autocorrelation,
@@ -436,7 +436,7 @@ def test_08_completion_recovers_low_rank_structure():
     # The factorization itself, against the brute-force spectral oracle.
     for seed in (3, 4):
         a = np.random.default_rng(seed).standard_normal((200, 200)) * 5.0
-        _, s, _ = jacobi_svd(a)
+        _, s, _ = svd(a)
         eig = np.linalg.eigvalsh(a.T @ a)
         oracle = np.sqrt(np.maximum(eig[::-1], 0.0))[: len(s)]
         assert np.max(np.abs(s - oracle)) <= 1e-8

@@ -228,6 +228,17 @@ def test_export_voc_and_geojson(world, tmp_path):
                  "--states-dir", str(tmp_path / "void")]) == 2
 
 
+def test_export_voc_rejects_stray_state_file(world, tmp_path, capsys):
+    states = tmp_path / "states"
+    states.mkdir()
+    (states / "state_000.csv").write_bytes((world.pipe / "state_000.csv").read_bytes())
+    (states / "state_old.csv").write_bytes((world.pipe / "state_000.csv").read_bytes())
+    rc = main(["export-voc", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--states-dir", str(states)])
+    assert rc == 2
+    assert "state_old.csv" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Solver failure
 # ---------------------------------------------------------------------------

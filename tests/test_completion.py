@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow.completion import (
     TravelTimeMatrix,
     assemble_matrix,
     complete,
     default_threshold,
-    interpolate_flows,
-    jacobi_svd,
     read_completed,
     read_matrix,
+    svd,
     write_completed,
     write_matrix,
 )
@@ -62,7 +65,7 @@ def test_svd_matches_eigen_oracle():
     rng = np.random.default_rng(17)
     for shape in [(60, 60), (40, 25), (25, 40)]:
         a = rng.standard_normal(shape) * 10.0
-        _, s, _ = jacobi_svd(a)
+        _, s, _ = svd(a)
         eig = np.linalg.eigvalsh(a.T @ a)
         oracle = np.sqrt(np.maximum(eig[::-1], 0.0))[: len(s)]
         assert np.max(np.abs(s - oracle)) <= 1e-10 * oracle[0]
@@ -72,7 +75,7 @@ def test_svd_reconstruction_and_orthogonality():
     rng = np.random.default_rng(23)
     for shape in [(30, 20), (20, 30), (9, 9)]:
         a = rng.standard_normal(shape)
-        u, s, vt = jacobi_svd(a)
+        u, s, vt = svd(a)
         k = min(shape)
         assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= 1e-12 * np.linalg.norm(a)
         assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-10
@@ -81,7 +84,7 @@ def test_svd_reconstruction_and_orthogonality():
 
 def test_svd_descending_order_and_sign_convention():
     a = np.random.default_rng(5).standard_normal((25, 12))
-    u, s, vt = jacobi_svd(a)
+    u, s, vt = svd(a)
     assert np.all(np.diff(s) <= 0.0)
     for row in vt:
         lead = row[np.argmax(np.abs(row) > 1e-12)]
@@ -89,7 +92,7 @@ def test_svd_descending_order_and_sign_convention():
 
 
 def test_svd_diagonal_matrix_exact():
-    u, s, vt = jacobi_svd(np.diag([3.0, 2.0]))
+    u, s, vt = svd(np.diag([3.0, 2.0]))
     assert np.array_equal(s, np.array([3.0, 2.0]))
     assert np.array_equal(u, np.eye(2))
     assert np.array_equal(vt, np.eye(2))
@@ -97,19 +100,18 @@ def test_svd_diagonal_matrix_exact():
 
 def test_svd_rank_deficient():
     x = np.outer([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [4.0, 3.0, 2.0, 1.0])
-    u, s, vt = jacobi_svd(x)
+    u, s, vt = svd(x)
     assert s[0] > 1.0
     assert np.all(s[1:] <= 1e-12 * s[0])
     assert np.linalg.norm(u @ np.diag(s) @ vt - x) <= 1e-12 * s[0]
 
 
 def test_svd_identical_columns():
-    # Equal-norm parallel columns make the rotation angle formula hit
-    # zeta == 0; the 45-degree branch must fire or the sweep stalls with
-    # every reported singular value equal to the shared column norm.
+    # Equal-norm parallel columns: rank one, so one singular value holds
+    # the whole norm and the rest vanish.
     x = np.full((10, 8), 30.0)
     x[6:] = 29.998
-    u, s, vt = jacobi_svd(x)
+    u, s, vt = svd(x)
     assert abs(s[0] - np.linalg.norm(x)) <= 1e-10 * s[0]
     assert np.all(s[1:] <= 1e-10 * s[0])
     assert abs(np.linalg.norm(u[:, 0]) - 1.0) <= 1e-12
@@ -118,34 +120,46 @@ def test_svd_identical_columns():
 
 def test_svd_determinism():
     a = np.random.default_rng(9).standard_normal((40, 30))
-    first = jacobi_svd(a)
-    second = jacobi_svd(a)
+    first = svd(a)
+    second = svd(a)
     for x, y in zip(first, second):
         assert np.array_equal(x, y)
 
 
-def test_svd_warm_start():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((30, 20))
-    u, s, vt = jacobi_svd(a)
-    # A nearby matrix decomposed from the previous basis: same answer.
-    b = a + 1e-6 * rng.standard_normal(a.shape)
-    _, s_warm, _ = jacobi_svd(b, v0=vt.T)
-    _, s_cold, _ = jacobi_svd(b)
-    assert np.max(np.abs(s_warm - s_cold)) <= 1e-9 * s_cold[0]
-    with pytest.raises(InputDataError):
-        jacobi_svd(a.T, v0=vt.T)
-    with pytest.raises(InputDataError):
-        jacobi_svd(a, v0=np.eye(3))
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 12), rank=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_svd_properties(n, m, rank, seed):
+    # Tall, wide and square shapes; rank below min(n, m) makes the matrix
+    # rank-deficient (rank 0 is the zero matrix).
+    rng = np.random.default_rng(seed)
+    r = min(rank, n, m)
+    a = rng.standard_normal((n, r)) @ rng.standard_normal((r, m)) * 10.0
+    u, s, vt = svd(a)
+    k = min(n, m)
+    assert u.shape == (n, k) and s.shape == (k,) and vt.shape == (k, m)
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    assert np.linalg.norm((u * s) @ vt - a) <= 1e-12 * scale
+    assert np.linalg.norm(u.T @ u - np.eye(k)) <= 1e-10
+    assert np.linalg.norm(vt @ vt.T - np.eye(k)) <= 1e-10
+    assert np.all(np.diff(s) <= 0.0)
+    for row in vt:
+        lead = row[np.argmax(np.abs(row) > 1e-12)]
+        assert lead >= 0.0
+    # Compared squared: the oracle's eigenvalues carry about eps * s[0]**2
+    # of rounding, which a square root would inflate to sqrt(eps) * s[0]
+    # on the near-zero singular values of a rank-deficient matrix.
+    eig = np.linalg.eigvalsh(a.T @ a) if n >= m else np.linalg.eigvalsh(a @ a.T)
+    assert np.max(np.abs(s**2 - eig[::-1])) <= 1e-10 * max(eig[-1], 1.0)
 
 
 def test_svd_rejects_bad_input():
     with pytest.raises(InputDataError):
-        jacobi_svd(np.zeros((0, 3)))
+        svd(np.zeros((0, 3)))
     with pytest.raises(InputDataError):
-        jacobi_svd(np.array([1.0, 2.0]))
+        svd(np.array([1.0, 2.0]))
     with pytest.raises(InputDataError):
-        jacobi_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +248,35 @@ def test_complete_determinism():
     assert res_a.iterations == res_b.iterations
 
 
+def test_complete_repeat_call_bit_equal():
+    _, mat = low_rank_instance(40, 168, 3, 0.3, 19, WEEK)
+    first = complete(mat, svt_threshold=30.0)
+    second = complete(mat, svt_threshold=30.0)
+    assert np.array_equal(first.matrix.values, second.matrix.values)
+    assert first.iterations == second.iterations
+    assert first.rel_change == second.rel_change
+
+
+def test_fallback_rows_log_one_warning(caplog):
+    n = 8
+    mask = np.zeros((n, 6), dtype=bool)
+    mask[0] = mask[3] = True
+    mat = TravelTimeMatrix(values=np.where(mask, 40.0, 0.0), mask=mask,
+                           segment_ids=list(range(100, 100 + n)),
+                           free_flow=np.full(n, 20.0), grid=GRID6)
+    with caplog.at_level(logging.INFO, logger="probeflow.completion"):
+        res = complete(mat, svt_threshold=5.0)
+    assert res.fallback_segments == [101, 102, 104, 105, 106, 107]
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].getMessage() == (
+        "6 segments have no observed interval, filled with free flow "
+        "(first ids: 101, 102, 104, 105, 106)")
+    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(infos) == 1
+    assert infos[0].startswith(f"completion: {res.iterations} iterations")
+
+
 def test_default_threshold_value_and_run():
     values = np.array([[10.0, 0.0], [30.0, 40.0]])
     mask = np.array([[True, False], [True, True]])
@@ -276,7 +319,7 @@ def test_matrix_type_validation():
 
 
 # ---------------------------------------------------------------------------
-# Assembly and interpolation
+# Assembly
 # ---------------------------------------------------------------------------
 
 
@@ -328,22 +371,6 @@ def test_column_times():
     assert mat.column_times(0) == {0: 0.0, 1: 0.0}
     with pytest.raises(InputDataError):
         mat.column_times(8)
-
-
-def test_interpolate_flows_linear():
-    flows = {2: {7: 10.0}, 5: {7: 40.0}}
-    out = interpolate_flows(flows, GRID8)
-    series = [out[iv][7] for iv in range(8)]
-    assert series == [10.0, 10.0, 10.0, 20.0, 30.0, 40.0, 40.0, 40.0]
-
-
-def test_interpolate_flows_validation():
-    with pytest.raises(InputDataError):
-        interpolate_flows({}, GRID8)
-    with pytest.raises(InputDataError):
-        interpolate_flows({0: {1: 2.0}, 3: {2: 2.0}}, GRID8)
-    with pytest.raises(InputDataError):
-        interpolate_flows({9: {1: 2.0}}, GRID8)
 
 
 # ---------------------------------------------------------------------------
