@@ -79,10 +79,10 @@ class BprCost:
 
 @dataclass
 class AssignmentResult:
-    """Flows and times of one assignment, plus convergence bookkeeping."""
+    """Per-segment flows (veh/h) and times (s) of one assignment, with convergence data."""
 
-    flow: dict[int, float]
-    time: dict[int, float]
+    flow: np.ndarray
+    time: np.ndarray
     relative_gap: float
     iterations: int
     converged: bool
@@ -90,7 +90,7 @@ class AssignmentResult:
 
 def total_system_travel_time(result: AssignmentResult) -> float:
     """Sum of flow * travel time over all segments (veh-seconds per hour)."""
-    return math.fsum(result.flow[s] * result.time[s] for s in sorted(result.flow))
+    return math.fsum(result.flow * result.time)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,8 @@ def _solve(
     if not origins:
         zeros = np.zeros(net.n_segments, dtype=float)
         return AssignmentResult(
-            flow=net.array_to_times(zeros),
-            time=net.array_to_times(np.asarray(cost_model.time(zeros), dtype=float)),
+            flow=zeros,
+            time=np.asarray(cost_model.time(zeros), dtype=float),
             relative_gap=0.0,
             iterations=0,
             converged=True,
@@ -239,8 +239,8 @@ def _solve(
         converged,
     )
     return AssignmentResult(
-        flow=net.array_to_times(v),
-        time=net.array_to_times(np.asarray(cost_model.time(v), dtype=float)),
+        flow=v,
+        time=np.asarray(cost_model.time(v), dtype=float),
         relative_gap=gap,
         iterations=iterations,
         converged=converged,

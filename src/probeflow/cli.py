@@ -37,8 +37,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .assignment import read_demand, write_demand
-from .completion import assemble_matrix, complete, write_completed, write_matrix
+from .completion import (
+    CompletionParams,
+    assemble_matrix,
+    complete,
+    write_completed,
+    write_matrix,
+)
 from .errors import InputDataError, SolverError
 from .evaluation import (
     ScenarioMetrics,
@@ -56,6 +64,8 @@ from .evaluation import (
 from .mapmatch import MatchParams, match_traces, read_matched, write_matched
 from .network import TimeGrid, import_osm, read_network, read_tazs, write_network
 from .odestim import (
+    GravityParams,
+    OdSolveParams,
     SpsaParams,
     estimate_od,
     read_state,
@@ -63,7 +73,7 @@ from .odestim import (
     write_objective_trace,
     write_state,
 )
-from .refine import refine, write_diagnostics
+from .refine import RefineParams, refine, write_diagnostics
 from .tracegen import (
     GroundTruthScenario,
     ProbeConfig,
@@ -127,54 +137,6 @@ class UsageError(Exception):
 
 
 @dataclass(frozen=True)
-class RefineParams:
-    """Loop budget and stop thresholds of the refinement stage."""
-
-    max_iters: int = 10
-    stop_tol: float = 1e-3
-    time_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise InputDataError("max_iters must be at least 1")
-        if self.stop_tol <= 0:
-            raise InputDataError("stop_tol must be positive")
-        if not (0.0 < self.time_weight <= 1.0):
-            raise InputDataError("time_weight must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class OdSolveParams:
-    """Lower-level equilibrium settings used inside demand estimation."""
-
-    ue_tol: float = 1e-4
-    ue_max_iter: int = 500
-    weight_by_support: bool = False
-
-    def __post_init__(self) -> None:
-        if self.ue_tol <= 0 or self.ue_max_iter < 1:
-            raise InputDataError("ue_tol must be positive and ue_max_iter at least 1")
-
-
-@dataclass(frozen=True)
-class CompletionParams:
-    """Thresholding and stop settings of the matrix completion stage."""
-
-    svt_threshold: float | None = None
-    step: float = 1.2
-    max_iter: int = 500
-    tol: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if self.svt_threshold is not None and not (self.svt_threshold > 0):
-            raise InputDataError("svt_threshold must be positive when given")
-        if not (0.0 < self.step <= 2.0):
-            raise InputDataError("step must be in (0, 2]")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise InputDataError("max_iter must be at least 1 and tol positive")
-
-
-@dataclass(frozen=True)
 class AssignParams:
     """Convergence settings for ground-truth scenario assignment."""
 
@@ -184,18 +146,6 @@ class AssignParams:
     def __post_init__(self) -> None:
         if self.tol <= 0 or self.max_iter < 1:
             raise InputDataError("tol must be positive and max_iter at least 1")
-
-
-@dataclass(frozen=True)
-class GravityParams:
-    """Distance-decay seed demand settings."""
-
-    deterrence_scale: float = 2000.0
-    total_trips: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.deterrence_scale <= 0 or self.total_trips <= 0:
-            raise InputDataError("deterrence_scale and total_trips must be positive")
 
 
 _SECTIONS: dict[str, type] = {
@@ -374,8 +324,7 @@ def _threads(cfg: PipelineConfig) -> int:
 
 def _supported_intervals(estimates) -> list[int]:
     """Intervals whose estimate rests on at least one observation."""
-    return sorted(iv for iv, est in estimates.items()
-                  if any(n > 0 for n in est.support.values()))
+    return sorted(iv for iv, est in estimates.items() if np.any(est.support > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +357,7 @@ def _cmd_gen_scenarios(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     out = _out(cfg)
     for scen in scenarios:
         path = out / truth_file(scen.id)
-        write_truth(scen, path)
+        write_truth(scen, net, path)
         artifacts.append(path)
 
 
@@ -439,7 +388,7 @@ def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
         path = truth_dir / truth_file(sid)
         if not path.is_file():
             raise UsageError(f"truth file not found: {path}")
-        times, flows = read_truth(path)
+        times, flows = read_truth(path, net)
         scenarios.append(GroundTruthScenario(
             id=sid, demand_multiplier=cfg.multipliers[sid], time=times, flow=flows))
 
@@ -468,7 +417,7 @@ def _cmd_match(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     """One geometric matching pass under free-flow travel times."""
     net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
-    matched = match_traces(net, traces, net.free_flow_times(), cfg.match)
+    matched = match_traces(net, traces, net.seg_fft, cfg.match)
     out = _out(cfg) / MATCHED_FILE
     write_matched(matched, out)
     artifacts.append(out)
@@ -478,30 +427,25 @@ def _cmd_infer(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
     matched = read_matched(_input(cfg, "matched"))
     obs = observations_from_matches(matched, cfg.grid)
-    prior = net.free_flow_times()
-    p = cfg.infer
 
     def solve(interval: int):
-        return infer_times(obs[interval], net, prior, lam=p.lam, tol=p.tol,
-                           max_iter=p.max_iter)
+        return infer_times(obs[interval], net, net.seg_fft, cfg.infer)
 
     with ThreadPoolExecutor(max_workers=_threads(cfg)) as pool:
         estimates = list(pool.map(solve, sorted(obs)))
     out = _out(cfg) / ESTIMATES_FILE
-    write_estimates(estimates, out)
+    write_estimates(estimates, out, net)
     artifacts.append(out)
 
 
 def _cmd_refine(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
-    pieces, estimates, diag = refine(
-        traces, net, cfg.grid, match_params=cfg.match, infer_params=cfg.infer,
-        max_iters=cfg.refine.max_iters, stop_tol=cfg.refine.stop_tol,
-        time_weight=cfg.refine.time_weight)
+    pieces, estimates, diag = refine(traces, net, cfg.grid, match_params=cfg.match,
+                                     infer_params=cfg.infer, params=cfg.refine)
     out = _out(cfg)
     write_matched(pieces, out / MATCHED_FILE)
-    write_estimates([estimates[iv] for iv in sorted(estimates)], out / ESTIMATES_FILE)
+    write_estimates([estimates[iv] for iv in sorted(estimates)], out / ESTIMATES_FILE, net)
     write_diagnostics(diag, out / DIAGNOSTICS_FILE)
     artifacts.extend([out / MATCHED_FILE, out / ESTIMATES_FILE, out / DIAGNOSTICS_FILE])
 
@@ -517,7 +461,7 @@ def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     """
     net = read_network(_input(cfg, "network"))
     tazs = read_tazs(_input(cfg, "tazs"), net)
-    estimates = read_estimates(_input(cfg, "estimates"))
+    estimates = read_estimates(_input(cfg, "estimates"), net)
     if cfg.demand is not None:
         seed_demand = read_demand(_input(cfg, "demand"))
     else:
@@ -530,9 +474,7 @@ def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 
     def solve(interval: int):
         return estimate_od(
-            net, tazs, estimates[interval], seed_demand, spsa=cfg.spsa,
-            ue_tol=cfg.od.ue_tol, ue_max_iter=cfg.od.ue_max_iter,
-            weight_by_support=cfg.od.weight_by_support,
+            net, tazs, estimates[interval], seed_demand, spsa=cfg.spsa, od=cfg.od,
             rng_seed=stage_seed(f"estimate-od/{interval}", cfg.seed))
 
     out = _out(cfg)
@@ -560,7 +502,7 @@ def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 
 def _cmd_complete(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
-    estimates = read_estimates(_input(cfg, "estimates"))
+    estimates = read_estimates(_input(cfg, "estimates"), net)
     mat = assemble_matrix({iv: e.time for iv, e in estimates.items()}, net, cfg.grid,
                           support_by_interval={iv: e.support for iv, e in estimates.items()})
     out = _out(cfg)
@@ -582,10 +524,10 @@ def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     """
     net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
-    truth_times, _ = read_truth(_input(cfg, "truth"))
+    truth_times, _ = read_truth(_input(cfg, "truth"), net)
     trips = read_trips(_input(cfg, "trips"))
     matched = read_matched(_input(cfg, "matched"))
-    full = read_estimates(_input(cfg, "estimates"))
+    full = read_estimates(_input(cfg, "estimates"), net)
 
     _, base_est, _ = run_baseline(traces, net, cfg.grid,
                                   match_params=cfg.match, infer_params=cfg.infer)
@@ -613,13 +555,13 @@ def _cmd_export_voc(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     """Per-class mean VOC series from the interval state files."""
     net = read_network(_input(cfg, "network"))
     states_dir = Path(cfg.states_dir) if cfg.states_dir is not None else Path(cfg.out_dir)
-    flows_by_interval: dict[int, dict[int, float]] = {}
+    flows_by_interval: dict[int, np.ndarray] = {}
     for path in sorted(states_dir.glob("state_*.csv")):
         match = re.fullmatch(r"state_(\d+)", path.stem)
         if match is None:
             raise InputDataError(f"{path}: not a state_<interval>.csv file name")
         interval = int(match.group(1))
-        flow, _, _ = read_state(path)
+        flow, _, _ = read_state(path, net)
         flows_by_interval[interval] = flow
     if not flows_by_interval:
         raise InputDataError(f"no state files found in {states_dir}")
@@ -633,7 +575,7 @@ def _cmd_export_voc(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 
 def _cmd_export_geojson(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
-    _, _, vocs = read_state(_input(cfg, "state"))
+    _, _, vocs = read_state(_input(cfg, "state"), net)
     out = _out(cfg) / GEOJSON_FILE
     export_geojson(net, vocs, out)
     artifacts.append(out)

@@ -87,13 +87,6 @@ class TravelTimeMatrix:
                 f"{self.free_flow[i]} (segment {self.segment_ids[i]}, interval {j})"
             )
 
-    def column_times(self, interval: int) -> dict[int, float]:
-        """Travel time of every segment in one interval."""
-        if not 0 <= interval < self.grid.interval_count:
-            raise InputDataError(f"interval {interval} out of range")
-        col = self.values[:, interval]
-        return {sid: float(col[i]) for i, sid in enumerate(self.segment_ids)}
-
 
 @dataclass
 class CompletionResult:
@@ -107,10 +100,10 @@ class CompletionResult:
 
 
 def assemble_matrix(
-    times_by_interval: dict[int, dict[int, float]],
+    times_by_interval: dict[int, np.ndarray],
     net: RoadNetwork,
     grid: TimeGrid,
-    support_by_interval: dict[int, dict[int, int]] | None = None,
+    support_by_interval: dict[int, np.ndarray] | None = None,
 ) -> TravelTimeMatrix:
     """Stack per-interval estimates into one weekly matrix.
 
@@ -122,26 +115,25 @@ def assemble_matrix(
     """
     if not times_by_interval:
         raise InputDataError("no interval estimates to assemble")
-    ids = net.segment_ids()
-    row = {sid: i for i, sid in enumerate(ids)}
-    values = np.zeros((len(ids), grid.interval_count))
+    n = net.n_segments
+    values = np.zeros((n, grid.interval_count))
     mask = np.zeros_like(values, dtype=bool)
     for iv in sorted(times_by_interval):
         if not 0 <= iv < grid.interval_count:
             raise InputDataError(f"interval {iv} outside the grid")
-        support = None if support_by_interval is None else support_by_interval.get(iv, {})
-        for sid in sorted(times_by_interval[iv]):
-            if sid not in row:
-                raise InputDataError(f"unknown segment id {sid} in interval {iv}")
-            if support is not None and support.get(sid, 0) <= 0:
-                continue
-            i = row[sid]
-            t = float(times_by_interval[iv][sid])
-            if not math.isfinite(t):
-                raise InputDataError(f"non-finite time for segment {sid}, interval {iv}")
-            values[i, iv] = max(t, net.seg_fft[i])
-            mask[i, iv] = True
-    return TravelTimeMatrix(values=values, mask=mask, segment_ids=ids,
+        t = np.asarray(times_by_interval[iv], dtype=float)
+        if t.shape != (n,):
+            raise InputDataError(f"interval {iv}: {t.shape} times for {n} segments")
+        keep = np.ones(n, dtype=bool)
+        if support_by_interval is not None:
+            keep = np.asarray(support_by_interval.get(iv, np.zeros(n))) > 0
+        bad = keep & ~np.isfinite(t)
+        if np.any(bad):
+            sid = net.segments[int(np.argmax(bad))].id
+            raise InputDataError(f"non-finite time for segment {sid}, interval {iv}")
+        values[keep, iv] = np.maximum(t[keep], net.seg_fft[keep])
+        mask[keep, iv] = True
+    return TravelTimeMatrix(values=values, mask=mask, segment_ids=net.segment_ids(),
                             free_flow=net.seg_fft, grid=grid)
 
 
@@ -173,6 +165,24 @@ def svd(a: np.ndarray):
 # ---------------------------------------------------------------------------
 # Completion
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompletionParams:
+    """Thresholding and stop settings of the matrix completion stage."""
+
+    svt_threshold: float | None = None
+    step: float = 1.2
+    max_iter: int = 500
+    tol: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if self.svt_threshold is not None and not (self.svt_threshold > 0):
+            raise InputDataError("svt_threshold must be positive when given")
+        if not (0.0 < self.step <= 2.0):
+            raise InputDataError("step must be in (0, 2]")
+        if self.max_iter < 1 or self.tol <= 0:
+            raise InputDataError("max_iter must be at least 1 and tol positive")
 
 
 def default_threshold(values: np.ndarray, mask: np.ndarray) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InputDataError
 from .mapmatch import GpsTrace, MatchedPath, MatchParams
 from .network import RoadNetwork, TimeGrid
-from .refine import RefinementDiagnostics, refine
+from .refine import RefinementDiagnostics, RefineParams, refine
 from .tables import read_table, write_table
 from .tracegen import TruthTrip
 from .ttinfer import InferParams, SegmentTimeEstimate
@@ -45,19 +45,11 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-def _paired(est: dict[int, float], truth: dict[int, float]) -> list[int]:
-    if not truth:
-        raise InputDataError("no segments to score")
-    if set(est) != set(truth):
-        extra = sorted(set(est) ^ set(truth))[:5]
-        raise InputDataError(f"estimate and truth cover different segments, e.g. {extra}")
-    return sorted(truth)
-
-
-def mse(est: dict[int, float], truth: dict[int, float]) -> float:
-    """Mean squared error over all segments (keys must coincide)."""
-    keys = _paired(est, truth)
-    return math.fsum((est[k] - truth[k]) ** 2 for k in keys) / len(keys)
+def mse(est: np.ndarray, truth: np.ndarray) -> float:
+    """Mean squared error over all segments (per-segment arrays of one network)."""
+    if len(truth) == 0 or len(est) != len(truth):
+        raise InputDataError(f"cannot score {len(est)} estimated against {len(truth)} true segments")
+    return math.fsum((e - t) ** 2 for e, t in zip(est.tolist(), truth.tolist())) / len(truth)
 
 
 def gain_pct(mse_ours: float, mse_baseline: float) -> float:
@@ -69,17 +61,18 @@ def gain_pct(mse_ours: float, mse_baseline: float) -> float:
     return 100.0 * (mse_baseline - mse_ours) / mse_baseline
 
 
-def aggregate_error_pct(est: dict[int, float], truth: dict[int, float]) -> float:
+def aggregate_error_pct(est: np.ndarray, truth: np.ndarray) -> float:
     """Error of the summed network travel time, in percent.
 
     Per-segment errors of opposite sign cancel here by design; the
     metric scores the network total, not the profile.
     """
-    keys = _paired(est, truth)
-    total_truth = math.fsum(truth[k] for k in keys)
+    if len(truth) == 0 or len(est) != len(truth):
+        raise InputDataError(f"cannot score {len(est)} estimated against {len(truth)} true segments")
+    total_truth = math.fsum(truth)
     if total_truth <= 0:
         raise InputDataError("aggregate truth travel time must be positive")
-    total_est = math.fsum(est[k] for k in keys)
+    total_est = math.fsum(est)
     return 100.0 * abs(total_est - total_truth) / total_truth
 
 
@@ -160,7 +153,7 @@ def run_baseline(
     """
     return refine(traces, net, grid,
                   match_params=replace(match_params, tt_tau=0.0),
-                  infer_params=infer_params, max_iters=1)
+                  infer_params=infer_params, params=RefineParams(max_iters=1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def run_baseline(
 
 
 def voc_series(
-    flows_by_interval: dict[int, dict[int, float]],
+    flows_by_interval: dict[int, np.ndarray],
     net: RoadNetwork,
     grid: TimeGrid,
     class_filter: str | None = None,
@@ -177,24 +170,22 @@ def voc_series(
     """Mean volume-over-capacity per interval, optionally per road class.
 
     Intervals absent from flows_by_interval count as carrying no flow;
-    an interval that is present must cover every filtered segment.
+    an interval that is present holds a flow for every segment.
     """
-    segs = [s for s in net.segments if class_filter is None or s.road_class == class_filter]
-    if not segs:
+    idx = [j for j, s in enumerate(net.segments)
+           if class_filter is None or s.road_class == class_filter]
+    if not idx:
         raise InputDataError(f"no segments of road class {class_filter!r}")
-    segs = sorted(segs, key=lambda s: s.id)
     series = []
     for iv in range(grid.interval_count):
         flows = flows_by_interval.get(iv)
         if flows is None:
             series.append(0.0)
             continue
-        try:
-            series.append(math.fsum(flows[s.id] / s.capacity for s in segs) / len(segs))
-        except KeyError as exc:
+        if len(flows) != net.n_segments:
             raise InputDataError(
-                f"interval {iv} flows miss segment {exc.args[0]}"
-            ) from None
+                f"interval {iv}: {len(flows)} flows for {net.n_segments} segments")
+        series.append(math.fsum(flows[idx] / net.seg_capacity[idx]) / len(idx))
     return series
 
 
@@ -342,19 +333,18 @@ def read_voc(path: str | os.PathLike) -> dict[str, list[float]]:
     return out
 
 
-def export_geojson(net: RoadNetwork, vocs: dict[int, float], path: str | os.PathLike) -> None:
+def export_geojson(net: RoadNetwork, vocs: np.ndarray, path: str | os.PathLike) -> None:
     """Write segments with their VOC as a GeoJSON FeatureCollection.
 
-    One LineString per entry of vocs, ordered by segment id, with
-    properties segment_id, voc, and the voc_bucket label.
+    One LineString per segment, ordered by segment id, with properties
+    segment_id, voc, and the voc_bucket label.
     """
-    if not vocs:
-        raise InputDataError("no segments to export")
+    if len(vocs) == 0 or len(vocs) != net.n_segments:
+        raise InputDataError(f"{len(vocs)} VOC values for {net.n_segments} segments")
     features = []
-    for sid in sorted(vocs):
-        seg = net.segment_by_id(sid)
-        a = net.nodes[net.node_index(seg.from_node)]
-        b = net.nodes[net.node_index(seg.to_node)]
+    for seg, voc in zip(net.segments, np.asarray(vocs, dtype=float).tolist()):
+        a = net.nodes[seg.from_node]
+        b = net.nodes[seg.to_node]
         features.append({
             "type": "Feature",
             "geometry": {
@@ -362,9 +352,9 @@ def export_geojson(net: RoadNetwork, vocs: dict[int, float], path: str | os.Path
                 "coordinates": [[a.lon, a.lat], [b.lon, b.lat]],
             },
             "properties": {
-                "segment_id": sid,
-                "voc": vocs[sid],
-                "voc_bucket": voc_bucket(vocs[sid]),
+                "segment_id": seg.id,
+                "voc": voc,
+                "voc_bucket": voc_bucket(voc),
             },
         })
     with open(path, "w") as fh:

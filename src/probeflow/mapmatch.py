@@ -378,13 +378,10 @@ def _build_path(
 def match_trace(
     net: RoadNetwork,
     trace: GpsTrace,
-    segment_times: dict[int, float],
+    router: Router,
     params: MatchParams = MatchParams(),
-    router: Router | None = None,
 ) -> list[MatchedPath]:
-    """Match one trace; see module docstring for the model."""
-    if router is None:
-        router = Router(net, net.times_to_array(segment_times))
+    """Match one trace under the router's travel times; see the module docstring."""
     cands = [
         project_to_candidates(net, (float(trace.lats[i]), float(trace.lons[i])),
                               params.radius, params.max_candidates)
@@ -471,14 +468,14 @@ def _decode_run(net, trace, run, cands, router, params):
 def match_traces(
     net: RoadNetwork,
     traces: list[GpsTrace],
-    segment_times: dict[int, float],
+    segment_times: np.ndarray,
     params: MatchParams = MatchParams(),
 ) -> list[MatchedPath]:
     """Match a batch of traces against one shared route cache."""
-    router = Router(net, net.times_to_array(segment_times))
+    router = Router(net, segment_times)
     out: list[MatchedPath] = []
     for trace in traces:
-        out.extend(match_trace(net, trace, segment_times, params, router=router))
+        out.extend(match_trace(net, trace, router, params))
     return out
 
 
@@ -487,20 +484,17 @@ def score_assignment(
     trace: GpsTrace,
     points: list[int],
     assignment: list[tuple[int, float]],
-    segment_times: dict[int, float],
+    router: Router,
     params: MatchParams = MatchParams(),
-    router: Router | None = None,
 ) -> float:
-    """Log-score of a fixed per-point assignment under given travel times.
+    """Log-score of a fixed per-point assignment under the router's travel times.
 
     Uses the exact scoring primitives of the matcher, so the value is
     comparable with ``MatchedPath.log_score``. Returns -inf when some leg
-    is unroutable under the supplied times.
+    is unroutable under those times.
     """
     if len(points) != len(assignment):
         raise InputDataError("assignment length does not match point count")
-    if router is None:
-        router = Router(net, net.times_to_array(segment_times))
 
     def emission(k: int) -> float:
         p, (seg, off) = points[k], assignment[k]

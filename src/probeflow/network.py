@@ -12,6 +12,10 @@ Conventions used throughout the package:
   swapped endpoints
 * networks are immutable after construction and safe to share across
   threads
+* every per-segment value inside the package (times, flows, supports,
+  VOCs, weights) is a numpy array of length ``n_segments`` in
+  ``net.segments`` order, which is ascending segment id; id-keyed tables
+  exist only in files, and the table readers map them onto that order
 
 Point geometry uses a local planar approximation (meters per degree at
 the query latitude). At city scale the error is far below GPS noise.
@@ -26,7 +30,7 @@ import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -216,10 +220,7 @@ class RoadNetwork:
         return [s.id for s in self.segments]
 
     def segment_by_id(self, segment_id: int) -> Segment:
-        try:
-            return self.segments[self._segment_index[segment_id]]
-        except KeyError:
-            raise InputDataError(f"unknown segment id {segment_id}") from None
+        return self.segments[self.segment_index(segment_id)]
 
     def segment_index(self, segment_id: int) -> int:
         try:
@@ -233,26 +234,29 @@ class RoadNetwork:
         except KeyError:
             raise InputDataError(f"unknown node id {node_id}") from None
 
-    def free_flow_times(self) -> dict[int, float]:
-        return {s.id: s.free_flow_time for s in self.segments}
+    def segment_columns(self, source: str, rows: list[tuple]) -> tuple[np.ndarray, ...]:
+        """Value columns of a per-segment table, in ``segments`` order.
 
-    def times_to_array(self, times: dict[int, float]) -> np.ndarray:
-        """Dense per-segment array (internal order) from an id -> value map.
-
-        Every segment must be present in the mapping.
+        Each row is (segment id, value, ...). The table lists every network
+        segment exactly once; an empty table or an unknown, repeated or
+        missing segment raises InputDataError naming ``source``.
         """
-        arr = np.empty(self.n_segments, dtype=float)
+        if not rows:
+            raise InputDataError(f"{source}: no segment rows")
+        ids, *columns = zip(*rows)
         try:
-            for j, seg in enumerate(self.segments):
-                arr[j] = times[seg.id]
+            positions = np.array([self._segment_index[sid] for sid in ids], dtype=np.int64)
         except KeyError as exc:
-            raise InputDataError(f"missing value for segment {exc.args[0]}") from None
-        return arr
-
-    def array_to_times(self, arr: np.ndarray) -> dict[int, float]:
-        if len(arr) != self.n_segments:
-            raise InputDataError(f"expected {self.n_segments} values, got {len(arr)}")
-        return {s.id: float(arr[j]) for j, s in enumerate(self.segments)}
+            raise InputDataError(f"{source}: unknown segment id {exc.args[0]}") from None
+        counts = np.bincount(positions, minlength=self.n_segments)
+        if np.any(counts > 1):
+            sid = self.segments[int(np.argmax(counts > 1))].id
+            raise InputDataError(f"{source}: segment {sid} listed more than once")
+        if np.any(counts == 0):
+            sid = self.segments[int(np.argmax(counts == 0))].id
+            raise InputDataError(f"{source}: segment {sid} missing")
+        order = np.argsort(positions)
+        return tuple(np.array(col)[order] for col in columns)
 
 
 @dataclass(frozen=True)
@@ -437,23 +441,13 @@ def _dijkstra(
     return dist, pred_seg
 
 
-def _weights_from_callable(net: RoadNetwork, weight: Callable[[int], float]) -> np.ndarray:
-    w = np.empty(net.n_segments, dtype=float)
-    for j, seg in enumerate(net.segments):
-        c = float(weight(seg.id))
-        if not (c >= 0.0 and math.isfinite(c)):
-            raise InputDataError(f"segment {seg.id}: weight must be finite and >= 0, got {c}")
-        w[j] = c
-    return w
-
-
 def shortest_path(
     net: RoadNetwork,
     origin: int,
     dest: int,
-    weight: Callable[[int], float],
+    weights: np.ndarray,
 ) -> tuple[list[int], float] | None:
-    """Minimum-cost path between two nodes under a per-segment weight.
+    """Minimum-cost path between two nodes under per-segment weights.
 
     Returns (segment ids in traversal order, total cost), the empty path
     with cost 0 when origin equals dest, or None when dest is unreachable.
@@ -463,7 +457,14 @@ def shortest_path(
     dst = net.node_index(dest)
     if src == dst:
         return [], 0.0
-    w = _weights_from_callable(net, weight)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (net.n_segments,):
+        raise InputDataError(f"expected {net.n_segments} segment weights, got shape {w.shape}")
+    bad = ~(np.isfinite(w) & (w >= 0.0))
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise InputDataError(
+            f"segment {net.segments[j].id}: weight must be finite and >= 0, got {w[j]}")
     dist, pred_seg = _dijkstra(net, w, src, targets={dst})
     if not math.isfinite(dist[dst]):
         return None

@@ -69,6 +69,31 @@ class SpsaParams:
             raise InputDataError("mu must be >= 0")
 
 
+@dataclass(frozen=True)
+class OdSolveParams:
+    """Lower-level equilibrium settings used inside demand estimation."""
+
+    ue_tol: float = 1e-4
+    ue_max_iter: int = 500
+    weight_by_support: bool = False
+
+    def __post_init__(self) -> None:
+        if self.ue_tol <= 0 or self.ue_max_iter < 1:
+            raise InputDataError("ue_tol must be positive and ue_max_iter at least 1")
+
+
+@dataclass(frozen=True)
+class GravityParams:
+    """Distance-decay seed demand settings."""
+
+    deterrence_scale: float = 2000.0
+    total_trips: float = 1000.0
+
+    def __post_init__(self) -> None:
+        if self.deterrence_scale <= 0 or self.total_trips <= 0:
+            raise InputDataError("deterrence_scale and total_trips must be positive")
+
+
 class ObjectiveRecord(NamedTuple):
     """One exactly evaluated point of the SPSA run."""
 
@@ -105,8 +130,8 @@ def seed_gravity(
         raise InputDataError("total_trips must be positive")
     coords = {}
     for taz in tazs:
-        node = net.nodes[net.node_index(taz.centroid_node)]
-        coords[taz.id] = (node.lat, node.lon)
+        j = net.node_index(taz.centroid_node)
+        coords[taz.id] = (float(net.node_lat[j]), float(net.node_lon[j]))
     weights: dict[tuple[int, int], float] = {}
     for a in tazs:
         for b in tazs:
@@ -129,11 +154,15 @@ def upper_objective(
     """Time-fit error over observed segments plus seed regularization."""
     num = 0.0
     den = 0.0
-    for sid, sup in sorted(observed.support.items()):
+    # One term at a time in segment order: np.sum's pairwise summation
+    # would change the last bits of the objective, and with them every
+    # SPSA step and every written artifact.
+    for sup, t_assigned, t_observed in zip(observed.support.tolist(), assigned.time.tolist(),
+                                           observed.time.tolist()):
         if sup <= 0:
             continue
         w = float(sup) if weight_by_support else 1.0
-        r = assigned.time[sid] - observed.time[sid]
+        r = t_assigned - t_observed
         num += w * r * r
         den += w
     if den == 0.0:
@@ -172,9 +201,7 @@ def estimate_od(
     observed: SegmentTimeEstimate,
     seed: DemandMatrix,
     spsa: SpsaParams = SpsaParams(),
-    ue_tol: float = 1e-4,
-    ue_max_iter: int = 500,
-    weight_by_support: bool = False,
+    od: OdSolveParams = OdSolveParams(),
     rng_seed: int = 0,
 ) -> OdEstimate:
     """Fit a demand matrix to observed travel times; see module docstring.
@@ -184,7 +211,7 @@ def estimate_od(
     """
     if any(v < 0 for v in seed.values()):
         raise InputDataError("seed demand must be nonnegative")
-    if not any(sup > 0 for sup in observed.support.values()):
+    if not np.any(observed.support > 0):
         raise InputDataError("no observed segments to fit against")
     keys = sorted(k for k, v in seed.items() if v > 0)
     if not keys:
@@ -198,8 +225,8 @@ def estimate_od(
         return d
 
     def evaluate(demand: DemandMatrix) -> float:
-        res = _lower_ue(net, demand, tazs, ue_tol, ue_max_iter)
-        return upper_objective(res, observed, demand, seed, spsa.mu, weight_by_support)
+        res = _lower_ue(net, demand, tazs, od.ue_tol, od.ue_max_iter)
+        return upper_objective(res, observed, demand, seed, spsa.mu, od.weight_by_support)
 
     rng = np.random.default_rng(rng_seed)
     theta = np.log(np.array([seed[k] for k in keys]))
@@ -229,7 +256,7 @@ def estimate_od(
             if obj < best_obj:
                 best_obj, best_demand = obj, demand
 
-    result = _lower_ue(net, best_demand, tazs, ue_tol, ue_max_iter)
+    result = _lower_ue(net, best_demand, tazs, od.ue_tol, od.ue_max_iter)
     logger.info("demand estimation: objective %.4g -> %.4g over %d outer iterations",
                 records[0].objective, best_obj, spsa.max_outer)
     return OdEstimate(demand=best_demand, result=result,
@@ -248,17 +275,14 @@ OBJECTIVE_COLUMNS = (("outer_iter", int), ("objective", float))
 def write_state(result: AssignmentResult, net: RoadNetwork, path: str | os.PathLike) -> None:
     """Full-network state: flow, time, and volume-over-capacity per segment."""
     write_table(path, STATE_COLUMNS, (
-        (seg.id, result.flow[seg.id], result.time[seg.id], result.flow[seg.id] / seg.capacity)
-        for seg in net.segments))
+        (seg.id, flow, time, flow / seg.capacity)
+        for seg, flow, time in zip(net.segments, result.flow.tolist(), result.time.tolist())))
 
 
-def read_state(path: str | os.PathLike) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
-    flows: dict[int, float] = {}
-    times: dict[int, float] = {}
-    vocs: dict[int, float] = {}
-    for sid, flow, time, voc in read_table(path, STATE_COLUMNS):
-        flows[sid], times[sid], vocs[sid] = flow, time, voc
-    return flows, times, vocs
+def read_state(path: str | os.PathLike,
+               net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-segment (flows, times, vocs); the file must list every segment exactly once."""
+    return net.segment_columns(str(path), list(read_table(path, STATE_COLUMNS)))
 
 
 def write_objective_trace(records: list[ObjectiveRecord], path: str | os.PathLike) -> None:

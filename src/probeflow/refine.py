@@ -23,6 +23,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputDataError
 from .mapmatch import GpsTrace, MatchedPath, MatchParams, Router, match_trace
 from .network import RoadNetwork, TimeGrid
@@ -57,6 +59,27 @@ class RefinementDiagnostics:
         return len(self.records)
 
 
+@dataclass(frozen=True)
+class RefineParams:
+    """Loop budget and stop thresholds of the refinement stage.
+
+    time_weight blends each fresh estimate with the previous one (1.0
+    keeps the fresh estimate; lower values damp the update).
+    """
+
+    max_iters: int = 10
+    stop_tol: float = 1e-3
+    time_weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.max_iters < 1:
+            raise InputDataError("max_iters must be at least 1")
+        if self.stop_tol <= 0:
+            raise InputDataError("stop_tol must be positive")
+        if not (0.0 < self.time_weight <= 1.0):
+            raise InputDataError("time_weight must be in (0, 1]")
+
+
 def _trace_interval(trace: GpsTrace, grid: TimeGrid) -> int:
     mid = 0.5 * (float(trace.timestamps[0]) + float(trace.timestamps[-1]))
     return grid.interval_of(mid)
@@ -68,46 +91,35 @@ def refine(
     grid: TimeGrid,
     match_params: MatchParams = MatchParams(),
     infer_params: InferParams = InferParams(),
-    max_iters: int = 10,
-    stop_tol: float = 1e-3,
-    time_weight: float = 1.0,
+    params: RefineParams = RefineParams(),
 ) -> tuple[list[MatchedPath], dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
     """Run the refinement loop; see module docstring.
 
     Returns the final matched paths, the per-interval estimates, and one
     diagnostics record per iteration. Each trace is matched under the
-    times of the interval containing its midpoint. time_weight blends the
-    fresh estimate with the previous one (1.0 keeps the fresh estimate;
-    lower values damp the update).
+    times of the interval containing its midpoint.
     """
     if not traces:
         raise InputDataError("refine needs at least one trace")
-    if max_iters < 1:
-        raise InputDataError("max_iters must be at least 1")
-    if stop_tol <= 0:
-        raise InputDataError("stop_tol must be positive")
-    if not (0.0 < time_weight <= 1.0):
-        raise InputDataError("time_weight must be in (0, 1]")
 
-    fft = net.free_flow_times()
-    times: dict[int, dict[int, float]] = {}
+    fft = net.seg_fft
+    times: dict[int, np.ndarray] = {}
     estimates: dict[int, SegmentTimeEstimate] = {}
     diagnostics = RefinementDiagnostics()
     prev_paths: dict[tuple[int, int], tuple[int, ...]] | None = None
     last_residual = 0.0
     pieces: list[MatchedPath] = []
 
-    for k in range(max_iters):
+    for k in range(params.max_iters):
         routers: dict[int, Router] = {}
         pieces = []
         for trace in traces:
             iv = _trace_interval(trace, grid)
             router = routers.get(iv)
             if router is None:
-                router = Router(net, net.times_to_array(times.get(iv, fft)))
+                router = Router(net, times.get(iv, fft))
                 routers[iv] = router
-            pieces.extend(match_trace(net, trace, times.get(iv, fft), match_params,
-                                      router=router))
+            pieces.extend(match_trace(net, trace, router, match_params))
 
         cur_paths = {(mp.vehicle_id, mp.piece): tuple(mp.segments) for mp in pieces}
         if prev_paths is None:
@@ -129,17 +141,11 @@ def refine(
         max_rel = 0.0
         for iv in sorted(by_interval):
             prior = times.get(iv, fft)
-            est = infer_times(by_interval[iv], net, prior, lam=infer_params.lam,
-                              tol=infer_params.tol, max_iter=infer_params.max_iter)
-            if time_weight != 1.0:
-                est.time = {
-                    sid: time_weight * t + (1.0 - time_weight) * prior[sid]
-                    for sid, t in est.time.items()
-                }
-            for sid, t_new in est.time.items():
-                rel = abs(t_new - prior[sid]) / prior[sid]
-                if rel > max_rel:
-                    max_rel = rel
+            est = infer_times(by_interval[iv], net, prior, infer_params)
+            if params.time_weight != 1.0:
+                w = params.time_weight
+                est.time = w * est.time + (1.0 - w) * prior
+            max_rel = max(max_rel, float(np.max(np.abs(est.time - prior) / prior)))
             estimates[iv] = est
             times[iv] = est.time
             residual += residual_sq(est.time, by_interval[iv], net)
@@ -147,7 +153,7 @@ def refine(
         last_residual = residual
         diagnostics.records.append(IterationRecord(k, residual, viterbi, changed, max_rel))
         prev_paths = cur_paths
-        if max_rel < stop_tol:
+        if max_rel < params.stop_tol:
             logger.info("refinement converged at iteration %d (max change %.2e)", k, max_rel)
             break
 

@@ -3,8 +3,7 @@
 Produces the three ingredients every experiment needs: ground-truth
 network conditions (system-optimal assignments at a ladder of demand
 levels), truth trips routed on those conditions, and noisy low-rate GPS
-traces sampled from the trips. A timestamp-based reference estimator
-over dense traces is included as the second ground-truth mode.
+traces sampled from the trips.
 
 Everything here is deterministic given the configured seed. Trace noise
 uses one generator per vehicle (seed = rng_seed + vehicle_id) so trips
@@ -14,7 +13,6 @@ can be generated in parallel or in any order without changing output.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from dataclasses import dataclass
 
@@ -56,12 +54,12 @@ class ProbeConfig:
 
 @dataclass
 class GroundTruthScenario:
-    """One congestion level: times and flows from a converged assignment."""
+    """One congestion level: per-segment times and flows from a converged assignment."""
 
     id: int
     demand_multiplier: float
-    time: dict[int, float]
-    flow: dict[int, float]
+    time: np.ndarray
+    flow: np.ndarray
 
 
 @dataclass
@@ -78,11 +76,6 @@ class TruthTrip:
     path: list[int]
     entry_times: list[float] | None
     arrival: float | None = None
-
-
-def default_multipliers(count: int = 34, low: float = 0.2, high: float = 2.0) -> list[float]:
-    """Uniform demand-multiplier ladder spanning free flow to heavy congestion."""
-    return [float(m) for m in np.linspace(low, high, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +115,7 @@ def simulate_trip(
     vehicle_id: int,
 ) -> TruthTrip:
     """Route one vehicle on the scenario's fastest path at its fixed times."""
-    res = shortest_path(net, origin.centroid_node, dest.centroid_node,
-                        lambda sid: scenario.time[sid])
+    res = shortest_path(net, origin.centroid_node, dest.centroid_node, scenario.time)
     if res is None:
         raise InputDataError(
             f"no route from TAZ {origin.id} to TAZ {dest.id} under scenario {scenario.id}"
@@ -131,12 +123,8 @@ def simulate_trip(
     path, _cost = res
     if not path:
         raise InputDataError(f"TAZ {origin.id} and TAZ {dest.id} share a centroid; empty trip")
-    entry = [departure]
-    for sid in path[:-1]:
-        entry.append(entry[-1] + scenario.time[sid])
-    arrival = entry[-1] + scenario.time[path[-1]]
-    return TruthTrip(vehicle_id=vehicle_id, departure=departure, path=path,
-                     entry_times=entry, arrival=arrival)
+    return with_times(TruthTrip(vehicle_id=vehicle_id, departure=departure, path=path,
+                                entry_times=None), net, scenario)
 
 
 def _position_at(net: RoadNetwork, trip: TruthTrip, scenario: GroundTruthScenario,
@@ -145,10 +133,10 @@ def _position_at(net: RoadNetwork, trip: TruthTrip, scenario: GroundTruthScenari
     j = int(np.searchsorted(entry, t, side="right")) - 1
     j = min(max(j, 0), len(trip.path) - 1)
     sid = trip.path[j]
-    seg_time = scenario.time[sid]
-    frac = (t - entry[j]) / seg_time
+    k = net.segment_index(sid)
+    frac = (t - entry[j]) / scenario.time[k]
     frac = min(max(frac, 0.0), 1.0)
-    return position_on_segment(net, sid, frac * net.segment_by_id(sid).length)
+    return position_on_segment(net, sid, frac * net.seg_length[k])
 
 
 def sample_trace(
@@ -190,73 +178,15 @@ def sample_trace(
                     lats=np.array(lats), lons=np.array(lons))
 
 
-def with_times(trip: TruthTrip, scenario: GroundTruthScenario) -> TruthTrip:
+def with_times(trip: TruthTrip, net: RoadNetwork, scenario: GroundTruthScenario) -> TruthTrip:
     """Rebuild entry times of a path-only trip against a scenario."""
+    times = [float(scenario.time[net.segment_index(sid)]) for sid in trip.path]
     entry = [trip.departure]
-    for sid in trip.path[:-1]:
-        entry.append(entry[-1] + scenario.time[sid])
-    arrival = entry[-1] + scenario.time[trip.path[-1]]
+    for t in times[:-1]:
+        entry.append(entry[-1] + t)
+    arrival = entry[-1] + times[-1]
     return TruthTrip(vehicle_id=trip.vehicle_id, departure=trip.departure,
                      path=list(trip.path), entry_times=entry, arrival=arrival)
-
-
-# ---------------------------------------------------------------------------
-# Timestamp ground-truth mode
-# ---------------------------------------------------------------------------
-
-
-def derive_truth_timestamp(
-    traces: list[GpsTrace],
-    trips: list[TruthTrip],
-    net: RoadNetwork,
-) -> tuple[dict[int, float], set[int]]:
-    """Per-segment mean traversal time from densely sampled known trips.
-
-    For each trip, entry and exit instants of every path segment are
-    interpolated linearly between the bracketing samples (positions along
-    the path are known exactly, so the interpolation support is the
-    sample's traveled distance). Intended for sampling periods of a few
-    seconds; the boundary error is at most one period per segment.
-
-    Returns (times, uncovered): segments without any traversal take their
-    free-flow time and appear in ``uncovered``.
-    """
-    by_vehicle = {t.vehicle_id: t for t in trips}
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for trace in traces:
-        trip = by_vehicle.get(trace.vehicle_id)
-        if trip is None or trip.entry_times is None:
-            continue
-        lengths = np.array([net.segment_by_id(s).length for s in trip.path])
-        bounds = np.concatenate(([0.0], np.cumsum(lengths)))
-        seg_times = np.diff(np.asarray(trip.entry_times + [trip.arrival]))
-        # Traveled distance at each sample time.
-        t = np.clip(trace.timestamps, trip.departure, trip.arrival)
-        j = np.clip(np.searchsorted(trip.entry_times, t, side="right") - 1, 0, len(trip.path) - 1)
-        frac = np.clip((t - np.asarray(trip.entry_times)[j]) / seg_times[j], 0.0, 1.0)
-        dist = bounds[j] + frac * lengths[j]
-        # Strictly increasing support (stationary duplicates keep the first).
-        keep = np.concatenate(([True], np.diff(dist) > 0))
-        dist_s, time_s = dist[keep], trace.timestamps[keep]
-        entry_t = np.interp(bounds[:-1], dist_s, time_s)
-        exit_t = np.interp(bounds[1:], dist_s, time_s)
-        for sid, te, tx in zip(trip.path, entry_t, exit_t):
-            sums[sid] = sums.get(sid, 0.0) + float(tx - te)
-            counts[sid] = counts.get(sid, 0) + 1
-
-    times: dict[int, float] = {}
-    uncovered: set[int] = set()
-    for seg in net.segments:
-        if counts.get(seg.id, 0) > 0:
-            times[seg.id] = sums[seg.id] / counts[seg.id]
-        else:
-            times[seg.id] = seg.free_flow_time
-            uncovered.add(seg.id)
-    if uncovered:
-        logger.info("timestamp mode: %d segment(s) without coverage use free-flow time",
-                    len(uncovered))
-    return times, uncovered
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +306,11 @@ def read_trips(path: str | os.PathLike) -> list[TruthTrip]:
             for vid, departure, seg_path in read_table(path, TRIP_COLUMNS)]
 
 
-def write_truth(scenario: GroundTruthScenario, path: str | os.PathLike) -> None:
-    write_table(path, TRUTH_COLUMNS, ((sid, scenario.time[sid], scenario.flow[sid])
-                                      for sid in sorted(scenario.time)))
+def write_truth(scenario: GroundTruthScenario, net: RoadNetwork, path: str | os.PathLike) -> None:
+    write_table(path, TRUTH_COLUMNS, zip(net.segment_ids(), scenario.time.tolist(),
+                                         scenario.flow.tolist()))
 
 
-def read_truth(path: str | os.PathLike) -> tuple[dict[int, float], dict[int, float]]:
-    times: dict[int, float] = {}
-    flows: dict[int, float] = {}
-    for sid, time, flow in read_table(path, TRUTH_COLUMNS):
-        times[sid], flows[sid] = time, flow
-    return times, flows
+def read_truth(path: str | os.PathLike, net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment (times, flows); the file must list every segment exactly once."""
+    return net.segment_columns(str(path), list(read_table(path, TRUTH_COLUMNS)))

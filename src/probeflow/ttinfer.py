@@ -62,10 +62,14 @@ class IntervalObservations:
 
 @dataclass
 class SegmentTimeEstimate:
-    """Estimated travel times of one interval with observation support."""
+    """Estimated travel times of one interval with observation support.
 
-    time: dict[int, float]
-    support: dict[int, int]
+    ``time`` (seconds) and ``support`` (observation rows per segment) are
+    per-segment arrays in ``net.segments`` order.
+    """
+
+    time: np.ndarray
+    support: np.ndarray
     interval_index: int
 
 
@@ -114,8 +118,6 @@ def build_system(
         if not multiset:
             continue
         for sid, count in multiset.items():
-            if sid not in col_of:
-                raise InputDataError(f"observation references unknown segment {sid}")
             net.segment_index(sid)  # raises on unknown segment
             if count <= 0:
                 raise InputDataError(f"traversal count must be positive, got {count}")
@@ -172,37 +174,31 @@ def kkt_max_violation(
 def infer_times(
     obs: IntervalObservations,
     net: RoadNetwork,
-    prior: dict[int, float],
-    lam: float = 0.05,
-    tol: float = 1e-8,
-    max_iter: int = 20000,
+    prior: np.ndarray,
+    params: InferParams = InferParams(),
 ) -> SegmentTimeEstimate:
     """Solve the interval's bounded ridge program; see module docstring."""
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise InputDataError(f"lambda must be finite and >= 0, got {lam}")
-    if tol <= 0:
-        raise InputDataError("tol must be positive")
-    prior_arr = net.times_to_array(prior)
-    if not np.all(np.isfinite(prior_arr)):
+    lam, tol, max_iter = params.lam, params.tol, params.max_iter
+    time = np.array(prior, dtype=float)
+    if time.shape != (net.n_segments,):
+        raise InputDataError(f"prior holds {time.shape} values for {net.n_segments} segments")
+    if not np.all(np.isfinite(time)):
         raise InputDataError("prior contains non-finite values")
-    if np.any(prior_arr < net.seg_fft * (1.0 - 1e-12)):
+    if np.any(time < net.seg_fft * (1.0 - 1e-12)):
         raise InputDataError("prior must be at least the free-flow time everywhere")
 
-    time = {s.id: float(prior[s.id]) for s in net.segments}
-    support = {s.id: 0 for s in net.segments}
+    support = np.zeros(net.n_segments, dtype=np.int64)
     if not obs.rows:
         return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)
 
     A, b, columns = build_system(obs, net)
-    per_column_rows = np.diff(A.tocsc().indptr)
-    for j, sid in enumerate(columns):
-        support[sid] = int(per_column_rows[j])
+    idx = np.array([net.segment_index(sid) for sid in columns], dtype=np.int64)
+    support[idx] = np.diff(A.tocsc().indptr)
     if A.shape[0] == 0:
         return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)
 
-    idx = np.array([net.segment_index(sid) for sid in columns])
     lower = net.seg_fft[idx]
-    p = prior_arr[idx]
+    p = time[idx]
 
     L = 2.0 * (1.05 * _spectral_norm_sq(A) + lam)
     if L <= 0.0:
@@ -247,17 +243,16 @@ def infer_times(
             obs.interval_index, final_violation, threshold, iterations,
         )
 
-    for j, sid in enumerate(columns):
-        time[sid] = float(x[j])
+    time[idx] = x
     return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)
 
 
-def residual_sq(estimates: dict[int, float], obs: IntervalObservations, net: RoadNetwork) -> float:
+def residual_sq(times: np.ndarray, obs: IntervalObservations, net: RoadNetwork) -> float:
     """||A x - b||^2 of an interval under given segment times."""
     if not obs.rows:
         return 0.0
     A, b, columns = build_system(obs, net)
-    x = np.array([estimates[sid] for sid in columns])
+    x = times[[net.segment_index(sid) for sid in columns]]
     r = A @ x - b
     return float(r @ r)
 
@@ -270,17 +265,28 @@ def residual_sq(estimates: dict[int, float], obs: IntervalObservations, net: Roa
 ESTIMATE_COLUMNS = (("interval", int), ("segment_id", int), ("time_s", float), ("support", int))
 
 
-def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLike) -> None:
+def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLike,
+                    net: RoadNetwork | None = None) -> None:
+    """Write estimates as `interval,segment_id,time_s,support` rows.
+
+    ``net`` names the array rows; without it ``time`` and ``support`` must
+    be id-keyed mappings, as the benchmark's perfbench/matrix.py builds.
+    """
+    def rows(est: SegmentTimeEstimate):
+        if net is None:
+            return ((sid, est.time[sid], est.support[sid]) for sid in sorted(est.time))
+        return zip(net.segment_ids(), est.time.tolist(), est.support.tolist())
+
     write_table(path, ESTIMATE_COLUMNS, (
-        (est.interval_index, sid, est.time[sid], est.support[sid])
+        (est.interval_index, *row)
         for est in sorted(estimates, key=lambda e: e.interval_index)
-        for sid in sorted(est.time)))
+        for row in rows(est)))
 
 
-def read_estimates(path: str | os.PathLike) -> dict[int, SegmentTimeEstimate]:
-    out: dict[int, SegmentTimeEstimate] = {}
-    for interval, sid, t, support in read_table(path, ESTIMATE_COLUMNS):
-        est = out.setdefault(interval, SegmentTimeEstimate({}, {}, interval))
-        est.time[sid] = t
-        est.support[sid] = support
-    return out
+def read_estimates(path: str | os.PathLike, net: RoadNetwork) -> dict[int, SegmentTimeEstimate]:
+    """Per-interval estimates; each interval must list every segment exactly once."""
+    rows: dict[int, list[tuple]] = {}
+    for interval, *row in read_table(path, ESTIMATE_COLUMNS):
+        rows.setdefault(interval, []).append(row)
+    return {iv: SegmentTimeEstimate(*net.segment_columns(f"{path}, interval {iv}", r), iv)
+            for iv, r in rows.items()}

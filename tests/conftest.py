@@ -110,7 +110,7 @@ def make_corridor_network(
 class TwoRouteFixture(NamedTuple):
     net: RoadNetwork
     traces: list[GpsTrace]
-    truth_times: dict[int, float]
+    truth_times: np.ndarray
     truth_paths: dict[int, list[int]]
     ambiguous_ids: list[int]
     grid: TimeGrid
@@ -145,9 +145,9 @@ def make_two_route_fixture(n_pinned: int = 6, n_ambiguous: int = 8) -> TwoRouteF
         mk(2, 0, 2, 1000.0), mk(3, 2, 3, 1000.0),
         mk(4, 3, 4, 500.0),
     ])
-    truth_times = {0: 40.0, 1: 40.0, 2: 80.0, 3: 80.0, 4: 20.0}
+    truth_times = np.array([40.0, 40.0, 80.0, 80.0, 20.0])
     truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=truth_times,
-                                flow={s: 0.0 for s in truth_times})
+                                flow=np.zeros(len(truth_times)))
 
     pinned_cfg = ProbeConfig(sampling_period=30.0, gps_sigma=0.0)
     endpoint_cfg = ProbeConfig(sampling_period=500.0, gps_sigma=0.0)
@@ -161,7 +161,7 @@ def make_two_route_fixture(n_pinned: int = 6, n_ambiguous: int = 8) -> TwoRouteF
     ):
         for i in range(count):
             trip = with_times(TruthTrip(vehicle_id=vid, departure=40.0 * i + 15.0,
-                                        path=list(path), entry_times=None), truth)
+                                        path=list(path), entry_times=None), net, truth)
             traces.append(sample_trace(trip, net, truth, cfg))
             truth_paths[vid] = list(path)
             vid += 1

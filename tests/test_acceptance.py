@@ -47,8 +47,8 @@ from probeflow.network import (
     write_network,
     write_tazs,
 )
-from probeflow.odestim import SpsaParams, estimate_od, seed_gravity
-from probeflow.refine import refine
+from probeflow.odestim import OdSolveParams, SpsaParams, estimate_od, seed_gravity
+from probeflow.refine import RefineParams, refine
 from probeflow.tracegen import (
     GroundTruthScenario,
     ProbeConfig,
@@ -58,6 +58,7 @@ from probeflow.tracegen import (
     simulate_trip,
 )
 from probeflow.ttinfer import (
+    InferParams,
     IntervalObservations,
     SegmentTimeEstimate,
     build_system,
@@ -186,9 +187,9 @@ def test_04_matching_accuracy_degrades_gracefully_with_noise():
     floors (92.01% and 88.10% on this seed) are frozen pilot values.
     """
     net = make_grid_network(5, 5, spacing=200.0, jitter=60.0, jitter_seed=5)
-    fft = {s.id: s.free_flow_time for s in net.segments}
-    scen = GroundTruthScenario(id=0, demand_multiplier=1.0, time=dict(fft),
-                               flow={s.id: 0.0 for s in net.segments})
+    fft = net.seg_fft
+    scen = GroundTruthScenario(id=0, demand_multiplier=1.0, time=fft.copy(),
+                               flow=np.zeros(net.n_segments))
     nodes = net.node_ids()
     prng = np.random.default_rng(1234)
     pairs = []
@@ -232,7 +233,7 @@ def _random_observation_instance(rng, n_segs=4, n_rows=6):
             counts[int(rng.integers(0, n_segs))] = 1
         dur = float(counts @ truth + rng.normal(0.0, 2.0))
         rows.append(({j: int(c) for j, c in enumerate(counts) if c}, max(dur, 1.0)))
-    prior = {j: float(10.0 + rng.uniform(0.0, 10.0)) for j in range(n_segs)}
+    prior = np.array([float(10.0 + rng.uniform(0.0, 10.0)) for _ in range(n_segs)])
     return net, IntervalObservations(interval_index=0, rows=rows), prior
 
 
@@ -243,7 +244,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
     net = make_corridor_network(n_segs=2, length=200.0, speed=20.0)
     obs = IntervalObservations(interval_index=0,
                                rows=[({0: 1, 1: 1}, 50.0), ({0: 1}, 20.0)])
-    est = infer_times(obs, net, {0: 10.0, 1: 10.0}, lam=0.0, tol=1e-10)
+    est = infer_times(obs, net, np.array([10.0, 10.0]), InferParams(lam=0.0, tol=1e-10))
     assert abs(est.time[0] - 20.0) < 1e-6
     assert abs(est.time[1] - 30.0) < 1e-6
 
@@ -252,7 +253,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
     tol = 1e-8
     for _ in range(100):
         rnet, robs, prior = _random_observation_instance(rng)
-        rest = infer_times(robs, rnet, prior, lam=0.05, tol=tol)
+        rest = infer_times(robs, rnet, prior, InferParams(lam=0.05, tol=tol))
         A, b, columns = build_system(robs, rnet)
         x = np.array([rest.time[s] for s in columns])
         lower = np.array([rnet.segment_by_id(s).free_flow_time for s in columns])
@@ -266,7 +267,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
     step = 0.25
     for n_segs in (2, 3, 3, 3):
         rnet, robs, prior = _random_observation_instance(rng, n_segs=n_segs, n_rows=5)
-        rest = infer_times(robs, rnet, prior, lam=0.05, tol=1e-10)
+        rest = infer_times(robs, rnet, prior, InferParams(lam=0.05, tol=1e-10))
         A, b, columns = build_system(robs, rnet)
         Ad = A.toarray()
         p = np.array([prior[s] for s in columns])
@@ -294,11 +295,11 @@ def _assert_refine_step_invariants(traces, net, grid, params, k):
     times, and the fresh inference must not leave a larger residual on
     its own system than the times it replaced.
     """
-    fft = {s.id: s.free_flow_time for s in net.segments}
+    fft = net.seg_fft
     p_old, est_old, _ = refine(traces, net, grid, match_params=params,
-                               max_iters=k, stop_tol=1e-12)
+                               params=RefineParams(max_iters=k, stop_tol=1e-12))
     p_new, est_new, _ = refine(traces, net, grid, match_params=params,
-                               max_iters=k + 1, stop_tol=1e-12)
+                               params=RefineParams(max_iters=k + 1, stop_tol=1e-12))
     by_vid = {t.vehicle_id: t for t in traces}
     new_by_key = {(p.vehicle_id, p.piece): p for p in p_new}
     routers: dict[int, Router] = {}
@@ -308,11 +309,10 @@ def _assert_refine_step_invariants(traces, net, grid, params, k):
         t_iv = est_old[iv].time if iv in est_old else fft
         router = routers.get(iv)
         if router is None:
-            router = Router(net, net.times_to_array(t_iv))
+            router = Router(net, t_iv)
             routers[iv] = router
         points = list(range(old.first_point, old.last_point + 1))
-        rescored = score_assignment(net, tr, points, old.assignment, t_iv,
-                                    params, router=router)
+        rescored = score_assignment(net, tr, points, old.assignment, router, params)
         fresh = new_by_key.get((old.vehicle_id, old.piece))
         assert fresh is not None
         assert fresh.log_score >= rescored - 1e-9
@@ -333,7 +333,7 @@ def test_06_refinement_improves_on_single_pass():
     is a frozen pilot value (0.73% when recorded).
     """
     fx = make_two_route_fixture()
-    _, est_first, _ = refine(fx.traces, fx.net, fx.grid, max_iters=1)
+    _, est_first, _ = refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=1))
     _, est_full, _ = refine(fx.traces, fx.net, fx.grid)
     _, est_base, _ = run_baseline(fx.traces, fx.net, fx.grid)
     for k in (1, 2):
@@ -356,9 +356,10 @@ def test_06_refinement_improves_on_single_pass():
                                [0, 0, 0, 0, -1, -1, -1, -1], grid, probe)
     _, traces = data[0]
     _, est, _ = refine(traces, net, grid,
-                       match_params=MatchParams(gps_sigma=5.0), max_iters=3)
+                       match_params=MatchParams(gps_sigma=5.0),
+                       params=RefineParams(max_iters=3))
     _assert_refine_step_invariants(traces, net, grid, MatchParams(gps_sigma=5.0), 1)
-    supported = [iv for iv, e in est.items() if any(v > 0 for v in e.support.values())]
+    supported = [iv for iv, e in est.items() if any(v > 0 for v in e.support)]
     assert supported
     aggs = [aggregate_error_pct(est[iv].time, scens[0].time) for iv in supported]
     assert sum(aggs) / len(aggs) < 1.5  # frozen
@@ -381,7 +382,8 @@ def test_07_demand_estimation_recovers_and_improves():
     tazs = [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=1)]
     truth_flow = 1300.0
     t_star = bpr_time(net.segments[0].free_flow_time, 1000.0, truth_flow)
-    observed = SegmentTimeEstimate(time={0: t_star}, support={0: 4}, interval_index=0)
+    observed = SegmentTimeEstimate(time=np.array([t_star]), support=np.array([4]),
+                                   interval_index=0)
     est = estimate_od(net, tazs, observed, {(0, 1): 1000.0},
                       SpsaParams(mu=0.0), rng_seed=3)
     assert abs(est.demand[(0, 1)] - truth_flow) / truth_flow < 0.01
@@ -394,12 +396,12 @@ def test_07_demand_estimation_recovers_and_improves():
     truth = {k: 1.5 * v for k, v in seed.items()}
     truth_res = solve_ue(net4, truth, tazs4, tol=1e-3, max_iter=3000)
     assert truth_res.converged
-    observed4 = SegmentTimeEstimate(time=dict(truth_res.time),
-                                    support={sid: 1 for sid in truth_res.time},
+    observed4 = SegmentTimeEstimate(time=truth_res.time.copy(),
+                                    support=np.ones(len(truth_res.time), dtype=np.int64),
                                     interval_index=0)
     t0 = time.perf_counter()
     est4 = estimate_od(net4, tazs4, observed4, seed, SpsaParams(max_outer=100),
-                       ue_tol=1e-3, ue_max_iter=3000, rng_seed=11)
+                       OdSolveParams(ue_tol=1e-3, ue_max_iter=3000), rng_seed=11)
     elapsed = time.perf_counter() - t0
     seed_obj = est4.objective_trace[0].objective
     best_obj = min(r.objective for r in est4.objective_trace)

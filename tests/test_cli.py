@@ -164,9 +164,9 @@ def test_match_then_infer(world, tmp_path):
 
     assert main(["infer", "--config", world.cfg, "--out-dir", out,
                  "--matched", str(tmp_path / "matched.csv")]) == 0
-    estimates = read_estimates(tmp_path / "estimates.csv")
+    estimates = read_estimates(tmp_path / "estimates.csv", world.net)
     assert set(estimates) <= set(range(8))
-    assert any(any(n > 0 for n in e.support.values()) for e in estimates.values())
+    assert any(any(n > 0 for n in e.support) for e in estimates.values())
 
 
 def test_infer_threads_do_not_change_bytes(world, tmp_path):
@@ -183,7 +183,7 @@ def test_refine_outputs(world, tmp_path):
     out = str(tmp_path)
     assert main(["refine", "--config", world.cfg, "--out-dir", out]) == 0
     assert read_matched(tmp_path / "matched.csv")
-    assert read_estimates(tmp_path / "estimates.csv")
+    assert read_estimates(tmp_path / "estimates.csv", world.net)
     diag = read_diagnostics(tmp_path / "diagnostics.csv")
     assert diag.records
 
@@ -242,6 +242,16 @@ def test_export_voc_rejects_stray_state_file(world, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Solver failure
 # ---------------------------------------------------------------------------
+
+
+def test_estimate_od_unknown_segment_exits_2(world, tmp_path, capsys):
+    estimates = tmp_path / "estimates.csv"
+    estimates.write_bytes((world.pipe / "estimates.csv").read_bytes() + b"0,99999,50.0,3\r\n")
+    rc = main(["estimate-od", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--estimates", str(estimates)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "estimates.csv" in err and "99999" in err
 
 
 def sabotage_od(tmp_path, world):

@@ -325,8 +325,9 @@ def test_matrix_type_validation():
 
 def test_assemble_matrix_basic():
     net = make_corridor_network(n_segs=3)
-    times = {0: {0: 25.0, 1: 20.0}, 5: {2: 30.0}}
-    mat = assemble_matrix(times, net, GRID8)
+    times = {0: np.array([25.0, 20.0, 20.0]), 5: np.array([20.0, 20.0, 30.0])}
+    support = {0: np.array([1, 1, 0]), 5: np.array([0, 0, 1])}
+    mat = assemble_matrix(times, net, GRID8, support_by_interval=support)
     assert mat.segment_ids == [0, 1, 2]
     assert np.array_equal(mat.free_flow, np.full(3, 20.0))
     assert mat.values[0, 0] == 25.0 and mat.mask[0, 0]
@@ -338,8 +339,8 @@ def test_assemble_matrix_basic():
 
 def test_assemble_matrix_support_filter():
     net = make_corridor_network(n_segs=2)
-    times = {0: {0: 25.0, 1: 26.0}}
-    support = {0: {0: 3, 1: 0}}
+    times = {0: np.array([25.0, 26.0])}
+    support = {0: np.array([3, 0])}
     mat = assemble_matrix(times, net, GRID8, support_by_interval=support)
     assert mat.mask[0, 0]
     assert not mat.mask[1, 0]
@@ -347,7 +348,7 @@ def test_assemble_matrix_support_filter():
 
 def test_assemble_matrix_snaps_rounding_dust():
     net = make_corridor_network(n_segs=1)
-    mat = assemble_matrix({0: {0: 20.0 - 1e-9}}, net, GRID8)
+    mat = assemble_matrix({0: np.array([20.0 - 1e-9])}, net, GRID8)
     assert mat.values[0, 0] == 20.0
     assert mat.mask[0, 0]
 
@@ -357,20 +358,11 @@ def test_assemble_matrix_rejects_bad_input():
     with pytest.raises(InputDataError):
         assemble_matrix({}, net, GRID8)
     with pytest.raises(InputDataError):
-        assemble_matrix({0: {9: 20.0}}, net, GRID8)
+        assemble_matrix({0: np.array([20.0])}, net, GRID8)
     with pytest.raises(InputDataError):
-        assemble_matrix({8: {0: 20.0}}, net, GRID8)
+        assemble_matrix({8: np.array([20.0, 20.0])}, net, GRID8)
     with pytest.raises(InputDataError):
-        assemble_matrix({0: {0: float("nan")}}, net, GRID8)
-
-
-def test_column_times():
-    net = make_corridor_network(n_segs=2)
-    mat = assemble_matrix({1: {0: 22.0, 1: 24.0}}, net, GRID8)
-    assert mat.column_times(1) == {0: 22.0, 1: 24.0}
-    assert mat.column_times(0) == {0: 0.0, 1: 0.0}
-    with pytest.raises(InputDataError):
-        mat.column_times(8)
+        assemble_matrix({0: np.array([float("nan"), 20.0])}, net, GRID8)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +372,9 @@ def test_column_times():
 
 def test_matrix_csv_round_trip(tmp_path):
     net = make_corridor_network(n_segs=3)
-    mat = assemble_matrix({0: {0: 25.25, 1: 20.0}, 5: {2: 30.125}}, net, GRID8)
+    mat = assemble_matrix({0: np.array([25.25, 20.0, 20.0]), 5: np.array([20.0, 20.0, 30.125])},
+                          net, GRID8,
+                          support_by_interval={0: np.array([1, 1, 0]), 5: np.array([0, 0, 1])})
     p = tmp_path / "matrix.csv"
     write_matrix(mat, p)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,observed"
@@ -392,7 +386,8 @@ def test_matrix_csv_round_trip(tmp_path):
 
 def test_completed_csv_round_trip(tmp_path):
     net = make_corridor_network(n_segs=2)
-    mat = assemble_matrix({0: {0: 25.0, 1: 26.0}, 3: {0: 27.0}}, net, GRID8)
+    mat = assemble_matrix({0: np.array([25.0, 26.0]), 3: np.array([27.0, 20.0])}, net, GRID8,
+                          support_by_interval={0: np.array([1, 1]), 3: np.array([1, 0])})
     res = complete(mat, svt_threshold=5.0)
     p = tmp_path / "completed.csv"
     write_completed(res, p)

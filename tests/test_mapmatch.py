@@ -57,8 +57,8 @@ def corridor_trace(net: RoadNetwork, speed: float, period: float,
     return GpsTrace(vehicle_id, np.array(ts), np.array(lats), np.array(lons))
 
 
-def free_flow_times(net: RoadNetwork) -> dict[int, float]:
-    return {s.id: s.free_flow_time for s in net.segments}
+def free_flow_router(net: RoadNetwork) -> Router:
+    return Router(net, net.seg_fft)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_viterbi_rejects_mismatched_shapes():
 def test_five_points_on_single_segment():
     net = line_net(n_segs=1, length=500.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=40.0)
-    pieces = match_trace(net, trace, free_flow_times(net))
+    pieces = match_trace(net, trace, free_flow_router(net))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0]
@@ -201,7 +201,7 @@ def test_five_points_on_single_segment():
 def test_corridor_recovers_path_and_entry_times():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0)
-    pieces = match_trace(net, trace, free_flow_times(net))
+    pieces = match_trace(net, trace, free_flow_router(net))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3, 4]
@@ -220,7 +220,7 @@ def test_first_point_mid_segment_extrapolates_entry():
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_trace(net, trace, free_flow_times(net))
+    pieces = match_trace(net, trace, free_flow_router(net))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3]
@@ -240,7 +240,7 @@ def test_two_way_corridor_picks_forward_segments():
         lats.append(net.nodes[0].lat)
         lons.append(net.nodes[0].lon + d / mlon)
     trace = GpsTrace(3, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_trace(net, trace, free_flow_times(net))
+    pieces = match_trace(net, trace, free_flow_router(net))
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 2, 4, 6, 8]
     assert np.allclose(pieces[0].entry_times, [0.0, 20.0, 40.0, 60.0, 80.0], atol=1e-3)
@@ -249,7 +249,7 @@ def test_two_way_corridor_picks_forward_segments():
 def test_noisy_corridor_still_matches():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=5.0, seed=11)
-    pieces = match_trace(net, trace, free_flow_times(net))
+    pieces = match_trace(net, trace, free_flow_router(net))
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 1, 2, 3, 4]
 
@@ -279,14 +279,14 @@ def fork_net() -> tuple[RoadNetwork, float, float]:
 @pytest.mark.parametrize("dt,expected", [(80.0, [0, 1]), (40.0, [2, 3])])
 def test_travel_time_disambiguates_equal_geometry(dt, expected):
     net, _, _ = fork_net()
-    times = free_flow_times(net)
+    router = free_flow_router(net)
     trace = GpsTrace(
         1,
         np.array([0.0, dt]),
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    pieces = match_trace(net, trace, times)
+    pieces = match_trace(net, trace, router)
     assert len(pieces) == 1
     assert pieces[0].segments == expected
 
@@ -301,7 +301,7 @@ def test_tau_zero_falls_back_to_candidate_order():
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    pieces = match_trace(net, trace, free_flow_times(net), MatchParams(tt_tau=0.0))
+    pieces = match_trace(net, trace, free_flow_router(net), MatchParams(tt_tau=0.0))
     assert pieces[0].segments == [0, 1]
 
 
@@ -312,7 +312,7 @@ def test_long_gap_splits_trace():
     ts = np.concatenate([base.timestamps, base.timestamps + 1100.0])
     lats = np.concatenate([base.lats, base.lats])
     lons = np.concatenate([base.lons, base.lons])
-    pieces = match_trace(net, GpsTrace(5, ts, lats, lons), free_flow_times(net))
+    pieces = match_trace(net, GpsTrace(5, ts, lats, lons), free_flow_router(net))
     assert [mp.piece for mp in pieces] == [0, 1]
     assert pieces[0].segments == pieces[1].segments == [0, 1, 2, 3, 4]
     assert pieces[0].last_point == 10 and pieces[1].first_point == 11
@@ -324,7 +324,7 @@ def test_point_without_candidates_is_dropped_and_splits():
     lats = base.lats.copy()
     lats[5] += 2000.0 / meters_per_degree(0.0)[0]  # 2 km off the corridor
     pieces = match_trace(net, GpsTrace(5, base.timestamps, lats, base.lons),
-                         free_flow_times(net))
+                         free_flow_router(net))
     assert len(pieces) == 2
     assert pieces[0].last_point == 4 and pieces[1].first_point == 6
 
@@ -352,7 +352,7 @@ def test_unroutable_step_splits_lattice():
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array([0.0, 15.0, 30.0, 45.0]), np.array(lats), np.array(lons))
-    pieces = match_trace(net, trace, free_flow_times(net))
+    pieces = match_trace(net, trace, free_flow_router(net))
     assert len(pieces) == 2
     assert pieces[0].segments == [0]
     assert pieces[1].segments == [2]
@@ -361,43 +361,43 @@ def test_unroutable_step_splits_lattice():
 def test_no_candidates_anywhere_returns_empty():
     net = line_net(n_segs=2)
     trace = GpsTrace(1, np.array([0.0, 10.0]), np.array([5.0, 5.0]), np.array([5.0, 5.0]))
-    assert match_trace(net, trace, free_flow_times(net)) == []
+    assert match_trace(net, trace, free_flow_router(net)) == []
 
 
 def test_rescore_equals_match_score_bitwise():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
-    times = free_flow_times(net)
+    router = free_flow_router(net)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=6.0, seed=3)
-    pieces = match_trace(net, trace, times)
+    pieces = match_trace(net, trace, router)
     assert len(pieces) == 1
     mp = pieces[0]
     points = list(range(mp.first_point, mp.last_point + 1))
-    rescored = score_assignment(net, trace, points, mp.assignment, times)
+    rescored = score_assignment(net, trace, points, mp.assignment, router)
     assert rescored == mp.log_score
 
 
 def test_rescore_under_other_times_changes_score():
     net, _, _ = fork_net()
-    truth = free_flow_times(net)
+    truth = net.seg_fft
     trace = GpsTrace(
         1,
         np.array([0.0, 80.0]),
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    mp = match_trace(net, trace, truth)[0]
+    mp = match_trace(net, trace, Router(net, truth))[0]
     points = [mp.first_point, mp.last_point]
-    same = score_assignment(net, trace, points, mp.assignment, truth)
-    distorted = dict(truth)
+    same = score_assignment(net, trace, points, mp.assignment, Router(net, truth))
+    distorted = truth.copy()
     distorted[0] = 200.0
-    other = score_assignment(net, trace, points, mp.assignment, distorted)
+    other = score_assignment(net, trace, points, mp.assignment, Router(net, distorted))
     assert same == mp.log_score
     assert other < same
 
 
 def test_batch_matching_is_deterministic():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
-    times = free_flow_times(net)
+    times = net.seg_fft
     traces = [
         corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=4.0, seed=s,
                        vehicle_id=s)
@@ -433,7 +433,7 @@ def test_matched_csv_round_trip(tmp_path):
                        vehicle_id=s)
         for s in range(3)
     ]
-    pieces = match_traces(net, traces, free_flow_times(net))
+    pieces = match_traces(net, traces, net.seg_fft)
     path = tmp_path / "matched.csv"
     write_matched(pieces, path)
     back = read_matched(path)

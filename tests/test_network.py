@@ -126,11 +126,10 @@ def test_network_adjacency_and_arrays():
     assert net.n_nodes == 2 and net.n_segments == 2
     assert net.out_adjacency[1] == [0]
     assert net.out_adjacency[2] == [1]
-    times = net.times_to_array({0: 5.0, 1: 7.0})
+    (times,) = net.segment_columns("times.csv", [(1, 7.0), (0, 5.0)])
     assert list(times) == [5.0, 7.0]
-    assert net.array_to_times(times) == {0: 5.0, 1: 7.0}
     with pytest.raises(InputDataError):
-        net.times_to_array({0: 5.0})
+        net.segment_columns("times.csv", [(0, 5.0)])
     with pytest.raises(InputDataError):
         net.segment_by_id(99)
 
@@ -213,7 +212,8 @@ def test_shortest_path_against_enumeration():
             weight_of[sid] = w
         for src in range(7):
             for dst in range(7):
-                got = shortest_path(net, src, dst, lambda sid: weight_of[sid])
+                weights = np.array([weight_of[s.id] for s in net.segments], dtype=float)
+                got = shortest_path(net, src, dst, weights)
                 paths = list(_all_simple_paths(7, out_edges, src, dst))
                 if src == dst:
                     assert got == ([], 0.0)
@@ -232,16 +232,16 @@ def test_shortest_path_against_enumeration():
 def test_shortest_path_rejects_bad_weights():
     net = _two_node_net()
     with pytest.raises(InputDataError):
-        shortest_path(net, 1, 2, lambda sid: -1.0)
+        shortest_path(net, 1, 2, np.full(2, -1.0))
     with pytest.raises(InputDataError):
-        shortest_path(net, 1, 2, lambda sid: math.nan)
+        shortest_path(net, 1, 2, np.full(2, math.nan))
     with pytest.raises(InputDataError):
-        shortest_path(net, 3, 2, lambda sid: 1.0)
+        shortest_path(net, 3, 2, np.ones(2))
 
 
 def test_shortest_path_on_grid():
     net = make_grid_network(4, 4, spacing=100.0)
-    res = shortest_path(net, 0, 15, lambda sid: net.segment_by_id(sid).free_flow_time)
+    res = shortest_path(net, 0, 15, net.seg_fft)
     assert res is not None
     path, cost = res
     assert len(path) == 6  # 3 east + 3 north in some order

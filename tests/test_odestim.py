@@ -13,6 +13,7 @@ from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, Taz
 from probeflow.odestim import (
     ObjectiveRecord,
     OdEstimate,
+    OdSolveParams,
     SpsaParams,
     estimate_od,
     read_objective_trace,
@@ -38,9 +39,9 @@ def single_route_net(capacity=1000.0):
     return net, tazs
 
 
-def observed_everywhere(times: dict[int, float], support: int = 1) -> SegmentTimeEstimate:
-    return SegmentTimeEstimate(time=dict(times), support={s: support for s in times},
-                               interval_index=0)
+def observed_everywhere(times, support: int = 1) -> SegmentTimeEstimate:
+    return SegmentTimeEstimate(time=np.array(times, dtype=float),
+                               support=np.full(len(times), support), interval_index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,37 +106,37 @@ def test_gravity_validation():
 # ---------------------------------------------------------------------------
 
 
-def stub_result(times: dict[int, float]) -> AssignmentResult:
-    return AssignmentResult(flow={s: 0.0 for s in times}, time=dict(times),
+def stub_result(times) -> AssignmentResult:
+    return AssignmentResult(flow=np.zeros(len(times)), time=np.array(times, dtype=float),
                             relative_gap=0.0, iterations=1, converged=True)
 
 
 def test_objective_single_residual():
-    observed = observed_everywhere({0: 20.0})
-    assigned = stub_result({0: 25.0})
+    observed = observed_everywhere([20.0])
+    assigned = stub_result([25.0])
     seed = {(0, 1): 5.0}
     assert upper_objective(assigned, observed, seed, seed, mu=0.0) == 25.0
 
 
 def test_objective_mean_of_squares():
-    observed = observed_everywhere({0: 10.0, 1: 10.0})
-    assigned = stub_result({0: 13.0, 1: 14.0})
+    observed = observed_everywhere([10.0, 10.0])
+    assigned = stub_result([13.0, 14.0])
     seed = {(0, 1): 5.0}
     assert upper_objective(assigned, observed, seed, seed, mu=0.0) == 12.5
 
 
 def test_objective_support_weighting():
-    observed = SegmentTimeEstimate(time={0: 10.0, 1: 10.0}, support={0: 1, 1: 3},
+    observed = SegmentTimeEstimate(time=np.array([10.0, 10.0]), support=np.array([1, 3]),
                                    interval_index=0)
-    assigned = stub_result({0: 13.0, 1: 14.0})
+    assigned = stub_result([13.0, 14.0])
     seed = {(0, 1): 5.0}
     got = upper_objective(assigned, observed, seed, seed, mu=0.0, weight_by_support=True)
     assert abs(got - (9.0 + 3 * 16.0) / 4.0) < 1e-12
 
 
 def test_objective_regularization_term():
-    observed = observed_everywhere({0: 20.0})
-    assigned = stub_result({0: 25.0})
+    observed = observed_everywhere([20.0])
+    assigned = stub_result([25.0])
     seed = {(0, 1): 5.0}
     demand = {(0, 1): 8.0}
     got = upper_objective(assigned, observed, demand, seed, mu=2.0)
@@ -143,16 +144,17 @@ def test_objective_regularization_term():
 
 
 def test_objective_zero_at_perfect_fit():
-    observed = observed_everywhere({0: 20.0, 1: 30.0})
-    assigned = stub_result({0: 20.0, 1: 30.0})
+    observed = observed_everywhere([20.0, 30.0])
+    assigned = stub_result([20.0, 30.0])
     seed = {(0, 1): 5.0}
     assert upper_objective(assigned, observed, seed, seed, mu=0.5) == 0.0
 
 
 def test_objective_requires_observed_support():
-    observed = SegmentTimeEstimate(time={0: 20.0}, support={0: 0}, interval_index=0)
+    observed = SegmentTimeEstimate(time=np.array([20.0]), support=np.array([0]),
+                                   interval_index=0)
     with pytest.raises(InputDataError):
-        upper_objective(stub_result({0: 20.0}), observed, {}, {(0, 1): 1.0}, mu=0.0)
+        upper_objective(stub_result([20.0]), observed, {}, {(0, 1): 1.0}, mu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def test_single_route_demand_recovery():
     net, tazs = single_route_net(capacity=1000.0)
     truth_flow = 1300.0
     t_star = bpr_time(net.segments[0].free_flow_time, 1000.0, truth_flow)
-    observed = observed_everywhere({0: t_star}, support=4)
+    observed = observed_everywhere([t_star], support=4)
     seed = {(0, 1): 1000.0}
     est = estimate_od(net, tazs, observed, seed, SpsaParams(mu=0.0), rng_seed=3)
     assert abs(est.demand[(0, 1)] - truth_flow) / truth_flow < 0.01
@@ -186,7 +188,7 @@ def test_seed_is_returned_when_already_optimal():
 def test_huge_regularization_pins_demand_to_seed():
     net, tazs = single_route_net()
     t_star = bpr_time(net.segments[0].free_flow_time, 1000.0, 1300.0)
-    observed = observed_everywhere({0: t_star})
+    observed = observed_everywhere([t_star])
     seed = {(0, 1): 1000.0}
     est = estimate_od(net, tazs, observed, seed, SpsaParams(mu=1e6, max_outer=50), rng_seed=2)
     assert abs(est.demand[(0, 1)] - 1000.0) / 1000.0 < 0.01
@@ -206,7 +208,7 @@ def test_grid_estimation_bookkeeping():
     truth_state = solve_ue(net, truth, tazs, tol=1e-4, max_iter=1000)
     observed = observed_everywhere(truth_state.time)
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=10),
-                      ue_tol=1e-3, ue_max_iter=1000, rng_seed=5)
+                      OdSolveParams(ue_tol=1e-3, ue_max_iter=1000), rng_seed=5)
     # Recorded at 0, 5, and 10.
     assert [r.outer_iter for r in est.objective_trace] == [0, 5, 10]
     best = min(r.objective for r in est.objective_trace)
@@ -216,8 +218,8 @@ def test_grid_estimation_bookkeeping():
     assert got == best
     assert all(v >= 0.0 for v in est.demand.values())
     assert sum(1 for v in est.demand.values() if v > 0) == len(seed)
-    assert set(est.result.time) == set(net.segment_ids())
-    assert set(est.result.flow) == set(net.segment_ids())
+    assert len(est.result.time) == net.n_segments
+    assert len(est.result.flow) == net.n_segments
 
 
 def test_zero_seed_entries_stay_zero():
@@ -227,7 +229,7 @@ def test_zero_seed_entries_stay_zero():
     truth_state = solve_ue(net, seed, tazs, tol=1e-4, max_iter=1000)
     observed = observed_everywhere(truth_state.time)
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=5),
-                      ue_tol=1e-3, ue_max_iter=1000, rng_seed=8)
+                      OdSolveParams(ue_tol=1e-3, ue_max_iter=1000), rng_seed=8)
     assert est.demand[(0, 3)] == 0.0
 
 
@@ -242,20 +244,21 @@ def test_lower_level_abort_after_retry():
         ],
     )
     tazs = [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=1)]
-    observed = observed_everywhere({0: 120.0, 1: 120.0})
+    observed = observed_everywhere([120.0, 120.0])
     with pytest.raises(SolverError):
         estimate_od(net, tazs, observed, {(0, 1): 1500.0}, SpsaParams(max_outer=2),
-                    ue_tol=1e-12, ue_max_iter=1)
+                    OdSolveParams(ue_tol=1e-12, ue_max_iter=1))
 
 
 def test_estimate_od_validation():
     net, tazs = single_route_net()
-    observed = observed_everywhere({0: 12.0})
+    observed = observed_everywhere([12.0])
     with pytest.raises(InputDataError):
         estimate_od(net, tazs, observed, {(0, 1): -5.0})
     with pytest.raises(InputDataError):
         estimate_od(net, tazs, observed, {(0, 1): 0.0})
-    no_support = SegmentTimeEstimate(time={0: 12.0}, support={0: 0}, interval_index=0)
+    no_support = SegmentTimeEstimate(time=np.array([12.0]), support=np.array([0]),
+                                     interval_index=0)
     with pytest.raises(InputDataError):
         estimate_od(net, tazs, no_support, {(0, 1): 100.0})
 
@@ -281,16 +284,16 @@ def test_spsa_params_validation():
 def test_state_csv_round_trip(tmp_path):
     net = make_corridor_network(n_segs=3, capacity=1000.0)
     result = AssignmentResult(
-        flow={0: 600.0, 1: 0.0, 2: 250.0},
-        time={0: 25.0, 1: 20.0, 2: 21.5},
+        flow=np.array([600.0, 0.0, 250.0]),
+        time=np.array([25.0, 20.0, 21.5]),
         relative_gap=0.0, iterations=3, converged=True,
     )
     p = tmp_path / "state.csv"
     write_state(result, net, p)
-    flows, times, vocs = read_state(p)
-    assert flows == result.flow
-    assert times == result.time
-    assert vocs == {0: 0.6, 1: 0.0, 2: 0.25}
+    flows, times, vocs = read_state(p, net)
+    assert flows.tolist() == result.flow.tolist()
+    assert times.tolist() == result.time.tolist()
+    assert vocs.tolist() == [0.6, 0.0, 0.25]
     assert p.read_text().splitlines()[0] == "segment_id,flow_vph,time_s,voc"
 
 

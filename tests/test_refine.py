@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import MatchParams, match_traces, score_assignment
+from probeflow.mapmatch import MatchParams, Router, match_traces, score_assignment
 from probeflow.network import TimeGrid
 from probeflow.refine import (
     IterationRecord,
     RefinementDiagnostics,
+    RefineParams,
     read_diagnostics,
     refine,
     write_diagnostics,
@@ -28,14 +29,14 @@ def congested_corridor(n_traces=4, n_segs=4):
     net = make_corridor_network(n_segs=n_segs, length=200.0, speed=10.0)  # fft 20 s
     truth = GroundTruthScenario(
         id=0, demand_multiplier=1.0,
-        time={s.id: 40.0 for s in net.segments},
-        flow={s.id: 0.0 for s in net.segments},
+        time=np.full(net.n_segments, 40.0),
+        flow=np.zeros(net.n_segments),
     )
     cfg = ProbeConfig(sampling_period=20.0, gps_sigma=0.0)
     traces = []
     for v in range(n_traces):
         trip = with_times(TruthTrip(vehicle_id=v, departure=30.0 * v,
-                                    path=list(range(n_segs)), entry_times=None), truth)
+                                    path=list(range(n_segs)), entry_times=None), net, truth)
         traces.append(sample_trace(trip, net, truth, cfg))
     return net, traces
 
@@ -64,13 +65,13 @@ def test_small_update_stops_on_tolerance():
     # Truth at free flow: iteration 0 infers times that barely move.
     net = make_corridor_network(n_segs=3, length=200.0, speed=10.0)
     truth = GroundTruthScenario(id=0, demand_multiplier=1.0,
-                                time={s.id: s.free_flow_time for s in net.segments},
-                                flow={s.id: 0.0 for s in net.segments})
+                                time=net.seg_fft.copy(),
+                                flow=np.zeros(net.n_segments))
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=0.0)
     traces = []
     for v in range(3):
         trip = with_times(TruthTrip(vehicle_id=v, departure=10.0 * v,
-                                    path=[0, 1, 2], entry_times=None), truth)
+                                    path=[0, 1, 2], entry_times=None), net, truth)
         traces.append(sample_trace(trip, net, truth, cfg))
     _, _, diag = refine(traces, net, TimeGrid())
     assert len(diag) == 1
@@ -79,17 +80,18 @@ def test_small_update_stops_on_tolerance():
 
 def test_max_iters_bounds_the_loop():
     fx = make_two_route_fixture()
-    _, _, diag = refine(fx.traces, fx.net, fx.grid, max_iters=2, stop_tol=1e-12)
+    _, _, diag = refine(fx.traces, fx.net, fx.grid,
+                        params=RefineParams(max_iters=2, stop_tol=1e-12))
     assert len(diag) <= 2
 
 
 def test_single_iteration_equals_sequential_pipeline():
     fx = make_two_route_fixture()
     grid = fx.grid
-    pieces, estimates, diag = refine(fx.traces, fx.net, grid, max_iters=1)
+    pieces, estimates, diag = refine(fx.traces, fx.net, grid, params=RefineParams(max_iters=1))
     assert len(diag) == 1
 
-    fft = {s.id: s.free_flow_time for s in fx.net.segments}
+    fft = fx.net.seg_fft
     manual_pieces = match_traces(fx.net, fx.traces, fft)
     assert [(m.vehicle_id, m.piece, m.segments) for m in manual_pieces] == [
         (m.vehicle_id, m.piece, m.segments) for m in pieces
@@ -97,8 +99,8 @@ def test_single_iteration_equals_sequential_pipeline():
     by_interval = observations_from_matches(manual_pieces, grid)
     for iv, obs in by_interval.items():
         manual = infer_times(obs, fx.net, fft)
-        assert manual.time == estimates[iv].time
-        assert manual.support == estimates[iv].support
+        assert manual.time.tolist() == estimates[iv].time.tolist()
+        assert manual.support.tolist() == estimates[iv].support.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ def ambiguous_assignments(pieces, fx):
 
 def test_coarse_pass_picks_wrong_route_for_ambiguous():
     fx = make_two_route_fixture()
-    pieces, _, _ = refine(fx.traces, fx.net, fx.grid, max_iters=1)
+    pieces, _, _ = refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=1))
     wrong = ambiguous_assignments(pieces, fx)
     assert len(wrong) == len(fx.ambiguous_ids)
     for vid, segs in wrong.items():
@@ -139,11 +141,12 @@ def test_refinement_flips_ambiguous_to_true_route():
 
 def test_refinement_reduces_time_mse():
     fx = make_two_route_fixture()
-    _, est0, _ = refine(fx.traces, fx.net, fx.grid, max_iters=1)
+    _, est0, _ = refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=1))
     _, est_final, _ = refine(fx.traces, fx.net, fx.grid)
 
     def mse(est):
-        errs = [(est[0].time[sid] - fx.truth_times[sid]) ** 2 for sid in fx.truth_times]
+        errs = [(est[0].time[sid] - fx.truth_times[sid]) ** 2
+                for sid in range(len(fx.truth_times))]
         return sum(errs) / len(errs)
 
     assert mse(est_final) < mse(est0)
@@ -158,9 +161,10 @@ def test_refinement_reduces_time_mse():
 def test_infer_step_never_raises_residual_of_its_system():
     fx = make_two_route_fixture()
     grid = fx.grid
-    fft = {s.id: s.free_flow_time for s in fx.net.segments}
-    _, est_prev, _ = refine(fx.traces, fx.net, grid, max_iters=1)
-    pieces_1, est_1, diag_1 = refine(fx.traces, fx.net, grid, max_iters=2, stop_tol=1e-12)
+    fft = fx.net.seg_fft
+    _, est_prev, _ = refine(fx.traces, fx.net, grid, params=RefineParams(max_iters=1))
+    pieces_1, est_1, diag_1 = refine(fx.traces, fx.net, grid,
+                                     params=RefineParams(max_iters=2, stop_tol=1e-12))
     by_interval = observations_from_matches(pieces_1, grid)
     new_total, old_total = 0.0, 0.0
     for iv, obs in by_interval.items():
@@ -175,15 +179,16 @@ def test_rematch_never_scores_below_previous_paths():
     fx = make_two_route_fixture()
     grid = fx.grid
     traces_by_vid = {t.vehicle_id: t for t in fx.traces}
-    pieces_0, est_0, _ = refine(fx.traces, fx.net, grid, max_iters=1)
-    pieces_1, _, diag_1 = refine(fx.traces, fx.net, grid, max_iters=2, stop_tol=1e-12)
+    pieces_0, est_0, _ = refine(fx.traces, fx.net, grid, params=RefineParams(max_iters=1))
+    pieces_1, _, diag_1 = refine(fx.traces, fx.net, grid,
+                                 params=RefineParams(max_iters=2, stop_tol=1e-12))
 
     new_by_key = {(mp.vehicle_id, mp.piece): mp for mp in pieces_1}
     for mp in pieces_0:
         trace = traces_by_vid[mp.vehicle_id]
         times = est_0[grid.interval_of(0.5 * (trace.timestamps[0] + trace.timestamps[-1]))].time
         points = list(range(mp.first_point, mp.last_point + 1))
-        rescored = score_assignment(fx.net, trace, points, mp.assignment, times)
+        rescored = score_assignment(fx.net, trace, points, mp.assignment, Router(fx.net, times))
         fresh = new_by_key[(mp.vehicle_id, mp.piece)]
         assert fresh.log_score >= rescored
     total_fresh = math.fsum(mp.log_score for mp in pieces_1)
@@ -192,10 +197,11 @@ def test_rematch_never_scores_below_previous_paths():
 
 def test_time_weight_damps_update():
     fx = make_two_route_fixture()
-    fft = {s.id: s.free_flow_time for s in fx.net.segments}
-    _, full, _ = refine(fx.traces, fx.net, fx.grid, max_iters=1)
-    _, damped, _ = refine(fx.traces, fx.net, fx.grid, max_iters=1, time_weight=0.5)
-    for sid in fft:
+    fft = fx.net.seg_fft
+    _, full, _ = refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=1))
+    _, damped, _ = refine(fx.traces, fx.net, fx.grid,
+                          params=RefineParams(max_iters=1, time_weight=0.5))
+    for sid in range(len(fft)):
         expected = 0.5 * full[0].time[sid] + 0.5 * fft[sid]
         assert damped[0].time[sid] == expected
 
@@ -205,11 +211,11 @@ def test_refine_validates_arguments():
     with pytest.raises(InputDataError):
         refine([], fx.net, fx.grid)
     with pytest.raises(InputDataError):
-        refine(fx.traces, fx.net, fx.grid, max_iters=0)
+        refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=0))
     with pytest.raises(InputDataError):
-        refine(fx.traces, fx.net, fx.grid, stop_tol=0.0)
+        refine(fx.traces, fx.net, fx.grid, params=RefineParams(stop_tol=0.0))
     with pytest.raises(InputDataError):
-        refine(fx.traces, fx.net, fx.grid, time_weight=0.0)
+        refine(fx.traces, fx.net, fx.grid, params=RefineParams(time_weight=0.0))
 
 
 # ---------------------------------------------------------------------------

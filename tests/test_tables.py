@@ -18,23 +18,24 @@ from conftest import make_corridor_network
 COLUMNS = (("id", int), ("value", float), ("label", str))
 
 GRID8 = TimeGrid(interval_seconds=75600, interval_count=8)
+NET2 = make_corridor_network(n_segs=2)
 
 # Every CSV reader of the package with the column spec it checks.
 READERS = {
     "tazs": (network.read_tazs, network.TAZ_COLUMNS),
     "demand": (assignment.read_demand, assignment.DEMAND_COLUMNS),
-    "matrix": (partial(completion.read_matrix, net=make_corridor_network(n_segs=2), grid=GRID8),
+    "matrix": (partial(completion.read_matrix, net=NET2, grid=GRID8),
                completion.MATRIX_COLUMNS),
     "completed": (completion.read_completed, completion.COMPLETED_COLUMNS),
     "voc": (evaluation.read_voc, evaluation.VOC_COLUMNS),
     "matched": (mapmatch.read_matched, mapmatch.MATCHED_COLUMNS),
-    "state": (odestim.read_state, odestim.STATE_COLUMNS),
+    "state": (partial(odestim.read_state, net=NET2), odestim.STATE_COLUMNS),
     "objective": (odestim.read_objective_trace, odestim.OBJECTIVE_COLUMNS),
     "diagnostics": (refine.read_diagnostics, refine.DIAGNOSTICS_COLUMNS),
     "traces": (tracegen.read_traces, tracegen.TRACE_COLUMNS),
     "trips": (tracegen.read_trips, tracegen.TRIP_COLUMNS),
-    "truth": (tracegen.read_truth, tracegen.TRUTH_COLUMNS),
-    "estimates": (ttinfer.read_estimates, ttinfer.ESTIMATE_COLUMNS),
+    "truth": (partial(tracegen.read_truth, net=NET2), tracegen.TRUTH_COLUMNS),
+    "estimates": (partial(ttinfer.read_estimates, net=NET2), ttinfer.ESTIMATE_COLUMNS),
 }
 
 
@@ -83,4 +84,23 @@ def test_every_csv_reader_rejects_malformed_rows(tmp_path, name, body):
     p = tmp_path / f"{name}.csv"
     p.write_bytes(header(columns) + body)
     with pytest.raises(InputDataError, match=rf"{name}\.csv, line 2: "):
+        reader(p)
+
+
+# One valid row, less its segment id, for each reader of a table that
+# lists every segment of NET2 (ids 0 and 1) exactly once.
+PER_SEGMENT = {"state": "600.0,25.0,0.6", "truth": "25.0,600.0", "estimates": "20.5,3"}
+
+
+@pytest.mark.parametrize("name", sorted(PER_SEGMENT))
+@pytest.mark.parametrize("ids,error", [((0,), "segment 1 missing"),
+                                       ((0, 1, 7), "unknown segment id 7")],
+                         ids=["missing", "unknown"])
+def test_per_segment_readers_reject_missing_and_unknown_segments(tmp_path, name, ids, error):
+    reader, columns = READERS[name]
+    prefix = "0," if name == "estimates" else ""
+    body = "".join(f"{prefix}{sid},{PER_SEGMENT[name]}\n" for sid in ids)
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(header(columns) + body.encode("utf-8"))
+    with pytest.raises(InputDataError, match=rf"{name}\.csv.*{error}"):
         reader(p)

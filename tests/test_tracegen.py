@@ -1,8 +1,7 @@
-"""Benchmark generation: scenarios, trips, trace sampling, truth modes."""
+"""Benchmark generation: scenarios, trips, trace sampling, truth tables."""
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from probeflow.tracegen import (
     GroundTruthScenario,
     ProbeConfig,
     TruthTrip,
-    default_multipliers,
-    derive_truth_timestamp,
     gen_scenarios,
     generate_probe_data,
     read_traces,
@@ -38,8 +35,8 @@ def corridor_setup(n_segs=3, length=200.0, speed=10.0):
     scen = GroundTruthScenario(
         id=0,
         demand_multiplier=1.0,
-        time={s.id: s.free_flow_time for s in net.segments},
-        flow={s.id: 0.0 for s in net.segments},
+        time=net.seg_fft.copy(),
+        flow=np.zeros(net.n_segments),
     )
     return net, tazs, scen
 
@@ -60,14 +57,6 @@ def test_probe_config_validation():
         ProbeConfig(penetration=1.5)
 
 
-def test_default_multipliers_ladder():
-    ms = default_multipliers()
-    assert len(ms) == 34
-    assert ms[0] == 0.2 and ms[-1] == 2.0
-    steps = np.diff(ms)
-    assert np.allclose(steps, steps[0])
-
-
 def test_gen_scenarios_times_grow_with_demand():
     net = RoadNetwork(
         [Node(id=0, lat=0.0, lon=0.0), Node(id=1, lat=0.0, lon=0.01)],
@@ -84,7 +73,7 @@ def test_gen_scenarios_times_grow_with_demand():
     assert [s.id for s in scens] == [0, 1, 2]
     assert [s.demand_multiplier for s in scens] == [0.5, 1.0, 1.5]
     fft = net.segments[0].free_flow_time
-    worst = [max(s.time.values()) for s in scens]
+    worst = [max(s.time) for s in scens]
     assert all(t >= fft for t in worst)
     assert worst[0] < worst[1] < worst[2]
     # Demand splits evenly over the identical parallel segments.
@@ -128,7 +117,7 @@ def test_with_times_rebuilds_simulation():
     net, tazs, scen = corridor_setup()
     trip = simulate_trip(net, tazs[0], tazs[1], scen, 50.0, 2)
     stripped = TruthTrip(vehicle_id=2, departure=50.0, path=list(trip.path), entry_times=None)
-    rebuilt = with_times(stripped, scen)
+    rebuilt = with_times(stripped, net, scen)
     assert rebuilt.entry_times == trip.entry_times
     assert rebuilt.arrival == trip.arrival
 
@@ -192,58 +181,6 @@ def test_sample_trace_requires_entry_times():
     bare = TruthTrip(vehicle_id=0, departure=0.0, path=[0, 1, 2], entry_times=None)
     with pytest.raises(InputDataError):
         sample_trace(bare, net, scen, ProbeConfig())
-
-
-# ---------------------------------------------------------------------------
-# Timestamp truth mode
-# ---------------------------------------------------------------------------
-
-
-def test_timestamp_truth_exact_when_samples_hit_boundaries():
-    net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    # Slow down the middle segment; 5 s samples still hit every boundary.
-    scen.time[1] = 40.0
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, 0)
-    trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=5.0, gps_sigma=0.0))
-    times, uncovered = derive_truth_timestamp([trace], [trip], net)
-    assert uncovered == set()
-    assert abs(times[0] - 20.0) < 1e-6
-    assert abs(times[1] - 40.0) < 1e-6
-    assert abs(times[2] - 20.0) < 1e-6
-
-
-def test_timestamp_truth_dense_sampling_close_elsewhere():
-    net, tazs, scen = corridor_setup(n_segs=4, length=200.0, speed=10.0)
-    scen.time[1] = 33.0
-    scen.time[2] = 47.0
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, 0)
-    trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=1.0, gps_sigma=0.0))
-    times, uncovered = derive_truth_timestamp([trace], [trip], net)
-    assert uncovered == set()
-    for sid in (0, 1, 2, 3):
-        assert abs(times[sid] - scen.time[sid]) < 1.0
-
-
-def test_timestamp_truth_flags_uncovered_segments():
-    net, tazs, scen = corridor_setup(n_segs=3)
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, 0)
-    trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=5.0, gps_sigma=0.0))
-    wide = make_corridor_network(n_segs=5)
-    times, uncovered = derive_truth_timestamp([trace], [trip], wide)
-    assert uncovered == {3, 4}
-    assert times[3] == wide.segment_by_id(3).free_flow_time
-
-
-def test_timestamp_truth_averages_multiple_trips():
-    net, tazs, scen = corridor_setup(n_segs=2, length=200.0, speed=10.0)
-    slow = GroundTruthScenario(id=1, demand_multiplier=1.0,
-                               time={0: 40.0, 1: 40.0}, flow={0: 0.0, 1: 0.0})
-    cfg = ProbeConfig(sampling_period=2.0, gps_sigma=0.0)
-    t0 = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, 0)
-    t1 = simulate_trip(net, tazs[0], tazs[1], slow, 0.0, 1)
-    traces = [sample_trace(t0, net, scen, cfg), sample_trace(t1, net, slow, cfg)]
-    times, _ = derive_truth_timestamp(traces, [t0, t1], net)
-    assert abs(times[0] - 30.0) < 1e-6  # mean of 20 and 40
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +291,16 @@ def test_trip_csv_round_trip(tmp_path):
     for x, y in zip(trips, back):
         assert (x.vehicle_id, x.departure, x.path) == (y.vehicle_id, y.departure, y.path)
         assert y.entry_times is None
-    rebuilt = with_times(back[1], scen)
+    rebuilt = with_times(back[1], net, scen)
     assert rebuilt.entry_times == trips[1].entry_times
 
 
 def test_truth_csv_round_trip(tmp_path):
-    _, _, scen = corridor_setup()
+    net, _, scen = corridor_setup()
     scen.time[1] = 123.456
     scen.flow[1] = 789.25
     p = tmp_path / "truth.csv"
-    write_truth(scen, p)
-    times, flows = read_truth(p)
-    assert times == scen.time
-    assert flows == scen.flow
+    write_truth(scen, net, p)
+    times, flows = read_truth(p, net)
+    assert times.tolist() == scen.time.tolist()
+    assert flows.tolist() == scen.flow.tolist()

@@ -12,6 +12,7 @@ from probeflow.errors import InputDataError
 from probeflow.mapmatch import MatchedPath
 from probeflow.network import TimeGrid
 from probeflow.ttinfer import (
+    InferParams,
     IntervalObservations,
     SegmentTimeEstimate,
     build_system,
@@ -88,18 +89,18 @@ def test_observations_from_matches_counts_loops():
 def test_two_by_two_hand_solution():
     net = make_corridor_network(n_segs=2, length=200.0, speed=20.0)  # fft = 10 s
     obs = obs_of([({0: 1, 1: 1}, 50.0), ({0: 1}, 20.0)])
-    prior = {0: 10.0, 1: 10.0}
-    est = infer_times(obs, net, prior, lam=0.0, tol=1e-10)
+    prior = np.array([10.0, 10.0])
+    est = infer_times(obs, net, prior, InferParams(lam=0.0, tol=1e-10))
     assert abs(est.time[0] - 20.0) < 1e-6
     assert abs(est.time[1] - 30.0) < 1e-6
-    assert est.support == {0: 2, 1: 1}
+    assert est.support.tolist() == [2, 1]
 
 
 def test_unsupported_segments_keep_prior():
     net = make_corridor_network(n_segs=3, speed=20.0)
     obs = obs_of([({0: 1}, 25.0)])
-    prior = {0: 10.0, 1: 17.5, 2: 13.25}
-    est = infer_times(obs, net, prior, lam=0.05)
+    prior = np.array([10.0, 17.5, 13.25])
+    est = infer_times(obs, net, prior, InferParams(lam=0.05))
     assert est.time[1] == 17.5
     assert est.time[2] == 13.25
     assert est.support[1] == 0 and est.support[2] == 0
@@ -107,17 +108,17 @@ def test_unsupported_segments_keep_prior():
 
 def test_empty_interval_returns_prior():
     net = make_corridor_network(n_segs=2)
-    prior = {0: 21.0, 1: 22.0}
+    prior = np.array([21.0, 22.0])
     est = infer_times(obs_of([]), net, prior)
-    assert est.time == prior
-    assert est.support == {0: 0, 1: 0}
+    assert est.time.tolist() == prior.tolist()
+    assert est.support.tolist() == [0, 0]
 
 
 def test_lower_bound_is_respected():
     net = make_corridor_network(n_segs=1, length=200.0, speed=10.0)  # fft = 20 s
     # The observation says 5 s, far below free flow.
     obs = obs_of([({0: 1}, 5.0)])
-    est = infer_times(obs, net, {0: 20.0}, lam=0.05)
+    est = infer_times(obs, net, np.array([20.0]), InferParams(lam=0.05))
     assert est.time[0] == 20.0
 
 
@@ -125,7 +126,7 @@ def test_ridge_pulls_toward_prior():
     net = make_corridor_network(n_segs=1, length=200.0, speed=20.0)  # fft = 10 s
     obs = obs_of([({0: 1}, 40.0)])
     # lam=1 with prior 20: minimize (x-40)^2 + (x-20)^2 -> x = 30.
-    est = infer_times(obs, net, {0: 20.0}, lam=1.0, tol=1e-10)
+    est = infer_times(obs, net, np.array([20.0]), InferParams(lam=1.0, tol=1e-10))
     assert abs(est.time[0] - 30.0) < 1e-6
 
 
@@ -139,7 +140,7 @@ def random_instance(rng, n_segs=4, n_rows=6):
             counts[int(rng.integers(0, n_segs))] = 1
         dur = float(counts @ truth + rng.normal(0.0, 2.0))
         rows.append(({j: int(c) for j, c in enumerate(counts) if c}, max(dur, 1.0)))
-    prior = {j: float(10.0 + rng.uniform(0.0, 10.0)) for j in range(n_segs)}
+    prior = np.array([float(10.0 + rng.uniform(0.0, 10.0)) for _ in range(n_segs)])
     return net, obs_of(rows), prior
 
 
@@ -148,7 +149,7 @@ def test_kkt_holds_on_randomized_instances():
     tol = 1e-8
     for _ in range(100):
         net, obs, prior = random_instance(rng)
-        est = infer_times(obs, net, prior, lam=0.05, tol=tol)
+        est = infer_times(obs, net, prior, InferParams(lam=0.05, tol=tol))
         A, b, columns = build_system(obs, net)
         x = np.array([est.time[s] for s in columns])
         lower = np.array([net.segment_by_id(s).free_flow_time for s in columns])
@@ -161,7 +162,7 @@ def test_objective_never_worse_than_prior():
     rng = np.random.default_rng(5)
     for _ in range(25):
         net, obs, prior = random_instance(rng)
-        est = infer_times(obs, net, prior, lam=0.05)
+        est = infer_times(obs, net, prior, InferParams(lam=0.05))
         A, b, columns = build_system(obs, net)
         x = np.array([est.time[s] for s in columns])
         p = np.array([prior[s] for s in columns])
@@ -181,7 +182,7 @@ def test_grid_search_oracle_equivalence():
     step = 0.25
     for _ in range(3):
         net, obs, prior = random_instance(rng, n_segs=3, n_rows=5)
-        est = infer_times(obs, net, prior, lam=0.05, tol=1e-10)
+        est = infer_times(obs, net, prior, InferParams(lam=0.05, tol=1e-10))
         A, b, columns = build_system(obs, net)
         Ad = A.toarray()
         p = np.array([prior[s] for s in columns])
@@ -198,7 +199,7 @@ def test_grid_search_oracle_equivalence():
 def test_residual_sq_matches_manual():
     net = make_corridor_network(n_segs=2, speed=20.0)
     obs = obs_of([({0: 1, 1: 1}, 50.0), ({0: 1}, 18.0)])
-    times = {0: 20.0, 1: 30.0}
+    times = np.array([20.0, 30.0])
     assert abs(residual_sq(times, obs, net) - 4.0) < 1e-12
     assert residual_sq(times, obs_of([]), net) == 0.0
 
@@ -207,11 +208,11 @@ def test_infer_times_validates_inputs():
     net = make_corridor_network(n_segs=2, length=200.0, speed=10.0)  # fft = 20 s
     obs = obs_of([({0: 1}, 30.0)])
     with pytest.raises(InputDataError):
-        infer_times(obs, net, {0: 5.0, 1: 20.0})  # prior below free flow
+        infer_times(obs, net, np.array([5.0, 20.0]))  # prior below free flow
     with pytest.raises(InputDataError):
-        infer_times(obs, net, {0: 20.0, 1: 20.0}, lam=-1.0)
+        infer_times(obs, net, np.array([20.0, 20.0]), InferParams(lam=-1.0))
     with pytest.raises(InputDataError):
-        infer_times(obs, net, {0: 20.0, 1: 20.0}, tol=0.0)
+        infer_times(obs, net, np.array([20.0, 20.0]), InferParams(tol=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +221,19 @@ def test_infer_times_validates_inputs():
 
 
 def test_estimates_csv_round_trip(tmp_path):
+    net = make_corridor_network(n_segs=2)
     ests = [
-        SegmentTimeEstimate(time={0: 20.5, 1: 31.25}, support={0: 3, 1: 0}, interval_index=4),
-        SegmentTimeEstimate(time={0: 19.0, 1: 33.0}, support={0: 1, 1: 2}, interval_index=2),
+        SegmentTimeEstimate(time=np.array([20.5, 31.25]), support=np.array([3, 0]),
+                            interval_index=4),
+        SegmentTimeEstimate(time=np.array([19.0, 33.0]), support=np.array([1, 2]),
+                            interval_index=2),
     ]
     p = tmp_path / "estimates.csv"
-    write_estimates(ests, p)
-    back = read_estimates(p)
+    write_estimates(ests, p, net)
+    back = read_estimates(p, net)
     assert set(back) == {2, 4}
-    assert back[4].time == {0: 20.5, 1: 31.25}
-    assert back[4].support == {0: 3, 1: 0}
+    assert back[4].time.tolist() == [20.5, 31.25]
+    assert back[4].support.tolist() == [3, 0]
     assert back[2].time[1] == 33.0
     first = p.read_text().splitlines()
     assert first[0] == "interval,segment_id,time_s,support"
@@ -240,4 +244,4 @@ def test_read_estimates_rejects_bad_header(tmp_path):
     p = tmp_path / "estimates.csv"
     p.write_text("interval,segment,time_s,support\n0,0,1.0,1\n")
     with pytest.raises(InputDataError):
-        read_estimates(p)
+        read_estimates(p, make_corridor_network(n_segs=1))
