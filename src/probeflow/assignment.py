@@ -54,6 +54,18 @@ class VdfParams:
             raise InputDataError(f"beta must be >= 1, got {self.beta}")
 
 
+@dataclass(frozen=True)
+class AssignParams:
+    """Convergence settings for ground-truth scenario assignment."""
+
+    tol: float = 1e-5
+    max_iter: int = 800
+
+    def __post_init__(self) -> None:
+        if self.tol <= 0 or self.max_iter < 1:
+            raise InputDataError("tol must be positive and max_iter at least 1")
+
+
 def bpr_time(fft: float, capacity: float, flow: float, params: VdfParams = VdfParams()) -> float:
     """Congested travel time of one link under the BPR curve."""
     return fft * (1.0 + params.alpha * (flow / capacity) ** params.beta)

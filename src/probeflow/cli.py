@@ -29,17 +29,15 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .assignment import read_demand, write_demand
+from .assignment import AssignParams, read_demand, write_demand
 from .completion import (
     CompletionParams,
     assemble_matrix,
@@ -136,18 +134,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssignParams:
-    """Convergence settings for ground-truth scenario assignment."""
-
-    tol: float = 1e-5
-    max_iter: int = 800
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1:
-            raise InputDataError("tol must be positive and max_iter at least 1")
-
-
 _SECTIONS: dict[str, type] = {
     "grid": TimeGrid,
     "match": MatchParams,
@@ -159,6 +145,11 @@ _SECTIONS: dict[str, type] = {
     "completion": CompletionParams,
     "assignment": AssignParams,
     "gravity": GravityParams,
+}
+
+# JSON value types each annotated section field accepts (bools only for bool).
+_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "int": int, "float": (int, float), "float | None": (int, float, type(None)), "bool": bool,
 }
 
 _PATH_KEYS = (
@@ -177,7 +168,6 @@ class PipelineConfig:
     """
 
     seed: int = 0
-    threads: int | None = None
     out_dir: str = "."
     scenario_name: str = "default"
     multipliers: list[float] = field(default_factory=lambda: [1.0])
@@ -208,7 +198,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         known = set(_SECTIONS) | set(_PATH_KEYS) | {
-            "seed", "threads", "out_dir", "scenario_name", "multipliers", "schedule",
+            "seed", "out_dir", "scenario_name", "multipliers", "schedule",
         }
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -219,22 +209,21 @@ class PipelineConfig:
             section = doc.get(key, {})
             if not isinstance(section, dict):
                 raise UsageError(f"config key {key!r} must be an object")
+            for f in fields(section_type):
+                value = section.get(f.name)
+                if f.name in section and (isinstance(value, bool) != (f.type == "bool")
+                                          or not isinstance(value, _FIELD_TYPES[f.type])):
+                    raise UsageError(f"config section {key!r}: {f.name} must be {f.type}, "
+                                     f"got {value!r}")
             try:
                 kwargs[key] = section_type(**section)
-            except TypeError as exc:
-                raise UsageError(f"config section {key!r}: {exc}") from exc
-            except InputDataError as exc:
+            except (TypeError, InputDataError) as exc:
                 raise UsageError(f"config section {key!r}: {exc}") from exc
 
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise UsageError("config key 'seed' must be an integer")
         kwargs["seed"] = seed
-
-        threads = doc.get("threads")
-        if threads is not None and (not isinstance(threads, int) or threads < 1):
-            raise UsageError("config key 'threads' must be a positive integer")
-        kwargs["threads"] = threads
 
         out_dir = doc.get("out_dir", ".")
         name = doc.get("scenario_name", "default")
@@ -254,6 +243,15 @@ class PipelineConfig:
             if not isinstance(schedule, list) or any(
                     not isinstance(s, int) or isinstance(s, bool) for s in schedule):
                 raise UsageError("config key 'schedule' must be a list of integers")
+            count = kwargs["grid"].interval_count
+            if len(schedule) != count:
+                raise UsageError(f"schedule length {len(schedule)} != interval count {count}")
+            bad = [s for s in schedule if not -1 <= s < len(multipliers)]
+            if bad:
+                raise UsageError(f"schedule entry {bad[0]} is neither -1 (no traffic) nor "
+                                 f"one of the {len(multipliers)} configured scenarios")
+            if max(schedule) < 0:
+                raise UsageError("schedule activates no scenario")
         kwargs["schedule"] = schedule
 
         for key in _PATH_KEYS:
@@ -271,27 +269,45 @@ def stage_seed(stage: str, seed: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _json_number(text: str) -> int | float:
+    """JSON number hook that rejects literals beyond the float range."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value if any(c in text for c in ".eE") else int(text)
+
+
+def _json_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config file plus flag overrides; any bad value raises UsageError.
+
+    Numbers must be finite: NaN, Infinity and literals that overflow a
+    float are rejected as the file is read.
+    """
+    if args.threads is not None and args.threads < 1:
+        raise UsageError("--threads must be a positive integer")
     doc: dict = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(path.read_text(encoding="utf-8"), parse_float=_json_number,
+                             parse_int=_json_number, parse_constant=_json_constant)
+        except ValueError as exc:  # json.JSONDecodeError included
             raise UsageError(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"{path}: top level must be a JSON object")
     cfg = PipelineConfig.from_dict(doc)
 
     overrides: dict = {}
-    for key in ("seed", "threads", "out_dir", *_PATH_KEYS):
+    for key in ("seed", "out_dir", *_PATH_KEYS):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if overrides.get("threads", 1) < 1:
-        raise UsageError("--threads must be a positive integer")
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -318,10 +334,6 @@ def _input(cfg: PipelineConfig, key: str) -> Path:
     return path
 
 
-def _threads(cfg: PipelineConfig) -> int:
-    return cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
-
-
 def _supported_intervals(estimates) -> list[int]:
     """Intervals whose estimate rests on at least one observation."""
     return sorted(iv for iv, est in estimates.items() if np.any(est.support > 0))
@@ -342,7 +354,7 @@ def _cmd_import_osm(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 def _cmd_gen_demand(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
     tazs = read_tazs(_input(cfg, "tazs"), net)
-    demand = seed_gravity(net, tazs, cfg.gravity.deterrence_scale, cfg.gravity.total_trips)
+    demand = seed_gravity(net, tazs, cfg.gravity)
     out = _out(cfg) / DEMAND_FILE
     write_demand(demand, out)
     artifacts.append(out)
@@ -352,8 +364,7 @@ def _cmd_gen_scenarios(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
     tazs = read_tazs(_input(cfg, "tazs"), net)
     demand = read_demand(_input(cfg, "demand"))
-    scenarios = gen_scenarios(net, demand, cfg.multipliers, tazs,
-                              tol=cfg.assignment.tol, max_iter=cfg.assignment.max_iter)
+    scenarios = gen_scenarios(net, demand, cfg.multipliers, tazs, cfg.assignment)
     out = _out(cfg)
     for scen in scenarios:
         path = out / truth_file(scen.id)
@@ -372,19 +383,10 @@ def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     demand = read_demand(_input(cfg, "demand"))
 
     schedule = cfg.schedule if cfg.schedule is not None else [0] * cfg.grid.interval_count
-    if len(schedule) != cfg.grid.interval_count:
-        raise UsageError(
-            f"schedule length {len(schedule)} != interval count {cfg.grid.interval_count}")
     needed = sorted({s for s in schedule if s >= 0})
-    if not needed:
-        raise UsageError("schedule activates no scenario")
-
     truth_dir = Path(cfg.truth_dir) if cfg.truth_dir is not None else Path(cfg.out_dir)
     scenarios = []
     for sid in needed:
-        if sid >= len(cfg.multipliers):
-            raise UsageError(f"schedule references scenario {sid} but only "
-                             f"{len(cfg.multipliers)} multipliers are configured")
         path = truth_dir / truth_file(sid)
         if not path.is_file():
             raise UsageError(f"truth file not found: {path}")
@@ -392,8 +394,8 @@ def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
         scenarios.append(GroundTruthScenario(
             id=sid, demand_multiplier=cfg.multipliers[sid], time=times, flow=flows))
 
-    probe = replace(cfg.probe, rng_seed=stage_seed("gen-traces", cfg.seed))
-    data = generate_probe_data(net, tazs, demand, scenarios, schedule, cfg.grid, probe)
+    data = generate_probe_data(net, tazs, demand, scenarios, schedule, cfg.grid, cfg.probe,
+                               rng_seed=stage_seed("gen-traces", cfg.seed))
 
     out = _out(cfg)
     all_trips, all_traces = [], []
@@ -427,12 +429,7 @@ def _cmd_infer(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
     matched = read_matched(_input(cfg, "matched"))
     obs = observations_from_matches(matched, cfg.grid)
-
-    def solve(interval: int):
-        return infer_times(obs[interval], net, net.seg_fft, cfg.infer)
-
-    with ThreadPoolExecutor(max_workers=_threads(cfg)) as pool:
-        estimates = list(pool.map(solve, sorted(obs)))
+    estimates = [infer_times(obs[iv], net, net.seg_fft, cfg.infer) for iv in sorted(obs)]
     out = _out(cfg) / ESTIMATES_FILE
     write_estimates(estimates, out, net)
     artifacts.append(out)
@@ -453,11 +450,10 @@ def _cmd_refine(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     """Demand estimation per supported interval.
 
-    Intervals are independent, so they run under the thread cap; each
-    gets its own derived seed. When the equilibrium solver gives up on
-    an interval, that interval's seed demand is written with a .partial
-    suffix, every other interval keeps its regular output, and the
-    command fails with exit code 3 afterwards.
+    Each interval gets its own derived seed. When the equilibrium solver
+    gives up on an interval, that interval's seed demand is written with
+    a .partial suffix, every other interval keeps its regular output, and
+    the command fails with exit code 3 afterwards.
     """
     net = read_network(_input(cfg, "network"))
     tazs = read_tazs(_input(cfg, "tazs"), net)
@@ -465,36 +461,28 @@ def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     if cfg.demand is not None:
         seed_demand = read_demand(_input(cfg, "demand"))
     else:
-        seed_demand = seed_gravity(net, tazs, cfg.gravity.deterrence_scale,
-                                   cfg.gravity.total_trips)
+        seed_demand = seed_gravity(net, tazs, cfg.gravity)
 
     intervals = _supported_intervals(estimates)
     if not intervals:
         raise InputDataError(f"{cfg.estimates}: no interval has observation support")
 
-    def solve(interval: int):
-        return estimate_od(
-            net, tazs, estimates[interval], seed_demand, spsa=cfg.spsa, od=cfg.od,
-            rng_seed=stage_seed(f"estimate-od/{interval}", cfg.seed))
-
     out = _out(cfg)
     failures: dict[int, SolverError] = {}
-    with ThreadPoolExecutor(max_workers=_threads(cfg)) as pool:
-        futures = {iv: pool.submit(solve, iv) for iv in intervals}
-        for iv in intervals:
-            try:
-                est = futures[iv].result()
-            except SolverError as exc:
-                failures[iv] = exc
-                partial = out / (demand_file(iv) + ".partial")
-                write_demand(seed_demand, partial)
-                artifacts.append(partial)
-                continue
-            write_demand(est.demand, out / demand_file(iv))
-            write_state(est.result, net, out / state_file(iv))
-            write_objective_trace(est.objective_trace, out / objective_file(iv))
-            artifacts.extend([out / demand_file(iv), out / state_file(iv),
-                              out / objective_file(iv)])
+    for iv in intervals:
+        try:
+            est = estimate_od(net, tazs, estimates[iv], seed_demand, spsa=cfg.spsa, od=cfg.od,
+                              rng_seed=stage_seed(f"estimate-od/{iv}", cfg.seed))
+        except SolverError as exc:
+            failures[iv] = exc
+            partial = out / (demand_file(iv) + ".partial")
+            write_demand(seed_demand, partial)
+            artifacts.append(partial)
+            continue
+        write_demand(est.demand, out / demand_file(iv))
+        write_state(est.result, net, out / state_file(iv))
+        write_objective_trace(est.objective_trace, out / objective_file(iv))
+        artifacts.extend([out / demand_file(iv), out / state_file(iv), out / objective_file(iv)])
     if failures:
         first = min(failures)
         raise SolverError(f"interval {first}: {failures[first]}")
@@ -508,9 +496,7 @@ def _cmd_complete(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     out = _out(cfg)
     write_matrix(mat, out / MATRIX_FILE)
     artifacts.append(out / MATRIX_FILE)
-    p = cfg.completion
-    result = complete(mat, svt_threshold=p.svt_threshold, step=p.step,
-                      max_iter=p.max_iter, tol=p.tol)
+    result = complete(mat, cfg.completion)
     write_completed(result, out / COMPLETED_FILE)
     artifacts.append(out / COMPLETED_FILE)
 
@@ -668,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON configuration file")
     common.add_argument("--seed", type=int, metavar="N", help="global random seed")
     common.add_argument("--threads", type=int, metavar="N",
-                        help="worker cap for per-interval stages")
+                        help="accepted for compatibility and ignored; stages run on one thread")
     common.add_argument("--out-dir", metavar="PATH", help="directory for outputs")
 
     parser = _Parser(prog="probeflow",

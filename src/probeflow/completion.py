@@ -177,12 +177,13 @@ class CompletionParams:
     tol: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.svt_threshold is not None and not (self.svt_threshold > 0):
-            raise InputDataError("svt_threshold must be positive when given")
+        if self.svt_threshold is not None and not (0.0 < self.svt_threshold < math.inf):
+            raise InputDataError(
+                f"svt_threshold must be finite and positive when given, got {self.svt_threshold}")
         if not (0.0 < self.step <= 2.0):
-            raise InputDataError("step must be in (0, 2]")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise InputDataError("max_iter must be at least 1 and tol positive")
+            raise InputDataError(f"step must be in (0, 2], got {self.step}")
+        if self.max_iter < 1 or not (0.0 < self.tol < math.inf):
+            raise InputDataError("max_iter must be at least 1 and tol finite and positive")
 
 
 def default_threshold(values: np.ndarray, mask: np.ndarray) -> float:
@@ -192,11 +193,7 @@ def default_threshold(values: np.ndarray, mask: np.ndarray) -> float:
 
 
 def complete(
-    mat: TravelTimeMatrix,
-    svt_threshold: float | None = None,
-    step: float = 1.2,
-    max_iter: int = 500,
-    tol: float = 1e-4,
+    mat: TravelTimeMatrix, params: CompletionParams = CompletionParams()
 ) -> CompletionResult:
     """Fill every missing entry of the matrix; see the module docstring.
 
@@ -206,13 +203,6 @@ def complete(
     flattens the imputation toward fewer temporal patterns; lowering it
     trusts more of them.
     """
-    if svt_threshold is not None and not (svt_threshold > 0 and math.isfinite(svt_threshold)):
-        raise InputDataError(f"svt_threshold must be positive, got {svt_threshold}")
-    if not 0.0 < step <= 2.0:
-        raise InputDataError(f"step must lie in (0, 2], got {step}")
-    if tol <= 0 or max_iter < 1:
-        raise InputDataError("tol must be positive and max_iter at least 1")
-
     observed_rows = mat.mask.any(axis=1)
     fallback = [sid for i, sid in enumerate(mat.segment_ids) if not observed_rows[i]]
     if fallback:
@@ -229,26 +219,28 @@ def complete(
         sub = out[observed_rows]
         sub_mask = mat.mask[observed_rows]
         obs_vals = sub[sub_mask]
-        tau = default_threshold(sub, sub_mask) if svt_threshold is None else svt_threshold
+        tau = params.svt_threshold
+        if tau is None:
+            tau = default_threshold(sub, sub_mask)
 
         x = sub.copy()
         row_means = np.array([row[keep].mean() for row, keep in zip(sub, sub_mask)])
         x[~sub_mask] = np.broadcast_to(row_means[:, None], x.shape)[~sub_mask]
-        for k in range(1, max_iter + 1):
+        for k in range(1, params.max_iter + 1):
             u, s, vt = svd(x)
             kept = s - tau
             rank = int(np.sum(kept > 0.0))
             z = (u[:, :rank] * kept[:rank]) @ vt[:rank]
-            xn = x + step * (z - x)
+            xn = x + params.step * (z - x)
             xn[sub_mask] = obs_vals
             rel = float(np.linalg.norm(xn - x) / max(np.linalg.norm(x), 1e-12))
             x = xn
             iterations = k
-            if rel < tol:
+            if rel < params.tol:
                 break
         else:
             logger.warning(
-                "completion stopped at max_iter=%d with relative change %.3e", max_iter, rel
+                "completion stopped at max_iter=%d with relative change %.3e", params.max_iter, rel
             )
         logger.info("completion: %d iterations, relative change %.3e, tau %.6g, "
                     "%d singular values kept", iterations, rel, tau, rank)

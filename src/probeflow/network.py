@@ -404,7 +404,9 @@ def _dijkstra(
     node the one whose incoming segment id is smallest wins, applied at
     every node along the way. Because segment ids are compared from the
     destination backwards, the selected path is the reverse-lexicographic
-    smallest among all minimum-cost paths.
+    smallest among all minimum-cost paths when every weight is positive.
+    A zero weight can settle a node before an equal-cost rival reaches
+    it; the path still has minimum cost, but may lose that tie order.
     """
     n = net.n_nodes
     dist: list[float] = [math.inf] * n
@@ -483,10 +485,7 @@ def shortest_path(
 # ---------------------------------------------------------------------------
 
 
-def import_osm(
-    source: bytes | str | os.PathLike | object,
-    class_table: dict[str, tuple[float, float]] | None = None,
-) -> RoadNetwork:
+def import_osm(source: bytes | str | os.PathLike | object) -> RoadNetwork:
     """Build a road network from an OSM-XML document.
 
     ``source`` may be raw XML bytes, XML text, a path, or a readable
@@ -494,20 +493,14 @@ def import_osm(
     segments, one per consecutive node pair, so every intermediate way
     node is a graph node. Two-way roads produce a segment per direction;
     ``oneway=yes`` keeps only the forward direction and ``oneway=-1``
-    only the reverse. Speeds and capacities come from ``class_table``
-    (``DEFAULT_CLASS_TABLE`` when omitted), keyed by the road class the
-    highway value maps to.
+    only the reverse. Speeds and capacities come from ``DEFAULT_CLASS_TABLE``,
+    keyed by the road class the highway value maps to.
 
     Ways referencing nodes absent from the document are skipped with a
     warning, as are zero-length node pairs. Only nodes used by surviving
     segments end up in the network. Malformed XML raises InputDataError
     with the parser's line/column message.
     """
-    table = DEFAULT_CLASS_TABLE if class_table is None else class_table
-    for cls in ROAD_CLASSES:
-        if cls not in table:
-            raise InputDataError(f"class table missing entry for {cls!r}")
-
     try:
         if isinstance(source, bytes):
             root = ET.fromstring(source)
@@ -586,7 +579,7 @@ def import_osm(
     nodes = [Node(id=nid, lat=doc_nodes[nid][0], lon=doc_nodes[nid][1]) for nid in sorted(used_nodes)]
     segments = []
     for sid, a, b, road_class in seg_specs:
-        speed, cap = table[road_class]
+        speed, cap = DEFAULT_CLASS_TABLE[road_class]
         segments.append(
             Segment(
                 id=sid,

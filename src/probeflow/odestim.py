@@ -111,23 +111,14 @@ class OdEstimate:
     outer_iterations: int
 
 
-def seed_gravity(
-    net: RoadNetwork,
-    tazs: list[Taz],
-    deterrence_scale: float,
-    total_trips: float,
-) -> DemandMatrix:
-    """Distance-decay seed demand: T_ij proportional to exp(-d_ij / scale).
+def seed_gravity(net: RoadNetwork, tazs: list[Taz], params: GravityParams) -> DemandMatrix:
+    """Distance-decay seed demand: T_ij proportional to exp(-d_ij / deterrence_scale).
 
     Diagonal entries are zero and the off-diagonal entries sum to
     total_trips. Deterministic: same inputs, same matrix.
     """
     if len(tazs) < 2:
         raise InputDataError("gravity seed needs at least 2 TAZs")
-    if deterrence_scale <= 0:
-        raise InputDataError("deterrence_scale must be positive")
-    if total_trips <= 0:
-        raise InputDataError("total_trips must be positive")
     coords = {}
     for taz in tazs:
         j = net.node_index(taz.centroid_node)
@@ -138,9 +129,9 @@ def seed_gravity(
             if a.id == b.id:
                 continue
             d = haversine(coords[a.id], coords[b.id])
-            weights[(a.id, b.id)] = math.exp(-d / deterrence_scale)
+            weights[(a.id, b.id)] = math.exp(-d / params.deterrence_scale)
     total_weight = math.fsum(weights[k] for k in sorted(weights))
-    return {k: total_trips * w / total_weight for k, w in weights.items()}
+    return {k: params.total_trips * w / total_weight for k, w in weights.items()}
 
 
 def upper_objective(

@@ -61,23 +61,16 @@ class RefinementDiagnostics:
 
 @dataclass(frozen=True)
 class RefineParams:
-    """Loop budget and stop thresholds of the refinement stage.
-
-    time_weight blends each fresh estimate with the previous one (1.0
-    keeps the fresh estimate; lower values damp the update).
-    """
+    """Loop budget and stop thresholds of the refinement stage."""
 
     max_iters: int = 10
     stop_tol: float = 1e-3
-    time_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise InputDataError("max_iters must be at least 1")
         if self.stop_tol <= 0:
             raise InputDataError("stop_tol must be positive")
-        if not (0.0 < self.time_weight <= 1.0):
-            raise InputDataError("time_weight must be in (0, 1]")
 
 
 def _trace_interval(trace: GpsTrace, grid: TimeGrid) -> int:
@@ -142,9 +135,6 @@ def refine(
         for iv in sorted(by_interval):
             prior = times.get(iv, fft)
             est = infer_times(by_interval[iv], net, prior, infer_params)
-            if params.time_weight != 1.0:
-                w = params.time_weight
-                est.time = w * est.time + (1.0 - w) * prior
             max_rel = max(max_rel, float(np.max(np.abs(est.time - prior) / prior)))
             estimates[iv] = est
             times[iv] = est.time

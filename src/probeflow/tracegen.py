@@ -5,7 +5,7 @@ network conditions (system-optimal assignments at a ladder of demand
 levels), truth trips routed on those conditions, and noisy low-rate GPS
 traces sampled from the trips.
 
-Everything here is deterministic given the configured seed. Trace noise
+Everything here is deterministic given its rng_seed argument. Trace noise
 uses one generator per vehicle (seed = rng_seed + vehicle_id) so trips
 can be generated in parallel or in any order without changing output.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import DemandMatrix, solve_so
+from .assignment import AssignParams, DemandMatrix, solve_so
 from .errors import InputDataError
 from .mapmatch import GpsTrace
 from .network import (
@@ -41,7 +41,6 @@ class ProbeConfig:
     sampling_period: float = 60.0
     gps_sigma: float = 10.0
     penetration: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.sampling_period <= 0:
@@ -88,16 +87,13 @@ def gen_scenarios(
     base_demand: DemandMatrix,
     multipliers: list[float],
     tazs: list[Taz],
-    tol: float = 1e-5,
-    max_iter: int = 800,
+    params: AssignParams = AssignParams(),
 ) -> list[GroundTruthScenario]:
-    """System-optimal assignment per demand multiplier, indexed in order."""
-    if any(m <= 0 for m in multipliers):
-        raise InputDataError("demand multipliers must be positive")
+    """System-optimal assignment per (positive) demand multiplier, indexed in order."""
     scenarios = []
     for i, m in enumerate(multipliers):
         scaled = {od: rate * m for od, rate in base_demand.items()}
-        result = solve_so(net, scaled, tazs, tol=tol, max_iter=max_iter)
+        result = solve_so(net, scaled, tazs, tol=params.tol, max_iter=params.max_iter)
         if not result.converged:
             logger.warning("scenario %d (multiplier %.3g): assignment gap %.2e above tol",
                            i, m, result.relative_gap)
@@ -144,6 +140,7 @@ def sample_trace(
     net: RoadNetwork,
     scenario: GroundTruthScenario,
     cfg: ProbeConfig,
+    rng_seed: int = 0,
 ) -> GpsTrace:
     """Sample the trip at the probe period (plus the arrival instant).
 
@@ -166,7 +163,7 @@ def sample_trace(
     else:
         ts.append(trip.arrival)
 
-    rng = np.random.default_rng(cfg.rng_seed + trip.vehicle_id)
+    rng = np.random.default_rng(rng_seed + trip.vehicle_id)
     noise = rng.standard_normal((len(ts), 2)) * cfg.gps_sigma
     lats, lons = [], []
     for (t, (nlat, nlon)) in zip(ts, noise):
@@ -202,6 +199,7 @@ def generate_probe_data(
     schedule: list[int],
     grid: TimeGrid,
     cfg: ProbeConfig,
+    rng_seed: int = 0,
 ) -> dict[int, tuple[list[TruthTrip], list[GpsTrace]]]:
     """Simulate probed trips across the week.
 
@@ -210,7 +208,7 @@ def generate_probe_data(
     penetration * base_rate * multiplier * interval_hours, realized by
     flooring plus one Bernoulli draw; departures are uniform within the
     interval. Vehicle ids are assigned in generation order (interval,
-    then OD pair), so the whole layout is a pure function of the seed.
+    then OD pair), so the whole layout is a pure function of rng_seed.
 
     Returns trips and traces grouped by scenario id.
     """
@@ -238,7 +236,7 @@ def generate_probe_data(
         if sid < 0:
             continue
         scen = by_id[sid]
-        rng = np.random.default_rng([cfg.rng_seed, interval])
+        rng = np.random.default_rng([rng_seed, interval])
         start = interval * grid.interval_seconds
         for od in od_pairs:
             expected = cfg.penetration * base_demand[od] * scen.demand_multiplier * hours
@@ -246,7 +244,7 @@ def generate_probe_data(
             for _ in range(n):
                 dep = start + float(rng.uniform(0.0, grid.interval_seconds))
                 trip = simulate_trip(net, taz_by_id[od[0]], taz_by_id[od[1]], scen, dep, vid)
-                trace = sample_trace(trip, net, scen, cfg)
+                trace = sample_trace(trip, net, scen, cfg, rng_seed)
                 out[sid][0].append(trip)
                 out[sid][1].append(trace)
                 vid += 1

@@ -16,13 +16,14 @@ import time
 import numpy as np
 
 from probeflow.assignment import (
+    AssignParams,
     bpr_time,
     solve_so,
     solve_ue,
     total_system_travel_time,
 )
 from probeflow.cli import main
-from probeflow.completion import TravelTimeMatrix, complete, svd
+from probeflow.completion import CompletionParams, TravelTimeMatrix, complete, svd
 from probeflow.evaluation import (
     aggregate_error_pct,
     lag_autocorrelation,
@@ -47,7 +48,7 @@ from probeflow.network import (
     write_network,
     write_tazs,
 )
-from probeflow.odestim import OdSolveParams, SpsaParams, estimate_od, seed_gravity
+from probeflow.odestim import GravityParams, OdSolveParams, SpsaParams, estimate_od, seed_gravity
 from probeflow.refine import RefineParams, refine
 from probeflow.tracegen import (
     GroundTruthScenario,
@@ -119,7 +120,7 @@ def test_02_equilibrium_converges_on_gravity_grid():
     net = make_grid_network(10, 10, spacing=200.0)
     tazs = [Taz(id=i, centroid_node=n, name=f"t{i}")
             for i, n in enumerate(range(0, 100, 5))]
-    demand = seed_gravity(net, tazs, 1000.0, 20000.0)
+    demand = seed_gravity(net, tazs, GravityParams(1000.0, 20000.0))
 
     t0 = time.perf_counter()
     ue = solve_ue(net, demand, tazs, tol=1e-4, max_iter=500)
@@ -199,15 +200,14 @@ def test_04_matching_accuracy_degrades_gracefully_with_noise():
     matcher = MatchParams(gps_sigma=30.0, nk_beta=50.0, tt_tau=120.0, radius=120.0)
 
     def accuracy(period: float, sigma: float) -> float:
-        cfg = ProbeConfig(sampling_period=period, gps_sigma=sigma,
-                          penetration=1.0, rng_seed=77)
+        cfg = ProbeConfig(sampling_period=period, gps_sigma=sigma, penetration=1.0)
         trips, traces = [], []
         for vid, (a, b) in enumerate(pairs):
             trip = simulate_trip(net, Taz(id=0, centroid_node=a),
                                  Taz(id=1, centroid_node=b),
                                  scen, departure=float(vid * 10), vehicle_id=vid)
             trips.append(trip)
-            traces.append(sample_trace(trip, net, scen, cfg))
+            traces.append(sample_trace(trip, net, scen, cfg, rng_seed=77))
         assert len(traces) >= 200
         return matching_accuracy_pct(match_traces(net, traces, fft, matcher), trips, net)
 
@@ -349,11 +349,11 @@ def test_06_refinement_improves_on_single_pass():
     grid = TimeGrid(interval_seconds=75600, interval_count=8)
     net = make_grid_network(3, 3, spacing=300.0, speed=10.0, capacity=300.0)
     tazs = [Taz(id=0, centroid_node=0, name="sw"), Taz(id=1, centroid_node=8, name="ne")]
-    demand = seed_gravity(net, tazs, 1000.0, 400.0)
-    scens = gen_scenarios(net, demand, [2.0], tazs, tol=1e-5, max_iter=2000)
-    probe = ProbeConfig(sampling_period=30.0, gps_sigma=5.0, penetration=0.1, rng_seed=4319)
+    demand = seed_gravity(net, tazs, GravityParams(1000.0, 400.0))
+    scens = gen_scenarios(net, demand, [2.0], tazs, AssignParams(tol=1e-5, max_iter=2000))
+    probe = ProbeConfig(sampling_period=30.0, gps_sigma=5.0, penetration=0.1)
     data = generate_probe_data(net, tazs, demand, scens,
-                               [0, 0, 0, 0, -1, -1, -1, -1], grid, probe)
+                               [0, 0, 0, 0, -1, -1, -1, -1], grid, probe, rng_seed=4319)
     _, traces = data[0]
     _, est, _ = refine(traces, net, grid,
                        match_params=MatchParams(gps_sigma=5.0),
@@ -392,7 +392,7 @@ def test_07_demand_estimation_recovers_and_improves():
     # Four zones on a congested grid, seed at two thirds of the truth.
     net4 = make_grid_network(3, 3, spacing=300.0, speed=10.0, capacity=200.0)
     tazs4 = [Taz(id=i, centroid_node=n, name=f"c{i}") for i, n in enumerate((0, 2, 6, 8))]
-    seed = seed_gravity(net4, tazs4, 1000.0, 600.0)
+    seed = seed_gravity(net4, tazs4, GravityParams(1000.0, 600.0))
     truth = {k: 1.5 * v for k, v in seed.items()}
     truth_res = solve_ue(net4, truth, tazs4, tol=1e-3, max_iter=3000)
     assert truth_res.converged
@@ -428,7 +428,7 @@ def test_08_completion_recovers_low_rank_structure():
                            segment_ids=list(range(100)),
                            free_flow=np.full(100, 1.0), grid=TimeGrid())
     observed = mat.values.copy()
-    res = complete(mat, svt_threshold=20.0)
+    res = complete(mat, CompletionParams(svt_threshold=20.0))
     out = res.matrix.values
     assert np.linalg.norm(out - truth) / np.linalg.norm(truth) < 5e-2
     assert np.array_equal(out[mask], observed[mask])

@@ -78,7 +78,7 @@ def world(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(world, tmp_path):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["match"]) == 1
@@ -96,12 +96,51 @@ def test_usage_errors_exit_1(tmp_path):
     bad_param.write_text(json.dumps({"match": {"gps_sigma": -1.0}}))
     assert main(["match", "--config", str(bad_param)]) == 1
 
+    # Keys that no longer exist, values of the wrong type, and numbers
+    # RFC 8259 JSON does not have, with inputs that would let the command
+    # run if the config were valid.
+    inputs = ["--network", world.paths["network"], "--traces", world.paths["traces"]]
+    for i, text in enumerate([
+        json.dumps({"probe": {"rng_seed": 5}}),
+        json.dumps({"threads": 2}),
+        json.dumps({"match": {"max_candidates": 2.5}}),
+        json.dumps({"od": {"weight_by_support": 1}}),
+        json.dumps({"refine": {"max_iters": True}}),
+        json.dumps({"probe": {"sampling_period": float("nan")}}),
+        json.dumps({"match": {"gps_sigma": float("nan")}}),
+        '{"match": {"radius": Infinity}}',
+        '{"od": {"ue_tol": -Infinity}}',
+        '{"multipliers": [1e999]}',
+        '{"multipliers": [1' + "0" * 400 + ']}',
+    ]):
+        path = tmp_path / f"rejected_{i}.json"
+        path.write_text(text)
+        rc = main(["match", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
+        assert rc == 1, text
+    assert not (tmp_path / "matched.csv").exists()
+
     assert main(["match", "--network", str(tmp_path / "nowhere.json"),
                  "--traces", str(tmp_path / "nowhere.csv")]) == 1
 
 
 def test_threads_must_be_positive(world):
     assert main(["infer", "--config", world.cfg, "--threads", "0"]) == 1
+
+
+def test_nonpositive_multiplier_exits_1(world, tmp_path):
+    cfg = write_config(tmp_path, multipliers=[1.0, 0.0], **world.paths)
+    assert main(["gen-scenarios", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("truth_*.csv"))
+
+
+def test_complete_rejects_infinite_threshold_before_any_output(world, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"completion": {"svt_threshold": float("inf")}}))
+    rc = main(["complete", "--config", str(cfg), "--out-dir", str(tmp_path),
+               "--network", world.paths["network"],
+               "--estimates", str(world.pipe / "estimates.csv")])
+    assert rc == 1
+    assert not (tmp_path / "matrix.csv").exists()
 
 
 def test_schedule_validation(world, tmp_path):
@@ -167,16 +206,6 @@ def test_match_then_infer(world, tmp_path):
     estimates = read_estimates(tmp_path / "estimates.csv", world.net)
     assert set(estimates) <= set(range(8))
     assert any(any(n > 0 for n in e.support) for e in estimates.values())
-
-
-def test_infer_threads_do_not_change_bytes(world, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    matched = str(world.pipe / "matched.csv")
-    for out, threads in ((a, "1"), (b, "4")):
-        rc = main(["infer", "--config", world.cfg, "--out-dir", str(out),
-                   "--matched", matched, "--threads", threads])
-        assert rc == 0
-    assert (a / "estimates.csv").read_bytes() == (b / "estimates.csv").read_bytes()
 
 
 def test_refine_outputs(world, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probeflow.completion import (
+    CompletionParams,
     TravelTimeMatrix,
     assemble_matrix,
     complete,
@@ -170,7 +171,7 @@ def test_svd_rejects_bad_input():
 def test_fully_observed_matrix_returned_unchanged():
     truth, mat = low_rank_instance(6, 8, 2, 1.1, 3, GRID8)
     assert mat.mask.all()
-    res = complete(mat, svt_threshold=10.0)
+    res = complete(mat, CompletionParams(svt_threshold=10.0))
     assert np.array_equal(res.matrix.values, mat.values)
     assert res.iterations == 1
     assert not res.imputed.any()
@@ -179,20 +180,20 @@ def test_fully_observed_matrix_returned_unchanged():
 
 def test_rank1_recovery():
     truth, mat = low_rank_instance(20, 30, 1, 0.6, 42, GRID30)
-    res = complete(mat, svt_threshold=5.0)
+    res = complete(mat, CompletionParams(svt_threshold=5.0))
     assert rel_error(res.matrix.values, truth) < 1e-2
 
 
 def test_rank2_week_recovery():
     truth, mat = low_rank_instance(50, 168, 2, 0.5, 11, WEEK)
-    res = complete(mat, svt_threshold=20.0)
+    res = complete(mat, CompletionParams(svt_threshold=20.0))
     assert rel_error(res.matrix.values, truth) < 5e-2
 
 
 def test_observed_entries_bit_equal_and_bounded():
     truth, mat = low_rank_instance(15, 12, 2, 0.4, 8, GRID12)
     original = mat.values.copy()
-    res = complete(mat, svt_threshold=15.0)
+    res = complete(mat, CompletionParams(svt_threshold=15.0))
     out = res.matrix.values
     assert np.array_equal(out[mat.mask], original[mat.mask])
     assert np.all(out >= mat.free_flow[:, None])
@@ -208,7 +209,7 @@ def test_floor_clamp_pins_undershoot():
     values = np.where(mask, 50.0, 0.0)
     mat = TravelTimeMatrix(values=values, mask=mask, segment_ids=list(range(5)),
                            free_flow=np.full(5, 50.0), grid=GRID6)
-    res = complete(mat, svt_threshold=10.0)
+    res = complete(mat, CompletionParams(svt_threshold=10.0))
     assert np.all(res.matrix.values == 50.0)
 
 
@@ -220,7 +221,7 @@ def test_all_missing_row_falls_back_to_free_flow():
     fft = np.array([2.0, 7.0, 2.0])
     mat = TravelTimeMatrix(values=np.where(mask, values, 0.0), mask=mask,
                            segment_ids=[10, 11, 12], free_flow=fft, grid=GRID6)
-    res = complete(mat, svt_threshold=5.0)
+    res = complete(mat, CompletionParams(svt_threshold=5.0))
     assert np.all(res.matrix.values[1] == 7.0)
     assert res.fallback_segments == [11]
     assert res.imputed[1].all()
@@ -242,16 +243,16 @@ def test_nothing_observed_at_all():
 def test_complete_determinism():
     truth, mat_a = low_rank_instance(20, 30, 2, 0.5, 13, GRID30)
     _, mat_b = low_rank_instance(20, 30, 2, 0.5, 13, GRID30)
-    res_a = complete(mat_a, svt_threshold=8.0)
-    res_b = complete(mat_b, svt_threshold=8.0)
+    res_a = complete(mat_a, CompletionParams(svt_threshold=8.0))
+    res_b = complete(mat_b, CompletionParams(svt_threshold=8.0))
     assert np.array_equal(res_a.matrix.values, res_b.matrix.values)
     assert res_a.iterations == res_b.iterations
 
 
 def test_complete_repeat_call_bit_equal():
     _, mat = low_rank_instance(40, 168, 3, 0.3, 19, WEEK)
-    first = complete(mat, svt_threshold=30.0)
-    second = complete(mat, svt_threshold=30.0)
+    first = complete(mat, CompletionParams(svt_threshold=30.0))
+    second = complete(mat, CompletionParams(svt_threshold=30.0))
     assert np.array_equal(first.matrix.values, second.matrix.values)
     assert first.iterations == second.iterations
     assert first.rel_change == second.rel_change
@@ -265,7 +266,7 @@ def test_fallback_rows_log_one_warning(caplog):
                            segment_ids=list(range(100, 100 + n)),
                            free_flow=np.full(n, 20.0), grid=GRID6)
     with caplog.at_level(logging.INFO, logger="probeflow.completion"):
-        res = complete(mat, svt_threshold=5.0)
+        res = complete(mat, CompletionParams(svt_threshold=5.0))
     assert res.fallback_segments == [101, 102, 104, 105, 106, 107]
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
@@ -291,12 +292,13 @@ def test_default_threshold_value_and_run():
 
 
 def test_complete_parameter_validation():
-    _, mat = low_rank_instance(4, 6, 1, 0.8, 2, GRID6)
     for kwargs in [dict(svt_threshold=0.0), dict(svt_threshold=-1.0),
-                   dict(svt_threshold=float("inf")), dict(step=0.0),
-                   dict(step=2.1), dict(tol=0.0), dict(max_iter=0)]:
+                   dict(svt_threshold=float("inf")), dict(svt_threshold=float("nan")),
+                   dict(step=0.0), dict(step=2.1), dict(step=float("nan")),
+                   dict(tol=0.0), dict(tol=float("inf")), dict(tol=float("nan")),
+                   dict(max_iter=0)]:
         with pytest.raises(InputDataError):
-            complete(mat, **kwargs)
+            CompletionParams(**kwargs)
 
 
 def test_matrix_type_validation():
@@ -388,7 +390,7 @@ def test_completed_csv_round_trip(tmp_path):
     net = make_corridor_network(n_segs=2)
     mat = assemble_matrix({0: np.array([25.0, 26.0]), 3: np.array([27.0, 20.0])}, net, GRID8,
                           support_by_interval={0: np.array([1, 1]), 3: np.array([1, 0])})
-    res = complete(mat, svt_threshold=5.0)
+    res = complete(mat, CompletionParams(svt_threshold=5.0))
     p = tmp_path / "completed.csv"
     write_completed(res, p)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,imputed"

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow.errors import InputDataError
 from probeflow.network import (
@@ -227,6 +229,51 @@ def test_shortest_path_against_enumeration():
                 assert got is not None
                 assert got[1] == best_cost
                 assert got[0] == expected
+
+
+@st.composite
+def _tied_graphs(draw):
+    """A small multigraph with ids unlike its indices and weights in 0..3."""
+    n = draw(st.integers(2, 6))
+    arcs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
+    edges = [e for e in draw(st.lists(arcs, max_size=14)) if e[0] != e[1]]
+    ids = draw(st.lists(st.integers(0, 99), min_size=len(edges), max_size=len(edges),
+                        unique=True))
+    src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return n, edges, ids, src, dst
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_graphs())
+def test_shortest_path_is_reverse_lexicographic_minimum(graph):
+    # Small integer weights make cost ties common. The path always has the
+    # minimum cost; with positive weights it is also the minimum-cost simple
+    # path whose reversed segment-id tuple is smallest. A zero-weight
+    # segment can settle a node before an equal-cost rival reaches it.
+    n, edges, ids, src, dst = graph
+    nodes = [Node(10 * i + 3, 37.0 + 0.001 * i, -122.0) for i in range(n)]
+    segs = [Segment(sid, 10 * u + 3, 10 * v + 3, 100.0, 10.0, 1000.0, "other")
+            for sid, (u, v, _w) in zip(ids, edges)]
+    net = RoadNetwork(nodes, segs)
+    weight_of = {sid: float(w) for sid, (_u, _v, w) in zip(ids, edges)}
+    out_edges = {u: [] for u in range(n)}
+    for sid, (u, v, w) in zip(ids, edges):
+        out_edges[u].append((sid, v, w))
+    weights = np.array([weight_of[s.id] for s in net.segments])
+
+    got = shortest_path(net, 10 * src + 3, 10 * dst + 3, weights)
+    if src == dst:
+        assert got == ([], 0.0)
+        return
+    paths = list(_all_simple_paths(n, out_edges, src, dst))
+    if not paths:
+        assert got is None
+        return
+    best = min(sum(weight_of[s] for s in p) for p in paths)
+    ties = [p for p in paths if sum(weight_of[s] for s in p) == best]
+    assert got is not None and got[1] == best and got[0] in ties
+    if min(weight_of.values()) > 0:
+        assert got[0] == min(ties, key=lambda p: tuple(reversed(p)))
 
 
 def test_shortest_path_rejects_bad_weights():

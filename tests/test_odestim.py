@@ -13,6 +13,7 @@ from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, Taz
 from probeflow.odestim import (
     ObjectiveRecord,
     OdEstimate,
+    GravityParams,
     OdSolveParams,
     SpsaParams,
     estimate_od,
@@ -52,7 +53,7 @@ def observed_everywhere(times, support: int = 1) -> SegmentTimeEstimate:
 def test_gravity_two_tazs_split_evenly():
     net = make_corridor_network(n_segs=1)
     tazs = [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=1)]
-    demand = seed_gravity(net, tazs, deterrence_scale=1000.0, total_trips=100.0)
+    demand = seed_gravity(net, tazs, GravityParams(deterrence_scale=1000.0, total_trips=100.0))
     assert set(demand) == {(0, 1), (1, 0)}
     assert abs(demand[(0, 1)] - 50.0) < 1e-9
     assert abs(demand[(1, 0)] - 50.0) < 1e-9
@@ -70,7 +71,7 @@ def test_gravity_three_equidistant_tazs():
                   capacity=100.0, road_class="other")
     net = RoadNetwork(nodes, [seg])
     tazs = [Taz(id=i, centroid_node=i) for i in range(3)]
-    demand = seed_gravity(net, tazs, deterrence_scale=500.0, total_trips=600.0)
+    demand = seed_gravity(net, tazs, GravityParams(deterrence_scale=500.0, total_trips=600.0))
     assert len(demand) == 6
     for v in demand.values():
         assert abs(v - 100.0) < 1e-3
@@ -85,7 +86,7 @@ def test_gravity_kernel_ratio():
                   capacity=100.0, road_class="other")
     net = RoadNetwork(nodes, [seg])
     tazs = [Taz(id=i, centroid_node=i) for i in range(3)]
-    demand = seed_gravity(net, tazs, deterrence_scale=scale, total_trips=1000.0)
+    demand = seed_gravity(net, tazs, GravityParams(deterrence_scale=scale, total_trips=1000.0))
     ratio = demand[(0, 1)] / demand[(0, 2)]
     assert abs(ratio - math.e) < 1e-9
 
@@ -94,11 +95,11 @@ def test_gravity_validation():
     net = make_corridor_network(n_segs=1)
     tazs = [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=1)]
     with pytest.raises(InputDataError):
-        seed_gravity(net, tazs[:1], 100.0, 10.0)
+        seed_gravity(net, tazs[:1], GravityParams(100.0, 10.0))
     with pytest.raises(InputDataError):
-        seed_gravity(net, tazs, 0.0, 10.0)
+        GravityParams(0.0, 10.0)
     with pytest.raises(InputDataError):
-        seed_gravity(net, tazs, 100.0, 0.0)
+        GravityParams(100.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def grid_world():
 
 def test_grid_estimation_bookkeeping():
     net, tazs = grid_world()
-    seed = seed_gravity(net, tazs, deterrence_scale=2000.0, total_trips=300.0)
+    seed = seed_gravity(net, tazs, GravityParams(deterrence_scale=2000.0, total_trips=300.0))
     truth = {k: 1.3 * v for k, v in seed.items()}
     truth_state = solve_ue(net, truth, tazs, tol=1e-4, max_iter=1000)
     observed = observed_everywhere(truth_state.time)
@@ -224,7 +225,7 @@ def test_grid_estimation_bookkeeping():
 
 def test_zero_seed_entries_stay_zero():
     net, tazs = grid_world()
-    seed = seed_gravity(net, tazs, deterrence_scale=2000.0, total_trips=300.0)
+    seed = seed_gravity(net, tazs, GravityParams(deterrence_scale=2000.0, total_trips=300.0))
     seed[(0, 3)] = 0.0
     truth_state = solve_ue(net, seed, tazs, tol=1e-4, max_iter=1000)
     observed = observed_everywhere(truth_state.time)

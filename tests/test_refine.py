@@ -195,17 +195,6 @@ def test_rematch_never_scores_below_previous_paths():
     assert diag_1.records[1].viterbi_score == total_fresh
 
 
-def test_time_weight_damps_update():
-    fx = make_two_route_fixture()
-    fft = fx.net.seg_fft
-    _, full, _ = refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=1))
-    _, damped, _ = refine(fx.traces, fx.net, fx.grid,
-                          params=RefineParams(max_iters=1, time_weight=0.5))
-    for sid in range(len(fft)):
-        expected = 0.5 * full[0].time[sid] + 0.5 * fft[sid]
-        assert damped[0].time[sid] == expected
-
-
 def test_refine_validates_arguments():
     fx = make_two_route_fixture(n_pinned=1, n_ambiguous=1)
     with pytest.raises(InputDataError):
@@ -214,8 +203,6 @@ def test_refine_validates_arguments():
         refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=0))
     with pytest.raises(InputDataError):
         refine(fx.traces, fx.net, fx.grid, params=RefineParams(stop_tol=0.0))
-    with pytest.raises(InputDataError):
-        refine(fx.traces, fx.net, fx.grid, params=RefineParams(time_weight=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,25 @@ import csv
 
 import numpy as np
 
-from probeflow.completion import assemble_matrix, complete, write_completed, write_matrix
+from probeflow.assignment import AssignParams
+from probeflow.completion import (
+    CompletionParams,
+    assemble_matrix,
+    complete,
+    write_completed,
+    write_matrix,
+)
 from probeflow.evaluation import mse, voc_series
 from probeflow.mapmatch import MatchParams, write_matched
 from probeflow.network import Node, RoadNetwork, Segment, Taz, TimeGrid
-from probeflow.odestim import OdSolveParams, SpsaParams, estimate_od, seed_gravity, write_state
+from probeflow.odestim import (
+    GravityParams,
+    OdSolveParams,
+    SpsaParams,
+    estimate_od,
+    seed_gravity,
+    write_state,
+)
 from probeflow.refine import RefineParams, refine
 from probeflow.tracegen import ProbeConfig, gen_scenarios, generate_probe_data, write_truth
 from probeflow.ttinfer import write_estimates
@@ -46,11 +60,11 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
     """gen-scenarios through completion and scoring, writing each table to out."""
     out.mkdir()
     tazs = [Taz(id=i, centroid_node=n) for i, n in enumerate(centroids)]
-    demand = seed_gravity(net, tazs, 1000.0, 400.0)
-    scen = gen_scenarios(net, demand, [2.0], tazs, tol=1e-5, max_iter=2000)[0]
-    probe = ProbeConfig(sampling_period=30.0, gps_sigma=5.0, penetration=0.01, rng_seed=4319)
-    trips, traces = generate_probe_data(net, tazs, demand, [scen],
-                                        [0, 0, 0, -1, -1, -1, -1, -1], GRID, probe)[0]
+    demand = seed_gravity(net, tazs, GravityParams(1000.0, 400.0))
+    scen = gen_scenarios(net, demand, [2.0], tazs, AssignParams(tol=1e-5, max_iter=2000))[0]
+    probe = ProbeConfig(sampling_period=30.0, gps_sigma=5.0, penetration=0.01)
+    trips, traces = generate_probe_data(net, tazs, demand, [scen], [0, 0, 0, -1, -1, -1, -1, -1],
+                                        GRID, probe, rng_seed=4319)[0]
     pieces, est, diag = refine(traces, net, GRID, MatchParams(gps_sigma=5.0),
                                params=RefineParams(max_iters=2))
     iv = min(est)
@@ -58,7 +72,7 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
                      OdSolveParams(ue_tol=1e-3, ue_max_iter=1000), rng_seed=1)
     mat = assemble_matrix({k: e.time for k, e in est.items()}, net, GRID,
                           support_by_interval={k: e.support for k, e in est.items()})
-    done = complete(mat, svt_threshold=5.0)
+    done = complete(mat, CompletionParams(svt_threshold=5.0))
 
     write_truth(scen, net, out / "truth.csv")
     write_matched(pieces, out / "matched.csv")
