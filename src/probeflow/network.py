@@ -404,9 +404,7 @@ def _dijkstra(
     node the one whose incoming segment id is smallest wins, applied at
     every node along the way. Because segment ids are compared from the
     destination backwards, the selected path is the reverse-lexicographic
-    smallest among all minimum-cost paths when every weight is positive.
-    A zero weight can settle a node before an equal-cost rival reaches
-    it; the path still has minimum cost, but may lose that tie order.
+    smallest among all minimum-cost paths; every weight must be positive.
     """
     n = net.n_nodes
     dist: list[float] = [math.inf] * n
@@ -462,11 +460,11 @@ def shortest_path(
     w = np.asarray(weights, dtype=float)
     if w.shape != (net.n_segments,):
         raise InputDataError(f"expected {net.n_segments} segment weights, got shape {w.shape}")
-    bad = ~(np.isfinite(w) & (w >= 0.0))
+    bad = ~(np.isfinite(w) & (w > 0.0))
     if np.any(bad):
         j = int(np.argmax(bad))
         raise InputDataError(
-            f"segment {net.segments[j].id}: weight must be finite and >= 0, got {w[j]}")
+            f"segment {net.segments[j].id}: weight must be finite and > 0, got {w[j]}")
     dist, pred_seg = _dijkstra(net, w, src, targets={dst})
     if not math.isfinite(dist[dst]):
         return None

@@ -104,14 +104,13 @@ def refine(
     pieces: list[MatchedPath] = []
 
     for k in range(params.max_iters):
-        routers: dict[int, Router] = {}
+        # Every interval without an estimate routes under free flow through
+        # one shared router, so its Dijkstra trees are built once per pass.
+        free_flow = Router(net, fft)
+        routers = {iv: Router(net, t) for iv, t in times.items()}
         pieces = []
         for trace in traces:
-            iv = _trace_interval(trace, grid)
-            router = routers.get(iv)
-            if router is None:
-                router = Router(net, times.get(iv, fft))
-                routers[iv] = router
+            router = routers.get(_trace_interval(trace, grid), free_flow)
             pieces.extend(match_trace(net, trace, router, match_params))
 
         cur_paths = {(mp.vehicle_id, mp.piece): tuple(mp.segments) for mp in pieces}

@@ -9,15 +9,16 @@ as bound-constrained ridge regression
     subject to x_s >= free_flow_time_s
 
 over the segments that actually appear in the interval's observations.
-Unsupported segments keep their prior. The solver is an accelerated
-projected gradient with a monotone safeguard, run until the KKT
-conditions hold to tolerance; starting from the prior, the objective can
-therefore never end up worse than not solving at all.
+Unsupported segments keep their prior. The program is solved exactly by
+the Lawson-Hanson active-set method (Lawson & Hanson 1974, *Solving
+Least Squares Problems*, ch. 23) on the shift y = x - free_flow >= 0;
+there is no iteration budget to tune. Since the prior, lifted to the
+bound, is feasible, the optimum can never leave the objective worse than
+not solving at all.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from collections import Counter
@@ -26,26 +27,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputDataError
+from .errors import InputDataError, SolverError
 from .network import RoadNetwork, TimeGrid
 from .tables import read_table, write_table
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class InferParams:
-    """Solver settings: ridge weight toward the prior and KKT stop tolerance."""
+    """Solver settings: the ridge weight toward the prior (0 is allowed)."""
 
     lam: float = 0.05
-    tol: float = 1e-8
-    max_iter: int = 20000
 
     def __post_init__(self) -> None:
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise InputDataError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise InputDataError("tol must be positive and max_iter at least 1")
 
 
 @dataclass
@@ -130,27 +125,6 @@ def build_system(
     return A, np.asarray(b, dtype=float), columns
 
 
-def _spectral_norm_sq(A: sp.csr_matrix, iters: int = 200, rtol: float = 1e-12) -> float:
-    """Largest eigenvalue of A^T A by fixed-start power iteration."""
-    n = A.shape[1]
-    if n == 0 or A.nnz == 0:
-        return 0.0
-    v = np.ones(n) / math.sqrt(n)
-    prev = 0.0
-    lam = 0.0
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        lam = float(v @ w)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(lam - prev) <= rtol * max(lam, 1.0):
-            break
-        prev = lam
-    return lam
-
-
 def kkt_max_violation(
     A: sp.csr_matrix,
     b: np.ndarray,
@@ -163,12 +137,64 @@ def kkt_max_violation(
 
     For components strictly above their bound the gradient should vanish;
     at the bound it must be nonnegative. The returned value is comparable
-    against tol * (1 + ||b||).
+    against a tolerance times (1 + ||b||).
     """
     g = 2.0 * (A.T @ (A @ x - b)) + 2.0 * lam * (x - prior)
     at_bound = x - lower <= 1e-9 * np.maximum(1.0, np.abs(lower))
     viol = np.where(at_bound, np.maximum(0.0, -g), np.abs(g))
     return float(np.max(viol)) if len(viol) else 0.0
+
+
+def _active_set(
+    A: sp.csr_matrix, b: np.ndarray, lam: float, lower: np.ndarray, prior: np.ndarray
+) -> np.ndarray:
+    """Exact minimizer of the bounded ridge program by Lawson-Hanson.
+
+    Works on y = x - lower >= 0 and the stacked system
+    [A; sqrt(lam) I] y = [b - A lower; sqrt(lam) (prior - lower)]. The
+    column with the largest descent w = -gradient/2 enters the free set
+    F; each inner solve fits only F's columns, since the identity rows of
+    columns held at y = 0 are constant. When the fit leaves a free column
+    nonpositive, y steps toward it until the first column reaches its
+    bound, which then leaves F.
+    """
+    n = A.shape[1]
+    cols = A.tocsc()
+    c = b - A @ lower
+    q = prior - lower
+    sq = math.sqrt(lam)
+    tol = 1e-12 * (1.0 + float(np.linalg.norm(b)))
+    y = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+
+    def fit() -> np.ndarray:
+        f = np.flatnonzero(free)
+        z = np.zeros(n)
+        z[f] = np.linalg.lstsq(np.vstack([cols[:, f].toarray(), sq * np.eye(len(f))]),
+                               np.concatenate([c, sq * q[f]]), rcond=None)[0]
+        return z
+
+    for _ in range(3 * n):
+        w = A.T @ (c - A @ y) + lam * (q - y)
+        w[free] = -np.inf
+        j = int(np.argmax(w))
+        if not w[j] > tol:
+            return lower + y
+        free[j] = True
+        z = fit()
+        if z[j] <= 0.0:
+            # Only roundoff lets a column with w_j > 0 enter at a nonpositive value.
+            return lower + y
+        while np.any(z[free] <= 0.0):
+            neg = free & (z <= 0.0)
+            steps = y[neg] / (y[neg] - z[neg])
+            y += steps.min() * (z - y)
+            y[np.flatnonzero(neg)[np.argmin(steps)]] = 0.0
+            free &= y > 0.0
+            y[~free] = 0.0
+            z = fit()
+        y = z
+    raise SolverError(f"active set did not settle within {3 * n} passes")
 
 
 def infer_times(
@@ -178,7 +204,6 @@ def infer_times(
     params: InferParams = InferParams(),
 ) -> SegmentTimeEstimate:
     """Solve the interval's bounded ridge program; see module docstring."""
-    lam, tol, max_iter = params.lam, params.tol, params.max_iter
     time = np.array(prior, dtype=float)
     if time.shape != (net.n_segments,):
         raise InputDataError(f"prior holds {time.shape} values for {net.n_segments} segments")
@@ -187,70 +212,17 @@ def infer_times(
     if np.any(time < net.seg_fft * (1.0 - 1e-12)):
         raise InputDataError("prior must be at least the free-flow time everywhere")
 
-    support = np.zeros(net.n_segments, dtype=np.int64)
-    if not obs.rows:
-        return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)
-
     A, b, columns = build_system(obs, net)
     idx = np.array([net.segment_index(sid) for sid in columns], dtype=np.int64)
+    support = np.zeros(net.n_segments, dtype=np.int64)
     support[idx] = np.diff(A.tocsc().indptr)
-    if A.shape[0] == 0:
-        return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)
-
-    lower = net.seg_fft[idx]
-    p = time[idx]
-
-    L = 2.0 * (1.05 * _spectral_norm_sq(A) + lam)
-    if L <= 0.0:
-        L = 2.0 * max(lam, 1.0)
-
-    def objective(v: np.ndarray) -> float:
-        r = A @ v - b
-        d = v - p
-        return float(r @ r + lam * (d @ d))
-
-    def grad(v: np.ndarray) -> np.ndarray:
-        return 2.0 * (A.T @ (A @ v - b)) + 2.0 * lam * (v - p)
-
-    # Accelerated projected gradient with a monotone safeguard: the
-    # candidate step is kept only when it does not increase the objective,
-    # so f(x_k) never rises above f(prior).
-    x = np.maximum(p, lower)
-    y = x.copy()
-    fx = objective(x)
-    tk = 1.0
-    threshold = tol * (1.0 + float(np.linalg.norm(b)))
-    iterations = 0
-    for k in range(max_iter):
-        iterations = k + 1
-        z = np.maximum(y - grad(y) / L, lower)
-        fz = objective(z)
-        if fz <= fx:
-            x_new, f_new = z, fz
-        else:
-            x_new, f_new = x, fx
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        y = x_new + (tk / t_next) * (z - x_new) + ((tk - 1.0) / t_next) * (x_new - x)
-        x, fx = x_new, f_new
-        tk = t_next
-        if k % 10 == 9 or k == max_iter - 1:
-            if kkt_max_violation(A, b, lam, p, lower, x) <= threshold:
-                break
-    final_violation = kkt_max_violation(A, b, lam, p, lower, x)
-    if final_violation > threshold:
-        logger.warning(
-            "interval %d: KKT residual %.3e above threshold %.3e after %d iterations",
-            obs.interval_index, final_violation, threshold, iterations,
-        )
-
-    time[idx] = x
+    if columns:
+        time[idx] = _active_set(A, b, params.lam, net.seg_fft[idx], time[idx])
     return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)
 
 
 def residual_sq(times: np.ndarray, obs: IntervalObservations, net: RoadNetwork) -> float:
     """||A x - b||^2 of an interval under given segment times."""
-    if not obs.rows:
-        return 0.0
     A, b, columns = build_system(obs, net)
     x = times[[net.segment_index(sid) for sid in columns]]
     r = A @ x - b

@@ -244,7 +244,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
     net = make_corridor_network(n_segs=2, length=200.0, speed=20.0)
     obs = IntervalObservations(interval_index=0,
                                rows=[({0: 1, 1: 1}, 50.0), ({0: 1}, 20.0)])
-    est = infer_times(obs, net, np.array([10.0, 10.0]), InferParams(lam=0.0, tol=1e-10))
+    est = infer_times(obs, net, np.array([10.0, 10.0]), InferParams(lam=0.0))
     assert abs(est.time[0] - 20.0) < 1e-6
     assert abs(est.time[1] - 30.0) < 1e-6
 
@@ -253,7 +253,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
     tol = 1e-8
     for _ in range(100):
         rnet, robs, prior = _random_observation_instance(rng)
-        rest = infer_times(robs, rnet, prior, InferParams(lam=0.05, tol=tol))
+        rest = infer_times(robs, rnet, prior, InferParams(lam=0.05))
         A, b, columns = build_system(robs, rnet)
         x = np.array([rest.time[s] for s in columns])
         lower = np.array([rnet.segment_by_id(s).free_flow_time for s in columns])
@@ -267,7 +267,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
     step = 0.25
     for n_segs in (2, 3, 3, 3):
         rnet, robs, prior = _random_observation_instance(rng, n_segs=n_segs, n_rows=5)
-        rest = infer_times(robs, rnet, prior, InferParams(lam=0.05, tol=1e-10))
+        rest = infer_times(robs, rnet, prior, InferParams(lam=0.05))
         A, b, columns = build_system(robs, rnet)
         Ad = A.toarray()
         p = np.array([prior[s] for s in columns])

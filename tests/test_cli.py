@@ -106,6 +106,8 @@ def test_usage_errors_exit_1(world, tmp_path):
         json.dumps({"match": {"max_candidates": 2.5}}),
         json.dumps({"od": {"weight_by_support": 1}}),
         json.dumps({"refine": {"max_iters": True}}),
+        json.dumps({"infer": {"tol": 1e-8}}),
+        json.dumps({"infer": {"max_iter": 20000}}),
         json.dumps({"probe": {"sampling_period": float("nan")}}),
         json.dumps({"match": {"gps_sigma": float("nan")}}),
         '{"match": {"radius": Infinity}}',

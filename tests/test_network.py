@@ -233,9 +233,9 @@ def test_shortest_path_against_enumeration():
 
 @st.composite
 def _tied_graphs(draw):
-    """A small multigraph with ids unlike its indices and weights in 0..3."""
+    """A small multigraph with ids unlike its indices and weights in 1..3."""
     n = draw(st.integers(2, 6))
-    arcs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
+    arcs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3))
     edges = [e for e in draw(st.lists(arcs, max_size=14)) if e[0] != e[1]]
     ids = draw(st.lists(st.integers(0, 99), min_size=len(edges), max_size=len(edges),
                         unique=True))
@@ -246,10 +246,10 @@ def _tied_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_tied_graphs())
 def test_shortest_path_is_reverse_lexicographic_minimum(graph):
-    # Small integer weights make cost ties common. The path always has the
-    # minimum cost; with positive weights it is also the minimum-cost simple
-    # path whose reversed segment-id tuple is smallest. A zero-weight
-    # segment can settle a node before an equal-cost rival reaches it.
+    # Small integer weights make cost ties common. The path has the minimum
+    # cost and is the minimum-cost simple path whose reversed segment-id
+    # tuple is smallest. Zero weights, which could settle a node before an
+    # equal-cost rival reaches it, are rejected.
     n, edges, ids, src, dst = graph
     nodes = [Node(10 * i + 3, 37.0 + 0.001 * i, -122.0) for i in range(n)]
     segs = [Segment(sid, 10 * u + 3, 10 * v + 3, 100.0, 10.0, 1000.0, "other")
@@ -265,15 +265,18 @@ def test_shortest_path_is_reverse_lexicographic_minimum(graph):
     if src == dst:
         assert got == ([], 0.0)
         return
+    if len(weights):
+        zeroed = np.where(weights == weights.max(), 0.0, weights)
+        with pytest.raises(InputDataError):
+            shortest_path(net, 10 * src + 3, 10 * dst + 3, zeroed)
     paths = list(_all_simple_paths(n, out_edges, src, dst))
     if not paths:
         assert got is None
         return
     best = min(sum(weight_of[s] for s in p) for p in paths)
     ties = [p for p in paths if sum(weight_of[s] for s in p) == best]
-    assert got is not None and got[1] == best and got[0] in ties
-    if min(weight_of.values()) > 0:
-        assert got[0] == min(ties, key=lambda p: tuple(reversed(p)))
+    assert got is not None and got[1] == best
+    assert got[0] == min(ties, key=lambda p: tuple(reversed(p)))
 
 
 def test_shortest_path_rejects_bad_weights():
@@ -282,6 +285,8 @@ def test_shortest_path_rejects_bad_weights():
         shortest_path(net, 1, 2, np.full(2, -1.0))
     with pytest.raises(InputDataError):
         shortest_path(net, 1, 2, np.full(2, math.nan))
+    with pytest.raises(InputDataError):
+        shortest_path(net, 1, 2, np.array([1.0, 0.0]))
     with pytest.raises(InputDataError):
         shortest_path(net, 3, 2, np.ones(2))
 
