@@ -224,9 +224,8 @@ def test_rank_deficient_without_ridge():
 
 
 def test_column_enters_then_leaves_the_free_set():
-    # In y = x - 10: segment 0 has the larger descent and enters first
-    # (y0 = 25/6); segment 1 then enters, and the fit over both wants
-    # y0 = -2.5, so the step back returns segment 0 to its bound. Only
+    # In y = x - 10 both segments have descent, so both enter; the fit
+    # over both wants y0 = -2.5, so segment 0 returns to its bound. Only
     # segment 1 stays free, at the mean of c = b - A*10 = (0, 15, 5).
     net = make_corridor_network(n_segs=2, length=200.0, speed=20.0)  # fft = 10 s
     obs = obs_of([({0: 1, 1: 1}, 20.0), ({0: 1, 1: 1}, 35.0), ({0: 2, 1: 1}, 35.0)])
@@ -235,6 +234,20 @@ def test_column_enters_then_leaves_the_free_set():
     _assert_kkt(obs, net, prior, est, 0.0)
     assert est.time[0] == 10.0
     assert abs(est.time[1] - 50.0 / 3.0) < 1e-9
+
+
+def test_lawson_hanson_steps_back_where_block_swaps_stall():
+    # Four segments, two rows, lam = 0: every column has descent at the
+    # bound, and the block swaps stall on this singular system, so the
+    # Lawson-Hanson finish must step back. Every segment but 1 also adds
+    # to row 0, which is already 5 s over at free flow, so the optimum is
+    # y = x - 10 = (0, 17.5, 0, 0): row 1 exact, row 0 left 5 s over.
+    net = make_corridor_network(n_segs=4, length=200.0, speed=20.0)  # fft = 10 s
+    obs = obs_of([({0: 2, 2: 1, 3: 1}, 35.0), ({0: 1, 1: 2, 2: 2, 3: 1}, 95.0)])
+    prior = np.full(4, 10.0)
+    est = infer_times(obs, net, prior, InferParams(lam=0.0))
+    _assert_kkt(obs, net, prior, est, 0.0)
+    assert np.allclose(est.time, [10.0, 27.5, 10.0, 10.0], rtol=0.0, atol=1e-9)
 
 
 def test_inference_does_not_import_scipy_optimize():
