@@ -416,7 +416,7 @@ def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 
 
 def _cmd_match(cfg: PipelineConfig, artifacts: list[Path]) -> None:
-    """One geometric matching pass under free-flow travel times."""
+    """One matching pass under free-flow travel times, weighted by ``match.tt_tau``."""
     net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
     matched = match_traces(net, traces, net.seg_fft, cfg.match)

@@ -8,10 +8,10 @@ length-weighted overlap between matched and true paths, so one long
 wrong detour cannot hide behind many short correct segments.
 
 The baseline here is the tandem pipeline: a single geometric matching
-pass (travel times carry no weight) followed by a single inference pass.
-It is exactly the refinement loop stopped after one iteration, which
-keeps the comparison honest: both share every line of matching and
-inference code and differ only in the iteration.
+pass followed by a single inference pass. It is the refinement loop
+stopped after one iteration with ``tt_tau`` set to 0, so travel times
+carry no weight in its transition score. Both share every line of
+matching and inference code, which keeps the comparison honest.
 
 Volume-over-capacity products turn estimated flows into the congestion
 views worth plotting: per-interval class averages as CSV and a per-

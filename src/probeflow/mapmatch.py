@@ -86,8 +86,8 @@ class GpsTrace:
             raise InputDataError(f"vehicle {self.vehicle_id}: non-finite timestamp")
         if np.any(np.diff(self.timestamps) <= 0):
             raise InputDataError(f"vehicle {self.vehicle_id}: timestamps must strictly increase")
-        if np.any(np.abs(self.lats) > 90.0) or np.any(np.abs(self.lons) > 180.0):
-            raise InputDataError(f"vehicle {self.vehicle_id}: coordinate out of range")
+        if not (np.all(np.abs(self.lats) <= 90.0) and np.all(np.abs(self.lons) <= 180.0)):
+            raise InputDataError(f"vehicle {self.vehicle_id}: coordinate out of range or NaN")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -148,12 +148,12 @@ def _candidate_distance(net: RoadNetwork, lat: float, lon: float, seg_idx: int, 
 
 
 class Router:
-    """Fastest-path routing with full-tree caching per source node.
+    """Fastest-path trees under a fixed travel-time vector, cached per source node.
 
-    Built once per batch of traces against a fixed travel-time vector.
-    Each distinct source node costs one full Dijkstra; every later query
-    from it is a cache walk. Memory grows with (distinct sources) x
-    (nodes), which is fine at the network sizes this package targets.
+    Built once per batch of traces. Each distinct source node costs one
+    full Dijkstra; every later query from it reads the cached tree.
+    Memory grows with (distinct sources) x (nodes), which is fine at the
+    network sizes this package targets.
     """
 
     def __init__(self, net: RoadNetwork, times: np.ndarray) -> None:
@@ -164,76 +164,76 @@ class Router:
             raise InputDataError("segment travel times must be positive and finite")
         self.net = net
         self.times = times
-        self._trees: dict[int, tuple[list[float], list[int]]] = {}
-        self._pairs: dict[tuple[int, int], tuple[tuple[int, ...], float, float] | None] = {}
+        self._trees: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
 
-    def route(self, u: int, v: int) -> tuple[tuple[int, ...], float, float] | None:
-        """Fastest route between node indices: (segment ids, length, time).
+    def tree(self, u: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """(time, length, incoming segment index) of the fastest route to every node from u.
 
-        Returns the empty route for u == v and None when unreachable.
+        Time and length are inf at unreachable nodes, whose incoming
+        segment is -1 (as is u's). Lengths add up segment by segment from
+        u, so a route's length is the left-to-right sum of its segments.
         """
-        if u == v:
-            return (), 0.0, 0.0
-        key = (u, v)
-        if key in self._pairs:
-            return self._pairs[key]
         tree = self._trees.get(u)
         if tree is None:
-            tree = _dijkstra(self.net, self.times, u)
-            self._trees[u] = tree
-        dist, pred_seg = tree
-        if not math.isfinite(dist[v]):
-            self._pairs[key] = None
+            dist, pred = _dijkstra(self.net, self.times, u)
+            time = np.array(dist)
+            length = [math.inf] * len(dist)
+            length[u] = 0.0
+            seg_from, seg_length = self.net.seg_from.tolist(), self.net.seg_length.tolist()
+            # Weights are positive, so every node comes after its predecessor.
+            for w in np.argsort(time).tolist():
+                j = pred[w]
+                if j >= 0:
+                    length[w] = length[seg_from[j]] + seg_length[j]
+            tree = self._trees[u] = (time, np.array(length), pred)
+        return tree
+
+    def route(self, u: int, v: int) -> tuple[int, ...] | None:
+        """Segment ids of the fastest route between node indices.
+
+        Returns () for u == v and None when v is unreachable.
+        """
+        if u == v:
+            return ()
+        pred = self.tree(u)[2]
+        if pred[v] < 0:
             return None
-        net = self.net
-        idxs = []
-        w = v
-        while w != u:
-            j = pred_seg[w]
-            idxs.append(j)
-            w = int(net.seg_from[j])
-        idxs.reverse()
-        segs = tuple(net.segments[j].id for j in idxs)
-        length = float(np.sum(net.seg_length[idxs])) if idxs else 0.0
-        result = (segs, length, float(dist[v]))
-        self._pairs[key] = result
-        return result
+        net, ids = self.net, []
+        while v != u:
+            j = pred[v]
+            ids.append(net.segments[j].id)
+            v = int(net.seg_from[j])
+        return tuple(reversed(ids))
 
 
-def _leg(
-    net: RoadNetwork,
-    router: Router,
-    seg_a: int,
-    off_a: float,
-    seg_b: int,
-    off_b: float,
-) -> tuple[tuple[int, ...], float, float] | None:
-    """Route details for moving between two on-segment positions.
+def _legs(router: Router, seg_a: np.ndarray, off_a: np.ndarray,
+          seg_b: np.ndarray, off_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(length, travel time) of every move from one candidate layer to the next.
 
-    Returns (intermediate segment ids, leg length, leg travel time) where
-    the intermediates exclude both endpoints' segments. None when there is
-    no route. Staying on one segment without going backwards is the direct
-    leg; anything else routes from the end of seg_a to the start of seg_b
-    (which covers genuine loops back onto the same segment).
+    ``seg_*`` hold segment indices and ``off_*`` offsets along them; entry
+    [a, b] of each matrix is the leg from candidate a to candidate b, inf
+    where no route exists. Staying on one segment without going backwards
+    is the direct leg; anything else routes from the end of seg_a to the
+    start of seg_b (which covers genuine loops back onto the same segment).
     """
-    ja = net.segment_index(seg_a)
-    jb = net.segment_index(seg_b)
-    t = router.times
-    if seg_a == seg_b and off_b >= off_a:
-        frac = (off_b - off_a) / net.seg_length[ja]
-        return (), off_b - off_a, float(t[ja]) * frac
-    r = router.route(int(net.seg_to[ja]), int(net.seg_from[jb]))
-    if r is None:
-        return None
-    mids, mid_len, mid_tt = r
-    head_len = net.seg_length[ja] - off_a
-    leg_len = head_len + mid_len + off_b
-    leg_tt = (
-        float(t[ja]) * (head_len / net.seg_length[ja])
-        + mid_tt
-        + float(t[jb]) * (off_b / net.seg_length[jb])
-    )
-    return mids, float(leg_len), float(leg_tt)
+    net, t = router.net, router.times
+    seg_a, off_a, seg_b, off_b = (np.asarray(x) for x in (seg_a, off_a, seg_b, off_b))
+    us, vs = net.seg_to[seg_a], net.seg_from[seg_b]
+    direct = (seg_a[:, None] == seg_b) & (off_b >= off_a[:, None])
+    mid_len = np.zeros(direct.shape)
+    mid_tt = np.zeros(direct.shape)
+    # Trees only for sources some leg routes through; u == v is the empty route.
+    for a in np.flatnonzero(np.any(~direct & (us[:, None] != vs), axis=1)):
+        tt, length, _ = router.tree(int(us[a]))
+        mid_tt[a], mid_len[a] = tt[vs], length[vs]
+    len_a = net.seg_length[seg_a]
+    head = len_a - off_a
+    step = off_b - off_a[:, None]
+    leg_len = np.where(direct, step, head[:, None] + mid_len + off_b)
+    leg_tt = np.where(direct, t[seg_a][:, None] * (step / len_a[:, None]),
+                      (t[seg_a] * (head / len_a))[:, None] + mid_tt
+                      + t[seg_b] * (off_b / net.seg_length[seg_b]))
+    return leg_len, leg_tt
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +325,24 @@ def _split_points(trace: GpsTrace, cand_per_point: list[list], params: MatchPara
 
 
 def _build_path(
-    net: RoadNetwork,
+    router: Router,
     points: list[int],
     trace: GpsTrace,
     chosen: list[tuple[int, float]],
-    legs: list[tuple[tuple[int, ...], float, float]],
+    leg_lens: list[float],
 ) -> tuple[list[int], list[float]]:
     """Assemble the traversed segment sequence and entry times of a piece."""
+    net = router.net
     path: list[int] = [chosen[0][0]]
     # Cumulative distance of each point along the traversal, measured from
     # the start node of the first segment.
     d = [chosen[0][1]]
-    for (seg_prev, _), (seg_next, _), (mids, leg_len, _) in zip(chosen[:-1], chosen[1:], legs):
+    for (seg_prev, off_prev), (seg_next, off_next), leg_len in zip(chosen[:-1], chosen[1:], leg_lens):
         d.append(d[-1] + leg_len)
-        if seg_next == seg_prev and not mids:
-            # Direct continuation on the same segment. A genuine loop back
-            # onto it always carries at least one intermediate.
-            continue
-        path.extend(mids)
+        if seg_next == seg_prev and off_next >= off_prev:
+            continue  # direct continuation on the same segment
+        path.extend(router.route(int(net.seg_to[net.segment_index(seg_prev)]),
+                                 int(net.seg_from[net.segment_index(seg_next)])))
         path.append(seg_next)
 
     # Trim segments the vehicle only touched at a node: entering the first
@@ -390,10 +390,10 @@ def match_trace(
     pieces: list[MatchedPath] = []
     piece_no = 0
     for run in _split_points(trace, cands, params):
-        for points, chosen, legs, score in _decode_run(net, trace, run, cands, router, params):
+        for points, chosen, leg_lens, score in _decode_run(net, trace, run, cands, router, params):
             if len(points) < 2:
                 continue
-            segments, entry = _build_path(net, points, trace, chosen, legs)
+            segments, entry = _build_path(router, points, trace, chosen, leg_lens)
             pieces.append(
                 MatchedPath(
                     vehicle_id=trace.vehicle_id,
@@ -410,58 +410,47 @@ def match_trace(
     return pieces
 
 
+def _lattice(net, trace, points, layers, router, params):
+    """Emissions, transitions and leg lengths of a candidate lattice.
+
+    ``layers[k]`` holds the (segment indices, offsets) of the candidates
+    of trace point ``points[k]``. Transition and length matrix k cover
+    the legs from layer k to layer k+1.
+    """
+    emissions = [
+        np.array([emission_logp(_candidate_distance(net, float(trace.lats[i]), float(trace.lons[i]),
+                                                    j, off), params.gps_sigma)
+                  for j, off in zip(*layer)])
+        for i, layer in zip(points, layers)
+    ]
+    transitions, lengths = [], []
+    for k, (i, j) in enumerate(zip(points, points[1:])):
+        leg_len, leg_tt = _legs(router, *layers[k], *layers[k + 1])
+        gc = haversine((float(trace.lats[i]), float(trace.lons[i])),
+                       (float(trace.lats[j]), float(trace.lons[j])))
+        transitions.append(transition_logp(leg_len, gc, leg_tt,
+                                           float(trace.timestamps[j] - trace.timestamps[i]), params))
+        lengths.append(leg_len)
+    return emissions, transitions, lengths
+
+
 def _decode_run(net, trace, run, cands, router, params):
     """Viterbi over one run, splitting further where the lattice breaks.
 
-    Yields (point indices, chosen (segment, offset) list, legs, score)
-    per decoded sub-piece; legs[i] connects point i to point i+1.
+    The run's lattice is scored once; each sub-piece decodes a slice of
+    it. Yields (point indices, chosen (segment, offset) list, leg lengths,
+    score) per decoded sub-piece; leg k connects point k to point k+1.
     """
+    layers = [([net.segment_index(c.segment_id) for c in cands[i]], [c.offset for c in cands[i]])
+              for i in run]
+    emissions, transitions, lengths = _lattice(net, trace, run, layers, router, params)
     start = 0
     while start < len(run):
-        layers = run[start:]
-        emissions = [
-            np.array(
-                [
-                    emission_logp(
-                        _candidate_distance(net, float(trace.lats[i]), float(trace.lons[i]),
-                                            net.segment_index(c.segment_id), c.offset),
-                        params.gps_sigma,
-                    )
-                    for c in cands[i]
-                ]
-            )
-            for i in layers
-        ]
-
-        transitions = []
-        leg_info: list[dict[tuple[int, int], tuple]] = []
-        for k in range(len(layers) - 1):
-            i, j = layers[k], layers[k + 1]
-            dt = float(trace.timestamps[j] - trace.timestamps[i])
-            gc = haversine(
-                (float(trace.lats[i]), float(trace.lons[i])),
-                (float(trace.lats[j]), float(trace.lons[j])),
-            )
-            ca, cb = cands[i], cands[j]
-            T = np.full((len(ca), len(cb)), -np.inf)
-            info: dict[tuple[int, int], tuple] = {}
-            for a, canda in enumerate(ca):
-                for b, candb in enumerate(cb):
-                    leg = _leg(net, router, canda.segment_id, canda.offset,
-                               candb.segment_id, candb.offset)
-                    if leg is None:
-                        continue
-                    mids, leg_len, leg_tt = leg
-                    T[a, b] = transition_logp(leg_len, gc, leg_tt, dt, params)
-                    info[(a, b)] = leg
-            transitions.append(T)
-            leg_info.append(info)
-
-        idxs, score, decoded = _viterbi_partial(emissions, transitions)
-        sub = layers[:decoded]
+        idxs, score, decoded = _viterbi_partial(emissions[start:], transitions[start:])
+        sub = run[start:start + decoded]
         chosen = [(cands[p][ci].segment_id, cands[p][ci].offset) for p, ci in zip(sub, idxs)]
-        legs = [leg_info[k][(idxs[k], idxs[k + 1])] for k in range(decoded - 1)]
-        yield sub, chosen, legs, score
+        leg_lens = [float(lengths[start + k][idxs[k], idxs[k + 1]]) for k in range(decoded - 1)]
+        yield sub, chosen, leg_lens, score
         start += decoded
 
 
@@ -471,7 +460,7 @@ def match_traces(
     segment_times: np.ndarray,
     params: MatchParams = MatchParams(),
 ) -> list[MatchedPath]:
-    """Match a batch of traces against one shared route cache."""
+    """Match a batch of traces against one router, sharing its cached trees."""
     router = Router(net, segment_times)
     out: list[MatchedPath] = []
     for trace in traces:
@@ -495,31 +484,15 @@ def score_assignment(
     """
     if len(points) != len(assignment):
         raise InputDataError("assignment length does not match point count")
-
-    def emission(k: int) -> float:
-        p, (seg, off) = points[k], assignment[k]
-        d = _candidate_distance(net, float(trace.lats[p]), float(trace.lons[p]),
-                                net.segment_index(seg), off)
-        return emission_logp(d, params.gps_sigma)
-
+    layers = [([net.segment_index(seg)], [off]) for seg, off in assignment]
+    emissions, transitions, _ = _lattice(net, trace, points, layers, router, params)
     # Accumulation order mirrors the Viterbi recursion exactly, so identical
     # assignments under identical times produce the identical float.
-    total = emission(0)
-    for k in range(len(points) - 1):
-        i, j = points[k], points[k + 1]
-        leg = _leg(net, router, assignment[k][0], assignment[k][1],
-                   assignment[k + 1][0], assignment[k + 1][1])
-        if leg is None:
-            return -math.inf
-        _, leg_len, leg_tt = leg
-        dt = float(trace.timestamps[j] - trace.timestamps[i])
-        gc = haversine(
-            (float(trace.lats[i]), float(trace.lons[i])),
-            (float(trace.lats[j]), float(trace.lons[j])),
-        )
-        total = total + transition_logp(leg_len, gc, leg_tt, dt, params)
-        total = total + emission(k + 1)
-    return total
+    total = emissions[0][0]
+    for trans, emission in zip(transitions, emissions[1:]):
+        total = total + trans[0, 0]
+        total = total + emission[0]
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +514,8 @@ def read_matched(path: str | os.PathLike) -> list[MatchedPath]:
     """Read matched paths; only traversal data survives the CSV."""
     groups: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
     for vid, piece, sid, t in read_table(path, MATCHED_COLUMNS):
+        if not math.isfinite(t):
+            raise InputDataError(f"{path}: vehicle {vid}, piece {piece}: entry time {t} is not finite")
         segs, times = groups.setdefault((vid, piece), ([], []))
         segs.append(sid)
         times.append(t)

@@ -210,6 +210,18 @@ def test_match_then_infer(world, tmp_path):
     assert any(any(n > 0 for n in e.support) for e in estimates.values())
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_infer_on_non_finite_entry_time_exits_2_naming_it(world, tmp_path, capsys, bad):
+    matched = tmp_path / "bad_matched.csv"
+    matched.write_text(f"vehicle_id,piece,segment_id,entry_time_s\n1,0,0,0.0\n1,0,2,{bad}\n")
+    rc = main(["infer", "--config", world.cfg, "--out-dir", str(tmp_path),
+               "--matched", str(matched)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_matched.csv" in err and "Traceback" not in err
+    assert not (tmp_path / "estimates.csv").exists()
+
+
 def test_refine_outputs(world, tmp_path):
     out = str(tmp_path)
     assert main(["refine", "--config", world.cfg, "--out-dir", out]) == 0

@@ -7,12 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import (
     GpsTrace,
     MatchParams,
     Router,
+    _legs,
     emission_logp,
     match_trace,
     match_traces,
@@ -28,7 +31,9 @@ from probeflow.network import (
     Segment,
     meters_per_degree,
     position_on_segment,
+    shortest_path,
 )
+from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 
 from conftest import make_corridor_network as line_net, make_grid_network
 
@@ -113,6 +118,10 @@ def test_gps_trace_validation():
         GpsTrace(1, [], [], [])
     with pytest.raises(InputDataError):
         GpsTrace(1, [0.0], [95.0], [0.0])
+    with pytest.raises(InputDataError):
+        GpsTrace(1, [0.0, 1.0], [0.0, math.nan], [0.0, 0.0])
+    with pytest.raises(InputDataError):
+        GpsTrace(1, [0.0, 1.0], [0.0, 0.0], [math.nan, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +373,40 @@ def test_no_candidates_anywhere_returns_empty():
     assert match_trace(net, trace, free_flow_router(net)) == []
 
 
-def test_rescore_equals_match_score_bitwise():
-    net = line_net(n_segs=5, length=200.0, speed=10.0)
+def grid_segment(net: RoadNetwork, u: int, v: int) -> int:
+    """Id of the segment from node u to node v."""
+    return next(seg.id for seg in net.segments if (seg.from_node, seg.to_node) == (u, v))
+
+
+def sparse_row_trace(net: RoadNetwork, nx: int, stride: int) -> GpsTrace:
+    """Fixes mid-segment along a grid's bottom row, ``stride`` segments apart."""
+    ts, lats, lons = [], [], []
+    for k, ix in enumerate(range(0, nx - 1, stride)):
+        sid = grid_segment(net, ix, ix + 1)
+        lat, lon = position_on_segment(net, sid, 0.5 * net.segment_by_id(sid).length)
+        ts.append(k * stride * 20.0)
+        lats.append(lat)
+        lons.append(lon)
+    return GpsTrace(4, np.array(ts), np.array(lats), np.array(lons))
+
+
+@pytest.mark.parametrize("case", ["dense_corridor", "sparse_jittered_grid"])
+def test_rescore_equals_match_score_bitwise(case):
+    if case == "dense_corridor":
+        net = line_net(n_segs=5, length=200.0, speed=10.0)
+        trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=6.0, seed=3)
+    else:
+        # Ten segments between fixes: every kept leg routes through nine
+        # intermediates, where a pairwise and a running sum of the segment
+        # lengths may round differently.
+        net = make_grid_network(22, 2, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=5)
+        trace = sparse_row_trace(net, nx=22, stride=10)
     router = free_flow_router(net)
-    trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=6.0, seed=3)
     pieces = match_trace(net, trace, router)
     assert len(pieces) == 1
     mp = pieces[0]
+    if case == "sparse_jittered_grid":
+        assert mp.segments == [grid_segment(net, ix, ix + 1) for ix in range(21)]
     points = list(range(mp.first_point, mp.last_point + 1))
     rescored = score_assignment(net, trace, points, mp.assignment, router)
     assert rescored == mp.log_score
@@ -412,18 +448,73 @@ def test_batch_matching_is_deterministic():
         assert x.log_score == y.log_score
 
 
-def test_router_caches_and_validates():
+def test_router_tree_and_route():
     net = line_net(n_segs=3)
     with pytest.raises(InputDataError):
         Router(net, np.array([1.0, 0.0, 1.0]))
     router = Router(net, np.full(3, 20.0))
-    assert router.route(0, 0) == ((), 0.0, 0.0)
-    segs, length, tt = router.route(0, 3)
-    assert segs == (0, 1, 2)
-    assert abs(length - 600.0) < 1e-9
-    assert abs(tt - 60.0) < 1e-12
+    time, length, pred = router.tree(0)
+    assert time.tolist() == [0.0, 20.0, 40.0, 60.0]
+    assert length.tolist() == [0.0, 200.0, 400.0, 600.0]
+    assert list(pred) == [-1, 0, 1, 2]
+    assert router.tree(0) is router.tree(0)  # cached
+    assert router.route(0, 0) == ()
+    assert router.route(0, 3) == (0, 1, 2)
     assert router.route(3, 0) is None
-    assert router.route(3, 0) is None  # cached miss
+    time, length, pred = router.tree(3)
+    assert math.isinf(time[0]) and math.isinf(length[0]) and pred[0] == -1
+
+
+def test_router_tree_length_is_running_sum_of_route():
+    net = make_grid_network(7, 7, spacing=200.0, jitter=20.0, jitter_seed=2)
+    router = Router(net, net.seg_fft)
+    longest = 0
+    for u in (0, 24, 48):
+        _, length, _ = router.tree(u)
+        for v in range(net.n_nodes):
+            route = router.route(u, v)
+            total = 0.0
+            for sid in route:
+                total += net.segment_by_id(sid).length
+            assert length[v] == total
+            longest = max(longest, len(route))
+    assert longest >= 8
+
+
+def test_legs_equal_per_pair_reference():
+    """Each leg of a layer equals the scalar formula, bit for bit.
+
+    The reference sums each route's times and lengths segment by segment
+    and adds head fraction + route + tail fraction in that order.
+    """
+    net = make_grid_network(6, 6, spacing=200.0, jitter=20.0, jitter_seed=4)
+    times = net.seg_fft * np.random.default_rng(1).uniform(1.0, 3.0, net.n_segments)
+    router = Router(net, times)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        seg_a, seg_b = rng.integers(0, net.n_segments, (2, 6))
+        seg_b[:2] = seg_a[:2]  # same-segment legs, forward and backward
+        off_a = rng.uniform(0.0, 1.0, 6) * net.seg_length[seg_a]
+        off_b = rng.uniform(0.0, 1.0, 6) * net.seg_length[seg_b]
+        leg_len, leg_tt = _legs(router, seg_a, off_a, seg_b, off_b)
+        for a, b in itertools.product(range(6), range(6)):
+            ja, jb = seg_a[a], seg_b[b]
+            if ja == jb and off_b[b] >= off_a[a]:
+                want_len = off_b[b] - off_a[a]
+                want_tt = times[ja] * ((off_b[b] - off_a[a]) / net.seg_length[ja])
+            else:
+                route = router.route(int(net.seg_to[ja]), int(net.seg_from[jb]))
+                mid_len = mid_tt = 0.0
+                for sid in route:
+                    j = net.segment_index(sid)
+                    mid_len += net.seg_length[j]
+                    mid_tt += times[j]
+                head = net.seg_length[ja] - off_a[a]
+                want_len = head + mid_len + off_b[b]
+                want_tt = (times[ja] * (head / net.seg_length[ja]) + mid_tt
+                           + times[jb] * (off_b[b] / net.seg_length[jb]))
+            assert leg_len[a, b] == want_len
+            assert leg_tt[a, b] == want_tt
 
 
 def test_matched_csv_round_trip(tmp_path):
@@ -448,3 +539,23 @@ def test_read_matched_rejects_bad_header(tmp_path):
     p.write_text("vehicle,piece,segment_id,entry_time_s\n1,0,0,0.0\n")
     with pytest.raises(InputDataError):
         read_matched(p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigma=st.floats(0.0, 15.0), period=st.floats(3.0, 120.0),
+       origin=st.integers(0, 24), dest=st.integers(0, 24), seed=st.integers(0, 2**16))
+def test_matched_pieces_connect_and_entry_times_nondecreasing(sigma, period, origin, dest, seed):
+    net = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=1)
+    route = shortest_path(net, origin, dest, net.seg_fft)
+    if origin == dest or route is None:
+        return
+    truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
+                                flow=np.zeros(net.n_segments))
+    trip = with_times(TruthTrip(vehicle_id=1, departure=100.0, path=route[0], entry_times=None),
+                      net, truth)
+    trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
+                         rng_seed=seed)
+    for mp in match_trace(net, trace, free_flow_router(net)):
+        segs = [net.segment_by_id(sid) for sid in mp.segments]
+        assert all(a.to_node == b.from_node for a, b in zip(segs, segs[1:]))
+        assert all(t0 <= t1 for t0, t1 in zip(mp.entry_times, mp.entry_times[1:]))
