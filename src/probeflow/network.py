@@ -183,7 +183,6 @@ class RoadNetwork:
         self.seg_from = np.array([self._node_index[s.from_node] for s in self.segments], dtype=np.int64)
         self.seg_to = np.array([self._node_index[s.to_node] for s in self.segments], dtype=np.int64)
         self.seg_length = np.array([s.length for s in self.segments], dtype=float)
-        self.seg_ffs = np.array([s.free_flow_speed for s in self.segments], dtype=float)
         self.seg_capacity = np.array([s.capacity for s in self.segments], dtype=float)
         self.seg_fft = np.array([s.free_flow_time for s in self.segments], dtype=float)
 
@@ -237,9 +236,9 @@ class RoadNetwork:
     def segment_columns(self, source: str, rows: list[tuple]) -> tuple[np.ndarray, ...]:
         """Value columns of a per-segment table, in ``segments`` order.
 
-        Each row is (segment id, value, ...). The table lists every network
-        segment exactly once; an empty table or an unknown, repeated or
-        missing segment raises InputDataError naming ``source``.
+        Each row is (segment id, finite value, ...), one per network segment;
+        an empty table, an unknown, repeated or missing segment, or a nan or
+        infinite value raises InputDataError naming ``source``.
         """
         if not rows:
             raise InputDataError(f"{source}: no segment rows")
@@ -255,6 +254,9 @@ class RoadNetwork:
         if np.any(counts == 0):
             sid = self.segments[int(np.argmax(counts == 0))].id
             raise InputDataError(f"{source}: segment {sid} missing")
+        for row in rows:
+            if not all(map(math.isfinite, row[1:])):
+                raise InputDataError(f"{source}: segment {row[0]} has a non-finite value")
         order = np.argsort(positions)
         return tuple(np.array(col)[order] for col in columns)
 

@@ -12,8 +12,8 @@ drive the loop toward a fixed point:
   previous iteration's paths rescored under those times.
 
 The loop stops when a rematch changes no path, when the largest relative
-time change drops under stop_tol, or at max_iters. max_iters=1 is exactly
-the classical sequential pipeline (one match, one infer).
+time change drops under stop_tol, or at max_iters. The classical sequential
+pipeline (``evaluation.run_baseline``) is max_iters=1 with tt_tau = 0.
 """
 
 from __future__ import annotations

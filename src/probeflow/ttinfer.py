@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputDataError, SolverError
 from .network import RoadNetwork, TimeGrid
@@ -94,15 +93,16 @@ def observations_from_matches(matches, grid: TimeGrid) -> dict[int, IntervalObse
 
 def build_system(
     obs: IntervalObservations, net: RoadNetwork
-) -> tuple[sp.csr_matrix, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Stack observation rows into (A, b, column segment ids).
 
-    A[r][s] counts how many times row r traverses column s's segment;
+    A[r, s] counts how many times row r traverses column s's segment;
     columns are the segments with support, ascending by id.
     """
     columns = sorted({sid for multiset, _ in obs.rows for sid in multiset})
     col_of = {sid: j for j, sid in enumerate(columns)}
-    rows_i, cols_i, vals, b = [], [], [], []
+    A = np.zeros((len(obs.rows), len(columns)))
+    b = []
     for multiset, duration in obs.rows:
         if not (duration > 0.0 and math.isfinite(duration)):
             raise InputDataError(f"observation duration must be positive, got {duration}")
@@ -112,16 +112,13 @@ def build_system(
             net.segment_index(sid)  # raises on unknown segment
             if count <= 0:
                 raise InputDataError(f"traversal count must be positive, got {count}")
-            rows_i.append(len(b))
-            cols_i.append(col_of[sid])
-            vals.append(float(count))
+            A[len(b), col_of[sid]] = count
         b.append(duration)
-    A = sp.csr_matrix((vals, (rows_i, cols_i)), shape=(len(b), len(columns)))
-    return A, np.asarray(b, dtype=float), columns
+    return A[:len(b)], np.asarray(b, dtype=float), columns
 
 
 def kkt_max_violation(
-    A: sp.csr_matrix,
+    A: np.ndarray,
     b: np.ndarray,
     lam: float,
     prior: np.ndarray,
@@ -141,7 +138,7 @@ def kkt_max_violation(
 
 
 def _active_set(
-    A: sp.csr_matrix, b: np.ndarray, lam: float, lower: np.ndarray, prior: np.ndarray
+    A: np.ndarray, b: np.ndarray, lam: float, lower: np.ndarray, prior: np.ndarray
 ) -> np.ndarray:
     """Exact minimizer of the bounded ridge program on y = x - lower >= 0.
 
@@ -156,7 +153,8 @@ def _active_set(
     nonpositive, y steps toward it until one reaches its bound and leaves.
     """
     n = A.shape[1]
-    G = (A.T @ A + lam * sp.identity(n)).tocsr()
+    G = A.T @ A
+    G.flat[:: n + 1] += lam
     g = A.T @ (b - A @ lower) + lam * (prior - lower)
     tol = 1e-12 * (1.0 + float(np.linalg.norm(b)))
     free = np.zeros(n, dtype=bool)
@@ -164,7 +162,7 @@ def _active_set(
 
     def fit() -> np.ndarray:
         f = np.flatnonzero(free)
-        M = G[f][:, f].toarray()
+        M = G[np.ix_(f, f)]
         z = np.zeros(n)
         z[f] = np.linalg.solve(M, g[f]) if lam > 0.0 else np.linalg.lstsq(M, g[f], rcond=None)[0]
         return z
@@ -221,7 +219,7 @@ def infer_times(
     A, b, columns = build_system(obs, net)
     idx = np.array([net.segment_index(sid) for sid in columns], dtype=np.int64)
     support = np.zeros(net.n_segments, dtype=np.int64)
-    support[idx] = np.diff(A.tocsc().indptr)
+    support[idx] = np.count_nonzero(A, axis=0)
     if columns:
         time[idx] = _active_set(A, b, params.lam, net.seg_fft[idx], time[idx])
     return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)

@@ -269,12 +269,11 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
         rnet, robs, prior = _random_observation_instance(rng, n_segs=n_segs, n_rows=5)
         rest = infer_times(robs, rnet, prior, InferParams(lam=0.05))
         A, b, columns = build_system(robs, rnet)
-        Ad = A.toarray()
         p = np.array([prior[s] for s in columns])
         axis = np.arange(10.0, 45.0 + step / 2, step)
         grids = np.meshgrid(*[axis] * len(columns), indexing="ij")
         X = np.stack([g.ravel() for g in grids], axis=1)
-        resid = X @ Ad.T - b
+        resid = X @ A.T - b
         obj = (resid * resid).sum(axis=1) + 0.05 * ((X - p) ** 2).sum(axis=1)
         best = X[int(np.argmin(obj))]
         x = np.array([rest.time[s] for s in columns])

@@ -297,6 +297,20 @@ def test_estimate_od_unknown_segment_exits_2(world, tmp_path, capsys):
     assert "estimates.csv" in err and "99999" in err
 
 
+def test_estimate_od_on_nan_time_exits_2_naming_it(world, tmp_path, capsys):
+    header, *rows = (world.pipe / "estimates.csv").read_text().splitlines()
+    fields = [r.split(",") for r in rows]
+    bad = next(f for f in fields if int(f[3]) > 0)  # a supported segment
+    bad[2] = "nan"
+    estimates = tmp_path / "estimates.csv"
+    estimates.write_text("\n".join([header, *(",".join(f) for f in fields)]) + "\n")
+    rc = main(["estimate-od", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--estimates", str(estimates)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "estimates.csv" in err and f"segment {bad[1]}" in err and "Traceback" not in err
+
+
 def sabotage_od(tmp_path, world):
     """A config whose lower-level equilibrium cannot converge.
 

@@ -132,6 +132,9 @@ def test_network_adjacency_and_arrays():
     assert list(times) == [5.0, 7.0]
     with pytest.raises(InputDataError):
         net.segment_columns("times.csv", [(0, 5.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputDataError, match="times.csv: segment 1"):
+            net.segment_columns("times.csv", [(0, 5.0, 2), (1, bad, 3)])
     with pytest.raises(InputDataError):
         net.segment_by_id(99)
 
