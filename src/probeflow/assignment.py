@@ -158,8 +158,9 @@ def _all_or_nothing(
 ) -> np.ndarray:
     """Load each OD pair fully onto its minimum-cost path."""
     flows = np.zeros(net.n_segments, dtype=float)
+    weights, seg_from = costs.tolist(), net.seg_from.tolist()
     for src, dests in origins:
-        dist, pred_seg = _dijkstra(net, costs, src, targets={d for d, _ in dests})
+        dist, pred_seg = _dijkstra(net, weights, src, targets={d for d, _ in dests})
         for dst, rate in dests:
             if not math.isfinite(dist[dst]):
                 raise SolverError(
@@ -169,7 +170,7 @@ def _all_or_nothing(
             while v != src:
                 j = pred_seg[v]
                 flows[j] += rate
-                v = int(net.seg_from[j])
+                v = seg_from[j]
     return flows
 
 

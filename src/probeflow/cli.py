@@ -86,6 +86,7 @@ from .tracegen import (
 )
 from .ttinfer import (
     InferParams,
+    SegmentTimeEstimate,
     infer_times,
     observations_from_matches,
     read_estimates,
@@ -435,11 +436,18 @@ def _cmd_infer(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     artifacts.append(out)
 
 
-def _cmd_refine(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_refine(cfg: PipelineConfig, artifacts: list[Path],
+                baseline: dict[int, SegmentTimeEstimate] | None = None) -> None:
+    """Refine, writing matched paths, estimates and diagnostics.
+
+    A ``baseline`` dict receives the tandem baseline's estimates, decoded
+    from refine's first pass; they are not written.
+    """
     net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
     pieces, estimates, diag = refine(traces, net, cfg.grid, match_params=cfg.match,
-                                     infer_params=cfg.infer, params=cfg.refine)
+                                     infer_params=cfg.infer, params=cfg.refine,
+                                     baseline=baseline)
     out = _out(cfg)
     write_matched(pieces, out / MATCHED_FILE)
     write_estimates([estimates[iv] for iv in sorted(estimates)], out / ESTIMATES_FILE, net)
@@ -501,22 +509,25 @@ def _cmd_complete(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     artifacts.append(out / COMPLETED_FILE)
 
 
-def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path],
+                  base_est: dict[int, SegmentTimeEstimate] | None = None) -> None:
     """Score refined estimates against ground truth and the tandem baseline.
 
     Travel-time metrics average over the intervals that carry
     observations in both the refined and the baseline run; matching
-    accuracy comes from the matched file against the truth trips.
+    accuracy comes from the matched file against the truth trips. The
+    baseline is ``base_est`` when given, else ``run_baseline`` on the
+    traces.
     """
     net = read_network(_input(cfg, "network"))
-    traces = read_traces(_input(cfg, "traces"))
     truth_times, _ = read_truth(_input(cfg, "truth"), net)
     trips = read_trips(_input(cfg, "trips"))
     matched = read_matched(_input(cfg, "matched"))
     full = read_estimates(_input(cfg, "estimates"), net)
 
-    _, base_est, _ = run_baseline(traces, net, cfg.grid,
-                                  match_params=cfg.match, infer_params=cfg.infer)
+    if base_est is None:
+        _, base_est, _ = run_baseline(read_traces(_input(cfg, "traces")), net, cfg.grid,
+                                      match_params=cfg.match, infer_params=cfg.infer)
     intervals = [iv for iv in _supported_intervals(full) if iv in base_est]
     if not intervals:
         raise InputDataError("no interval carries observations in both runs")
@@ -583,9 +594,14 @@ def _cmd_pipeline(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 
     Each stage reads its inputs from the files the previous stage wrote,
     exactly as the standalone commands would, so a split run and a
-    single run produce identical bytes. The manifest records a SHA-256
-    hash per artifact; on solver failure it is written with a .partial
-    suffix covering whatever completed.
+    single run produce identical bytes. The one exception is the tandem
+    baseline: refine decodes it from its free-flow first pass and hands
+    it to evaluate in memory, so the traces are matched under free flow
+    once. Those estimates equal what standalone ``evaluate`` computes
+    with ``run_baseline`` bit for bit (same candidates, legs, transition
+    arithmetic and inference), so the report's bytes do not change. The
+    manifest records a SHA-256 hash per artifact; on solver failure it
+    is written with a .partial suffix covering whatever completed.
     """
     for key in ("network", "tazs", "traces", "truth", "trips"):
         _input(cfg, key)
@@ -593,11 +609,12 @@ def _cmd_pipeline(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     out = _out(cfg)
     staged = replace(cfg, matched=str(out / MATCHED_FILE),
                      estimates=str(out / ESTIMATES_FILE))
+    baseline: dict[int, SegmentTimeEstimate] = {}
     try:
-        _cmd_refine(staged, artifacts)
+        _cmd_refine(staged, artifacts, baseline)
         _cmd_estimate_od(staged, artifacts)
         _cmd_complete(staged, artifacts)
-        _cmd_evaluate(staged, artifacts)
+        _cmd_evaluate(staged, artifacts, baseline)
     except SolverError:
         _write_manifest(out, artifacts, partial=True)
         raise

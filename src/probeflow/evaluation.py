@@ -11,7 +11,10 @@ The baseline here is the tandem pipeline: a single geometric matching
 pass followed by a single inference pass. It is the refinement loop
 stopped after one iteration with ``tt_tau`` set to 0, so travel times
 carry no weight in its transition score. Both share every line of
-matching and inference code, which keeps the comparison honest.
+matching and inference code, which keeps the comparison honest. A
+caller that runs the refinement loop anyway (``pipeline``) takes the
+baseline from the loop's free-flow first pass instead (see ``refine``),
+with the same bits and without matching every trace a second time.
 
 Volume-over-capacity products turn estimated flows into the congestion
 views worth plotting: per-interval class averages as CSV and a per-
@@ -149,7 +152,10 @@ def run_baseline(
 
     Defined as the refinement loop stopped after its first iteration
     with travel times stripped out of the transition score, so baseline
-    and full pipeline share all matching and inference code.
+    and full pipeline share all matching and inference code. The same
+    estimates come out of ``refine(..., baseline=...)``, which decodes
+    them on the lattices of its own first pass; this function is for
+    callers that do not run the loop, such as the ``evaluate`` command.
     """
     return refine(traces, net, grid,
                   match_params=replace(match_params, tt_tau=0.0),

@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,6 +164,8 @@ class Router:
             raise InputDataError("segment travel times must be positive and finite")
         self.net = net
         self.times = times
+        self._weights = times.tolist()
+        self._seg_from, self._seg_length = net.seg_from.tolist(), net.seg_length.tolist()
         self._trees: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
 
     def tree(self, u: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -175,11 +177,11 @@ class Router:
         """
         tree = self._trees.get(u)
         if tree is None:
-            dist, pred = _dijkstra(self.net, self.times, u)
+            dist, pred = _dijkstra(self.net, self._weights, u)
             time = np.array(dist)
             length = [math.inf] * len(dist)
             length[u] = 0.0
-            seg_from, seg_length = self.net.seg_from.tolist(), self.net.seg_length.tolist()
+            seg_from, seg_length = self._seg_from, self._seg_length
             # Weights are positive, so every node comes after its predecessor.
             for w in np.argsort(time).tolist():
                 j = pred[w]
@@ -198,11 +200,11 @@ class Router:
         pred = self.tree(u)[2]
         if pred[v] < 0:
             return None
-        net, ids = self.net, []
+        segments, ids = self.net.segments, []
         while v != u:
             j = pred[v]
-            ids.append(net.segments[j].id)
-            v = int(net.seg_from[j])
+            ids.append(segments[j].id)
+            v = self._seg_from[j]
         return tuple(reversed(ids))
 
 
@@ -380,70 +382,85 @@ def match_trace(
     trace: GpsTrace,
     router: Router,
     params: MatchParams = MatchParams(),
+    baseline: list[MatchedPath] | None = None,
 ) -> list[MatchedPath]:
-    """Match one trace under the router's travel times; see the module docstring."""
+    """Match one trace under the router's travel times; see the module docstring.
+
+    When ``baseline`` is a list, the trace is decoded a second time with
+    tt_tau = 0 on the same lattice (candidates, emissions and legs are
+    shared; only the transition scores differ), and those pieces are
+    appended to it. They equal ``match_trace`` under tt_tau = 0 bit for bit.
+    """
+    param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
+    outs: list[list[MatchedPath]] = [[] for _ in param_sets]
     cands = [
         project_to_candidates(net, (float(trace.lats[i]), float(trace.lons[i])),
                               params.radius, params.max_candidates)
         for i in range(len(trace))
     ]
-    pieces: list[MatchedPath] = []
-    piece_no = 0
     for run in _split_points(trace, cands, params):
-        for points, chosen, leg_lens, score in _decode_run(net, trace, run, cands, router, params):
-            if len(points) < 2:
-                continue
-            segments, entry = _build_path(router, points, trace, chosen, leg_lens)
-            pieces.append(
-                MatchedPath(
-                    vehicle_id=trace.vehicle_id,
-                    piece=piece_no,
-                    segments=segments,
-                    entry_times=entry,
-                    log_score=score,
-                    first_point=points[0],
-                    last_point=points[-1],
-                    assignment=chosen,
+        layers = [([net.segment_index(c.segment_id) for c in cands[i]], [c.offset for c in cands[i]])
+                  for i in run]
+        emissions, transitions, lengths = _lattice(net, trace, run, layers, router, param_sets)
+        for out, trans in zip(outs, transitions):
+            for points, chosen, leg_lens, score in _decode_run(run, cands, emissions, trans,
+                                                               lengths):
+                if len(points) < 2:
+                    continue
+                segments, entry = _build_path(router, points, trace, chosen, leg_lens)
+                out.append(
+                    MatchedPath(
+                        vehicle_id=trace.vehicle_id,
+                        piece=len(out),
+                        segments=segments,
+                        entry_times=entry,
+                        log_score=score,
+                        first_point=points[0],
+                        last_point=points[-1],
+                        assignment=chosen,
+                    )
                 )
-            )
-            piece_no += 1
-    return pieces
+    if baseline is not None:
+        baseline.extend(outs[1])
+    return outs[0]
 
 
-def _lattice(net, trace, points, layers, router, params):
+def _lattice(net, trace, points, layers, router, param_sets):
     """Emissions, transitions and leg lengths of a candidate lattice.
 
     ``layers[k]`` holds the (segment indices, offsets) of the candidates
     of trace point ``points[k]``. Transition and length matrix k cover
-    the legs from layer k to layer k+1.
+    the legs from layer k to layer k+1. The parameter sets differ at most
+    in tt_tau: emissions and legs are computed once, and there is one
+    list of transition matrices per parameter set.
     """
+    sigma = param_sets[0].gps_sigma
     emissions = [
         np.array([emission_logp(_candidate_distance(net, float(trace.lats[i]), float(trace.lons[i]),
-                                                    j, off), params.gps_sigma)
+                                                    j, off), sigma)
                   for j, off in zip(*layer)])
         for i, layer in zip(points, layers)
     ]
-    transitions, lengths = [], []
+    transitions: list[list[np.ndarray]] = [[] for _ in param_sets]
+    lengths = []
     for k, (i, j) in enumerate(zip(points, points[1:])):
         leg_len, leg_tt = _legs(router, *layers[k], *layers[k + 1])
         gc = haversine((float(trace.lats[i]), float(trace.lons[i])),
                        (float(trace.lats[j]), float(trace.lons[j])))
-        transitions.append(transition_logp(leg_len, gc, leg_tt,
-                                           float(trace.timestamps[j] - trace.timestamps[i]), params))
+        dt = float(trace.timestamps[j] - trace.timestamps[i])
+        for out, params in zip(transitions, param_sets):
+            out.append(transition_logp(leg_len, gc, leg_tt, dt, params))
         lengths.append(leg_len)
     return emissions, transitions, lengths
 
 
-def _decode_run(net, trace, run, cands, router, params):
-    """Viterbi over one run, splitting further where the lattice breaks.
+def _decode_run(run, cands, emissions, transitions, lengths):
+    """Viterbi over one run's lattice, splitting further where it breaks.
 
-    The run's lattice is scored once; each sub-piece decodes a slice of
-    it. Yields (point indices, chosen (segment, offset) list, leg lengths,
-    score) per decoded sub-piece; leg k connects point k to point k+1.
+    Each sub-piece decodes a slice of the lattice. Yields (point indices,
+    chosen (segment, offset) list, leg lengths, score) per decoded
+    sub-piece; leg k connects point k to point k+1.
     """
-    layers = [([net.segment_index(c.segment_id) for c in cands[i]], [c.offset for c in cands[i]])
-              for i in run]
-    emissions, transitions, lengths = _lattice(net, trace, run, layers, router, params)
     start = 0
     while start < len(run):
         idxs, score, decoded = _viterbi_partial(emissions[start:], transitions[start:])
@@ -485,7 +502,7 @@ def score_assignment(
     if len(points) != len(assignment):
         raise InputDataError("assignment length does not match point count")
     layers = [([net.segment_index(seg)], [off]) for seg, off in assignment]
-    emissions, transitions, _ = _lattice(net, trace, points, layers, router, params)
+    emissions, (transitions,), _ = _lattice(net, trace, points, layers, router, [params])
     # Accumulation order mirrors the Viterbi recursion exactly, so identical
     # assignments under identical times produce the identical float.
     total = emissions[0][0]

@@ -390,23 +390,26 @@ def position_on_segment(net: RoadNetwork, segment_id: int, offset: float) -> tup
 
 def _dijkstra(
     net: RoadNetwork,
-    weights: np.ndarray,
+    weights: list[float],
     source: int,
     targets: set[int] | None = None,
     max_cost: float = math.inf,
 ) -> tuple[list[float], list[int]]:
     """Single-source Dijkstra over node indices.
 
-    Returns (dist, pred_seg) lists indexed by node index; pred_seg holds
-    the incoming segment index on the chosen path (-1 at the source and
-    unreached nodes). Stops early once all ``targets`` are settled or the
-    frontier exceeds ``max_cost``.
+    ``weights`` is a plain list of per-segment costs in ``net.segments``
+    order (callers convert an array once with ``tolist``, so the loop adds
+    Python floats). Returns (dist, pred_seg) lists indexed by node index;
+    pred_seg holds the incoming segment index on the chosen path (-1 at
+    the source and unreached nodes). Stops early once all ``targets`` are
+    settled or the frontier exceeds ``max_cost``.
 
     Tie-breaking makes the result unique: among equal-cost paths into a
     node the one whose incoming segment id is smallest wins, applied at
-    every node along the way. Because segment ids are compared from the
-    destination backwards, the selected path is the reverse-lexicographic
-    smallest among all minimum-cost paths; every weight must be positive.
+    every node along the way. Segments are sorted by id, so ties compare
+    segment indices. Because segment ids are compared from the destination
+    backwards, the selected path is the reverse-lexicographic smallest
+    among all minimum-cost paths; every weight must be positive.
     """
     n = net.n_nodes
     dist: list[float] = [math.inf] * n
@@ -416,10 +419,10 @@ def _dijkstra(
     heap: list[tuple[float, int]] = [(0.0, source)]
     remaining = set(targets) if targets is not None else None
     out = net._out
-    segs = net.segments
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if d > max_cost:
             break
         if settled[u]:
@@ -434,12 +437,10 @@ def _dijkstra(
             if nd < dist[v]:
                 dist[v] = nd
                 pred_seg[v] = j
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and not settled[v]:
+                heappush(heap, (nd, v))
+            elif nd == dist[v] and not settled[v] and j < pred_seg[v]:
                 # Equal cost: prefer the smaller incoming segment id.
-                p = pred_seg[v]
-                if p >= 0 and segs[j].id < segs[p].id:
-                    pred_seg[v] = j
+                pred_seg[v] = j
     return dist, pred_seg
 
 
@@ -467,7 +468,7 @@ def shortest_path(
         j = int(np.argmax(bad))
         raise InputDataError(
             f"segment {net.segments[j].id}: weight must be finite and > 0, got {w[j]}")
-    dist, pred_seg = _dijkstra(net, w, src, targets={dst})
+    dist, pred_seg = _dijkstra(net, w.tolist(), src, targets={dst})
     if not math.isfinite(dist[dst]):
         return None
     path: list[int] = []

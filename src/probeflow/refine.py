@@ -14,6 +14,12 @@ drive the loop toward a fixed point:
 The loop stops when a rematch changes no path, when the largest relative
 time change drops under stop_tol, or at max_iters. The classical sequential
 pipeline (``evaluation.run_baseline``) is max_iters=1 with tt_tau = 0.
+Iteration 0 matches under free flow, as that baseline does, so a caller
+that asks for it gets the baseline from the same pass: each trace's
+lattice is decoded a second time with tt_tau = 0, and those paths are
+inferred under the free-flow prior. That costs one Viterbi and one infer
+pass instead of a second free-flow matching pass, and the estimates equal
+``run_baseline``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -85,12 +91,15 @@ def refine(
     match_params: MatchParams = MatchParams(),
     infer_params: InferParams = InferParams(),
     params: RefineParams = RefineParams(),
+    baseline: dict[int, SegmentTimeEstimate] | None = None,
 ) -> tuple[list[MatchedPath], dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
     """Run the refinement loop; see module docstring.
 
     Returns the final matched paths, the per-interval estimates, and one
     diagnostics record per iteration. Each trace is matched under the
-    times of the interval containing its midpoint.
+    times of the interval containing its midpoint. When ``baseline`` is
+    a dict, it receives the tandem baseline's per-interval estimates,
+    decoded from iteration 0's lattices.
     """
     if not traces:
         raise InputDataError("refine needs at least one trace")
@@ -109,9 +118,15 @@ def refine(
         free_flow = Router(net, fft)
         routers = {iv: Router(net, t) for iv, t in times.items()}
         pieces = []
+        base_pieces = [] if k == 0 and baseline is not None else None
         for trace in traces:
             router = routers.get(_trace_interval(trace, grid), free_flow)
-            pieces.extend(match_trace(net, trace, router, match_params))
+            pieces.extend(match_trace(net, trace, router, match_params, base_pieces))
+        if base_pieces is not None:
+            base_obs = observations_from_matches(base_pieces, grid)
+            for iv in sorted(base_obs):
+                baseline[iv] = infer_times(base_obs[iv], net, fft, infer_params)
+            del base_pieces, base_obs  # the later passes need neither
 
         cur_paths = {(mp.vehicle_id, mp.piece): tuple(mp.segments) for mp in pieces}
         if prev_paths is None:

@@ -39,14 +39,23 @@ def write_table(path: str | os.PathLike, columns: Columns, rows: Iterable[Sequen
             writer.writerow([fmt(value) for fmt, value in zip(formats, row)])
 
 
+def _int64(text: str) -> int:
+    """An ``int`` field, which must fit the int64 range the arrays use."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError("integer outside the int64 range")
+    return value
+
+
 def read_table(path: str | os.PathLike, columns: Columns) -> Iterator[tuple]:
     """Yield the typed rows of a table; the header must match exactly.
 
-    Blank lines are skipped. A row with the wrong number of fields or a
-    field its type cannot parse raises :class:`InputDataError`.
+    Blank lines are skipped. A row with the wrong number of fields, a
+    field its type cannot parse, or an ``int`` field outside the int64
+    range raises :class:`InputDataError`.
     """
     names = [name for name, _ in columns]
-    kinds = [kind for _, kind in columns]
+    kinds = [_int64 if kind is int else kind for _, kind in columns]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -58,7 +67,7 @@ def read_table(path: str | os.PathLike, columns: Columns) -> Iterator[tuple]:
                     continue
                 if len(row) != len(kinds):
                     raise ValueError(f"expected {len(kinds)} fields, got {len(row)}")
-                yield tuple(kind(field) for kind, field in zip(kinds, row))
+                yield tuple([kind(field) for kind, field in zip(kinds, row)])
         except UnicodeDecodeError as exc:
             # Text is decoded a chunk ahead of the rows, so count the line
             # breaks before the bad byte in the chunk that failed.

@@ -8,12 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from probeflow import mapmatch
 from probeflow.cli import main, stage_seed
 from probeflow.mapmatch import read_matched
 from probeflow.network import Taz, read_network, write_network, write_tazs
 from probeflow.completion import read_completed
 from probeflow.evaluation import read_voc
 from probeflow.refine import read_diagnostics
+from probeflow.tracegen import read_traces
 from probeflow.ttinfer import read_estimates
 
 from conftest import make_grid_network
@@ -311,6 +313,19 @@ def test_estimate_od_on_nan_time_exits_2_naming_it(world, tmp_path, capsys):
     assert "estimates.csv" in err and f"segment {bad[1]}" in err and "Traceback" not in err
 
 
+def test_estimate_od_on_int_beyond_int64_exits_2_naming_it(world, tmp_path, capsys):
+    header, *rows = (world.pipe / "estimates.csv").read_text().splitlines()
+    fields = rows[0].split(",")
+    fields[3] = "9" * 401
+    estimates = tmp_path / "estimates.csv"
+    estimates.write_text("\n".join([header, ",".join(fields), *rows[1:]]) + "\n")
+    rc = main(["estimate-od", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--estimates", str(estimates)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "estimates.csv, line 2" in err and "int64" in err and "Traceback" not in err
+
+
 def sabotage_od(tmp_path, world):
     """A config whose lower-level equilibrium cannot converge.
 
@@ -375,6 +390,28 @@ def test_pipeline_rerun_manifest_identical(world, tmp_path):
     first = (world.pipe / "manifest.json").read_bytes()
     second = (rerun / "manifest.json").read_bytes()
     assert first == second
+
+
+def test_pipeline_matches_under_free_flow_once(world, tmp_path, monkeypatch):
+    """Candidates are searched once per trace point per refine pass.
+
+    The tandem baseline comes from refine's first pass, so evaluate adds
+    no matching pass of its own.
+    """
+    calls = []
+    search = mapmatch.project_to_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mapmatch, "project_to_candidates", counted)
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--config", world.cfg, "--out-dir", str(out)]) == 0
+    passes = len(read_diagnostics(out / "diagnostics.csv"))
+    points = sum(len(trace) for trace in read_traces(world.paths["traces"]))
+    assert passes >= 1 and points > 0
+    assert len(calls) == passes * points
 
 
 def test_pipeline_equals_split_run(world, tmp_path):

@@ -30,11 +30,17 @@ from probeflow.evaluation import (
     write_voc,
 )
 from probeflow.mapmatch import MatchedPath, MatchParams
-from probeflow.network import Node, RoadNetwork, Segment, TimeGrid
+from probeflow.network import Node, RoadNetwork, Segment, Taz, TimeGrid
 from probeflow.refine import RefineParams, refine
-from probeflow.tracegen import TruthTrip
+from probeflow.tracegen import (
+    GroundTruthScenario,
+    ProbeConfig,
+    TruthTrip,
+    sample_trace,
+    simulate_trip,
+)
 
-from conftest import make_corridor_network, make_two_route_fixture
+from conftest import make_corridor_network, make_grid_network, make_two_route_fixture
 
 GRID8 = TimeGrid(interval_seconds=75600, interval_count=8)
 
@@ -183,6 +189,62 @@ def test_baseline_is_refine_with_one_geometric_iteration():
         assert base_est[iv].time.tolist() == ref_est[iv].time.tolist()
         assert base_est[iv].support.tolist() == ref_est[iv].support.tolist()
     assert base_diag.records == ref_diag.records
+
+
+def jittered_grid_world():
+    """Noisy traces on a jittered 5 x 5 grid, spread over four intervals.
+
+    True times are free flow scaled per segment, so refine's later passes
+    route under times that differ from the free-flow first pass.
+    """
+    net = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=1)
+    rng = np.random.default_rng(8)
+    scen = GroundTruthScenario(id=0, demand_multiplier=1.0,
+                               time=net.seg_fft * rng.uniform(1.0, 2.5, net.n_segments),
+                               flow=np.zeros(net.n_segments))
+    cfg = ProbeConfig(sampling_period=20.0, gps_sigma=8.0, penetration=1.0)
+    nodes = net.node_ids()
+    traces = []
+    for vid in range(24):
+        a, b = rng.choice(nodes, size=2, replace=False)
+        trip = simulate_trip(net, Taz(id=0, centroid_node=int(a)), Taz(id=1, centroid_node=int(b)),
+                             scen, departure=GRID8.interval_seconds * (vid % 4) + 60.0 * vid,
+                             vehicle_id=vid)
+        traces.append(sample_trace(trip, net, scen, cfg, rng_seed=3))
+    return traces, net
+
+
+@pytest.mark.parametrize("case", ["two_route", "jittered_grid", "two_route_tt_tau_0"])
+def test_baseline_decoded_in_refine_equals_run_baseline_bitwise(case):
+    if case == "jittered_grid":
+        traces, net = jittered_grid_world()
+        grid, params = GRID8, MatchParams()
+    else:
+        fix = make_two_route_fixture()
+        traces, net, grid = fix.traces, fix.net, fix.grid
+        params = MatchParams(tt_tau=0.0) if case == "two_route_tt_tau_0" else MatchParams()
+
+    baseline: dict = {}
+    pieces, est, diag = refine(traces, net, grid, match_params=params, baseline=baseline)
+    _, want, _ = run_baseline(traces, net, grid, match_params=params)
+
+    assert baseline and sorted(baseline) == sorted(want)
+    if case == "jittered_grid":
+        assert len(want) == 4 and len(diag) >= 2
+    for iv, w in want.items():
+        got = baseline[iv]
+        assert got.time.dtype == w.time.dtype and got.time.tobytes() == w.time.tobytes()
+        assert got.support.tobytes() == w.support.tobytes()
+
+    # Asking for the baseline leaves refine's own results as they were.
+    plain_pieces, plain_est, plain_diag = refine(traces, net, grid, match_params=params)
+    assert [(mp.vehicle_id, mp.piece, mp.segments, mp.entry_times, mp.log_score)
+            for mp in pieces] == [(mp.vehicle_id, mp.piece, mp.segments, mp.entry_times,
+                                   mp.log_score) for mp in plain_pieces]
+    assert sorted(est) == sorted(plain_est)
+    for iv in est:
+        assert est[iv].time.tobytes() == plain_est[iv].time.tobytes()
+    assert diag.records == plain_diag.records
 
 
 def test_baseline_misassigns_what_refinement_corrects():
