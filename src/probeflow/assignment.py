@@ -220,29 +220,21 @@ def _solve(
         )
 
     v = _all_or_nothing(net, origins, np.asarray(cost_fn(np.zeros(net.n_segments)), dtype=float))
-    gap = math.inf
-    iterations = 0
-    converged = False
 
-    for k in range(1, max_iter + 1):
-        t = np.asarray(cost_fn(v), dtype=float)
-        v_hat = _all_or_nothing(net, origins, t)
-        total = float(np.dot(v, t))
-        gap = (total - float(np.dot(v_hat, t))) / total if total > 0.0 else 0.0
-        iterations = k
-        if gap <= tol:
-            converged = True
-            break
-        theta = _line_search(cost_fn, v, v_hat - v)
-        v = v + theta * (v_hat - v)
-    else:
-        # Loop exhausted after an update; re-measure the gap of the flows
-        # actually returned.
+    # Measurement k gauges the flows after k - 1 updates. One measurement
+    # past max_iter gauges the flows of the last update, so the gap always
+    # describes the returned flows.
+    for k in range(1, max_iter + 2):
         t = np.asarray(cost_fn(v), dtype=float)
         v_hat = _all_or_nothing(net, origins, t)
         total = float(np.dot(v, t))
         gap = (total - float(np.dot(v_hat, t))) / total if total > 0.0 else 0.0
         converged = gap <= tol
+        if converged or k > max_iter:
+            break
+        theta = _line_search(cost_fn, v, v_hat - v)
+        v = v + theta * (v_hat - v)
+    iterations = min(k, max_iter)
 
     logger.debug(
         "%s assignment: gap=%.3e after %d iteration(s), converged=%s",

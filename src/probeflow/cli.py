@@ -376,8 +376,8 @@ def _cmd_gen_scenarios(cfg: PipelineConfig, artifacts: list[Path]) -> None:
 def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     """Simulate probe data for the scheduled scenarios.
 
-    Writes one trace and trip file per scenario plus combined files
-    covering the whole week, which is what the estimation chain reads.
+    Writes one trace file and one trip file covering the whole week,
+    which is what the estimation chain reads.
     """
     net = read_network(_input(cfg, "network"))
     tazs = read_tazs(_input(cfg, "tazs"), net)
@@ -402,11 +402,6 @@ def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     all_trips, all_traces = [], []
     for sid in needed:
         trips, traces = data[sid]
-        for name, writer, rows in ((f"traces_{sid:03d}.csv", write_traces, traces),
-                                   (f"trips_{sid:03d}.csv", write_trips, trips)):
-            path = out / name
-            writer(rows, path)
-            artifacts.append(path)
         all_trips.extend(trips)
         all_traces.extend(traces)
     for name, writer, rows in ((TRACES_FILE, write_traces, all_traces),

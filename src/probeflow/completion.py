@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputDataError
 from .network import RoadNetwork, TimeGrid
-from .tables import read_table, write_table
+from .tables import write_table
 
 logger = logging.getLogger(__name__)
 
@@ -283,36 +283,6 @@ def write_matrix(mat: TravelTimeMatrix, path: str | os.PathLike) -> None:
     write_table(path, MATRIX_COLUMNS, _matrix_rows(mat, mat.mask))
 
 
-def read_matrix(path: str | os.PathLike, net: RoadNetwork, grid: TimeGrid) -> TravelTimeMatrix:
-    """Rebuild a TravelTimeMatrix written by write_matrix."""
-    ids = net.segment_ids()
-    row = {sid: i for i, sid in enumerate(ids)}
-    values = np.zeros((len(ids), grid.interval_count))
-    mask = np.zeros_like(values, dtype=bool)
-    for sid, iv, t, obs in read_table(path, MATRIX_COLUMNS):
-        if sid not in row:
-            raise InputDataError(f"unknown segment id {sid} in {path}")
-        if not 0 <= iv < grid.interval_count:
-            raise InputDataError(f"interval {iv} out of range in {path}")
-        values[row[sid], iv] = t
-        mask[row[sid], iv] = bool(obs)
-    return TravelTimeMatrix(values=values, mask=mask, segment_ids=ids,
-                            free_flow=net.seg_fft, grid=grid)
-
-
 def write_completed(result: CompletionResult, path: str | os.PathLike) -> None:
     """Write a completed matrix as `segment_id,interval,time_s,imputed` rows."""
     write_table(path, COMPLETED_COLUMNS, _matrix_rows(result.matrix, result.imputed))
-
-
-def read_completed(
-    path: str | os.PathLike,
-) -> tuple[dict[int, dict[int, float]], set[tuple[int, int]]]:
-    """Read back completed times: per-interval dicts plus the imputed set."""
-    times: dict[int, dict[int, float]] = {}
-    imputed: set[tuple[int, int]] = set()
-    for sid, iv, t, flag in read_table(path, COMPLETED_COLUMNS):
-        times.setdefault(iv, {})[sid] = t
-        if flag:
-            imputed.add((sid, iv))
-    return times, imputed

@@ -300,19 +300,6 @@ def write_report(report: MetricReport, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
-def read_report(path: str | os.PathLike) -> MetricReport:
-    """Rebuild a MetricReport written by write_report."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        scenarios = {
-            name: ScenarioMetrics(**vals) for name, vals in doc["scenarios"].items()
-        }
-    except (KeyError, TypeError) as exc:
-        raise InputDataError(f"malformed report file {path}") from exc
-    return build_report(scenarios)
-
-
 VOC_COLUMNS = (("interval", int), ("road_class", str), ("mean_voc", float))
 
 

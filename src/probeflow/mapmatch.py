@@ -34,7 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputDataError
-from .network import RoadNetwork, _dijkstra, haversine, meters_per_degree, project_to_candidates
+from .network import (
+    RoadNetwork,
+    Router,
+    haversine,
+    meters_per_degree,
+    position_on_segment,
+    project_to_candidates,
+)
 from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -136,76 +143,6 @@ def transition_logp(
     if params.tt_tau > 0.0:
         score -= params.tt_tau * abs(route_tt - obs_dt) / obs_dt
     return score
-
-
-def _candidate_distance(net: RoadNetwork, lat: float, lon: float, seg_idx: int, offset: float) -> float:
-    """Planar distance from a point to the position ``offset`` along a segment."""
-    mlat, mlon = meters_per_degree(lat)
-    f = offset / net.seg_length[seg_idx]
-    plat = net._seg_alat[seg_idx] + f * (net._seg_blat[seg_idx] - net._seg_alat[seg_idx])
-    plon = net._seg_alon[seg_idx] + f * (net._seg_blon[seg_idx] - net._seg_alon[seg_idx])
-    return math.hypot((plat - lat) * mlat, (plon - lon) * mlon)
-
-
-class Router:
-    """Fastest-path trees under a fixed travel-time vector, cached per source node.
-
-    Built once per batch of traces. Each distinct source node costs one
-    full Dijkstra; every later query from it reads the cached tree.
-    Memory grows with (distinct sources) x (nodes), which is fine at the
-    network sizes this package targets.
-    """
-
-    def __init__(self, net: RoadNetwork, times: np.ndarray) -> None:
-        times = np.asarray(times, dtype=float)
-        if len(times) != net.n_segments:
-            raise InputDataError("travel time vector length does not match network")
-        if not np.all(np.isfinite(times)) or np.any(times <= 0.0):
-            raise InputDataError("segment travel times must be positive and finite")
-        self.net = net
-        self.times = times
-        self._weights = times.tolist()
-        self._seg_from, self._seg_length = net.seg_from.tolist(), net.seg_length.tolist()
-        self._trees: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-
-    def tree(self, u: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """(time, length, incoming segment index) of the fastest route to every node from u.
-
-        Time and length are inf at unreachable nodes, whose incoming
-        segment is -1 (as is u's). Lengths add up segment by segment from
-        u, so a route's length is the left-to-right sum of its segments.
-        """
-        tree = self._trees.get(u)
-        if tree is None:
-            dist, pred = _dijkstra(self.net, self._weights, u)
-            time = np.array(dist)
-            length = [math.inf] * len(dist)
-            length[u] = 0.0
-            seg_from, seg_length = self._seg_from, self._seg_length
-            # Weights are positive, so every node comes after its predecessor.
-            for w in np.argsort(time).tolist():
-                j = pred[w]
-                if j >= 0:
-                    length[w] = length[seg_from[j]] + seg_length[j]
-            tree = self._trees[u] = (time, np.array(length), pred)
-        return tree
-
-    def route(self, u: int, v: int) -> tuple[int, ...] | None:
-        """Segment ids of the fastest route between node indices.
-
-        Returns () for u == v and None when v is unreachable.
-        """
-        if u == v:
-            return ()
-        pred = self.tree(u)[2]
-        if pred[v] < 0:
-            return None
-        segments, ids = self.net.segments, []
-        while v != u:
-            j = pred[v]
-            ids.append(segments[j].id)
-            v = self._seg_from[j]
-        return tuple(reversed(ids))
 
 
 def _legs(router: Router, seg_a: np.ndarray, off_a: np.ndarray,
@@ -435,12 +372,13 @@ def _lattice(net, trace, points, layers, router, param_sets):
     list of transition matrices per parameter set.
     """
     sigma = param_sets[0].gps_sigma
-    emissions = [
-        np.array([emission_logp(_candidate_distance(net, float(trace.lats[i]), float(trace.lons[i]),
-                                                    j, off), sigma)
-                  for j, off in zip(*layer)])
-        for i, layer in zip(points, layers)
-    ]
+    emissions = []
+    for i, layer in zip(points, layers):
+        lat, lon = float(trace.lats[i]), float(trace.lons[i])
+        mlat, mlon = meters_per_degree(lat)
+        emissions.append(np.array([
+            emission_logp(math.hypot((plat - lat) * mlat, (plon - lon) * mlon), sigma)
+            for plat, plon in (position_on_segment(net, j, off) for j, off in zip(*layer))]))
     transitions: list[list[np.ndarray]] = [[] for _ in param_sets]
     lengths = []
     for k, (i, j) in enumerate(zip(points, points[1:])):

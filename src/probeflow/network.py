@@ -2,8 +2,8 @@
 
 Directed graph of road segments with WGS84 node coordinates, plus the
 geometric and graph primitives everything downstream leans on: OSM-XML
-import, great-circle distance, deterministic shortest paths, and
-point-to-segment projection for map matching candidates.
+import, great-circle distance, deterministic fastest paths (``Router``),
+and point-to-segment projection for map matching candidates.
 
 Conventions used throughout the package:
 
@@ -192,12 +192,10 @@ class RoadNetwork:
         self._seg_blat = self.node_lat[self.seg_to]
         self._seg_blon = self.node_lon[self.seg_to]
 
-        # Node id -> outgoing segment ids (ascending), plus the index form
-        # used by Dijkstra: node index -> [(segment index, head node index)].
-        self.out_adjacency: dict[int, list[int]] = {nid: [] for nid in self._node_ids}
+        # Node index -> [(segment index, head node index)], segments ascending,
+        # for Dijkstra.
         self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for j, seg in enumerate(self.segments):
-            self.out_adjacency[seg.from_node].append(seg.id)
             self._out[self._node_index[seg.from_node]].append((j, int(self.seg_to[j])))
 
         logger.debug("built network: %d nodes, %d segments", n, m)
@@ -374,9 +372,8 @@ def project_to_candidates(
     return out
 
 
-def position_on_segment(net: RoadNetwork, segment_id: int, offset: float) -> tuple[float, float]:
-    """(lat, lon) of the point ``offset`` meters along a segment's line."""
-    j = net.segment_index(segment_id)
+def position_on_segment(net: RoadNetwork, j: int, offset: float) -> tuple[float, float]:
+    """(lat, lon) of the point ``offset`` meters along the line of segment index ``j``."""
     f = min(max(offset / net.seg_length[j], 0.0), 1.0)
     lat = net._seg_alat[j] + f * (net._seg_blat[j] - net._seg_alat[j])
     lon = net._seg_alon[j] + f * (net._seg_blon[j] - net._seg_alon[j])
@@ -393,7 +390,6 @@ def _dijkstra(
     weights: list[float],
     source: int,
     targets: set[int] | None = None,
-    max_cost: float = math.inf,
 ) -> tuple[list[float], list[int]]:
     """Single-source Dijkstra over node indices.
 
@@ -402,7 +398,7 @@ def _dijkstra(
     Python floats). Returns (dist, pred_seg) lists indexed by node index;
     pred_seg holds the incoming segment index on the chosen path (-1 at
     the source and unreached nodes). Stops early once all ``targets`` are
-    settled or the frontier exceeds ``max_cost``.
+    settled.
 
     Tie-breaking makes the result unique: among equal-cost paths into a
     node the one whose incoming segment id is smallest wins, applied at
@@ -423,8 +419,6 @@ def _dijkstra(
 
     while heap:
         d, u = heappop(heap)
-        if d > max_cost:
-            break
         if settled[u]:
             continue
         settled[u] = True
@@ -444,41 +438,70 @@ def _dijkstra(
     return dist, pred_seg
 
 
-def shortest_path(
-    net: RoadNetwork,
-    origin: int,
-    dest: int,
-    weights: np.ndarray,
-) -> tuple[list[int], float] | None:
-    """Minimum-cost path between two nodes under per-segment weights.
+class Router:
+    """Fastest-path trees under a fixed travel-time vector, cached per source node.
 
-    Returns (segment ids in traversal order, total cost), the empty path
-    with cost 0 when origin equals dest, or None when dest is unreachable.
-    Deterministic under cost ties (see ``_dijkstra``).
+    Built once per travel-time vector and shared by every query under it
+    (a batch of traces to match, or one scenario's trips). Each distinct
+    source node costs one full Dijkstra; every later query from it reads
+    the cached tree. Memory grows with (distinct sources) x (nodes), which
+    is fine at the network sizes this package targets.
     """
-    src = net.node_index(origin)
-    dst = net.node_index(dest)
-    if src == dst:
-        return [], 0.0
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (net.n_segments,):
-        raise InputDataError(f"expected {net.n_segments} segment weights, got shape {w.shape}")
-    bad = ~(np.isfinite(w) & (w > 0.0))
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise InputDataError(
-            f"segment {net.segments[j].id}: weight must be finite and > 0, got {w[j]}")
-    dist, pred_seg = _dijkstra(net, w.tolist(), src, targets={dst})
-    if not math.isfinite(dist[dst]):
-        return None
-    path: list[int] = []
-    v = dst
-    while v != src:
-        j = pred_seg[v]
-        path.append(net.segments[j].id)
-        v = int(net.seg_from[j])
-    path.reverse()
-    return path, dist[dst]
+
+    def __init__(self, net: RoadNetwork, times: np.ndarray) -> None:
+        times = np.asarray(times, dtype=float)
+        if len(times) != net.n_segments:
+            raise InputDataError("travel time vector length does not match network")
+        bad = ~(np.isfinite(times) & (times > 0.0))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise InputDataError(
+                f"segment {net.segments[j].id}: travel time must be finite and > 0, got {times[j]}")
+        self.net = net
+        self.times = times
+        self._weights = times.tolist()
+        self._seg_from, self._seg_length = net.seg_from.tolist(), net.seg_length.tolist()
+        self._trees: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+
+    def tree(self, u: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """(time, length, incoming segment index) of the fastest route to every node from u.
+
+        Time and length are inf at unreachable nodes, whose incoming
+        segment is -1 (as is u's). Lengths add up segment by segment from
+        u, so a route's length is the left-to-right sum of its segments.
+        """
+        tree = self._trees.get(u)
+        if tree is None:
+            dist, pred = _dijkstra(self.net, self._weights, u)
+            time = np.array(dist)
+            length = [math.inf] * len(dist)
+            length[u] = 0.0
+            seg_from, seg_length = self._seg_from, self._seg_length
+            # Weights are positive, so every node comes after its predecessor.
+            for w in np.argsort(time).tolist():
+                j = pred[w]
+                if j >= 0:
+                    length[w] = length[seg_from[j]] + seg_length[j]
+            tree = self._trees[u] = (time, np.array(length), pred)
+        return tree
+
+    def route(self, u: int, v: int) -> tuple[int, ...] | None:
+        """Segment ids of the fastest route between node indices.
+
+        Returns () for u == v and None when v is unreachable. Deterministic
+        under cost ties (see ``_dijkstra``).
+        """
+        if u == v:
+            return ()
+        pred = self.tree(u)[2]
+        if pred[v] < 0:
+            return None
+        segments, ids = self.net.segments, []
+        while v != u:
+            j = pred[v]
+            ids.append(segments[j].id)
+            v = self._seg_from[j]
+        return tuple(reversed(ids))
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,3 @@ def read_state(path: str | os.PathLike,
 
 def write_objective_trace(records: list[ObjectiveRecord], path: str | os.PathLike) -> None:
     write_table(path, OBJECTIVE_COLUMNS, records)
-
-
-def read_objective_trace(path: str | os.PathLike) -> list[ObjectiveRecord]:
-    return [ObjectiveRecord(*row) for row in read_table(path, OBJECTIVE_COLUMNS)]

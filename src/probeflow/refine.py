@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError
-from .mapmatch import GpsTrace, MatchedPath, MatchParams, Router, match_trace
-from .network import RoadNetwork, TimeGrid
-from .tables import read_table, write_table
+from .mapmatch import GpsTrace, MatchedPath, MatchParams, match_trace
+from .network import RoadNetwork, Router, TimeGrid
+from .tables import write_table
 from .ttinfer import (
     InferParams,
     SegmentTimeEstimate,
@@ -177,8 +177,3 @@ def write_diagnostics(diag: RefinementDiagnostics, path: str | os.PathLike) -> N
     write_table(path, DIAGNOSTICS_COLUMNS, (
         (r.iteration, r.residual, r.viterbi_score, r.changed_paths, r.max_rel_change)
         for r in diag.records))
-
-
-def read_diagnostics(path: str | os.PathLike) -> RefinementDiagnostics:
-    return RefinementDiagnostics([IterationRecord(*row)
-                                  for row in read_table(path, DIAGNOSTICS_COLUMNS)])

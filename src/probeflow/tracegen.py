@@ -21,14 +21,7 @@ import numpy as np
 from .assignment import AssignParams, DemandMatrix, solve_so
 from .errors import InputDataError
 from .mapmatch import GpsTrace
-from .network import (
-    RoadNetwork,
-    Taz,
-    TimeGrid,
-    meters_per_degree,
-    position_on_segment,
-    shortest_path,
-)
+from .network import RoadNetwork, Router, Taz, TimeGrid, meters_per_degree, position_on_segment
 from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -104,19 +97,23 @@ def gen_scenarios(
 
 def simulate_trip(
     net: RoadNetwork,
+    router: Router,
     origin: Taz,
     dest: Taz,
     scenario: GroundTruthScenario,
     departure: float,
     vehicle_id: int,
 ) -> TruthTrip:
-    """Route one vehicle on the scenario's fastest path at its fixed times."""
-    res = shortest_path(net, origin.centroid_node, dest.centroid_node, scenario.time)
-    if res is None:
+    """Route one vehicle on the scenario's fastest path at its fixed times.
+
+    ``router`` holds the scenario's times; the trips of one scenario share
+    it, so each origin costs one Dijkstra tree.
+    """
+    path = router.route(net.node_index(origin.centroid_node), net.node_index(dest.centroid_node))
+    if path is None:
         raise InputDataError(
             f"no route from TAZ {origin.id} to TAZ {dest.id} under scenario {scenario.id}"
         )
-    path, _cost = res
     if not path:
         raise InputDataError(f"TAZ {origin.id} and TAZ {dest.id} share a centroid; empty trip")
     return with_times(TruthTrip(vehicle_id=vehicle_id, departure=departure, path=path,
@@ -128,11 +125,10 @@ def _position_at(net: RoadNetwork, trip: TruthTrip, scenario: GroundTruthScenari
     entry = trip.entry_times
     j = int(np.searchsorted(entry, t, side="right")) - 1
     j = min(max(j, 0), len(trip.path) - 1)
-    sid = trip.path[j]
-    k = net.segment_index(sid)
+    k = net.segment_index(trip.path[j])
     frac = (t - entry[j]) / scenario.time[k]
     frac = min(max(frac, 0.0), 1.0)
-    return position_on_segment(net, sid, frac * net.seg_length[k])
+    return position_on_segment(net, k, frac * net.seg_length[k])
 
 
 def sample_trace(
@@ -221,11 +217,16 @@ def generate_probe_data(
         if sid >= 0 and sid not in by_id:
             raise InputDataError(f"schedule references unknown scenario {sid}")
     taz_by_id = {t.id: t for t in tazs}
+    for od in sorted(base_demand):
+        for taz in od:
+            if taz not in taz_by_id:
+                raise InputDataError(f"demand references unknown TAZ {taz}")
     centroid = {t.id: t.centroid_node for t in tazs}
     od_pairs = sorted(
         od for od, rate in base_demand.items()
         if rate > 0 and od[0] != od[1] and centroid[od[0]] != centroid[od[1]]
     )
+    routers = {s.id: Router(net, s.time) for s in scenarios}
 
     out: dict[int, tuple[list[TruthTrip], list[GpsTrace]]] = {
         s.id: ([], []) for s in scenarios
@@ -243,7 +244,8 @@ def generate_probe_data(
             n = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
             for _ in range(n):
                 dep = start + float(rng.uniform(0.0, grid.interval_seconds))
-                trip = simulate_trip(net, taz_by_id[od[0]], taz_by_id[od[1]], scen, dep, vid)
+                trip = simulate_trip(net, routers[sid], taz_by_id[od[0]], taz_by_id[od[1]], scen,
+                                     dep, vid)
                 trace = sample_trace(trip, net, scen, cfg, rng_seed)
                 out[sid][0].append(trip)
                 out[sid][1].append(trace)

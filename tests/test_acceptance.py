@@ -34,7 +34,6 @@ from probeflow.evaluation import (
 )
 from probeflow.mapmatch import (
     MatchParams,
-    Router,
     match_traces,
     score_assignment,
     viterbi_decode,
@@ -42,6 +41,7 @@ from probeflow.mapmatch import (
 from probeflow.network import (
     Node,
     RoadNetwork,
+    Router,
     Segment,
     Taz,
     TimeGrid,
@@ -198,12 +198,13 @@ def test_04_matching_accuracy_degrades_gracefully_with_noise():
         a, b = prng.choice(nodes, size=2, replace=False)
         pairs.append((int(a), int(b)))
     matcher = MatchParams(gps_sigma=30.0, nk_beta=50.0, tt_tau=120.0, radius=120.0)
+    router = Router(net, scen.time)
 
     def accuracy(period: float, sigma: float) -> float:
         cfg = ProbeConfig(sampling_period=period, gps_sigma=sigma, penetration=1.0)
         trips, traces = [], []
         for vid, (a, b) in enumerate(pairs):
-            trip = simulate_trip(net, Taz(id=0, centroid_node=a),
+            trip = simulate_trip(net, router, Taz(id=0, centroid_node=a),
                                  Taz(id=1, centroid_node=b),
                                  scen, departure=float(vid * 10), vehicle_id=vid)
             trips.append(trip)

@@ -18,7 +18,7 @@ from probeflow.assignment import (
     write_demand,
 )
 from probeflow.errors import InputDataError, SolverError
-from probeflow.network import Node, RoadNetwork, Segment, Taz, shortest_path
+from probeflow.network import Node, RoadNetwork, Router, Segment, Taz
 
 from conftest import make_grid_network
 
@@ -132,9 +132,9 @@ def test_reported_gap_matches_returned_flows():
     times = {s.id: bpr_time(s.free_flow_time, s.capacity, res.flow[s.id]) for s in net.segments}
     centroid = {t.id: t.centroid_node for t in tazs}
     aon = {s.id: 0.0 for s in net.segments}
+    router = Router(net, np.array([times[s.id] for s in net.segments]))
     for (o, d), rate in sorted(demand.items()):
-        weights = np.array([times[s.id] for s in net.segments])
-        path, _cost = shortest_path(net, centroid[o], centroid[d], weights)
+        path = router.route(net.node_index(centroid[o]), net.node_index(centroid[d]))
         for sid in path:
             aon[sid] += rate
     cur = sum(res.flow[s] * times[s] for s in sorted(times))
@@ -173,7 +173,7 @@ def test_flow_conservation_on_grid():
     net, tazs, demand = _grid_with_tazs()
     res = solve_ue(net, demand, tazs, tol=1e-5)
     per_pair = demand[(1, 2)]
-    out_of_corner = sum(res.flow[sid] for sid in net.out_adjacency[0])
+    out_of_corner = sum(res.flow[np.flatnonzero(net.seg_from == net.node_index(0))])
     assert out_of_corner >= 3 * per_pair - 1e-6
     assert all(f >= 0.0 for f in res.flow)
 

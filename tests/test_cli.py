@@ -8,14 +8,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from probeflow import mapmatch
+from probeflow import mapmatch, network
 from probeflow.cli import main, stage_seed
 from probeflow.mapmatch import read_matched
 from probeflow.network import Taz, read_network, write_network, write_tazs
-from probeflow.completion import read_completed
+from probeflow.completion import COMPLETED_COLUMNS
 from probeflow.evaluation import read_voc
-from probeflow.refine import read_diagnostics
-from probeflow.tracegen import read_traces
+from probeflow.refine import DIAGNOSTICS_COLUMNS
+from probeflow.tables import read_table
+from probeflow.tracegen import read_traces, read_trips
 from probeflow.ttinfer import read_estimates
 
 from conftest import make_grid_network
@@ -229,8 +230,7 @@ def test_refine_outputs(world, tmp_path):
     assert main(["refine", "--config", world.cfg, "--out-dir", out]) == 0
     assert read_matched(tmp_path / "matched.csv")
     assert read_estimates(tmp_path / "estimates.csv", world.net)
-    diag = read_diagnostics(tmp_path / "diagnostics.csv")
-    assert diag.records
+    assert list(read_table(tmp_path / "diagnostics.csv", DIAGNOSTICS_COLUMNS))
 
 
 def test_complete_command(world, tmp_path):
@@ -240,9 +240,9 @@ def test_complete_command(world, tmp_path):
     assert rc == 0
     # Same inputs as the pipeline's completion stage, same bytes out.
     assert (tmp_path / "completed.csv").read_bytes() == (world.pipe / "completed.csv").read_bytes()
-    times, imputed = read_completed(tmp_path / "completed.csv")
-    assert len(times) == 8
-    assert imputed
+    rows = list(read_table(tmp_path / "completed.csv", COMPLETED_COLUMNS))
+    assert {iv for _sid, iv, _t, _imputed in rows} == set(range(8))
+    assert any(imputed for *_, imputed in rows)
 
 
 def test_evaluate_report_full_beats_or_ties_baseline(world):
@@ -384,6 +384,38 @@ def test_gen_traces_reruns_are_byte_identical(world, tmp_path):
     assert (a / "traces.csv").read_bytes() != (c / "traces.csv").read_bytes()
 
 
+def test_gen_traces_on_unknown_demand_taz_exits_2_naming_it(world, tmp_path, capsys):
+    demand = tmp_path / "demand.csv"
+    demand.write_text(open(world.paths["demand"]).read() + "0,99,5.0\n")
+    cfg = write_config(tmp_path, **{**world.paths, "demand": str(demand)})
+    rc = main(["gen-traces", "--config", cfg, "--out-dir", str(tmp_path),
+               "--truth-dir", str(world.gen)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown TAZ 99" in err and "Traceback" not in err
+    assert not (tmp_path / "traces.csv").exists()
+
+
+def test_gen_traces_builds_one_tree_per_scenario_and_origin(world, tmp_path, monkeypatch):
+    """The trips of one scenario share a router, so each origin costs one Dijkstra."""
+    calls = []
+    dijkstra = network._dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_dijkstra", counted)
+    out = tmp_path / "gen"
+    assert main(["gen-traces", "--config", world.cfg, "--out-dir", str(out),
+                 "--truth-dir", str(world.gen)]) == 0
+    trips = read_trips(out / "trips.csv")
+    origins = {world.net.segment_by_id(trip.path[0]).from_node for trip in trips}
+    scenarios = len({sid for sid in BASE_CONFIG["schedule"] if sid >= 0})
+    assert len(trips) > scenarios * len(origins)
+    assert len(calls) <= scenarios * len(origins)
+
+
 def test_pipeline_rerun_manifest_identical(world, tmp_path):
     rerun = tmp_path / "rerun"
     assert main(["pipeline", "--config", world.cfg, "--out-dir", str(rerun)]) == 0
@@ -408,7 +440,7 @@ def test_pipeline_matches_under_free_flow_once(world, tmp_path, monkeypatch):
     monkeypatch.setattr(mapmatch, "project_to_candidates", counted)
     out = tmp_path / "pipe"
     assert main(["pipeline", "--config", world.cfg, "--out-dir", str(out)]) == 0
-    passes = len(read_diagnostics(out / "diagnostics.csv"))
+    passes = len(list(read_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS)))
     points = sum(len(trace) for trace in read_traces(world.paths["traces"]))
     assert passes >= 1 and points > 0
     assert len(calls) == passes * points

@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probeflow.completion import (
+    COMPLETED_COLUMNS,
+    MATRIX_COLUMNS,
     CompletionParams,
     TravelTimeMatrix,
     assemble_matrix,
     complete,
     default_threshold,
-    read_completed,
-    read_matrix,
     svd,
     write_completed,
     write_matrix,
 )
 from probeflow.errors import InputDataError
 from probeflow.network import TimeGrid
+from probeflow.tables import read_table
 
 from conftest import make_corridor_network
 
@@ -380,10 +381,9 @@ def test_matrix_csv_round_trip(tmp_path):
     p = tmp_path / "matrix.csv"
     write_matrix(mat, p)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,observed"
-    back = read_matrix(p, net, GRID8)
-    assert np.array_equal(back.values, mat.values)
-    assert np.array_equal(back.mask, mat.mask)
-    assert back.segment_ids == mat.segment_ids
+    assert list(read_table(p, MATRIX_COLUMNS)) == [
+        (sid, iv, mat.values[i, iv], int(mat.mask[i, iv]))
+        for i, sid in enumerate(mat.segment_ids) for iv in range(GRID8.interval_count)]
 
 
 def test_completed_csv_round_trip(tmp_path):
@@ -394,9 +394,14 @@ def test_completed_csv_round_trip(tmp_path):
     p = tmp_path / "completed.csv"
     write_completed(res, p)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,imputed"
-    times, imputed = read_completed(p)
-    assert set(times) == set(range(8))
-    assert times[0] == {0: 25.0, 1: 26.0}
+    rows = list(read_table(p, COMPLETED_COLUMNS))
+    assert rows == [(sid, iv, res.matrix.values[i, iv], int(res.imputed[i, iv]))
+                    for i, sid in enumerate(res.matrix.segment_ids)
+                    for iv in range(GRID8.interval_count)]
+    times = {(sid, iv): t for sid, iv, t, _ in rows}
+    imputed = {(sid, iv) for sid, iv, _, flag in rows if flag}
+    assert {iv for _, iv in times} == set(range(8))
+    assert (times[0, 0], times[1, 0]) == (25.0, 26.0)
     assert (1, 3) in imputed and (0, 3) not in imputed
     assert len(imputed) == int(res.imputed.sum())
 
@@ -406,6 +411,6 @@ def test_csv_readers_reject_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("wrong,header\n1,2\n")
     with pytest.raises(InputDataError):
-        read_matrix(p, net, GRID8)
+        list(read_table(p, MATRIX_COLUMNS))
     with pytest.raises(InputDataError):
-        read_completed(p)
+        list(read_table(p, COMPLETED_COLUMNS))

@@ -21,7 +21,6 @@ from probeflow.evaluation import (
     matching_accuracy_pct,
     mse,
     per_trip_overlap,
-    read_report,
     read_voc,
     run_baseline,
     voc_bucket,
@@ -30,7 +29,7 @@ from probeflow.evaluation import (
     write_voc,
 )
 from probeflow.mapmatch import MatchedPath, MatchParams
-from probeflow.network import Node, RoadNetwork, Segment, Taz, TimeGrid
+from probeflow.network import Node, RoadNetwork, Router, Segment, Taz, TimeGrid
 from probeflow.refine import RefineParams, refine
 from probeflow.tracegen import (
     GroundTruthScenario,
@@ -204,11 +203,13 @@ def jittered_grid_world():
                                flow=np.zeros(net.n_segments))
     cfg = ProbeConfig(sampling_period=20.0, gps_sigma=8.0, penetration=1.0)
     nodes = net.node_ids()
+    router = Router(net, scen.time)
     traces = []
     for vid in range(24):
         a, b = rng.choice(nodes, size=2, replace=False)
-        trip = simulate_trip(net, Taz(id=0, centroid_node=int(a)), Taz(id=1, centroid_node=int(b)),
-                             scen, departure=GRID8.interval_seconds * (vid % 4) + 60.0 * vid,
+        trip = simulate_trip(net, router, Taz(id=0, centroid_node=int(a)),
+                             Taz(id=1, centroid_node=int(b)), scen,
+                             departure=GRID8.interval_seconds * (vid % 4) + 60.0 * vid,
                              vehicle_id=vid)
         traces.append(sample_trace(trip, net, scen, cfg, rng_seed=3))
     return traces, net
@@ -405,8 +406,12 @@ def test_report_round_trip(tmp_path):
     assert set(doc) == {"mean", "scenarios"}
     assert doc["mean"]["mse"] == 3.0
     assert doc["scenarios"]["a"]["gain_pct"] == 10.0
-    back = read_report(p)
-    assert back == report
+    assert doc == {
+        "mean": {"mse": report.mse, "gain_pct": report.gain_pct,
+                 "aggregate_error_pct": report.aggregate_error_pct,
+                 "matching_accuracy_pct": report.matching_accuracy_pct},
+        "scenarios": {name: m._asdict() for name, m in per.items()},
+    }
 
 
 def test_voc_csv_round_trip(tmp_path):

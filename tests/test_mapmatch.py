@@ -14,7 +14,6 @@ from probeflow.errors import InputDataError
 from probeflow.mapmatch import (
     GpsTrace,
     MatchParams,
-    Router,
     _legs,
     emission_logp,
     match_trace,
@@ -28,10 +27,10 @@ from probeflow.mapmatch import (
 from probeflow.network import (
     Node,
     RoadNetwork,
+    Router,
     Segment,
     meters_per_degree,
     position_on_segment,
-    shortest_path,
 )
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 
@@ -357,7 +356,7 @@ def test_unroutable_step_splits_lattice():
     pts = [(0, 0.0), (0, 150.0), (2, 50.0), (2, 199.0)]
     lats, lons = [], []
     for sid, off in pts:
-        lat, lon = position_on_segment(net, sid, off)
+        lat, lon = position_on_segment(net, net.segment_index(sid), off)
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array([0.0, 15.0, 30.0, 45.0]), np.array(lats), np.array(lons))
@@ -383,7 +382,8 @@ def sparse_row_trace(net: RoadNetwork, nx: int, stride: int) -> GpsTrace:
     ts, lats, lons = [], [], []
     for k, ix in enumerate(range(0, nx - 1, stride)):
         sid = grid_segment(net, ix, ix + 1)
-        lat, lon = position_on_segment(net, sid, 0.5 * net.segment_by_id(sid).length)
+        j = net.segment_index(sid)
+        lat, lon = position_on_segment(net, j, 0.5 * net.seg_length[j])
         ts.append(k * stride * 20.0)
         lats.append(lat)
         lons.append(lon)
@@ -546,16 +546,17 @@ def test_read_matched_rejects_bad_header(tmp_path):
        origin=st.integers(0, 24), dest=st.integers(0, 24), seed=st.integers(0, 2**16))
 def test_matched_pieces_connect_and_entry_times_nondecreasing(sigma, period, origin, dest, seed):
     net = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=1)
-    route = shortest_path(net, origin, dest, net.seg_fft)
-    if origin == dest or route is None:
+    router = free_flow_router(net)
+    route = router.route(net.node_index(origin), net.node_index(dest))
+    if not route:  # origin == dest, or unreachable
         return
     truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
                                 flow=np.zeros(net.n_segments))
-    trip = with_times(TruthTrip(vehicle_id=1, departure=100.0, path=route[0], entry_times=None),
-                      net, truth)
+    trip = with_times(TruthTrip(vehicle_id=1, departure=100.0, path=list(route),
+                                entry_times=None), net, truth)
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
                          rng_seed=seed)
-    for mp in match_trace(net, trace, free_flow_router(net)):
+    for mp in match_trace(net, trace, router):
         segs = [net.segment_by_id(sid) for sid in mp.segments]
         assert all(a.to_node == b.from_node for a, b in zip(segs, segs[1:]))
         assert all(t0 <= t1 for t0, t1 in zip(mp.entry_times, mp.entry_times[1:]))

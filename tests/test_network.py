@@ -17,6 +17,7 @@ from probeflow.network import (
     Candidate,
     Node,
     RoadNetwork,
+    Router,
     Segment,
     Taz,
     TimeGrid,
@@ -27,7 +28,6 @@ from probeflow.network import (
     project_to_candidates,
     read_network,
     read_tazs,
-    shortest_path,
     write_network,
     write_tazs,
 )
@@ -126,8 +126,8 @@ def test_network_validation():
 def test_network_adjacency_and_arrays():
     net = _two_node_net()
     assert net.n_nodes == 2 and net.n_segments == 2
-    assert net.out_adjacency[1] == [0]
-    assert net.out_adjacency[2] == [1]
+    assert net.seg_from.tolist() == [net.node_index(1), net.node_index(2)]
+    assert net.seg_to.tolist() == [net.node_index(2), net.node_index(1)]
     (times,) = net.segment_columns("times.csv", [(1, 7.0), (0, 5.0)])
     assert list(times) == [5.0, 7.0]
     with pytest.raises(InputDataError):
@@ -215,23 +215,25 @@ def test_shortest_path_against_enumeration():
         for sid, (u, v, w) in enumerate(edges):
             out_edges[u].append((sid, v, w))
             weight_of[sid] = w
+        # Node ids 0..6 are also the node indices.
+        router = Router(net, np.array([weight_of[s.id] for s in net.segments], dtype=float))
         for src in range(7):
             for dst in range(7):
-                weights = np.array([weight_of[s.id] for s in net.segments], dtype=float)
-                got = shortest_path(net, src, dst, weights)
+                got = router.route(src, dst)
+                cost = router.tree(src)[0][dst]
                 paths = list(_all_simple_paths(7, out_edges, src, dst))
                 if src == dst:
-                    assert got == ([], 0.0)
+                    assert got == () and cost == 0.0
                     continue
                 if not paths:
-                    assert got is None
+                    assert got is None and cost == math.inf
                     continue
                 best_cost = min(sum(weight_of[s] for s in p) for p in paths)
                 ties = [p for p in paths if sum(weight_of[s] for s in p) == best_cost]
                 expected = min(ties, key=lambda p: tuple(reversed(p)))
                 assert got is not None
-                assert got[1] == best_cost
-                assert got[0] == expected
+                assert cost == best_cost
+                assert list(got) == expected
 
 
 @st.composite
@@ -264,41 +266,43 @@ def test_shortest_path_is_reverse_lexicographic_minimum(graph):
         out_edges[u].append((sid, v, w))
     weights = np.array([weight_of[s.id] for s in net.segments])
 
-    got = shortest_path(net, 10 * src + 3, 10 * dst + 3, weights)
+    router = Router(net, weights)
+    u, v = net.node_index(10 * src + 3), net.node_index(10 * dst + 3)
+    got, cost = router.route(u, v), router.tree(u)[0][v]
     if src == dst:
-        assert got == ([], 0.0)
+        assert got == () and cost == 0.0
         return
     if len(weights):
         zeroed = np.where(weights == weights.max(), 0.0, weights)
         with pytest.raises(InputDataError):
-            shortest_path(net, 10 * src + 3, 10 * dst + 3, zeroed)
+            Router(net, zeroed)
     paths = list(_all_simple_paths(n, out_edges, src, dst))
     if not paths:
         assert got is None
         return
     best = min(sum(weight_of[s] for s in p) for p in paths)
     ties = [p for p in paths if sum(weight_of[s] for s in p) == best]
-    assert got is not None and got[1] == best
-    assert got[0] == min(ties, key=lambda p: tuple(reversed(p)))
+    assert got is not None and cost == best
+    assert list(got) == min(ties, key=lambda p: tuple(reversed(p)))
 
 
 def test_shortest_path_rejects_bad_weights():
     net = _two_node_net()
     with pytest.raises(InputDataError):
-        shortest_path(net, 1, 2, np.full(2, -1.0))
+        Router(net, np.full(2, -1.0))
     with pytest.raises(InputDataError):
-        shortest_path(net, 1, 2, np.full(2, math.nan))
+        Router(net, np.full(2, math.nan))
+    with pytest.raises(InputDataError, match="segment 1: travel time must be finite and > 0"):
+        Router(net, np.array([1.0, 0.0]))
     with pytest.raises(InputDataError):
-        shortest_path(net, 1, 2, np.array([1.0, 0.0]))
-    with pytest.raises(InputDataError):
-        shortest_path(net, 3, 2, np.ones(2))
+        net.node_index(3)  # routes take node indices; an unknown id has none
 
 
 def test_shortest_path_on_grid():
     net = make_grid_network(4, 4, spacing=100.0)
-    res = shortest_path(net, 0, 15, net.seg_fft)
-    assert res is not None
-    path, cost = res
+    router = Router(net, net.seg_fft)
+    path, cost = router.route(0, 15), router.tree(0)[0][15]
+    assert path is not None
     assert len(path) == 6  # 3 east + 3 north in some order
     total = sum(net.segment_by_id(s).free_flow_time for s in path)
     assert abs(total - cost) < 1e-12

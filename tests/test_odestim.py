@@ -11,19 +11,20 @@ from probeflow.assignment import AssignmentResult, bpr_time, solve_ue
 from probeflow.errors import InputDataError, SolverError
 from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, Taz
 from probeflow.odestim import (
+    OBJECTIVE_COLUMNS,
     ObjectiveRecord,
     OdEstimate,
     GravityParams,
     OdSolveParams,
     SpsaParams,
     estimate_od,
-    read_objective_trace,
     read_state,
     seed_gravity,
     upper_objective,
     write_objective_trace,
     write_state,
 )
+from probeflow.tables import read_table
 from probeflow.ttinfer import SegmentTimeEstimate
 
 from conftest import grid_node, make_corridor_network, make_grid_network
@@ -302,4 +303,4 @@ def test_objective_trace_round_trip(tmp_path):
     records = [ObjectiveRecord(0, 54.25), ObjectiveRecord(5, 12.0), ObjectiveRecord(10, 3.5)]
     p = tmp_path / "trace.csv"
     write_objective_trace(records, p)
-    assert read_objective_trace(p) == records
+    assert list(read_table(p, OBJECTIVE_COLUMNS)) == [(0, 54.25), (5, 12.0), (10, 3.5)]

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import MatchParams, Router, match_traces, score_assignment
-from probeflow.network import TimeGrid
+from probeflow.mapmatch import MatchParams, match_traces, score_assignment
+from probeflow.network import Router, TimeGrid
 from probeflow.refine import (
+    DIAGNOSTICS_COLUMNS,
     IterationRecord,
     RefinementDiagnostics,
     RefineParams,
-    read_diagnostics,
     refine,
     write_diagnostics,
 )
+from probeflow.tables import read_table
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 from probeflow.ttinfer import infer_times, observations_from_matches, residual_sq
 
@@ -217,8 +218,8 @@ def test_diagnostics_csv_round_trip(tmp_path):
     ])
     p = tmp_path / "diag.csv"
     write_diagnostics(diag, p)
-    back = read_diagnostics(p)
-    assert back.records == diag.records
+    assert list(read_table(p, DIAGNOSTICS_COLUMNS)) == [(0, 123.5, -456.25, 20, 0.75),
+                                                        (1, 100.0, -400.0, 3, 0.002)]
     assert p.read_text().splitlines()[0] == "iteration,residual,viterbi_score,changed_paths,max_rel_change"
 
 
@@ -226,4 +227,4 @@ def test_read_diagnostics_rejects_garbage(tmp_path):
     p = tmp_path / "diag.csv"
     p.write_text("iteration,residual,viterbi_score,changed_paths,max_rel_change\n0,x,1,2,3\n")
     with pytest.raises(InputDataError):
-        read_diagnostics(p)
+        list(read_table(p, DIAGNOSTICS_COLUMNS))

@@ -2,41 +2,59 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 from functools import partial
 
 import numpy as np
 import pytest
 
-from probeflow import assignment, completion, evaluation, mapmatch, network, odestim
-from probeflow import refine, tracegen, ttinfer
+import probeflow
+from probeflow import assignment, evaluation, mapmatch, network, odestim, tracegen, ttinfer
 from probeflow.errors import InputDataError
-from probeflow.network import TimeGrid
 from probeflow.tables import read_table, write_table
 
 from conftest import make_corridor_network
 
 COLUMNS = (("id", int), ("value", float), ("label", str))
 
-GRID8 = TimeGrid(interval_seconds=75600, interval_count=8)
 NET2 = make_corridor_network(n_segs=2)
 
 # Every CSV reader of the package with the column spec it checks.
 READERS = {
     "tazs": (network.read_tazs, network.TAZ_COLUMNS),
     "demand": (assignment.read_demand, assignment.DEMAND_COLUMNS),
-    "matrix": (partial(completion.read_matrix, net=NET2, grid=GRID8),
-               completion.MATRIX_COLUMNS),
-    "completed": (completion.read_completed, completion.COMPLETED_COLUMNS),
     "voc": (evaluation.read_voc, evaluation.VOC_COLUMNS),
     "matched": (mapmatch.read_matched, mapmatch.MATCHED_COLUMNS),
     "state": (partial(odestim.read_state, net=NET2), odestim.STATE_COLUMNS),
-    "objective": (odestim.read_objective_trace, odestim.OBJECTIVE_COLUMNS),
-    "diagnostics": (refine.read_diagnostics, refine.DIAGNOSTICS_COLUMNS),
     "traces": (tracegen.read_traces, tracegen.TRACE_COLUMNS),
     "trips": (tracegen.read_trips, tracegen.TRIP_COLUMNS),
     "truth": (partial(tracegen.read_truth, net=NET2), tracegen.TRUTH_COLUMNS),
     "estimates": (partial(ttinfer.read_estimates, net=NET2), ttinfer.ESTIMATE_COLUMNS),
 }
+
+
+def _package_readers() -> tuple[set, set]:
+    """Module-level ``read_*`` functions of the package: (CSV readers, the rest).
+
+    A CSV reader is one that calls ``read_table``.
+    """
+    csv_readers, others = set(), set()
+    for info in pkgutil.iter_modules(probeflow.__path__):
+        module = importlib.import_module(f"probeflow.{info.name}")
+        for name, fn in vars(module).items():
+            if (name.startswith("read_") and name != "read_table" and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                (csv_readers if "read_table" in fn.__code__.co_names else others).add(fn)
+    return csv_readers, others
+
+
+def test_readers_lists_every_csv_reader_of_the_package():
+    csv_readers, others = _package_readers()
+    assert {getattr(reader, "func", reader) for reader, _ in READERS.values()} == csv_readers
+    # The one reader left reads JSON, not a table.
+    assert {fn.__qualname__ for fn in others} == {"read_network"}
 
 
 def header(columns) -> bytes:

@@ -8,7 +8,7 @@ import pytest
 
 from probeflow.assignment import AssignParams
 from probeflow.errors import InputDataError
-from probeflow.network import Node, RoadNetwork, Segment, Taz, TimeGrid, meters_per_degree
+from probeflow.network import Node, RoadNetwork, Router, Segment, Taz, TimeGrid, meters_per_degree
 from probeflow.tracegen import (
     GroundTruthScenario,
     ProbeConfig,
@@ -88,7 +88,8 @@ def test_gen_scenarios_times_grow_with_demand():
 
 def test_simulate_trip_on_corridor():
     net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, departure=100.0, vehicle_id=4)
+    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, departure=100.0,
+                         vehicle_id=4)
     assert trip.path == [0, 1, 2]
     assert trip.entry_times == [100.0, 120.0, 140.0]
     assert trip.arrival == 160.0
@@ -99,18 +100,18 @@ def test_simulate_trip_rejects_shared_centroid():
     a = Taz(id=0, centroid_node=0)
     b = Taz(id=1, centroid_node=0)
     with pytest.raises(InputDataError):
-        simulate_trip(net, a, b, scen, 0.0, 0)
+        simulate_trip(net, Router(net, scen.time), a, b, scen, 0.0, 0)
 
 
 def test_simulate_trip_rejects_unreachable():
     net, tazs, scen = corridor_setup()
-    with pytest.raises(InputDataError):
-        simulate_trip(net, tazs[1], tazs[0], scen, 0.0, 0)  # one-way corridor
+    with pytest.raises(InputDataError):  # one-way corridor
+        simulate_trip(net, Router(net, scen.time), tazs[1], tazs[0], scen, 0.0, 0)
 
 
 def test_with_times_rebuilds_simulation():
     net, tazs, scen = corridor_setup()
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 50.0, 2)
+    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 50.0, 2)
     stripped = TruthTrip(vehicle_id=2, departure=50.0, path=list(trip.path), entry_times=None)
     rebuilt = with_times(stripped, net, scen)
     assert rebuilt.entry_times == trip.entry_times
@@ -124,7 +125,7 @@ def test_with_times_rebuilds_simulation():
 
 def test_sample_trace_noiseless_positions_and_times():
     net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, 0)
+    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 0)
     cfg = ProbeConfig(sampling_period=25.0, gps_sigma=0.0)
     trace = sample_trace(trip, net, scen, cfg)
     assert list(trace.timestamps) == [0.0, 25.0, 50.0, 60.0]
@@ -136,14 +137,14 @@ def test_sample_trace_noiseless_positions_and_times():
 
 def test_sample_trace_period_longer_than_trip():
     net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 10.0, 0)
+    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 10.0, 0)
     trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=3600.0, gps_sigma=0.0))
     assert list(trace.timestamps) == [10.0, 70.0]
 
 
 def test_sample_trace_exact_multiple_keeps_single_arrival():
     net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, 0)  # 60 s trip
+    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 0)  # 60 s
     trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=30.0, gps_sigma=0.0))
     assert list(trace.timestamps) == [0.0, 30.0, 60.0]
 
@@ -153,7 +154,7 @@ def test_sample_trace_noise_is_seeded_per_vehicle():
     cfg = ProbeConfig(sampling_period=20.0, gps_sigma=10.0)
     quiet = ProbeConfig(sampling_period=20.0, gps_sigma=0.0)
     for vid in (0, 5):
-        trip = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, vid)
+        trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, vid)
         noisy = sample_trace(trip, net, scen, cfg, rng_seed=123)
         clean = sample_trace(trip, net, scen, quiet, rng_seed=123)
         expected = np.random.default_rng(123 + vid).standard_normal((len(noisy), 2)) * 10.0
@@ -164,7 +165,7 @@ def test_sample_trace_noise_is_seeded_per_vehicle():
 
 def test_sample_trace_same_seed_reproduces():
     net, tazs, scen = corridor_setup()
-    trip = simulate_trip(net, tazs[0], tazs[1], scen, 0.0, 3)
+    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 3)
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=8.0)
     a = sample_trace(trip, net, scen, cfg, rng_seed=9)
     b = sample_trace(trip, net, scen, cfg, rng_seed=9)
@@ -256,9 +257,10 @@ def test_generate_probe_data_validates_schedule():
 def test_trace_csv_round_trip(tmp_path):
     net, tazs, scen = corridor_setup()
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=5.0)
+    router = Router(net, scen.time)
     traces = [
-        sample_trace(simulate_trip(net, tazs[0], tazs[1], scen, 10.0 * v, v), net, scen, cfg,
-                     rng_seed=2)
+        sample_trace(simulate_trip(net, router, tazs[0], tazs[1], scen, 10.0 * v, v), net, scen,
+                     cfg, rng_seed=2)
         for v in range(3)
     ]
     p = tmp_path / "traces.csv"
@@ -280,7 +282,8 @@ def test_read_traces_rejects_empty(tmp_path):
 
 def test_trip_csv_round_trip(tmp_path):
     net, tazs, scen = corridor_setup()
-    trips = [simulate_trip(net, tazs[0], tazs[1], scen, 5.0 * v, v) for v in range(3)]
+    router = Router(net, scen.time)
+    trips = [simulate_trip(net, router, tazs[0], tazs[1], scen, 5.0 * v, v) for v in range(3)]
     p = tmp_path / "trips.csv"
     write_trips(trips, p)
     back = read_trips(p)
