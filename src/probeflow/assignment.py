@@ -12,6 +12,10 @@ Costs default to the BPR volume-delay function but any model exposing
 ``time`` and ``marginal_time`` over a flow array works (useful for
 closed-form test networks).
 
+Each step toward the all-or-nothing loading takes the length that zeroes
+the objective's directional derivative, found by Anderson-Bjorck regula
+falsi (``_line_search``).
+
 Convergence is measured by the relative gap
 (sum(v*t) - sum(v_hat*t)) / sum(v*t) with v_hat the all-or-nothing
 loading under the current costs; the reported gap always describes the
@@ -33,7 +37,7 @@ from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
-# Bisection interval width for the Frank-Wolfe line search.
+# Bracket width at which the Frank-Wolfe line search stops.
 _LINE_SEARCH_TOL = 1e-10
 
 # OD demand: (origin taz, destination taz) -> vehicles per hour.
@@ -66,11 +70,6 @@ class AssignParams:
             raise InputDataError("tol must be positive and max_iter at least 1")
 
 
-def bpr_time(fft: float, capacity: float, flow: float, params: VdfParams = VdfParams()) -> float:
-    """Congested travel time of one link under the BPR curve."""
-    return fft * (1.0 + params.alpha * (flow / capacity) ** params.beta)
-
-
 class BprCost:
     """Vectorized BPR cost model over a network's segments."""
 
@@ -100,11 +99,6 @@ class AssignmentResult:
     converged: bool
 
 
-def total_system_travel_time(result: AssignmentResult) -> float:
-    """Sum of flow * travel time over all segments (veh-seconds per hour)."""
-    return math.fsum(result.flow * result.time)
-
-
 # ---------------------------------------------------------------------------
 # Frank-Wolfe
 # ---------------------------------------------------------------------------
@@ -124,7 +118,7 @@ def _group_demand(
             raise InputDataError(f"duplicate TAZ id {taz.id}")
         centroid[taz.id] = net.node_index(taz.centroid_node)
 
-    by_origin: dict[int, list[tuple[int, float]]] = {}
+    loads = []
     for (o, d), rate in demand.items():
         if o not in centroid:
             raise InputDataError(f"demand references unknown origin TAZ {o}")
@@ -132,23 +126,17 @@ def _group_demand(
             raise InputDataError(f"demand references unknown destination TAZ {d}")
         if not (rate >= 0.0 and math.isfinite(rate)):
             raise InputDataError(f"demand for ({o}, {d}) must be finite and >= 0, got {rate}")
-        src, dst = centroid[o], centroid[d]
-        if rate == 0.0 or src == dst:
-            continue
-        by_origin.setdefault(src, []).append((dst, rate))
+        if rate > 0.0 and centroid[o] != centroid[d]:
+            loads.append((centroid[o], centroid[d], rate))
 
-    grouped = []
-    for src in sorted(by_origin):
-        pairs = sorted(by_origin[src])
-        # Merge duplicate destinations (distinct TAZ pairs on shared centroids).
-        merged: list[tuple[int, float]] = []
-        for dst, rate in pairs:
-            if merged and merged[-1][0] == dst:
-                merged[-1] = (dst, merged[-1][1] + rate)
-            else:
-                merged.append((dst, rate))
-        grouped.append((src, merged))
-    return grouped
+    # Sum duplicate node pairs (distinct TAZ pairs on shared centroids) in ascending rate order.
+    merged: dict[tuple[int, int], float] = {}
+    for src, dst, rate in sorted(loads):
+        merged[src, dst] = merged.get((src, dst), 0.0) + rate
+    grouped: dict[int, list[tuple[int, float]]] = {}
+    for (src, dst), rate in merged.items():
+        grouped.setdefault(src, []).append((dst, rate))
+    return list(grouped.items())
 
 
 def _all_or_nothing(
@@ -174,27 +162,47 @@ def _all_or_nothing(
     return flows
 
 
-def _line_search(cost_fn, v: np.ndarray, direction: np.ndarray) -> float:
+def _line_search(cost_fn, v: np.ndarray, direction: np.ndarray, slope0: float) -> float:
     """Step length in [0, 1] zeroing the directional derivative.
 
-    The derivative of the assignment objective along ``direction`` is
-    sum(direction * cost(v + theta*direction)); it is nondecreasing in
-    theta for monotone cost models, so bisection applies.
+    g(theta) = sum(direction * cost(v + theta*direction)) is nondecreasing
+    for monotone costs, and ``slope0`` is g(0) < 0. Anderson-Bjorck regula
+    falsi (Anderson & Bjorck 1973, BIT 13) on a bracket g(lo) <= 0 < g(hi):
+    each trial point is the secant point; when one end is replaced twice
+    running, the other end's value is scaled down so the next point crosses
+    the root; an unusable secant step (an infinite end value) is a bisection;
+    trial points stay half the tolerance inside the bracket, so a converged
+    end is closed off by one more evaluation. Returns an exact zero, or the
+    secant point once the bracket is at most ``_LINE_SEARCH_TOL`` wide.
     """
 
     def deriv(theta: float) -> float:
         return float(np.dot(direction, cost_fn(v + theta * direction)))
 
-    if deriv(1.0) <= 0.0:
+    g_hi = deriv(1.0)
+    if g_hi <= 0.0:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _LINE_SEARCH_TOL:
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            hi = mid
+    lo, hi, g_lo = 0.0, 1.0, slope0
+    replaced = 0  # end the last trial point replaced: -1 lo, 1 hi
+    while True:
+        step = (hi - lo) * g_lo / (g_lo - g_hi)
+        theta = lo + step if 0.0 < step <= hi - lo else 0.5 * (lo + hi)
+        if hi - lo <= _LINE_SEARCH_TOL:
+            return theta
+        theta = min(max(theta, lo + 0.5 * _LINE_SEARCH_TOL), hi - 0.5 * _LINE_SEARCH_TOL)
+        g = deriv(theta)
+        if g == 0.0:
+            return theta
+        if g > 0.0:
+            if replaced == 1:
+                m = 1.0 - g / g_hi
+                g_lo *= m if m > 0.0 else 0.5
+            hi, g_hi, replaced = theta, g, 1
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            if replaced == -1:
+                m = 1.0 - g / g_lo
+                g_hi *= m if m > 0.0 else 0.5
+            lo, g_lo, replaced = theta, g, -1
 
 
 def _solve(
@@ -211,13 +219,8 @@ def _solve(
 
     if not origins:
         zeros = np.zeros(net.n_segments, dtype=float)
-        return AssignmentResult(
-            flow=zeros,
-            time=np.asarray(cost_model.time(zeros), dtype=float),
-            relative_gap=0.0,
-            iterations=0,
-            converged=True,
-        )
+        return AssignmentResult(flow=zeros, time=np.asarray(cost_model.time(zeros), dtype=float),
+                                relative_gap=0.0, iterations=0, converged=True)
 
     v = _all_or_nothing(net, origins, np.asarray(cost_fn(np.zeros(net.n_segments)), dtype=float))
 
@@ -228,28 +231,19 @@ def _solve(
         t = np.asarray(cost_fn(v), dtype=float)
         v_hat = _all_or_nothing(net, origins, t)
         total = float(np.dot(v, t))
-        gap = (total - float(np.dot(v_hat, t))) / total if total > 0.0 else 0.0
+        slope0 = float(np.dot(v_hat, t)) - total
+        gap = -slope0 / total if total > 0.0 else 0.0
         converged = gap <= tol
         if converged or k > max_iter:
             break
-        theta = _line_search(cost_fn, v, v_hat - v)
+        theta = _line_search(cost_fn, v, v_hat - v, slope0)
         v = v + theta * (v_hat - v)
     iterations = min(k, max_iter)
 
-    logger.debug(
-        "%s assignment: gap=%.3e after %d iteration(s), converged=%s",
-        "SO" if use_marginal else "UE",
-        gap,
-        iterations,
-        converged,
-    )
-    return AssignmentResult(
-        flow=v,
-        time=np.asarray(cost_model.time(v), dtype=float),
-        relative_gap=gap,
-        iterations=iterations,
-        converged=converged,
-    )
+    logger.debug("%s assignment: gap=%.3e after %d iteration(s), converged=%s",
+                 "SO" if use_marginal else "UE", gap, iterations, converged)
+    return AssignmentResult(flow=v, time=np.asarray(cost_model.time(v), dtype=float),
+                            relative_gap=gap, iterations=iterations, converged=converged)
 
 
 def solve_ue(

@@ -312,5 +312,9 @@ def write_truth(scenario: GroundTruthScenario, net: RoadNetwork, path: str | os.
 
 
 def read_truth(path: str | os.PathLike, net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment (times, flows); the file must list every segment exactly once."""
-    return net.segment_columns(str(path), list(read_table(path, TRUTH_COLUMNS)))
+    """Per-segment (times, flows); the file must list every segment exactly once, times > 0."""
+    times, flows = net.segment_columns(str(path), list(read_table(path, TRUTH_COLUMNS)))
+    if np.any(times <= 0.0):
+        k = int(np.argmax(times <= 0.0))
+        raise InputDataError(f"{path}: segment {net.segments[k].id} has time_s {times[k]}, not > 0")
+    return times, flows

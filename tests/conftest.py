@@ -1,4 +1,4 @@
-"""Shared fixtures: synthetic networks and traces used across the test suite."""
+"""Shared fixtures: synthetic networks, traces and assignment checks used across the test suite."""
 
 from __future__ import annotations
 
@@ -7,12 +7,23 @@ from typing import NamedTuple
 
 import numpy as np
 
+from probeflow.assignment import AssignmentResult, VdfParams
 from probeflow.mapmatch import GpsTrace
 from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, TimeGrid, haversine
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 
 GRID_LAT0 = 37.75
 GRID_LON0 = -122.45
+
+
+def bpr_time(fft: float, capacity: float, flow: float, params: VdfParams = VdfParams()) -> float:
+    """Congested travel time of one link under the BPR curve."""
+    return fft * (1.0 + params.alpha * (flow / capacity) ** params.beta)
+
+
+def total_system_travel_time(result: AssignmentResult) -> float:
+    """Sum of flow * travel time over all segments (veh-seconds per hour)."""
+    return math.fsum(result.flow * result.time)
 
 
 def make_grid_network(

@@ -17,10 +17,8 @@ import numpy as np
 
 from probeflow.assignment import (
     AssignParams,
-    bpr_time,
     solve_so,
     solve_ue,
-    total_system_travel_time,
 )
 from probeflow.cli import main
 from probeflow.completion import CompletionParams, TravelTimeMatrix, complete, svd
@@ -69,7 +67,13 @@ from probeflow.ttinfer import (
     residual_sq,
 )
 
-from conftest import make_corridor_network, make_grid_network, make_two_route_fixture
+from conftest import (
+    bpr_time,
+    make_corridor_network,
+    make_grid_network,
+    make_two_route_fixture,
+    total_system_travel_time,
+)
 
 
 # ---------------------------------------------------------------------------

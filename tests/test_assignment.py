@@ -6,21 +6,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from probeflow.assignment import (
+    _LINE_SEARCH_TOL,
     BprCost,
     VdfParams,
-    bpr_time,
+    _line_search,
     read_demand,
     solve_so,
     solve_ue,
-    total_system_travel_time,
     write_demand,
 )
 from probeflow.errors import InputDataError, SolverError
 from probeflow.network import Node, RoadNetwork, Router, Segment, Taz
 
-from conftest import make_grid_network
+from conftest import bpr_time, make_grid_network, total_system_travel_time
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,102 @@ def test_marginal_time_matches_derivative():
         tot_lo = (v - h) * cost.time(v - h)
         numeric = (tot_hi - tot_lo) / (2 * h)
         assert np.allclose(cost.marginal_time(v), numeric, rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Line search
+# ---------------------------------------------------------------------------
+
+
+def _bisection_step(cost_fn, v, direction):
+    """Oracle: bisect the directional derivative to a bracket of _LINE_SEARCH_TOL."""
+
+    def deriv(theta):
+        return float(np.dot(direction, cost_fn(v + theta * direction)))
+
+    if deriv(1.0) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > _LINE_SEARCH_TOL:
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _parallel_links(fft, capacity):
+    """Parallel one-way links between two nodes with the given BPR inputs."""
+    nodes = [Node(1, 37.75, -122.45), Node(2, 37.75, -122.44)]
+    segs = [Segment(i, 1, 2, 10.0 * t, 10.0, c, "other")
+            for i, (t, c) in enumerate(zip(fft, capacity))]
+    return RoadNetwork(nodes, segs)
+
+
+class _Counted:
+    """A cost function that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, flows):
+        self.calls += 1
+        return self.fn(flows)
+
+
+def _slope0(cost_fn, v, v_hat):
+    t = cost_fn(v)
+    return float(np.dot(v_hat, t)) - float(np.dot(v, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), marginal=st.booleans())
+def test_line_search_matches_bisection_on_random_bpr(data, n, marginal):
+    values = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+    net = _parallel_links(data.draw(values(1.0, 300.0)), data.draw(values(50.0, 3000.0)))
+    v = np.array(data.draw(values(0.0, 5000.0)))
+    v_hat = np.array(data.draw(values(0.0, 5000.0)))
+    cost = BprCost(net)
+    cost_fn = cost.marginal_time if marginal else cost.time
+    d = v_hat - v
+    slope0 = _slope0(cost_fn, v, v_hat)
+    assume(slope0 < 0.0)
+    theta = _line_search(cost_fn, v, d, slope0)
+    assert 0.0 <= theta <= 1.0
+    # Near a flat minimum, rounding in the derivative blurs its root over
+    # more than the tolerance, and any two searches may part there; compare
+    # where the derivative one tolerance off the oracle's root clears that
+    # rounding.
+    ref = _bisection_step(cost_fn, v, d)
+    noise = 1e-12 * float(np.dot(np.abs(d), cost_fn(v + ref * d)))
+    g = lambda x: float(np.dot(d, cost_fn(v + x * d)))
+    assume(ref == 1.0 or g(ref - _LINE_SEARCH_TOL) < -noise < noise < g(ref + _LINE_SEARCH_TOL))
+    assert abs(theta - ref) <= 2 * _LINE_SEARCH_TOL
+
+
+def test_line_search_takes_full_step_when_slope_at_one_is_not_positive():
+    # Moving everything onto a much faster empty link lowers the objective
+    # all the way: the derivative at theta = 1 is negative, so no search.
+    net = _parallel_links([100.0, 10.0], [1000.0, 1000.0])
+    cost_fn = BprCost(net).time
+    v, v_hat = np.array([500.0, 0.0]), np.array([0.0, 500.0])
+    counted = _Counted(cost_fn)
+    assert _line_search(counted, v, v_hat - v, _slope0(cost_fn, v, v_hat)) == 1.0
+    assert counted.calls == 1
+
+
+def test_line_search_evaluation_budget():
+    # Bisection to 1e-10 costs 35 evaluations; the superlinear search needs
+    # far fewer on a congested instance with an interior minimum.
+    net = _parallel_links([60.0, 90.0, 75.0], [800.0, 1200.0, 600.0])
+    cost_fn = BprCost(net).time
+    v, v_hat = np.array([1800.0, 200.0, 500.0]), np.array([0.0, 2500.0, 0.0])
+    counted = _Counted(cost_fn)
+    theta = _line_search(counted, v, v_hat - v, _slope0(cost_fn, v, v_hat))
+    assert 0.0 < theta < 1.0
+    assert counted.calls <= 15
+    assert abs(theta - _bisection_step(cost_fn, v, v_hat - v)) <= 2 * _LINE_SEARCH_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +294,17 @@ def test_disconnected_demand_raises():
     tazs = [Taz(1, 1), Taz(3, 3)]
     with pytest.raises(SolverError):
         solve_ue(net, {(1, 3): 10.0}, tazs)
+
+
+def test_tazs_on_shared_centroids_load_as_one():
+    # TAZs 1 and 5 share corner node 0: their trips to TAZ 4 load as one
+    # 500 veh/h pair, and trips between them load nothing.
+    net, tazs, _ = _grid_with_tazs()
+    merged = solve_ue(net, {(1, 4): 500.0}, tazs, tol=1e-5)
+    split = solve_ue(net, {(1, 4): 300.0, (5, 4): 200.0, (1, 5): 50.0, (5, 1): 0.0},
+                     tazs + [Taz(5, 0)], tol=1e-5)
+    assert split.flow.tolist() == merged.flow.tolist()
+    assert split.iterations == merged.iterations
 
 
 def test_demand_validation():

@@ -338,7 +338,7 @@ def sabotage_od(tmp_path, world):
                         **paths)
 
 
-def test_estimate_od_solver_failure_exits_3_with_partial(world, tmp_path, capsys):
+def test_estimate_od_solver_failure_exits_3_with_partial(world, tmp_path, capsys, caplog):
     cfg = sabotage_od(tmp_path, world)
     rc = main(["estimate-od", "--config", cfg, "--out-dir", str(tmp_path),
                "--estimates", str(world.pipe / "estimates.csv")])
@@ -346,6 +346,11 @@ def test_estimate_od_solver_failure_exits_3_with_partial(world, tmp_path, capsys
     partials = sorted(p.name for p in tmp_path.glob("od_demand_*.csv.partial"))
     assert partials
     assert "" != capsys.readouterr().err
+    # Each failed interval retried its lower level once, at ten times ue_tol.
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+                and r.name == "probeflow.odestim"]
+    assert len(warnings) == len(partials)
+    assert all("retrying at 1.0e-11" in w for w in warnings)
 
 
 def test_pipeline_solver_failure_writes_partial_manifest(world, tmp_path):
@@ -394,6 +399,19 @@ def test_gen_traces_on_unknown_demand_taz_exits_2_naming_it(world, tmp_path, cap
     err = capsys.readouterr().err
     assert "unknown TAZ 99" in err and "Traceback" not in err
     assert not (tmp_path / "traces.csv").exists()
+
+
+def test_gen_traces_on_zero_truth_time_exits_2_naming_it(world, tmp_path, capsys):
+    header, first, *rest = (world.gen / "truth_000.csv").read_text().splitlines()
+    sid, _, flow = first.split(",")
+    (tmp_path / "truth_000.csv").write_text("\n".join([header, f"{sid},0.0,{flow}", *rest]) + "\n")
+    rc = main(["gen-traces", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--truth-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "truth_000.csv") in err and f"segment {sid}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "traces.csv").exists()
 
 
 def test_gen_traces_builds_one_tree_per_scenario_and_origin(world, tmp_path, monkeypatch):

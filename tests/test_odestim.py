@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from probeflow.assignment import AssignmentResult, bpr_time, solve_ue
+from probeflow import odestim
+from probeflow.assignment import AssignmentResult, solve_ue
 from probeflow.errors import InputDataError, SolverError
 from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, Taz
 from probeflow.odestim import (
@@ -27,7 +28,7 @@ from probeflow.odestim import (
 from probeflow.tables import read_table
 from probeflow.ttinfer import SegmentTimeEstimate
 
-from conftest import grid_node, make_corridor_network, make_grid_network
+from conftest import bpr_time, grid_node, make_corridor_network, make_grid_network
 
 
 def single_route_net(capacity=1000.0):
@@ -236,20 +237,55 @@ def test_zero_seed_entries_stay_zero():
 
 
 def test_lower_level_abort_after_retry():
+    # Three parallel routes: one Frank-Wolfe step moves along a line between
+    # two all-or-nothing loadings and cannot reach the three-way split (with
+    # two routes, that line holds the equilibrium and an exact step finds it).
     net = RoadNetwork(
         [Node(id=0, lat=0.0, lon=0.0), Node(id=1, lat=0.0, lon=0.01)],
-        [
-            Segment(id=0, from_node=0, to_node=1, length=1000.0, free_flow_speed=10.0,
-                    capacity=600.0, road_class="primary"),
-            Segment(id=1, from_node=0, to_node=1, length=1000.0, free_flow_speed=10.0,
-                    capacity=600.0, road_class="primary"),
-        ],
+        [Segment(id=i, from_node=0, to_node=1, length=1000.0, free_flow_speed=10.0,
+                 capacity=600.0, road_class="primary") for i in range(3)],
     )
     tazs = [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=1)]
-    observed = observed_everywhere([120.0, 120.0])
+    observed = observed_everywhere([120.0, 120.0, 120.0])
     with pytest.raises(SolverError):
         estimate_od(net, tazs, observed, {(0, 1): 1500.0}, SpsaParams(max_outer=2),
                     OdSolveParams(ue_tol=1e-12, ue_max_iter=1))
+
+
+def _recording_solve_ue(monkeypatch, results=None):
+    """Record the tol of every lower-level solve; replay ``results`` if given."""
+    tols = []
+
+    def solve(net, demand, tazs, tol, max_iter):
+        tols.append(tol)
+        if results is not None:
+            return results[len(tols) - 1]
+        return solve_ue(net, demand, tazs, tol=tol, max_iter=max_iter)
+
+    monkeypatch.setattr(odestim, "solve_ue", solve)
+    return tols
+
+
+def test_lower_ue_retries_once_at_ten_times_tol_then_raises(monkeypatch, caplog):
+    net, tazs = grid_world()
+    demand = seed_gravity(net, tazs, GravityParams(deterrence_scale=2000.0, total_trips=3000.0))
+    tols = _recording_solve_ue(monkeypatch)
+    with pytest.raises(SolverError, match="failed to converge"):
+        odestim._lower_ue(net, demand, tazs, 1e-9, 1)
+    assert tols == [1e-9, 1e-8]
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "retrying at 1.0e-08" in warnings[0].getMessage()
+
+
+def test_lower_ue_returns_the_converged_retry(monkeypatch, caplog):
+    net, tazs = grid_world()
+    flow = np.zeros(net.n_segments)
+    results = [AssignmentResult(flow, flow, 1e-3, 1, False),
+               AssignmentResult(flow, flow, 1e-5, 7, True)]
+    tols = _recording_solve_ue(monkeypatch, results)
+    assert odestim._lower_ue(net, {(0, 3): 10.0}, tazs, 1e-4, 50) is results[1]
+    assert tols == [1e-4, 1e-3]
+    assert len([r for r in caplog.records if r.levelname == "WARNING"]) == 1
 
 
 def test_estimate_od_validation():
