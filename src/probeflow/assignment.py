@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError, SolverError
-from .network import RoadNetwork, Taz, _dijkstra
+from .network import RoadNetwork, Taz, _settle
 from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -146,9 +146,11 @@ def _all_or_nothing(
 ) -> np.ndarray:
     """Load each OD pair fully onto its minimum-cost path."""
     flows = np.zeros(net.n_segments, dtype=float)
-    weights, seg_from = costs.tolist(), net.seg_from.tolist()
+    n, weights, seg_from = net.n_nodes, costs.tolist(), net.seg_from.tolist()
     for src, dests in origins:
-        dist, pred_seg = _dijkstra(net, weights, src, targets={d for d, _ in dests})
+        dist, pred = [math.inf] * n, [-1] * n
+        dist[src] = 0.0
+        _settle(net, weights, dist, pred, [False] * n, [(0.0, src)], [d for d, _ in dests])
         for dst, rate in dests:
             if not math.isfinite(dist[dst]):
                 raise SolverError(
@@ -156,7 +158,7 @@ def _all_or_nothing(
                 )
             v = dst
             while v != src:
-                j = pred_seg[v]
+                j = pred[v]
                 flows[j] += rate
                 v = seg_from[j]
     return flows

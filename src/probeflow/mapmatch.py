@@ -61,7 +61,7 @@ class MatchParams:
     gap_factor: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.gps_sigma <= 0 or self.nk_beta <= 0 or self.radius <= 0:
+        if not (self.gps_sigma > 0 and self.nk_beta > 0 and self.radius > 0):
             raise InputDataError("gps_sigma, nk_beta, and radius must be positive")
         if self.tt_tau < 0:
             raise InputDataError("tt_tau must be >= 0")
@@ -161,10 +161,10 @@ def _legs(router: Router, seg_a: np.ndarray, off_a: np.ndarray,
     direct = (seg_a[:, None] == seg_b) & (off_b >= off_a[:, None])
     mid_len = np.zeros(direct.shape)
     mid_tt = np.zeros(direct.shape)
-    # Trees only for sources some leg routes through; u == v is the empty route.
+    # Searches only from sources some leg routes through, and only as far
+    # as the next layer's start nodes; u == v is the empty route.
     for a in np.flatnonzero(np.any(~direct & (us[:, None] != vs), axis=1)):
-        tt, length, _ = router.tree(int(us[a]))
-        mid_tt[a], mid_len[a] = tt[vs], length[vs]
+        mid_tt[a], mid_len[a] = router.reach(int(us[a]), vs)
     len_a = net.seg_length[seg_a]
     head = len_a - off_a
     step = off_b - off_a[:, None]
@@ -330,11 +330,8 @@ def match_trace(
     """
     param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
     outs: list[list[MatchedPath]] = [[] for _ in param_sets]
-    cands = [
-        project_to_candidates(net, (float(trace.lats[i]), float(trace.lons[i])),
-                              params.radius, params.max_candidates)
-        for i in range(len(trace))
-    ]
+    cands = project_to_candidates(net, trace.lats, trace.lons, params.radius,
+                                  params.max_candidates)
     for run in _split_points(trace, cands, params):
         layers = [([net.segment_index(c.segment_id) for c in cands[i]], [c.offset for c in cands[i]])
                   for i in run]

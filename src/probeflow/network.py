@@ -10,8 +10,8 @@ Conventions used throughout the package:
 * coordinates are WGS84 degrees, distances are meters, times are seconds
 * every segment is one-directional; a two-way road is two segments with
   swapped endpoints
-* networks are immutable after construction and safe to share across
-  threads
+* networks are immutable after construction; the candidate search
+  grids they cache fill on first use
 * every per-segment value inside the package (times, flows, supports,
   VOCs, weights) is a numpy array of length ``n_segments`` in
   ``net.segments`` order, which is ascending segment id; id-keyed tables
@@ -197,6 +197,8 @@ class RoadNetwork:
         self._out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for j, seg in enumerate(self.segments):
             self._out[self._node_index[seg.from_node]].append((j, int(self.seg_to[j])))
+        # Candidate search grids by radius, built on first use.
+        self._grids: dict[float, _CandidateGrid] = {}
 
         logger.debug("built network: %d nodes, %d segments", n, m)
 
@@ -321,27 +323,124 @@ class Candidate(NamedTuple):
     distance: float
 
 
+class _CandidateGrid(NamedTuple):
+    """Segments bucketed by bounding box into cells of at least one search radius.
+
+    Cell (row, col) spans ``cell_lat`` degrees of latitude from ``lat0``
+    and ``cell_lon`` of longitude from ``lon0``; its key is
+    ``row * n_cols + col``. ``keys`` holds one entry per (segment, cell)
+    pair, ascending, and ``segs`` the segment index of each entry.
+    """
+
+    lat0: float
+    lon0: float
+    cell_lat: float
+    cell_lon: float
+    n_cols: int
+    max_row: int
+    keys: np.ndarray
+    segs: np.ndarray
+
+
+# A grid holds at most this many (segment, cell) entries per segment, plus
+# a constant; a radius small against the segments doubles the cells instead.
+_GRID_ENTRIES_PER_SEGMENT = 64
+
+
+def _candidate_grid(net: RoadNetwork, radius: float) -> _CandidateGrid:
+    """The network's grid for ``radius``, built on first use and kept on the network.
+
+    A cell is ``radius`` meters in latitude. Its longitude size is taken
+    at the largest |lat| a point within ``radius`` of the network can
+    have, where a degree of longitude is shortest, so the 3 x 3 block of
+    cells around a point holds every segment within ``radius`` of it.
+    Each segment's box is widened by a thousandth of a cell so rounding
+    at a cell edge cannot drop it. Doubling the cells keeps the entry
+    count within ``_GRID_ENTRIES_PER_SEGMENT`` per segment and every key
+    within int64.
+    """
+    grid = net._grids.get(radius)
+    if grid is not None:
+        return grid
+    lo_lat = np.minimum(net._seg_alat, net._seg_blat)
+    hi_lat = np.maximum(net._seg_alat, net._seg_blat)
+    lo_lon = np.minimum(net._seg_alon, net._seg_blon)
+    hi_lon = np.maximum(net._seg_alon, net._seg_blon)
+    edge = min(90.0, float(np.max(np.abs(net.node_lat))) + radius / M_PER_DEG_LAT)
+    cos_edge = math.cos(math.radians(edge))
+    size = radius
+    while True:
+        cell_lat = min(180.0, size / M_PER_DEG_LAT)  # 180 degrees: one cell holds all
+        cell_lon = 360.0 if cos_edge <= 0.0 else min(360.0, cell_lat / cos_edge)
+        lat0 = float(np.min(net.node_lat)) - cell_lat
+        lon0 = float(np.min(net.node_lon)) - cell_lon
+        pad_lat, pad_lon = 1e-3 * cell_lat, 1e-3 * cell_lon
+        r0 = np.floor((lo_lat - pad_lat - lat0) / cell_lat).astype(np.int64)
+        r1 = np.floor((hi_lat + pad_lat - lat0) / cell_lat).astype(np.int64)
+        c0 = np.floor((lo_lon - pad_lon - lon0) / cell_lon).astype(np.int64)
+        c1 = np.floor((hi_lon + pad_lon - lon0) / cell_lon).astype(np.int64)
+        n_cols, max_row = int(np.max(c1)) + 2, int(np.max(r1))
+        count = int(np.sum((r1 - r0 + 1) * (c1 - c0 + 1)))
+        if (count <= _GRID_ENTRIES_PER_SEGMENT * net.n_segments + 4096
+                and (max_row + 4) * n_cols < 2**62):
+            break
+        size *= 2.0
+    keys, segs = [], []
+    for j, (a, b, c, d) in enumerate(zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist())):
+        for row in range(a, b + 1):
+            keys.extend(range(row * n_cols + c, row * n_cols + d + 1))
+            segs.extend([j] * (d - c + 1))
+    keys_arr = np.array(keys, dtype=np.int64)
+    order = np.argsort(keys_arr, kind="stable")
+    grid = _CandidateGrid(lat0, lon0, cell_lat, cell_lon, n_cols, max_row, keys_arr[order],
+                          np.array(segs, dtype=np.int64)[order])
+    net._grids[radius] = grid
+    return grid
+
+
 def project_to_candidates(
     net: RoadNetwork,
-    point: tuple[float, float],
+    lats: np.ndarray,
+    lons: np.ndarray,
     radius: float,
     max_candidates: int,
-) -> list[Candidate]:
-    """Nearest-segment candidates for a point, closest first.
+) -> list[list[Candidate]]:
+    """Nearest-segment candidates of each point (lats[i], lons[i]), closest first.
 
-    Projects the point onto every segment (treated as a straight line
-    between its endpoint nodes in a local planar frame) and keeps at most
-    ``max_candidates`` segments within ``radius`` meters. Ties in distance
-    break toward the smaller segment id; the returned offset is clamped to
-    ``[0, length]``.
+    Projects a point onto each segment (treated as a straight line
+    between its endpoint nodes in the local planar frame of the point)
+    and keeps at most ``max_candidates`` segments within ``radius``
+    meters. Ties in distance break toward the smaller segment id; the
+    returned offset is clamped to ``[0, length]``. Only the segments in
+    the 3 x 3 block of grid cells around a point are projected (see
+    ``_candidate_grid``), all points of a call in one batch; each
+    distance and offset is the same float a projection onto every
+    segment would give.
     """
-    if net.n_segments == 0:
-        return []
-    mlat, mlon = meters_per_degree(point[0])
-    ax = (net._seg_alon - point[1]) * mlon
-    ay = (net._seg_alat - point[0]) * mlat
-    bx = (net._seg_blon - point[1]) * mlon
-    by = (net._seg_blat - point[0]) * mlat
+    lats, lons = np.asarray(lats, dtype=float), np.asarray(lons, dtype=float)
+    out: list[list[Candidate]] = [[] for _ in range(len(lats))]
+    if net.n_segments == 0 or not out:
+        return out
+    g = _candidate_grid(net, radius)
+    # Rows and columns far outside the grid hold no entries; clipping them
+    # keeps the keys in range.
+    rows = np.clip(np.floor((lats - g.lat0) / g.cell_lat), -2, g.max_row + 2).astype(np.int64)
+    cols = np.clip(np.floor((lons - g.lon0) / g.cell_lon), -2, g.n_cols + 1).astype(np.int64)
+    row_keys = (rows[:, None] + np.arange(-1, 2)) * g.n_cols
+    lo = np.searchsorted(g.keys, row_keys + np.maximum(cols - 1, 0)[:, None], "left").ravel()
+    hi = np.searchsorted(g.keys, row_keys + np.minimum(cols + 1, g.n_cols - 1)[:, None],
+                         "right").ravel()
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    entry = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+    fix, seg = np.repeat(np.arange(len(lats)).repeat(3), counts), g.segs[entry]
+
+    mlon = np.array([meters_per_degree(lat)[1] for lat in lats.tolist()])[fix]
+    plat, plon = lats[fix], lons[fix]
+    ax = (net._seg_alon[seg] - plon) * mlon
+    ay = (net._seg_alat[seg] - plat) * M_PER_DEG_LAT
+    bx = (net._seg_blon[seg] - plon) * mlon
+    by = (net._seg_blat[seg] - plat) * M_PER_DEG_LAT
     dx = bx - ax
     dy = by - ay
     sq = dx * dx + dy * dy
@@ -354,21 +453,21 @@ def project_to_candidates(
     py = ay + t * dy
     dist = np.hypot(px, py)
 
-    within = np.flatnonzero(dist <= radius)
-    if len(within) == 0:
-        return []
-    # Sort by (distance, segment index); segment index order is id order.
-    order = within[np.lexsort((within, dist[within]))]
-    order = order[:max_candidates]
-    out = []
-    for j in order:
-        out.append(
-            Candidate(
-                segment_id=net.segments[j].id,
-                offset=float(t[j] * net.seg_length[j]),
-                distance=float(dist[j]),
-            )
-        )
+    within = dist <= radius
+    fix, seg, t, dist = fix[within], seg[within], t[within], dist[within]
+    # By point, then (distance, segment index); segment index order is id
+    # order. A segment seen in two cells of a block appears twice, adjacent.
+    order = np.lexsort((seg, dist, fix))
+    fix, seg, t, dist = fix[order], seg[order], t[order], dist[order]
+    keep = np.ones(len(fix), dtype=bool)
+    keep[1:] = (fix[1:] != fix[:-1]) | (seg[1:] != seg[:-1])
+    fix, seg, t, dist = fix[keep], seg[keep], t[keep], dist[keep]
+    rank = np.arange(len(fix)) - np.searchsorted(fix, fix, "left")
+    keep = rank < max_candidates
+    fix, seg, offset, dist = fix[keep], seg[keep], t[keep] * net.seg_length[seg[keep]], dist[keep]
+    segments = net.segments
+    for i, j, off, d in zip(fix.tolist(), seg.tolist(), offset.tolist(), dist.tolist()):
+        out[i].append(Candidate(segments[j].id, off, d))
     return out
 
 
@@ -385,67 +484,104 @@ def position_on_segment(net: RoadNetwork, j: int, offset: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra(
-    net: RoadNetwork,
-    weights: list[float],
-    source: int,
-    targets: set[int] | None = None,
-) -> tuple[list[float], list[int]]:
-    """Single-source Dijkstra over node indices.
+def _settle(net, weights, dist, pred, settled, heap, targets) -> None:
+    """Advance one source's Dijkstra search over node indices.
 
-    ``weights`` is a plain list of per-segment costs in ``net.segments``
-    order (callers convert an array once with ``tolist``, so the loop adds
-    Python floats). Returns (dist, pred_seg) lists indexed by node index;
-    pred_seg holds the incoming segment index on the chosen path (-1 at
-    the source and unreached nodes). Stops early once all ``targets`` are
-    settled.
+    The state maps each node index to its time (``dist``: tentative, and
+    final once the node is settled; inf if unreached), its incoming
+    segment index (``pred``: -1 at the source) and whether it is settled
+    (``settled``), plus the open heap of (time, node). It is either
+    lists over all nodes or the ``_Unreached``/``_Unsettled`` dicts. A
+    fresh search holds the source at time 0 in ``dist`` and on the heap.
+    Nodes settle, and their out-segments are relaxed, until every node of
+    ``targets`` is settled or the heap runs out (``targets`` None: until
+    it runs out); a later call resumes where this one stopped, so a
+    search run in pieces equals one run to the end. ``weights`` is a
+    plain list of per-segment costs in ``net.segments`` order (callers
+    convert an array once with ``tolist``, so the loop adds Python floats).
 
     Tie-breaking makes the result unique: among equal-cost paths into a
     node the one whose incoming segment id is smallest wins, applied at
     every node along the way. Segments are sorted by id, so ties compare
     segment indices. Because segment ids are compared from the destination
     backwards, the selected path is the reverse-lexicographic smallest
-    among all minimum-cost paths; every weight must be positive.
+    among all minimum-cost paths; every weight must be positive, which
+    also makes a node's time and incoming segment final when it settles.
     """
-    n = net.n_nodes
-    dist: list[float] = [math.inf] * n
-    pred_seg: list[int] = [-1] * n
-    settled = [False] * n
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    remaining = set(targets) if targets is not None else None
+    remaining = None if targets is None else {v for v in targets if not settled[v]}
+    if remaining is not None and not remaining:
+        return
     out = net._out
     heappop, heappush = heapq.heappop, heapq.heappush
-
     while heap:
         d, u = heappop(heap)
         if settled[u]:
             continue
         settled[u] = True
-        if remaining is not None:
-            remaining.discard(u)
-            if not remaining:
-                break
         for j, v in out[u]:
             nd = d + weights[j]
             if nd < dist[v]:
                 dist[v] = nd
-                pred_seg[v] = j
+                pred[v] = j
                 heappush(heap, (nd, v))
-            elif nd == dist[v] and not settled[v] and j < pred_seg[v]:
+            elif nd == dist[v] and not settled[v] and j < pred[v]:
                 # Equal cost: prefer the smaller incoming segment id.
-                pred_seg[v] = j
-    return dist, pred_seg
+                pred[v] = j
+        if remaining is not None and u in remaining:
+            remaining.remove(u)
+            if not remaining:
+                return
+
+
+class _Unreached(dict):
+    """Node -> time of a search that has reached few nodes; inf for the rest."""
+
+    def __missing__(self, node: int) -> float:
+        return math.inf
+
+
+class _Unsettled(dict):
+    """Node -> True for the settled nodes of a search; False for the rest."""
+
+    def __missing__(self, node: int) -> bool:
+        return False
+
+
+class _Tree:
+    """One source's search state in a ``Router``.
+
+    While open, ``dist``, ``pred`` and ``settled`` are the dicts of
+    ``_settle``, ``length`` holds the route lengths worked out so far,
+    and ``heap`` the open search. Once packed, ``dist`` and ``length``
+    are arrays and ``pred`` a list over every node (inf, inf and -1
+    where unreachable), and ``settled`` and ``heap`` are None.
+    """
+
+    __slots__ = ("dist", "pred", "settled", "length", "heap")
+
+    def __init__(self, source: int) -> None:
+        self.dist: dict[int, float] | np.ndarray = _Unreached({source: 0.0})
+        self.pred: dict[int, int] | list[int] = {source: -1}
+        self.settled: dict[int, bool] | None = _Unsettled()
+        self.length: dict[int, float] | np.ndarray = {source: 0.0}
+        self.heap: list[tuple[float, int]] | None = [(0.0, source)]
 
 
 class Router:
-    """Fastest-path trees under a fixed travel-time vector, cached per source node.
+    """Fastest routes under a fixed travel-time vector, searched only as far as asked.
 
     Built once per travel-time vector and shared by every query under it
-    (a batch of traces to match, or one scenario's trips). Each distinct
-    source node costs one full Dijkstra; every later query from it reads
-    the cached tree. Memory grows with (distinct sources) x (nodes), which
-    is fine at the network sizes this package targets.
+    (a batch of traces to match, or one scenario's trips). Each source
+    node keeps its Dijkstra search (see ``_settle``): a query settles
+    nodes until its targets are settled, and a later query from the same
+    source resumes the search. Times, routes and lengths equal those of
+    a search run over the whole network, bit for bit.
+
+    Memory grows with the nodes settled, not with (sources) x (nodes):
+    an open search holds dicts over the nodes it has reached. A search
+    that settles half the network, or runs out of nodes to settle, is run
+    to the end and packed into arrays over the network's nodes, which
+    cost less than the dicts from that size on.
     """
 
     def __init__(self, net: RoadNetwork, times: np.ndarray) -> None:
@@ -461,39 +597,65 @@ class Router:
         self.times = times
         self._weights = times.tolist()
         self._seg_from, self._seg_length = net.seg_from.tolist(), net.seg_length.tolist()
-        self._trees: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+        self._trees: dict[int, _Tree] = {}
 
-    def tree(self, u: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """(time, length, incoming segment index) of the fastest route to every node from u.
-
-        Time and length are inf at unreachable nodes, whose incoming
-        segment is -1 (as is u's). Lengths add up segment by segment from
-        u, so a route's length is the left-to-right sum of its segments.
-        """
+    def _search(self, u: int, targets: list[int]) -> _Tree:
+        """u's tree with every node of ``targets`` settled, or packed."""
         tree = self._trees.get(u)
         if tree is None:
-            dist, pred = _dijkstra(self.net, self._weights, u)
-            time = np.array(dist)
-            length = [math.inf] * len(dist)
-            length[u] = 0.0
-            seg_from, seg_length = self._seg_from, self._seg_length
-            # Weights are positive, so every node comes after its predecessor.
-            for w in np.argsort(time).tolist():
-                j = pred[w]
-                if j >= 0:
-                    length[w] = length[seg_from[j]] + seg_length[j]
-            tree = self._trees[u] = (time, np.array(length), pred)
+            tree = self._trees[u] = _Tree(u)
+        if tree.heap is not None:
+            _settle(self.net, self._weights, tree.dist, tree.pred, tree.settled, tree.heap,
+                    targets)
+            if not tree.heap or 2 * len(tree.settled) >= self.net.n_nodes:
+                self._pack(tree)
         return tree
+
+    def _pack(self, tree: _Tree) -> None:
+        _settle(self.net, self._weights, tree.dist, tree.pred, tree.settled, tree.heap, None)
+        n = self.net.n_nodes
+        dist, pred, length = [math.inf] * n, [-1] * n, [math.inf] * n
+        settled = list(tree.settled)
+        for v, d in zip(settled, self._lengths(tree, settled)):
+            dist[v], pred[v], length[v] = tree.dist[v], tree.pred[v], d
+        tree.dist, tree.pred, tree.length = np.array(dist), pred, np.array(length)
+        tree.settled = tree.heap = None
+
+    def _lengths(self, tree: _Tree, nodes: list[int]) -> list[float]:
+        """Lengths of the routes to settled nodes, added up segment by segment from the source."""
+        length, pred, seg_from, seg_length = tree.length, tree.pred, self._seg_from, self._seg_length
+        for v in nodes:
+            path = []
+            while v not in length:
+                path.append(v)
+                v = seg_from[pred[v]]
+            for w in reversed(path):
+                j = pred[w]
+                length[w] = length[seg_from[j]] + seg_length[j]
+        return [length[v] for v in nodes]
+
+    def reach(self, u: int, nodes: np.ndarray) -> tuple[list[float] | np.ndarray, ...]:
+        """(times, lengths) of the fastest routes from node index u to each of ``nodes``.
+
+        ``nodes`` is an integer array of node indices. Both results are
+        inf at unreachable nodes. Lengths add up segment by segment from
+        u, so a route's length is the left-to-right sum of its segments.
+        """
+        targets = nodes.tolist()
+        tree = self._search(u, targets)
+        if tree.heap is None:
+            return tree.dist[nodes], tree.length[nodes]
+        return [tree.dist[v] for v in targets], self._lengths(tree, targets)
 
     def route(self, u: int, v: int) -> tuple[int, ...] | None:
         """Segment ids of the fastest route between node indices.
 
         Returns () for u == v and None when v is unreachable. Deterministic
-        under cost ties (see ``_dijkstra``).
+        under cost ties (see ``_settle``).
         """
         if u == v:
             return ()
-        pred = self.tree(u)[2]
+        pred = self._search(u, [v]).pred
         if pred[v] < 0:
             return None
         segments, ids = self.net.segments, []
@@ -502,6 +664,11 @@ class Router:
             ids.append(segments[j].id)
             v = self._seg_from[j]
         return tuple(reversed(ids))
+
+    def settled(self) -> int:
+        """Nodes settled so far, summed over the sources searched."""
+        return sum(len(t.settled) if t.heap is not None
+                   else int(np.count_nonzero(np.isfinite(t.dist))) for t in self._trees.values())
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,17 @@ level adjusts the demand so the assigned times fit the observed ones,
 The upper level runs SPSA over log-demand: each outer iteration perturbs
 every entry by +-c_k in log space with independent Rademacher signs and
 estimates the gradient from two equilibrium solves, whatever the matrix
-dimension. Log space keeps every iterate strictly positive. The step
-scale is calibrated on the first gradient estimate, so a0 is the typical
-log-demand movement of the first step rather than a problem-specific
-constant, and no single step may move any entry by more than
-max_log_step (gradient magnitudes can swing by orders of magnitude when
-congestion is light, and an uncapped step would send exp(theta) out of
-float range). Every fifth iterate is evaluated exactly and the best
-recorded one is returned, a final equilibrium solve included; the seed
-is record zero, so the result can never be worse than not estimating at
-all.
+dimension; an iteration whose two objectives differ only at rounding
+level takes no step. Log space keeps every iterate strictly positive.
+The step scale is calibrated on the first gradient estimate above
+rounding level, so a0 is the typical log-demand movement of the first
+step rather than a problem-specific constant, and no single step may
+move any entry by more than max_log_step (gradient magnitudes can swing
+by orders of magnitude when congestion is light, and an uncapped step
+would send exp(theta) out of float range). Every fifth iterate is
+evaluated exactly and the best recorded one is returned, a final
+equilibrium solve included; the seed is record zero, so the result can
+never be worse than not estimating at all.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ from .ttinfer import SegmentTimeEstimate
 logger = logging.getLogger(__name__)
 
 _RECORD_EVERY = 5
+
+_EPS = float(np.finfo(float).eps)
+
+# An SPSA difference f(theta + c*delta) - f(theta - c*delta) is signal only
+# above this many times the two objectives' summed rounding levels; the
+# assigned times carry a few ulps of the equilibrium solve's rounding.
+_ROUNDING_MARGIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,20 @@ def upper_objective(
     weight_by_support: bool = False,
 ) -> float:
     """Time-fit error over observed segments plus seed regularization."""
+    return _objective(assigned, observed, demand, seed, mu, weight_by_support)[0]
+
+
+def _objective(assigned, observed, demand, seed, mu, weight_by_support) -> tuple[float, float]:
+    """(``upper_objective``, its rounding level).
+
+    The rounding level is the first-order change of the objective when
+    every time and demand entry it reads moves by one unit in the last
+    place: eps * sum of |d term / d input| * |input|. Two objectives
+    closer than a few times this level differ by rounding alone.
+    """
     num = 0.0
     den = 0.0
+    level = 0.0
     # One term at a time in segment order: np.sum's pairwise summation
     # would change the last bits of the objective, and with them every
     # SPSA step and every written artifact.
@@ -156,17 +176,20 @@ def upper_objective(
         r = t_assigned - t_observed
         num += w * r * r
         den += w
+        level += 2.0 * w * abs(r) * (abs(t_assigned) + abs(t_observed))
     if den == 0.0:
         raise InputDataError("objective needs at least one observed segment")
-    fit = num / den
+    fit, level = num / den, _EPS * level / den
     if mu == 0.0:
-        return fit
+        return fit, level
     keys = sorted(set(demand) | set(seed))
     dev = math.fsum((demand.get(k, 0.0) - seed.get(k, 0.0)) ** 2 for k in keys)
     norm = math.fsum(v * v for _, v in sorted(seed.items()))
     if norm == 0.0:
         raise InputDataError("seed demand is all zero")
-    return fit + mu * dev / norm
+    dev_level = math.fsum(2.0 * abs(demand.get(k, 0.0) - seed.get(k, 0.0))
+                          * (abs(demand.get(k, 0.0)) + abs(seed.get(k, 0.0))) for k in keys)
+    return fit + mu * dev / norm, level + _EPS * mu * dev_level / norm
 
 
 def _lower_ue(net, demand, tazs, tol, max_iter) -> AssignmentResult:
@@ -215,34 +238,37 @@ def estimate_od(
         assert all(v >= 0 for v in d.values())
         return d
 
-    def evaluate(demand: DemandMatrix) -> float:
+    def evaluate(demand: DemandMatrix) -> tuple[float, float]:
         res = _lower_ue(net, demand, tazs, od.ue_tol, od.ue_max_iter)
-        return upper_objective(res, observed, demand, seed, spsa.mu, od.weight_by_support)
+        return _objective(res, observed, demand, seed, spsa.mu, od.weight_by_support)
 
     rng = np.random.default_rng(rng_seed)
     theta = np.log(np.array([seed[k] for k in keys]))
-    records = [ObjectiveRecord(0, evaluate(seed))]
+    records = [ObjectiveRecord(0, evaluate(seed)[0])]
     best_obj, best_demand = records[0].objective, dict(seed)
     a_eff: float | None = None
 
     for k in range(1, spsa.max_outer + 1):
         ck = spsa.c0 / k**spsa.gamma_decay
         delta = rng.choice([-1.0, 1.0], size=len(keys))
-        f_plus = evaluate(demand_of(theta + ck * delta))
-        f_minus = evaluate(demand_of(theta - ck * delta))
-        ghat = (f_plus - f_minus) / (2.0 * ck) * delta
-        if a_eff is None:
-            rms = float(np.sqrt(np.mean(ghat * ghat)))
-            a_eff = spsa.a0 / max(rms, 1e-12)
-        ak = a_eff / k**spsa.alpha_decay
-        step = ak * ghat
-        size = float(np.max(np.abs(step)))
-        if size > spsa.max_log_step:
-            step *= spsa.max_log_step / size
-        theta = theta - step
+        f_plus, level_plus = evaluate(demand_of(theta + ck * delta))
+        f_minus, level_minus = evaluate(demand_of(theta - ck * delta))
+        # A difference at rounding level has no direction: a step on it, or
+        # a gain calibrated on it, would be set by rounding alone.
+        if abs(f_plus - f_minus) > _ROUNDING_MARGIN * (level_plus + level_minus):
+            ghat = (f_plus - f_minus) / (2.0 * ck) * delta
+            if a_eff is None:
+                rms = float(np.sqrt(np.mean(ghat * ghat)))
+                a_eff = spsa.a0 / max(rms, 1e-12)
+            ak = a_eff / k**spsa.alpha_decay
+            step = ak * ghat
+            size = float(np.max(np.abs(step)))
+            if size > spsa.max_log_step:
+                step *= spsa.max_log_step / size
+            theta = theta - step
         if k % _RECORD_EVERY == 0 or k == spsa.max_outer:
             demand = demand_of(theta)
-            obj = evaluate(demand)
+            obj = evaluate(demand)[0]
             records.append(ObjectiveRecord(k, obj))
             if obj < best_obj:
                 best_obj, best_demand = obj, demand

@@ -107,7 +107,7 @@ def simulate_trip(
     """Route one vehicle on the scenario's fastest path at its fixed times.
 
     ``router`` holds the scenario's times; the trips of one scenario share
-    it, so each origin costs one Dijkstra tree.
+    it, so each origin costs one search, grown as far as its trips reach.
     """
     path = router.route(net.node_index(origin.centroid_node), net.node_index(dest.centroid_node))
     if path is None:

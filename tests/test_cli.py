@@ -415,15 +415,17 @@ def test_gen_traces_on_zero_truth_time_exits_2_naming_it(world, tmp_path, capsys
 
 
 def test_gen_traces_builds_one_tree_per_scenario_and_origin(world, tmp_path, monkeypatch):
-    """The trips of one scenario share a router, so each origin costs one Dijkstra."""
+    """The trips of one scenario share a router, so each origin starts one search tree."""
     calls = []
-    dijkstra = network._dijkstra
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return dijkstra(*args, **kwargs)
+    class Counted(network._Tree):
+        __slots__ = ()
 
-    monkeypatch.setattr(network, "_dijkstra", counted)
+        def __init__(self, source):
+            calls.append(source)
+            super().__init__(source)
+
+    monkeypatch.setattr(network, "_Tree", Counted)
     out = tmp_path / "gen"
     assert main(["gen-traces", "--config", world.cfg, "--out-dir", str(out),
                  "--truth-dir", str(world.gen)]) == 0
@@ -451,9 +453,9 @@ def test_pipeline_matches_under_free_flow_once(world, tmp_path, monkeypatch):
     calls = []
     search = mapmatch.project_to_candidates
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return search(*args, **kwargs)
+    def counted(net, lats, lons, *args, **kwargs):
+        calls.append(len(lats))
+        return search(net, lats, lons, *args, **kwargs)
 
     monkeypatch.setattr(mapmatch, "project_to_candidates", counted)
     out = tmp_path / "pipe"
@@ -461,7 +463,7 @@ def test_pipeline_matches_under_free_flow_once(world, tmp_path, monkeypatch):
     passes = len(list(read_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS)))
     points = sum(len(trace) for trace in read_traces(world.paths["traces"]))
     assert passes >= 1 and points > 0
-    assert len(calls) == passes * points
+    assert sum(calls) == passes * points
 
 
 def test_pipeline_equals_split_run(world, tmp_path):

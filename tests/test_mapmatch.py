@@ -106,6 +106,8 @@ def test_match_params_validation():
         MatchParams(max_candidates=0)
     with pytest.raises(InputDataError):
         MatchParams(gap_factor=0.0)
+    with pytest.raises(InputDataError):
+        MatchParams(radius=math.nan)  # would make every candidate grid key undefined
 
 
 def test_gps_trace_validation():
@@ -453,16 +455,51 @@ def test_router_tree_and_route():
     with pytest.raises(InputDataError):
         Router(net, np.array([1.0, 0.0, 1.0]))
     router = Router(net, np.full(3, 20.0))
-    time, length, pred = router.tree(0)
-    assert time.tolist() == [0.0, 20.0, 40.0, 60.0]
-    assert length.tolist() == [0.0, 200.0, 400.0, 600.0]
-    assert list(pred) == [-1, 0, 1, 2]
-    assert router.tree(0) is router.tree(0)  # cached
+    nodes = np.arange(4)
+    time, length = router.reach(0, nodes)
+    assert list(time) == [0.0, 20.0, 40.0, 60.0]
+    assert list(length) == [0.0, 200.0, 400.0, 600.0]
+    settled = router.settled()
+    router.reach(0, nodes)
+    assert router.settled() == settled  # a repeated query settles no new node
     assert router.route(0, 0) == ()
+    assert router.route(0, 1) == (0,)
     assert router.route(0, 3) == (0, 1, 2)
     assert router.route(3, 0) is None
-    time, length, pred = router.tree(3)
-    assert math.isinf(time[0]) and math.isinf(length[0]) and pred[0] == -1
+    time, length = router.reach(3, nodes)
+    assert math.isinf(time[0]) and math.isinf(length[0])
+
+
+def test_router_repeated_query_settles_no_new_node():
+    net = make_grid_network(9, 9, spacing=200.0)
+    router = Router(net, net.seg_fft)
+    first = router.reach(40, np.array([41, 31]))
+    settled = router.settled()
+    assert 0 < settled < net.n_nodes // 2  # the search stopped early
+    again = router.reach(40, np.array([31, 41]))
+    assert router.settled() == settled
+    assert list(again[0]) == list(first[0])[::-1] and list(again[1]) == list(first[1])[::-1]
+
+
+def test_matching_a_short_trace_settles_few_nodes():
+    """The searches of a short trace stay near it: a count of settled nodes, not a timing.
+
+    Full trees would settle all 900 nodes from every source the trace's
+    legs route from; matching this 5-segment trip settles under 5% of that.
+    """
+    net = make_grid_network(30, 30, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
+    route = free_flow_router(net).route(net.node_index(460), net.node_index(523))
+    truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
+                                flow=np.zeros(net.n_segments))
+    trip = with_times(TruthTrip(vehicle_id=1, departure=0.0, path=list(route),
+                                entry_times=None), net, truth)
+    trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=15.0, gps_sigma=5.0),
+                         rng_seed=2)
+    router = free_flow_router(net)
+    assert match_trace(net, trace, router)
+    full = len(router._trees) * net.n_nodes
+    assert len(router._trees) >= 5
+    assert router.settled() < 0.05 * full
 
 
 def test_router_tree_length_is_running_sum_of_route():
@@ -470,13 +507,15 @@ def test_router_tree_length_is_running_sum_of_route():
     router = Router(net, net.seg_fft)
     longest = 0
     for u in (0, 24, 48):
-        _, length, _ = router.tree(u)
+        # One node per query: the search grows query by query, and is
+        # packed once it has settled half the network.
         for v in range(net.n_nodes):
+            length = router.reach(u, np.array([v]))[1][0]
             route = router.route(u, v)
             total = 0.0
             for sid in route:
                 total += net.segment_by_id(sid).length
-            assert length[v] == total
+            assert length == total
             longest = max(longest, len(route))
     assert longest >= 8
 

@@ -31,6 +31,7 @@ from probeflow.network import (
     write_network,
     write_tazs,
 )
+from probeflow.network import _candidate_grid
 from probeflow.tables import fmt_float
 
 from conftest import make_grid_network
@@ -204,6 +205,10 @@ def _random_net(rng):
     return RoadNetwork(nodes, segs), edges
 
 
+def _time(router: Router, u: int, v: int) -> float:
+    return float(router.reach(u, np.array([v]))[0][0])
+
+
 def test_shortest_path_against_enumeration():
     # Integer-valued weights force genuine cost ties; the oracle picks the
     # minimum-cost path whose reversed segment-id tuple is smallest.
@@ -220,7 +225,7 @@ def test_shortest_path_against_enumeration():
         for src in range(7):
             for dst in range(7):
                 got = router.route(src, dst)
-                cost = router.tree(src)[0][dst]
+                cost = _time(router, src, dst)
                 paths = list(_all_simple_paths(7, out_edges, src, dst))
                 if src == dst:
                     assert got == () and cost == 0.0
@@ -268,7 +273,7 @@ def test_shortest_path_is_reverse_lexicographic_minimum(graph):
 
     router = Router(net, weights)
     u, v = net.node_index(10 * src + 3), net.node_index(10 * dst + 3)
-    got, cost = router.route(u, v), router.tree(u)[0][v]
+    got, cost = router.route(u, v), _time(router, u, v)
     if src == dst:
         assert got == () and cost == 0.0
         return
@@ -301,16 +306,211 @@ def test_shortest_path_rejects_bad_weights():
 def test_shortest_path_on_grid():
     net = make_grid_network(4, 4, spacing=100.0)
     router = Router(net, net.seg_fft)
-    path, cost = router.route(0, 15), router.tree(0)[0][15]
+    path, cost = router.route(0, 15), _time(router, 0, 15)
     assert path is not None
     assert len(path) == 6  # 3 east + 3 north in some order
     total = sum(net.segment_by_id(s).free_flow_time for s in path)
     assert abs(total - cost) < 1e-12
 
 
+def _full_tree_oracle(net: RoadNetwork, weights: list[float], u: int):
+    """Every node's (time, length, route) from u by a full, heap-free Dijkstra.
+
+    Settles the unsettled node of smallest (time, index) each round, which
+    is the order a binary heap of (time, node) pops; among equal-cost
+    predecessors the smaller segment index wins. Times and lengths are
+    left-to-right sums along each route; unreachable nodes get
+    (inf, inf, None).
+    """
+    n = net.n_nodes
+    dist, pred, settled = [math.inf] * n, [-1] * n, [False] * n
+    dist[u] = 0.0
+    while True:
+        open_nodes = [(dist[v], v) for v in range(n) if not settled[v] and dist[v] < math.inf]
+        if not open_nodes:
+            break
+        d, w = min(open_nodes)
+        settled[w] = True
+        for j in range(net.n_segments):
+            if net.seg_from[j] != w:
+                continue
+            v, nd = int(net.seg_to[j]), d + weights[j]
+            if nd < dist[v] or (nd == dist[v] and not settled[v] and j < pred[v]):
+                dist[v], pred[v] = nd, j
+    out = []
+    for v in range(n):
+        if not settled[v]:
+            out.append((math.inf, math.inf, None))
+            continue
+        route, w = [], v
+        while w != u:
+            route.append(pred[w])
+            w = int(net.seg_from[pred[w]])
+        route.reverse()
+        time = length = 0.0
+        for j in route:
+            time += weights[j]
+            length += float(net.seg_length[j])
+        out.append((time, length, tuple(net.segments[j].id for j in route)))
+    return out
+
+
+@st.composite
+def _tied_grid_queries(draw):
+    """A grid with weights in 1..3, some segments dropped, and a query sequence."""
+    nx, ny = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    net = make_grid_network(nx, ny, spacing=100.0, jitter=10.0, jitter_seed=draw(st.integers(0, 9)))
+    if draw(st.booleans()):
+        # Dropping segments leaves some nodes unreachable from others.
+        keep = draw(st.lists(st.booleans(), min_size=net.n_segments, max_size=net.n_segments))
+        net = RoadNetwork(net.nodes.values(), [s for s, k in zip(net.segments, keep) if k])
+    weights = [float(w) for w in draw(st.lists(st.integers(1, 3), min_size=net.n_segments,
+                                               max_size=net.n_segments))]
+    node = st.integers(0, net.n_nodes - 1)
+    queries = draw(st.lists(st.tuples(st.sampled_from(["reach", "route"]), st.integers(0, 2).map(
+        lambda k: k * net.n_nodes // 3), st.lists(node, min_size=1, max_size=4)), max_size=12))
+    return net, weights, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_grid_queries())
+def test_query_bounded_trees_equal_full_trees(case):
+    # Queries from a few sources in any order resume each search where the
+    # last one stopped; every answer equals the full tree's, bit for bit.
+    net, weights, queries = case
+    router = Router(net, np.array(weights))
+    oracles = {}
+    for kind, u, targets in queries:
+        full = oracles.setdefault(u, _full_tree_oracle(net, weights, u))
+        if kind == "route":
+            for v in targets:
+                assert router.route(u, v) == full[v][2]
+            continue
+        time, length = router.reach(u, np.array(targets))
+        assert [float(x) for x in time] == [full[v][0] for v in targets]
+        assert [float(x) for x in length] == [full[v][1] for v in targets]
+
+
+def test_router_packs_a_search_that_settles_half_the_network():
+    net = make_grid_network(6, 6, spacing=100.0)
+    router = Router(net, net.seg_fft)
+    far = net.n_nodes - 1
+    time, length = router.reach(0, np.array([far]))
+    assert router.settled() == net.n_nodes  # finished and packed
+    full = _full_tree_oracle(net, net.seg_fft.tolist(), 0)
+    assert (float(time[0]), float(length[0])) == full[far][:2]
+    assert router.route(0, far) == full[far][2]
+
+
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
+
+
+def _scan_candidates(net: RoadNetwork, point: tuple[float, float], radius: float,
+                     max_candidates: int) -> list[Candidate]:
+    """Linear-scan oracle: project the point onto every segment.
+
+    Keeps at most ``max_candidates`` segments within ``radius``, ordered
+    by (distance, segment index), with the same elementwise floats as
+    ``project_to_candidates``.
+    """
+    mlat, mlon = meters_per_degree(point[0])
+    alat, alon = net.node_lat[net.seg_from], net.node_lon[net.seg_from]
+    blat, blon = net.node_lat[net.seg_to], net.node_lon[net.seg_to]
+    ax = (alon - point[1]) * mlon
+    ay = (alat - point[0]) * mlat
+    bx = (blon - point[1]) * mlon
+    by = (blat - point[0]) * mlat
+    dx = bx - ax
+    dy = by - ay
+    sq = dx * dx + dy * dy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(sq > 0.0, -(ax * dx + ay * dy) / np.where(sq > 0.0, sq, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    dist = np.hypot(ax + t * dx, ay + t * dy)
+    within = np.flatnonzero(dist <= radius)
+    order = within[np.lexsort((within, dist[within]))][:max_candidates]
+    return [Candidate(net.segments[j].id, float(t[j] * net.seg_length[j]), float(dist[j]))
+            for j in order]
+
+
+@st.composite
+def _scattered_networks(draw):
+    """Nodes on a coarse lattice anywhere up to 80 degrees from the equator.
+
+    Nodes may share a position, so some segments have coincident ends.
+    """
+    lat0, lon0 = draw(st.floats(-80.0, 80.0)), draw(st.floats(-170.0, 170.0))
+    step = draw(st.sampled_from([7.5, 40.0, 150.0]))
+    cells = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                          min_size=2, max_size=9))
+    mlat, mlon = meters_per_degree(lat0)
+    nodes = [Node(i, lat0 + y * step / mlat, lon0 + x * step / mlon)
+             for i, (x, y) in enumerate(cells)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(nodes) - 1),
+                                    st.integers(0, len(nodes) - 1)), min_size=1, max_size=14))
+    segs = [Segment(sid, a, b, max(1.0, haversine((nodes[a].lat, nodes[a].lon),
+                                                  (nodes[b].lat, nodes[b].lon))), 10.0, 1000.0,
+                    "other")
+            for sid, (a, b) in enumerate(p for p in pairs if p[0] != p[1])]
+    return RoadNetwork(nodes, segs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=_scattered_networks(), radius=st.floats(1.0, 12000.0),
+       max_candidates=st.integers(1, 10), data=st.data())
+def test_grid_candidates_equal_linear_scan(net, radius, max_candidates, data):
+    # Fixes near nodes, and fixes exactly on grid cell corners near them;
+    # the largest radii exceed the whole network.
+    if net.n_segments == 0:
+        return
+    grid = _candidate_grid(net, radius)
+    points = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        node = net.nodes[data.draw(st.sampled_from(net.node_ids()))]
+        mlat, mlon = meters_per_degree(node.lat)
+        if data.draw(st.booleans()):
+            dy, dx = data.draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+            points.append((node.lat + dy * radius / mlat, node.lon + dx * radius / mlon))
+        else:
+            row = math.floor((node.lat - grid.lat0) / grid.cell_lat) + data.draw(st.integers(-2, 2))
+            col = math.floor((node.lon - grid.lon0) / grid.cell_lon) + data.draw(st.integers(-2, 2))
+            points.append((grid.lat0 + row * grid.cell_lat, grid.lon0 + col * grid.cell_lon))
+    points = [(min(max(lat, -90.0), 90.0), min(max(lon, -180.0), 180.0)) for lat, lon in points]
+    got = project_to_candidates(net, [p[0] for p in points], [p[1] for p in points], radius,
+                                max_candidates)
+    assert got == [_scan_candidates(net, p, radius, max_candidates) for p in points]
+
+
+def test_grid_candidates_exactly_one_radius_across_cell_edges():
+    # East-west segments one cell apart and fixes one cell north of each,
+    # so every fix is one radius from a segment and sits on a cell edge,
+    # up to rounding in either direction.
+    radius = 25.0
+    step = radius / M_PER_DEG_LAT
+    for lat_base in (0.0, 37.7, -61.3, 79.9):
+        nodes = [Node(2 * i + k, lat_base + i * step, 0.001 * k) for i in range(60) for k in (0, 1)]
+        segs = [Segment(i, 2 * i, 2 * i + 1, 100.0, 10.0, 1000.0, "other") for i in range(60)]
+        net = RoadNetwork(nodes, segs)
+        lats = [lat_base + (i + 1) * step for i in range(60)]
+        got = project_to_candidates(net, lats, [0.0005] * 60, radius, 8)
+        assert got == [_scan_candidates(net, (lat, 0.0005), radius, 8) for lat in lats]
+
+
+def test_grid_candidates_of_an_empty_batch_a_distant_fix_and_an_infinite_radius():
+    net = make_grid_network(3, 3, spacing=100.0)
+    assert project_to_candidates(net, [], [], 50.0, 8) == []
+    assert project_to_candidates(net, [-60.0], [170.0], 50.0, 8) == [[]]
+    far = [(-60.0, 170.0), (89.0, -179.0)]
+    got = project_to_candidates(net, [p[0] for p in far], [p[1] for p in far], math.inf, 30)
+    assert got == [_scan_candidates(net, p, math.inf, 30) for p in far]
+    assert all(len(cands) == net.n_segments for cands in got)
+
+
+def _project(net, point, radius, max_candidates):
+    """Candidates of one point."""
+    return project_to_candidates(net, [point[0]], [point[1]], radius, max_candidates)[0]
 
 
 def _equator_net():
@@ -326,7 +526,7 @@ def _equator_net():
 def test_project_midpoint():
     net = _equator_net()
     length = net.segment_by_id(0).length
-    cands = project_to_candidates(net, (0.0001, 0.0005), radius=50.0, max_candidates=8)
+    cands = _project(net, (0.0001, 0.0005), radius=50.0, max_candidates=8)
     assert [c.segment_id for c in cands] == [0, 1]
     c0 = cands[0]
     # Midpoint projection: offset is half the length; the perpendicular
@@ -340,17 +540,17 @@ def test_project_midpoint():
 def test_project_clamps_to_endpoints():
     net = _equator_net()
     length = net.segment_by_id(0).length
-    cands = project_to_candidates(net, (0.0, 0.002), radius=500.0, max_candidates=1)
+    cands = _project(net, (0.0, 0.002), radius=500.0, max_candidates=1)
     assert cands[0].segment_id in (0, 1)
-    got = next(c for c in project_to_candidates(net, (0.0, 0.002), 500.0, 8) if c.segment_id == 0)
+    got = next(c for c in _project(net, (0.0, 0.002), 500.0, 8) if c.segment_id == 0)
     assert got.offset == length
     assert abs(got.distance - 0.001 * M_PER_DEG_LAT) < 1e-3
 
 
 def test_project_radius_and_cap():
     net = _equator_net()
-    assert project_to_candidates(net, (0.5, 0.5), radius=50.0, max_candidates=8) == []
-    cands = project_to_candidates(net, (0.00005, 0.0005), radius=1000.0, max_candidates=2)
+    assert _project(net, (0.5, 0.5), radius=50.0, max_candidates=8) == []
+    cands = _project(net, (0.00005, 0.0005), radius=1000.0, max_candidates=2)
     assert len(cands) == 2
     assert cands[0].distance <= cands[1].distance
     assert isinstance(cands[0], Candidate)

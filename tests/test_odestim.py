@@ -188,6 +188,49 @@ def test_seed_is_returned_when_already_optimal():
     assert min(r.objective for r in est.objective_trace) == 0.0
 
 
+def _two_way_road():
+    """One road as two mirror-image segments: A to B and B to A."""
+    net = RoadNetwork(
+        [Node(id=0, lat=0.0, lon=0.0), Node(id=1, lat=0.0, lon=0.01)],
+        [Segment(id=sid, from_node=a, to_node=b, length=1000.0, free_flow_speed=20.0,
+                 capacity=1000.0, road_class="primary")
+         for sid, (a, b) in enumerate([(0, 1), (1, 0)])],
+    )
+    return net, [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=1)]
+
+
+def test_spsa_ignores_a_difference_at_rounding_level(monkeypatch):
+    """A mirror-image perturbation of a mirror-symmetric problem moves nothing.
+
+    The first perturbation raises one direction's demand and lowers the
+    other's, so f(theta + c*delta) and f(theta - c*delta) are equal but
+    for rounding. Nudging every other objective by one ulp must not
+    change the estimate: no step is taken on such a difference, and the
+    gain is calibrated on the first real one.
+    """
+    net, tazs = _two_way_road()
+    observed = observed_everywhere([bpr_time(50.0, 1000.0, 1300.0)] * 2)
+    seed = {(0, 1): 1000.0, (1, 0): 1000.0}
+    rng_seed = 1
+    first = np.random.default_rng(rng_seed).choice([-1.0, 1.0], size=2)
+    assert first[0] == -first[1]  # the first perturbation is a mirror image
+    spsa = SpsaParams(max_outer=10, mu=0.0)
+    plain = estimate_od(net, tazs, observed, seed, spsa, rng_seed=rng_seed)
+
+    objective, calls = odestim._objective, []
+
+    def nudged(*args):
+        value, level = objective(*args)
+        calls.append(None)
+        return (np.nextafter(value, math.inf) if len(calls) % 2 else value), level
+
+    monkeypatch.setattr(odestim, "_objective", nudged)
+    est = estimate_od(net, tazs, observed, seed, spsa, rng_seed=rng_seed)
+    assert est.demand == plain.demand
+    assert est.demand[(0, 1)] == est.demand[(1, 0)]
+    assert est.demand != seed  # the symmetric perturbations did step
+
+
 def test_huge_regularization_pins_demand_to_seed():
     net, tazs = single_route_net()
     t_star = bpr_time(net.segments[0].free_flow_time, 1000.0, 1300.0)
