@@ -66,7 +66,7 @@ class AssignParams:
     max_iter: int = 800
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1:
+        if not (self.tol > 0) or self.max_iter < 1:
             raise InputDataError("tol must be positive and max_iter at least 1")
 
 

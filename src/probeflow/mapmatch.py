@@ -35,11 +35,11 @@ import numpy as np
 
 from .errors import InputDataError
 from .network import (
+    M_PER_DEG_LAT,
     RoadNetwork,
     Router,
     haversine,
     meters_per_degree,
-    position_on_segment,
     project_to_candidates,
 )
 from .tables import read_table, write_table
@@ -63,11 +63,11 @@ class MatchParams:
     def __post_init__(self) -> None:
         if not (self.gps_sigma > 0 and self.nk_beta > 0 and self.radius > 0):
             raise InputDataError("gps_sigma, nk_beta, and radius must be positive")
-        if self.tt_tau < 0:
-            raise InputDataError("tt_tau must be >= 0")
+        if not (self.tt_tau >= 0 and math.isfinite(self.tt_tau)):
+            raise InputDataError("tt_tau must be finite and >= 0")
         if self.max_candidates < 1:
             raise InputDataError("max_candidates must be at least 1")
-        if self.gap_factor <= 0:
+        if not (self.gap_factor > 0):
             raise InputDataError("gap_factor must be positive")
 
 
@@ -145,36 +145,6 @@ def transition_logp(
     return score
 
 
-def _legs(router: Router, seg_a: np.ndarray, off_a: np.ndarray,
-          seg_b: np.ndarray, off_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(length, travel time) of every move from one candidate layer to the next.
-
-    ``seg_*`` hold segment indices and ``off_*`` offsets along them; entry
-    [a, b] of each matrix is the leg from candidate a to candidate b, inf
-    where no route exists. Staying on one segment without going backwards
-    is the direct leg; anything else routes from the end of seg_a to the
-    start of seg_b (which covers genuine loops back onto the same segment).
-    """
-    net, t = router.net, router.times
-    seg_a, off_a, seg_b, off_b = (np.asarray(x) for x in (seg_a, off_a, seg_b, off_b))
-    us, vs = net.seg_to[seg_a], net.seg_from[seg_b]
-    direct = (seg_a[:, None] == seg_b) & (off_b >= off_a[:, None])
-    mid_len = np.zeros(direct.shape)
-    mid_tt = np.zeros(direct.shape)
-    # Searches only from sources some leg routes through, and only as far
-    # as the next layer's start nodes; u == v is the empty route.
-    for a in np.flatnonzero(np.any(~direct & (us[:, None] != vs), axis=1)):
-        mid_tt[a], mid_len[a] = router.reach(int(us[a]), vs)
-    len_a = net.seg_length[seg_a]
-    head = len_a - off_a
-    step = off_b - off_a[:, None]
-    leg_len = np.where(direct, step, head[:, None] + mid_len + off_b)
-    leg_tt = np.where(direct, t[seg_a][:, None] * (step / len_a[:, None]),
-                      (t[seg_a] * (head / len_a))[:, None] + mid_tt
-                      + t[seg_b] * (off_b / net.seg_length[seg_b]))
-    return leg_len, leg_tt
-
-
 # ---------------------------------------------------------------------------
 # Viterbi
 # ---------------------------------------------------------------------------
@@ -192,11 +162,12 @@ def _viterbi_partial(
     """
     v = np.asarray(emissions[0], dtype=float)
     backs: list[np.ndarray] = []
-    for l in range(len(transitions)):
-        cand = v[:, None] + np.asarray(transitions[l], dtype=float)
-        best = np.argmax(cand, axis=0)
-        nxt = cand[best, np.arange(cand.shape[1])] + np.asarray(emissions[l + 1], dtype=float)
-        if not np.any(np.isfinite(nxt)):
+    for trans, emission in zip(transitions, emissions[1:]):
+        cand = v[:, None] + np.asarray(trans, dtype=float)
+        best = cand.argmax(axis=0)
+        # Each column's maximum is its value at the first argmax.
+        nxt = cand.max(axis=0) + np.asarray(emission, dtype=float)
+        if not np.isfinite(nxt).any():
             break
         v = nxt
         backs.append(best)
@@ -237,29 +208,29 @@ def viterbi_decode(
 # ---------------------------------------------------------------------------
 
 
-def _split_points(trace: GpsTrace, cand_per_point: list[list], params: MatchParams) -> list[list[int]]:
-    """Indices of each contiguous run to match separately.
+def _split_points(timestamps: list[float], counts: list[int],
+                  params: MatchParams) -> list[tuple[int, int]]:
+    """(first, stop) point ranges of the contiguous runs to match separately.
 
-    Runs break at points without candidates (the point is discarded) and
-    at observation gaps above gap_factor times the median spacing.
+    ``counts[i]`` is the number of candidates of point i. Runs break at
+    points without candidates (the point is discarded) and at
+    observation gaps above gap_factor times the median spacing.
     """
-    n = len(trace)
-    dts = np.diff(trace.timestamps)
-    gap_cut = params.gap_factor * float(np.median(dts)) if len(dts) else math.inf
-    runs: list[list[int]] = []
-    cur: list[int] = []
-    for i in range(n):
-        if not cand_per_point[i]:
-            if cur:
-                runs.append(cur)
-            cur = []
-            continue
-        if cur and trace.timestamps[i] - trace.timestamps[cur[-1]] > gap_cut:
-            runs.append(cur)
-            cur = []
-        cur.append(i)
-    if cur:
-        runs.append(cur)
+    dts = [b - a for a, b in zip(timestamps, timestamps[1:])]
+    gap_cut = math.inf
+    if dts:  # the median as np.median gives it
+        ordered, m = sorted(dts), len(dts) // 2
+        gap_cut = params.gap_factor * (ordered[m] if len(dts) % 2
+                                       else (ordered[m - 1] + ordered[m]) / 2.0)
+    runs: list[tuple[int, int]] = []
+    start = 0
+    for i, count in enumerate(counts):
+        if count == 0 or (i > start and dts[i - 1] > gap_cut):
+            if i > start:
+                runs.append((start, i))
+            start = i + (count == 0)
+    if len(counts) > start:
+        runs.append((start, len(counts)))
     return runs
 
 
@@ -267,42 +238,46 @@ def _build_path(
     router: Router,
     points: list[int],
     trace: GpsTrace,
-    chosen: list[tuple[int, float]],
+    segs: list[int],
+    offs: list[float],
     leg_lens: list[float],
 ) -> tuple[list[int], list[float]]:
-    """Assemble the traversed segment sequence and entry times of a piece."""
+    """Traversed segment ids and entry times of a piece.
+
+    ``segs`` and ``offs`` hold the segment index and offset of the
+    candidate chosen at each point; leg k connects point k to point k+1.
+    """
     net = router.net
-    path: list[int] = [chosen[0][0]]
+    path: list[int] = [segs[0]]
     # Cumulative distance of each point along the traversal, measured from
     # the start node of the first segment.
-    d = [chosen[0][1]]
-    for (seg_prev, off_prev), (seg_next, off_next), leg_len in zip(chosen[:-1], chosen[1:], leg_lens):
+    d = [offs[0]]
+    for seg_prev, off_prev, seg_next, off_next, leg_len in zip(segs, offs, segs[1:], offs[1:],
+                                                               leg_lens):
         d.append(d[-1] + leg_len)
         if seg_next == seg_prev and off_next >= off_prev:
             continue  # direct continuation on the same segment
-        path.extend(router.route(int(net.seg_to[net.segment_index(seg_prev)]),
-                                 int(net.seg_from[net.segment_index(seg_next)])))
+        path.extend(router.path(int(net.seg_to[seg_prev]), int(net.seg_from[seg_next])))
         path.append(seg_next)
 
     # Trim segments the vehicle only touched at a node: entering the first
     # segment exactly at its end, or reaching the last at offset zero.
     start_shift = 0.0
-    if len(path) > 1 and chosen[0][1] == net.segment_by_id(path[0]).length:
-        start_shift = net.segment_by_id(path[0]).length
+    if len(path) > 1 and offs[0] == net.seg_length[path[0]]:
+        start_shift = net.seg_length[path[0]]
         path = path[1:]
-    if len(path) > 1 and chosen[-1][1] == 0.0 and path[-1] == chosen[-1][0]:
+    if len(path) > 1 and offs[-1] == 0.0 and path[-1] == segs[-1]:
         path = path[:-1]
 
-    times = trace.timestamps[points]
-    d_arr = np.asarray(d, dtype=float) - start_shift
     # Strictly increasing support for interpolation; co-located points
     # keep the earliest timestamp.
     xs, ts = [], []
-    for dist_i, t_i in zip(d_arr, times):
+    for dist_i, t_i in zip((np.asarray(d) - start_shift).tolist(),
+                           trace.timestamps[points].tolist()):
         if not xs or dist_i > xs[-1]:
-            xs.append(float(dist_i))
-            ts.append(float(t_i))
-    boundaries = np.concatenate(([0.0], np.cumsum([net.segment_by_id(s).length for s in path[:-1]])))
+            xs.append(dist_i)
+            ts.append(t_i)
+    boundaries = np.concatenate(([0.0], np.cumsum(net.seg_length[path[:-1]])))
     entry = np.interp(boundaries, xs, ts)
     # np.interp clamps outside the support, but a first point that sits
     # mid-segment was observed AFTER entering that segment; project its
@@ -311,7 +286,8 @@ def _build_path(
     if len(xs) >= 2 and boundaries[0] < xs[0]:
         slope = (ts[1] - ts[0]) / (xs[1] - xs[0])
         entry[0] = ts[0] - (xs[0] - boundaries[0]) * slope
-    return path, [float(t) for t in entry]
+    segments = net.segments
+    return [segments[j].id for j in path], entry.tolist()
 
 
 def match_trace(
@@ -330,28 +306,34 @@ def match_trace(
     """
     param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
     outs: list[list[MatchedPath]] = [[] for _ in param_sets]
-    cands = project_to_candidates(net, trace.lats, trace.lons, params.radius,
-                                  params.max_candidates)
-    for run in _split_points(trace, cands, params):
-        layers = [([net.segment_index(c.segment_id) for c in cands[i]], [c.offset for c in cands[i]])
-                  for i in run]
-        emissions, transitions, lengths = _lattice(net, trace, run, layers, router, param_sets)
+    fix, seg, off, _ = project_to_candidates(net, trace.lats, trace.lons, params.radius,
+                                             params.max_candidates)
+    counts = np.bincount(fix, minlength=len(trace))
+    first = np.concatenate(([0], np.cumsum(counts))).tolist()  # each point's first row
+    segments = net.segments
+    for lo, hi in _split_points(trace.timestamps.tolist(), counts.tolist(), params):
+        rows = slice(first[lo], first[hi])
+        run_seg, run_off = seg[rows], off[rows]
+        emissions, transitions, lengths = _lattice(net, trace, np.arange(lo, hi), counts[lo:hi],
+                                                   run_seg, run_off, router, param_sets)
+        starts = [r - first[lo] for r in first[lo:hi]]
         for out, trans in zip(outs, transitions):
-            for points, chosen, leg_lens, score in _decode_run(run, cands, emissions, trans,
+            for points, chosen, leg_lens, score in _decode_run(lo, starts, emissions, trans,
                                                                lengths):
                 if len(points) < 2:
                     continue
-                segments, entry = _build_path(router, points, trace, chosen, leg_lens)
+                segs, offs = run_seg[chosen].tolist(), run_off[chosen].tolist()
+                path, entry = _build_path(router, points, trace, segs, offs, leg_lens)
                 out.append(
                     MatchedPath(
                         vehicle_id=trace.vehicle_id,
                         piece=len(out),
-                        segments=segments,
+                        segments=path,
                         entry_times=entry,
                         log_score=score,
                         first_point=points[0],
                         last_point=points[-1],
-                        assignment=chosen,
+                        assignment=[(segments[j].id, o) for j, o in zip(segs, offs)],
                     )
                 )
     if baseline is not None:
@@ -359,50 +341,112 @@ def match_trace(
     return outs[0]
 
 
-def _lattice(net, trace, points, layers, router, param_sets):
-    """Emissions, transitions and leg lengths of a candidate lattice.
+def _lattice(net, trace, points, counts, seg, off, router, param_sets):
+    """Emissions, transitions and leg lengths of a candidate lattice, in one pass.
 
-    ``layers[k]`` holds the (segment indices, offsets) of the candidates
-    of trace point ``points[k]``. Transition and length matrix k cover
-    the legs from layer k to layer k+1. The parameter sets differ at most
-    in tt_tau: emissions and legs are computed once, and there is one
-    list of transition matrices per parameter set.
+    Layer k holds the candidates of trace point ``points[k]``: the next
+    ``counts[k]`` rows of ``seg`` (segment indices) and ``off`` (offsets).
+    Matrix k covers the legs from layer k to layer k+1, entry [a, b] the
+    leg from candidate a to candidate b; the matrices are views into one
+    flat array over every leg. A leg that stays on one segment without
+    going backwards is direct; any other routes from the end of its
+    first segment to the start of its second (which covers loops back
+    onto the same segment), with one ``Router.reach`` per distinct
+    source. The parameter sets differ at most in tt_tau; each gets one
+    list of transition matrices. Every float equals the scalar formulas
+    (``position_on_segment``, ``math.hypot``, ``emission_logp``,
+    ``transition_logp`` on one leg), bit for bit.
     """
-    sigma = param_sets[0].gps_sigma
-    emissions = []
-    for i, layer in zip(points, layers):
-        lat, lon = float(trace.lats[i]), float(trace.lons[i])
-        mlat, mlon = meters_per_degree(lat)
-        emissions.append(np.array([
-            emission_logp(math.hypot((plat - lat) * mlat, (plon - lon) * mlon), sigma)
-            for plat, plon in (position_on_segment(net, j, off) for j, off in zip(*layer))]))
-    transitions: list[list[np.ndarray]] = [[] for _ in param_sets]
-    lengths = []
-    for k, (i, j) in enumerate(zip(points, points[1:])):
-        leg_len, leg_tt = _legs(router, *layers[k], *layers[k + 1])
-        gc = haversine((float(trace.lats[i]), float(trace.lons[i])),
-                       (float(trace.lats[j]), float(trace.lons[j])))
-        dt = float(trace.timestamps[j] - trace.timestamps[i])
-        for out, params in zip(transitions, param_sets):
-            out.append(transition_logp(leg_len, gc, leg_tt, dt, params))
-        lengths.append(leg_len)
-    return emissions, transitions, lengths
+    lats, lons = trace.lats[points], trace.lons[points]
+    layer = np.repeat(np.arange(len(counts)), counts)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    mlon = np.array([meters_per_degree(lat)[1] for lat in lats.tolist()])
+
+    # Emissions: the elementwise ops of position_on_segment and math.hypot.
+    length = net.seg_length[seg]
+    frac = np.minimum(np.maximum(off / length, 0.0), 1.0)
+    alat, alon = net._seg_alat[seg], net._seg_alon[seg]
+    dy = (alat + frac * (net._seg_blat[seg] - alat) - lats[layer]) * M_PER_DEG_LAT
+    dx = (alon + frac * (net._seg_blon[seg] - alon) - lons[layer]) * mlon[layer]
+    dist = np.fromiter(map(math.hypot, dy.tolist(), dx.tolist()), float, len(seg))
+    emission = emission_logp(dist, param_sets[0].gps_sigma)
+
+    # Every leg: row a of a layer against each row b of the next layer.
+    n_from = starts[-2]  # rows that have a next layer
+    fan = counts[layer[:n_from] + 1]
+    ia = np.repeat(np.arange(n_from), fan)
+    ib = np.arange(len(ia)) - np.repeat(np.cumsum(fan) - fan - starts[layer[:n_from] + 1], fan)
+    seg_a, seg_b, off_a, off_b = seg[ia], seg[ib], off[ia], off[ib]
+    us, vs = net.seg_to[seg_a], net.seg_from[seg_b]
+    direct = (seg_a == seg_b) & (off_b >= off_a)
+    mid_tt, mid_len = _routes(router, us, vs, ~direct & (us != vs))
+    t = router.times
+    len_a = length[ia]
+    head = len_a - off_a
+    step = off_b - off_a
+    leg_len = np.where(direct, step, head + mid_len + off_b)
+    leg_tt = np.where(direct, t[seg_a] * (step / len_a),
+                      t[seg_a] * (head / len_a) + mid_tt + t[seg_b] * (off_b / length[ib]))
+
+    # Great-circle distance and time between consecutive points, per leg.
+    la, lo = lats.tolist(), lons.tolist()
+    gc = np.array([haversine(a, b) for a, b in zip(zip(la, lo), zip(la[1:], lo[1:]))])
+    pair = layer[ia]
+    gc, dt = gc[pair], np.diff(trace.timestamps[points])[pair]
+
+    sizes = counts.tolist()
+    bounds = np.concatenate(([0], np.cumsum(counts[:-1] * counts[1:]))).tolist()
+
+    def matrices(flat):
+        return [flat[b0:b1].reshape(na, nb)
+                for b0, b1, na, nb in zip(bounds, bounds[1:], sizes, sizes[1:])]
+
+    emissions = [emission[a:b] for a, b in zip(starts.tolist(), starts[1:].tolist())]
+    transitions = [matrices(transition_logp(leg_len, gc, leg_tt, dt, params))
+                   for params in param_sets]
+    return emissions, transitions, matrices(leg_len)
 
 
-def _decode_run(run, cands, emissions, transitions, lengths):
+def _routes(router: Router, us: np.ndarray, vs: np.ndarray,
+            need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(time, length) of the fastest route from node us[e] to vs[e] where need[e], else 0.
+
+    Each distinct source is searched once, up to the sorted union of its
+    targets; unreachable targets give inf.
+    """
+    mid_tt, mid_len = np.zeros(len(us)), np.zeros(len(us))
+    if not need.any():
+        return mid_tt, mid_len
+    n = router.net.n_nodes
+    keys = us[need] * n + vs[need]
+    pairs = np.sort(keys)
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+    src, dst = np.divmod(pairs, n)
+    bounds = [0, *(np.flatnonzero(src[1:] != src[:-1]) + 1).tolist(), len(pairs)]
+    tt, ll = np.empty(len(pairs)), np.empty(len(pairs))
+    for a, b, u in zip(bounds, bounds[1:], src[bounds[:-1]].tolist()):
+        tt[a:b], ll[a:b] = router.reach(u, dst[a:b])
+    found = np.searchsorted(pairs, keys)
+    mid_tt[need], mid_len[need] = tt[found], ll[found]
+    return mid_tt, mid_len
+
+
+def _decode_run(first, starts, emissions, transitions, lengths):
     """Viterbi over one run's lattice, splitting further where it breaks.
 
-    Each sub-piece decodes a slice of the lattice. Yields (point indices,
-    chosen (segment, offset) list, leg lengths, score) per decoded
-    sub-piece; leg k connects point k to point k+1.
+    The run starts at trace point ``first``, and ``starts[k]`` is the
+    first candidate row of layer k. Each sub-piece decodes a slice of
+    the lattice. Yields (point indices, chosen candidate rows, leg
+    lengths, score) per decoded sub-piece; leg k connects point k to
+    point k+1.
     """
     start = 0
-    while start < len(run):
+    while start < len(emissions):
         idxs, score, decoded = _viterbi_partial(emissions[start:], transitions[start:])
-        sub = run[start:start + decoded]
-        chosen = [(cands[p][ci].segment_id, cands[p][ci].offset) for p, ci in zip(sub, idxs)]
+        points = list(range(first + start, first + start + decoded))
+        chosen = [starts[start + k] + i for k, i in enumerate(idxs)]
         leg_lens = [float(lengths[start + k][idxs[k], idxs[k + 1]]) for k in range(decoded - 1)]
-        yield sub, chosen, leg_lens, score
+        yield points, chosen, leg_lens, score
         start += decoded
 
 
@@ -436,8 +480,10 @@ def score_assignment(
     """
     if len(points) != len(assignment):
         raise InputDataError("assignment length does not match point count")
-    layers = [([net.segment_index(seg)], [off]) for seg, off in assignment]
-    emissions, (transitions,), _ = _lattice(net, trace, points, layers, router, [params])
+    seg = np.array([net.segment_index(sid) for sid, _ in assignment], dtype=np.int64)
+    off = np.array([o for _, o in assignment], dtype=float)
+    emissions, (transitions,), _ = _lattice(net, trace, points, np.ones(len(points), np.int64),
+                                            seg, off, router, [params])
     # Accumulation order mirrors the Viterbi recursion exactly, so identical
     # assignments under identical times produce the identical float.
     total = emissions[0][0]

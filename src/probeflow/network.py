@@ -315,14 +315,6 @@ def meters_per_degree(lat: float) -> tuple[float, float]:
     return M_PER_DEG_LAT, M_PER_DEG_LAT * math.cos(math.radians(lat))
 
 
-class Candidate(NamedTuple):
-    """A possible position on the network for one observed point."""
-
-    segment_id: int
-    offset: float
-    distance: float
-
-
 class _CandidateGrid(NamedTuple):
     """Segments bucketed by bounding box into cells of at least one search radius.
 
@@ -404,23 +396,29 @@ def project_to_candidates(
     lons: np.ndarray,
     radius: float,
     max_candidates: int,
-) -> list[list[Candidate]]:
-    """Nearest-segment candidates of each point (lats[i], lons[i]), closest first.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-segment candidates of the points (lats[i], lons[i]) as flat arrays.
+
+    Returns (fix, segment, offset, distance), one row per candidate:
+    the point index i, the segment index, the offset along the segment
+    in meters, clamped to ``[0, length]``, and the distance in meters.
+    Rows are sorted by point, and a point's rows run closest first, ties
+    in distance toward the smaller segment id. So the candidates of
+    consecutive points are one contiguous slice, and a point without
+    candidates has no row.
 
     Projects a point onto each segment (treated as a straight line
     between its endpoint nodes in the local planar frame of the point)
     and keeps at most ``max_candidates`` segments within ``radius``
-    meters. Ties in distance break toward the smaller segment id; the
-    returned offset is clamped to ``[0, length]``. Only the segments in
-    the 3 x 3 block of grid cells around a point are projected (see
-    ``_candidate_grid``), all points of a call in one batch; each
-    distance and offset is the same float a projection onto every
-    segment would give.
+    meters. Only the segments in the 3 x 3 block of grid cells around a
+    point are projected (see ``_candidate_grid``), all points of a call
+    in one batch; each distance and offset is the same float a
+    projection onto every segment would give.
     """
     lats, lons = np.asarray(lats, dtype=float), np.asarray(lons, dtype=float)
-    out: list[list[Candidate]] = [[] for _ in range(len(lats))]
-    if net.n_segments == 0 or not out:
-        return out
+    if net.n_segments == 0 or len(lats) == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, np.zeros(0), np.zeros(0)
     g = _candidate_grid(net, radius)
     # Rows and columns far outside the grid hold no entries; clipping them
     # keeps the keys in range.
@@ -464,11 +462,8 @@ def project_to_candidates(
     fix, seg, t, dist = fix[keep], seg[keep], t[keep], dist[keep]
     rank = np.arange(len(fix)) - np.searchsorted(fix, fix, "left")
     keep = rank < max_candidates
-    fix, seg, offset, dist = fix[keep], seg[keep], t[keep] * net.seg_length[seg[keep]], dist[keep]
-    segments = net.segments
-    for i, j, off, d in zip(fix.tolist(), seg.tolist(), offset.tolist(), dist.tolist()):
-        out[i].append(Candidate(segments[j].id, off, d))
-    return out
+    fix, seg = fix[keep], seg[keep]
+    return fix, seg, t[keep] * net.seg_length[seg], dist[keep]
 
 
 def position_on_segment(net: RoadNetwork, j: int, offset: float) -> tuple[float, float]:
@@ -653,17 +648,26 @@ class Router:
         Returns () for u == v and None when v is unreachable. Deterministic
         under cost ties (see ``_settle``).
         """
+        path = self.path(u, v)
+        if path is None:
+            return None
+        segments = self.net.segments
+        return tuple(segments[j].id for j in path)
+
+    def path(self, u: int, v: int) -> list[int] | None:
+        """Segment indices of the route ``route`` returns."""
         if u == v:
-            return ()
+            return []
         pred = self._search(u, [v]).pred
         if pred[v] < 0:
             return None
-        segments, ids = self.net.segments, []
+        path = []
         while v != u:
             j = pred[v]
-            ids.append(segments[j].id)
+            path.append(j)
             v = self._seg_from[j]
-        return tuple(reversed(ids))
+        path.reverse()
+        return path
 
     def settled(self) -> int:
         """Nodes settled so far, summed over the sources searched."""

@@ -65,15 +65,15 @@ class SpsaParams:
     max_log_step: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.a0 <= 0 or self.c0 <= 0:
+        if not (self.a0 > 0 and self.c0 > 0):
             raise InputDataError("a0 and c0 must be positive")
-        if self.max_log_step <= 0:
+        if not (self.max_log_step > 0):
             raise InputDataError("max_log_step must be positive")
         if not (0.0 < self.alpha_decay <= 1.0 and 0.0 < self.gamma_decay <= 1.0):
             raise InputDataError("decay exponents must lie in (0, 1]")
         if self.max_outer < 1:
             raise InputDataError("max_outer must be at least 1")
-        if self.mu < 0:
+        if not (self.mu >= 0):
             raise InputDataError("mu must be >= 0")
 
 
@@ -86,7 +86,7 @@ class OdSolveParams:
     weight_by_support: bool = False
 
     def __post_init__(self) -> None:
-        if self.ue_tol <= 0 or self.ue_max_iter < 1:
+        if not (self.ue_tol > 0) or self.ue_max_iter < 1:
             raise InputDataError("ue_tol must be positive and ue_max_iter at least 1")
 
 
@@ -98,7 +98,7 @@ class GravityParams:
     total_trips: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.deterrence_scale <= 0 or self.total_trips <= 0:
+        if not (self.deterrence_scale > 0 and self.total_trips > 0):
             raise InputDataError("deterrence_scale and total_trips must be positive")
 
 

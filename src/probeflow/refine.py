@@ -75,7 +75,7 @@ class RefineParams:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise InputDataError("max_iters must be at least 1")
-        if self.stop_tol <= 0:
+        if not (self.stop_tol > 0):
             raise InputDataError("stop_tol must be positive")
 
 

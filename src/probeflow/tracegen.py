@@ -36,9 +36,9 @@ class ProbeConfig:
     penetration: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sampling_period <= 0:
+        if not (self.sampling_period > 0):
             raise InputDataError("sampling_period must be positive")
-        if self.gps_sigma < 0:
+        if not (self.gps_sigma >= 0):
             raise InputDataError("gps_sigma must be >= 0")
         if not (0.0 < self.penetration <= 1.0):
             raise InputDataError("penetration must be in (0, 1]")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 
 from probeflow import mapmatch, network
-from probeflow.cli import main, stage_seed
+from probeflow.cli import _SECTIONS, main, stage_seed
+from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
 from probeflow.network import Taz, read_network, write_network, write_tazs
 from probeflow.completion import COMPLETED_COLUMNS
@@ -126,6 +128,21 @@ def test_usage_errors_exit_1(world, tmp_path):
 
     assert main(["match", "--network", str(tmp_path / "nowhere.json"),
                  "--traces", str(tmp_path / "nowhere.csv")]) == 1
+
+
+def _float_fields():
+    """(section class, field) of every float parameter of the config sections."""
+    return [pytest.param(cls, f.name, id=f"{name}.{f.name}")
+            for name, cls in _SECTIONS.items() for f in fields(cls)
+            if f.type in ("float", "float | None")]
+
+
+@pytest.mark.parametrize("cls, name", _float_fields())
+def test_parameter_dataclasses_reject_nan(cls, name):
+    # Config files cannot hold NaN; the Python API can, and a check
+    # written as x <= 0 lets it through.
+    with pytest.raises(InputDataError):
+        cls(**{name: float("nan")})
 
 
 def test_threads_must_be_positive(world):

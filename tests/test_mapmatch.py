@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probeflow import mapmatch
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import (
     GpsTrace,
     MatchParams,
-    _legs,
+    _lattice,
+    _split_points,
     emission_logp,
     match_trace,
     match_traces,
@@ -29,6 +31,7 @@ from probeflow.network import (
     RoadNetwork,
     Router,
     Segment,
+    haversine,
     meters_per_degree,
     position_on_segment,
 )
@@ -102,6 +105,8 @@ def test_match_params_validation():
         MatchParams(gps_sigma=0.0)
     with pytest.raises(InputDataError):
         MatchParams(tt_tau=-0.1)
+    with pytest.raises(InputDataError):
+        MatchParams(tt_tau=math.inf)  # would make the score of every exact leg NaN
     with pytest.raises(InputDataError):
         MatchParams(max_candidates=0)
     with pytest.raises(InputDataError):
@@ -368,6 +373,29 @@ def test_unroutable_step_splits_lattice():
     assert pieces[1].segments == [2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.sampled_from([1.0, 2.0, 3.0, 7.5, 10.0]) | st.floats(0.5, 500.0),
+                     max_size=12),
+       factor=st.just(1.0) | st.floats(0.5, 3.0), data=st.data())
+def test_split_points_equal_np_median_reference(gaps, factor, data):
+    # Repeated gaps and gap_factor 1 put gaps exactly at the cut.
+    ts = np.concatenate(([0.0], np.cumsum(gaps)))
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=len(ts), max_size=len(ts)))
+    cut = factor * float(np.median(np.diff(ts))) if gaps else math.inf
+    runs, cur = [], []
+    for i, count in enumerate(counts):
+        if count == 0 or (cur and ts[i] - ts[cur[-1]] > cut):
+            if cur:
+                runs.append(cur)
+            cur = []
+        if count:
+            cur.append(i)
+    if cur:
+        runs.append(cur)
+    got = _split_points(ts.tolist(), counts, MatchParams(gap_factor=factor))
+    assert [list(range(a, b)) for a, b in got] == runs
+
+
 def test_no_candidates_anywhere_returns_empty():
     net = line_net(n_segs=2)
     trace = GpsTrace(1, np.array([0.0, 10.0]), np.array([5.0, 5.0]), np.array([5.0, 5.0]))
@@ -520,40 +548,140 @@ def test_router_tree_length_is_running_sum_of_route():
     assert longest >= 8
 
 
-def test_legs_equal_per_pair_reference():
-    """Each leg of a layer equals the scalar formula, bit for bit.
+def _scalar_leg(net, times, router, ja, off_a, jb, off_b):
+    """(length, travel time) of one leg by the scalar formula.
 
-    The reference sums each route's times and lengths segment by segment
-    and adds head fraction + route + tail fraction in that order.
+    The route's times and lengths are summed segment by segment, and a
+    routed leg adds head fraction + route + tail fraction in that order.
+    """
+    if ja == jb and off_b >= off_a:
+        return off_b - off_a, times[ja] * ((off_b - off_a) / net.seg_length[ja])
+    mid_len = mid_tt = 0.0
+    for sid in router.route(int(net.seg_to[ja]), int(net.seg_from[jb])):
+        j = net.segment_index(sid)
+        mid_len += net.seg_length[j]
+        mid_tt += times[j]
+    head = net.seg_length[ja] - off_a
+    return (head + mid_len + off_b,
+            times[ja] * (head / net.seg_length[ja]) + mid_tt
+            + times[jb] * (off_b / net.seg_length[jb]))
+
+
+def test_legs_equal_per_pair_reference():
+    """Each leg of a layer pair equals the scalar formula, bit for bit.
+
+    Lengths are compared directly; travel times through the transition
+    scores under tt_tau > 0 and tt_tau = 0.
     """
     net = make_grid_network(6, 6, spacing=200.0, jitter=20.0, jitter_seed=4)
     times = net.seg_fft * np.random.default_rng(1).uniform(1.0, 3.0, net.n_segments)
     router = Router(net, times)
     rng = np.random.default_rng(2)
+    param_sets = [MatchParams(), MatchParams(tt_tau=0.0)]
     for _ in range(20):
         seg_a, seg_b = rng.integers(0, net.n_segments, (2, 6))
         seg_b[:2] = seg_a[:2]  # same-segment legs, forward and backward
         off_a = rng.uniform(0.0, 1.0, 6) * net.seg_length[seg_a]
         off_b = rng.uniform(0.0, 1.0, 6) * net.seg_length[seg_b]
-        leg_len, leg_tt = _legs(router, seg_a, off_a, seg_b, off_b)
+        u, v = rng.integers(0, net.n_nodes, 2)
+        trace = GpsTrace(1, [0.0, 30.0], net.node_lat[[u, v]], net.node_lon[[u, v]])
+        gc = haversine((float(trace.lats[0]), float(trace.lons[0])),
+                       (float(trace.lats[1]), float(trace.lons[1])))
+        _, transitions, lengths = _lattice(net, trace, np.arange(2), np.array([6, 6]),
+                                           np.concatenate([seg_a, seg_b]),
+                                           np.concatenate([off_a, off_b]), router, param_sets)
         for a, b in itertools.product(range(6), range(6)):
-            ja, jb = seg_a[a], seg_b[b]
-            if ja == jb and off_b[b] >= off_a[a]:
-                want_len = off_b[b] - off_a[a]
-                want_tt = times[ja] * ((off_b[b] - off_a[a]) / net.seg_length[ja])
-            else:
-                route = router.route(int(net.seg_to[ja]), int(net.seg_from[jb]))
-                mid_len = mid_tt = 0.0
-                for sid in route:
-                    j = net.segment_index(sid)
-                    mid_len += net.seg_length[j]
-                    mid_tt += times[j]
-                head = net.seg_length[ja] - off_a[a]
-                want_len = head + mid_len + off_b[b]
-                want_tt = (times[ja] * (head / net.seg_length[ja]) + mid_tt
-                           + times[jb] * (off_b[b] / net.seg_length[jb]))
-            assert leg_len[a, b] == want_len
-            assert leg_tt[a, b] == want_tt
+            want_len, want_tt = _scalar_leg(net, times, router, seg_a[a], off_a[a],
+                                            seg_b[b], off_b[b])
+            assert lengths[0][a, b] == want_len
+            for params, trans in zip(param_sets, transitions):
+                assert trans[0][a, b] == transition_logp(want_len, gc, want_tt, 30.0, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jitter_seed=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1),
+       counts=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       sigma=st.floats(1.0, 20.0), tau=st.floats(0.01, 2.0))
+def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, sigma, tau):
+    """Emissions, both parameter sets' transitions and lengths, bit for bit.
+
+    Candidates come from a small pool of segments, so many legs stay on
+    one segment, forward or backward; a fifth of the offsets sit at a
+    segment end.
+    """
+    net = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0,
+                            jitter_seed=jitter_seed)
+    rng = np.random.default_rng(seed)
+    times = net.seg_fft * rng.uniform(0.5, 3.0, net.n_segments)
+    router = Router(net, times)
+    n = len(counts)
+    pool = rng.choice(net.n_segments, 6, replace=False)
+    seg = pool[rng.integers(0, 6, sum(counts))]
+    off = rng.uniform(0.0, 1.0, len(seg)) * net.seg_length[seg]
+    end = rng.integers(0, 10, len(seg))
+    off[end == 0] = 0.0
+    off[end == 1] = net.seg_length[seg][end == 1]
+    trace = GpsTrace(3, rng.uniform(0.0, 1e5) + np.cumsum(rng.uniform(1.0, 120.0, n)),
+                     rng.uniform(net.node_lat.min(), net.node_lat.max(), n),
+                     rng.uniform(net.node_lon.min(), net.node_lon.max(), n))
+    param_sets = [MatchParams(gps_sigma=sigma, tt_tau=tau),
+                  MatchParams(gps_sigma=sigma, tt_tau=0.0)]
+    emissions, transitions, lengths = _lattice(net, trace, np.arange(n), np.array(counts),
+                                               seg, off, router, param_sets)
+
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    lats, lons, ts = trace.lats.tolist(), trace.lons.tolist(), trace.timestamps.tolist()
+    for k in range(n):
+        mlat, mlon = meters_per_degree(lats[k])
+        want = []
+        for r in range(starts[k], starts[k + 1]):
+            plat, plon = position_on_segment(net, seg[r], off[r])
+            d = math.hypot((plat - lats[k]) * mlat, (plon - lons[k]) * mlon)
+            want.append(emission_logp(d, sigma))
+        assert emissions[k].tolist() == want
+    for k in range(n - 1):
+        gc = haversine((lats[k], lons[k]), (lats[k + 1], lons[k + 1]))
+        dt = ts[k + 1] - ts[k]
+        assert lengths[k].shape == (counts[k], counts[k + 1])
+        for a, b in itertools.product(range(counts[k]), range(counts[k + 1])):
+            ra, rb = starts[k] + a, starts[k + 1] + b
+            want_len, want_tt = _scalar_leg(net, times, router, seg[ra], off[ra], seg[rb], off[rb])
+            assert lengths[k][a, b] == want_len
+            for params, trans in zip(param_sets, transitions):
+                assert trans[k][a, b] == transition_logp(want_len, gc, want_tt, dt, params)
+
+
+def test_matching_queries_each_source_once_per_run(monkeypatch):
+    """A count, not a timing: one ``Router.reach`` per distinct source node per run.
+
+    Fixes every 5 s at 10 m/s put four fixes on each 200 m segment, so
+    the same segment ends start legs of many layer pairs.
+    """
+    net = make_grid_network(12, 12, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
+    route = free_flow_router(net).route(net.node_index(13), net.node_index(130))
+    truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
+                                flow=np.zeros(net.n_segments))
+    trip = with_times(TruthTrip(vehicle_id=1, departure=0.0, path=list(route),
+                                entry_times=None), net, truth)
+    trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=5.0, gps_sigma=5.0),
+                         rng_seed=4)
+    router = free_flow_router(net)
+    runs: list[list[int]] = []
+    lattice, reach = mapmatch._lattice, router.reach
+
+    def counted_lattice(*args):
+        runs.append([])
+        return lattice(*args)
+
+    def counted_reach(u, nodes):
+        runs[-1].append(u)
+        return reach(u, nodes)
+
+    monkeypatch.setattr(mapmatch, "_lattice", counted_lattice)
+    monkeypatch.setattr(router, "reach", counted_reach)
+    assert match_trace(net, trace, router, baseline=[])
+    assert sum(map(len, runs)) >= 10
+    assert all(len(run) == len(set(run)) for run in runs)
 
 
 def test_matched_csv_round_trip(tmp_path):

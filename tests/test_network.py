@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from probeflow.network import (
     DEFAULT_CLASS_TABLE,
     EARTH_RADIUS_M,
     M_PER_DEG_LAT,
-    Candidate,
     Node,
     RoadNetwork,
     Router,
@@ -407,6 +407,34 @@ def test_router_packs_a_search_that_settles_half_the_network():
 # ---------------------------------------------------------------------------
 
 
+class Candidate(NamedTuple):
+    """One candidate row of ``project_to_candidates``, by segment id."""
+
+    segment_id: int
+    offset: float
+    distance: float
+
+
+def _per_point(net: RoadNetwork, found, n_points: int) -> list[list[Candidate]]:
+    """The flat candidate arrays as one list per point, checking their layout."""
+    fix, seg, offset, dist = found
+    assert fix.dtype == seg.dtype == np.int64 and offset.dtype == dist.dtype == float
+    assert len(fix) == len(seg) == len(offset) == len(dist)
+    assert np.all(np.diff(fix) >= 0)  # sorted by point: consecutive points are one slice
+    out: list[list[Candidate]] = [[] for _ in range(n_points)]
+    for i, j, off, d in zip(fix.tolist(), seg.tolist(), offset.tolist(), dist.tolist()):
+        out[i].append(Candidate(net.segments[j].id, off, d))
+    return out
+
+
+def _candidates(net: RoadNetwork, points, radius: float,
+                max_candidates: int) -> list[list[Candidate]]:
+    """Candidates of each point, one list per point."""
+    found = project_to_candidates(net, [p[0] for p in points], [p[1] for p in points], radius,
+                                  max_candidates)
+    return _per_point(net, found, len(points))
+
+
 def _scan_candidates(net: RoadNetwork, point: tuple[float, float], radius: float,
                      max_candidates: int) -> list[Candidate]:
     """Linear-scan oracle: project the point onto every segment.
@@ -478,8 +506,7 @@ def test_grid_candidates_equal_linear_scan(net, radius, max_candidates, data):
             col = math.floor((node.lon - grid.lon0) / grid.cell_lon) + data.draw(st.integers(-2, 2))
             points.append((grid.lat0 + row * grid.cell_lat, grid.lon0 + col * grid.cell_lon))
     points = [(min(max(lat, -90.0), 90.0), min(max(lon, -180.0), 180.0)) for lat, lon in points]
-    got = project_to_candidates(net, [p[0] for p in points], [p[1] for p in points], radius,
-                                max_candidates)
+    got = _candidates(net, points, radius, max_candidates)
     assert got == [_scan_candidates(net, p, radius, max_candidates) for p in points]
 
 
@@ -494,23 +521,23 @@ def test_grid_candidates_exactly_one_radius_across_cell_edges():
         segs = [Segment(i, 2 * i, 2 * i + 1, 100.0, 10.0, 1000.0, "other") for i in range(60)]
         net = RoadNetwork(nodes, segs)
         lats = [lat_base + (i + 1) * step for i in range(60)]
-        got = project_to_candidates(net, lats, [0.0005] * 60, radius, 8)
+        got = _candidates(net, [(lat, 0.0005) for lat in lats], radius, 8)
         assert got == [_scan_candidates(net, (lat, 0.0005), radius, 8) for lat in lats]
 
 
 def test_grid_candidates_of_an_empty_batch_a_distant_fix_and_an_infinite_radius():
     net = make_grid_network(3, 3, spacing=100.0)
-    assert project_to_candidates(net, [], [], 50.0, 8) == []
-    assert project_to_candidates(net, [-60.0], [170.0], 50.0, 8) == [[]]
+    assert _candidates(net, [], 50.0, 8) == []
+    assert _candidates(net, [(-60.0, 170.0)], 50.0, 8) == [[]]
     far = [(-60.0, 170.0), (89.0, -179.0)]
-    got = project_to_candidates(net, [p[0] for p in far], [p[1] for p in far], math.inf, 30)
+    got = _candidates(net, far, math.inf, 30)
     assert got == [_scan_candidates(net, p, math.inf, 30) for p in far]
     assert all(len(cands) == net.n_segments for cands in got)
 
 
 def _project(net, point, radius, max_candidates):
     """Candidates of one point."""
-    return project_to_candidates(net, [point[0]], [point[1]], radius, max_candidates)[0]
+    return _candidates(net, [point], radius, max_candidates)[0]
 
 
 def _equator_net():
@@ -553,7 +580,11 @@ def test_project_radius_and_cap():
     cands = _project(net, (0.00005, 0.0005), radius=1000.0, max_candidates=2)
     assert len(cands) == 2
     assert cands[0].distance <= cands[1].distance
-    assert isinstance(cands[0], Candidate)
+    fix, seg, offset, dist = project_to_candidates(net, [0.00005], [0.0005], 1000.0, 2)
+    assert fix.tolist() == [0, 0]
+    assert [net.segments[j].id for j in seg.tolist()] == [c.segment_id for c in cands]
+    assert offset.tolist() == [c.offset for c in cands]
+    assert dist.tolist() == [c.distance for c in cands]
 
 
 def test_position_on_segment():
