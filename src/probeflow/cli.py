@@ -404,11 +404,9 @@ def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
         trips, traces = data[sid]
         all_trips.extend(trips)
         all_traces.extend(traces)
-    for name, writer, rows in ((TRACES_FILE, write_traces, all_traces),
-                               (TRIPS_FILE, write_trips, all_trips)):
-        path = out / name
-        writer(rows, path)
-        artifacts.append(path)
+    write_traces(all_traces, out / TRACES_FILE)
+    write_trips(all_trips, out / TRIPS_FILE, net)
+    artifacts.extend([out / TRACES_FILE, out / TRIPS_FILE])
 
 
 def _cmd_match(cfg: PipelineConfig, artifacts: list[Path]) -> None:
@@ -417,13 +415,13 @@ def _cmd_match(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     traces = read_traces(_input(cfg, "traces"))
     matched = match_traces(net, traces, net.seg_fft, cfg.match)
     out = _out(cfg) / MATCHED_FILE
-    write_matched(matched, out)
+    write_matched(matched, out, net)
     artifacts.append(out)
 
 
 def _cmd_infer(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     net = read_network(_input(cfg, "network"))
-    matched = read_matched(_input(cfg, "matched"))
+    matched = read_matched(_input(cfg, "matched"), net)
     obs = observations_from_matches(matched, cfg.grid)
     estimates = [infer_times(obs[iv], net, net.seg_fft, cfg.infer) for iv in sorted(obs)]
     out = _out(cfg) / ESTIMATES_FILE
@@ -444,7 +442,7 @@ def _cmd_refine(cfg: PipelineConfig, artifacts: list[Path],
                                      infer_params=cfg.infer, params=cfg.refine,
                                      baseline=baseline)
     out = _out(cfg)
-    write_matched(pieces, out / MATCHED_FILE)
+    write_matched(pieces, out / MATCHED_FILE, net)
     write_estimates([estimates[iv] for iv in sorted(estimates)], out / ESTIMATES_FILE, net)
     write_diagnostics(diag, out / DIAGNOSTICS_FILE)
     artifacts.extend([out / MATCHED_FILE, out / ESTIMATES_FILE, out / DIAGNOSTICS_FILE])
@@ -516,8 +514,8 @@ def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path],
     """
     net = read_network(_input(cfg, "network"))
     truth_times, _ = read_truth(_input(cfg, "truth"), net)
-    trips = read_trips(_input(cfg, "trips"))
-    matched = read_matched(_input(cfg, "matched"))
+    trips = read_trips(_input(cfg, "trips"), net)
+    matched = read_matched(_input(cfg, "matched"), net)
     full = read_estimates(_input(cfg, "estimates"), net)
 
     if base_est is None:
@@ -544,19 +542,23 @@ def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path],
 
 
 def _cmd_export_voc(cfg: PipelineConfig, artifacts: list[Path]) -> None:
-    """Per-class mean VOC series from the interval state files."""
+    """Per-class mean VOC series from the state files, at most one per grid interval."""
     net = read_network(_input(cfg, "network"))
     states_dir = Path(cfg.states_dir) if cfg.states_dir is not None else Path(cfg.out_dir)
-    flows_by_interval: dict[int, np.ndarray] = {}
+    files: dict[int, Path] = {}
     for path in sorted(states_dir.glob("state_*.csv")):
         match = re.fullmatch(r"state_(\d+)", path.stem)
         if match is None:
             raise InputDataError(f"{path}: not a state_<interval>.csv file name")
         interval = int(match.group(1))
-        flow, _, _ = read_state(path, net)
-        flows_by_interval[interval] = flow
-    if not flows_by_interval:
+        if interval in files:
+            raise InputDataError(f"{files[interval]} and {path} both hold interval {interval}")
+        if interval >= cfg.grid.interval_count:
+            raise InputDataError(f"{path}: interval {interval} not in 0..{cfg.grid.interval_count - 1}")
+        files[interval] = path
+    if not files:
         raise InputDataError(f"no state files found in {states_dir}")
+    flows_by_interval = {iv: read_state(path, net)[0] for iv, path in files.items()}
     classes = sorted({s.road_class for s in net.segments})
     series = {cls: voc_series(flows_by_interval, net, cfg.grid, class_filter=cls)
               for cls in classes}

@@ -116,8 +116,8 @@ def per_trip_overlap(
             continue
         true_set = set(seen[vid].path)
         got_set = matched_segs[vid]
-        inter = math.fsum(net.segment_by_id(s).length for s in sorted(true_set & got_set))
-        union = math.fsum(net.segment_by_id(s).length for s in sorted(true_set | got_set))
+        inter = math.fsum(net.segments[j].length for j in sorted(true_set & got_set))
+        union = math.fsum(net.segments[j].length for j in sorted(true_set | got_set))
         overlaps[vid] = 100.0 * inter / union
     return overlaps, excluded
 

@@ -104,11 +104,12 @@ class GpsTrace:
 class MatchedPath:
     """One contiguous matched piece of a trace.
 
-    ``segments`` is the traversal order (a segment may repeat on genuine
-    loops); ``entry_times`` gives the interpolated entry instant of each,
-    clamped to the piece's observation window. ``assignment`` holds the
-    chosen (segment_id, offset) per point when produced by the matcher;
-    paths read back from CSV carry only segments and entry times.
+    ``segments`` holds segment indices in traversal order (a segment may
+    repeat on genuine loops); ``entry_times`` gives the interpolated entry
+    instant of each, clamped to the piece's observation window.
+    ``assignment`` holds the chosen (segment index, offset) per point when
+    produced by the matcher; paths read back from CSV carry only segments
+    and entry times.
     """
 
     vehicle_id: int
@@ -242,7 +243,7 @@ def _build_path(
     offs: list[float],
     leg_lens: list[float],
 ) -> tuple[list[int], list[float]]:
-    """Traversed segment ids and entry times of a piece.
+    """Traversed segment indices and entry times of a piece.
 
     ``segs`` and ``offs`` hold the segment index and offset of the
     candidate chosen at each point; leg k connects point k to point k+1.
@@ -257,7 +258,7 @@ def _build_path(
         d.append(d[-1] + leg_len)
         if seg_next == seg_prev and off_next >= off_prev:
             continue  # direct continuation on the same segment
-        path.extend(router.path(int(net.seg_to[seg_prev]), int(net.seg_from[seg_next])))
+        path.extend(router.route(int(net.seg_to[seg_prev]), int(net.seg_from[seg_next])))
         path.append(seg_next)
 
     # Trim segments the vehicle only touched at a node: entering the first
@@ -286,8 +287,7 @@ def _build_path(
     if len(xs) >= 2 and boundaries[0] < xs[0]:
         slope = (ts[1] - ts[0]) / (xs[1] - xs[0])
         entry[0] = ts[0] - (xs[0] - boundaries[0]) * slope
-    segments = net.segments
-    return [segments[j].id for j in path], entry.tolist()
+    return path, entry.tolist()
 
 
 def match_trace(
@@ -310,7 +310,6 @@ def match_trace(
                                              params.max_candidates)
     counts = np.bincount(fix, minlength=len(trace))
     first = np.concatenate(([0], np.cumsum(counts))).tolist()  # each point's first row
-    segments = net.segments
     for lo, hi in _split_points(trace.timestamps.tolist(), counts.tolist(), params):
         rows = slice(first[lo], first[hi])
         run_seg, run_off = seg[rows], off[rows]
@@ -333,7 +332,7 @@ def match_trace(
                         log_score=score,
                         first_point=points[0],
                         last_point=points[-1],
-                        assignment=[(segments[j].id, o) for j, o in zip(segs, offs)],
+                        assignment=list(zip(segs, offs)),
                     )
                 )
     if baseline is not None:
@@ -472,7 +471,7 @@ def score_assignment(
     router: Router,
     params: MatchParams = MatchParams(),
 ) -> float:
-    """Log-score of a fixed per-point assignment under the router's travel times.
+    """Log-score of fixed per-point (segment index, offset) pairs under the router's times.
 
     Uses the exact scoring primitives of the matcher, so the value is
     comparable with ``MatchedPath.log_score``. Returns -inf when some leg
@@ -480,7 +479,7 @@ def score_assignment(
     """
     if len(points) != len(assignment):
         raise InputDataError("assignment length does not match point count")
-    seg = np.array([net.segment_index(sid) for sid, _ in assignment], dtype=np.int64)
+    seg = np.array([j for j, _ in assignment], dtype=np.int64)
     off = np.array([o for _, o in assignment], dtype=float)
     emissions, (transitions,), _ = _lattice(net, trace, points, np.ones(len(points), np.int64),
                                             seg, off, router, [params])
@@ -501,14 +500,15 @@ def score_assignment(
 MATCHED_COLUMNS = (("vehicle_id", int), ("piece", int), ("segment_id", int), ("entry_time_s", float))
 
 
-def write_matched(paths: list[MatchedPath], path: str | os.PathLike) -> None:
+def write_matched(paths: list[MatchedPath], path: str | os.PathLike, net: RoadNetwork) -> None:
+    ids = net.segment_ids()
     write_table(path, MATCHED_COLUMNS, (
-        (mp.vehicle_id, mp.piece, sid, t)
+        (mp.vehicle_id, mp.piece, ids[j], t)
         for mp in sorted(paths, key=lambda m: (m.vehicle_id, m.piece))
-        for sid, t in zip(mp.segments, mp.entry_times)))
+        for j, t in zip(mp.segments, mp.entry_times)))
 
 
-def read_matched(path: str | os.PathLike) -> list[MatchedPath]:
+def read_matched(path: str | os.PathLike, net: RoadNetwork) -> list[MatchedPath]:
     """Read matched paths; only traversal data survives the CSV."""
     groups: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
     for vid, piece, sid, t in read_table(path, MATCHED_COLUMNS):
@@ -518,6 +518,7 @@ def read_matched(path: str | os.PathLike) -> list[MatchedPath]:
         segs.append(sid)
         times.append(t)
     return [
-        MatchedPath(vehicle_id=vid, piece=piece, segments=segs, entry_times=times)
+        MatchedPath(vehicle_id=vid, piece=piece, segments=net.segment_indices(str(path), segs),
+                    entry_times=times)
         for (vid, piece), (segs, times) in sorted(groups.items())
     ]

@@ -16,6 +16,10 @@ Conventions used throughout the package:
   VOCs, weights) is a numpy array of length ``n_segments`` in
   ``net.segments`` order, which is ascending segment id; id-keyed tables
   exist only in files, and the table readers map them onto that order
+* every sequence of segments inside the package (matched paths, truth
+  trips, observation rows, routes) holds indices into ``net.segments``, so
+  sorted indices run in id order; the table readers map ids to indices
+  (``segment_indices``) and the writers map them back (``segment_ids``)
 
 Point geometry uses a local planar approximation (meters per degree at
 the query latitude). At city scale the error is far below GPS noise.
@@ -218,14 +222,12 @@ class RoadNetwork:
     def segment_ids(self) -> list[int]:
         return [s.id for s in self.segments]
 
-    def segment_by_id(self, segment_id: int) -> Segment:
-        return self.segments[self.segment_index(segment_id)]
-
-    def segment_index(self, segment_id: int) -> int:
+    def segment_indices(self, source: str, ids: Iterable[int]) -> list[int]:
+        """Index into ``segments`` of each segment id; an unknown id raises naming ``source``."""
         try:
-            return self._segment_index[segment_id]
-        except KeyError:
-            raise InputDataError(f"unknown segment id {segment_id}") from None
+            return [self._segment_index[sid] for sid in ids]
+        except KeyError as exc:
+            raise InputDataError(f"{source}: unknown segment id {exc.args[0]}") from None
 
     def node_index(self, node_id: int) -> int:
         try:
@@ -243,10 +245,7 @@ class RoadNetwork:
         if not rows:
             raise InputDataError(f"{source}: no segment rows")
         ids, *columns = zip(*rows)
-        try:
-            positions = np.array([self._segment_index[sid] for sid in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise InputDataError(f"{source}: unknown segment id {exc.args[0]}") from None
+        positions = np.array(self.segment_indices(source, ids), dtype=np.int64)
         counts = np.bincount(positions, minlength=self.n_segments)
         if np.any(counts > 1):
             sid = self.segments[int(np.argmax(counts > 1))].id
@@ -642,20 +641,12 @@ class Router:
             return tree.dist[nodes], tree.length[nodes]
         return [tree.dist[v] for v in targets], self._lengths(tree, targets)
 
-    def route(self, u: int, v: int) -> tuple[int, ...] | None:
-        """Segment ids of the fastest route between node indices.
+    def route(self, u: int, v: int) -> list[int] | None:
+        """Segment indices of the fastest route between node indices.
 
-        Returns () for u == v and None when v is unreachable. Deterministic
+        Returns [] for u == v and None when v is unreachable. Deterministic
         under cost ties (see ``_settle``).
         """
-        path = self.path(u, v)
-        if path is None:
-            return None
-        segments = self.net.segments
-        return tuple(segments[j].id for j in path)
-
-    def path(self, u: int, v: int) -> list[int] | None:
-        """Segment indices of the route ``route`` returns."""
         if u == v:
             return []
         pred = self._search(u, [v]).pred
@@ -820,20 +811,28 @@ def write_network(net: RoadNetwork, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
+def _json_int64(value) -> int:
+    """A node or segment id field, which must be a JSON integer inside int64."""
+    if type(value) is not int or not -2**63 <= value < 2**63:
+        raise ValueError(f"id {value!r} is not an integer inside the int64 range")
+    return value
+
+
 def read_network(path: str | os.PathLike) -> RoadNetwork:
     """Read a network written by :func:`write_network`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad JSON, too many digits
         raise InputDataError(f"{path}: invalid network JSON: {exc}") from exc
     try:
-        nodes = [Node(id=int(n["id"]), lat=float(n["lat"]), lon=float(n["lon"])) for n in doc["nodes"]]
+        nodes = [Node(id=_json_int64(n["id"]), lat=float(n["lat"]), lon=float(n["lon"]))
+                 for n in doc["nodes"]]
         segments = [
             Segment(
-                id=int(s["id"]),
-                from_node=int(s["from"]),
-                to_node=int(s["to"]),
+                id=_json_int64(s["id"]),
+                from_node=_json_int64(s["from"]),
+                to_node=_json_int64(s["to"]),
                 length=float(s["length_m"]),
                 free_flow_speed=float(s["ffs_mps"]),
                 capacity=float(s["cap_vph"]),
@@ -841,7 +840,7 @@ def read_network(path: str | os.PathLike) -> RoadNetwork:
             )
             for s in doc["segments"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputDataError(f"{path}: invalid network JSON: {exc}") from exc
     return RoadNetwork(nodes, segments)
 

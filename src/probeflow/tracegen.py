@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class GroundTruthScenario:
 class TruthTrip:
     """A simulated vehicle journey with known per-segment entry times.
 
+    ``path`` holds segment indices in traversal order, and
     ``entry_times[i]`` is when the vehicle enters ``path[i]``; the trip
     ends at ``arrival``. Trips read back from CSV carry only the path and
     departure (entry times are None) until rebuilt against a scenario.
@@ -125,7 +127,7 @@ def _position_at(net: RoadNetwork, trip: TruthTrip, scenario: GroundTruthScenari
     entry = trip.entry_times
     j = int(np.searchsorted(entry, t, side="right")) - 1
     j = min(max(j, 0), len(trip.path) - 1)
-    k = net.segment_index(trip.path[j])
+    k = trip.path[j]
     frac = (t - entry[j]) / scenario.time[k]
     frac = min(max(frac, 0.0), 1.0)
     return position_on_segment(net, k, frac * net.seg_length[k])
@@ -173,13 +175,10 @@ def sample_trace(
 
 def with_times(trip: TruthTrip, net: RoadNetwork, scenario: GroundTruthScenario) -> TruthTrip:
     """Rebuild entry times of a path-only trip against a scenario."""
-    times = [float(scenario.time[net.segment_index(sid)]) for sid in trip.path]
-    entry = [trip.departure]
-    for t in times[:-1]:
-        entry.append(entry[-1] + t)
-    arrival = entry[-1] + times[-1]
-    return TruthTrip(vehicle_id=trip.vehicle_id, departure=trip.departure,
-                     path=list(trip.path), entry_times=entry, arrival=arrival)
+    times = scenario.time[trip.path].tolist()
+    entry = list(accumulate(times[:-1], initial=trip.departure))
+    return TruthTrip(vehicle_id=trip.vehicle_id, departure=trip.departure, path=list(trip.path),
+                     entry_times=entry, arrival=entry[-1] + times[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +281,20 @@ def read_traces(path: str | os.PathLike) -> list[GpsTrace]:
         rows.setdefault(vid, []).append((t, lat, lon))
     if not rows:
         raise InputDataError(f"{path}: no trace points")
-    traces = []
-    for vid in sorted(rows):
-        pts = rows[vid]
-        traces.append(GpsTrace(
-            vehicle_id=vid,
-            timestamps=np.array([p[0] for p in pts]),
-            lats=np.array([p[1] for p in pts]),
-            lons=np.array([p[2] for p in pts]),
-        ))
-    return traces
+    return [GpsTrace(vid, *np.array(rows[vid]).T) for vid in sorted(rows)]
 
 
-def write_trips(trips: list[TruthTrip], path: str | os.PathLike) -> None:
+def write_trips(trips: list[TruthTrip], path: str | os.PathLike, net: RoadNetwork) -> None:
+    ids = net.segment_ids()
     write_table(path, TRIP_COLUMNS, (
-        (trip.vehicle_id, trip.departure, "/".join(str(s) for s in trip.path))
+        (trip.vehicle_id, trip.departure, "/".join(str(ids[j]) for j in trip.path))
         for trip in sorted(trips, key=lambda t: t.vehicle_id)))
 
 
-def read_trips(path: str | os.PathLike) -> list[TruthTrip]:
+def read_trips(path: str | os.PathLike, net: RoadNetwork) -> list[TruthTrip]:
     """Read trips; entry times are not stored, rebuild with ``with_times``."""
-    return [TruthTrip(vehicle_id=vid, departure=departure, path=seg_path, entry_times=None)
+    return [TruthTrip(vehicle_id=vid, departure=departure,
+                      path=net.segment_indices(str(path), seg_path), entry_times=None)
             for vid, departure, seg_path in read_table(path, TRIP_COLUMNS)]
 
 

@@ -44,8 +44,8 @@ class InferParams:
 class IntervalObservations:
     """Observations of one time interval.
 
-    Each row pairs a segment-id multiset (id -> traversal count) with the
-    observed duration in seconds of traversing exactly that multiset.
+    Each row pairs a segment multiset (segment index -> traversal count) with
+    the observed duration in seconds of traversing exactly that multiset.
     """
 
     interval_index: int
@@ -94,13 +94,16 @@ def observations_from_matches(matches, grid: TimeGrid) -> dict[int, IntervalObse
 def build_system(
     obs: IntervalObservations, net: RoadNetwork
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Stack observation rows into (A, b, column segment ids).
+    """Stack observation rows into (A, b, column segment indices).
 
-    A[r, s] counts how many times row r traverses column s's segment;
-    columns are the segments with support, ascending by id.
+    A[r, c] counts how many times row r traverses column c's segment;
+    columns are the segments with support, ascending (by index and id).
     """
-    columns = sorted({sid for multiset, _ in obs.rows for sid in multiset})
-    col_of = {sid: j for j, sid in enumerate(columns)}
+    columns = sorted({j for multiset, _ in obs.rows for j in multiset})
+    if columns and (columns[0] < 0 or columns[-1] >= net.n_segments):
+        bad = columns[0] if columns[0] < 0 else columns[-1]
+        raise InputDataError(f"segment index {bad} outside 0..{net.n_segments - 1}")
+    col_of = {j: c for c, j in enumerate(columns)}
     A = np.zeros((len(obs.rows), len(columns)))
     b = []
     for multiset, duration in obs.rows:
@@ -108,11 +111,10 @@ def build_system(
             raise InputDataError(f"observation duration must be positive, got {duration}")
         if not multiset:
             continue
-        for sid, count in multiset.items():
-            net.segment_index(sid)  # raises on unknown segment
+        for j, count in multiset.items():
             if count <= 0:
                 raise InputDataError(f"traversal count must be positive, got {count}")
-            A[len(b), col_of[sid]] = count
+            A[len(b), col_of[j]] = count
         b.append(duration)
     return A[:len(b)], np.asarray(b, dtype=float), columns
 
@@ -217,7 +219,7 @@ def infer_times(
         raise InputDataError("prior must be at least the free-flow time everywhere")
 
     A, b, columns = build_system(obs, net)
-    idx = np.array([net.segment_index(sid) for sid in columns], dtype=np.int64)
+    idx = np.array(columns, dtype=np.int64)
     support = np.zeros(net.n_segments, dtype=np.int64)
     support[idx] = np.count_nonzero(A, axis=0)
     if columns:
@@ -228,8 +230,7 @@ def infer_times(
 def residual_sq(times: np.ndarray, obs: IntervalObservations, net: RoadNetwork) -> float:
     """||A x - b||^2 of an interval under given segment times."""
     A, b, columns = build_system(obs, net)
-    x = times[[net.segment_index(sid) for sid in columns]]
-    r = A @ x - b
+    r = A @ times[columns] - b
     return float(r @ r)
 
 

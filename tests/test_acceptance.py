@@ -261,7 +261,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
         rest = infer_times(robs, rnet, prior, InferParams(lam=0.05))
         A, b, columns = build_system(robs, rnet)
         x = np.array([rest.time[s] for s in columns])
-        lower = np.array([rnet.segment_by_id(s).free_flow_time for s in columns])
+        lower = np.array([rnet.segments[s].free_flow_time for s in columns])
         p = np.array([prior[s] for s in columns])
         assert np.all(x >= lower - 1e-12)
         assert kkt_max_violation(A, b, 0.05, p, lower, x) <= tol * (1.0 + np.linalg.norm(b))

@@ -233,8 +233,8 @@ def test_reported_gap_matches_returned_flows():
     router = Router(net, np.array([times[s.id] for s in net.segments]))
     for (o, d), rate in sorted(demand.items()):
         path = router.route(net.node_index(centroid[o]), net.node_index(centroid[d]))
-        for sid in path:
-            aon[sid] += rate
+        for j in path:
+            aon[net.segments[j].id] += rate
     cur = sum(res.flow[s] * times[s] for s in sorted(times))
     best = sum(aon[s] * times[s] for s in sorted(times))
     expected_gap = (cur - best) / cur

@@ -5,11 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from probeflow import mapmatch, network
+from probeflow import cli, mapmatch, network
 from probeflow.cli import _SECTIONS, main, stage_seed
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
@@ -220,7 +221,7 @@ def test_import_osm_round_trip(tmp_path):
 def test_match_then_infer(world, tmp_path):
     out = str(tmp_path)
     assert main(["match", "--config", world.cfg, "--out-dir", out]) == 0
-    matched = read_matched(tmp_path / "matched.csv")
+    matched = read_matched(tmp_path / "matched.csv", world.net)
     assert matched
 
     assert main(["infer", "--config", world.cfg, "--out-dir", out,
@@ -245,7 +246,7 @@ def test_infer_on_non_finite_entry_time_exits_2_naming_it(world, tmp_path, capsy
 def test_refine_outputs(world, tmp_path):
     out = str(tmp_path)
     assert main(["refine", "--config", world.cfg, "--out-dir", out]) == 0
-    assert read_matched(tmp_path / "matched.csv")
+    assert read_matched(tmp_path / "matched.csv", world.net)
     assert read_estimates(tmp_path / "estimates.csv", world.net)
     assert list(read_table(tmp_path / "diagnostics.csv", DIAGNOSTICS_COLUMNS))
 
@@ -299,6 +300,59 @@ def test_export_voc_rejects_stray_state_file(world, tmp_path, capsys):
                "--states-dir", str(states)])
     assert rc == 2
     assert "state_old.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names,named", [
+    (["state_003.csv", "state_0003.csv"], ["state_003.csv", "state_0003.csv"]),
+    (["state_000.csv", "state_008.csv"], ["state_008.csv"]),
+], ids=["repeated-interval", "outside-grid"])
+def test_export_voc_rejects_repeated_or_off_grid_interval(world, tmp_path, capsys, names, named):
+    states = tmp_path / "states"
+    states.mkdir()
+    for name in names:
+        (states / name).write_bytes((world.pipe / "state_000.csv").read_bytes())
+    rc = main(["export-voc", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--states-dir", str(states)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named) and "Traceback" not in err
+    assert not (tmp_path / "out" / "voc.csv").exists()
+
+
+def test_evaluate_on_unknown_trip_segment_exits_2_naming_it(world, tmp_path, capsys,
+                                                            monkeypatch):
+    trips = tmp_path / "bad_trips.csv"
+    trips.write_bytes(Path(world.paths["trips"]).read_bytes() + b"99999,0.0,0/99999\r\n")
+    baselines = []
+    monkeypatch.setattr(cli, "run_baseline", lambda *args, **kwargs: baselines.append(args))
+    rc = main(["evaluate", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--trips", str(trips), "--matched", str(world.pipe / "matched.csv"),
+               "--estimates", str(world.pipe / "estimates.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_trips.csv: unknown segment id 99999" in err and "Traceback" not in err
+    assert baselines == []  # the trips are checked before any trace is matched again
+
+
+@pytest.mark.parametrize("section,key,literal", [
+    ("nodes", "id", "1e400"),
+    ("nodes", "id", "{}.5"),
+    ("segments", "from", "{}.0"),
+    ("segments", "id", str(2**63)),
+    ("segments", "to", '"{}"'),
+])
+def test_match_on_non_integer_network_id_exits_2_naming_it(world, tmp_path, capsys,
+                                                           section, key, literal):
+    doc = json.loads(Path(world.paths["network"]).read_text(encoding="utf-8"))
+    value = doc[section][0][key]
+    doc[section][0][key] = "@odd@"
+    bad = tmp_path / "bad_network.json"
+    bad.write_text(json.dumps(doc).replace('"@odd@"', literal.format(value)), encoding="utf-8")
+    rc = main(["match", "--network", str(bad), "--traces", world.paths["traces"],
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_network.json" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +500,8 @@ def test_gen_traces_builds_one_tree_per_scenario_and_origin(world, tmp_path, mon
     out = tmp_path / "gen"
     assert main(["gen-traces", "--config", world.cfg, "--out-dir", str(out),
                  "--truth-dir", str(world.gen)]) == 0
-    trips = read_trips(out / "trips.csv")
-    origins = {world.net.segment_by_id(trip.path[0]).from_node for trip in trips}
+    trips = read_trips(out / "trips.csv", world.net)
+    origins = {world.net.segments[trip.path[0]].from_node for trip in trips}
     scenarios = len({sid for sid in BASE_CONFIG["schedule"] if sid >= 0})
     assert len(trips) > scenarios * len(origins)
     assert len(calls) <= scenarios * len(origins)

@@ -362,8 +362,8 @@ def test_unroutable_step_splits_lattice():
     net = RoadNetwork(nodes, segs)
     pts = [(0, 0.0), (0, 150.0), (2, 50.0), (2, 199.0)]
     lats, lons = [], []
-    for sid, off in pts:
-        lat, lon = position_on_segment(net, net.segment_index(sid), off)
+    for j, off in pts:
+        lat, lon = position_on_segment(net, j, off)
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array([0.0, 15.0, 30.0, 45.0]), np.array(lats), np.array(lons))
@@ -403,16 +403,15 @@ def test_no_candidates_anywhere_returns_empty():
 
 
 def grid_segment(net: RoadNetwork, u: int, v: int) -> int:
-    """Id of the segment from node u to node v."""
-    return next(seg.id for seg in net.segments if (seg.from_node, seg.to_node) == (u, v))
+    """Index of the segment from node u to node v."""
+    return next(j for j, seg in enumerate(net.segments) if (seg.from_node, seg.to_node) == (u, v))
 
 
 def sparse_row_trace(net: RoadNetwork, nx: int, stride: int) -> GpsTrace:
     """Fixes mid-segment along a grid's bottom row, ``stride`` segments apart."""
     ts, lats, lons = [], [], []
     for k, ix in enumerate(range(0, nx - 1, stride)):
-        sid = grid_segment(net, ix, ix + 1)
-        j = net.segment_index(sid)
+        j = grid_segment(net, ix, ix + 1)
         lat, lon = position_on_segment(net, j, 0.5 * net.seg_length[j])
         ts.append(k * stride * 20.0)
         lats.append(lat)
@@ -490,9 +489,9 @@ def test_router_tree_and_route():
     settled = router.settled()
     router.reach(0, nodes)
     assert router.settled() == settled  # a repeated query settles no new node
-    assert router.route(0, 0) == ()
-    assert router.route(0, 1) == (0,)
-    assert router.route(0, 3) == (0, 1, 2)
+    assert router.route(0, 0) == []
+    assert router.route(0, 1) == [0]
+    assert router.route(0, 3) == [0, 1, 2]
     assert router.route(3, 0) is None
     time, length = router.reach(3, nodes)
     assert math.isinf(time[0]) and math.isinf(length[0])
@@ -541,8 +540,8 @@ def test_router_tree_length_is_running_sum_of_route():
             length = router.reach(u, np.array([v]))[1][0]
             route = router.route(u, v)
             total = 0.0
-            for sid in route:
-                total += net.segment_by_id(sid).length
+            for j in route:
+                total += net.segments[j].length
             assert length == total
             longest = max(longest, len(route))
     assert longest >= 8
@@ -557,8 +556,7 @@ def _scalar_leg(net, times, router, ja, off_a, jb, off_b):
     if ja == jb and off_b >= off_a:
         return off_b - off_a, times[ja] * ((off_b - off_a) / net.seg_length[ja])
     mid_len = mid_tt = 0.0
-    for sid in router.route(int(net.seg_to[ja]), int(net.seg_from[jb])):
-        j = net.segment_index(sid)
+    for j in router.route(int(net.seg_to[ja]), int(net.seg_from[jb])):
         mid_len += net.seg_length[j]
         mid_tt += times[j]
     head = net.seg_length[ja] - off_a
@@ -693,8 +691,8 @@ def test_matched_csv_round_trip(tmp_path):
     ]
     pieces = match_traces(net, traces, net.seg_fft)
     path = tmp_path / "matched.csv"
-    write_matched(pieces, path)
-    back = read_matched(path)
+    write_matched(pieces, path, net)
+    back = read_matched(path, net)
     assert len(back) == len(pieces)
     for x, y in zip(sorted(pieces, key=lambda m: (m.vehicle_id, m.piece)), back):
         assert (x.vehicle_id, x.piece, x.segments) == (y.vehicle_id, y.piece, y.segments)
@@ -705,7 +703,7 @@ def test_read_matched_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("vehicle,piece,segment_id,entry_time_s\n1,0,0,0.0\n")
     with pytest.raises(InputDataError):
-        read_matched(p)
+        read_matched(p, line_net())
 
 
 @settings(max_examples=25, deadline=None)
@@ -724,6 +722,6 @@ def test_matched_pieces_connect_and_entry_times_nondecreasing(sigma, period, ori
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
                          rng_seed=seed)
     for mp in match_trace(net, trace, router):
-        segs = [net.segment_by_id(sid) for sid in mp.segments]
+        segs = [net.segments[j] for j in mp.segments]
         assert all(a.to_node == b.from_node for a, b in zip(segs, segs[1:]))
         assert all(t0 <= t1 for t0, t1 in zip(mp.entry_times, mp.entry_times[1:]))

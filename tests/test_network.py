@@ -136,8 +136,8 @@ def test_network_adjacency_and_arrays():
     for bad in (math.nan, math.inf):
         with pytest.raises(InputDataError, match="times.csv: segment 1"):
             net.segment_columns("times.csv", [(0, 5.0, 2), (1, bad, 3)])
-    with pytest.raises(InputDataError):
-        net.segment_by_id(99)
+    with pytest.raises(InputDataError, match="times.csv: unknown segment id 99"):
+        net.segment_indices("times.csv", [0, 99])
 
 
 def test_time_grid():
@@ -228,7 +228,7 @@ def test_shortest_path_against_enumeration():
                 cost = _time(router, src, dst)
                 paths = list(_all_simple_paths(7, out_edges, src, dst))
                 if src == dst:
-                    assert got == () and cost == 0.0
+                    assert got == [] and cost == 0.0
                     continue
                 if not paths:
                     assert got is None and cost == math.inf
@@ -275,7 +275,7 @@ def test_shortest_path_is_reverse_lexicographic_minimum(graph):
     u, v = net.node_index(10 * src + 3), net.node_index(10 * dst + 3)
     got, cost = router.route(u, v), _time(router, u, v)
     if src == dst:
-        assert got == () and cost == 0.0
+        assert got == [] and cost == 0.0
         return
     if len(weights):
         zeroed = np.where(weights == weights.max(), 0.0, weights)
@@ -288,7 +288,7 @@ def test_shortest_path_is_reverse_lexicographic_minimum(graph):
     best = min(sum(weight_of[s] for s in p) for p in paths)
     ties = [p for p in paths if sum(weight_of[s] for s in p) == best]
     assert got is not None and cost == best
-    assert list(got) == min(ties, key=lambda p: tuple(reversed(p)))
+    assert [net.segments[j].id for j in got] == min(ties, key=lambda p: tuple(reversed(p)))
 
 
 def test_shortest_path_rejects_bad_weights():
@@ -309,7 +309,7 @@ def test_shortest_path_on_grid():
     path, cost = router.route(0, 15), _time(router, 0, 15)
     assert path is not None
     assert len(path) == 6  # 3 east + 3 north in some order
-    total = sum(net.segment_by_id(s).free_flow_time for s in path)
+    total = sum(net.segments[j].free_flow_time for j in path)
     assert abs(total - cost) < 1e-12
 
 
@@ -351,7 +351,7 @@ def _full_tree_oracle(net: RoadNetwork, weights: list[float], u: int):
         for j in route:
             time += weights[j]
             length += float(net.seg_length[j])
-        out.append((time, length, tuple(net.segments[j].id for j in route)))
+        out.append((time, length, route))
     return out
 
 
@@ -552,7 +552,7 @@ def _equator_net():
 
 def test_project_midpoint():
     net = _equator_net()
-    length = net.segment_by_id(0).length
+    length = net.segments[0].length
     cands = _project(net, (0.0001, 0.0005), radius=50.0, max_candidates=8)
     assert [c.segment_id for c in cands] == [0, 1]
     c0 = cands[0]
@@ -566,7 +566,7 @@ def test_project_midpoint():
 
 def test_project_clamps_to_endpoints():
     net = _equator_net()
-    length = net.segment_by_id(0).length
+    length = net.segments[0].length
     cands = _project(net, (0.0, 0.002), radius=500.0, max_candidates=1)
     assert cands[0].segment_id in (0, 1)
     got = next(c for c in _project(net, (0.0, 0.002), 500.0, 8) if c.segment_id == 0)
@@ -589,7 +589,7 @@ def test_project_radius_and_cap():
 
 def test_position_on_segment():
     net = _equator_net()
-    length = net.segment_by_id(0).length
+    length = net.segments[0].length
     lat, lon = position_on_segment(net, 0, 0.5 * length)
     assert abs(lat - 0.0) < 1e-12
     assert abs(lon - 0.0005) < 1e-9

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import json
 import pkgutil
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import probeflow
 from probeflow import assignment, evaluation, mapmatch, network, odestim, tracegen, ttinfer
@@ -26,10 +30,10 @@ READERS = {
     "tazs": (network.read_tazs, network.TAZ_COLUMNS),
     "demand": (assignment.read_demand, assignment.DEMAND_COLUMNS),
     "voc": (evaluation.read_voc, evaluation.VOC_COLUMNS),
-    "matched": (mapmatch.read_matched, mapmatch.MATCHED_COLUMNS),
+    "matched": (partial(mapmatch.read_matched, net=NET2), mapmatch.MATCHED_COLUMNS),
     "state": (partial(odestim.read_state, net=NET2), odestim.STATE_COLUMNS),
     "traces": (tracegen.read_traces, tracegen.TRACE_COLUMNS),
-    "trips": (tracegen.read_trips, tracegen.TRIP_COLUMNS),
+    "trips": (partial(tracegen.read_trips, net=NET2), tracegen.TRIP_COLUMNS),
     "truth": (partial(tracegen.read_truth, net=NET2), tracegen.TRUTH_COLUMNS),
     "estimates": (partial(ttinfer.read_estimates, net=NET2), ttinfer.ESTIMATE_COLUMNS),
 }
@@ -55,6 +59,29 @@ def test_readers_lists_every_csv_reader_of_the_package():
     assert {getattr(reader, "func", reader) for reader, _ in READERS.values()} == csv_readers
     # The one reader left reads JSON, not a table.
     assert {fn.__qualname__ for fn in others} == {"read_network"}
+
+
+def _callers(method: str) -> set[str]:
+    """``module.name`` of each top-level function or class of the package that calls ``.method(...)``."""
+    callers = set()
+    for info in pkgutil.iter_modules(probeflow.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"probeflow.{info.name}")))
+        for top in tree.body:
+            if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == method for node in ast.walk(top)):
+                callers.add(f"{info.name}.{getattr(top, 'name', '<module>')}")
+    return callers
+
+
+def test_only_table_readers_and_writers_map_segment_ids():
+    # Inside the package, segment sequences and per-segment values are
+    # keyed by index; ids appear only where a table is read or written.
+    to_index = _callers("segment_indices") | _callers("segment_columns")
+    assert to_index and {c for c in to_index if not c.split(".")[1].startswith("read_")} == {
+        "network.RoadNetwork"}
+    to_id = _callers("segment_ids")
+    assert to_id and {c for c in to_id if not c.split(".")[1].startswith("write_")} == {
+        "completion.assemble_matrix"}
 
 
 def header(columns) -> bytes:
@@ -122,3 +149,119 @@ def test_per_segment_readers_reject_missing_and_unknown_segments(tmp_path, name,
     p.write_bytes(header(columns) + body.encode("utf-8"))
     with pytest.raises(InputDataError, match=rf"{name}\.csv.*{error}"):
         reader(p)
+
+
+# One valid row naming segment 7, which NET2 lacks, for each reader of segment sequences.
+UNKNOWN_SEGMENT = {"matched": "1,0,0,0.0\n1,0,7,20.0", "trips": "1,0.0,0/7"}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_SEGMENT))
+def test_segment_sequence_readers_reject_unknown_segments(tmp_path, name):
+    reader, columns = READERS[name]
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(header(columns) + UNKNOWN_SEGMENT[name].encode("utf-8") + b"\n")
+    with pytest.raises(InputDataError, match=rf"{name}\.csv: unknown segment id 7"):
+        reader(p)
+
+
+# ---------------------------------------------------------------------------
+# Mutated inputs: every reader returns or raises InputDataError, nothing else
+# ---------------------------------------------------------------------------
+
+
+# A valid body for each reader, on NET2 (segments 0 and 1 between nodes 0, 1, 2).
+VALID = {
+    "tazs": "0,0,west\n1,2,east\n",
+    "demand": "0,1,30.0\n1,0,12.5\n",
+    "voc": "0,secondary,0.5\n1,secondary,0.25\n",
+    "matched": "1,0,0,0.0\n1,0,1,20.0\n2,0,1,5.0\n",
+    "state": "0,600.0,25.0,0.6\n1,300.0,21.0,0.3\n",
+    "traces": "1,0.0,0.0,0.0005\n1,30.0,0.0,0.002\n",
+    "trips": "1,0.0,0/1\n2,10.0,1\n",
+    "truth": "0,25.0,600.0\n1,21.0,300.0\n",
+    "estimates": "0,0,20.5,3\n0,1,20.5,0\n",
+}
+
+# Field values no writer produces: beyond float and int64, not integers, or not numbers.
+ODD_FIELDS = ["1e400", "-1e400", "9" * 30, "-" + "9" * 30, "9" * 5000, "1.5", "nan", "inf",
+              "-0", "", "1/2", "0/", "\x00", "\u00e9", '"']
+
+
+@st.composite
+def mutated_table(draw, text: bytes) -> bytes:
+    """``text`` after one to three truncations, byte flips, swapped, emptied or odd fields."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "flip", "swap", "field"]))
+        if kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+            continue
+        if kind == "flip":
+            if text:
+                i = draw(st.integers(0, len(text) - 1))
+                text = text[:i] + bytes([draw(st.integers(0, 255))]) + text[i + 1:]
+            continue
+        lines = text.decode("utf-8", "surrogateescape").split("\n")
+        rows = [line.split(",") for line in lines]
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        i = draw(st.integers(0, len(fields) - 1))
+        if kind == "swap":
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[i], fields[j] = fields[j], fields[i]
+        else:
+            fields[i] = draw(st.sampled_from(ODD_FIELDS))
+        text = "\n".join(",".join(f) for f in rows).encode("utf-8", "surrogateescape")
+    return text
+
+
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@FUZZ
+@given(data=st.data())
+def test_csv_readers_on_mutated_files_return_or_raise_input_data_error(tmp_path, name, data):
+    reader, columns = READERS[name]
+    p = tmp_path / f"{name}.csv"
+    valid = header(columns) + VALID[name].encode("utf-8")
+    p.write_bytes(valid)
+    reader(p)
+    p.write_bytes(data.draw(mutated_table(valid)))
+    try:
+        reader(p)
+    except InputDataError:
+        pass
+
+
+ODD_JSON = ["1e400", "-1e400", "1.5", "9" * 30, "9" * 5000, "-9223372036854775809", "NaN",
+            "Infinity", '"1"', "null", "true", "[]", "{}", "-0"]
+
+
+@st.composite
+def mutated_network(draw, doc: dict) -> bytes:
+    """The network's JSON with a value replaced, a key dropped or bytes mutated."""
+    kind = draw(st.sampled_from(["value", "drop", "bytes"]))
+    if kind == "bytes":
+        return draw(mutated_table(json.dumps(doc).encode("utf-8")))
+    doc = json.loads(json.dumps(doc))
+    section = draw(st.sampled_from(["nodes", "segments"]))
+    item = draw(st.sampled_from(doc[section]))
+    key = draw(st.sampled_from(sorted(item)))
+    if kind == "drop":
+        del item[key]
+        return json.dumps(doc).encode("utf-8")
+    item[key] = "@odd@"
+    return json.dumps(doc).replace('"@odd@"', draw(st.sampled_from(ODD_JSON))).encode("utf-8")
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_network_on_mutated_json_returns_or_raises_input_data_error(tmp_path, data):
+    p = tmp_path / "network.json"
+    network.write_network(NET2, p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    p.write_bytes(data.draw(mutated_network(doc)))
+    try:
+        network.read_network(p)
+    except InputDataError:
+        pass

@@ -285,8 +285,8 @@ def test_trip_csv_round_trip(tmp_path):
     router = Router(net, scen.time)
     trips = [simulate_trip(net, router, tazs[0], tazs[1], scen, 5.0 * v, v) for v in range(3)]
     p = tmp_path / "trips.csv"
-    write_trips(trips, p)
-    back = read_trips(p)
+    write_trips(trips, p, net)
+    back = read_trips(p, net)
     for x, y in zip(trips, back):
         assert (x.vehicle_id, x.departure, x.path) == (y.vehicle_id, y.departure, y.path)
         assert y.entry_times is None

@@ -159,7 +159,7 @@ def test_kkt_holds_on_randomized_instances():
         est = infer_times(obs, net, prior, InferParams(lam=0.05))
         A, b, columns = build_system(obs, net)
         x = np.array([est.time[s] for s in columns])
-        lower = np.array([net.segment_by_id(s).free_flow_time for s in columns])
+        lower = np.array([net.segments[s].free_flow_time for s in columns])
         p = np.array([prior[s] for s in columns])
         assert np.all(x >= lower - 1e-12)
         assert kkt_max_violation(A, b, 0.05, p, lower, x) <= tol * (1.0 + np.linalg.norm(b))
@@ -178,7 +178,7 @@ def test_objective_never_worse_than_prior():
             r = A @ v - b
             return float(r @ r + 0.05 * float((v - p) @ (v - p)))
 
-        assert total(x) <= total(np.maximum(p, [net.segment_by_id(s).free_flow_time
+        assert total(x) <= total(np.maximum(p, [net.segments[s].free_flow_time
                                                 for s in columns])) + 1e-9
 
 
