@@ -60,7 +60,7 @@ from .evaluation import (
     write_voc,
 )
 from .mapmatch import MatchParams, match_traces, read_matched, write_matched
-from .network import TimeGrid, import_osm, read_network, read_tazs, write_network
+from .network import RoadNetwork, Router, TimeGrid, import_osm, read_network, read_tazs, write_network
 from .odestim import (
     GravityParams,
     OdSolveParams,
@@ -345,15 +345,14 @@ def _supported_intervals(estimates) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_import_osm(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_import_osm(cfg: PipelineConfig, _: None, artifacts: list[Path]) -> None:
     net = import_osm(_input(cfg, "osm"))
     out = _out(cfg) / NETWORK_FILE
     write_network(net, out)
     artifacts.append(out)
 
 
-def _cmd_gen_demand(cfg: PipelineConfig, artifacts: list[Path]) -> None:
-    net = read_network(_input(cfg, "network"))
+def _cmd_gen_demand(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     tazs = read_tazs(_input(cfg, "tazs"), net)
     demand = seed_gravity(net, tazs, cfg.gravity)
     out = _out(cfg) / DEMAND_FILE
@@ -361,8 +360,7 @@ def _cmd_gen_demand(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     artifacts.append(out)
 
 
-def _cmd_gen_scenarios(cfg: PipelineConfig, artifacts: list[Path]) -> None:
-    net = read_network(_input(cfg, "network"))
+def _cmd_gen_scenarios(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     tazs = read_tazs(_input(cfg, "tazs"), net)
     demand = read_demand(_input(cfg, "demand"))
     scenarios = gen_scenarios(net, demand, cfg.multipliers, tazs, cfg.assignment)
@@ -373,13 +371,12 @@ def _cmd_gen_scenarios(cfg: PipelineConfig, artifacts: list[Path]) -> None:
         artifacts.append(path)
 
 
-def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_gen_traces(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """Simulate probe data for the scheduled scenarios.
 
     Writes one trace file and one trip file covering the whole week,
     which is what the estimation chain reads.
     """
-    net = read_network(_input(cfg, "network"))
     tazs = read_tazs(_input(cfg, "tazs"), net)
     demand = read_demand(_input(cfg, "demand"))
 
@@ -409,18 +406,16 @@ def _cmd_gen_traces(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     artifacts.extend([out / TRACES_FILE, out / TRIPS_FILE])
 
 
-def _cmd_match(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_match(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """One matching pass under free-flow travel times, weighted by ``match.tt_tau``."""
-    net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
-    matched = match_traces(net, traces, net.seg_fft, cfg.match)
+    matched = match_traces(net, traces, Router(net, net.seg_fft), cfg.match)
     out = _out(cfg) / MATCHED_FILE
     write_matched(matched, out, net)
     artifacts.append(out)
 
 
-def _cmd_infer(cfg: PipelineConfig, artifacts: list[Path]) -> None:
-    net = read_network(_input(cfg, "network"))
+def _cmd_infer(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     matched = read_matched(_input(cfg, "matched"), net)
     obs = observations_from_matches(matched, cfg.grid)
     estimates = [infer_times(obs[iv], net, net.seg_fft, cfg.infer) for iv in sorted(obs)]
@@ -429,14 +424,13 @@ def _cmd_infer(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     artifacts.append(out)
 
 
-def _cmd_refine(cfg: PipelineConfig, artifacts: list[Path],
+def _cmd_refine(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path],
                 baseline: dict[int, SegmentTimeEstimate] | None = None) -> None:
     """Refine, writing matched paths, estimates and diagnostics.
 
     A ``baseline`` dict receives the tandem baseline's estimates, decoded
     from refine's first pass; they are not written.
     """
-    net = read_network(_input(cfg, "network"))
     traces = read_traces(_input(cfg, "traces"))
     pieces, estimates, diag = refine(traces, net, cfg.grid, match_params=cfg.match,
                                      infer_params=cfg.infer, params=cfg.refine,
@@ -448,7 +442,7 @@ def _cmd_refine(cfg: PipelineConfig, artifacts: list[Path],
     artifacts.extend([out / MATCHED_FILE, out / ESTIMATES_FILE, out / DIAGNOSTICS_FILE])
 
 
-def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_estimate_od(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """Demand estimation per supported interval.
 
     Each interval gets its own derived seed. When the equilibrium solver
@@ -456,9 +450,8 @@ def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     a .partial suffix, every other interval keeps its regular output, and
     the command fails with exit code 3 afterwards.
     """
-    net = read_network(_input(cfg, "network"))
     tazs = read_tazs(_input(cfg, "tazs"), net)
-    estimates = read_estimates(_input(cfg, "estimates"), net)
+    estimates = read_estimates(_input(cfg, "estimates"), net, cfg.grid)
     if cfg.demand is not None:
         seed_demand = read_demand(_input(cfg, "demand"))
     else:
@@ -489,9 +482,8 @@ def _cmd_estimate_od(cfg: PipelineConfig, artifacts: list[Path]) -> None:
         raise SolverError(f"interval {first}: {failures[first]}")
 
 
-def _cmd_complete(cfg: PipelineConfig, artifacts: list[Path]) -> None:
-    net = read_network(_input(cfg, "network"))
-    estimates = read_estimates(_input(cfg, "estimates"), net)
+def _cmd_complete(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
+    estimates = read_estimates(_input(cfg, "estimates"), net, cfg.grid)
     mat = assemble_matrix({iv: e.time for iv, e in estimates.items()}, net, cfg.grid,
                           support_by_interval={iv: e.support for iv, e in estimates.items()})
     out = _out(cfg)
@@ -502,7 +494,7 @@ def _cmd_complete(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     artifacts.append(out / COMPLETED_FILE)
 
 
-def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path],
+def _cmd_evaluate(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path],
                   base_est: dict[int, SegmentTimeEstimate] | None = None) -> None:
     """Score refined estimates against ground truth and the tandem baseline.
 
@@ -512,11 +504,10 @@ def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path],
     baseline is ``base_est`` when given, else ``run_baseline`` on the
     traces.
     """
-    net = read_network(_input(cfg, "network"))
     truth_times, _ = read_truth(_input(cfg, "truth"), net)
     trips = read_trips(_input(cfg, "trips"), net)
     matched = read_matched(_input(cfg, "matched"), net)
-    full = read_estimates(_input(cfg, "estimates"), net)
+    full = read_estimates(_input(cfg, "estimates"), net, cfg.grid)
 
     if base_est is None:
         _, base_est, _ = run_baseline(read_traces(_input(cfg, "traces")), net, cfg.grid,
@@ -541,9 +532,8 @@ def _cmd_evaluate(cfg: PipelineConfig, artifacts: list[Path],
     artifacts.append(out)
 
 
-def _cmd_export_voc(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_export_voc(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """Per-class mean VOC series from the state files, at most one per grid interval."""
-    net = read_network(_input(cfg, "network"))
     states_dir = Path(cfg.states_dir) if cfg.states_dir is not None else Path(cfg.out_dir)
     files: dict[int, Path] = {}
     for path in sorted(states_dir.glob("state_*.csv")):
@@ -567,8 +557,7 @@ def _cmd_export_voc(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     artifacts.append(out)
 
 
-def _cmd_export_geojson(cfg: PipelineConfig, artifacts: list[Path]) -> None:
-    net = read_network(_input(cfg, "network"))
+def _cmd_export_geojson(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     _, _, vocs = read_state(_input(cfg, "state"), net)
     out = _out(cfg) / GEOJSON_FILE
     export_geojson(net, vocs, out)
@@ -586,12 +575,13 @@ def _write_manifest(out: Path, artifacts: list[Path], partial: bool) -> None:
         fh.write("\n")
 
 
-def _cmd_pipeline(cfg: PipelineConfig, artifacts: list[Path]) -> None:
+def _cmd_pipeline(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """refine, then per-interval demand estimation, completion, evaluation.
 
-    Each stage reads its inputs from the files the previous stage wrote,
-    exactly as the standalone commands would, so a split run and a
-    single run produce identical bytes. The one exception is the tandem
+    The network is read once and handed to every stage. Each stage reads
+    its other inputs from the files the previous stage wrote, exactly as
+    the standalone commands would, so a split run and a single run
+    produce identical bytes. The one exception is the tandem
     baseline: refine decodes it from its free-flow first pass and hands
     it to evaluate in memory, so the traces are matched under free flow
     once. Those estimates equal what standalone ``evaluate`` computes
@@ -600,7 +590,7 @@ def _cmd_pipeline(cfg: PipelineConfig, artifacts: list[Path]) -> None:
     manifest records a SHA-256 hash per artifact; on solver failure it
     is written with a .partial suffix covering whatever completed.
     """
-    for key in ("network", "tazs", "traces", "truth", "trips"):
+    for key in ("tazs", "traces", "truth", "trips"):
         _input(cfg, key)
 
     out = _out(cfg)
@@ -608,17 +598,17 @@ def _cmd_pipeline(cfg: PipelineConfig, artifacts: list[Path]) -> None:
                      estimates=str(out / ESTIMATES_FILE))
     baseline: dict[int, SegmentTimeEstimate] = {}
     try:
-        _cmd_refine(staged, artifacts, baseline)
-        _cmd_estimate_od(staged, artifacts)
-        _cmd_complete(staged, artifacts)
-        _cmd_evaluate(staged, artifacts, baseline)
+        _cmd_refine(staged, net, artifacts, baseline)
+        _cmd_estimate_od(staged, net, artifacts)
+        _cmd_complete(staged, net, artifacts)
+        _cmd_evaluate(staged, net, artifacts, baseline)
     except SolverError:
         _write_manifest(out, artifacts, partial=True)
         raise
     _write_manifest(out, artifacts, partial=False)
 
 
-_HANDLERS: dict[str, Callable[[PipelineConfig, list[Path]], None]] = {
+_HANDLERS: dict[str, Callable[[PipelineConfig, RoadNetwork | None, list[Path]], None]] = {
     "import-osm": _cmd_import_osm,
     "gen-demand": _cmd_gen_demand,
     "gen-scenarios": _cmd_gen_scenarios,
@@ -687,7 +677,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        _HANDLERS[args.command](cfg, [])
+        # Every command but import-osm reads the network, once, before its other inputs.
+        net = (read_network(_input(cfg, "network"))
+               if "network" in _COMMAND_INPUTS[args.command] else None)
+        _HANDLERS[args.command](cfg, net, [])
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,11 @@ Traces split into independently matched pieces at long observation gaps
 within the search radius, and wherever the lattice has no routable
 continuation. Pieces with fewer than two points are dropped.
 
+``match_traces`` matches the traces that share a router in chunks of
+consecutive traces: one candidate projection, one lattice over all the
+chunk's runs and one route resolution per chunk, then Viterbi per run.
+Every piece equals the one a trace matched alone gives, bit for bit.
+
 The same scoring primitives serve both matching and the rescoring of a
 fixed assignment (``score_assignment``), so scores from the two paths are
 directly comparable, bit for bit.
@@ -30,6 +35,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,91 +296,147 @@ def _build_path(
     return path, entry.tolist()
 
 
-def match_trace(
+# Fixes per chunk of ``match_traces``, a bound on memory: a chunk's projection
+# and lattice temporaries grow with its fixes, up to max_candidates**2 legs
+# per fix. At 256 fixes they peak at about 3 MB when every fix has 8
+# candidates, and the per-call numpy and Python cost that chunking saves is
+# already spread thin; larger chunks add memory, not speed.
+_CHUNK_FIXES = 256
+
+
+class _Fixes(NamedTuple):
+    """Timestamps, coordinates and meters per degree of longitude of some fixes."""
+
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    mlon: np.ndarray
+
+    @classmethod
+    def of(cls, traces: list[GpsTrace]) -> "_Fixes":
+        """Every fix of the traces, in order; ``mlon`` as ``meters_per_degree`` gives it."""
+        lat = np.concatenate([trace.lats for trace in traces])
+        return cls(np.concatenate([trace.timestamps for trace in traces]), lat,
+                   np.concatenate([trace.lons for trace in traces]),
+                   np.array([meters_per_degree(x)[1] for x in lat.tolist()]))
+
+    def take(self, idx) -> "_Fixes":
+        return _Fixes(*(a[idx] for a in self))
+
+
+def match_traces(
     net: RoadNetwork,
-    trace: GpsTrace,
+    traces: list[GpsTrace],
     router: Router,
     params: MatchParams = MatchParams(),
     baseline: list[MatchedPath] | None = None,
 ) -> list[MatchedPath]:
-    """Match one trace under the router's travel times; see the module docstring.
+    """Match traces under the router's travel times; see the module docstring.
 
-    When ``baseline`` is a list, the trace is decoded a second time with
-    tt_tau = 0 on the same lattice (candidates, emissions and legs are
-    shared; only the transition scores differ), and those pieces are
-    appended to it. They equal ``match_trace`` under tt_tau = 0 bit for bit.
+    Chunks hold consecutive traces, at most ``_CHUNK_FIXES`` fixes (a
+    longer trace is a chunk of its own). Pieces come in trace order, each
+    trace's numbered from 0. When ``baseline`` is a list, every trace is
+    decoded a second time with tt_tau = 0 on the same lattices (only the
+    transition scores differ), and those pieces are appended to it. They
+    equal ``match_traces`` under tt_tau = 0 bit for bit.
     """
     param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
     outs: list[list[MatchedPath]] = [[] for _ in param_sets]
-    fix, seg, off, _ = project_to_candidates(net, trace.lats, trace.lons, params.radius,
-                                             params.max_candidates)
-    counts = np.bincount(fix, minlength=len(trace))
-    first = np.concatenate(([0], np.cumsum(counts))).tolist()  # each point's first row
-    for lo, hi in _split_points(trace.timestamps.tolist(), counts.tolist(), params):
-        rows = slice(first[lo], first[hi])
-        run_seg, run_off = seg[rows], off[rows]
-        emissions, transitions, lengths = _lattice(net, trace, np.arange(lo, hi), counts[lo:hi],
-                                                   run_seg, run_off, router, param_sets)
-        starts = [r - first[lo] for r in first[lo:hi]]
-        for out, trans in zip(outs, transitions):
-            for points, chosen, leg_lens, score in _decode_run(lo, starts, emissions, trans,
-                                                               lengths):
-                if len(points) < 2:
-                    continue
-                segs, offs = run_seg[chosen].tolist(), run_off[chosen].tolist()
-                path, entry = _build_path(router, points, trace, segs, offs, leg_lens)
-                out.append(
-                    MatchedPath(
-                        vehicle_id=trace.vehicle_id,
-                        piece=len(out),
-                        segments=path,
-                        entry_times=entry,
-                        log_score=score,
-                        first_point=points[0],
-                        last_point=points[-1],
-                        assignment=list(zip(segs, offs)),
-                    )
-                )
+    chunk: list[GpsTrace] = []
+    fixes = 0
+    for trace in traces:
+        if chunk and fixes + len(trace) > _CHUNK_FIXES:
+            _match_chunk(net, chunk, router, param_sets, outs)
+            chunk, fixes = [], 0
+        chunk.append(trace)
+        fixes += len(trace)
+    if chunk:
+        _match_chunk(net, chunk, router, param_sets, outs)
     if baseline is not None:
         baseline.extend(outs[1])
     return outs[0]
 
 
-def _lattice(net, trace, points, counts, seg, off, router, param_sets):
-    """Emissions, transitions and leg lengths of a candidate lattice, in one pass.
+def _match_chunk(net, traces, router, param_sets, outs) -> None:
+    """Match consecutive traces, appending one parameter set's pieces to each of ``outs``."""
+    params = param_sets[0]
+    fixes = _Fixes.of(traces)
+    fix, seg, off, _ = project_to_candidates(net, fixes.lat, fixes.lon, fixes.mlon,
+                                             params.radius, params.max_candidates)
+    counts = np.bincount(fix, minlength=len(fixes.t))
+    # The runs of every trace as (trace, first point, stop point). Together
+    # they hold each fix with a candidate once, in order: those are the layers.
+    runs: list[tuple[int, int, int]] = []
+    first = 0
+    for i, trace in enumerate(traces):
+        stop = first + len(trace)
+        runs.extend((i, lo, hi) for lo, hi in _split_points(
+            trace.timestamps.tolist(), counts[first:stop].tolist(), params))
+        first = stop
+    if not runs:
+        return
+    layers = np.flatnonzero(counts)
+    bounds = np.cumsum([0] + [hi - lo for _, lo, hi in runs]).tolist()
+    emissions, transitions, lengths = _lattice(net, fixes.take(layers), counts[layers], bounds,
+                                               seg, off, router, param_sets)
+    starts = np.concatenate(([0], np.cumsum(counts[layers]))).tolist()  # each layer's first row
+    current = -1
+    for (i, lo, _), a, b in zip(runs, bounds, bounds[1:]):
+        if i != current:  # each trace numbers its pieces from 0
+            current, trace, numbered = i, traces[i], [len(out) for out in outs]
+        for out, n0, trans in zip(outs, numbered, transitions):
+            for points, chosen, leg_lens, score in _decode_run(
+                    lo, starts[a:b], emissions[a:b], trans[a:b - 1], lengths[a:b - 1]):
+                if len(points) < 2:
+                    continue
+                segs, offs = seg[chosen].tolist(), off[chosen].tolist()
+                path, entry = _build_path(router, points, trace, segs, offs, leg_lens)
+                out.append(MatchedPath(
+                    vehicle_id=trace.vehicle_id, piece=len(out) - n0, segments=path,
+                    entry_times=entry, log_score=score, first_point=points[0],
+                    last_point=points[-1], assignment=list(zip(segs, offs))))
 
-    Layer k holds the candidates of trace point ``points[k]``: the next
-    ``counts[k]`` rows of ``seg`` (segment indices) and ``off`` (offsets).
-    Matrix k covers the legs from layer k to layer k+1, entry [a, b] the
-    leg from candidate a to candidate b; the matrices are views into one
-    flat array over every leg. A leg that stays on one segment without
-    going backwards is direct; any other routes from the end of its
-    first segment to the start of its second (which covers loops back
-    onto the same segment), with one ``Router.reach`` per distinct
-    source. The parameter sets differ at most in tt_tau; each gets one
-    list of transition matrices. Every float equals the scalar formulas
+
+def _lattice(net, fixes, counts, runs, seg, off, router, param_sets):
+    """Emissions, transitions and leg lengths of the candidate lattices of several runs.
+
+    Layer k holds the candidates of fix k of ``fixes``: the next
+    ``counts[k]`` rows of ``seg`` (segment indices) and ``off``
+    (offsets). Run r is layers ``runs[r]`` to ``runs[r + 1]``, and legs
+    join consecutive layers only inside a run. Matrix k covers the legs
+    from layer k to layer k+1, entry [a, b] the leg from candidate a to
+    candidate b, and is None where layer k ends a run; the matrices are
+    views into one flat array over every leg. A leg that stays on one
+    segment without going backwards is direct; any other routes from
+    the end of its first segment to the start of its second (which
+    covers loops back onto the same segment), with one ``Router.reach``
+    per distinct source over all runs. The great-circle distance and
+    the time between fixes are taken per linked layer pair. The
+    parameter sets differ at most in tt_tau; each gets one list of
+    transition matrices. Every float equals the scalar formulas
     (``position_on_segment``, ``math.hypot``, ``emission_logp``,
     ``transition_logp`` on one leg), bit for bit.
     """
-    lats, lons = trace.lats[points], trace.lons[points]
     layer = np.repeat(np.arange(len(counts)), counts)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    mlon = np.array([meters_per_degree(lat)[1] for lat in lats.tolist()])
+    linked = np.ones(len(counts), dtype=bool)  # layer k has legs to layer k+1
+    linked[np.asarray(runs[1:]) - 1] = False
 
     # Emissions: the elementwise ops of position_on_segment and math.hypot.
     length = net.seg_length[seg]
     frac = np.minimum(np.maximum(off / length, 0.0), 1.0)
     alat, alon = net._seg_alat[seg], net._seg_alon[seg]
-    dy = (alat + frac * (net._seg_blat[seg] - alat) - lats[layer]) * M_PER_DEG_LAT
-    dx = (alon + frac * (net._seg_blon[seg] - alon) - lons[layer]) * mlon[layer]
+    dy = (alat + frac * (net._seg_blat[seg] - alat) - fixes.lat[layer]) * M_PER_DEG_LAT
+    dx = (alon + frac * (net._seg_blon[seg] - alon) - fixes.lon[layer]) * fixes.mlon[layer]
     dist = np.fromiter(map(math.hypot, dy.tolist(), dx.tolist()), float, len(seg))
     emission = emission_logp(dist, param_sets[0].gps_sigma)
 
-    # Every leg: row a of a layer against each row b of the next layer.
-    n_from = starts[-2]  # rows that have a next layer
-    fan = counts[layer[:n_from] + 1]
-    ia = np.repeat(np.arange(n_from), fan)
-    ib = np.arange(len(ia)) - np.repeat(np.cumsum(fan) - fan - starts[layer[:n_from] + 1], fan)
+    # Every leg: row a of a linked layer against each row b of the next layer.
+    rows = np.flatnonzero(linked[layer])
+    nxt = layer[rows] + 1
+    fan = counts[nxt]
+    ia = np.repeat(rows, fan)
+    ib = np.arange(len(ia)) - np.repeat(np.cumsum(fan) - fan - starts[nxt], fan)
     seg_a, seg_b, off_a, off_b = seg[ia], seg[ib], off[ia], off[ib]
     us, vs = net.seg_to[seg_a], net.seg_from[seg_b]
     direct = (seg_a == seg_b) & (off_b >= off_a)
@@ -387,18 +449,20 @@ def _lattice(net, trace, points, counts, seg, off, router, param_sets):
     leg_tt = np.where(direct, t[seg_a] * (step / len_a),
                       t[seg_a] * (head / len_a) + mid_tt + t[seg_b] * (off_b / length[ib]))
 
-    # Great-circle distance and time between consecutive points, per leg.
-    la, lo = lats.tolist(), lons.tolist()
-    gc = np.array([haversine(a, b) for a, b in zip(zip(la, lo), zip(la[1:], lo[1:]))])
+    # Great-circle distance and time between the fixes of each linked pair, per leg.
+    la, lo = fixes.lat.tolist(), fixes.lon.tolist()
+    pairs = np.flatnonzero(linked[:-1])
+    gc = np.zeros(len(counts))
+    gc[pairs] = [haversine((la[k], lo[k]), (la[k + 1], lo[k + 1])) for k in pairs.tolist()]
     pair = layer[ia]
-    gc, dt = gc[pair], np.diff(trace.timestamps[points])[pair]
+    gc, dt = gc[pair], np.diff(fixes.t)[pair]
 
-    sizes = counts.tolist()
-    bounds = np.concatenate(([0], np.cumsum(counts[:-1] * counts[1:]))).tolist()
+    sizes, link = counts.tolist(), linked.tolist()
+    bounds = [0, *np.cumsum(np.where(linked[:-1], counts[:-1] * counts[1:], 0)).tolist()]
 
     def matrices(flat):
-        return [flat[b0:b1].reshape(na, nb)
-                for b0, b1, na, nb in zip(bounds, bounds[1:], sizes, sizes[1:])]
+        return [flat[b0:b1].reshape(na, nb) if linked_k else None
+                for b0, b1, na, nb, linked_k in zip(bounds, bounds[1:], sizes, sizes[1:], link)]
 
     emissions = [emission[a:b] for a, b in zip(starts.tolist(), starts[1:].tolist())]
     transitions = [matrices(transition_logp(leg_len, gc, leg_tt, dt, params))
@@ -449,20 +513,6 @@ def _decode_run(first, starts, emissions, transitions, lengths):
         start += decoded
 
 
-def match_traces(
-    net: RoadNetwork,
-    traces: list[GpsTrace],
-    segment_times: np.ndarray,
-    params: MatchParams = MatchParams(),
-) -> list[MatchedPath]:
-    """Match a batch of traces against one router, sharing its cached trees."""
-    router = Router(net, segment_times)
-    out: list[MatchedPath] = []
-    for trace in traces:
-        out.extend(match_trace(net, trace, router, params))
-    return out
-
-
 def score_assignment(
     net: RoadNetwork,
     trace: GpsTrace,
@@ -481,7 +531,8 @@ def score_assignment(
         raise InputDataError("assignment length does not match point count")
     seg = np.array([j for j, _ in assignment], dtype=np.int64)
     off = np.array([o for _, o in assignment], dtype=float)
-    emissions, (transitions,), _ = _lattice(net, trace, points, np.ones(len(points), np.int64),
+    emissions, (transitions,), _ = _lattice(net, _Fixes.of([trace]).take(points),
+                                            np.ones(len(points), np.int64), [0, len(points)],
                                             seg, off, router, [params])
     # Accumulation order mirrors the Viterbi recursion exactly, so identical
     # assignments under identical times produce the identical float.

@@ -393,10 +393,14 @@ def project_to_candidates(
     net: RoadNetwork,
     lats: np.ndarray,
     lons: np.ndarray,
+    mlon: np.ndarray,
     radius: float,
     max_candidates: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-segment candidates of the points (lats[i], lons[i]) as flat arrays.
+
+    ``mlon[i]`` is ``meters_per_degree(lats[i])[1]``, which the matcher
+    works out once per fix for this and for its emissions.
 
     Returns (fix, segment, offset, distance), one row per candidate:
     the point index i, the segment index, the offset along the segment
@@ -432,7 +436,7 @@ def project_to_candidates(
     entry = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
     fix, seg = np.repeat(np.arange(len(lats)).repeat(3), counts), g.segs[entry]
 
-    mlon = np.array([meters_per_degree(lat)[1] for lat in lats.tolist()])[fix]
+    mlon = np.asarray(mlon, dtype=float)[fix]
     plat, plon = lats[fix], lons[fix]
     ax = (net._seg_alon[seg] - plon) * mlon
     ay = (net._seg_alat[seg] - plat) * M_PER_DEG_LAT

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError
-from .mapmatch import GpsTrace, MatchedPath, MatchParams, match_trace
+from .mapmatch import GpsTrace, MatchedPath, MatchParams, match_traces
 from .network import RoadNetwork, Router, TimeGrid
 from .tables import write_table
 from .ttinfer import (
@@ -97,12 +97,20 @@ def refine(
 
     Returns the final matched paths, the per-interval estimates, and one
     diagnostics record per iteration. Each trace is matched under the
-    times of the interval containing its midpoint. When ``baseline`` is
-    a dict, it receives the tandem baseline's per-interval estimates,
+    times of the interval containing its midpoint: a pass groups the
+    traces by router, in order of first appearance, and matches each
+    group with one ``match_traces`` call, which works in chunks of
+    consecutive traces. The pieces are then put back in trace order, so
+    the observation rows keep the order a trace-by-trace pass gives;
+    vehicle ids must therefore be distinct. When ``baseline`` is a
+    dict, it receives the tandem baseline's per-interval estimates,
     decoded from iteration 0's lattices.
     """
     if not traces:
         raise InputDataError("refine needs at least one trace")
+    order = {trace.vehicle_id: i for i, trace in enumerate(traces)}
+    if len(order) < len(traces):
+        raise InputDataError("refine needs one trace per vehicle id")
 
     fft = net.seg_fft
     times: dict[int, np.ndarray] = {}
@@ -117,12 +125,17 @@ def refine(
         # one shared router, so its Dijkstra trees are built once per pass.
         free_flow = Router(net, fft)
         routers = {iv: Router(net, t) for iv, t in times.items()}
+        groups: dict[Router, list[GpsTrace]] = {}
+        for trace in traces:
+            groups.setdefault(routers.get(_trace_interval(trace, grid), free_flow), []).append(trace)
         pieces = []
         base_pieces = [] if k == 0 and baseline is not None else None
-        for trace in traces:
-            router = routers.get(_trace_interval(trace, grid), free_flow)
-            pieces.extend(match_trace(net, trace, router, match_params, base_pieces))
+        for router, group in groups.items():
+            pieces.extend(match_traces(net, group, router, match_params, base_pieces))
+        # Back to trace order, which fixes the order of the observation rows.
+        pieces.sort(key=lambda mp: order[mp.vehicle_id])
         if base_pieces is not None:
+            base_pieces.sort(key=lambda mp: order[mp.vehicle_id])
             base_obs = observations_from_matches(base_pieces, grid)
             for iv in sorted(base_obs):
                 baseline[iv] = infer_times(base_obs[iv], net, fft, infer_params)

@@ -260,10 +260,13 @@ def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLik
         for row in rows(est)))
 
 
-def read_estimates(path: str | os.PathLike, net: RoadNetwork) -> dict[int, SegmentTimeEstimate]:
-    """Per-interval estimates; each interval must list every segment exactly once."""
+def read_estimates(path: str | os.PathLike, net: RoadNetwork,
+                   grid: TimeGrid) -> dict[int, SegmentTimeEstimate]:
+    """Per-interval estimates; each interval must lie on the grid and list every segment once."""
     rows: dict[int, list[tuple]] = {}
     for interval, *row in read_table(path, ESTIMATE_COLUMNS):
+        if not 0 <= interval < grid.interval_count:
+            raise InputDataError(f"{path}: interval {interval} not in 0..{grid.interval_count - 1}")
         rows.setdefault(interval, []).append(row)
     return {iv: SegmentTimeEstimate(*net.segment_columns(f"{path}, interval {iv}", r), iv)
             for iv, r in rows.items()}

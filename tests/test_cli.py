@@ -14,7 +14,7 @@ from probeflow import cli, mapmatch, network
 from probeflow.cli import _SECTIONS, main, stage_seed
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
-from probeflow.network import Taz, read_network, write_network, write_tazs
+from probeflow.network import Taz, TimeGrid, read_network, write_network, write_tazs
 from probeflow.completion import COMPLETED_COLUMNS
 from probeflow.evaluation import read_voc
 from probeflow.refine import DIAGNOSTICS_COLUMNS
@@ -35,6 +35,7 @@ BASE_CONFIG = {
     "od": {"ue_tol": 1e-3, "ue_max_iter": 300},
     "refine": {"max_iters": 3},
 }
+GRID = TimeGrid(**BASE_CONFIG["grid"])
 
 
 def write_config(directory, **overrides) -> str:
@@ -226,7 +227,7 @@ def test_match_then_infer(world, tmp_path):
 
     assert main(["infer", "--config", world.cfg, "--out-dir", out,
                  "--matched", str(tmp_path / "matched.csv")]) == 0
-    estimates = read_estimates(tmp_path / "estimates.csv", world.net)
+    estimates = read_estimates(tmp_path / "estimates.csv", world.net, GRID)
     assert set(estimates) <= set(range(8))
     assert any(any(n > 0 for n in e.support) for e in estimates.values())
 
@@ -247,7 +248,7 @@ def test_refine_outputs(world, tmp_path):
     out = str(tmp_path)
     assert main(["refine", "--config", world.cfg, "--out-dir", out]) == 0
     assert read_matched(tmp_path / "matched.csv", world.net)
-    assert read_estimates(tmp_path / "estimates.csv", world.net)
+    assert read_estimates(tmp_path / "estimates.csv", world.net, GRID)
     assert list(read_table(tmp_path / "diagnostics.csv", DIAGNOSTICS_COLUMNS))
 
 
@@ -382,6 +383,25 @@ def test_estimate_od_on_nan_time_exits_2_naming_it(world, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "estimates.csv" in err and f"segment {bad[1]}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate-od", "complete", "evaluate"])
+@pytest.mark.parametrize("interval", ["999", "-3"])
+def test_estimates_off_the_grid_exit_2_naming_file_and_interval(world, tmp_path, capsys,
+                                                                command, interval):
+    header, *rows = (world.pipe / "estimates.csv").read_text().splitlines()
+    rows = [",".join([interval, *r.split(",")[1:]]) if r.startswith("0,") else r for r in rows]
+    estimates = tmp_path / "off_grid_estimates.csv"
+    estimates.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    matched = ["--matched", str(world.pipe / "matched.csv")] if command == "evaluate" else []
+    rc = main([command, "--config", world.cfg, "--out-dir", str(out),
+               "--estimates", str(estimates), *matched])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "off_grid_estimates.csv" in err and f"interval {interval} not in 0..7" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_estimate_od_on_int_beyond_int64_exits_2_naming_it(world, tmp_path, capsys):

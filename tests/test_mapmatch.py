@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from probeflow.errors import InputDataError
 from probeflow.mapmatch import (
     GpsTrace,
     MatchParams,
+    _Fixes,
     _lattice,
     _split_points,
     emission_logp,
-    match_trace,
     match_traces,
     read_matched,
     score_assignment,
@@ -203,7 +204,7 @@ def test_viterbi_rejects_mismatched_shapes():
 def test_five_points_on_single_segment():
     net = line_net(n_segs=1, length=500.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=40.0)
-    pieces = match_trace(net, trace, free_flow_router(net))
+    pieces = match_traces(net, [trace], free_flow_router(net))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0]
@@ -216,7 +217,7 @@ def test_five_points_on_single_segment():
 def test_corridor_recovers_path_and_entry_times():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0)
-    pieces = match_trace(net, trace, free_flow_router(net))
+    pieces = match_traces(net, [trace], free_flow_router(net))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3, 4]
@@ -235,7 +236,7 @@ def test_first_point_mid_segment_extrapolates_entry():
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_trace(net, trace, free_flow_router(net))
+    pieces = match_traces(net, [trace], free_flow_router(net))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3]
@@ -255,7 +256,7 @@ def test_two_way_corridor_picks_forward_segments():
         lats.append(net.nodes[0].lat)
         lons.append(net.nodes[0].lon + d / mlon)
     trace = GpsTrace(3, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_trace(net, trace, free_flow_router(net))
+    pieces = match_traces(net, [trace], free_flow_router(net))
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 2, 4, 6, 8]
     assert np.allclose(pieces[0].entry_times, [0.0, 20.0, 40.0, 60.0, 80.0], atol=1e-3)
@@ -264,7 +265,7 @@ def test_two_way_corridor_picks_forward_segments():
 def test_noisy_corridor_still_matches():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=5.0, seed=11)
-    pieces = match_trace(net, trace, free_flow_router(net))
+    pieces = match_traces(net, [trace], free_flow_router(net))
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 1, 2, 3, 4]
 
@@ -301,7 +302,7 @@ def test_travel_time_disambiguates_equal_geometry(dt, expected):
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    pieces = match_trace(net, trace, router)
+    pieces = match_traces(net, [trace], router)
     assert len(pieces) == 1
     assert pieces[0].segments == expected
 
@@ -316,7 +317,7 @@ def test_tau_zero_falls_back_to_candidate_order():
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    pieces = match_trace(net, trace, free_flow_router(net), MatchParams(tt_tau=0.0))
+    pieces = match_traces(net, [trace], free_flow_router(net), MatchParams(tt_tau=0.0))
     assert pieces[0].segments == [0, 1]
 
 
@@ -327,7 +328,7 @@ def test_long_gap_splits_trace():
     ts = np.concatenate([base.timestamps, base.timestamps + 1100.0])
     lats = np.concatenate([base.lats, base.lats])
     lons = np.concatenate([base.lons, base.lons])
-    pieces = match_trace(net, GpsTrace(5, ts, lats, lons), free_flow_router(net))
+    pieces = match_traces(net, [GpsTrace(5, ts, lats, lons)], free_flow_router(net))
     assert [mp.piece for mp in pieces] == [0, 1]
     assert pieces[0].segments == pieces[1].segments == [0, 1, 2, 3, 4]
     assert pieces[0].last_point == 10 and pieces[1].first_point == 11
@@ -338,8 +339,8 @@ def test_point_without_candidates_is_dropped_and_splits():
     base = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0)
     lats = base.lats.copy()
     lats[5] += 2000.0 / meters_per_degree(0.0)[0]  # 2 km off the corridor
-    pieces = match_trace(net, GpsTrace(5, base.timestamps, lats, base.lons),
-                         free_flow_router(net))
+    pieces = match_traces(net, [GpsTrace(5, base.timestamps, lats, base.lons)],
+                          free_flow_router(net))
     assert len(pieces) == 2
     assert pieces[0].last_point == 4 and pieces[1].first_point == 6
 
@@ -367,7 +368,7 @@ def test_unroutable_step_splits_lattice():
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array([0.0, 15.0, 30.0, 45.0]), np.array(lats), np.array(lons))
-    pieces = match_trace(net, trace, free_flow_router(net))
+    pieces = match_traces(net, [trace], free_flow_router(net))
     assert len(pieces) == 2
     assert pieces[0].segments == [0]
     assert pieces[1].segments == [2]
@@ -399,7 +400,7 @@ def test_split_points_equal_np_median_reference(gaps, factor, data):
 def test_no_candidates_anywhere_returns_empty():
     net = line_net(n_segs=2)
     trace = GpsTrace(1, np.array([0.0, 10.0]), np.array([5.0, 5.0]), np.array([5.0, 5.0]))
-    assert match_trace(net, trace, free_flow_router(net)) == []
+    assert match_traces(net, [trace], free_flow_router(net)) == []
 
 
 def grid_segment(net: RoadNetwork, u: int, v: int) -> int:
@@ -431,7 +432,7 @@ def test_rescore_equals_match_score_bitwise(case):
         net = make_grid_network(22, 2, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=5)
         trace = sparse_row_trace(net, nx=22, stride=10)
     router = free_flow_router(net)
-    pieces = match_trace(net, trace, router)
+    pieces = match_traces(net, [trace], router)
     assert len(pieces) == 1
     mp = pieces[0]
     if case == "sparse_jittered_grid":
@@ -450,7 +451,7 @@ def test_rescore_under_other_times_changes_score():
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    mp = match_trace(net, trace, Router(net, truth))[0]
+    mp = match_traces(net, [trace], Router(net, truth))[0]
     points = [mp.first_point, mp.last_point]
     same = score_assignment(net, trace, points, mp.assignment, Router(net, truth))
     distorted = truth.copy()
@@ -468,8 +469,8 @@ def test_batch_matching_is_deterministic():
                        vehicle_id=s)
         for s in range(5)
     ]
-    a = match_traces(net, traces, times)
-    b = match_traces(net, traces, times)
+    a = match_traces(net, traces, Router(net, times))
+    b = match_traces(net, traces, Router(net, times))
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert (x.vehicle_id, x.piece, x.segments) == (y.vehicle_id, y.piece, y.segments)
@@ -523,7 +524,7 @@ def test_matching_a_short_trace_settles_few_nodes():
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=15.0, gps_sigma=5.0),
                          rng_seed=2)
     router = free_flow_router(net)
-    assert match_trace(net, trace, router)
+    assert match_traces(net, [trace], router)
     full = len(router._trees) * net.n_nodes
     assert len(router._trees) >= 5
     assert router.settled() < 0.05 * full
@@ -585,7 +586,7 @@ def test_legs_equal_per_pair_reference():
         trace = GpsTrace(1, [0.0, 30.0], net.node_lat[[u, v]], net.node_lon[[u, v]])
         gc = haversine((float(trace.lats[0]), float(trace.lons[0])),
                        (float(trace.lats[1]), float(trace.lons[1])))
-        _, transitions, lengths = _lattice(net, trace, np.arange(2), np.array([6, 6]),
+        _, transitions, lengths = _lattice(net, _Fixes.of([trace]), np.array([6, 6]), [0, 2],
                                            np.concatenate([seg_a, seg_b]),
                                            np.concatenate([off_a, off_b]), router, param_sets)
         for a, b in itertools.product(range(6), range(6)):
@@ -599,13 +600,17 @@ def test_legs_equal_per_pair_reference():
 @settings(max_examples=60, deadline=None)
 @given(jitter_seed=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1),
        counts=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       cuts=st.lists(st.booleans(), min_size=5, max_size=5),
        sigma=st.floats(1.0, 20.0), tau=st.floats(0.01, 2.0))
-def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, sigma, tau):
+def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, cuts, sigma, tau):
     """Emissions, both parameter sets' transitions and lengths, bit for bit.
 
     Candidates come from a small pool of segments, so many legs stay on
     one segment, forward or backward; a fifth of the offsets sit at a
-    segment end.
+    segment end. The layers form several runs in one call (a new run
+    after layer k where ``cuts[k]``), each run the fixes of its own
+    trace, so time may run backwards between runs; legs join layers
+    only inside a run.
     """
     net = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0,
                             jitter_seed=jitter_seed)
@@ -619,16 +624,20 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, sigma, t
     end = rng.integers(0, 10, len(seg))
     off[end == 0] = 0.0
     off[end == 1] = net.seg_length[seg][end == 1]
-    trace = GpsTrace(3, rng.uniform(0.0, 1e5) + np.cumsum(rng.uniform(1.0, 120.0, n)),
-                     rng.uniform(net.node_lat.min(), net.node_lat.max(), n),
-                     rng.uniform(net.node_lon.min(), net.node_lon.max(), n))
+    runs = [0, *(k + 1 for k in range(n - 1) if cuts[k]), n]
+    traces = [GpsTrace(3 + r, rng.uniform(0.0, 1e5) + np.cumsum(rng.uniform(1.0, 120.0, b - a)),
+                       rng.uniform(net.node_lat.min(), net.node_lat.max(), b - a),
+                       rng.uniform(net.node_lon.min(), net.node_lon.max(), b - a))
+              for r, (a, b) in enumerate(zip(runs, runs[1:]))]
     param_sets = [MatchParams(gps_sigma=sigma, tt_tau=tau),
                   MatchParams(gps_sigma=sigma, tt_tau=0.0)]
-    emissions, transitions, lengths = _lattice(net, trace, np.arange(n), np.array(counts),
+    emissions, transitions, lengths = _lattice(net, _Fixes.of(traces), np.array(counts), runs,
                                                seg, off, router, param_sets)
 
     starts = np.concatenate(([0], np.cumsum(counts)))
-    lats, lons, ts = trace.lats.tolist(), trace.lons.tolist(), trace.timestamps.tolist()
+    lats = np.concatenate([trace.lats for trace in traces]).tolist()
+    lons = np.concatenate([trace.lons for trace in traces]).tolist()
+    ts = np.concatenate([trace.timestamps for trace in traces]).tolist()
     for k in range(n):
         mlat, mlon = meters_per_degree(lats[k])
         want = []
@@ -637,7 +646,11 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, sigma, t
             d = math.hypot((plat - lats[k]) * mlat, (plon - lons[k]) * mlon)
             want.append(emission_logp(d, sigma))
         assert emissions[k].tolist() == want
+    assert len(lengths) == n - 1 and all(len(trans) == n - 1 for trans in transitions)
     for k in range(n - 1):
+        if k + 1 in runs:  # no leg from a run's last layer to the next run
+            assert lengths[k] is None and all(trans[k] is None for trans in transitions)
+            continue
         gc = haversine((lats[k], lons[k]), (lats[k + 1], lons[k + 1]))
         dt = ts[k + 1] - ts[k]
         assert lengths[k].shape == (counts[k], counts[k + 1])
@@ -649,37 +662,101 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, sigma, t
                 assert trans[k][a, b] == transition_logp(want_len, gc, want_tt, dt, params)
 
 
-def test_matching_queries_each_source_once_per_run(monkeypatch):
-    """A count, not a timing: one ``Router.reach`` per distinct source node per run.
-
-    Fixes every 5 s at 10 m/s put four fixes on each 200 m segment, so
-    the same segment ends start legs of many layer pairs.
-    """
-    net = make_grid_network(12, 12, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
-    route = free_flow_router(net).route(net.node_index(13), net.node_index(130))
+def grid_trace(net: RoadNetwork, origin: int, dest: int, period: float, sigma: float,
+               vehicle_id: int, seed: int) -> GpsTrace:
+    """A probe trace of the free-flow route between two nodes of a grid network."""
+    route = free_flow_router(net).route(net.node_index(origin), net.node_index(dest))
     truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
                                 flow=np.zeros(net.n_segments))
-    trip = with_times(TruthTrip(vehicle_id=1, departure=0.0, path=list(route),
-                                entry_times=None), net, truth)
-    trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=5.0, gps_sigma=5.0),
-                         rng_seed=4)
-    router = free_flow_router(net)
-    runs: list[list[int]] = []
-    lattice, reach = mapmatch._lattice, router.reach
+    trip = with_times(TruthTrip(vehicle_id=vehicle_id, departure=100.0 * vehicle_id,
+                                path=list(route), entry_times=None), net, truth)
+    return sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
+                        rng_seed=seed)
 
-    def counted_lattice(*args):
-        runs.append([])
-        return lattice(*args)
+
+def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypatch):
+    """Counts, not timings: one projection per chunk, one ``Router.reach`` per source per chunk.
+
+    Fixes every 5 s at 10 m/s put four fixes on each 200 m segment, so
+    the same segment ends start legs of many layer pairs and runs. The
+    traces fill several chunks, and one is longer than the chunk bound.
+    """
+    net = make_grid_network(12, 12, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
+    ends = [(13, 130), (0, 143), (11, 132), (60, 71), (130, 13), (5, 138), (24, 35), (100, 43)]
+    traces = [grid_trace(net, a, b, 5.0, 5.0, vid, 4) for vid, (a, b) in enumerate(ends)]
+    traces.insert(3, grid_trace(net, 0, 143, 1.5, 5.0, 99, 4))
+    bound = mapmatch._CHUNK_FIXES
+    assert len(traces[3]) > bound and sum(map(len, traces)) > 2 * bound
+    chunks, fixes = [], bound + 1  # the traces of each chunk, packed as the matcher packs them
+    for trace in traces:
+        if fixes + len(trace) > bound:
+            chunks.append([])
+            fixes = 0
+        chunks[-1].append(trace)
+        fixes += len(trace)
+
+    router = free_flow_router(net)
+    projected: list[int] = []
+    sources: list[list[int]] = []  # the sources searched, per chunk
+    search, reach = mapmatch.project_to_candidates, router.reach
+
+    def counted_search(net, lats, *args):
+        projected.append(len(lats))
+        sources.append([])
+        return search(net, lats, *args)
 
     def counted_reach(u, nodes):
-        runs[-1].append(u)
+        sources[-1].append(u)
         return reach(u, nodes)
 
-    monkeypatch.setattr(mapmatch, "_lattice", counted_lattice)
+    monkeypatch.setattr(mapmatch, "project_to_candidates", counted_search)
     monkeypatch.setattr(router, "reach", counted_reach)
-    assert match_trace(net, trace, router, baseline=[])
-    assert sum(map(len, runs)) >= 10
-    assert all(len(run) == len(set(run)) for run in runs)
+    assert match_traces(net, traces, router, baseline=[])
+    assert projected == [sum(map(len, chunk)) for chunk in chunks]
+    assert sum(map(len, sources)) >= 10
+    assert all(len(chunk) == len(set(chunk)) for chunk in sources)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_traces=st.integers(1, 8),
+       bound=st.sampled_from([1, 5, 17, 40, mapmatch._CHUNK_FIXES]))
+def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound):
+    """Every field of every piece, and of every baseline piece, bit for bit.
+
+    The traces are grouped by router as refine groups them, over two
+    routers with different times; each group is one ``match_traces``
+    call. The chunk bound is drawn small as well, so chunk boundaries
+    fall between traces and traces run longer than the bound. Some
+    traces have fixes outside the search radius, some only one fix.
+    """
+    net = make_grid_network(6, 6, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=6)
+    rng = np.random.default_rng(seed)
+    times = [net.seg_fft, net.seg_fft * rng.uniform(1.0, 3.0, net.n_segments)]
+    traces, which = [], []
+    for vid in range(n_traces):
+        a, b = rng.choice(net.n_nodes, 2, replace=False).tolist()
+        trace = grid_trace(net, net.nodes[a].id, net.nodes[b].id, float(rng.uniform(4.0, 40.0)),
+                           float(rng.uniform(0.0, 15.0)), vid, int(rng.integers(1000)))
+        lats = trace.lats.copy()
+        lats[rng.random(len(lats)) < 0.15] += 0.02  # about 2 km off the network
+        keep = 1 if rng.random() < 0.2 else len(lats)
+        traces.append(GpsTrace(vid, trace.timestamps[:keep], lats[:keep], trace.lons[:keep]))
+        which.append(int(rng.integers(2)))
+    params = MatchParams(gps_sigma=8.0)
+
+    with patch.object(mapmatch, "_CHUNK_FIXES", bound):
+        want, want_base = [], []
+        for trace, r in zip(traces, which):
+            want.append(match_traces(net, [trace], Router(net, times[r]), params, base := []))
+            want_base.append(base)
+        for r in (0, 1):
+            group = [i for i, w in enumerate(which) if w == r]
+            base: list = []
+            got = match_traces(net, [traces[i] for i in group], Router(net, times[r]), params,
+                               base)
+            assert got == [mp for i in group for mp in want[i]]
+            assert base == [mp for i in group for mp in want_base[i]]
+    assert all(mp.piece == k for pieces in want for k, mp in enumerate(pieces))
 
 
 def test_matched_csv_round_trip(tmp_path):
@@ -689,7 +766,7 @@ def test_matched_csv_round_trip(tmp_path):
                        vehicle_id=s)
         for s in range(3)
     ]
-    pieces = match_traces(net, traces, net.seg_fft)
+    pieces = match_traces(net, traces, free_flow_router(net))
     path = tmp_path / "matched.csv"
     write_matched(pieces, path, net)
     back = read_matched(path, net)
@@ -721,7 +798,7 @@ def test_matched_pieces_connect_and_entry_times_nondecreasing(sigma, period, ori
                                 entry_times=None), net, truth)
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
                          rng_seed=seed)
-    for mp in match_trace(net, trace, router):
+    for mp in match_traces(net, [trace], router):
         segs = [net.segments[j] for j in mp.segments]
         assert all(a.to_node == b.from_node for a, b in zip(segs, segs[1:]))
         assert all(t0 <= t1 for t0, t1 in zip(mp.entry_times, mp.entry_times[1:]))

@@ -430,7 +430,8 @@ def _per_point(net: RoadNetwork, found, n_points: int) -> list[list[Candidate]]:
 def _candidates(net: RoadNetwork, points, radius: float,
                 max_candidates: int) -> list[list[Candidate]]:
     """Candidates of each point, one list per point."""
-    found = project_to_candidates(net, [p[0] for p in points], [p[1] for p in points], radius,
+    found = project_to_candidates(net, [p[0] for p in points], [p[1] for p in points],
+                                  [meters_per_degree(p[0])[1] for p in points], radius,
                                   max_candidates)
     return _per_point(net, found, len(points))
 
@@ -580,7 +581,8 @@ def test_project_radius_and_cap():
     cands = _project(net, (0.00005, 0.0005), radius=1000.0, max_candidates=2)
     assert len(cands) == 2
     assert cands[0].distance <= cands[1].distance
-    fix, seg, offset, dist = project_to_candidates(net, [0.00005], [0.0005], 1000.0, 2)
+    fix, seg, offset, dist = project_to_candidates(net, [0.00005], [0.0005],
+                                                   [meters_per_degree(0.00005)[1]], 1000.0, 2)
     assert fix.tolist() == [0, 0]
     assert [net.segments[j].id for j in seg.tolist()] == [c.segment_id for c in cands]
     assert offset.tolist() == [c.offset for c in cands]

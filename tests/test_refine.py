@@ -93,7 +93,7 @@ def test_single_iteration_equals_sequential_pipeline():
     assert len(diag) == 1
 
     fft = fx.net.seg_fft
-    manual_pieces = match_traces(fx.net, fx.traces, fft)
+    manual_pieces = match_traces(fx.net, fx.traces, Router(fx.net, fft))
     assert [(m.vehicle_id, m.piece, m.segments) for m in manual_pieces] == [
         (m.vehicle_id, m.piece, m.segments) for m in pieces
     ]
@@ -204,6 +204,13 @@ def test_refine_validates_arguments():
         refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=0))
     with pytest.raises(InputDataError):
         refine(fx.traces, fx.net, fx.grid, params=RefineParams(stop_tol=0.0))
+
+
+def test_refine_rejects_repeated_vehicle_id():
+    # Pieces go back to trace order by vehicle id, and paths are keyed by it.
+    fx = make_two_route_fixture(n_pinned=1, n_ambiguous=1)
+    with pytest.raises(InputDataError, match="one trace per vehicle id"):
+        refine([fx.traces[0], fx.traces[0]], fx.net, fx.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ READERS = {
     "traces": (tracegen.read_traces, tracegen.TRACE_COLUMNS),
     "trips": (partial(tracegen.read_trips, net=NET2), tracegen.TRIP_COLUMNS),
     "truth": (partial(tracegen.read_truth, net=NET2), tracegen.TRUTH_COLUMNS),
-    "estimates": (partial(ttinfer.read_estimates, net=NET2), ttinfer.ESTIMATE_COLUMNS),
+    "estimates": (partial(ttinfer.read_estimates, net=NET2, grid=network.TimeGrid()),
+                  ttinfer.ESTIMATE_COLUMNS),
 }
 
 

@@ -306,7 +306,7 @@ def test_estimates_csv_round_trip(tmp_path):
     ]
     p = tmp_path / "estimates.csv"
     write_estimates(ests, p, net)
-    back = read_estimates(p, net)
+    back = read_estimates(p, net, TimeGrid())
     assert set(back) == {2, 4}
     assert back[4].time.tolist() == [20.5, 31.25]
     assert back[4].support.tolist() == [3, 0]
@@ -320,4 +320,4 @@ def test_read_estimates_rejects_bad_header(tmp_path):
     p = tmp_path / "estimates.csv"
     p.write_text("interval,segment,time_s,support\n0,0,1.0,1\n")
     with pytest.raises(InputDataError):
-        read_estimates(p, make_corridor_network(n_segs=1))
+        read_estimates(p, make_corridor_network(n_segs=1), TimeGrid())
