@@ -45,20 +45,6 @@ DemandMatrix = dict[tuple[int, int], float]
 
 
 @dataclass(frozen=True)
-class VdfParams:
-    """BPR volume-delay parameters: t = t0 * (1 + alpha * (v/c)**beta)."""
-
-    alpha: float = 0.15
-    beta: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise InputDataError(f"alpha must be >= 0, got {self.alpha}")
-        if not (self.beta >= 1.0 and math.isfinite(self.beta)):
-            raise InputDataError(f"beta must be >= 1, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class AssignParams:
     """Convergence settings for ground-truth scenario assignment."""
 
@@ -70,22 +56,26 @@ class AssignParams:
             raise InputDataError("tol must be positive and max_iter at least 1")
 
 
+# BPR curve t = t0 * (1 + alpha * (v/c)**beta) with the standard coefficients
+# (Bureau of Public Roads 1964, Traffic Assignment Manual). BPR_BETA stays the
+# float 4.0: numpy may evaluate an int exponent with other last bits.
+BPR_ALPHA = 0.15
+BPR_BETA = 4.0
+
+
 class BprCost:
     """Vectorized BPR cost model over a network's segments."""
 
-    def __init__(self, net: RoadNetwork, params: VdfParams = VdfParams()) -> None:
-        self.params = params
+    def __init__(self, net: RoadNetwork) -> None:
         self._fft = net.seg_fft
         self._cap = net.seg_capacity
 
     def time(self, flows: np.ndarray) -> np.ndarray:
-        p = self.params
-        return self._fft * (1.0 + p.alpha * (flows / self._cap) ** p.beta)
+        return self._fft * (1.0 + BPR_ALPHA * (flows / self._cap) ** BPR_BETA)
 
     def marginal_time(self, flows: np.ndarray) -> np.ndarray:
         # t(v) + v * t'(v); with BPR this is t0 * (1 + alpha*(1+beta)*(v/c)**beta).
-        p = self.params
-        return self._fft * (1.0 + p.alpha * (1.0 + p.beta) * (flows / self._cap) ** p.beta)
+        return self._fft * (1.0 + BPR_ALPHA * (1.0 + BPR_BETA) * (flows / self._cap) ** BPR_BETA)
 
 
 @dataclass
@@ -252,13 +242,12 @@ def solve_ue(
     net: RoadNetwork,
     demand: DemandMatrix,
     tazs: list[Taz],
-    params: VdfParams = VdfParams(),
     tol: float = 1e-6,
     max_iter: int = 500,
     cost_model=None,
 ) -> AssignmentResult:
     """User-equilibrium assignment (Frank-Wolfe)."""
-    model = BprCost(net, params) if cost_model is None else cost_model
+    model = BprCost(net) if cost_model is None else cost_model
     return _solve(net, demand, tazs, model, use_marginal=False, tol=tol, max_iter=max_iter)
 
 
@@ -266,13 +255,12 @@ def solve_so(
     net: RoadNetwork,
     demand: DemandMatrix,
     tazs: list[Taz],
-    params: VdfParams = VdfParams(),
     tol: float = 1e-6,
     max_iter: int = 500,
     cost_model=None,
 ) -> AssignmentResult:
     """System-optimal assignment (Frank-Wolfe on marginal costs)."""
-    model = BprCost(net, params) if cost_model is None else cost_model
+    model = BprCost(net) if cost_model is None else cost_model
     return _solve(net, demand, tazs, model, use_marginal=True, tol=tol, max_iter=max_iter)
 
 

@@ -235,7 +235,7 @@ class PipelineConfig:
 
         multipliers = doc.get("multipliers", [1.0])
         if (not isinstance(multipliers, list) or not multipliers
-                or any(not isinstance(m, (int, float)) or m <= 0 for m in multipliers)):
+                or any(type(m) not in (int, float) or m <= 0 for m in multipliers)):
             raise UsageError("config key 'multipliers' must be a list of positive numbers")
         kwargs["multipliers"] = [float(m) for m in multipliers]
 

@@ -6,14 +6,14 @@ estimated at all. Travel-time matrices are strongly correlated across
 time (daily and weekly rhythms), so the missing entries are recovered by
 low-rank matrix completion: iterate
 
-    X  <-  X + step * (shrink(X) - X),    then restore observed entries,
+    X  <-  X + 1.2 * (shrink(X) - X),    then restore observed entries,
 
 where shrink() soft-thresholds the singular values of X by a fixed
 threshold. The observed-entry projection is the last operation of every
 iteration, so observed values come out of the solve bit-equal to how
 they went in. The iteration stops when the relative Frobenius change
-drops below tol. All entries are finally clamped from below to their
-segment's free-flow time.
+drops below 1e-4, or after 500 iterations. All entries are finally
+clamped from below to their segment's free-flow time.
 
 Rows with no observation at all cannot be anchored by data; they are
 filled with the segment's free-flow time, flagged, and kept out of the
@@ -167,23 +167,27 @@ def svd(a: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+# Relaxation factor of each Soft-Impute step; above 1 it over-relaxes,
+# which takes fewer iterations than the plain step 1.0 (25 against 29 on
+# the seed-1 week-matrix benchmark world).
+_STEP = 1.2
+# Stop once an iteration moves the matrix by less than 1e-4 of its Frobenius
+# norm, about a millisecond on a ten-second segment. The benchmark worlds
+# stop within 25 iterations, so 500 only bounds a pathological solve.
+_TOL = 1e-4
+_MAX_ITER = 500
+
+
 @dataclass(frozen=True)
 class CompletionParams:
-    """Thresholding and stop settings of the matrix completion stage."""
+    """Singular value threshold of the matrix completion stage."""
 
     svt_threshold: float | None = None
-    step: float = 1.2
-    max_iter: int = 500
-    tol: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.svt_threshold is not None and not (0.0 < self.svt_threshold < math.inf):
             raise InputDataError(
                 f"svt_threshold must be finite and positive when given, got {self.svt_threshold}")
-        if not (0.0 < self.step <= 2.0):
-            raise InputDataError(f"step must be in (0, 2], got {self.step}")
-        if self.max_iter < 1 or not (0.0 < self.tol < math.inf):
-            raise InputDataError("max_iter must be at least 1 and tol finite and positive")
 
 
 def default_threshold(values: np.ndarray, mask: np.ndarray) -> float:
@@ -226,21 +230,21 @@ def complete(
         x = sub.copy()
         row_means = np.array([row[keep].mean() for row, keep in zip(sub, sub_mask)])
         x[~sub_mask] = np.broadcast_to(row_means[:, None], x.shape)[~sub_mask]
-        for k in range(1, params.max_iter + 1):
+        for k in range(1, _MAX_ITER + 1):
             u, s, vt = svd(x)
             kept = s - tau
             rank = int(np.sum(kept > 0.0))
             z = (u[:, :rank] * kept[:rank]) @ vt[:rank]
-            xn = x + params.step * (z - x)
+            xn = x + _STEP * (z - x)
             xn[sub_mask] = obs_vals
             rel = float(np.linalg.norm(xn - x) / max(np.linalg.norm(x), 1e-12))
             x = xn
             iterations = k
-            if rel < params.tol:
+            if rel < _TOL:
                 break
         else:
             logger.warning(
-                "completion stopped at max_iter=%d with relative change %.3e", params.max_iter, rel
+                "completion stopped at max_iter=%d with relative change %.3e", _MAX_ITER, rel
             )
         logger.info("completion: %d iterations, relative change %.3e, tau %.6g, "
                     "%d singular values kept", iterations, rel, tau, rank)

@@ -63,7 +63,6 @@ class MatchParams:
     nk_beta: float = 200.0
     tt_tau: float = 0.5
     radius: float = 50.0
-    max_candidates: int = 8
     gap_factor: float = 10.0
 
     def __post_init__(self) -> None:
@@ -71,8 +70,6 @@ class MatchParams:
             raise InputDataError("gps_sigma, nk_beta, and radius must be positive")
         if not (self.tt_tau >= 0 and math.isfinite(self.tt_tau)):
             raise InputDataError("tt_tau must be finite and >= 0")
-        if self.max_candidates < 1:
-            raise InputDataError("max_candidates must be at least 1")
         if not (self.gap_factor > 0):
             raise InputDataError("gap_factor must be positive")
 
@@ -296,10 +293,12 @@ def _build_path(
     return path, entry.tolist()
 
 
+# Candidate segments kept per fix, closest first; at most 8 x 8 = 64 legs
+# join one fix to the next.
+_MAX_CANDIDATES = 8
 # Fixes per chunk of ``match_traces``, a bound on memory: a chunk's projection
-# and lattice temporaries grow with its fixes, up to max_candidates**2 legs
-# per fix. At 256 fixes they peak at about 3 MB when every fix has 8
-# candidates, and the per-call numpy and Python cost that chunking saves is
+# and lattice temporaries hold at most 256 fixes x 64 legs, about 3 MB at
+# peak, and the per-call numpy and Python cost that chunking saves is
 # already spread thin; larger chunks add memory, not speed.
 _CHUNK_FIXES = 256
 
@@ -362,7 +361,7 @@ def _match_chunk(net, traces, router, param_sets, outs) -> None:
     params = param_sets[0]
     fixes = _Fixes.of(traces)
     fix, seg, off, _ = project_to_candidates(net, fixes.lat, fixes.lon, fixes.mlon,
-                                             params.radius, params.max_candidates)
+                                             params.radius, _MAX_CANDIDATES)
     counts = np.bincount(fix, minlength=len(fixes.t))
     # The runs of every trace as (trace, first point, stop point). Together
     # they hold each fix with a candidate once, in order: those are the layers.

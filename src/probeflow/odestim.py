@@ -13,12 +13,9 @@ every entry by +-c_k in log space with independent Rademacher signs and
 estimates the gradient from two equilibrium solves, whatever the matrix
 dimension; an iteration whose two objectives differ only at rounding
 level takes no step. Log space keeps every iterate strictly positive.
-The step scale is calibrated on the first gradient estimate above
-rounding level, so a0 is the typical log-demand movement of the first
-step rather than a problem-specific constant, and no single step may
-move any entry by more than max_log_step (gradient magnitudes can swing
-by orders of magnitude when congestion is light, and an uncapped step
-would send exp(theta) out of float range). Every fifth iterate is
+The gains are a_k = a / k**0.602 and c_k = 0.1 / k**0.101, with the step
+scale a calibrated on the first gradient estimate above rounding level,
+and no step moves any entry by more than 0.5. Every fifth iterate is
 evaluated exactly and the best recorded one is returned, a final
 equilibrium solve included; the seed is record zero, so the result can
 never be worse than not estimating at all.
@@ -51,26 +48,27 @@ _EPS = float(np.finfo(float).eps)
 # assigned times carry a few ulps of the equilibrium solve's rounding.
 _ROUNDING_MARGIN = 16.0
 
+# SPSA gains a_k = a / k**_ALPHA_DECAY and c_k = _C0 / k**_GAMMA_DECAY with
+# Spall's practical exponents (Spall 1998, IEEE TAES 34). a is set so the
+# first step moves log demand by _A0 in root mean square, whatever the
+# problem's gradient scale.
+_A0 = 0.1
+_C0 = 0.1
+_ALPHA_DECAY = 0.602
+_GAMMA_DECAY = 0.101
+# Gradients swing by orders of magnitude when congestion is light, and an
+# uncapped step would send exp(theta) out of float range.
+_MAX_LOG_STEP = 0.5
+
 
 @dataclass(frozen=True)
 class SpsaParams:
-    """Upper-level solver settings; defaults are calibrated for log-demand."""
+    """Upper-level solver settings: outer iterations and seed regularization weight."""
 
-    a0: float = 0.1
-    c0: float = 0.1
-    alpha_decay: float = 0.602
-    gamma_decay: float = 0.101
     max_outer: int = 100
     mu: float = 0.01
-    max_log_step: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.a0 > 0 and self.c0 > 0):
-            raise InputDataError("a0 and c0 must be positive")
-        if not (self.max_log_step > 0):
-            raise InputDataError("max_log_step must be positive")
-        if not (0.0 < self.alpha_decay <= 1.0 and 0.0 < self.gamma_decay <= 1.0):
-            raise InputDataError("decay exponents must lie in (0, 1]")
         if self.max_outer < 1:
             raise InputDataError("max_outer must be at least 1")
         if not (self.mu >= 0):
@@ -249,7 +247,7 @@ def estimate_od(
     a_eff: float | None = None
 
     for k in range(1, spsa.max_outer + 1):
-        ck = spsa.c0 / k**spsa.gamma_decay
+        ck = _C0 / k**_GAMMA_DECAY
         delta = rng.choice([-1.0, 1.0], size=len(keys))
         f_plus, level_plus = evaluate(demand_of(theta + ck * delta))
         f_minus, level_minus = evaluate(demand_of(theta - ck * delta))
@@ -259,12 +257,12 @@ def estimate_od(
             ghat = (f_plus - f_minus) / (2.0 * ck) * delta
             if a_eff is None:
                 rms = float(np.sqrt(np.mean(ghat * ghat)))
-                a_eff = spsa.a0 / max(rms, 1e-12)
-            ak = a_eff / k**spsa.alpha_decay
+                a_eff = _A0 / max(rms, 1e-12)
+            ak = a_eff / k**_ALPHA_DECAY
             step = ak * ghat
             size = float(np.max(np.abs(step)))
-            if size > spsa.max_log_step:
-                step *= spsa.max_log_step / size
+            if size > _MAX_LOG_STEP:
+                step *= _MAX_LOG_STEP / size
             theta = theta - step
         if k % _RECORD_EVERY == 0 or k == spsa.max_outer:
             demand = demand_of(theta)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from probeflow.assignment import AssignmentResult, VdfParams
+from probeflow.assignment import BPR_ALPHA, BPR_BETA, AssignmentResult
 from probeflow.mapmatch import GpsTrace
 from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, TimeGrid, haversine
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
@@ -16,9 +16,9 @@ GRID_LAT0 = 37.75
 GRID_LON0 = -122.45
 
 
-def bpr_time(fft: float, capacity: float, flow: float, params: VdfParams = VdfParams()) -> float:
+def bpr_time(fft: float, capacity: float, flow: float) -> float:
     """Congested travel time of one link under the BPR curve."""
-    return fft * (1.0 + params.alpha * (flow / capacity) ** params.beta)
+    return fft * (1.0 + BPR_ALPHA * (flow / capacity) ** BPR_BETA)
 
 
 def total_system_travel_time(result: AssignmentResult) -> float:

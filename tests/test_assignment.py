@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from probeflow.assignment import (
     _LINE_SEARCH_TOL,
     BprCost,
-    VdfParams,
     _line_search,
     read_demand,
     solve_so,
@@ -36,17 +35,10 @@ def test_bpr_time_values():
     assert bpr_time(10.0, 1000.0, 0.0) == 10.0
 
 
-def test_vdf_params_validation():
-    with pytest.raises(InputDataError):
-        VdfParams(alpha=-0.1)
-    with pytest.raises(InputDataError):
-        VdfParams(beta=0.5)
-
-
 def test_marginal_time_matches_derivative():
     # marginal cost = d/dv of v * t(v), checked by central differences
     net = make_grid_network(2, 1, speed=10.0, capacity=1000.0)
-    cost = BprCost(net, VdfParams())
+    cost = BprCost(net)
     rng = np.random.default_rng(11)
     for _ in range(20):
         v = rng.uniform(10.0, 3000.0, size=net.n_segments)

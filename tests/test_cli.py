@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from probeflow import cli, mapmatch, network
-from probeflow.cli import _SECTIONS, main, stage_seed
+from probeflow.cli import _SECTIONS, PipelineConfig, UsageError, main, stage_seed
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
 from probeflow.network import Taz, TimeGrid, read_network, write_network, write_tazs
@@ -85,7 +85,7 @@ def world(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
-def test_usage_errors_exit_1(world, tmp_path):
+def test_usage_errors_exit_1(world, tmp_path, capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["match"]) == 1
@@ -110,7 +110,7 @@ def test_usage_errors_exit_1(world, tmp_path):
     for i, text in enumerate([
         json.dumps({"probe": {"rng_seed": 5}}),
         json.dumps({"threads": 2}),
-        json.dumps({"match": {"max_candidates": 2.5}}),
+        json.dumps({"spsa": {"max_outer": 2.5}}),
         json.dumps({"od": {"weight_by_support": 1}}),
         json.dumps({"refine": {"max_iters": True}}),
         json.dumps({"infer": {"tol": 1e-8}}),
@@ -121,11 +121,27 @@ def test_usage_errors_exit_1(world, tmp_path):
         '{"od": {"ue_tol": -Infinity}}',
         '{"multipliers": [1e999]}',
         '{"multipliers": [1' + "0" * 400 + ']}',
+        '{"multipliers": [true]}',
     ]):
         path = tmp_path / f"rejected_{i}.json"
         path.write_text(text)
         rc = main(["match", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
         assert rc == 1, text
+    assert not (tmp_path / "matched.csv").exists()
+
+    # Settings that became constants are unknown keys of their section.
+    for section, key, value in [
+        ("spsa", "a0", 0.2), ("spsa", "c0", 0.2), ("spsa", "alpha_decay", 0.7),
+        ("spsa", "gamma_decay", 0.2), ("spsa", "max_log_step", 1.0),
+        ("completion", "step", 1.0), ("completion", "max_iter", 100),
+        ("completion", "tol", 1e-3), ("match", "max_candidates", 8),
+    ]:
+        path = tmp_path / f"removed_{section}_{key}.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        capsys.readouterr()
+        rc = main(["match", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
+        err = capsys.readouterr().err
+        assert rc == 1 and repr(section) in err and repr(key) in err, (section, key, err)
     assert not (tmp_path / "matched.csv").exists()
 
     assert main(["match", "--network", str(tmp_path / "nowhere.json"),
@@ -145,6 +161,20 @@ def test_parameter_dataclasses_reject_nan(cls, name):
     # written as x <= 0 lets it through.
     with pytest.raises(InputDataError):
         cls(**{name: float("nan")})
+
+
+# Config values of the wrong JSON type for each annotated field type.
+_WRONG_TYPES = {"int": (2.5, True), "float": (True, "1"), "float | None": (True, "1"),
+                "bool": (1,)}
+
+
+@pytest.mark.parametrize("section, f", [
+    pytest.param(name, f, id=f"{name}.{f.name}")
+    for name, cls in _SECTIONS.items() for f in fields(cls)])
+def test_config_rejects_wrong_value_types(section, f):
+    for value in _WRONG_TYPES[f.type]:
+        with pytest.raises(UsageError, match=f.name):
+            PipelineConfig.from_dict({section: {f.name: value}})
 
 
 def test_threads_must_be_positive(world):

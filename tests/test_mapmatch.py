@@ -109,8 +109,6 @@ def test_match_params_validation():
     with pytest.raises(InputDataError):
         MatchParams(tt_tau=math.inf)  # would make the score of every exact leg NaN
     with pytest.raises(InputDataError):
-        MatchParams(max_candidates=0)
-    with pytest.raises(InputDataError):
         MatchParams(gap_factor=0.0)
     with pytest.raises(InputDataError):
         MatchParams(radius=math.nan)  # would make every candidate grid key undefined

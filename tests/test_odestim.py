@@ -346,15 +346,9 @@ def test_estimate_od_validation():
 
 def test_spsa_params_validation():
     with pytest.raises(InputDataError):
-        SpsaParams(a0=0.0)
-    with pytest.raises(InputDataError):
-        SpsaParams(alpha_decay=1.5)
-    with pytest.raises(InputDataError):
         SpsaParams(max_outer=0)
     with pytest.raises(InputDataError):
         SpsaParams(mu=-0.1)
-    with pytest.raises(InputDataError):
-        SpsaParams(max_log_step=0.0)
 
 
 # ---------------------------------------------------------------------------
