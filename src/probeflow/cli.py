@@ -210,6 +210,9 @@ class PipelineConfig:
             section = doc.get(key, {})
             if not isinstance(section, dict):
                 raise UsageError(f"config key {key!r} must be an object")
+            unknown = sorted(set(section) - {f.name for f in fields(section_type)})
+            if unknown:
+                raise UsageError(f"config section {key!r}: unknown key {unknown[0]!r}")
             for f in fields(section_type):
                 value = section.get(f.name)
                 if f.name in section and (isinstance(value, bool) != (f.type == "bool")
@@ -218,7 +221,7 @@ class PipelineConfig:
                                      f"got {value!r}")
             try:
                 kwargs[key] = section_type(**section)
-            except (TypeError, InputDataError) as exc:
+            except InputDataError as exc:
                 raise UsageError(f"config section {key!r}: {exc}") from exc
 
         seed = doc.get("seed", 0)
@@ -409,7 +412,7 @@ def _cmd_gen_traces(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]
 def _cmd_match(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """One matching pass under free-flow travel times, weighted by ``match.tt_tau``."""
     traces = read_traces(_input(cfg, "traces"))
-    matched = match_traces(net, traces, Router(net, net.seg_fft), cfg.match)
+    matched = match_traces(net, traces, [Router(net, net.seg_fft)] * len(traces), cfg.match)
     out = _out(cfg) / MATCHED_FILE
     write_matched(matched, out, net)
     artifacts.append(out)

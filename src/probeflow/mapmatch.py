@@ -19,10 +19,11 @@ Traces split into independently matched pieces at long observation gaps
 within the search radius, and wherever the lattice has no routable
 continuation. Pieces with fewer than two points are dropped.
 
-``match_traces`` matches the traces that share a router in chunks of
-consecutive traces: one candidate projection, one lattice over all the
-chunk's runs and one route resolution per chunk, then Viterbi per run.
-Every piece equals the one a trace matched alone gives, bit for bit.
+``match_traces`` takes one router per trace and matches in chunks of
+consecutive traces that share a router: one candidate projection, one
+lattice over all the chunk's runs and one route resolution per chunk,
+then Viterbi per run. Every piece equals the one a trace matched alone
+under its router gives, bit for bit.
 
 The same scoring primitives serve both matching and the rescoring of a
 fixed assignment (``score_assignment``), so scores from the two paths are
@@ -326,29 +327,32 @@ class _Fixes(NamedTuple):
 def match_traces(
     net: RoadNetwork,
     traces: list[GpsTrace],
-    router: Router,
+    routers: list[Router],
     params: MatchParams = MatchParams(),
     baseline: list[MatchedPath] | None = None,
 ) -> list[MatchedPath]:
-    """Match traces under the router's travel times; see the module docstring.
+    """Match each trace under its router's travel times; see the module docstring.
 
-    Chunks hold consecutive traces, at most ``_CHUNK_FIXES`` fixes (a
-    longer trace is a chunk of its own). Pieces come in trace order, each
-    trace's numbered from 0. When ``baseline`` is a list, every trace is
-    decoded a second time with tt_tau = 0 on the same lattices (only the
-    transition scores differ), and those pieces are appended to it. They
-    equal ``match_traces`` under tt_tau = 0 bit for bit.
+    ``routers`` holds one router per trace. Chunks hold consecutive traces
+    that share a router (the same object), at most ``_CHUNK_FIXES`` fixes
+    (a longer trace is a chunk of its own). Pieces come in trace order,
+    each trace's numbered from 0. When ``baseline`` is a list, every trace
+    is decoded a second time with tt_tau = 0 on the same lattices (only
+    the transition scores differ), and those pieces are appended to it.
+    They equal ``match_traces`` under tt_tau = 0 bit for bit.
     """
     param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
     outs: list[list[MatchedPath]] = [[] for _ in param_sets]
     chunk: list[GpsTrace] = []
     fixes = 0
-    for trace in traces:
-        if chunk and fixes + len(trace) > _CHUNK_FIXES:
+    router = None
+    for trace, trace_router in zip(traces, routers, strict=True):
+        if chunk and (trace_router is not router or fixes + len(trace) > _CHUNK_FIXES):
             _match_chunk(net, chunk, router, param_sets, outs)
             chunk, fixes = [], 0
         chunk.append(trace)
         fixes += len(trace)
+        router = trace_router
     if chunk:
         _match_chunk(net, chunk, router, param_sets, outs)
     if baseline is not None:

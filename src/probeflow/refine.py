@@ -97,19 +97,17 @@ def refine(
 
     Returns the final matched paths, the per-interval estimates, and one
     diagnostics record per iteration. Each trace is matched under the
-    times of the interval containing its midpoint: a pass groups the
-    traces by router, in order of first appearance, and matches each
-    group with one ``match_traces`` call, which works in chunks of
-    consecutive traces. The pieces are then put back in trace order, so
-    the observation rows keep the order a trace-by-trace pass gives;
-    vehicle ids must therefore be distinct. When ``baseline`` is a
-    dict, it receives the tandem baseline's per-interval estimates,
-    decoded from iteration 0's lattices.
+    times of the interval containing its midpoint: a pass hands every
+    trace its interval's router to one ``match_traces`` call, which
+    returns the pieces in trace order, so the observation rows keep the
+    order a trace-by-trace pass gives. Paths are compared across passes
+    by (vehicle id, piece), so vehicle ids must be distinct. When
+    ``baseline`` is a dict, it receives the tandem baseline's
+    per-interval estimates, decoded from iteration 0's lattices.
     """
     if not traces:
         raise InputDataError("refine needs at least one trace")
-    order = {trace.vehicle_id: i for i, trace in enumerate(traces)}
-    if len(order) < len(traces):
+    if len({trace.vehicle_id for trace in traces}) < len(traces):
         raise InputDataError("refine needs one trace per vehicle id")
 
     fft = net.seg_fft
@@ -118,24 +116,17 @@ def refine(
     diagnostics = RefinementDiagnostics()
     prev_paths: dict[tuple[int, int], tuple[int, ...]] | None = None
     last_residual = 0.0
-    pieces: list[MatchedPath] = []
 
     for k in range(params.max_iters):
         # Every interval without an estimate routes under free flow through
         # one shared router, so its Dijkstra trees are built once per pass.
         free_flow = Router(net, fft)
-        routers = {iv: Router(net, t) for iv, t in times.items()}
-        groups: dict[Router, list[GpsTrace]] = {}
-        for trace in traces:
-            groups.setdefault(routers.get(_trace_interval(trace, grid), free_flow), []).append(trace)
-        pieces = []
+        of_interval = {iv: Router(net, t) for iv, t in times.items()}
+        routers = [of_interval.get(_trace_interval(trace, grid), free_flow) for trace in traces]
         base_pieces = [] if k == 0 and baseline is not None else None
-        for router, group in groups.items():
-            pieces.extend(match_traces(net, group, router, match_params, base_pieces))
-        # Back to trace order, which fixes the order of the observation rows.
-        pieces.sort(key=lambda mp: order[mp.vehicle_id])
+        pieces = []  # the last pass's pieces are freed before this pass matches
+        pieces = match_traces(net, traces, routers, match_params, base_pieces)
         if base_pieces is not None:
-            base_pieces.sort(key=lambda mp: order[mp.vehicle_id])
             base_obs = observations_from_matches(base_pieces, grid)
             for iv in sorted(base_obs):
                 baseline[iv] = infer_times(base_obs[iv], net, fft, infer_params)

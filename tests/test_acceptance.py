@@ -214,7 +214,8 @@ def test_04_matching_accuracy_degrades_gracefully_with_noise():
             trips.append(trip)
             traces.append(sample_trace(trip, net, scen, cfg, rng_seed=77))
         assert len(traces) >= 200
-        return matching_accuracy_pct(match_traces(net, traces, Router(net, fft), matcher), trips, net)
+        pieces = match_traces(net, traces, [Router(net, fft)] * len(traces), matcher)
+        return matching_accuracy_pct(pieces, trips, net)
 
     assert accuracy(10.0, 0.0) >= 99.0
     ladder = {sigma: accuracy(60.0, sigma) for sigma in (0.0, 10.0, 30.0)}

@@ -141,7 +141,9 @@ def test_usage_errors_exit_1(world, tmp_path, capsys):
         capsys.readouterr()
         rc = main(["match", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
         err = capsys.readouterr().err
-        assert rc == 1 and repr(section) in err and repr(key) in err, (section, key, err)
+        assert rc == 1, (section, key, err)
+        assert f"config section {section!r}: unknown key {key!r}" in err, err
+        assert "__init__" not in err, err
     assert not (tmp_path / "matched.csv").exists()
 
     assert main(["match", "--network", str(tmp_path / "nowhere.json"),

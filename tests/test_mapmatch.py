@@ -202,7 +202,7 @@ def test_viterbi_rejects_mismatched_shapes():
 def test_five_points_on_single_segment():
     net = line_net(n_segs=1, length=500.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=40.0)
-    pieces = match_traces(net, [trace], free_flow_router(net))
+    pieces = match_traces(net, [trace], [free_flow_router(net)])
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0]
@@ -215,7 +215,7 @@ def test_five_points_on_single_segment():
 def test_corridor_recovers_path_and_entry_times():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0)
-    pieces = match_traces(net, [trace], free_flow_router(net))
+    pieces = match_traces(net, [trace], [free_flow_router(net)])
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3, 4]
@@ -234,7 +234,7 @@ def test_first_point_mid_segment_extrapolates_entry():
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_traces(net, [trace], free_flow_router(net))
+    pieces = match_traces(net, [trace], [free_flow_router(net)])
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3]
@@ -254,7 +254,7 @@ def test_two_way_corridor_picks_forward_segments():
         lats.append(net.nodes[0].lat)
         lons.append(net.nodes[0].lon + d / mlon)
     trace = GpsTrace(3, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_traces(net, [trace], free_flow_router(net))
+    pieces = match_traces(net, [trace], [free_flow_router(net)])
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 2, 4, 6, 8]
     assert np.allclose(pieces[0].entry_times, [0.0, 20.0, 40.0, 60.0, 80.0], atol=1e-3)
@@ -263,7 +263,7 @@ def test_two_way_corridor_picks_forward_segments():
 def test_noisy_corridor_still_matches():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=5.0, seed=11)
-    pieces = match_traces(net, [trace], free_flow_router(net))
+    pieces = match_traces(net, [trace], [free_flow_router(net)])
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 1, 2, 3, 4]
 
@@ -300,7 +300,7 @@ def test_travel_time_disambiguates_equal_geometry(dt, expected):
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    pieces = match_traces(net, [trace], router)
+    pieces = match_traces(net, [trace], [router])
     assert len(pieces) == 1
     assert pieces[0].segments == expected
 
@@ -315,7 +315,7 @@ def test_tau_zero_falls_back_to_candidate_order():
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    pieces = match_traces(net, [trace], free_flow_router(net), MatchParams(tt_tau=0.0))
+    pieces = match_traces(net, [trace], [free_flow_router(net)], MatchParams(tt_tau=0.0))
     assert pieces[0].segments == [0, 1]
 
 
@@ -326,7 +326,7 @@ def test_long_gap_splits_trace():
     ts = np.concatenate([base.timestamps, base.timestamps + 1100.0])
     lats = np.concatenate([base.lats, base.lats])
     lons = np.concatenate([base.lons, base.lons])
-    pieces = match_traces(net, [GpsTrace(5, ts, lats, lons)], free_flow_router(net))
+    pieces = match_traces(net, [GpsTrace(5, ts, lats, lons)], [free_flow_router(net)])
     assert [mp.piece for mp in pieces] == [0, 1]
     assert pieces[0].segments == pieces[1].segments == [0, 1, 2, 3, 4]
     assert pieces[0].last_point == 10 and pieces[1].first_point == 11
@@ -338,7 +338,7 @@ def test_point_without_candidates_is_dropped_and_splits():
     lats = base.lats.copy()
     lats[5] += 2000.0 / meters_per_degree(0.0)[0]  # 2 km off the corridor
     pieces = match_traces(net, [GpsTrace(5, base.timestamps, lats, base.lons)],
-                          free_flow_router(net))
+                          [free_flow_router(net)])
     assert len(pieces) == 2
     assert pieces[0].last_point == 4 and pieces[1].first_point == 6
 
@@ -366,7 +366,7 @@ def test_unroutable_step_splits_lattice():
         lats.append(lat)
         lons.append(lon)
     trace = GpsTrace(9, np.array([0.0, 15.0, 30.0, 45.0]), np.array(lats), np.array(lons))
-    pieces = match_traces(net, [trace], free_flow_router(net))
+    pieces = match_traces(net, [trace], [free_flow_router(net)])
     assert len(pieces) == 2
     assert pieces[0].segments == [0]
     assert pieces[1].segments == [2]
@@ -398,7 +398,7 @@ def test_split_points_equal_np_median_reference(gaps, factor, data):
 def test_no_candidates_anywhere_returns_empty():
     net = line_net(n_segs=2)
     trace = GpsTrace(1, np.array([0.0, 10.0]), np.array([5.0, 5.0]), np.array([5.0, 5.0]))
-    assert match_traces(net, [trace], free_flow_router(net)) == []
+    assert match_traces(net, [trace], [free_flow_router(net)]) == []
 
 
 def grid_segment(net: RoadNetwork, u: int, v: int) -> int:
@@ -430,7 +430,7 @@ def test_rescore_equals_match_score_bitwise(case):
         net = make_grid_network(22, 2, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=5)
         trace = sparse_row_trace(net, nx=22, stride=10)
     router = free_flow_router(net)
-    pieces = match_traces(net, [trace], router)
+    pieces = match_traces(net, [trace], [router])
     assert len(pieces) == 1
     mp = pieces[0]
     if case == "sparse_jittered_grid":
@@ -449,7 +449,7 @@ def test_rescore_under_other_times_changes_score():
         np.array([net.nodes[0].lat, net.nodes[3].lat]),
         np.array([net.nodes[0].lon, net.nodes[3].lon]),
     )
-    mp = match_traces(net, [trace], Router(net, truth))[0]
+    mp = match_traces(net, [trace], [Router(net, truth)])[0]
     points = [mp.first_point, mp.last_point]
     same = score_assignment(net, trace, points, mp.assignment, Router(net, truth))
     distorted = truth.copy()
@@ -467,8 +467,8 @@ def test_batch_matching_is_deterministic():
                        vehicle_id=s)
         for s in range(5)
     ]
-    a = match_traces(net, traces, Router(net, times))
-    b = match_traces(net, traces, Router(net, times))
+    a = match_traces(net, traces, [Router(net, times)] * len(traces))
+    b = match_traces(net, traces, [Router(net, times)] * len(traces))
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert (x.vehicle_id, x.piece, x.segments) == (y.vehicle_id, y.piece, y.segments)
@@ -522,7 +522,7 @@ def test_matching_a_short_trace_settles_few_nodes():
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=15.0, gps_sigma=5.0),
                          rng_seed=2)
     router = free_flow_router(net)
-    assert match_traces(net, [trace], router)
+    assert match_traces(net, [trace], [router])
     full = len(router._trees) * net.n_nodes
     assert len(router._trees) >= 5
     assert router.settled() < 0.05 * full
@@ -678,6 +678,8 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
     Fixes every 5 s at 10 m/s put four fixes on each 200 m segment, so
     the same segment ends start legs of many layer pairs and runs. The
     traces fill several chunks, and one is longer than the chunk bound.
+    They alternate in pairs between two routers, so chunks end where the
+    router changes as well as at the bound.
     """
     net = make_grid_network(12, 12, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
     ends = [(13, 130), (0, 143), (11, 132), (60, 71), (130, 13), (5, 138), (24, 35), (100, 43)]
@@ -685,34 +687,43 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
     traces.insert(3, grid_trace(net, 0, 143, 1.5, 5.0, 99, 4))
     bound = mapmatch._CHUNK_FIXES
     assert len(traces[3]) > bound and sum(map(len, traces)) > 2 * bound
-    chunks, fixes = [], bound + 1  # the traces of each chunk, packed as the matcher packs them
-    for trace in traces:
-        if fixes + len(trace) > bound:
-            chunks.append([])
+    pair = [free_flow_router(net), free_flow_router(net)]
+    routers = [pair[i // 2 % 2] for i in range(len(traces))]
+    # The traces and router of each chunk, packed as the matcher packs them.
+    chunks: list[tuple[list[GpsTrace], Router]] = []
+    fixes = bound + 1
+    for trace, router in zip(traces, routers):
+        if fixes + len(trace) > bound or router is not chunks[-1][1]:
+            chunks.append(([], router))
             fixes = 0
-        chunks[-1].append(trace)
+        chunks[-1][0].append(trace)
         fixes += len(trace)
+    assert len(chunks) == 6  # 4 router changes, and one bound between traces 2 and 3
 
-    router = free_flow_router(net)
     projected: list[int] = []
-    sources: list[list[int]] = []  # the sources searched, per chunk
-    search, reach = mapmatch.project_to_candidates, router.reach
+    sources: list[list[tuple[int, int]]] = []  # (router, source) searched, per chunk
+    search = mapmatch.project_to_candidates
 
     def counted_search(net, lats, *args):
         projected.append(len(lats))
         sources.append([])
         return search(net, lats, *args)
 
-    def counted_reach(u, nodes):
-        sources[-1].append(u)
-        return reach(u, nodes)
+    def counted_reach(k, reach):
+        def reach_counted(u, nodes):
+            sources[-1].append((k, u))
+            return reach(u, nodes)
+        return reach_counted
 
     monkeypatch.setattr(mapmatch, "project_to_candidates", counted_search)
-    monkeypatch.setattr(router, "reach", counted_reach)
-    assert match_traces(net, traces, router, baseline=[])
-    assert projected == [sum(map(len, chunk)) for chunk in chunks]
+    for k, router in enumerate(pair):
+        monkeypatch.setattr(router, "reach", counted_reach(k, router.reach))
+    assert match_traces(net, traces, routers, baseline=[])
+    assert projected == [sum(map(len, chunk)) for chunk, _ in chunks]
     assert sum(map(len, sources)) >= 10
     assert all(len(chunk) == len(set(chunk)) for chunk in sources)
+    assert [{k for k, _ in chunk} for chunk in sources] == [
+        {pair.index(router)} for _, router in chunks]
 
 
 @settings(max_examples=30, deadline=None)
@@ -721,11 +732,13 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
 def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound):
     """Every field of every piece, and of every baseline piece, bit for bit.
 
-    The traces are grouped by router as refine groups them, over two
-    routers with different times; each group is one ``match_traces``
-    call. The chunk bound is drawn small as well, so chunk boundaries
-    fall between traces and traces run longer than the bound. Some
-    traces have fixes outside the search radius, some only one fix.
+    One ``match_traces`` call matches all the traces, each under a router
+    drawn from two with different times, so runs of one router and
+    interleavings (A, B, A, ...) both occur and chunks end where the
+    router changes. The chunk
+    bound is drawn small as well, so chunk boundaries fall between traces
+    and traces run longer than the bound. Some traces have fixes outside
+    the search radius, some only one fix.
     """
     net = make_grid_network(6, 6, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=6)
     rng = np.random.default_rng(seed)
@@ -741,19 +754,17 @@ def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound):
         traces.append(GpsTrace(vid, trace.timestamps[:keep], lats[:keep], trace.lons[:keep]))
         which.append(int(rng.integers(2)))
     params = MatchParams(gps_sigma=8.0)
+    routers = [Router(net, t) for t in times]
 
     with patch.object(mapmatch, "_CHUNK_FIXES", bound):
         want, want_base = [], []
         for trace, r in zip(traces, which):
-            want.append(match_traces(net, [trace], Router(net, times[r]), params, base := []))
+            want.append(match_traces(net, [trace], [Router(net, times[r])], params, base := []))
             want_base.append(base)
-        for r in (0, 1):
-            group = [i for i, w in enumerate(which) if w == r]
-            base: list = []
-            got = match_traces(net, [traces[i] for i in group], Router(net, times[r]), params,
-                               base)
-            assert got == [mp for i in group for mp in want[i]]
-            assert base == [mp for i in group for mp in want_base[i]]
+        base = []
+        got = match_traces(net, traces, [routers[r] for r in which], params, base)
+    assert got == [mp for pieces in want for mp in pieces]
+    assert base == [mp for pieces in want_base for mp in pieces]
     assert all(mp.piece == k for pieces in want for k, mp in enumerate(pieces))
 
 
@@ -764,7 +775,7 @@ def test_matched_csv_round_trip(tmp_path):
                        vehicle_id=s)
         for s in range(3)
     ]
-    pieces = match_traces(net, traces, free_flow_router(net))
+    pieces = match_traces(net, traces, [free_flow_router(net)] * len(traces))
     path = tmp_path / "matched.csv"
     write_matched(pieces, path, net)
     back = read_matched(path, net)
@@ -796,7 +807,7 @@ def test_matched_pieces_connect_and_entry_times_nondecreasing(sigma, period, ori
                                 entry_times=None), net, truth)
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
                          rng_seed=seed)
-    for mp in match_traces(net, [trace], router):
+    for mp in match_traces(net, [trace], [router]):
         segs = [net.segments[j] for j in mp.segments]
         assert all(a.to_node == b.from_node for a, b in zip(segs, segs[1:]))
         assert all(t0 <= t1 for t0, t1 in zip(mp.entry_times, mp.entry_times[1:]))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from probeflow import refine as refine_module
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import MatchParams, match_traces, score_assignment
 from probeflow.network import Router, TimeGrid
@@ -93,7 +94,7 @@ def test_single_iteration_equals_sequential_pipeline():
     assert len(diag) == 1
 
     fft = fx.net.seg_fft
-    manual_pieces = match_traces(fx.net, fx.traces, Router(fx.net, fft))
+    manual_pieces = match_traces(fx.net, fx.traces, [Router(fx.net, fft)] * len(fx.traces))
     assert [(m.vehicle_id, m.piece, m.segments) for m in manual_pieces] == [
         (m.vehicle_id, m.piece, m.segments) for m in pieces
     ]
@@ -206,8 +207,25 @@ def test_refine_validates_arguments():
         refine(fx.traces, fx.net, fx.grid, params=RefineParams(stop_tol=0.0))
 
 
+def test_refine_matches_each_pass_in_one_call(monkeypatch):
+    """One ``match_traces`` call per pass, even when the traces' intervals interleave."""
+    fx = make_two_route_fixture()
+    calls: list[int] = []  # distinct routers per call
+
+    def counted(net, traces, routers, *args):
+        calls.append(len({id(router) for router in routers}))
+        return match_traces(net, traces, routers, *args)
+
+    monkeypatch.setattr(refine_module, "match_traces", counted)
+    _, _, diag = refine(fx.traces, fx.net, TimeGrid(120, 5040),
+                        params=RefineParams(max_iters=2, stop_tol=1e-12))
+    assert len(calls) == len(diag) == 2
+    assert calls[1] >= 2
+
+
 def test_refine_rejects_repeated_vehicle_id():
-    # Pieces go back to trace order by vehicle id, and paths are keyed by it.
+    # Paths are compared across passes by (vehicle id, piece), so a repeated
+    # id would merge two traces' paths and could stop the loop early.
     fx = make_two_route_fixture(n_pinned=1, n_ambiguous=1)
     with pytest.raises(InputDataError, match="one trace per vehicle id"):
         refine([fx.traces[0], fx.traces[0]], fx.net, fx.grid)
