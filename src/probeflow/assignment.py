@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDataError, SolverError
+from .errors import InputDataError
 from .network import RoadNetwork, Taz, _settle
 from .tables import read_table, write_table
 
@@ -142,10 +142,9 @@ def _all_or_nothing(
         dist[src] = 0.0
         _settle(net, weights, dist, pred, [False] * n, [(0.0, src)], [d for d, _ in dests])
         for dst, rate in dests:
-            if not math.isfinite(dist[dst]):
-                raise SolverError(
-                    f"no route from node {net.node_ids()[src]} to node {net.node_ids()[dst]}"
-                )
+            if not math.isfinite(dist[dst]):  # unreachable under any costs: bad input
+                raise InputDataError(
+                    f"no route from node {net.node_ids()[src]} to node {net.node_ids()[dst]}")
             v = dst
             while v != src:
                 j = pred[v]

@@ -54,7 +54,6 @@ from .evaluation import (
     gain_pct,
     matching_accuracy_pct,
     mse,
-    run_baseline,
     voc_series,
     write_report,
     write_voc,
@@ -101,6 +100,7 @@ TRACES_FILE = "traces.csv"
 TRIPS_FILE = "trips.csv"
 MATCHED_FILE = "matched.csv"
 ESTIMATES_FILE = "estimates.csv"
+BASELINE_FILE = "baseline.csv"
 DIAGNOSTICS_FILE = "diagnostics.csv"
 MATRIX_FILE = "matrix.csv"
 COMPLETED_FILE = "completed.csv"
@@ -322,7 +322,10 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _out(cfg: PipelineConfig) -> Path:
     path = Path(cfg.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {path} as the output directory: {exc.strerror}") from exc
     return path
 
 
@@ -427,22 +430,25 @@ def _cmd_infer(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> 
     artifacts.append(out)
 
 
-def _cmd_refine(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path],
-                baseline: dict[int, SegmentTimeEstimate] | None = None) -> None:
-    """Refine, writing matched paths, estimates and diagnostics.
+def _cmd_refine(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
+    """Refine, writing matched paths, estimates, the tandem baseline and diagnostics.
 
-    A ``baseline`` dict receives the tandem baseline's estimates, decoded
-    from refine's first pass; they are not written.
+    The baseline's estimates, decoded from refine's free-flow first pass,
+    go to ``baseline.csv`` beside ``estimates.csv``, where evaluate reads
+    them.
     """
     traces = read_traces(_input(cfg, "traces"))
+    baseline: dict[int, SegmentTimeEstimate] = {}
     pieces, estimates, diag = refine(traces, net, cfg.grid, match_params=cfg.match,
                                      infer_params=cfg.infer, params=cfg.refine,
                                      baseline=baseline)
     out = _out(cfg)
     write_matched(pieces, out / MATCHED_FILE, net)
     write_estimates([estimates[iv] for iv in sorted(estimates)], out / ESTIMATES_FILE, net)
+    write_estimates([baseline[iv] for iv in sorted(baseline)], out / BASELINE_FILE, net)
     write_diagnostics(diag, out / DIAGNOSTICS_FILE)
-    artifacts.extend([out / MATCHED_FILE, out / ESTIMATES_FILE, out / DIAGNOSTICS_FILE])
+    artifacts.extend([out / MATCHED_FILE, out / ESTIMATES_FILE, out / BASELINE_FILE,
+                      out / DIAGNOSTICS_FILE])
 
 
 def _cmd_estimate_od(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
@@ -497,24 +503,25 @@ def _cmd_complete(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     artifacts.append(out / COMPLETED_FILE)
 
 
-def _cmd_evaluate(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path],
-                  base_est: dict[int, SegmentTimeEstimate] | None = None) -> None:
+def _cmd_evaluate(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """Score refined estimates against ground truth and the tandem baseline.
 
-    Travel-time metrics average over the intervals that carry
-    observations in both the refined and the baseline run; matching
-    accuracy comes from the matched file against the truth trips. The
-    baseline is ``base_est`` when given, else ``run_baseline`` on the
-    traces.
+    The baseline is the ``baseline.csv`` that refine wrote beside the
+    ``estimates`` input. Travel-time metrics average over the intervals
+    that carry observations in both the refined and the baseline run;
+    matching accuracy comes from the matched file against the truth trips.
     """
     truth_times, _ = read_truth(_input(cfg, "truth"), net)
     trips = read_trips(_input(cfg, "trips"), net)
     matched = read_matched(_input(cfg, "matched"), net)
-    full = read_estimates(_input(cfg, "estimates"), net, cfg.grid)
+    estimates = _input(cfg, "estimates")
+    full = read_estimates(estimates, net, cfg.grid)
+    baseline = estimates.parent / BASELINE_FILE
+    if not baseline.is_file():
+        raise UsageError(f"baseline file not found: {baseline} (refine writes it beside "
+                         f"{ESTIMATES_FILE})")
+    base_est = read_estimates(baseline, net, cfg.grid)
 
-    if base_est is None:
-        _, base_est, _ = run_baseline(read_traces(_input(cfg, "traces")), net, cfg.grid,
-                                      match_params=cfg.match, infer_params=cfg.infer)
     intervals = [iv for iv in _supported_intervals(full) if iv in base_est]
     if not intervals:
         raise InputDataError("no interval carries observations in both runs")
@@ -584,14 +591,9 @@ def _cmd_pipeline(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     The network is read once and handed to every stage. Each stage reads
     its other inputs from the files the previous stage wrote, exactly as
     the standalone commands would, so a split run and a single run
-    produce identical bytes. The one exception is the tandem
-    baseline: refine decodes it from its free-flow first pass and hands
-    it to evaluate in memory, so the traces are matched under free flow
-    once. Those estimates equal what standalone ``evaluate`` computes
-    with ``run_baseline`` bit for bit (same candidates, legs, transition
-    arithmetic and inference), so the report's bytes do not change. The
-    manifest records a SHA-256 hash per artifact; on solver failure it
-    is written with a .partial suffix covering whatever completed.
+    produce identical bytes. The manifest records a SHA-256 hash per
+    artifact; on solver failure it is written with a .partial suffix
+    covering whatever completed.
     """
     for key in ("tazs", "traces", "truth", "trips"):
         _input(cfg, key)
@@ -599,12 +601,11 @@ def _cmd_pipeline(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     out = _out(cfg)
     staged = replace(cfg, matched=str(out / MATCHED_FILE),
                      estimates=str(out / ESTIMATES_FILE))
-    baseline: dict[int, SegmentTimeEstimate] = {}
     try:
-        _cmd_refine(staged, net, artifacts, baseline)
+        _cmd_refine(staged, net, artifacts)
         _cmd_estimate_od(staged, net, artifacts)
         _cmd_complete(staged, net, artifacts)
-        _cmd_evaluate(staged, net, artifacts, baseline)
+        _cmd_evaluate(staged, net, artifacts)
     except SolverError:
         _write_manifest(out, artifacts, partial=True)
         raise
@@ -637,7 +638,7 @@ _COMMAND_INPUTS: dict[str, tuple[str, ...]] = {
     "refine": ("network", "traces"),
     "estimate-od": ("network", "tazs", "estimates", "demand"),
     "complete": ("network", "estimates"),
-    "evaluate": ("network", "traces", "truth", "trips", "matched", "estimates"),
+    "evaluate": ("network", "truth", "trips", "matched", "estimates"),
     "export-voc": ("network", "states_dir"),
     "export-geojson": ("network", "state"),
     "pipeline": ("network", "tazs", "traces", "truth", "trips", "demand"),

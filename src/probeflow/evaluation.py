@@ -1,4 +1,4 @@
-"""Accuracy metrics, the sequential baseline, and congestion exports.
+"""Accuracy metrics and congestion exports.
 
 Three numbers summarize a run against ground truth: mean squared error
 of segment travel times, the relative improvement of that error over the
@@ -7,14 +7,12 @@ travel-time error. Map-matching quality is scored separately as a
 length-weighted overlap between matched and true paths, so one long
 wrong detour cannot hide behind many short correct segments.
 
-The baseline here is the tandem pipeline: a single geometric matching
-pass followed by a single inference pass. It is the refinement loop
-stopped after one iteration with ``tt_tau`` set to 0, so travel times
-carry no weight in its transition score. Both share every line of
-matching and inference code, which keeps the comparison honest. A
-caller that runs the refinement loop anyway (``pipeline``) takes the
-baseline from the loop's free-flow first pass instead (see ``refine``),
-with the same bits and without matching every trace a second time.
+The baseline is the tandem pipeline: a single geometric matching pass
+followed by a single inference pass. ``refine`` decodes it from its own
+free-flow first pass with ``tt_tau`` set to 0, so baseline and refined
+estimates share every line of matching and inference code, and the
+``refine`` command writes it as ``baseline.csv``. This module only scores
+the estimates it is handed.
 
 Volume-over-capacity products turn estimated flows into the congestion
 views worth plotting: per-interval class averages as CSV and a per-
@@ -27,18 +25,16 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputDataError
-from .mapmatch import GpsTrace, MatchedPath, MatchParams
+from .mapmatch import MatchedPath
 from .network import RoadNetwork, TimeGrid
-from .refine import RefinementDiagnostics, RefineParams, refine
 from .tables import read_table, write_table
 from .tracegen import TruthTrip
-from .ttinfer import InferParams, SegmentTimeEstimate
 
 logger = logging.getLogger(__name__)
 
@@ -137,32 +133,6 @@ def matching_accuracy_pct(
 
 
 # ---------------------------------------------------------------------------
-# Sequential baseline
-# ---------------------------------------------------------------------------
-
-
-def run_baseline(
-    traces: list[GpsTrace],
-    net: RoadNetwork,
-    grid: TimeGrid,
-    match_params: MatchParams = MatchParams(),
-    infer_params: InferParams = InferParams(),
-) -> tuple[list[MatchedPath], dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
-    """One geometric matching pass, one inference pass, no feedback.
-
-    Defined as the refinement loop stopped after its first iteration
-    with travel times stripped out of the transition score, so baseline
-    and full pipeline share all matching and inference code. The same
-    estimates come out of ``refine(..., baseline=...)``, which decodes
-    them on the lattices of its own first pass; this function is for
-    callers that do not run the loop, such as the ``evaluate`` command.
-    """
-    return refine(traces, net, grid,
-                  match_params=replace(match_params, tt_tau=0.0),
-                  infer_params=infer_params, params=RefineParams(max_iters=1))
-
-
-# ---------------------------------------------------------------------------
 # Congestion products
 # ---------------------------------------------------------------------------
 
@@ -193,27 +163,6 @@ def voc_series(
                 f"interval {iv}: {len(flows)} flows for {net.n_segments} segments")
         series.append(math.fsum(flows[idx] / net.seg_capacity[idx]) / len(idx))
     return series
-
-
-def lag_autocorrelation(series: list[float], lag: int) -> float:
-    """Pearson correlation of the series with itself shifted by lag.
-
-    A constant slice has no correlation to speak of; the sentinel NaN is
-    returned so callers can flag it instead of crashing on 0/0.
-    """
-    if lag < 1:
-        raise InputDataError(f"lag must be >= 1, got {lag}")
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or len(x) <= lag:
-        raise InputDataError(f"series of length {len(x)} is too short for lag {lag}")
-    if not np.all(np.isfinite(x)):
-        raise InputDataError("series holds non-finite values")
-    a, b = x[:-lag], x[lag:]
-    da, db = a - a.mean(), b - b.mean()
-    var_a, var_b = float(da @ da), float(db @ db)
-    if var_a == 0.0 or var_b == 0.0:
-        return float("nan")
-    return float((da @ db) / math.sqrt(var_a * var_b))
 
 
 def voc_bucket(voc: float) -> str:

@@ -25,9 +25,9 @@ lattice over all the chunk's runs and one route resolution per chunk,
 then Viterbi per run. Every piece equals the one a trace matched alone
 under its router gives, bit for bit.
 
-The same scoring primitives serve both matching and the rescoring of a
-fixed assignment (``score_assignment``), so scores from the two paths are
-directly comparable, bit for bit.
+Emission and transition scores come from one lattice builder
+(``_lattice``), so rescoring a fixed assignment on a one-candidate lattice
+gives the very float that Viterbi reports for it.
 """
 
 from __future__ import annotations
@@ -186,28 +186,6 @@ def _viterbi_partial(
     return path, score, len(backs) + 1
 
 
-def viterbi_decode(
-    emissions: list[np.ndarray],
-    transitions: list[np.ndarray],
-) -> tuple[list[int], float] | None:
-    """Maximum-score path through a lattice.
-
-    ``emissions[l]`` scores the candidates of layer l; ``transitions[l]``
-    is the (layer l) x (layer l+1) matrix, -inf marking impossible moves.
-    Ties resolve to the smallest candidate index at every layer. Returns
-    None when no finite-score path crosses the whole lattice.
-    """
-    n_layers = len(emissions)
-    if len(transitions) != n_layers - 1:
-        raise InputDataError("need exactly one transition matrix per layer pair")
-    if any(len(e) == 0 for e in emissions):
-        return None
-    path, score, decoded = _viterbi_partial(emissions, transitions)
-    if decoded < n_layers or not math.isfinite(score):
-        return None
-    return path, score
-
-
 # ---------------------------------------------------------------------------
 # Matching
 # ---------------------------------------------------------------------------
@@ -339,7 +317,8 @@ def match_traces(
     each trace's numbered from 0. When ``baseline`` is a list, every trace
     is decoded a second time with tt_tau = 0 on the same lattices (only
     the transition scores differ), and those pieces are appended to it.
-    They equal ``match_traces`` under tt_tau = 0 bit for bit.
+    They equal ``match_traces`` under tt_tau = 0 bit for bit; ``refine``
+    takes the tandem baseline from them.
     """
     param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
     outs: list[list[MatchedPath]] = [[] for _ in param_sets]
@@ -514,36 +493,6 @@ def _decode_run(first, starts, emissions, transitions, lengths):
         leg_lens = [float(lengths[start + k][idxs[k], idxs[k + 1]]) for k in range(decoded - 1)]
         yield points, chosen, leg_lens, score
         start += decoded
-
-
-def score_assignment(
-    net: RoadNetwork,
-    trace: GpsTrace,
-    points: list[int],
-    assignment: list[tuple[int, float]],
-    router: Router,
-    params: MatchParams = MatchParams(),
-) -> float:
-    """Log-score of fixed per-point (segment index, offset) pairs under the router's times.
-
-    Uses the exact scoring primitives of the matcher, so the value is
-    comparable with ``MatchedPath.log_score``. Returns -inf when some leg
-    is unroutable under those times.
-    """
-    if len(points) != len(assignment):
-        raise InputDataError("assignment length does not match point count")
-    seg = np.array([j for j, _ in assignment], dtype=np.int64)
-    off = np.array([o for _, o in assignment], dtype=float)
-    emissions, (transitions,), _ = _lattice(net, _Fixes.of([trace]).take(points),
-                                            np.ones(len(points), np.int64), [0, len(points)],
-                                            seg, off, router, [params])
-    # Accumulation order mirrors the Viterbi recursion exactly, so identical
-    # assignments under identical times produce the identical float.
-    total = emissions[0][0]
-    for trans, emission in zip(transitions, emissions[1:]):
-        total = total + trans[0, 0]
-        total = total + emission[0]
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -140,20 +140,8 @@ def seed_gravity(net: RoadNetwork, tazs: list[Taz], params: GravityParams) -> De
     return {k: params.total_trips * w / total_weight for k, w in weights.items()}
 
 
-def upper_objective(
-    assigned: AssignmentResult,
-    observed: SegmentTimeEstimate,
-    demand: DemandMatrix,
-    seed: DemandMatrix,
-    mu: float,
-    weight_by_support: bool = False,
-) -> float:
-    """Time-fit error over observed segments plus seed regularization."""
-    return _objective(assigned, observed, demand, seed, mu, weight_by_support)[0]
-
-
 def _objective(assigned, observed, demand, seed, mu, weight_by_support) -> tuple[float, float]:
-    """(``upper_objective``, its rounding level).
+    """The upper-level objective of the module docstring and its rounding level.
 
     The rounding level is the first-order change of the objective when
     every time and demand entry it reads moves by one unit in the last

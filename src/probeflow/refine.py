@@ -12,14 +12,16 @@ drive the loop toward a fixed point:
   previous iteration's paths rescored under those times.
 
 The loop stops when a rematch changes no path, when the largest relative
-time change drops under stop_tol, or at max_iters. The classical sequential
-pipeline (``evaluation.run_baseline``) is max_iters=1 with tt_tau = 0.
-Iteration 0 matches under free flow, as that baseline does, so a caller
-that asks for it gets the baseline from the same pass: each trace's
-lattice is decoded a second time with tt_tau = 0, and those paths are
-inferred under the free-flow prior. That costs one Viterbi and one infer
-pass instead of a second free-flow matching pass, and the estimates equal
-``run_baseline``'s bit for bit.
+time change drops under stop_tol, or at max_iters. The classical tandem
+pipeline, matching once and inferring once, is this loop with
+max_iters=1 and tt_tau = 0. Iteration 0 matches under free flow, as that
+baseline does, so a caller that asks for it gets the baseline from the
+same pass: each trace's lattice is decoded a second time with
+tt_tau = 0, and those paths are inferred under the free-flow prior. That
+costs one Viterbi and one infer pass instead of a second free-flow
+matching pass, and the estimates equal that one-pass loop's bit for bit.
+This is the only place the baseline is computed; the ``refine`` command
+writes it as ``baseline.csv``.
 """
 
 from __future__ import annotations

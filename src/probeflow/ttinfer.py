@@ -119,26 +119,6 @@ def build_system(
     return A[:len(b)], np.asarray(b, dtype=float), columns
 
 
-def kkt_max_violation(
-    A: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    prior: np.ndarray,
-    lower: np.ndarray,
-    x: np.ndarray,
-) -> float:
-    """Worst first-order optimality violation of x for the bounded program.
-
-    For components strictly above their bound the gradient should vanish;
-    at the bound it must be nonnegative. The returned value is comparable
-    against a tolerance times (1 + ||b||).
-    """
-    g = 2.0 * (A.T @ (A @ x - b)) + 2.0 * lam * (x - prior)
-    at_bound = x - lower <= 1e-9 * np.maximum(1.0, np.abs(lower))
-    viol = np.where(at_bound, np.maximum(0.0, -g), np.abs(g))
-    return float(np.max(viol)) if len(viol) else 0.0
-
-
 def _active_set(
     A: np.ndarray, b: np.ndarray, lam: float, lower: np.ndarray, prior: np.ndarray
 ) -> np.ndarray:

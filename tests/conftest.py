@@ -1,16 +1,22 @@
-"""Shared fixtures: synthetic networks, traces and assignment checks used across the test suite."""
+"""Shared fixtures and oracles: synthetic networks, traces, and the reference
+computations that only the test suite uses."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from probeflow.assignment import BPR_ALPHA, BPR_BETA, AssignmentResult
-from probeflow.mapmatch import GpsTrace
-from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, TimeGrid, haversine
+from probeflow import mapmatch, odestim
+from probeflow.assignment import BPR_ALPHA, BPR_BETA, AssignmentResult, DemandMatrix
+from probeflow.errors import InputDataError
+from probeflow.mapmatch import GpsTrace, MatchedPath, MatchParams
+from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Router, Segment, TimeGrid, haversine
+from probeflow.refine import RefinementDiagnostics, RefineParams, refine
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
+from probeflow.ttinfer import InferParams, SegmentTimeEstimate
 
 GRID_LAT0 = 37.75
 GRID_LON0 = -122.45
@@ -24,6 +30,128 @@ def bpr_time(fft: float, capacity: float, flow: float) -> float:
 def total_system_travel_time(result: AssignmentResult) -> float:
     """Sum of flow * travel time over all segments (veh-seconds per hour)."""
     return math.fsum(result.flow * result.time)
+
+
+def upper_objective(
+    assigned: AssignmentResult,
+    observed: SegmentTimeEstimate,
+    demand: DemandMatrix,
+    seed: DemandMatrix,
+    mu: float,
+    weight_by_support: bool = False,
+) -> float:
+    """Time-fit error over observed segments plus seed regularization."""
+    return odestim._objective(assigned, observed, demand, seed, mu, weight_by_support)[0]
+
+
+def kkt_max_violation(
+    A: np.ndarray,
+    b: np.ndarray,
+    lam: float,
+    prior: np.ndarray,
+    lower: np.ndarray,
+    x: np.ndarray,
+) -> float:
+    """Worst first-order optimality violation of x for the bounded ridge program.
+
+    For components strictly above their bound the gradient should vanish;
+    at the bound it must be nonnegative. The returned value is comparable
+    against a tolerance times (1 + ||b||).
+    """
+    g = 2.0 * (A.T @ (A @ x - b)) + 2.0 * lam * (x - prior)
+    at_bound = x - lower <= 1e-9 * np.maximum(1.0, np.abs(lower))
+    viol = np.where(at_bound, np.maximum(0.0, -g), np.abs(g))
+    return float(np.max(viol)) if len(viol) else 0.0
+
+
+def viterbi_decode(
+    emissions: list[np.ndarray],
+    transitions: list[np.ndarray],
+) -> tuple[list[int], float] | None:
+    """Maximum-score path through a lattice.
+
+    ``emissions[l]`` scores the candidates of layer l; ``transitions[l]``
+    is the (layer l) x (layer l+1) matrix, -inf marking impossible moves.
+    Ties resolve to the smallest candidate index at every layer. Returns
+    None when no finite-score path crosses the whole lattice.
+    """
+    n_layers = len(emissions)
+    if len(transitions) != n_layers - 1:
+        raise InputDataError("need exactly one transition matrix per layer pair")
+    if any(len(e) == 0 for e in emissions):
+        return None
+    path, score, decoded = mapmatch._viterbi_partial(emissions, transitions)
+    if decoded < n_layers or not math.isfinite(score):
+        return None
+    return path, score
+
+
+def score_assignment(
+    net: RoadNetwork,
+    trace: GpsTrace,
+    points: list[int],
+    assignment: list[tuple[int, float]],
+    router: Router,
+    params: MatchParams = MatchParams(),
+) -> float:
+    """Log-score of fixed per-point (segment index, offset) pairs under the router's times.
+
+    Builds the matcher's own lattice with one candidate per point, so the
+    value is comparable with ``MatchedPath.log_score``. Returns -inf when
+    some leg is unroutable under those times.
+    """
+    if len(points) != len(assignment):
+        raise InputDataError("assignment length does not match point count")
+    seg = np.array([j for j, _ in assignment], dtype=np.int64)
+    off = np.array([o for _, o in assignment], dtype=float)
+    emissions, (transitions,), _ = mapmatch._lattice(
+        net, mapmatch._Fixes.of([trace]).take(points), np.ones(len(points), np.int64),
+        [0, len(points)], seg, off, router, [params])
+    # Accumulation order mirrors the Viterbi recursion exactly, so identical
+    # assignments under identical times produce the identical float.
+    total = emissions[0][0]
+    for trans, emission in zip(transitions, emissions[1:]):
+        total = total + trans[0, 0]
+        total = total + emission[0]
+    return float(total)
+
+
+def run_baseline(
+    traces: list[GpsTrace],
+    net: RoadNetwork,
+    grid: TimeGrid,
+    match_params: MatchParams = MatchParams(),
+    infer_params: InferParams = InferParams(),
+) -> tuple[list[MatchedPath], dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
+    """The tandem baseline computed on its own: one geometric matching pass, one inference pass.
+
+    The refinement loop stopped after its first iteration with travel
+    times stripped out of the transition score; ``refine(..., baseline=)``
+    must give the same estimates from its own first pass.
+    """
+    return refine(traces, net, grid, match_params=replace(match_params, tt_tau=0.0),
+                  infer_params=infer_params, params=RefineParams(max_iters=1))
+
+
+def lag_autocorrelation(series: list[float], lag: int) -> float:
+    """Pearson correlation of the series with itself shifted by lag.
+
+    A constant slice has no correlation to speak of; the sentinel NaN is
+    returned so callers can flag it instead of crashing on 0/0.
+    """
+    if lag < 1:
+        raise InputDataError(f"lag must be >= 1, got {lag}")
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1 or len(x) <= lag:
+        raise InputDataError(f"series of length {len(x)} is too short for lag {lag}")
+    if not np.all(np.isfinite(x)):
+        raise InputDataError("series holds non-finite values")
+    a, b = x[:-lag], x[lag:]
+    da, db = a - a.mean(), b - b.mean()
+    var_a, var_b = float(da @ da), float(db @ db)
+    if var_a == 0.0 or var_b == 0.0:
+        return float("nan")
+    return float((da @ db) / math.sqrt(var_a * var_b))
 
 
 def make_grid_network(

@@ -24,18 +24,11 @@ from probeflow.cli import main
 from probeflow.completion import CompletionParams, TravelTimeMatrix, complete, svd
 from probeflow.evaluation import (
     aggregate_error_pct,
-    lag_autocorrelation,
     matching_accuracy_pct,
     mse,
     read_voc,
-    run_baseline,
 )
-from probeflow.mapmatch import (
-    MatchParams,
-    match_traces,
-    score_assignment,
-    viterbi_decode,
-)
+from probeflow.mapmatch import MatchParams, match_traces
 from probeflow.network import (
     Node,
     RoadNetwork,
@@ -62,17 +55,21 @@ from probeflow.ttinfer import (
     SegmentTimeEstimate,
     build_system,
     infer_times,
-    kkt_max_violation,
     observations_from_matches,
     residual_sq,
 )
 
 from conftest import (
     bpr_time,
+    kkt_max_violation,
+    lag_autocorrelation,
     make_corridor_network,
     make_grid_network,
     make_two_route_fixture,
+    run_baseline,
+    score_assignment,
     total_system_travel_time,
+    viterbi_decode,
 )
 
 

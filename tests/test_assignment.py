@@ -18,7 +18,7 @@ from probeflow.assignment import (
     solve_ue,
     write_demand,
 )
-from probeflow.errors import InputDataError, SolverError
+from probeflow.errors import InputDataError
 from probeflow.network import Node, RoadNetwork, Router, Segment, Taz
 
 from conftest import bpr_time, make_grid_network, total_system_travel_time
@@ -284,7 +284,8 @@ def test_disconnected_demand_raises():
             Segment(1, 3, 4, 100.0, 10.0, 1000.0, "other")]
     net = RoadNetwork(nodes, segs)
     tazs = [Taz(1, 1), Taz(3, 3)]
-    with pytest.raises(SolverError):
+    # No costs or demand make node 3 reachable from node 1: bad input, not a solver failure.
+    with pytest.raises(InputDataError, match="no route from node 1 to node 3"):
         solve_ue(net, {(1, 3): 10.0}, tazs)
 
 

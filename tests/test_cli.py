@@ -10,19 +10,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from probeflow import cli, mapmatch, network
+from probeflow import mapmatch, network, refine
 from probeflow.cli import _SECTIONS, PipelineConfig, UsageError, main, stage_seed
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
-from probeflow.network import Taz, TimeGrid, read_network, write_network, write_tazs
+from probeflow.network import Node, RoadNetwork, Taz, TimeGrid, read_network, write_network, write_tazs
 from probeflow.completion import COMPLETED_COLUMNS
 from probeflow.evaluation import read_voc
 from probeflow.refine import DIAGNOSTICS_COLUMNS
 from probeflow.tables import read_table
 from probeflow.tracegen import read_traces, read_trips
-from probeflow.ttinfer import read_estimates
+from probeflow.ttinfer import read_estimates, write_estimates
 
-from conftest import make_grid_network
+from conftest import make_grid_network, run_baseline
 
 BASE_CONFIG = {
     "seed": 42,
@@ -281,6 +281,7 @@ def test_refine_outputs(world, tmp_path):
     assert main(["refine", "--config", world.cfg, "--out-dir", out]) == 0
     assert read_matched(tmp_path / "matched.csv", world.net)
     assert read_estimates(tmp_path / "estimates.csv", world.net, GRID)
+    assert read_estimates(tmp_path / "baseline.csv", world.net, GRID)
     assert list(read_table(tmp_path / "diagnostics.csv", DIAGNOSTICS_COLUMNS))
 
 
@@ -352,19 +353,79 @@ def test_export_voc_rejects_repeated_or_off_grid_interval(world, tmp_path, capsy
     assert not (tmp_path / "out" / "voc.csv").exists()
 
 
+def forbid_matching(monkeypatch):
+    """Make any map matching or candidate search raise."""
+    def matching(*args, **kwargs):
+        raise AssertionError("evaluate matched traces")
+
+    monkeypatch.setattr(refine, "match_traces", matching)
+    monkeypatch.setattr(mapmatch, "project_to_candidates", matching)
+
+
 def test_evaluate_on_unknown_trip_segment_exits_2_naming_it(world, tmp_path, capsys,
                                                             monkeypatch):
     trips = tmp_path / "bad_trips.csv"
     trips.write_bytes(Path(world.paths["trips"]).read_bytes() + b"99999,0.0,0/99999\r\n")
-    baselines = []
-    monkeypatch.setattr(cli, "run_baseline", lambda *args, **kwargs: baselines.append(args))
+    forbid_matching(monkeypatch)
     rc = main(["evaluate", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
                "--trips", str(trips), "--matched", str(world.pipe / "matched.csv"),
                "--estimates", str(world.pipe / "estimates.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad_trips.csv: unknown segment id 99999" in err and "Traceback" not in err
-    assert baselines == []  # the trips are checked before any trace is matched again
+
+
+def test_evaluate_scores_files_without_matching(world, tmp_path, monkeypatch):
+    forbid_matching(monkeypatch)
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", world.cfg, "--out-dir", str(out),
+               "--matched", str(world.pipe / "matched.csv"),
+               "--estimates", str(world.pipe / "estimates.csv")])
+    assert rc == 0
+    assert (out / "report.json").read_bytes() == (world.pipe / "report.json").read_bytes()
+
+
+def test_evaluate_without_baseline_file_exits_1_naming_it(world, tmp_path, capsys):
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "estimates.csv").write_bytes((world.pipe / "estimates.csv").read_bytes())
+    rc = main(["evaluate", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--matched", str(world.pipe / "matched.csv"),
+               "--estimates", str(alone / "estimates.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"baseline file not found: {alone / 'baseline.csv'}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_pipeline_baseline_equals_the_tandem_oracle(world, tmp_path):
+    net = read_network(world.paths["network"])
+    _, want, _ = run_baseline(read_traces(world.paths["traces"]), net, GRID)
+    write_estimates([want[iv] for iv in sorted(want)], tmp_path / "baseline.csv", net)
+    assert (world.pipe / "baseline.csv").read_bytes() == (tmp_path / "baseline.csv").read_bytes()
+    manifest = json.loads((world.pipe / "manifest.json").read_text())["artifacts"]
+    assert manifest["baseline.csv"] == sha256(world.pipe / "baseline.csv")
+
+
+def test_unroutable_od_pair_exits_2_naming_both_nodes(world, tmp_path, capsys):
+    """A zone on an isolated node is bad input under any demand, not a solver failure."""
+    island = Node(id=999, lat=world.net.nodes[8].lat + 0.01, lon=world.net.nodes[8].lon)
+    network_path = tmp_path / "network.json"
+    write_network(RoadNetwork([*world.net.nodes.values(), island], world.net.segments),
+                  network_path)
+    tazs = tmp_path / "tazs.csv"
+    write_tazs([Taz(id=0, centroid_node=0, name="sw"), Taz(id=1, centroid_node=8, name="ne"),
+                Taz(id=2, centroid_node=999, name="island")], tazs)
+    paths = {k: v for k, v in world.paths.items() if k != "demand"}
+    cfg = write_config(tmp_path, **{**paths, "network": str(network_path), "tazs": str(tazs)})
+    out = tmp_path / "out"
+    rc = main(["estimate-od", "--config", cfg, "--out-dir", str(out),
+               "--estimates", str(world.pipe / "estimates.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no route from node 0 to node 999" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.partial"))
 
 
 @pytest.mark.parametrize("section,key,literal", [
@@ -587,6 +648,18 @@ def test_pipeline_matches_under_free_flow_once(world, tmp_path, monkeypatch):
     points = sum(len(trace) for trace in read_traces(world.paths["traces"]))
     assert passes >= 1 and points > 0
     assert sum(calls) == passes * points
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+def test_out_dir_that_cannot_be_a_directory_exits_1_naming_it(world, tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out" if under else blocker
+    rc = main(["gen-demand", "--config", world.cfg, "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_pipeline_equals_split_run(world, tmp_path):

@@ -17,12 +17,10 @@ from probeflow.evaluation import (
     build_report,
     export_geojson,
     gain_pct,
-    lag_autocorrelation,
     matching_accuracy_pct,
     mse,
     per_trip_overlap,
     read_voc,
-    run_baseline,
     voc_bucket,
     voc_series,
     write_report,
@@ -39,7 +37,13 @@ from probeflow.tracegen import (
     simulate_trip,
 )
 
-from conftest import make_corridor_network, make_grid_network, make_two_route_fixture
+from conftest import (
+    lag_autocorrelation,
+    make_corridor_network,
+    make_grid_network,
+    make_two_route_fixture,
+    run_baseline,
+)
 
 GRID8 = TimeGrid(interval_seconds=75600, interval_count=8)
 

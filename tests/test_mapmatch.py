@@ -22,9 +22,7 @@ from probeflow.mapmatch import (
     emission_logp,
     match_traces,
     read_matched,
-    score_assignment,
     transition_logp,
-    viterbi_decode,
     write_matched,
 )
 from probeflow.network import (
@@ -38,7 +36,12 @@ from probeflow.network import (
 )
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 
-from conftest import make_corridor_network as line_net, make_grid_network
+from conftest import (
+    make_corridor_network as line_net,
+    make_grid_network,
+    score_assignment,
+    viterbi_decode,
+)
 
 
 def corridor_trace(net: RoadNetwork, speed: float, period: float,

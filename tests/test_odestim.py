@@ -21,14 +21,13 @@ from probeflow.odestim import (
     estimate_od,
     read_state,
     seed_gravity,
-    upper_objective,
     write_objective_trace,
     write_state,
 )
 from probeflow.tables import read_table
 from probeflow.ttinfer import SegmentTimeEstimate
 
-from conftest import bpr_time, grid_node, make_corridor_network, make_grid_network
+from conftest import bpr_time, grid_node, make_corridor_network, make_grid_network, upper_objective
 
 
 def single_route_net(capacity=1000.0):

@@ -9,7 +9,7 @@ import pytest
 
 from probeflow import refine as refine_module
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import MatchParams, match_traces, score_assignment
+from probeflow.mapmatch import match_traces
 from probeflow.network import Router, TimeGrid
 from probeflow.refine import (
     DIAGNOSTICS_COLUMNS,
@@ -23,7 +23,7 @@ from probeflow.tables import read_table
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 from probeflow.ttinfer import infer_times, observations_from_matches, residual_sq
 
-from conftest import make_corridor_network, make_two_route_fixture
+from conftest import make_corridor_network, make_two_route_fixture, score_assignment
 
 
 def congested_corridor(n_traces=4, n_segs=4):

@@ -22,14 +22,13 @@ from probeflow.ttinfer import (
     SegmentTimeEstimate,
     build_system,
     infer_times,
-    kkt_max_violation,
     observations_from_matches,
     read_estimates,
     residual_sq,
     write_estimates,
 )
 
-from conftest import make_corridor_network
+from conftest import kkt_max_violation, make_corridor_network
 
 
 def obs_of(rows, interval=0):
