@@ -20,6 +20,11 @@ Convergence is measured by the relative gap
 (sum(v*t) - sum(v_hat*t)) / sum(v*t) with v_hat the all-or-nothing
 loading under the current costs; the reported gap always describes the
 returned flows.
+
+On request (``od_flows=True``) a solve also keeps one flow row per OD
+pair, updated with the same step lengths as the total: demand estimation
+reads each pair's route proportions at the equilibrium from them. The
+total flows are computed the same way either way.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDataError
+from .errors import InputDataError, SolverError
 from .network import RoadNetwork, Taz, _settle
 from .tables import read_table, write_table
 
@@ -77,6 +82,10 @@ class BprCost:
         # t(v) + v * t'(v); with BPR this is t0 * (1 + alpha*(1+beta)*(v/c)**beta).
         return self._fft * (1.0 + BPR_ALPHA * (1.0 + BPR_BETA) * (flows / self._cap) ** BPR_BETA)
 
+    def slope(self, flows: np.ndarray) -> np.ndarray:
+        """t'(v) = t0 * alpha * beta * (v/c)**(beta-1) / c."""
+        return self._fft * BPR_ALPHA * BPR_BETA * (flows / self._cap) ** (BPR_BETA - 1.0) / self._cap
+
 
 @dataclass
 class AssignmentResult:
@@ -87,6 +96,9 @@ class AssignmentResult:
     relative_gap: float
     iterations: int
     converged: bool
+    # With od_flows=True: demand key -> that pair's flow per segment (veh/h),
+    # for every key of the demand; the rows sum to ``flow``.
+    od_flow: dict[tuple[int, int], np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +145,16 @@ def _all_or_nothing(
     net: RoadNetwork,
     origins: list[tuple[int, list[tuple[int, float]]]],
     costs: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Load each OD pair fully onto its minimum-cost path."""
+    """Load each OD pair fully onto its minimum-cost path.
+
+    With ``rows`` (zeroed, one row per pair in ``origins`` order), pair
+    k's loading also goes into rows[k].
+    """
     flows = np.zeros(net.n_segments, dtype=float)
     n, weights, seg_from = net.n_nodes, costs.tolist(), net.seg_from.tolist()
+    k = 0
     for src, dests in origins:
         dist, pred = [math.inf] * n, [-1] * n
         dist[src] = 0.0
@@ -150,6 +168,13 @@ def _all_or_nothing(
                 j = pred[v]
                 flows[j] += rate
                 v = seg_from[j]
+            if rows is not None:
+                v = dst
+                while v != src:
+                    j = pred[v]
+                    rows[k, j] = rate
+                    v = seg_from[j]
+            k += 1
     return flows
 
 
@@ -196,6 +221,17 @@ def _line_search(cost_fn, v: np.ndarray, direction: np.ndarray, slope0: float) -
             lo, g_lo, replaced = theta, g, -1
 
 
+def _costs(net: RoadNetwork, cost_fn, v: np.ndarray) -> np.ndarray:
+    """Link costs at flows ``v``; an overflowed cost is a solver failure, not a missing route."""
+    t = np.asarray(cost_fn(v), dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise SolverError(f"cost of segment {net.segments[j].id} is not finite at a flow of "
+                          f"{v[j]:.6g} veh/h")
+    return t
+
+
 def _solve(
     net: RoadNetwork,
     demand: DemandMatrix,
@@ -204,37 +240,70 @@ def _solve(
     use_marginal: bool,
     tol: float,
     max_iter: int,
+    od_flows: bool = False,
 ) -> AssignmentResult:
     cost_fn = cost_model.marginal_time if use_marginal else cost_model.time
     origins = _group_demand(net, demand, tazs)
+    v = np.zeros(net.n_segments, dtype=float)
+    gap, iterations, converged = 0.0, 0, True
+    rows = rows_hat = None
+    if od_flows:
+        shape = (sum(len(dests) for _, dests in origins), net.n_segments)
+        rows, rows_hat = np.zeros(shape), np.zeros(shape)
 
-    if not origins:
-        zeros = np.zeros(net.n_segments, dtype=float)
-        return AssignmentResult(flow=zeros, time=np.asarray(cost_model.time(zeros), dtype=float),
-                                relative_gap=0.0, iterations=0, converged=True)
-
-    v = _all_or_nothing(net, origins, np.asarray(cost_fn(np.zeros(net.n_segments)), dtype=float))
-
-    # Measurement k gauges the flows after k - 1 updates. One measurement
-    # past max_iter gauges the flows of the last update, so the gap always
-    # describes the returned flows.
-    for k in range(1, max_iter + 2):
-        t = np.asarray(cost_fn(v), dtype=float)
-        v_hat = _all_or_nothing(net, origins, t)
-        total = float(np.dot(v, t))
-        slope0 = float(np.dot(v_hat, t)) - total
-        gap = -slope0 / total if total > 0.0 else 0.0
-        converged = gap <= tol
-        if converged or k > max_iter:
-            break
-        theta = _line_search(cost_fn, v, v_hat - v, slope0)
-        v = v + theta * (v_hat - v)
-    iterations = min(k, max_iter)
+    # Costs may overflow to inf on absurd demand: _costs reports that, and
+    # the line search takes an infinite derivative for a bracket end.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if origins:
+            v = _all_or_nothing(net, origins, _costs(net, cost_fn, v), rows)
+            # Measurement k gauges the flows after k - 1 updates. One
+            # measurement past max_iter gauges the flows of the last update,
+            # so the gap always describes the returned flows.
+            for k in range(1, max_iter + 2):
+                t = _costs(net, cost_fn, v)
+                if rows_hat is not None:
+                    rows_hat.fill(0.0)
+                v_hat = _all_or_nothing(net, origins, t, rows_hat)
+                total = float(np.dot(v, t))
+                slope0 = float(np.dot(v_hat, t)) - total
+                gap = -slope0 / total if total > 0.0 else 0.0
+                converged = gap <= tol
+                if converged or k > max_iter:
+                    break
+                theta = _line_search(cost_fn, v, v_hat - v, slope0)
+                v = v + theta * (v_hat - v)
+                if rows is not None:  # rows + theta * (rows_hat - rows), in place
+                    rows_hat -= rows
+                    rows_hat *= theta
+                    rows += rows_hat
+            iterations = min(k, max_iter)
+        time = np.asarray(cost_model.time(v), dtype=float)
 
     logger.debug("%s assignment: gap=%.3e after %d iteration(s), converged=%s",
                  "SO" if use_marginal else "UE", gap, iterations, converged)
-    return AssignmentResult(flow=v, time=np.asarray(cost_model.time(v), dtype=float),
-                            relative_gap=gap, iterations=iterations, converged=converged)
+    return AssignmentResult(flow=v, time=time, relative_gap=gap, iterations=iterations,
+                            converged=converged,
+                            od_flow=None if rows is None
+                            else _od_rows(net, demand, tazs, origins, rows))
+
+
+def _od_rows(net, demand, tazs, origins, rows) -> dict[tuple[int, int], np.ndarray]:
+    """Per-pair flow rows by demand key, from rows in ``origins`` order.
+
+    A key that loads no flow gets a zero row; keys that share a node pair
+    split its row in proportion to their rates.
+    """
+    pairs = [(src, dst, rate) for src, dests in origins for dst, rate in dests]
+    index = {(src, dst): (k, rate) for k, (src, dst, rate) in enumerate(pairs)}
+    centroid = {taz.id: net.node_index(taz.centroid_node) for taz in tazs}
+    out = {}
+    for (o, d), rate in demand.items():
+        k, merged = index.get((centroid[o], centroid[d]), (0, 0.0))
+        if rate == 0.0 or merged == 0.0:
+            out[o, d] = np.zeros(net.n_segments)
+        else:
+            out[o, d] = rows[k] if rate == merged else rows[k] * (rate / merged)
+    return out
 
 
 def solve_ue(
@@ -244,10 +313,12 @@ def solve_ue(
     tol: float = 1e-6,
     max_iter: int = 500,
     cost_model=None,
+    od_flows: bool = False,
 ) -> AssignmentResult:
-    """User-equilibrium assignment (Frank-Wolfe)."""
+    """User-equilibrium assignment (Frank-Wolfe); ``od_flows`` also keeps per-pair rows."""
     model = BprCost(net) if cost_model is None else cost_model
-    return _solve(net, demand, tazs, model, use_marginal=False, tol=tol, max_iter=max_iter)
+    return _solve(net, demand, tazs, model, use_marginal=False, tol=tol, max_iter=max_iter,
+                  od_flows=od_flows)
 
 
 def solve_so(
@@ -257,10 +328,12 @@ def solve_so(
     tol: float = 1e-6,
     max_iter: int = 500,
     cost_model=None,
+    od_flows: bool = False,
 ) -> AssignmentResult:
-    """System-optimal assignment (Frank-Wolfe on marginal costs)."""
+    """System-optimal assignment (Frank-Wolfe on marginal costs); see ``solve_ue``."""
     model = BprCost(net) if cost_model is None else cost_model
-    return _solve(net, demand, tazs, model, use_marginal=True, tol=tol, max_iter=max_iter)
+    return _solve(net, demand, tazs, model, use_marginal=True, tol=tol, max_iter=max_iter,
+                  od_flows=od_flows)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ from .odestim import (
     SpsaParams,
     estimate_od,
     read_state,
+    seed_equilibrium,
     seed_gravity,
     write_objective_trace,
     write_state,
@@ -454,10 +455,10 @@ def _cmd_refine(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) ->
 def _cmd_estimate_od(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """Demand estimation per supported interval.
 
-    Each interval gets its own derived seed. When the equilibrium solver
-    gives up on an interval, that interval's seed demand is written with
-    a .partial suffix, every other interval keeps its regular output, and
-    the command fails with exit code 3 afterwards.
+    When the equilibrium solver gives up on an interval, that interval's
+    seed demand is written with a .partial suffix, every other interval
+    keeps its regular output, and the command fails with exit code 3
+    afterwards.
     """
     tazs = read_tazs(_input(cfg, "tazs"), net)
     estimates = read_estimates(_input(cfg, "estimates"), net, cfg.grid)
@@ -472,10 +473,13 @@ def _cmd_estimate_od(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path
 
     out = _out(cfg)
     failures: dict[int, SolverError] = {}
+    seed_state = None  # the seed's equilibrium, the same for every interval
     for iv in intervals:
         try:
+            if seed_state is None:
+                seed_state = seed_equilibrium(net, tazs, seed_demand, cfg.od)
             est = estimate_od(net, tazs, estimates[iv], seed_demand, spsa=cfg.spsa, od=cfg.od,
-                              rng_seed=stage_seed(f"estimate-od/{iv}", cfg.seed))
+                              seed_state=seed_state)
         except SolverError as exc:
             failures[iv] = exc
             partial = out / (demand_file(iv) + ".partial")

@@ -8,17 +8,26 @@ level adjusts the demand so the assigned times fit the observed ones,
     objective = mean over observed segments of (t_assigned - t_observed)^2
               + mu * ||demand - seed||^2 / ||seed||^2.
 
-The upper level runs SPSA over log-demand: each outer iteration perturbs
-every entry by +-c_k in log space with independent Rademacher signs and
-estimates the gradient from two equilibrium solves, whatever the matrix
-dimension; an iteration whose two objectives differ only at rounding
-level takes no step. Log space keeps every iterate strictly positive.
-The gains are a_k = a / k**0.602 and c_k = 0.1 / k**0.101, with the step
-scale a calibrated on the first gradient estimate above rounding level,
-and no step moves any entry by more than 0.5. Every fifth iterate is
-evaluated exactly and the best recorded one is returned, a final
-equilibrium solve included; the seed is record zero, so the result can
-never be worse than not estimating at all.
+The upper level descends over log demand theta (demand = exp(theta)),
+which keeps every entry strictly positive. With the route proportions
+held at the equilibrium (Spiess 1990, Transportation Science 24(3)) the
+gradient is
+
+    df/dtheta_w = (2/W) sum_a w_a r_a t'_a(v_a) x_aw
+                + 2 mu (d_w - s_w) d_w / ||s||^2,
+
+with w_a the segment weights, W their sum, r_a the time residuals and
+x_aw pair w's flow on segment a, which the equilibrium solve tracks. A
+step goes along -g by the minimiser of the objective with times and
+demand linearised along that line, capped so that no entry moves by
+more than 0.5 in log space; a step that does not lower the objective is
+halved and tried again. Each trial point costs one equilibrium solve,
+and ``max_outer`` trials are the budget, so an interval makes at most
+1 + max_outer solves. The search stops sooner once the decrease the
+linearisation predicts for the next step is at the objective's rounding
+level. Only a lower objective is accepted, so the result is never worse
+than the seed, and the equilibrium returned is the one solved at the
+returned demand.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import AssignmentResult, DemandMatrix, solve_ue
+from .assignment import AssignmentResult, BprCost, DemandMatrix, solve_ue
 from .errors import InputDataError, SolverError
 from .network import RoadNetwork, Taz, haversine
 from .tables import read_table, write_table
@@ -39,23 +48,8 @@ from .ttinfer import SegmentTimeEstimate
 
 logger = logging.getLogger(__name__)
 
-_RECORD_EVERY = 5
-
 _EPS = float(np.finfo(float).eps)
 
-# An SPSA difference f(theta + c*delta) - f(theta - c*delta) is signal only
-# above this many times the two objectives' summed rounding levels; the
-# assigned times carry a few ulps of the equilibrium solve's rounding.
-_ROUNDING_MARGIN = 16.0
-
-# SPSA gains a_k = a / k**_ALPHA_DECAY and c_k = _C0 / k**_GAMMA_DECAY with
-# Spall's practical exponents (Spall 1998, IEEE TAES 34). a is set so the
-# first step moves log demand by _A0 in root mean square, whatever the
-# problem's gradient scale.
-_A0 = 0.1
-_C0 = 0.1
-_ALPHA_DECAY = 0.602
-_GAMMA_DECAY = 0.101
 # Gradients swing by orders of magnitude when congestion is light, and an
 # uncapped step would send exp(theta) out of float range.
 _MAX_LOG_STEP = 0.5
@@ -63,7 +57,11 @@ _MAX_LOG_STEP = 0.5
 
 @dataclass(frozen=True)
 class SpsaParams:
-    """Upper-level solver settings: outer iterations and seed regularization weight."""
+    """Upper-level settings: trial solves per interval and seed regularization weight.
+
+    The class and its config section ``spsa`` keep the name of the SPSA
+    solver the upper level used to run; the bench configs set them.
+    """
 
     max_outer: int = 100
     mu: float = 0.01
@@ -101,7 +99,7 @@ class GravityParams:
 
 
 class ObjectiveRecord(NamedTuple):
-    """One exactly evaluated point of the SPSA run."""
+    """The objective at one trial point; trial zero is the seed."""
 
     outer_iter: int
     objective: float
@@ -114,7 +112,6 @@ class OdEstimate:
     demand: DemandMatrix
     result: AssignmentResult
     objective_trace: list[ObjectiveRecord]
-    outer_iterations: int
 
 
 def seed_gravity(net: RoadNetwork, tazs: list[Taz], params: GravityParams) -> DemandMatrix:
@@ -153,7 +150,7 @@ def _objective(assigned, observed, demand, seed, mu, weight_by_support) -> tuple
     level = 0.0
     # One term at a time in segment order: np.sum's pairwise summation
     # would change the last bits of the objective, and with them every
-    # SPSA step and every written artifact.
+    # accepted step and every written artifact.
     for sup, t_assigned, t_observed in zip(observed.support.tolist(), assigned.time.tolist(),
                                            observed.time.tolist()):
         if sup <= 0:
@@ -179,20 +176,55 @@ def _objective(assigned, observed, demand, seed, mu, weight_by_support) -> tuple
 
 
 def _lower_ue(net, demand, tazs, tol, max_iter) -> AssignmentResult:
-    """Equilibrium solve with one retry at a looser tolerance."""
-    res = solve_ue(net, demand, tazs, tol=tol, max_iter=max_iter)
+    """Equilibrium solve, with per-pair flows, and one retry at a looser tolerance."""
+    res = solve_ue(net, demand, tazs, tol=tol, max_iter=max_iter, od_flows=True)
     if res.converged:
         return res
     loose = 10.0 * tol
     logger.warning("equilibrium gap %.3e above %.1e; retrying at %.1e",
                    res.relative_gap, tol, loose)
-    res = solve_ue(net, demand, tazs, tol=loose, max_iter=max_iter)
+    res = solve_ue(net, demand, tazs, tol=loose, max_iter=max_iter, od_flows=True)
     if not res.converged:
         raise SolverError(
             f"user equilibrium failed to converge: relative gap {res.relative_gap:.3e} "
             f"after {res.iterations} iterations at tol {loose:.1e}"
         )
     return res
+
+
+def _gradient(res, observed, demand, seed, keys, mu, weight_by_support,
+              slope) -> tuple[np.ndarray, float]:
+    """The module docstring's gradient over ``keys`` and the curvature along it.
+
+    ``slope`` is t'(v) at the equilibrium flows. The curvature is the
+    second derivative of the objective along -g with the times and the
+    demand linearised there, so (g . g) / curvature minimises that model.
+    """
+    observed_mask = observed.support > 0
+    w = np.where(observed_mask, observed.support if weight_by_support else 1.0, 0.0)
+    scale = 2.0 / float(np.sum(w))
+    fit = scale * w * np.where(observed_mask, res.time - observed.time, 0.0) * slope
+    rows = [res.od_flow[k] for k in keys]
+    d = np.array([demand[k] for k in keys])
+    reg = 2.0 * mu / math.fsum(v * v for _, v in sorted(seed.items()))
+    g = np.array([float(np.dot(row, fit)) for row in rows])
+    g += reg * (d - np.array([seed[k] for k in keys])) * d
+    # Linearised time change per unit step along the gradient.
+    dt = np.zeros(len(slope))
+    for g_k, row in zip(g.tolist(), rows):
+        dt += g_k * row
+    dt *= slope
+    return g, scale * float(np.dot(w, dt * dt)) + reg * float(np.dot(d * g, d * g))
+
+
+def seed_equilibrium(net: RoadNetwork, tazs: list[Taz], seed: DemandMatrix,
+                     od: OdSolveParams = OdSolveParams()) -> AssignmentResult:
+    """The first solve of ``estimate_od``, which reads no observations.
+
+    A caller that estimates many intervals from one seed solves it once
+    and hands it to each ``estimate_od`` call as ``seed_state``.
+    """
+    return _lower_ue(net, seed, tazs, od.ue_tol, od.ue_max_iter)
 
 
 def estimate_od(
@@ -202,12 +234,13 @@ def estimate_od(
     seed: DemandMatrix,
     spsa: SpsaParams = SpsaParams(),
     od: OdSolveParams = OdSolveParams(),
-    rng_seed: int = 0,
+    seed_state: AssignmentResult | None = None,
 ) -> OdEstimate:
     """Fit a demand matrix to observed travel times; see module docstring.
 
     Entries of ``seed`` that are zero stay zero (they are not part of the
     log-space parameterization); every positive entry is optimized.
+    ``seed_state``, if given, is ``seed_equilibrium(net, tazs, seed, od)``.
     """
     if any(v < 0 for v in seed.values()):
         raise InputDataError("seed demand must be nonnegative")
@@ -216,54 +249,47 @@ def estimate_od(
     keys = sorted(k for k, v in seed.items() if v > 0)
     if not keys:
         raise InputDataError("seed demand has no positive entries")
+    slope = BprCost(net).slope
 
     def demand_of(theta: np.ndarray) -> DemandMatrix:
-        d = dict(seed)
-        for key, t in zip(keys, theta):
-            d[key] = float(math.exp(t))
-        assert all(v >= 0 for v in d.values())
-        return d
+        demand = dict(seed)
+        demand.update(zip(keys, map(math.exp, theta.tolist())))
+        return demand
 
-    def evaluate(demand: DemandMatrix) -> tuple[float, float]:
-        res = _lower_ue(net, demand, tazs, od.ue_tol, od.ue_max_iter)
+    def objective(res: AssignmentResult, demand: DemandMatrix) -> tuple[float, float]:
         return _objective(res, observed, demand, seed, spsa.mu, od.weight_by_support)
 
-    rng = np.random.default_rng(rng_seed)
     theta = np.log(np.array([seed[k] for k in keys]))
-    records = [ObjectiveRecord(0, evaluate(seed)[0])]
-    best_obj, best_demand = records[0].objective, dict(seed)
-    a_eff: float | None = None
+    demand = dict(seed)
+    res = seed_equilibrium(net, tazs, seed, od) if seed_state is None else seed_state
+    f, level = objective(res, demand)
+    records = [ObjectiveRecord(0, f)]
+    g = None  # the gradient at theta, once computed
+    for trial in range(1, spsa.max_outer + 1):
+        if g is None:
+            g, curvature = _gradient(res, observed, demand, seed, keys, spsa.mu,
+                                     od.weight_by_support, slope(res.flow))
+            gg = float(np.dot(g, g))
+            if not gg > 0.0:
+                break
+            cap = _MAX_LOG_STEP / float(np.max(np.abs(g)))
+            step = min(gg / curvature, cap) if curvature > 0.0 else cap
+        if not step * gg - 0.5 * step * step * curvature > level:
+            break
+        trial_theta = theta - step * g
+        trial_demand = demand_of(trial_theta)
+        trial_res = _lower_ue(net, trial_demand, tazs, od.ue_tol, od.ue_max_iter)
+        trial_f, trial_level = objective(trial_res, trial_demand)
+        records.append(ObjectiveRecord(trial, trial_f))
+        if trial_f < f:
+            theta, demand, res, f, level = trial_theta, trial_demand, trial_res, trial_f, trial_level
+            g = None
+        else:
+            step *= 0.5
 
-    for k in range(1, spsa.max_outer + 1):
-        ck = _C0 / k**_GAMMA_DECAY
-        delta = rng.choice([-1.0, 1.0], size=len(keys))
-        f_plus, level_plus = evaluate(demand_of(theta + ck * delta))
-        f_minus, level_minus = evaluate(demand_of(theta - ck * delta))
-        # A difference at rounding level has no direction: a step on it, or
-        # a gain calibrated on it, would be set by rounding alone.
-        if abs(f_plus - f_minus) > _ROUNDING_MARGIN * (level_plus + level_minus):
-            ghat = (f_plus - f_minus) / (2.0 * ck) * delta
-            if a_eff is None:
-                rms = float(np.sqrt(np.mean(ghat * ghat)))
-                a_eff = _A0 / max(rms, 1e-12)
-            ak = a_eff / k**_ALPHA_DECAY
-            step = ak * ghat
-            size = float(np.max(np.abs(step)))
-            if size > _MAX_LOG_STEP:
-                step *= _MAX_LOG_STEP / size
-            theta = theta - step
-        if k % _RECORD_EVERY == 0 or k == spsa.max_outer:
-            demand = demand_of(theta)
-            obj = evaluate(demand)[0]
-            records.append(ObjectiveRecord(k, obj))
-            if obj < best_obj:
-                best_obj, best_demand = obj, demand
-
-    result = _lower_ue(net, best_demand, tazs, od.ue_tol, od.ue_max_iter)
-    logger.info("demand estimation: objective %.4g -> %.4g over %d outer iterations",
-                records[0].objective, best_obj, spsa.max_outer)
-    return OdEstimate(demand=best_demand, result=result,
-                      objective_trace=records, outer_iterations=spsa.max_outer)
+    logger.info("demand estimation: objective %.4g -> %.4g over %d trial solves",
+                records[0].objective, f, len(records) - 1)
+    return OdEstimate(demand=demand, result=res, objective_trace=records)
 
 
 # ---------------------------------------------------------------------------

@@ -386,8 +386,7 @@ def test_07_demand_estimation_recovers_and_improves():
     t_star = bpr_time(net.segments[0].free_flow_time, 1000.0, truth_flow)
     observed = SegmentTimeEstimate(time=np.array([t_star]), support=np.array([4]),
                                    interval_index=0)
-    est = estimate_od(net, tazs, observed, {(0, 1): 1000.0},
-                      SpsaParams(mu=0.0), rng_seed=3)
+    est = estimate_od(net, tazs, observed, {(0, 1): 1000.0}, SpsaParams(mu=0.0))
     assert abs(est.demand[(0, 1)] - truth_flow) / truth_flow < 0.01
     assert est.result.converged
 
@@ -403,11 +402,11 @@ def test_07_demand_estimation_recovers_and_improves():
                                     interval_index=0)
     t0 = time.perf_counter()
     est4 = estimate_od(net4, tazs4, observed4, seed, SpsaParams(max_outer=100),
-                       OdSolveParams(ue_tol=1e-3, ue_max_iter=3000), rng_seed=11)
+                       OdSolveParams(ue_tol=1e-3, ue_max_iter=3000))
     elapsed = time.perf_counter() - t0
     seed_obj = est4.objective_trace[0].objective
     best_obj = min(r.objective for r in est4.objective_trace)
-    assert est4.outer_iterations == 100
+    assert len(est4.objective_trace) <= 101  # one record per solve, within the budget
     assert best_obj <= 0.5 * seed_obj
     assert best_obj <= seed_obj  # never worse than not estimating
     assert elapsed < 300.0

@@ -18,7 +18,7 @@ from probeflow.assignment import (
     solve_ue,
     write_demand,
 )
-from probeflow.errors import InputDataError
+from probeflow.errors import InputDataError, SolverError
 from probeflow.network import Node, RoadNetwork, Router, Segment, Taz
 
 from conftest import bpr_time, make_grid_network, total_system_travel_time
@@ -298,6 +298,38 @@ def test_tazs_on_shared_centroids_load_as_one():
                      tazs + [Taz(5, 0)], tol=1e-5)
     assert split.flow.tolist() == merged.flow.tolist()
     assert split.iterations == merged.iterations
+
+
+@pytest.mark.parametrize("solve", [solve_ue, solve_so])
+def test_od_rows_sum_to_the_flows_and_leave_them_unchanged(solve):
+    # Shared centroids, a zero rate and a same-centroid pair on top of the
+    # four corners, which spread over several equal-time routes.
+    net, tazs, demand = _grid_with_tazs()
+    demand.update({(5, 4): 100.0, (5, 2): 0.0, (1, 5): 50.0})
+    tazs = tazs + [Taz(5, 0)]
+    plain = solve(net, demand, tazs, tol=1e-5, max_iter=1000)
+    tracked = solve(net, demand, tazs, tol=1e-5, max_iter=1000, od_flows=True)
+    assert plain.od_flow is None
+    assert tracked.flow.tolist() == plain.flow.tolist()
+    assert tracked.time.tolist() == plain.time.tolist()
+    assert (tracked.relative_gap, tracked.iterations) == (plain.relative_gap, plain.iterations)
+    assert plain.iterations > 1  # the rows went through Frank-Wolfe steps
+    assert set(tracked.od_flow) == set(demand)
+    total = np.sum([tracked.od_flow[k] for k in sorted(demand)], axis=0)
+    assert np.max(np.abs(total - plain.flow)) <= 1e-9 * np.max(plain.flow)
+    assert not tracked.od_flow[(5, 2)].any() and not tracked.od_flow[(1, 5)].any()
+    # TAZs 1 and 5 share a node pair to TAZ 4 and split its row by rate.
+    assert np.allclose(tracked.od_flow[(5, 4)] * 2.5, tracked.od_flow[(1, 4)], rtol=1e-12)
+    # Each row carries its pair's demand out of the origin corner.
+    corner = net.seg_from == net.node_index(0)
+    assert abs(tracked.od_flow[(1, 2)][corner].sum() - 250.0) < 1e-9
+
+
+def test_overflowing_costs_are_a_solver_failure_naming_the_segment():
+    net, tazs, _ = _grid_with_tazs()
+    with np.errstate(all="raise"):  # no floating-point warning escapes either
+        with pytest.raises(SolverError, match=r"cost of segment \d+ is not finite"):
+            solve_ue(net, {(1, 4): 1e300}, tazs)
 
 
 def test_demand_validation():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from probeflow import mapmatch, network, refine
+from probeflow.assignment import read_demand
 from probeflow.cli import _SECTIONS, PipelineConfig, UsageError, main, stage_seed
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
@@ -535,6 +538,35 @@ def test_estimate_od_solver_failure_exits_3_with_partial(world, tmp_path, capsys
                 and r.name == "probeflow.odestim"]
     assert len(warnings) == len(partials)
     assert all("retrying at 1.0e-11" in w for w in warnings)
+
+
+def test_gen_scenarios_with_overflowing_costs_exits_3_naming_the_segment(world, tmp_path,
+                                                                        capsys):
+    """On a connected grid an absurd multiplier overflows a cost; it is no missing route."""
+    cfg = write_config(tmp_path, multipliers=[1e290], **world.paths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow itself warns nothing
+        rc = main(["gen-scenarios", "--config", cfg, "--out-dir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert re.search(r"cost of segment \d+ is not finite", err)
+    assert "no route" not in err and "Traceback" not in err
+
+
+def test_estimate_od_with_overflowing_costs_exits_3_with_partial(world, tmp_path, capsys):
+    demand = tmp_path / "demand.csv"
+    demand.write_text("origin_taz,dest_taz,trips_per_hour\n0,1,1e300\n")
+    cfg = write_config(tmp_path, **{**world.paths, "demand": str(demand)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["estimate-od", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                   "--estimates", str(world.pipe / "estimates.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert re.search(r"cost of segment \d+ is not finite", err)
+    assert "no route" not in err and "Traceback" not in err
+    partials = sorted((tmp_path / "out").glob("od_demand_*.csv.partial"))
+    assert partials and all(read_demand(p) == {(0, 1): 1e300} for p in partials)
 
 
 def test_pipeline_solver_failure_writes_partial_manifest(world, tmp_path):

@@ -1,4 +1,4 @@
-"""Demand estimation: gravity seed, upper objective, SPSA over equilibrium."""
+"""Demand estimation: gravity seed, upper objective, gradient descent over equilibrium."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow import odestim
 from probeflow.assignment import AssignmentResult, solve_ue
@@ -170,10 +172,11 @@ def test_single_route_demand_recovery():
     t_star = bpr_time(net.segments[0].free_flow_time, 1000.0, truth_flow)
     observed = observed_everywhere([t_star], support=4)
     seed = {(0, 1): 1000.0}
-    est = estimate_od(net, tazs, observed, seed, SpsaParams(mu=0.0), rng_seed=3)
+    est = estimate_od(net, tazs, observed, seed, SpsaParams(mu=0.0))
     assert abs(est.demand[(0, 1)] - truth_flow) / truth_flow < 0.01
     assert est.result.converged
-    assert est.outer_iterations == 100
+    # The search stops at rounding level, well inside the 100-trial budget.
+    assert len(est.objective_trace) < 101
 
 
 def test_seed_is_returned_when_already_optimal():
@@ -181,7 +184,7 @@ def test_seed_is_returned_when_already_optimal():
     seed = {(0, 1): 800.0}
     truth = solve_ue(net, seed, tazs, tol=1e-6)
     observed = observed_everywhere(truth.time)
-    est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=20), rng_seed=1)
+    est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=20))
     assert est.objective_trace[0] == ObjectiveRecord(0, 0.0)
     assert est.demand == seed
     assert min(r.objective for r in est.objective_trace) == 0.0
@@ -198,36 +201,83 @@ def _two_way_road():
     return net, [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=1)]
 
 
-def test_spsa_ignores_a_difference_at_rounding_level(monkeypatch):
-    """A mirror-image perturbation of a mirror-symmetric problem moves nothing.
-
-    The first perturbation raises one direction's demand and lowers the
-    other's, so f(theta + c*delta) and f(theta - c*delta) are equal but
-    for rounding. Nudging every other objective by one ulp must not
-    change the estimate: no step is taken on such a difference, and the
-    gain is calibrated on the first real one.
-    """
+def test_a_step_that_does_not_lower_the_objective_is_halved(monkeypatch):
+    """The first trial is made to look worse, so the second tries half its step."""
     net, tazs = _two_way_road()
     observed = observed_everywhere([bpr_time(50.0, 1000.0, 1300.0)] * 2)
+    seed = {(0, 1): 1000.0, (1, 0): 900.0}
+    objective, solved = odestim._objective, []
+
+    def first_trial_worse(assigned, observed, demand, *args):
+        value, level = objective(assigned, observed, demand, *args)
+        solved.append(dict(demand))
+        return (value + 1e9 if len(solved) == 2 else value), level
+
+    monkeypatch.setattr(odestim, "_objective", first_trial_worse)
+    est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=3, mu=0.0))
+    assert len(solved) == 4
+    assert est.objective_trace[1].objective > est.objective_trace[0].objective
+    for key in seed:
+        first = math.log(solved[1][key] / seed[key])
+        second = math.log(solved[2][key] / seed[key])
+        assert abs(second - 0.5 * first) <= 1e-12 * abs(first)
+    assert est.demand == solved[3]  # accepted from the halved point onwards
+
+
+def test_search_stops_once_the_predicted_decrease_is_rounding():
+    # Observed one ulp off the seed's equilibrium: the gradient is not zero,
+    # but the decrease it predicts is rounding, so the seed is the only solve.
+    net, tazs = _two_way_road()
     seed = {(0, 1): 1000.0, (1, 0): 1000.0}
-    rng_seed = 1
-    first = np.random.default_rng(rng_seed).choice([-1.0, 1.0], size=2)
-    assert first[0] == -first[1]  # the first perturbation is a mirror image
-    spsa = SpsaParams(max_outer=10, mu=0.0)
-    plain = estimate_od(net, tazs, observed, seed, spsa, rng_seed=rng_seed)
+    observed = observed_everywhere(np.nextafter(solve_ue(net, seed, tazs).time, math.inf))
+    res = odestim._lower_ue(net, seed, tazs, 1e-4, 500)
+    g, _ = odestim._gradient(res, observed, seed, seed, sorted(seed), 0.01, False,
+                             odestim.BprCost(net).slope(res.flow))
+    assert np.all(g != 0.0)
+    est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=10))
+    assert len(est.objective_trace) == 1
+    assert est.demand == seed
 
-    objective, calls = odestim._objective, []
 
-    def nudged(*args):
-        value, level = objective(*args)
-        calls.append(None)
-        return (np.nextafter(value, math.inf) if len(calls) % 2 else value), level
+def _tree_world():
+    """Two OD pairs on a tree, sharing the segment into the destination."""
+    nodes = [Node(id=0, lat=0.0, lon=0.0), Node(id=1, lat=0.0, lon=0.01),
+             Node(id=2, lat=0.0, lon=0.02), Node(id=3, lat=0.01, lon=0.01)]
+    segs = [Segment(id=sid, from_node=a, to_node=b, length=1000.0, free_flow_speed=20.0,
+                    capacity=cap, road_class="primary")
+            for sid, (a, b, cap) in enumerate([(0, 1, 800.0), (1, 2, 1200.0), (3, 1, 600.0)])]
+    tazs = [Taz(id=i, centroid_node=i) for i in (0, 2, 3)]
+    return RoadNetwork(nodes, segs), tazs
 
-    monkeypatch.setattr(odestim, "_objective", nudged)
-    est = estimate_od(net, tazs, observed, seed, spsa, rng_seed=rng_seed)
-    assert est.demand == plain.demand
-    assert est.demand[(0, 1)] == est.demand[(1, 0)]
-    assert est.demand != seed  # the symmetric perturbations did step
+
+@pytest.mark.parametrize("weight_by_support,mu", [(False, 0.0), (True, 0.3)])
+def test_gradient_matches_finite_differences(weight_by_support, mu):
+    net, tazs = _tree_world()
+    seed = {(0, 2): 700.0, (3, 2): 500.0}
+    observed = SegmentTimeEstimate(time=np.array([70.0, 80.0, 0.0]),
+                                   support=np.array([3, 1, 0]), interval_index=0)
+    keys = sorted(seed)
+    theta = np.log([900.0, 450.0])
+
+    def at(th):
+        demand = dict(zip(keys, np.exp(th).tolist()))
+        res = solve_ue(net, demand, tazs, tol=1e-12, max_iter=50, od_flows=True)
+        assert res.converged
+        return demand, res
+
+    demand, res = at(theta)
+    g, _ = odestim._gradient(res, observed, demand, seed, keys, mu, weight_by_support,
+                             odestim.BprCost(net).slope(res.flow))
+    h = 1e-5
+    for i in range(len(keys)):
+        f = []
+        for sign in (1.0, -1.0):
+            th = theta.copy()
+            th[i] += sign * h
+            d, r = at(th)
+            f.append(odestim._objective(r, observed, d, seed, mu, weight_by_support)[0])
+        numeric = (f[0] - f[1]) / (2.0 * h)
+        assert abs(g[i] - numeric) <= 1e-6 * abs(numeric)
 
 
 def test_huge_regularization_pins_demand_to_seed():
@@ -235,7 +285,7 @@ def test_huge_regularization_pins_demand_to_seed():
     t_star = bpr_time(net.segments[0].free_flow_time, 1000.0, 1300.0)
     observed = observed_everywhere([t_star])
     seed = {(0, 1): 1000.0}
-    est = estimate_od(net, tazs, observed, seed, SpsaParams(mu=1e6, max_outer=50), rng_seed=2)
+    est = estimate_od(net, tazs, observed, seed, SpsaParams(mu=1e6, max_outer=50))
     assert abs(est.demand[(0, 1)] - 1000.0) / 1000.0 < 0.01
 
 
@@ -253,9 +303,10 @@ def test_grid_estimation_bookkeeping():
     truth_state = solve_ue(net, truth, tazs, tol=1e-4, max_iter=1000)
     observed = observed_everywhere(truth_state.time)
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=10),
-                      OdSolveParams(ue_tol=1e-3, ue_max_iter=1000), rng_seed=5)
-    # Recorded at 0, 5, and 10.
-    assert [r.outer_iter for r in est.objective_trace] == [0, 5, 10]
+                      OdSolveParams(ue_tol=1e-3, ue_max_iter=1000))
+    # One record per trial solve, the seed first.
+    assert [r.outer_iter for r in est.objective_trace] == list(range(len(est.objective_trace)))
+    assert len(est.objective_trace) <= 11
     best = min(r.objective for r in est.objective_trace)
     # The returned demand is the best recorded candidate, and the returned
     # equilibrium state is the one that candidate induces.
@@ -265,6 +316,46 @@ def test_grid_estimation_bookkeeping():
     assert sum(1 for v in est.demand.values() if v > 0) == len(seed)
     assert len(est.result.time) == net.n_segments
     assert len(est.result.flow) == net.n_segments
+    # A seed equilibrium solved beforehand stands in for the first solve.
+    od = OdSolveParams(ue_tol=1e-3, ue_max_iter=1000)
+    shared = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=10), od,
+                         seed_state=odestim.seed_equilibrium(net, tazs, seed, od))
+    assert shared.demand == est.demand
+    assert shared.objective_trace == est.objective_trace
+    assert shared.result.flow.tolist() == est.result.flow.tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), max_outer=st.integers(1, 6), mu=st.sampled_from([0.0, 0.02]),
+       weight_by_support=st.booleans())
+def test_estimation_contract_on_random_observations(data, max_outer, mu, weight_by_support):
+    """At most 1 + max_outer solves, never worse than the seed, and the
+    returned state is the equilibrium of the returned demand."""
+    net, tazs = grid_world()
+    seed = seed_gravity(net, tazs, GravityParams(deterrence_scale=2000.0, total_trips=1200.0))
+    fft = net.seg_fft.tolist()
+    times = [data.draw(st.floats(t, 3.0 * t)) for t in fft]
+    support = data.draw(st.lists(st.integers(0, 3), min_size=len(fft), max_size=len(fft))
+                        .filter(lambda s: any(s)))
+    observed = SegmentTimeEstimate(time=np.array(times), support=np.array(support),
+                                   interval_index=0)
+    od = OdSolveParams(ue_tol=1e-3, ue_max_iter=1000, weight_by_support=weight_by_support)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return solve_ue(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odestim, "solve_ue", counted)
+        est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=max_outer, mu=mu), od)
+    assert len(solves) == len(est.objective_trace) <= 1 + max_outer
+    best = min(r.objective for r in est.objective_trace)
+    assert best <= est.objective_trace[0].objective
+    assert upper_objective(est.result, observed, est.demand, seed, mu, weight_by_support) == best
+    again = solve_ue(net, est.demand, tazs, tol=od.ue_tol, max_iter=od.ue_max_iter)
+    assert est.result.flow.tolist() == again.flow.tolist()
+    assert est.result.time.tolist() == again.time.tolist()
 
 
 def test_zero_seed_entries_stay_zero():
@@ -274,7 +365,7 @@ def test_zero_seed_entries_stay_zero():
     truth_state = solve_ue(net, seed, tazs, tol=1e-4, max_iter=1000)
     observed = observed_everywhere(truth_state.time)
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=5),
-                      OdSolveParams(ue_tol=1e-3, ue_max_iter=1000), rng_seed=8)
+                      OdSolveParams(ue_tol=1e-3, ue_max_iter=1000))
     assert est.demand[(0, 3)] == 0.0
 
 
@@ -298,11 +389,11 @@ def _recording_solve_ue(monkeypatch, results=None):
     """Record the tol of every lower-level solve; replay ``results`` if given."""
     tols = []
 
-    def solve(net, demand, tazs, tol, max_iter):
+    def solve(net, demand, tazs, tol, max_iter, od_flows=False):
         tols.append(tol)
         if results is not None:
             return results[len(tols) - 1]
-        return solve_ue(net, demand, tazs, tol=tol, max_iter=max_iter)
+        return solve_ue(net, demand, tazs, tol=tol, max_iter=max_iter, od_flows=od_flows)
 
     monkeypatch.setattr(odestim, "solve_ue", solve)
     return tols

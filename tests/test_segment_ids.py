@@ -76,7 +76,7 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
                                params=RefineParams(max_iters=2))
     iv = min(est)
     od = estimate_od(net, tazs, est[iv], demand, SpsaParams(max_outer=5),
-                     OdSolveParams(ue_tol=1e-3, ue_max_iter=1000), rng_seed=1)
+                     OdSolveParams(ue_tol=1e-3, ue_max_iter=1000))
     mat = assemble_matrix({k: e.time for k, e in est.items()}, net, GRID,
                           support_by_interval={k: e.support for k, e in est.items()})
     done = complete(mat, CompletionParams(svt_threshold=5.0))
