@@ -1,12 +1,13 @@
 """Command-line front end gluing the pipeline stages to files on disk.
 
 Commands fall into three groups: data preparation (import-osm,
-gen-demand, gen-scenarios, gen-traces), the estimation chain (match,
-infer, refine, estimate-od, complete), and reporting (evaluate,
-export-voc, export-geojson). ``pipeline`` chains refine, per-interval
-demand estimation, completion, and evaluation over one input set and
-writes a manifest of SHA-256 content hashes for every artifact it
-produced.
+gen-demand, gen-scenarios, gen-traces), the estimation chain (refine,
+infer, estimate-od, complete), and reporting (evaluate, export-voc,
+export-geojson). A single free-flow matching pass is ``refine`` with
+``refine.max_iters`` 1; ``infer`` re-infers an existing matched file.
+``pipeline`` chains refine, per-interval demand estimation, completion,
+and evaluation over one input set and writes a manifest of SHA-256
+content hashes for every artifact it produced.
 
 Configuration comes from a JSON file named with ``--config`` plus
 command-line flags; flags win over file values. Every randomized stage
@@ -58,8 +59,8 @@ from .evaluation import (
     write_report,
     write_voc,
 )
-from .mapmatch import MatchParams, match_traces, read_matched, write_matched
-from .network import RoadNetwork, Router, TimeGrid, import_osm, read_network, read_tazs, write_network
+from .mapmatch import MatchParams, read_matched, write_matched
+from .network import RoadNetwork, TimeGrid, import_osm, read_network, read_tazs, write_network
 from .odestim import (
     GravityParams,
     OdSolveParams,
@@ -413,15 +414,6 @@ def _cmd_gen_traces(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]
     artifacts.extend([out / TRACES_FILE, out / TRIPS_FILE])
 
 
-def _cmd_match(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
-    """One matching pass under free-flow travel times, weighted by ``match.tt_tau``."""
-    traces = read_traces(_input(cfg, "traces"))
-    matched = match_traces(net, traces, [Router(net, net.seg_fft)] * len(traces), cfg.match)
-    out = _out(cfg) / MATCHED_FILE
-    write_matched(matched, out, net)
-    artifacts.append(out)
-
-
 def _cmd_infer(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     matched = read_matched(_input(cfg, "matched"), net)
     obs = observations_from_matches(matched, cfg.grid)
@@ -500,10 +492,10 @@ def _cmd_complete(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     mat = assemble_matrix({iv: e.time for iv, e in estimates.items()}, net, cfg.grid,
                           support_by_interval={iv: e.support for iv, e in estimates.items()})
     out = _out(cfg)
-    write_matrix(mat, out / MATRIX_FILE)
+    write_matrix(mat, out / MATRIX_FILE, net)
     artifacts.append(out / MATRIX_FILE)
     result = complete(mat, cfg.completion)
-    write_completed(result, out / COMPLETED_FILE)
+    write_completed(result, out / COMPLETED_FILE, net)
     artifacts.append(out / COMPLETED_FILE)
 
 
@@ -621,7 +613,6 @@ _HANDLERS: dict[str, Callable[[PipelineConfig, RoadNetwork | None, list[Path]], 
     "gen-demand": _cmd_gen_demand,
     "gen-scenarios": _cmd_gen_scenarios,
     "gen-traces": _cmd_gen_traces,
-    "match": _cmd_match,
     "infer": _cmd_infer,
     "refine": _cmd_refine,
     "estimate-od": _cmd_estimate_od,
@@ -637,7 +628,6 @@ _COMMAND_INPUTS: dict[str, tuple[str, ...]] = {
     "gen-demand": ("network", "tazs"),
     "gen-scenarios": ("network", "tazs", "demand"),
     "gen-traces": ("network", "tazs", "demand", "truth_dir"),
-    "match": ("network", "traces"),
     "infer": ("network", "matched"),
     "refine": ("network", "traces"),
     "estimate-od": ("network", "tazs", "estimates", "demand"),

@@ -46,15 +46,15 @@ logger = logging.getLogger(__name__)
 class TravelTimeMatrix:
     """Per-segment, per-interval travel times with an observation mask.
 
-    Row i belongs to segment_ids[i]; column j to grid interval j. An
-    entry is trusted only where mask is true; unobserved entries are
-    placeholders (zero by convention). free_flow carries each row's
-    physical lower bound in seconds.
+    Row i belongs to segment i of ``net.segments`` (the writers take its
+    id from the network); column j to grid interval j. An entry is
+    trusted only where mask is true; unobserved entries are placeholders
+    (zero by convention). free_flow carries each row's physical lower
+    bound in seconds.
     """
 
     values: np.ndarray
     mask: np.ndarray
-    segment_ids: list[int]
     free_flow: np.ndarray
     grid: TimeGrid
 
@@ -64,10 +64,6 @@ class TravelTimeMatrix:
         n, m = self.values.shape
         if self.mask.shape != (n, m):
             raise InputDataError(f"mask shape {self.mask.shape} != values shape {(n, m)}")
-        if len(self.segment_ids) != n:
-            raise InputDataError(f"{len(self.segment_ids)} segment ids for {n} rows")
-        if len(set(self.segment_ids)) != n:
-            raise InputDataError("segment ids must be unique")
         self.free_flow = np.asarray(self.free_flow, dtype=float)
         if self.free_flow.shape != (n,):
             raise InputDataError("free_flow must hold one bound per row")
@@ -84,7 +80,7 @@ class TravelTimeMatrix:
             i, j = np.argwhere(low & self.mask)[0]
             raise InputDataError(
                 f"observed time {self.values[i, j]} below free-flow bound "
-                f"{self.free_flow[i]} (segment {self.segment_ids[i]}, interval {j})"
+                f"{self.free_flow[i]} (row {i}, interval {j})"
             )
 
 
@@ -94,7 +90,7 @@ class CompletionResult:
 
     matrix: TravelTimeMatrix
     imputed: np.ndarray
-    fallback_segments: list[int]
+    fallback_segments: list[int]  # rows filled with free flow
     iterations: int
     rel_change: float
 
@@ -133,8 +129,7 @@ def assemble_matrix(
             raise InputDataError(f"non-finite time for segment {sid}, interval {iv}")
         values[keep, iv] = np.maximum(t[keep], net.seg_fft[keep])
         mask[keep, iv] = True
-    return TravelTimeMatrix(values=values, mask=mask, segment_ids=net.segment_ids(),
-                            free_flow=net.seg_fft, grid=grid)
+    return TravelTimeMatrix(values=values, mask=mask, free_flow=net.seg_fft, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +203,11 @@ def complete(
     trusts more of them.
     """
     observed_rows = mat.mask.any(axis=1)
-    fallback = [sid for i, sid in enumerate(mat.segment_ids) if not observed_rows[i]]
+    fallback = np.flatnonzero(~observed_rows).tolist()
     if fallback:
         logger.warning("%d segments have no observed interval, filled with free flow "
-                       "(first ids: %s)", len(fallback),
-                       ", ".join(str(sid) for sid in fallback[:5]))
+                       "(first rows: %s)", len(fallback),
+                       ", ".join(str(i) for i in fallback[:5]))
 
     out = np.array(mat.values)
     out[~observed_rows] = mat.free_flow[~observed_rows, None]
@@ -253,7 +248,6 @@ def complete(
     completed = TravelTimeMatrix(
         values=out,
         mask=np.ones_like(mat.mask),
-        segment_ids=list(mat.segment_ids),
         free_flow=np.array(mat.free_flow),
         grid=mat.grid,
     )
@@ -274,19 +268,19 @@ MATRIX_COLUMNS = (("segment_id", int), ("interval", int), ("time_s", float), ("o
 COMPLETED_COLUMNS = (("segment_id", int), ("interval", int), ("time_s", float), ("imputed", int))
 
 
-def _matrix_rows(mat: TravelTimeMatrix, flags: np.ndarray):
-    """(segment_id, interval, time, flag) cells, segments ascending."""
-    for i in np.argsort(np.array(mat.segment_ids)):
-        sid = mat.segment_ids[i]
-        for j in range(mat.grid.interval_count):
-            yield sid, j, mat.values[i, j], flags[i, j]
+def _matrix_rows(ids: list[int], values: np.ndarray, flags: np.ndarray):
+    """(segment_id, interval, time, flag) cells; row i is segment ``ids[i]``."""
+    for i, sid in enumerate(ids):
+        for j in range(values.shape[1]):
+            yield sid, j, values[i, j], flags[i, j]
 
 
-def write_matrix(mat: TravelTimeMatrix, path: str | os.PathLike) -> None:
-    """Write the matrix as `segment_id,interval,time_s,observed` rows."""
-    write_table(path, MATRIX_COLUMNS, _matrix_rows(mat, mat.mask))
+def write_matrix(mat: TravelTimeMatrix, path: str | os.PathLike, net: RoadNetwork) -> None:
+    """Write the matrix as `segment_id,interval,time_s,observed` rows, segments ascending."""
+    write_table(path, MATRIX_COLUMNS, _matrix_rows(net.segment_ids(), mat.values, mat.mask))
 
 
-def write_completed(result: CompletionResult, path: str | os.PathLike) -> None:
-    """Write a completed matrix as `segment_id,interval,time_s,imputed` rows."""
-    write_table(path, COMPLETED_COLUMNS, _matrix_rows(result.matrix, result.imputed))
+def write_completed(result: CompletionResult, path: str | os.PathLike, net: RoadNetwork) -> None:
+    """Write a completed matrix as `segment_id,interval,time_s,imputed` rows, segments ascending."""
+    write_table(path, COMPLETED_COLUMNS,
+                _matrix_rows(net.segment_ids(), result.matrix.values, result.imputed))

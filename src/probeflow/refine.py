@@ -12,7 +12,8 @@ drive the loop toward a fixed point:
   previous iteration's paths rescored under those times.
 
 The loop stops when a rematch changes no path, when the largest relative
-time change drops under stop_tol, or at max_iters. The classical tandem
+time change drops under stop_tol, when a pass repeats an earlier path set
+(a limit cycle; see ``refine``), or at max_iters. The classical tandem
 pipeline, matching once and inferring once, is this loop with
 max_iters=1 and tt_tau = 0. Iteration 0 matches under free flow, as that
 baseline does, so a caller that asks for it gets the baseline from the
@@ -106,6 +107,11 @@ def refine(
     by (vehicle id, piece), so vehicle ids must be distinct. When
     ``baseline`` is a dict, it receives the tandem baseline's
     per-interval estimates, decoded from iteration 0's lattices.
+
+    A pass whose path set equals that of an earlier pass other than the
+    previous one closes a limit cycle: it is inferred and recorded as
+    usual, and the loop stops there, returning that pass. The result
+    therefore does not depend on where ``max_iters`` cuts the cycle.
     """
     if not traces:
         raise InputDataError("refine needs at least one trace")
@@ -116,7 +122,7 @@ def refine(
     times: dict[int, np.ndarray] = {}
     estimates: dict[int, SegmentTimeEstimate] = {}
     diagnostics = RefinementDiagnostics()
-    prev_paths: dict[tuple[int, int], tuple[int, ...]] | None = None
+    seen: list[dict[tuple[int, int], tuple[int, ...]]] = []  # path set of each inferred pass
     last_residual = 0.0
 
     for k in range(params.max_iters):
@@ -135,11 +141,9 @@ def refine(
             del base_pieces, base_obs  # the later passes need neither
 
         cur_paths = {(mp.vehicle_id, mp.piece): tuple(mp.segments) for mp in pieces}
-        if prev_paths is None:
-            changed = len(cur_paths)
-        else:
-            keys = set(cur_paths) | set(prev_paths)
-            changed = sum(1 for key in keys if cur_paths.get(key) != prev_paths.get(key))
+        prev_paths = seen[-1] if seen else {}
+        keys = set(cur_paths) | set(prev_paths)
+        changed = sum(1 for key in keys if cur_paths.get(key) != prev_paths.get(key))
         viterbi = math.fsum(mp.log_score for mp in pieces)
 
         if k >= 1 and changed == 0:
@@ -162,10 +166,14 @@ def refine(
 
         last_residual = residual
         diagnostics.records.append(IterationRecord(k, residual, viterbi, changed, max_rel))
-        prev_paths = cur_paths
         if max_rel < params.stop_tol:
             logger.info("refinement converged at iteration %d (max change %.2e)", k, max_rel)
             break
+        if cur_paths in seen[:-1]:
+            logger.info("refinement repeats the paths of iteration %d at iteration %d",
+                        seen.index(cur_paths), k)
+            break
+        seen.append(cur_paths)
 
     return pieces, estimates, diagnostics
 

@@ -242,11 +242,24 @@ def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLik
 
 def read_estimates(path: str | os.PathLike, net: RoadNetwork,
                    grid: TimeGrid) -> dict[int, SegmentTimeEstimate]:
-    """Per-interval estimates; each interval must lie on the grid and list every segment once."""
+    """Per-interval estimates, keyed by interval.
+
+    Each interval must lie on the grid and list every segment once, with
+    time_s > 0 and support >= 0.
+    """
     rows: dict[int, list[tuple]] = {}
     for interval, *row in read_table(path, ESTIMATE_COLUMNS):
         if not 0 <= interval < grid.interval_count:
             raise InputDataError(f"{path}: interval {interval} not in 0..{grid.interval_count - 1}")
         rows.setdefault(interval, []).append(row)
-    return {iv: SegmentTimeEstimate(*net.segment_columns(f"{path}, interval {iv}", r), iv)
-            for iv, r in rows.items()}
+    estimates = {}
+    for iv, r in rows.items():
+        source = f"{path}, interval {iv}"
+        time, support = net.segment_columns(source, r)
+        bad = (time <= 0.0) | (support < 0)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise InputDataError(f"{source}: segment {net.segments[k].id} has time_s {time[k]} "
+                                 f"and support {support[k]}; need time_s > 0 and support >= 0")
+        estimates[iv] = SegmentTimeEstimate(time, support, iv)
+    return estimates

@@ -426,7 +426,6 @@ def test_08_completion_recovers_low_rank_structure():
         if not mask[i].any():
             mask[i, rng.integers(0, 168)] = True
     mat = TravelTimeMatrix(values=np.where(mask, truth, 0.0), mask=mask,
-                           segment_ids=list(range(100)),
                            free_flow=np.full(100, 1.0), grid=TimeGrid())
     observed = mat.values.copy()
     res = complete(mat, CompletionParams(svt_threshold=20.0))

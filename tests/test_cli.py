@@ -91,20 +91,25 @@ def world(tmp_path_factory):
 def test_usage_errors_exit_1(world, tmp_path, capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
-    assert main(["match"]) == 1
-    assert main(["match", "--config", str(tmp_path / "missing.json")]) == 1
+    # A single matching pass is refine with refine.max_iters 1; match is gone.
+    capsys.readouterr()
+    assert main(["match", "--network", world.paths["network"],
+                 "--traces", world.paths["traces"], "--out-dir", str(tmp_path)]) == 1
+    assert "invalid choice: 'match'" in capsys.readouterr().err
+    assert main(["refine"]) == 1
+    assert main(["refine", "--config", str(tmp_path / "missing.json")]) == 1
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    assert main(["match", "--config", str(bad_json)]) == 1
+    assert main(["refine", "--config", str(bad_json)]) == 1
 
     unknown_key = tmp_path / "unknown.json"
     unknown_key.write_text(json.dumps({"no_such_key": 1}))
-    assert main(["match", "--config", str(unknown_key)]) == 1
+    assert main(["refine", "--config", str(unknown_key)]) == 1
 
     bad_param = tmp_path / "param.json"
     bad_param.write_text(json.dumps({"match": {"gps_sigma": -1.0}}))
-    assert main(["match", "--config", str(bad_param)]) == 1
+    assert main(["refine", "--config", str(bad_param)]) == 1
 
     # Keys that no longer exist, values of the wrong type, and numbers
     # RFC 8259 JSON does not have, with inputs that would let the command
@@ -128,7 +133,7 @@ def test_usage_errors_exit_1(world, tmp_path, capsys):
     ]):
         path = tmp_path / f"rejected_{i}.json"
         path.write_text(text)
-        rc = main(["match", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
+        rc = main(["refine", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
         assert rc == 1, text
     assert not (tmp_path / "matched.csv").exists()
 
@@ -142,14 +147,14 @@ def test_usage_errors_exit_1(world, tmp_path, capsys):
         path = tmp_path / f"removed_{section}_{key}.json"
         path.write_text(json.dumps({section: {key: value}}))
         capsys.readouterr()
-        rc = main(["match", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
+        rc = main(["refine", "--config", str(path), "--out-dir", str(tmp_path), *inputs])
         err = capsys.readouterr().err
         assert rc == 1, (section, key, err)
         assert f"config section {section!r}: unknown key {key!r}" in err, err
         assert "__init__" not in err, err
     assert not (tmp_path / "matched.csv").exists()
 
-    assert main(["match", "--network", str(tmp_path / "nowhere.json"),
+    assert main(["refine", "--network", str(tmp_path / "nowhere.json"),
                  "--traces", str(tmp_path / "nowhere.csv")]) == 1
 
 
@@ -211,19 +216,19 @@ def test_schedule_validation(world, tmp_path):
     assert main(["gen-traces", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
 
 
-def test_match_on_empty_trace_file_exits_2_naming_it(world, tmp_path, capsys):
+def test_refine_on_empty_trace_file_exits_2_naming_it(world, tmp_path, capsys):
     empty = tmp_path / "empty_traces.csv"
     empty.write_text("vehicle_id,timestamp,lat,lon\n")
-    rc = main(["match", "--network", world.paths["network"],
+    rc = main(["refine", "--network", world.paths["network"],
                "--traces", str(empty), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "empty_traces.csv" in capsys.readouterr().err
 
 
-def test_match_on_short_trace_row_exits_2_naming_it(world, tmp_path, capsys):
+def test_refine_on_short_trace_row_exits_2_naming_it(world, tmp_path, capsys):
     short = tmp_path / "short_traces.csv"
     short.write_text("vehicle_id,timestamp,lat,lon\n1,0.0,37.75,-122.45\n1,30.0\n")
-    rc = main(["match", "--network", world.paths["network"],
+    rc = main(["refine", "--network", world.paths["network"],
                "--traces", str(short), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "short_traces.csv, line 3" in capsys.readouterr().err
@@ -254,17 +259,21 @@ def test_import_osm_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_match_then_infer(world, tmp_path):
-    out = str(tmp_path)
-    assert main(["match", "--config", world.cfg, "--out-dir", out]) == 0
-    matched = read_matched(tmp_path / "matched.csv", world.net)
-    assert matched
+def test_one_pass_refine_then_infer(world, tmp_path):
+    # refine at max_iters 1 is the single free-flow matching pass; infer
+    # on its matched file reproduces its estimates byte for byte.
+    cfg = write_config(tmp_path, refine={"max_iters": 1}, **world.paths)
+    assert main(["refine", "--config", cfg, "--out-dir", str(tmp_path / "refine")]) == 0
+    matched = tmp_path / "refine" / "matched.csv"
+    assert read_matched(matched, world.net)
 
-    assert main(["infer", "--config", world.cfg, "--out-dir", out,
-                 "--matched", str(tmp_path / "matched.csv")]) == 0
-    estimates = read_estimates(tmp_path / "estimates.csv", world.net, GRID)
-    assert set(estimates) <= set(range(8))
-    assert any(any(n > 0 for n in e.support) for e in estimates.values())
+    assert main(["infer", "--config", cfg, "--out-dir", str(tmp_path / "infer"),
+                 "--matched", str(matched)]) == 0
+    estimates = tmp_path / "infer" / "estimates.csv"
+    assert estimates.read_bytes() == (tmp_path / "refine" / "estimates.csv").read_bytes()
+    by_interval = read_estimates(estimates, world.net, GRID)
+    assert set(by_interval) <= set(range(8))
+    assert any(any(n > 0 for n in e.support) for e in by_interval.values())
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -438,14 +447,14 @@ def test_unroutable_od_pair_exits_2_naming_both_nodes(world, tmp_path, capsys):
     ("segments", "id", str(2**63)),
     ("segments", "to", '"{}"'),
 ])
-def test_match_on_non_integer_network_id_exits_2_naming_it(world, tmp_path, capsys,
-                                                           section, key, literal):
+def test_refine_on_non_integer_network_id_exits_2_naming_it(world, tmp_path, capsys,
+                                                            section, key, literal):
     doc = json.loads(Path(world.paths["network"]).read_text(encoding="utf-8"))
     value = doc[section][0][key]
     doc[section][0][key] = "@odd@"
     bad = tmp_path / "bad_network.json"
     bad.write_text(json.dumps(doc).replace('"@odd@"', literal.format(value)), encoding="utf-8")
-    rc = main(["match", "--network", str(bad), "--traces", world.paths["traces"],
+    rc = main(["refine", "--network", str(bad), "--traces", world.paths["traces"],
                "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -497,6 +506,29 @@ def test_estimates_off_the_grid_exit_2_naming_file_and_interval(world, tmp_path,
     err = capsys.readouterr().err
     assert "off_grid_estimates.csv" in err and f"interval {interval} not in 0..7" in err
     assert "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,0,-5.0,3", "segment 0 has time_s -5.0 and support 3"),
+    ("0,0,0.0,3", "segment 0 has time_s 0.0 and support 3"),
+    ("0,1,10.0,-2", "segment 1 has time_s 10.0 and support -2"),
+], ids=["negative-time", "zero-time", "negative-support"])
+def test_complete_on_bad_estimate_row_exits_2_naming_it(world, tmp_path, capsys, row, message):
+    # Unchecked, a non-positive time would become an observed free-flow
+    # cell of the matrix, and a negative support would count as observed.
+    header, *rows = (world.pipe / "estimates.csv").read_text().splitlines()
+    prefix = row[:row.index(",", 2) + 1]  # the interval and segment the row replaces
+    assert sum(r.startswith(prefix) for r in rows) == 1
+    estimates = tmp_path / "bad_estimates.csv"
+    estimates.write_text("\n".join([header, *(row if r.startswith(prefix) else r for r in rows)])
+                         + "\n")
+    out = tmp_path / "out"
+    rc = main(["complete", "--config", world.cfg, "--out-dir", str(out),
+               "--estimates", str(estimates)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad_estimates.csv, interval 0: {message}" in err and "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
 
 

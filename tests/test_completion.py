@@ -47,7 +47,6 @@ def low_rank_instance(n, m, rank, frac, seed, grid):
     mat = TravelTimeMatrix(
         values=np.where(mask, truth, 0.0),
         mask=mask,
-        segment_ids=list(range(n)),
         free_flow=np.full(n, 1.0),
         grid=grid,
     )
@@ -208,8 +207,7 @@ def test_floor_clamp_pins_undershoot():
     mask = np.ones((5, 6), dtype=bool)
     mask[:, 3] = False
     values = np.where(mask, 50.0, 0.0)
-    mat = TravelTimeMatrix(values=values, mask=mask, segment_ids=list(range(5)),
-                           free_flow=np.full(5, 50.0), grid=GRID6)
+    mat = TravelTimeMatrix(values=values, mask=mask, free_flow=np.full(5, 50.0), grid=GRID6)
     res = complete(mat, CompletionParams(svt_threshold=10.0))
     assert np.all(res.matrix.values == 50.0)
 
@@ -221,10 +219,10 @@ def test_all_missing_row_falls_back_to_free_flow():
     mask[1] = False
     fft = np.array([2.0, 7.0, 2.0])
     mat = TravelTimeMatrix(values=np.where(mask, values, 0.0), mask=mask,
-                           segment_ids=[10, 11, 12], free_flow=fft, grid=GRID6)
+                           free_flow=fft, grid=GRID6)
     res = complete(mat, CompletionParams(svt_threshold=5.0))
     assert np.all(res.matrix.values[1] == 7.0)
-    assert res.fallback_segments == [11]
+    assert res.fallback_segments == [1]
     assert res.imputed[1].all()
     assert np.array_equal(res.matrix.values[0], values[0])
     assert np.array_equal(res.matrix.values[2], values[2])
@@ -233,11 +231,10 @@ def test_all_missing_row_falls_back_to_free_flow():
 def test_nothing_observed_at_all():
     mask = np.zeros((3, 6), dtype=bool)
     mat = TravelTimeMatrix(values=np.zeros((3, 6)), mask=mask,
-                           segment_ids=[1, 2, 3], free_flow=np.array([4.0, 5.0, 6.0]),
-                           grid=GRID6)
+                           free_flow=np.array([4.0, 5.0, 6.0]), grid=GRID6)
     res = complete(mat)
     assert res.iterations == 0
-    assert res.fallback_segments == [1, 2, 3]
+    assert res.fallback_segments == [0, 1, 2]
     assert np.array_equal(res.matrix.values, np.array([[4.0] * 6, [5.0] * 6, [6.0] * 6]))
 
 
@@ -264,16 +261,15 @@ def test_fallback_rows_log_one_warning(caplog):
     mask = np.zeros((n, 6), dtype=bool)
     mask[0] = mask[3] = True
     mat = TravelTimeMatrix(values=np.where(mask, 40.0, 0.0), mask=mask,
-                           segment_ids=list(range(100, 100 + n)),
                            free_flow=np.full(n, 20.0), grid=GRID6)
     with caplog.at_level(logging.INFO, logger="probeflow.completion"):
         res = complete(mat, CompletionParams(svt_threshold=5.0))
-    assert res.fallback_segments == [101, 102, 104, 105, 106, 107]
+    assert res.fallback_segments == [1, 2, 4, 5, 6, 7]
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert warnings[0].getMessage() == (
         "6 segments have no observed interval, filled with free flow "
-        "(first ids: 101, 102, 104, 105, 106)")
+        "(first rows: 1, 2, 4, 5, 6)")
     infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert len(infos) == 1
     assert infos[0].startswith(f"completion: {res.iterations} iterations")
@@ -301,12 +297,10 @@ def test_complete_parameter_validation():
 
 def test_matrix_type_validation():
     ok = dict(values=np.full((2, 6), 30.0), mask=np.ones((2, 6), dtype=bool),
-              segment_ids=[0, 1], free_flow=np.array([10.0, 10.0]), grid=GRID6)
+              free_flow=np.array([10.0, 10.0]), grid=GRID6)
     TravelTimeMatrix(**ok)
     bad = [
         dict(ok, mask=np.ones((2, 5), dtype=bool)),
-        dict(ok, segment_ids=[0]),
-        dict(ok, segment_ids=[0, 0]),
         dict(ok, free_flow=np.array([10.0])),
         dict(ok, free_flow=np.array([10.0, -1.0])),
         dict(ok, values=np.full((2, 6), np.nan)),
@@ -328,7 +322,7 @@ def test_assemble_matrix_basic():
     times = {0: np.array([25.0, 20.0, 20.0]), 5: np.array([20.0, 20.0, 30.0])}
     support = {0: np.array([1, 1, 0]), 5: np.array([0, 0, 1])}
     mat = assemble_matrix(times, net, GRID8, support_by_interval=support)
-    assert mat.segment_ids == [0, 1, 2]
+    assert mat.values.shape == (3, 8)
     assert np.array_equal(mat.free_flow, np.full(3, 20.0))
     assert mat.values[0, 0] == 25.0 and mat.mask[0, 0]
     assert mat.values[1, 0] == 20.0 and mat.mask[1, 0]
@@ -376,11 +370,11 @@ def test_matrix_csv_round_trip(tmp_path):
                           net, GRID8,
                           support_by_interval={0: np.array([1, 1, 0]), 5: np.array([0, 0, 1])})
     p = tmp_path / "matrix.csv"
-    write_matrix(mat, p)
+    write_matrix(mat, p, net)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,observed"
     assert list(read_table(p, MATRIX_COLUMNS)) == [
         (sid, iv, mat.values[i, iv], int(mat.mask[i, iv]))
-        for i, sid in enumerate(mat.segment_ids) for iv in range(GRID8.interval_count)]
+        for i, sid in enumerate(net.segment_ids()) for iv in range(GRID8.interval_count)]
 
 
 def test_completed_csv_round_trip(tmp_path):
@@ -389,11 +383,11 @@ def test_completed_csv_round_trip(tmp_path):
                           support_by_interval={0: np.array([1, 1]), 3: np.array([1, 0])})
     res = complete(mat, CompletionParams(svt_threshold=5.0))
     p = tmp_path / "completed.csv"
-    write_completed(res, p)
+    write_completed(res, p, net)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,imputed"
     rows = list(read_table(p, COMPLETED_COLUMNS))
     assert rows == [(sid, iv, res.matrix.values[i, iv], int(res.imputed[i, iv]))
-                    for i, sid in enumerate(res.matrix.segment_ids)
+                    for i, sid in enumerate(net.segment_ids())
                     for iv in range(GRID8.interval_count)]
     times = {(sid, iv): t for sid, iv, t, _ in rows}
     imputed = {(sid, iv) for sid, iv, _, flag in rows if flag}

@@ -9,7 +9,7 @@ import pytest
 
 from probeflow import refine as refine_module
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import match_traces
+from probeflow.mapmatch import MatchedPath, match_traces
 from probeflow.network import Router, TimeGrid
 from probeflow.refine import (
     DIAGNOSTICS_COLUMNS,
@@ -221,6 +221,35 @@ def test_refine_matches_each_pass_in_one_call(monkeypatch):
                         params=RefineParams(max_iters=2, stop_tol=1e-12))
     assert len(calls) == len(diag) == 2
     assert calls[1] >= 2
+
+
+def test_limit_cycle_stops_where_the_cycle_closes(monkeypatch):
+    # Two path sets that alternate for ever, with conflicting durations,
+    # so no pass meets stop_tol: the loop stops at pass 2, which repeats
+    # pass 0, whatever max_iters is.
+    net, traces = congested_corridor(n_traces=1)
+    cycle = [MatchedPath(0, 0, [0, 1, 2, 3], [0.0, 40.0, 80.0, 120.0], log_score=-1.0),
+             MatchedPath(0, 0, [0, 1, 2], [0.0, 80.0, 160.0], log_score=-2.0)]
+    passes: list[int] = []  # match_traces calls of each run
+
+    def alternating(net, traces, routers, *args):
+        passes[-1] += 1
+        return [cycle[(passes[-1] - 1) % 2]]
+
+    monkeypatch.setattr(refine_module, "match_traces", alternating)
+    runs = []
+    for max_iters in (9, 10):
+        passes.append(0)
+        runs.append(refine(traces, net, TimeGrid(), params=RefineParams(max_iters=max_iters)))
+    assert passes == [3, 3]
+    (pieces_9, est_9, diag_9), (pieces_10, est_10, diag_10) = runs
+    assert diag_9.records == diag_10.records and len(diag_9) == 3
+    assert all(r.max_rel_change >= 1e-3 for r in diag_9.records)
+    assert pieces_9 == pieces_10 == [cycle[0]]
+    assert est_9.keys() == est_10.keys()
+    for iv in est_9:
+        assert np.array_equal(est_9[iv].time, est_10[iv].time)
+        assert np.array_equal(est_9[iv].support, est_10[iv].support)
 
 
 def test_refine_rejects_repeated_vehicle_id():

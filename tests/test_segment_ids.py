@@ -86,8 +86,8 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
     write_trips(trips, out / "trips.csv", net)
     write_estimates([est[k] for k in sorted(est)], out / "estimates.csv", net)
     write_state(od.result, net, out / "state.csv")
-    write_matrix(mat, out / "matrix.csv")
-    write_completed(done, out / "completed.csv")
+    write_matrix(mat, out / "matrix.csv", net)
+    write_completed(done, out / "completed.csv", net)
     # The readers map the ids back onto the indices held in memory.
     held = sorted(pieces, key=lambda mp: (mp.vehicle_id, mp.piece))
     assert [mp.segments for mp in read_matched(out / "matched.csv", net)] == [
