@@ -7,15 +7,18 @@ export-geojson). A single free-flow matching pass is ``refine`` with
 ``refine.max_iters`` 1; ``infer`` re-infers an existing matched file.
 ``pipeline`` chains refine, per-interval demand estimation, completion,
 and evaluation over one input set and writes a manifest of SHA-256
-content hashes for every artifact it produced.
+content hashes for every artifact it produced. Demand estimation starts
+from the seed demand of its ``demand`` input, which ``gen-demand`` writes.
 
-Configuration comes from a JSON file named with ``--config`` plus
-command-line flags; flags win over file values. Every randomized stage
-derives its own seed by hashing the stage name together with the global
-seed, so stages are statistically independent while the whole run stays
-a pure function of one integer. All writers emit shortest round-trip
-float text, which makes byte-identical reruns the expected behavior and
-hash comparison a meaningful regression check.
+One table, ``_COMMANDS``, names each command's handler and the input
+paths it reads; it gives each command its path flags and ``pipeline``
+its up-front input check. Configuration comes from a JSON file named
+with ``--config`` plus command-line flags; flags win over file values.
+Every randomized stage derives its own seed by hashing the stage name
+together with the global seed, so stages are statistically independent
+while the whole run stays a pure function of one integer. All writers
+emit shortest round-trip float text, which makes byte-identical reruns
+the expected behavior and hash comparison a meaningful regression check.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 malformed
 input data, 3 solver non-convergence. On exit 3 whatever artifacts were
@@ -33,7 +36,7 @@ import math
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,28 +140,10 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-_SECTIONS: dict[str, type] = {
-    "grid": TimeGrid,
-    "match": MatchParams,
-    "infer": InferParams,
-    "spsa": SpsaParams,
-    "probe": ProbeConfig,
-    "refine": RefineParams,
-    "od": OdSolveParams,
-    "completion": CompletionParams,
-    "assignment": AssignParams,
-    "gravity": GravityParams,
-}
-
 # JSON value types each annotated section field accepts (bools only for bool).
 _FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
     "int": int, "float": (int, float), "float | None": (int, float, type(None)), "bool": bool,
 }
-
-_PATH_KEYS = (
-    "osm", "network", "tazs", "demand", "traces", "truth", "trips",
-    "matched", "estimates", "state", "states_dir", "truth_dir",
-)
 
 
 @dataclass
@@ -167,7 +152,9 @@ class PipelineConfig:
 
     Built from the JSON config file and command-line overrides; all
     parameter validation happens here, before any file is read, so a
-    bad configuration can never burn compute first.
+    bad configuration can never burn compute first. ``paths`` holds the
+    input paths that were set, by their key in ``_COMMANDS``; each field
+    typed by a parameter dataclass is one config section.
     """
 
     seed: int = 0
@@ -175,18 +162,7 @@ class PipelineConfig:
     scenario_name: str = "default"
     multipliers: list[float] = field(default_factory=lambda: [1.0])
     schedule: list[int] | None = None
-    osm: str | None = None
-    network: str | None = None
-    tazs: str | None = None
-    demand: str | None = None
-    traces: str | None = None
-    truth: str | None = None
-    trips: str | None = None
-    matched: str | None = None
-    estimates: str | None = None
-    state: str | None = None
-    states_dir: str | None = None
-    truth_dir: str | None = None
+    paths: dict[str, str] = field(default_factory=dict)
     grid: TimeGrid = field(default_factory=TimeGrid)
     match: MatchParams = field(default_factory=MatchParams)
     infer: InferParams = field(default_factory=InferParams)
@@ -260,13 +236,17 @@ class PipelineConfig:
                 raise UsageError("schedule activates no scenario")
         kwargs["schedule"] = schedule
 
-        for key in _PATH_KEYS:
-            value = doc.get(key)
-            if value is not None and not isinstance(value, str):
+        kwargs["paths"] = {key: doc[key] for key in _PATH_KEYS if doc.get(key) is not None}
+        for key, value in kwargs["paths"].items():
+            if not isinstance(value, str):
                 raise UsageError(f"config key {key!r} must be a string path")
-            kwargs[key] = value
 
         return cls(**kwargs)
+
+
+# Config section name -> parameter dataclass, from PipelineConfig's fields.
+_SECTIONS: dict[str, type] = {f.name: f.default_factory for f in fields(PipelineConfig)
+                              if is_dataclass(f.default_factory)}
 
 
 def stage_seed(stage: str, seed: int) -> int:
@@ -309,12 +289,10 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             raise UsageError(f"{path}: top level must be a JSON object")
     cfg = PipelineConfig.from_dict(doc)
 
-    overrides: dict = {}
-    for key in ("seed", "out_dir", *_PATH_KEYS):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return replace(cfg, **overrides) if overrides else cfg
+    flags = {key: value for key in ("seed", "out_dir", *_COMMANDS[args.command][1])
+             if (value := getattr(args, key)) is not None}
+    return replace(cfg, seed=flags.pop("seed", cfg.seed), out_dir=flags.pop("out_dir", cfg.out_dir),
+                   paths={**cfg.paths, **flags})
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +311,7 @@ def _out(cfg: PipelineConfig) -> Path:
 
 def _input(cfg: PipelineConfig, key: str) -> Path:
     """Resolve a required input path, insisting that it exists."""
-    value = getattr(cfg, key)
+    value = cfg.paths.get(key)
     if value is None:
         flag = key.replace("_", "-")
         raise UsageError(f"no {key} file given (use --{flag} or config key {key!r})")
@@ -390,7 +368,7 @@ def _cmd_gen_traces(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]
 
     schedule = cfg.schedule if cfg.schedule is not None else [0] * cfg.grid.interval_count
     needed = sorted({s for s in schedule if s >= 0})
-    truth_dir = Path(cfg.truth_dir) if cfg.truth_dir is not None else Path(cfg.out_dir)
+    truth_dir = Path(cfg.paths.get("truth_dir", cfg.out_dir))
     scenarios = []
     for sid in needed:
         path = truth_dir / truth_file(sid)
@@ -454,14 +432,11 @@ def _cmd_estimate_od(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path
     """
     tazs = read_tazs(_input(cfg, "tazs"), net)
     estimates = read_estimates(_input(cfg, "estimates"), net, cfg.grid)
-    if cfg.demand is not None:
-        seed_demand = read_demand(_input(cfg, "demand"))
-    else:
-        seed_demand = seed_gravity(net, tazs, cfg.gravity)
+    seed_demand = read_demand(_input(cfg, "demand"))
 
     intervals = _supported_intervals(estimates)
     if not intervals:
-        raise InputDataError(f"{cfg.estimates}: no interval has observation support")
+        raise InputDataError(f"{cfg.paths['estimates']}: no interval has observation support")
 
     out = _out(cfg)
     failures: dict[int, SolverError] = {}
@@ -540,7 +515,7 @@ def _cmd_evaluate(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
 
 def _cmd_export_voc(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """Per-class mean VOC series from the state files, at most one per grid interval."""
-    states_dir = Path(cfg.states_dir) if cfg.states_dir is not None else Path(cfg.out_dir)
+    states_dir = Path(cfg.paths.get("states_dir", cfg.out_dir))
     files: dict[int, Path] = {}
     for path in sorted(states_dir.glob("state_*.csv")):
         match = re.fullmatch(r"state_(\d+)", path.stem)
@@ -591,12 +566,12 @@ def _cmd_pipeline(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     artifact; on solver failure it is written with a .partial suffix
     covering whatever completed.
     """
-    for key in ("tazs", "traces", "truth", "trips"):
+    for key in _COMMANDS["pipeline"][1]:
         _input(cfg, key)
 
     out = _out(cfg)
-    staged = replace(cfg, matched=str(out / MATCHED_FILE),
-                     estimates=str(out / ESTIMATES_FILE))
+    staged = replace(cfg, paths={**cfg.paths, "matched": str(out / MATCHED_FILE),
+                                 "estimates": str(out / ESTIMATES_FILE)})
     try:
         _cmd_refine(staged, net, artifacts)
         _cmd_estimate_od(staged, net, artifacts)
@@ -608,35 +583,26 @@ def _cmd_pipeline(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     _write_manifest(out, artifacts, partial=False)
 
 
-_HANDLERS: dict[str, Callable[[PipelineConfig, RoadNetwork | None, list[Path]], None]] = {
-    "import-osm": _cmd_import_osm,
-    "gen-demand": _cmd_gen_demand,
-    "gen-scenarios": _cmd_gen_scenarios,
-    "gen-traces": _cmd_gen_traces,
-    "infer": _cmd_infer,
-    "refine": _cmd_refine,
-    "estimate-od": _cmd_estimate_od,
-    "complete": _cmd_complete,
-    "evaluate": _cmd_evaluate,
-    "export-voc": _cmd_export_voc,
-    "export-geojson": _cmd_export_geojson,
-    "pipeline": _cmd_pipeline,
+# Each command's handler and the input paths it reads. An input key is a
+# config key and, with "-" for "_", a flag of that command; main reads
+# the network before the handler runs when the command lists it.
+_COMMANDS: dict[str, tuple[Callable[[PipelineConfig, RoadNetwork | None, list[Path]], None],
+                           tuple[str, ...]]] = {
+    "import-osm": (_cmd_import_osm, ("osm",)),
+    "gen-demand": (_cmd_gen_demand, ("network", "tazs")),
+    "gen-scenarios": (_cmd_gen_scenarios, ("network", "tazs", "demand")),
+    "gen-traces": (_cmd_gen_traces, ("network", "tazs", "demand", "truth_dir")),
+    "infer": (_cmd_infer, ("network", "matched")),
+    "refine": (_cmd_refine, ("network", "traces")),
+    "estimate-od": (_cmd_estimate_od, ("network", "tazs", "estimates", "demand")),
+    "complete": (_cmd_complete, ("network", "estimates")),
+    "evaluate": (_cmd_evaluate, ("network", "truth", "trips", "matched", "estimates")),
+    "export-voc": (_cmd_export_voc, ("network", "states_dir")),
+    "export-geojson": (_cmd_export_geojson, ("network", "state")),
+    "pipeline": (_cmd_pipeline, ("network", "tazs", "traces", "truth", "trips", "demand")),
 }
 
-_COMMAND_INPUTS: dict[str, tuple[str, ...]] = {
-    "import-osm": ("osm",),
-    "gen-demand": ("network", "tazs"),
-    "gen-scenarios": ("network", "tazs", "demand"),
-    "gen-traces": ("network", "tazs", "demand", "truth_dir"),
-    "infer": ("network", "matched"),
-    "refine": ("network", "traces"),
-    "estimate-od": ("network", "tazs", "estimates", "demand"),
-    "complete": ("network", "estimates"),
-    "evaluate": ("network", "truth", "trips", "matched", "estimates"),
-    "export-voc": ("network", "states_dir"),
-    "export-geojson": ("network", "state"),
-    "pipeline": ("network", "tazs", "traces", "truth", "trips", "demand"),
-}
+_PATH_KEYS = tuple(dict.fromkeys(key for _, keys in _COMMANDS.values() for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="probeflow",
                      description="Traffic state estimation from GPS probe traces.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for command in _HANDLERS:
+    for command, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common])
-        for key in _COMMAND_INPUTS[command]:
+        for key in keys:
             p.add_argument(f"--{key.replace('_', '-')}", metavar="PATH")
     return parser
 
@@ -675,10 +641,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        # Every command but import-osm reads the network, once, before its other inputs.
-        net = (read_network(_input(cfg, "network"))
-               if "network" in _COMMAND_INPUTS[args.command] else None)
-        _HANDLERS[args.command](cfg, net, [])
+        handler, keys = _COMMANDS[args.command]
+        net = read_network(_input(cfg, "network")) if "network" in keys else None
+        handler(cfg, net, [])
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,10 +20,12 @@ filled with the segment's free-flow time, flagged, and kept out of the
 low-rank system.
 
 This iteration is Soft-Impute (Mazumder, Hastie & Tibshirani 2010), and
-each step costs one singular value decomposition. It comes from LAPACK
-through numpy.linalg.svd, with descending singular values and a fixed
-sign convention. Completion output is a pure function of its inputs for
-one numpy and BLAS/LAPACK build.
+each step costs one thin singular value decomposition from LAPACK
+through numpy.linalg.svd. A step only forms the sum over the kept
+singular pairs of (s_k - tau) times the outer product of u_k and v_k,
+which flipping the signs of a pair leaves bit for bit the same, so no
+sign convention is needed. Completion output is a pure function of its inputs for one numpy and
+BLAS/LAPACK build.
 """
 
 from __future__ import annotations
@@ -133,31 +135,6 @@ def assemble_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Singular value decomposition
-# ---------------------------------------------------------------------------
-
-
-def svd(a: np.ndarray):
-    """Thin SVD a = u @ diag(s) @ vt from LAPACK, with a fixed sign convention.
-
-    Singular values come out descending. Each row of vt has its leading
-    entry with |x| > 1e-12 made nonnegative, and the matching column of
-    u is flipped with it, which pins the sign of each singular pair.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise InputDataError("svd needs a nonempty 2-d matrix")
-    if not np.all(np.isfinite(a)):
-        raise InputDataError("svd input holds non-finite values")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    lead = np.argmax(np.abs(vt) > 1e-12, axis=1)
-    flip = vt[np.arange(len(s)), lead] < 0.0
-    u[:, flip] = -u[:, flip]
-    vt[flip] = -vt[flip]
-    return u, s, vt
-
-
-# ---------------------------------------------------------------------------
 # Completion
 # ---------------------------------------------------------------------------
 
@@ -226,7 +203,7 @@ def complete(
         row_means = np.array([row[keep].mean() for row, keep in zip(sub, sub_mask)])
         x[~sub_mask] = np.broadcast_to(row_means[:, None], x.shape)[~sub_mask]
         for k in range(1, _MAX_ITER + 1):
-            u, s, vt = svd(x)
+            u, s, vt = np.linalg.svd(x, full_matrices=False)
             kept = s - tau
             rank = int(np.sum(kept > 0.0))
             z = (u[:, :rank] * kept[:rank]) @ vt[:rank]

@@ -512,12 +512,18 @@ def write_matched(paths: list[MatchedPath], path: str | os.PathLike, net: RoadNe
 
 
 def read_matched(path: str | os.PathLike, net: RoadNetwork) -> list[MatchedPath]:
-    """Read matched paths; only traversal data survives the CSV."""
+    """Read matched paths; only traversal data survives the CSV.
+
+    Entry times must be finite and must not go backwards within a piece.
+    """
     groups: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
     for vid, piece, sid, t in read_table(path, MATCHED_COLUMNS):
         if not math.isfinite(t):
             raise InputDataError(f"{path}: vehicle {vid}, piece {piece}: entry time {t} is not finite")
         segs, times = groups.setdefault((vid, piece), ([], []))
+        if times and t < times[-1]:
+            raise InputDataError(f"{path}: vehicle {vid}, piece {piece}: entry time {t} is "
+                                 f"below the previous entry time {times[-1]}")
         segs.append(sid)
         times.append(t)
     return [

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import itertools
 import json
 import re
 import warnings
@@ -14,7 +16,15 @@ import pytest
 
 from probeflow import mapmatch, network, refine
 from probeflow.assignment import read_demand
-from probeflow.cli import _SECTIONS, PipelineConfig, UsageError, main, stage_seed
+from probeflow.cli import (
+    _COMMANDS,
+    _SECTIONS,
+    PipelineConfig,
+    UsageError,
+    build_parser,
+    main,
+    stage_seed,
+)
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
 from probeflow.network import Node, RoadNetwork, Taz, TimeGrid, read_network, write_network, write_tazs
@@ -187,6 +197,59 @@ def test_config_rejects_wrong_value_types(section, f):
             PipelineConfig.from_dict({section: {f.name: value}})
 
 
+def test_each_command_takes_exactly_its_input_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_COMMANDS)
+    common = {"-h", "--help", "--config", "--seed", "--threads", "--out-dir"}
+    for command, (_, keys) in _COMMANDS.items():
+        flags = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+        assert flags == common | {f"--{key.replace('_', '-')}" for key in keys}, command
+
+
+def test_flag_path_overrides_the_config_path(world, tmp_path, capsys):
+    missing = tmp_path / "nowhere.csv"
+    cfg = write_config(tmp_path, **{**world.paths, "estimates": str(missing)})
+    out = tmp_path / "out"
+    assert main(["complete", "--config", cfg, "--out-dir", str(out)]) == 1
+    assert f"estimates file not found: {missing}" in capsys.readouterr().err
+    assert main(["complete", "--config", cfg, "--out-dir", str(out),
+                 "--estimates", str(world.pipe / "estimates.csv")]) == 0
+    assert (out / "completed.csv").read_bytes() == (world.pipe / "completed.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["estimate-od", "pipeline"])
+def test_missing_demand_exits_1_before_any_output(world, tmp_path, capsys, command):
+    # gen-demand is the one writer of the seed demand; nothing falls back to gravity.
+    cfg = write_config(tmp_path, **{k: v for k, v in world.paths.items() if k != "demand"})
+    out = tmp_path / "out"
+    estimates = ["--estimates", str(world.pipe / "estimates.csv")]
+    rc = main([command, "--config", cfg, "--out-dir", str(out),
+               *(estimates if command == "estimate-od" else [])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "no demand file given (use --demand or config key 'demand')" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_column(header: str) -> list[str]:
+    """The first cells, backticks stripped, of README's table with this header row."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index(header) + 2:])
+    return [row.split("|")[1].strip().strip("`") for row in rows]
+
+
+def test_readme_lists_every_config_key_and_command():
+    keys = [f"{name}.{f.name}" for name, cls in _SECTIONS.items() for f in fields(cls)]
+    assert len(keys) == 23
+    assert readme_column("| Key | Default | What it sets |") == keys
+    assert sorted(readme_column("| Command | What it does |")) == sorted(_COMMANDS)
+
+
 def test_threads_must_be_positive(world):
     assert main(["infer", "--config", world.cfg, "--threads", "0"]) == 1
 
@@ -286,6 +349,22 @@ def test_infer_on_non_finite_entry_time_exits_2_naming_it(world, tmp_path, capsy
     err = capsys.readouterr().err
     assert "bad_matched.csv" in err and "Traceback" not in err
     assert not (tmp_path / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "evaluate"])
+def test_entry_times_going_backwards_exit_2_naming_them(world, tmp_path, capsys, command):
+    matched = tmp_path / "backwards_matched.csv"
+    matched.write_text("vehicle_id,piece,segment_id,entry_time_s\n"
+                       "1,0,0,100.0\n1,0,1,120.0\n1,0,2,30.0\n")
+    estimates = ["--estimates", str(world.pipe / "estimates.csv")] if command == "evaluate" else []
+    out = tmp_path / "out"
+    rc = main([command, "--config", world.cfg, "--out-dir", str(out),
+               "--matched", str(matched), *estimates])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "backwards_matched.csv: vehicle 1, piece 0: entry time 30.0 is below" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_refine_outputs(world, tmp_path):
@@ -429,8 +508,9 @@ def test_unroutable_od_pair_exits_2_naming_both_nodes(world, tmp_path, capsys):
     tazs = tmp_path / "tazs.csv"
     write_tazs([Taz(id=0, centroid_node=0, name="sw"), Taz(id=1, centroid_node=8, name="ne"),
                 Taz(id=2, centroid_node=999, name="island")], tazs)
-    paths = {k: v for k, v in world.paths.items() if k != "demand"}
-    cfg = write_config(tmp_path, **{**paths, "network": str(network_path), "tazs": str(tazs)})
+    cfg = write_config(tmp_path, **{**world.paths, "network": str(network_path),
+                                    "tazs": str(tazs), "demand": str(tmp_path / "demand.csv")})
+    assert main(["gen-demand", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     out = tmp_path / "out"
     rc = main(["estimate-od", "--config", cfg, "--out-dir", str(out),
                "--estimates", str(world.pipe / "estimates.csv")])
@@ -548,13 +628,15 @@ def test_estimate_od_on_int_beyond_int64_exits_2_naming_it(world, tmp_path, caps
 def sabotage_od(tmp_path, world):
     """A config whose lower-level equilibrium cannot converge.
 
-    Heavy gravity demand (no demand file, so the seed comes from
-    gravity) with a one-iteration budget at an unreachable tolerance.
+    Heavy gravity seed demand, which gen-demand writes under this config,
+    with a one-iteration budget at an unreachable tolerance.
     """
-    paths = {k: v for k, v in world.paths.items() if k != "demand"}
-    return write_config(tmp_path, od={"ue_tol": 1e-12, "ue_max_iter": 1},
-                        gravity={"deterrence_scale": 1000.0, "total_trips": 5000.0},
-                        **paths)
+    demand = tmp_path / "seed" / "demand.csv"
+    cfg = write_config(tmp_path, od={"ue_tol": 1e-12, "ue_max_iter": 1},
+                       gravity={"deterrence_scale": 1000.0, "total_trips": 5000.0},
+                       **{**world.paths, "demand": str(demand)})
+    assert main(["gen-demand", "--config", cfg, "--out-dir", str(demand.parent)]) == 0
+    return cfg
 
 
 def test_estimate_od_solver_failure_exits_3_with_partial(world, tmp_path, capsys, caplog):

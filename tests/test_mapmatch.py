@@ -795,6 +795,20 @@ def test_read_matched_rejects_bad_header(tmp_path):
         read_matched(p, line_net())
 
 
+def test_read_matched_rejects_entry_times_going_backwards(tmp_path):
+    p = tmp_path / "matched.csv"
+    # Equal entry times are legal; a piece of another vehicle starts afresh.
+    p.write_text("vehicle_id,piece,segment_id,entry_time_s\n"
+                 "1,0,0,100.0\n1,0,1,100.0\n2,0,2,5.0\n1,0,2,120.0\n")
+    assert [mp.entry_times for mp in read_matched(p, line_net())] == [[100.0, 100.0, 120.0],
+                                                                     [5.0]]
+    p.write_text("vehicle_id,piece,segment_id,entry_time_s\n1,0,0,100.0\n1,0,1,120.0\n"
+                 "1,0,2,30.0\n")
+    with pytest.raises(InputDataError, match=r"matched\.csv: vehicle 1, piece 0: entry time "
+                                             r"30\.0 is below the previous entry time 120\.0"):
+        read_matched(p, line_net())
+
+
 @settings(max_examples=25, deadline=None)
 @given(sigma=st.floats(0.0, 15.0), period=st.floats(3.0, 120.0),
        origin=st.integers(0, 24), dest=st.integers(0, 24), seed=st.integers(0, 2**16))
