@@ -345,12 +345,14 @@ DEMAND_COLUMNS = (("origin_taz", int), ("dest_taz", int), ("trips_per_hour", flo
 
 
 def write_demand(demand: DemandMatrix, path: str | os.PathLike) -> None:
-    write_table(path, DEMAND_COLUMNS, ((o, d, demand[(o, d)]) for (o, d) in sorted(demand)))
+    pairs = sorted(demand)
+    write_table(path, DEMAND_COLUMNS, ([o for o, _ in pairs], [d for _, d in pairs],
+                                       [demand[pair] for pair in pairs]))
 
 
 def read_demand(path: str | os.PathLike) -> DemandMatrix:
     demand: DemandMatrix = {}
-    for o, d, rate in read_table(path, DEMAND_COLUMNS):
+    for o, d, rate in zip(*read_table(path, DEMAND_COLUMNS)):
         if (o, d) in demand:
             raise InputDataError(f"{path}: duplicate OD pair {(o, d)}")
         if not (rate >= 0.0 and math.isfinite(rate)):

@@ -245,19 +245,19 @@ MATRIX_COLUMNS = (("segment_id", int), ("interval", int), ("time_s", float), ("o
 COMPLETED_COLUMNS = (("segment_id", int), ("interval", int), ("time_s", float), ("imputed", int))
 
 
-def _matrix_rows(ids: list[int], values: np.ndarray, flags: np.ndarray):
-    """(segment_id, interval, time, flag) cells; row i is segment ``ids[i]``."""
-    for i, sid in enumerate(ids):
-        for j in range(values.shape[1]):
-            yield sid, j, values[i, j], flags[i, j]
+def _matrix_columns(ids: list[int], values: np.ndarray,
+                    flags: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(segment_id, interval, time, flag) columns, one cell per row; row i is segment ``ids[i]``."""
+    n, m = values.shape
+    return np.repeat(ids, m), np.tile(np.arange(m), n), values.ravel(), flags.ravel()
 
 
 def write_matrix(mat: TravelTimeMatrix, path: str | os.PathLike, net: RoadNetwork) -> None:
     """Write the matrix as `segment_id,interval,time_s,observed` rows, segments ascending."""
-    write_table(path, MATRIX_COLUMNS, _matrix_rows(net.segment_ids(), mat.values, mat.mask))
+    write_table(path, MATRIX_COLUMNS, _matrix_columns(net.segment_ids(), mat.values, mat.mask))
 
 
 def write_completed(result: CompletionResult, path: str | os.PathLike, net: RoadNetwork) -> None:
     """Write a completed matrix as `segment_id,interval,time_s,imputed` rows, segments ascending."""
     write_table(path, COMPLETED_COLUMNS,
-                _matrix_rows(net.segment_ids(), result.matrix.values, result.imputed))
+                _matrix_columns(net.segment_ids(), result.matrix.values, result.imputed))

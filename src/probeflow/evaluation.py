@@ -260,14 +260,15 @@ def write_voc(series_by_class: dict[str, list[float]], path: str | os.PathLike) 
     if len(lengths) != 1:
         raise InputDataError(f"voc series lengths differ: {sorted(lengths)}")
     classes = sorted(series_by_class)
-    write_table(path, VOC_COLUMNS, ((iv, cls, series_by_class[cls][iv])
-                                    for iv in range(lengths.pop()) for cls in classes))
+    n = lengths.pop()
+    write_table(path, VOC_COLUMNS, (np.repeat(np.arange(n), len(classes)), classes * n,
+                                    np.column_stack([series_by_class[c] for c in classes]).ravel()))
 
 
 def read_voc(path: str | os.PathLike) -> dict[str, list[float]]:
     """Read back per-class VOC series written by write_voc."""
     out: dict[str, list[float]] = {}
-    for iv, cls, v in read_table(path, VOC_COLUMNS):
+    for iv, cls, v in zip(*read_table(path, VOC_COLUMNS)):
         series = out.setdefault(cls, [])
         if iv != len(series):
             raise InputDataError(f"voc rows of class {cls} out of order in {path}")

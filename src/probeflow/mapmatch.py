@@ -505,10 +505,12 @@ MATCHED_COLUMNS = (("vehicle_id", int), ("piece", int), ("segment_id", int), ("e
 
 def write_matched(paths: list[MatchedPath], path: str | os.PathLike, net: RoadNetwork) -> None:
     ids = net.segment_ids()
+    paths = sorted(paths, key=lambda m: (m.vehicle_id, m.piece))
     write_table(path, MATCHED_COLUMNS, (
-        (mp.vehicle_id, mp.piece, ids[j], t)
-        for mp in sorted(paths, key=lambda m: (m.vehicle_id, m.piece))
-        for j, t in zip(mp.segments, mp.entry_times)))
+        [mp.vehicle_id for mp in paths for _ in mp.segments],
+        [mp.piece for mp in paths for _ in mp.segments],
+        [ids[j] for mp in paths for j in mp.segments],
+        [t for mp in paths for t in mp.entry_times]))
 
 
 def read_matched(path: str | os.PathLike, net: RoadNetwork) -> list[MatchedPath]:
@@ -517,7 +519,7 @@ def read_matched(path: str | os.PathLike, net: RoadNetwork) -> list[MatchedPath]
     Entry times must be finite and must not go backwards within a piece.
     """
     groups: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
-    for vid, piece, sid, t in read_table(path, MATCHED_COLUMNS):
+    for vid, piece, sid, t in zip(*read_table(path, MATCHED_COLUMNS)):
         if not math.isfinite(t):
             raise InputDataError(f"{path}: vehicle {vid}, piece {piece}: entry time {t} is not finite")
         segs, times = groups.setdefault((vid, piece), ([], []))

@@ -34,7 +34,7 @@ import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,16 +235,17 @@ class RoadNetwork:
         except KeyError:
             raise InputDataError(f"unknown node id {node_id}") from None
 
-    def segment_columns(self, source: str, rows: list[tuple]) -> tuple[np.ndarray, ...]:
+    def segment_columns(self, source: str, ids: Sequence[int],
+                        *columns: Sequence[float]) -> tuple[np.ndarray, ...]:
         """Value columns of a per-segment table, in ``segments`` order.
 
-        Each row is (segment id, finite value, ...), one per network segment;
-        an empty table, an unknown, repeated or missing segment, or a nan or
-        infinite value raises InputDataError naming ``source``.
+        ``ids`` and each value column hold one entry per table row, one
+        row per network segment; an empty table, an unknown, repeated or
+        missing segment, or a nan or infinite value raises InputDataError
+        naming ``source`` and the first such segment in table order.
         """
-        if not rows:
+        if not len(ids):
             raise InputDataError(f"{source}: no segment rows")
-        ids, *columns = zip(*rows)
         positions = np.array(self.segment_indices(source, ids), dtype=np.int64)
         counts = np.bincount(positions, minlength=self.n_segments)
         if np.any(counts > 1):
@@ -253,11 +254,13 @@ class RoadNetwork:
         if np.any(counts == 0):
             sid = self.segments[int(np.argmax(counts == 0))].id
             raise InputDataError(f"{source}: segment {sid} missing")
-        for row in rows:
-            if not all(map(math.isfinite, row[1:])):
-                raise InputDataError(f"{source}: segment {row[0]} has a non-finite value")
+        values = [np.array(col) for col in columns]
+        finite = np.logical_and.reduce([np.isfinite(col) for col in values])
+        if not np.all(finite):
+            raise InputDataError(f"{source}: segment {ids[int(np.argmin(finite))]} "
+                                 "has a non-finite value")
         order = np.argsort(positions)
-        return tuple(np.array(col)[order] for col in columns)
+        return tuple(col[order] for col in values)
 
 
 @dataclass(frozen=True)
@@ -853,13 +856,14 @@ TAZ_COLUMNS = (("taz_id", int), ("centroid_node", int), ("name", str))
 
 
 def write_tazs(tazs: list[Taz], path: str | os.PathLike) -> None:
-    write_table(path, TAZ_COLUMNS,
-                ((t.id, t.centroid_node, t.name) for t in sorted(tazs, key=lambda t: t.id)))
+    tazs = sorted(tazs, key=lambda t: t.id)
+    write_table(path, TAZ_COLUMNS, ([t.id for t in tazs], [t.centroid_node for t in tazs],
+                                    [t.name for t in tazs]))
 
 
 def read_tazs(path: str | os.PathLike, net: RoadNetwork | None = None) -> list[Taz]:
     """Read a TAZ table; validates centroids against ``net`` when given."""
-    tazs = [Taz(*row) for row in read_table(path, TAZ_COLUMNS)]
+    tazs = [Taz(*row) for row in zip(*read_table(path, TAZ_COLUMNS))]
     ids = [t.id for t in tazs]
     if len(set(ids)) != len(ids):
         raise InputDataError(f"{path}: duplicate TAZ ids")

@@ -303,16 +303,16 @@ OBJECTIVE_COLUMNS = (("outer_iter", int), ("objective", float))
 
 def write_state(result: AssignmentResult, net: RoadNetwork, path: str | os.PathLike) -> None:
     """Full-network state: flow, time, and volume-over-capacity per segment."""
-    write_table(path, STATE_COLUMNS, (
-        (seg.id, flow, time, flow / seg.capacity)
-        for seg, flow, time in zip(net.segments, result.flow.tolist(), result.time.tolist())))
+    write_table(path, STATE_COLUMNS, (net.segment_ids(), result.flow, result.time,
+                                      result.flow / net.seg_capacity))
 
 
 def read_state(path: str | os.PathLike,
                net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment (flows, times, vocs); the file must list every segment exactly once."""
-    return net.segment_columns(str(path), list(read_table(path, STATE_COLUMNS)))
+    return net.segment_columns(str(path), *read_table(path, STATE_COLUMNS))
 
 
 def write_objective_trace(records: list[ObjectiveRecord], path: str | os.PathLike) -> None:
-    write_table(path, OBJECTIVE_COLUMNS, records)
+    write_table(path, OBJECTIVE_COLUMNS, ([r.outer_iter for r in records],
+                                          [r.objective for r in records]))

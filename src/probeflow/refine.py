@@ -188,6 +188,6 @@ DIAGNOSTICS_COLUMNS = (("iteration", int), ("residual", float), ("viterbi_score"
 
 
 def write_diagnostics(diag: RefinementDiagnostics, path: str | os.PathLike) -> None:
-    write_table(path, DIAGNOSTICS_COLUMNS, (
-        (r.iteration, r.residual, r.viterbi_score, r.changed_paths, r.max_rel_change)
-        for r in diag.records))
+    # The column names are the record's field names.
+    write_table(path, DIAGNOSTICS_COLUMNS, [[getattr(r, name) for r in diag.records]
+                                            for name, _ in DIAGNOSTICS_COLUMNS])

@@ -23,7 +23,7 @@ from .assignment import AssignParams, DemandMatrix, solve_so
 from .errors import InputDataError
 from .mapmatch import GpsTrace
 from .network import RoadNetwork, Router, Taz, TimeGrid, meters_per_degree, position_on_segment
-from .tables import read_table, write_table
+from .tables import group_rows, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -269,43 +269,47 @@ TRUTH_COLUMNS = (("segment_id", int), ("time_s", float), ("flow_vph", float))
 
 
 def write_traces(traces: list[GpsTrace], path: str | os.PathLike) -> None:
+    traces = sorted(traces, key=lambda t: t.vehicle_id)
     write_table(path, TRACE_COLUMNS, (
-        (trace.vehicle_id, t, lat, lon)
-        for trace in sorted(traces, key=lambda t: t.vehicle_id)
-        for t, lat, lon in zip(trace.timestamps, trace.lats, trace.lons)))
+        [trace.vehicle_id for trace in traces for _ in range(len(trace))],
+        [t for trace in traces for t in trace.timestamps.tolist()],
+        [lat for trace in traces for lat in trace.lats.tolist()],
+        [lon for trace in traces for lon in trace.lons.tolist()]))
 
 
 def read_traces(path: str | os.PathLike) -> list[GpsTrace]:
-    rows: dict[int, list[tuple[float, float, float]]] = {}
-    for vid, t, lat, lon in read_table(path, TRACE_COLUMNS):
-        rows.setdefault(vid, []).append((t, lat, lon))
-    if not rows:
+    """One trace per vehicle, by ascending id; a trace that ``GpsTrace`` rejects names the file."""
+    vids, *values = read_table(path, TRACE_COLUMNS)
+    if not vids:
         raise InputDataError(f"{path}: no trace points")
-    return [GpsTrace(vid, *np.array(rows[vid]).T) for vid in sorted(rows)]
+    try:
+        return [GpsTrace(vid, *arrays) for vid, arrays in group_rows(vids, *values).items()]
+    except InputDataError as exc:
+        raise InputDataError(f"{path}: {exc}") from None
 
 
 def write_trips(trips: list[TruthTrip], path: str | os.PathLike, net: RoadNetwork) -> None:
     ids = net.segment_ids()
-    write_table(path, TRIP_COLUMNS, (
-        (trip.vehicle_id, trip.departure, "/".join(str(ids[j]) for j in trip.path))
-        for trip in sorted(trips, key=lambda t: t.vehicle_id)))
+    trips = sorted(trips, key=lambda t: t.vehicle_id)
+    write_table(path, TRIP_COLUMNS, ([trip.vehicle_id for trip in trips],
+                                     [trip.departure for trip in trips],
+                                     ["/".join(str(ids[j]) for j in trip.path) for trip in trips]))
 
 
 def read_trips(path: str | os.PathLike, net: RoadNetwork) -> list[TruthTrip]:
     """Read trips; entry times are not stored, rebuild with ``with_times``."""
     return [TruthTrip(vehicle_id=vid, departure=departure,
                       path=net.segment_indices(str(path), seg_path), entry_times=None)
-            for vid, departure, seg_path in read_table(path, TRIP_COLUMNS)]
+            for vid, departure, seg_path in zip(*read_table(path, TRIP_COLUMNS))]
 
 
 def write_truth(scenario: GroundTruthScenario, net: RoadNetwork, path: str | os.PathLike) -> None:
-    write_table(path, TRUTH_COLUMNS, zip(net.segment_ids(), scenario.time.tolist(),
-                                         scenario.flow.tolist()))
+    write_table(path, TRUTH_COLUMNS, (net.segment_ids(), scenario.time, scenario.flow))
 
 
 def read_truth(path: str | os.PathLike, net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment (times, flows); the file must list every segment exactly once, times > 0."""
-    times, flows = net.segment_columns(str(path), list(read_table(path, TRUTH_COLUMNS)))
+    times, flows = net.segment_columns(str(path), *read_table(path, TRUTH_COLUMNS))
     if np.any(times <= 0.0):
         k = int(np.argmax(times <= 0.0))
         raise InputDataError(f"{path}: segment {net.segments[k].id} has time_s {times[k]}, not > 0")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputDataError, SolverError
 from .network import RoadNetwork, TimeGrid
-from .tables import read_table, write_table
+from .tables import group_rows, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -229,15 +229,19 @@ def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLik
     ``net`` names the array rows; without it ``time`` and ``support`` must
     be id-keyed mappings, as the benchmark's perfbench/matrix.py builds.
     """
-    def rows(est: SegmentTimeEstimate):
+    intervals, ids, times, supports = [], [], [], []
+    for est in sorted(estimates, key=lambda e: e.interval_index):
         if net is None:
-            return ((sid, est.time[sid], est.support[sid]) for sid in sorted(est.time))
-        return zip(net.segment_ids(), est.time.tolist(), est.support.tolist())
-
-    write_table(path, ESTIMATE_COLUMNS, (
-        (est.interval_index, *row)
-        for est in sorted(estimates, key=lambda e: e.interval_index)
-        for row in rows(est)))
+            sids = sorted(est.time)
+            times += [est.time[sid] for sid in sids]
+            supports += [est.support[sid] for sid in sids]
+        else:
+            sids = net.segment_ids()
+            times += est.time.tolist()
+            supports += est.support.tolist()
+        intervals += [est.interval_index] * len(sids)
+        ids += sids
+    write_table(path, ESTIMATE_COLUMNS, (intervals, ids, times, supports))
 
 
 def read_estimates(path: str | os.PathLike, net: RoadNetwork,
@@ -247,15 +251,14 @@ def read_estimates(path: str | os.PathLike, net: RoadNetwork,
     Each interval must lie on the grid and list every segment once, with
     time_s > 0 and support >= 0.
     """
-    rows: dict[int, list[tuple]] = {}
-    for interval, *row in read_table(path, ESTIMATE_COLUMNS):
-        if not 0 <= interval < grid.interval_count:
-            raise InputDataError(f"{path}: interval {interval} not in 0..{grid.interval_count - 1}")
-        rows.setdefault(interval, []).append(row)
+    groups = group_rows(*read_table(path, ESTIMATE_COLUMNS))
+    off = [iv for iv in groups if not 0 <= iv < grid.interval_count]
+    if off:
+        raise InputDataError(f"{path}: interval {off[0]} not in 0..{grid.interval_count - 1}")
     estimates = {}
-    for iv, r in rows.items():
+    for iv, (ids, time, support) in groups.items():
         source = f"{path}, interval {iv}"
-        time, support = net.segment_columns(source, r)
+        time, support = net.segment_columns(source, ids.tolist(), time, support)
         bad = (time <= 0.0) | (support < 0)
         if np.any(bad):
             k = int(np.argmax(bad))

@@ -3,6 +3,7 @@ computations that only the test suite uses."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -152,6 +153,29 @@ def lag_autocorrelation(series: list[float], lag: int) -> float:
     if var_a == 0.0 or var_b == 0.0:
         return float("nan")
     return float((da @ db) / math.sqrt(var_a * var_b))
+
+
+def write_rows(path, columns, rows) -> None:
+    """The row-at-a-time table writer the columnar ``write_table`` must match byte for byte.
+
+    Each value is formatted by its column's type: ``repr(float(x))`` for
+    floats, ``int(x)`` for ints and ``str(x)`` otherwise.
+    """
+    formats = [{float: lambda x: repr(float(x)), int: int}.get(kind, str) for _, kind in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([name for name, _ in columns])
+        for row in rows:
+            writer.writerow([fmt(value) for fmt, value in zip(formats, row)])
+
+
+def read_rows(path, columns) -> list[tuple]:
+    """The typed rows of a table, read one row at a time: the reference for ``read_table``."""
+    kinds = [kind for _, kind in columns]
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == [name for name, _ in columns]
+        return [tuple(kind(field) for kind, field in zip(kinds, row)) for row in reader if row]
 
 
 def make_grid_network(

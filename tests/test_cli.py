@@ -297,6 +297,22 @@ def test_refine_on_short_trace_row_exits_2_naming_it(world, tmp_path, capsys):
     assert "short_traces.csv, line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,0.0,nan,-122.45\n1,30.0,37.75,-122.45", "coordinate out of range or NaN"),
+    ("1,0.0,37.75,-122.45\n1,inf,37.75,-122.45", "non-finite timestamp"),
+    ("1,30.0,37.75,-122.45\n1,0.0,37.75,-122.45", "timestamps must strictly increase"),
+], ids=["nan-latitude", "infinite-timestamp", "decreasing-timestamps"])
+def test_refine_on_bad_trace_values_exits_2_naming_the_file(world, tmp_path, capsys, rows,
+                                                            message):
+    bad = tmp_path / "bad_traces.csv"
+    bad.write_text(f"vehicle_id,timestamp,lat,lon\n{rows}\n")
+    rc = main(["refine", "--network", world.paths["network"],
+               "--traces", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad_traces.csv: vehicle 1: {message}" in err and "Traceback" not in err
+
+
 def test_import_osm_round_trip(tmp_path):
     xml = """<osm>
       <node id="1" lat="47.600" lon="-122.330"/>
@@ -373,7 +389,7 @@ def test_refine_outputs(world, tmp_path):
     assert read_matched(tmp_path / "matched.csv", world.net)
     assert read_estimates(tmp_path / "estimates.csv", world.net, GRID)
     assert read_estimates(tmp_path / "baseline.csv", world.net, GRID)
-    assert list(read_table(tmp_path / "diagnostics.csv", DIAGNOSTICS_COLUMNS))
+    assert list(zip(*read_table(tmp_path / "diagnostics.csv", DIAGNOSTICS_COLUMNS)))
 
 
 def test_complete_command(world, tmp_path):
@@ -383,7 +399,7 @@ def test_complete_command(world, tmp_path):
     assert rc == 0
     # Same inputs as the pipeline's completion stage, same bytes out.
     assert (tmp_path / "completed.csv").read_bytes() == (world.pipe / "completed.csv").read_bytes()
-    rows = list(read_table(tmp_path / "completed.csv", COMPLETED_COLUMNS))
+    rows = list(zip(*read_table(tmp_path / "completed.csv", COMPLETED_COLUMNS)))
     assert {iv for _sid, iv, _t, _imputed in rows} == set(range(8))
     assert any(imputed for *_, imputed in rows)
 
@@ -790,7 +806,7 @@ def test_pipeline_matches_under_free_flow_once(world, tmp_path, monkeypatch):
     monkeypatch.setattr(mapmatch, "project_to_candidates", counted)
     out = tmp_path / "pipe"
     assert main(["pipeline", "--config", world.cfg, "--out-dir", str(out)]) == 0
-    passes = len(list(read_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS)))
+    passes = len(list(zip(*read_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS))))
     points = sum(len(trace) for trace in read_traces(world.paths["traces"]))
     assert passes >= 1 and points > 0
     assert sum(calls) == passes * points

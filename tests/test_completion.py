@@ -346,7 +346,7 @@ def test_matrix_csv_round_trip(tmp_path):
     p = tmp_path / "matrix.csv"
     write_matrix(mat, p, net)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,observed"
-    assert list(read_table(p, MATRIX_COLUMNS)) == [
+    assert list(zip(*read_table(p, MATRIX_COLUMNS))) == [
         (sid, iv, mat.values[i, iv], int(mat.mask[i, iv]))
         for i, sid in enumerate(net.segment_ids()) for iv in range(GRID8.interval_count)]
 
@@ -359,7 +359,7 @@ def test_completed_csv_round_trip(tmp_path):
     p = tmp_path / "completed.csv"
     write_completed(res, p, net)
     assert p.read_text().splitlines()[0] == "segment_id,interval,time_s,imputed"
-    rows = list(read_table(p, COMPLETED_COLUMNS))
+    rows = list(zip(*read_table(p, COMPLETED_COLUMNS)))
     assert rows == [(sid, iv, res.matrix.values[i, iv], int(res.imputed[i, iv]))
                     for i, sid in enumerate(net.segment_ids())
                     for iv in range(GRID8.interval_count)]
@@ -376,6 +376,6 @@ def test_csv_readers_reject_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("wrong,header\n1,2\n")
     with pytest.raises(InputDataError):
-        list(read_table(p, MATRIX_COLUMNS))
+        list(zip(*read_table(p, MATRIX_COLUMNS)))
     with pytest.raises(InputDataError):
-        list(read_table(p, COMPLETED_COLUMNS))
+        list(zip(*read_table(p, COMPLETED_COLUMNS)))

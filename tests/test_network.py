@@ -32,7 +32,6 @@ from probeflow.network import (
     write_tazs,
 )
 from probeflow.network import _candidate_grid
-from probeflow.tables import fmt_float
 
 from conftest import make_grid_network
 
@@ -129,13 +128,13 @@ def test_network_adjacency_and_arrays():
     assert net.n_nodes == 2 and net.n_segments == 2
     assert net.seg_from.tolist() == [net.node_index(1), net.node_index(2)]
     assert net.seg_to.tolist() == [net.node_index(2), net.node_index(1)]
-    (times,) = net.segment_columns("times.csv", [(1, 7.0), (0, 5.0)])
+    (times,) = net.segment_columns("times.csv", [1, 0], [7.0, 5.0])
     assert list(times) == [5.0, 7.0]
     with pytest.raises(InputDataError):
-        net.segment_columns("times.csv", [(0, 5.0)])
+        net.segment_columns("times.csv", [0], [5.0])
     for bad in (math.nan, math.inf):
         with pytest.raises(InputDataError, match="times.csv: segment 1"):
-            net.segment_columns("times.csv", [(0, 5.0, 2), (1, bad, 3)])
+            net.segment_columns("times.csv", [0, 1], [5.0, bad], [2, 3])
     with pytest.raises(InputDataError, match="times.csv: unknown segment id 99"):
         net.segment_indices("times.csv", [0, 99])
 
@@ -153,16 +152,6 @@ def test_time_grid():
         TimeGrid(3600, 100)
     with pytest.raises(InputDataError):
         TimeGrid(-3600, -168)
-
-
-def test_fmt_float_round_trip():
-    assert fmt_float(0.1) == "0.1"
-    assert fmt_float(1.0) == "1.0"
-    assert fmt_float(np.float64(0.25)) == "0.25"
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        x = float(rng.uniform(-1e6, 1e6)) * 10 ** int(rng.integers(-6, 7))
-        assert float(fmt_float(x)) == x
 
 
 # ---------------------------------------------------------------------------

@@ -466,4 +466,4 @@ def test_objective_trace_round_trip(tmp_path):
     records = [ObjectiveRecord(0, 54.25), ObjectiveRecord(5, 12.0), ObjectiveRecord(10, 3.5)]
     p = tmp_path / "trace.csv"
     write_objective_trace(records, p)
-    assert list(read_table(p, OBJECTIVE_COLUMNS)) == [(0, 54.25), (5, 12.0), (10, 3.5)]
+    assert list(zip(*read_table(p, OBJECTIVE_COLUMNS))) == [(0, 54.25), (5, 12.0), (10, 3.5)]

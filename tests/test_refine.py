@@ -272,8 +272,8 @@ def test_diagnostics_csv_round_trip(tmp_path):
     ])
     p = tmp_path / "diag.csv"
     write_diagnostics(diag, p)
-    assert list(read_table(p, DIAGNOSTICS_COLUMNS)) == [(0, 123.5, -456.25, 20, 0.75),
-                                                        (1, 100.0, -400.0, 3, 0.002)]
+    assert list(zip(*read_table(p, DIAGNOSTICS_COLUMNS))) == [(0, 123.5, -456.25, 20, 0.75),
+                                                              (1, 100.0, -400.0, 3, 0.002)]
     assert p.read_text().splitlines()[0] == "iteration,residual,viterbi_score,changed_paths,max_rel_change"
 
 
@@ -281,4 +281,4 @@ def test_read_diagnostics_rejects_garbage(tmp_path):
     p = tmp_path / "diag.csv"
     p.write_text("iteration,residual,viterbi_score,changed_paths,max_rel_change\n0,x,1,2,3\n")
     with pytest.raises(InputDataError):
-        list(read_table(p, DIAGNOSTICS_COLUMNS))
+        list(zip(*read_table(p, DIAGNOSTICS_COLUMNS)))

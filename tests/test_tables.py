@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import probeflow
@@ -19,9 +19,12 @@ from probeflow import assignment, evaluation, mapmatch, network, odestim, traceg
 from probeflow.errors import InputDataError
 from probeflow.tables import read_table, write_table
 
-from conftest import make_corridor_network
+from conftest import make_corridor_network, read_rows, write_rows
 
 COLUMNS = (("id", int), ("value", float), ("label", str))
+
+FUZZ_TABLES = settings(max_examples=150, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 NET2 = make_corridor_network(n_segs=2)
 
@@ -90,9 +93,62 @@ def header(columns) -> bytes:
 
 def test_write_table_formats_by_declared_type(tmp_path):
     p = tmp_path / "t.csv"
-    write_table(p, COLUMNS, [(np.int64(3), 1, "a,b"), (np.True_, np.float64(0.1), 7)])
+    write_table(p, COLUMNS, ([np.int64(3), np.True_], [1, np.float64(0.1)], ["a,b", 7]))
     assert p.read_bytes() == b'id,value,label\r\n3,1.0,"a,b"\r\n1,0.1,7\r\n'
-    assert list(read_table(p, COLUMNS)) == [(3, 1.0, "a,b"), (1, 0.1, "7")]
+    assert list(zip(*read_table(p, COLUMNS))) == [(3, 1.0, "a,b"), (1, 0.1, "7")]
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+INTEGRAL_FLOATS = st.integers(-2**53, 2**53).map(float)
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0])
+# Values a writer may hand to each type of column: one scalar at a time,
+# or a whole numpy array.
+SCALARS = {
+    int: st.one_of(INT64, INT64.map(np.int64), st.booleans().map(np.bool_),
+                   INTEGRAL_FLOATS.map(np.float64)),
+    float: st.one_of(st.floats(), EDGE_FLOATS, st.floats().map(np.float64), INT64,
+                     INT64.map(np.int64), st.booleans().map(np.bool_)),
+    str: st.one_of(st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\x00")),
+                   st.sampled_from([",", '"', "\n", "\r", "", 'a,"b"\r\nc'])),
+}
+ARRAYS = {
+    int: [(INT64, np.int64), (st.booleans(), np.bool_), (INTEGRAL_FLOATS, np.float64)],
+    float: [(st.one_of(st.floats(), EDGE_FLOATS), np.float64), (INT64, np.int64),
+            (st.booleans(), np.bool_)],
+}
+
+
+@st.composite
+def tables(draw):
+    """A column spec and one column of values per column, as lists or numpy arrays."""
+    n = draw(st.integers(0, 12))
+    spec = tuple((f"c{i}", draw(st.sampled_from([int, float, str])))
+                 for i in range(draw(st.integers(1, 4))))
+    data = []
+    for _, kind in spec:
+        if kind is not str and draw(st.booleans()):
+            values, dtype = draw(st.sampled_from(ARRAYS[kind]))
+            data.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+        else:
+            data.append(draw(st.lists(SCALARS[kind], min_size=n, max_size=n)))
+    return spec, data
+
+
+@FUZZ_TABLES
+@given(table=tables())
+@example(table=((("x", float), ("n", int), ("s", str)),
+                [[0.1, 1.0, np.float64(0.25), -0.0, 5e-324, 1.7976931348623157e308],
+                 np.array([0, -2**63, 2**63 - 1, 1, 0, 7]), [",", '"', "\n", "\r", "", "a"]]))
+def test_write_table_bytes_equal_row_writer_and_read_back(tmp_path, table):
+    spec, data = table
+    columnar, rows = tmp_path / "columnar.csv", tmp_path / "rows.csv"
+    write_table(columnar, spec, data)
+    write_rows(rows, spec, zip(*data))
+    assert columnar.read_bytes() == rows.read_bytes()
+    expected = {int: int, float: lambda x: repr(float(x)), str: str}
+    got = {int: int, float: repr, str: str}
+    for (_, kind), values, back in zip(spec, data, read_table(columnar, spec), strict=True):
+        assert [got[kind](x) for x in back] == [expected[kind](x) for x in values]
 
 
 def test_read_table_checks_header_names_and_order(tmp_path):
@@ -113,13 +169,37 @@ def test_read_table_names_the_line_of_a_non_utf8_byte(tmp_path):
         list(read_table(p, COLUMNS))
 
 
+@pytest.mark.parametrize("bad", [b"7,x,a", b"7,1.0,\xff", b"7,1.0", b"9223372036854775808,1.0,a"],
+                         ids=["field", "not-utf8", "short", "int64"])
+def test_read_table_names_a_bad_line_past_the_first_block(tmp_path, bad):
+    p = tmp_path / "t.csv"
+    rows = [b"%d,%d.5,r%d" % (i, i, i) for i in range(6000)]
+    rows[4998] = bad
+    p.write_bytes(b"id,value,label\n" + b"\n".join(rows) + b"\n")
+    with pytest.raises(InputDataError, match=r"t\.csv, line 5000: "):
+        read_table(p, COLUMNS)
+
+
 def test_read_table_skips_blank_lines_and_names_bad_line(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("id,value,label\n1,2.0,a\n\n2,x,b\n")
-    rows = read_table(p, COLUMNS)
-    assert next(rows) == (1, 2.0, "a")
     with pytest.raises(InputDataError, match=r"t\.csv, line 4"):
-        next(rows)
+        read_table(p, COLUMNS)
+    p.write_text("id,value,label\n1,2.0,a\n\n2,3.0,b\n")
+    assert read_table(p, COLUMNS) == [[1, 2], [2.0, 3.0], ["a", "b"]]
+
+
+def test_read_table_on_blank_lines_and_mixed_line_endings_equals_row_reader(tmp_path):
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(1500):
+        lines.append(b'%d,%r,"r%d\r\nx"' % (i, float(rng.normal()), i) if i % 7 else
+                     b"%d,%r,r%d" % (i, float(rng.normal()), i))
+        lines += [b""] * (300 if i == 600 else int(rng.integers(0, 3)) * int(rng.random() < 0.2))
+    endings = rng.choice([b"\n", b"\r\n"], size=len(lines))
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"id,value,label\r\n" + b"".join(map(bytes.__add__, lines, endings)))
+    assert read_table(p, COLUMNS) == [list(col) for col in zip(*read_rows(p, COLUMNS))]
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
