@@ -29,7 +29,6 @@ tooling never mistakes them for converged results.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -251,6 +250,8 @@ _SECTIONS: dict[str, type] = {f.name: f.default_factory for f in fields(Pipeline
 
 def stage_seed(stage: str, seed: int) -> int:
     """Per-stage seed: a stable hash of the stage name and the global seed."""
+    import hashlib  # loads OpenSSL, so only gen-traces and pipeline import it
+
     digest = hashlib.sha256(f"{stage}:{seed}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -546,6 +547,8 @@ def _cmd_export_geojson(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[P
 
 
 def _write_manifest(out: Path, artifacts: list[Path], partial: bool) -> None:
+    import hashlib  # loads OpenSSL, so only gen-traces and pipeline import it
+
     doc = {"artifacts": {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(set(artifacts))

@@ -165,7 +165,11 @@ class CompletionParams:
 def default_threshold(values: np.ndarray, mask: np.ndarray) -> float:
     """Scale-aware shrinkage default: 0.5 * sqrt(n*m) * median(observed)."""
     n, m = values.shape
-    return 0.5 * math.sqrt(n * m) * float(np.median(values[mask]))
+    # The median as np.median gives it, which would import numpy.ma.
+    ordered = np.sort(values[mask])
+    k = len(ordered) // 2
+    median = ordered[k] if len(ordered) % 2 else (ordered[k - 1] + ordered[k]) / 2.0
+    return 0.5 * math.sqrt(n * m) * float(median)
 
 
 def complete(

@@ -20,10 +20,13 @@ within the search radius, and wherever the lattice has no routable
 continuation. Pieces with fewer than two points are dropped.
 
 ``match_traces`` takes one router per trace and matches in chunks of
-consecutive traces that share a router: one candidate projection, one
-lattice over all the chunk's runs and one route resolution per chunk,
-then Viterbi per run. Every piece equals the one a trace matched alone
-under its router gives, bit for bit.
+consecutive traces, cut only where the chunk would pass ``_CHUNK_FIXES``
+fixes, whatever the traces' routers. A chunk makes one candidate
+projection, one padded lattice over all its runs (each leg routed and
+timed under its own trace's router, one route resolution per router)
+and one Viterbi pass that steps every run a layer at a time. Every
+piece equals the one a trace matched alone under its router gives, bit
+for bit.
 
 Emission and transition scores come from one lattice builder
 (``_lattice``), so rescoring a fixed assignment on a one-candidate lattice
@@ -148,42 +151,6 @@ def transition_logp(
     if params.tt_tau > 0.0:
         score -= params.tt_tau * abs(route_tt - obs_dt) / obs_dt
     return score
-
-
-# ---------------------------------------------------------------------------
-# Viterbi
-# ---------------------------------------------------------------------------
-
-
-def _viterbi_partial(
-    emissions: list[np.ndarray],
-    transitions: list[np.ndarray],
-) -> tuple[list[int], float, int]:
-    """Forward pass that stops where the lattice loses all finite states.
-
-    Returns (candidate indices, score, layers decoded); the index list
-    covers exactly the decoded prefix. Ties resolve to the smallest
-    candidate index at every layer (first argmax).
-    """
-    v = np.asarray(emissions[0], dtype=float)
-    backs: list[np.ndarray] = []
-    for trans, emission in zip(transitions, emissions[1:]):
-        cand = v[:, None] + np.asarray(trans, dtype=float)
-        best = cand.argmax(axis=0)
-        # Each column's maximum is its value at the first argmax.
-        nxt = cand.max(axis=0) + np.asarray(emission, dtype=float)
-        if not np.isfinite(nxt).any():
-            break
-        v = nxt
-        backs.append(best)
-    j = int(np.argmax(v))
-    score = float(v[j])
-    path = [j]
-    for back in reversed(backs):
-        j = int(back[j])
-        path.append(j)
-    path.reverse()
-    return path, score, len(backs) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +279,34 @@ def match_traces(
     """Match each trace under its router's travel times; see the module docstring.
 
     ``routers`` holds one router per trace. Chunks hold consecutive traces
-    that share a router (the same object), at most ``_CHUNK_FIXES`` fixes
-    (a longer trace is a chunk of its own). Pieces come in trace order,
-    each trace's numbered from 0. When ``baseline`` is a list, every trace
-    is decoded a second time with tt_tau = 0 on the same lattices (only
-    the transition scores differ), and those pieces are appended to it.
-    They equal ``match_traces`` under tt_tau = 0 bit for bit; ``refine``
-    takes the tandem baseline from them.
+    with at most ``_CHUNK_FIXES`` fixes in all (a longer trace is a chunk
+    of its own), whatever their routers. Pieces come in trace order, each
+    trace's numbered from 0. When ``baseline`` is a list, every trace is
+    decoded a second time with tt_tau = 0 on the same lattices (only the
+    transition scores differ), and those pieces are appended to it. They
+    equal ``match_traces`` under tt_tau = 0 bit for bit; ``refine`` takes
+    the tandem baseline from them.
     """
     param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
     outs: list[list[MatchedPath]] = [[] for _ in param_sets]
-    chunk: list[GpsTrace] = []
-    fixes = 0
-    router = None
-    for trace, trace_router in zip(traces, routers, strict=True):
-        if chunk and (trace_router is not router or fixes + len(trace) > _CHUNK_FIXES):
-            _match_chunk(net, chunk, router, param_sets, outs)
-            chunk, fixes = [], 0
-        chunk.append(trace)
+    pairs = list(zip(traces, routers, strict=True))
+    first = fixes = 0
+    for i, trace in enumerate(traces):
+        if i > first and fixes + len(trace) > _CHUNK_FIXES:
+            _match_chunk(net, pairs[first:i], param_sets, outs)
+            first, fixes = i, 0
         fixes += len(trace)
-        router = trace_router
-    if chunk:
-        _match_chunk(net, chunk, router, param_sets, outs)
+    if pairs:
+        _match_chunk(net, pairs[first:], param_sets, outs)
     if baseline is not None:
         baseline.extend(outs[1])
     return outs[0]
 
 
-def _match_chunk(net, traces, router, param_sets, outs) -> None:
-    """Match consecutive traces, appending one parameter set's pieces to each of ``outs``."""
+def _match_chunk(net, pairs, param_sets, outs) -> None:
+    """Match consecutive (trace, router) pairs; each of ``outs`` gets one parameter set's pieces."""
     params = param_sets[0]
+    traces = [trace for trace, _ in pairs]
     fixes = _Fixes.of(traces)
     fix, seg, off, _ = project_to_candidates(net, fixes.lat, fixes.lon, fixes.mlon,
                                              params.radius, _MAX_CANDIDATES)
@@ -359,49 +324,57 @@ def _match_chunk(net, traces, router, param_sets, outs) -> None:
         return
     layers = np.flatnonzero(counts)
     bounds = np.cumsum([0] + [hi - lo for _, lo, hi in runs]).tolist()
-    emissions, transitions, lengths = _lattice(net, fixes.take(layers), counts[layers], bounds,
-                                               seg, off, router, param_sets)
+    emission, transitions, lengths = _lattice(
+        net, fixes.take(layers), counts[layers], bounds, seg, off,
+        [pairs[i][1] for i, _, _ in runs], param_sets)
     starts = np.concatenate(([0], np.cumsum(counts[layers]))).tolist()  # each layer's first row
-    current = -1
-    for (i, lo, _), a, b in zip(runs, bounds, bounds[1:]):
-        if i != current:  # each trace numbers its pieces from 0
-            current, trace, numbered = i, traces[i], [len(out) for out in outs]
-        for out, n0, trans in zip(outs, numbered, transitions):
-            for points, chosen, leg_lens, score in _decode_run(
-                    lo, starts[a:b], emissions[a:b], trans[a:b - 1], lengths[a:b - 1]):
-                if len(points) < 2:
-                    continue
-                segs, offs = seg[chosen].tolist(), off[chosen].tolist()
-                path, entry = _build_path(router, points, trace, segs, offs, leg_lens)
-                out.append(MatchedPath(
-                    vehicle_id=trace.vehicle_id, piece=len(out) - n0, segments=path,
-                    entry_times=entry, log_score=score, first_point=points[0],
-                    last_point=points[-1], assignment=list(zip(segs, offs))))
+    for out, transition in zip(outs, transitions):
+        current = -1
+        for r, a, picked, leg_lens, score in _viterbi(emission, transition, lengths, bounds):
+            i, lo, _ = runs[r]
+            if i != current:  # each trace numbers its pieces from 0
+                current, n0 = i, len(out)
+                trace, router = pairs[i]
+            if len(picked) < 2:
+                continue
+            p0 = lo + a - bounds[r]  # the trace point of layer a
+            points = list(range(p0, p0 + len(picked)))
+            chosen = [starts[a + k] + c for k, c in enumerate(picked)]
+            segs, offs = seg[chosen].tolist(), off[chosen].tolist()
+            path, entry = _build_path(router, points, trace, segs, offs, leg_lens)
+            out.append(MatchedPath(
+                vehicle_id=trace.vehicle_id, piece=len(out) - n0, segments=path,
+                entry_times=entry, log_score=score, first_point=points[0],
+                last_point=points[-1], assignment=list(zip(segs, offs))))
 
 
-def _lattice(net, fixes, counts, runs, seg, off, router, param_sets):
+def _lattice(net, fixes, counts, runs, seg, off, routers, param_sets):
     """Emissions, transitions and leg lengths of the candidate lattices of several runs.
 
     Layer k holds the candidates of fix k of ``fixes``: the next
     ``counts[k]`` rows of ``seg`` (segment indices) and ``off``
-    (offsets). Run r is layers ``runs[r]`` to ``runs[r + 1]``, and legs
-    join consecutive layers only inside a run. Matrix k covers the legs
-    from layer k to layer k+1, entry [a, b] the leg from candidate a to
-    candidate b, and is None where layer k ends a run; the matrices are
-    views into one flat array over every leg. A leg that stays on one
-    segment without going backwards is direct; any other routes from
-    the end of its first segment to the start of its second (which
-    covers loops back onto the same segment), with one ``Router.reach``
-    per distinct source over all runs. The great-circle distance and
-    the time between fixes are taken per linked layer pair. The
-    parameter sets differ at most in tt_tau; each gets one list of
-    transition matrices. Every float equals the scalar formulas
-    (``position_on_segment``, ``math.hypot``, ``emission_logp``,
-    ``transition_logp`` on one leg), bit for bit.
+    (offsets). Run r is layers ``runs[r]`` to ``runs[r + 1]``, routed by
+    ``routers[r]``, and legs join consecutive layers only inside a run.
+    With w the largest count, the emissions are a layers x w array and
+    each parameter set's transitions, like the leg lengths, a layers x w
+    x w array: entry [k, a, b] covers the leg from candidate a of layer
+    k to candidate b of layer k+1. Entries with no candidate or no leg
+    hold -inf (emissions and transitions) or nan (lengths). A leg that
+    stays on one segment without going backwards is direct; any other
+    routes from the end of its first segment to the start of its second
+    (which covers loops back onto the same segment), with one
+    ``Router.reach`` per distinct (router, source) over all runs, and
+    takes its times from its run's router. The great-circle distance
+    and the time between fixes are taken per linked layer pair. The
+    parameter sets differ at most in tt_tau. Every float equals the
+    scalar formulas (``position_on_segment``, ``math.hypot``,
+    ``emission_logp``, ``transition_logp`` on one leg), bit for bit.
     """
-    layer = np.repeat(np.arange(len(counts)), counts)
+    n, w = len(counts), int(counts.max())
+    layer = np.repeat(np.arange(n), counts)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    linked = np.ones(len(counts), dtype=bool)  # layer k has legs to layer k+1
+    col = np.arange(len(seg)) - starts[layer]  # each row's candidate index in its layer
+    linked = np.ones(n, dtype=bool)  # layer k has legs to layer k+1
     linked[np.asarray(runs[1:]) - 1] = False
 
     # Emissions: the elementwise ops of position_on_segment and math.hypot.
@@ -411,7 +384,8 @@ def _lattice(net, fixes, counts, runs, seg, off, router, param_sets):
     dy = (alat + frac * (net._seg_blat[seg] - alat) - fixes.lat[layer]) * M_PER_DEG_LAT
     dx = (alon + frac * (net._seg_blon[seg] - alon) - fixes.lon[layer]) * fixes.mlon[layer]
     dist = np.fromiter(map(math.hypot, dy.tolist(), dx.tolist()), float, len(seg))
-    emission = emission_logp(dist, param_sets[0].gps_sigma)
+    emission = np.full((n, w), -math.inf)
+    emission[layer, col] = emission_logp(dist, param_sets[0].gps_sigma)
 
     # Every leg: row a of a linked layer against each row b of the next layer.
     rows = np.flatnonzero(linked[layer])
@@ -422,48 +396,52 @@ def _lattice(net, fixes, counts, runs, seg, off, router, param_sets):
     seg_a, seg_b, off_a, off_b = seg[ia], seg[ib], off[ia], off[ib]
     us, vs = net.seg_to[seg_a], net.seg_from[seg_b]
     direct = (seg_a == seg_b) & (off_b >= off_a)
-    mid_tt, mid_len = _routes(router, us, vs, ~direct & (us != vs))
-    t = router.times
+    routed = ~direct & (us != vs)
+    # Each leg's router, numbered in order of first use.
+    index: dict[Router, int] = {}
+    of_run = np.array([index.setdefault(router, len(index)) for router in routers])
+    leg_router = np.repeat(of_run, np.diff(runs))[layer[ia]]
+    mid_tt, mid_len = np.zeros(len(ia)), np.zeros(len(ia))
+    t_a, t_b = np.empty(len(ia)), np.empty(len(ia))
+    for k, router in enumerate(index):
+        mine = leg_router == k
+        t_a[mine], t_b[mine] = router.times[seg_a[mine]], router.times[seg_b[mine]]
+        legs = np.flatnonzero(mine & routed)
+        if len(legs):
+            mid_tt[legs], mid_len[legs] = _routes(router, us[legs], vs[legs])
     len_a = length[ia]
     head = len_a - off_a
     step = off_b - off_a
     leg_len = np.where(direct, step, head + mid_len + off_b)
-    leg_tt = np.where(direct, t[seg_a] * (step / len_a),
-                      t[seg_a] * (head / len_a) + mid_tt + t[seg_b] * (off_b / length[ib]))
+    leg_tt = np.where(direct, t_a * (step / len_a),
+                      t_a * (head / len_a) + mid_tt + t_b * (off_b / length[ib]))
 
     # Great-circle distance and time between the fixes of each linked pair, per leg.
     la, lo = fixes.lat.tolist(), fixes.lon.tolist()
     pairs = np.flatnonzero(linked[:-1])
-    gc = np.zeros(len(counts))
+    gc = np.zeros(n)
     gc[pairs] = [haversine((la[k], lo[k]), (la[k + 1], lo[k + 1])) for k in pairs.tolist()]
     pair = layer[ia]
     gc, dt = gc[pair], np.diff(fixes.t)[pair]
 
-    sizes, link = counts.tolist(), linked.tolist()
-    bounds = [0, *np.cumsum(np.where(linked[:-1], counts[:-1] * counts[1:], 0)).tolist()]
+    def padded(flat, fill):
+        out = np.full((n, w, w), fill)
+        out[pair, col[ia], col[ib]] = flat
+        return out
 
-    def matrices(flat):
-        return [flat[b0:b1].reshape(na, nb) if linked_k else None
-                for b0, b1, na, nb, linked_k in zip(bounds, bounds[1:], sizes, sizes[1:], link)]
-
-    emissions = [emission[a:b] for a, b in zip(starts.tolist(), starts[1:].tolist())]
-    transitions = [matrices(transition_logp(leg_len, gc, leg_tt, dt, params))
+    transitions = [padded(transition_logp(leg_len, gc, leg_tt, dt, params), -math.inf)
                    for params in param_sets]
-    return emissions, transitions, matrices(leg_len)
+    return emission, transitions, padded(leg_len, math.nan)
 
 
-def _routes(router: Router, us: np.ndarray, vs: np.ndarray,
-            need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(time, length) of the fastest route from node us[e] to vs[e] where need[e], else 0.
+def _routes(router: Router, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(time, length) of the fastest route from node us[e] to vs[e], inf where unreachable.
 
     Each distinct source is searched once, up to the sorted union of its
-    targets; unreachable targets give inf.
+    targets.
     """
-    mid_tt, mid_len = np.zeros(len(us)), np.zeros(len(us))
-    if not need.any():
-        return mid_tt, mid_len
     n = router.net.n_nodes
-    keys = us[need] * n + vs[need]
+    keys = us * n + vs
     pairs = np.sort(keys)
     pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
     src, dst = np.divmod(pairs, n)
@@ -472,27 +450,68 @@ def _routes(router: Router, us: np.ndarray, vs: np.ndarray,
     for a, b, u in zip(bounds, bounds[1:], src[bounds[:-1]].tolist()):
         tt[a:b], ll[a:b] = router.reach(u, dst[a:b])
     found = np.searchsorted(pairs, keys)
-    mid_tt[need], mid_len[need] = tt[found], ll[found]
-    return mid_tt, mid_len
+    return tt[found], ll[found]
 
 
-def _decode_run(first, starts, emissions, transitions, lengths):
-    """Viterbi over one run's lattice, splitting further where it breaks.
+def _viterbi(emission, transition, length, runs):
+    """Viterbi over every run of a padded lattice at once, splitting runs where they break.
 
-    The run starts at trace point ``first``, and ``starts[k]`` is the
-    first candidate row of layer k. Each sub-piece decodes a slice of
-    the lattice. Yields (point indices, chosen candidate rows, leg
-    lengths, score) per decoded sub-piece; leg k connects point k to
-    point k+1.
+    ``emission``, ``transition`` and ``length`` are one parameter set's
+    arrays from ``_lattice``, and run r is layers ``runs[r]`` to
+    ``runs[r + 1]``. Every run steps one layer per depth, all in one
+    array operation. A run whose next layer keeps no finite state ends
+    its sub-piece at the layer before and restarts at that layer. Ties
+    resolve to the smallest candidate index at every layer (first
+    argmax); the -inf padding never wins a maximum or a first argmax
+    that a candidate could, so every score and path equals a decode of
+    the unpadded run. Returns (run, first layer, chosen candidate
+    indices, leg lengths, score) per sub-piece, in layer order; leg k
+    joins chosen candidate k to chosen candidate k+1.
     """
-    start = 0
-    while start < len(emissions):
-        idxs, score, decoded = _viterbi_partial(emissions[start:], transitions[start:])
-        points = list(range(first + start, first + start + decoded))
-        chosen = [starts[start + k] + i for k, i in enumerate(idxs)]
-        leg_lens = [float(lengths[start + k][idxs[k], idxs[k + 1]]) for k in range(decoded - 1)]
-        yield points, chosen, leg_lens, score
-        start += decoded
+    n_layers, w = emission.shape
+    first = np.asarray(runs[:-1])
+    size = np.diff(runs)
+    order = np.argsort(-size, kind="stable")  # longest first: live runs are a prefix
+    first, size = first[order], size[order]
+    back = np.zeros((n_layers, w), dtype=np.intp)  # best predecessor of each state
+    stops, finals = [], []  # each sub-piece's stop layer and last layer's scores
+    v = emission[first]
+    for depth in range(1, int(size[0])):
+        live = int(np.count_nonzero(size > depth))
+        stops.append(first[live:len(v)] + depth)
+        finals.append(v[live:])
+        v = v[:live]
+        k = first[:live] + depth
+        cand = v[:, :, None] + transition[k - 1]
+        back[k] = cand.argmax(axis=1)
+        # Each column's maximum is its value at the first argmax.
+        nxt = cand.max(axis=1) + emission[k]
+        dead = ~np.isfinite(nxt).any(axis=1)
+        if dead.any():
+            stops.append(k[dead])
+            finals.append(v[dead])
+            nxt[dead] = emission[k[dead]]
+        v = nxt
+    stops.append(first[:len(v)] + size[:len(v)])
+    finals.append(v)
+
+    stop = np.concatenate(stops)
+    final = np.concatenate(finals)
+    at = np.argsort(stop)  # sub-pieces tile the layers, so they sort by stop
+    stop, final = stop[at].tolist(), final[at]
+    best = final.argmax(axis=1)
+    score = final[np.arange(len(best)), best].tolist()
+    backs, pick = back.tolist(), [0] * n_layers
+    a = 0
+    for b, j in zip(stop, best.tolist()):
+        pick[b - 1] = j
+        for k in range(b - 1, a, -1):
+            j = pick[k - 1] = backs[k][j]
+        a = b
+    leg = length[np.arange(n_layers - 1), pick[:-1], pick[1:]].tolist()
+    run = np.searchsorted(runs, [0, *stop[:-1]], side="right") - 1
+    return [(r, a, pick[a:b], leg[a:b - 1], s)
+            for r, a, b, s in zip(run.tolist(), [0, *stop[:-1]], stop, score)]
 
 
 # ---------------------------------------------------------------------------

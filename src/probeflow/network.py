@@ -32,7 +32,6 @@ import json
 import logging
 import math
 import os
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -656,7 +655,10 @@ class Router:
         """
         if u == v:
             return []
-        pred = self._search(u, [v]).pred
+        tree = self._trees.get(u)
+        if tree is None or (tree.heap is not None and not tree.settled[v]):
+            tree = self._search(u, [v])
+        pred = tree.pred
         if pred[v] < 0:
             return None
         path = []
@@ -694,6 +696,8 @@ def import_osm(source: bytes | str | os.PathLike | object) -> RoadNetwork:
     segments end up in the network. Malformed XML raises InputDataError
     with the parser's line/column message.
     """
+    import xml.etree.ElementTree as ET  # loads Expat, so only import-osm imports it
+
     try:
         if isinstance(source, bytes):
             root = ET.fromstring(source)

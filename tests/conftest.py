@@ -65,6 +65,60 @@ def kkt_max_violation(
     return float(np.max(viol)) if len(viol) else 0.0
 
 
+def viterbi_partial(
+    emissions: list[np.ndarray],
+    transitions: list[np.ndarray],
+) -> tuple[list[int], float, int]:
+    """Forward pass that stops where the lattice loses all finite states.
+
+    Returns (candidate indices, score, layers decoded); the index list
+    covers exactly the decoded prefix. Ties resolve to the smallest
+    candidate index at every layer (first argmax).
+    """
+    v = np.asarray(emissions[0], dtype=float)
+    backs: list[np.ndarray] = []
+    for trans, emission in zip(transitions, emissions[1:]):
+        cand = v[:, None] + np.asarray(trans, dtype=float)
+        best = cand.argmax(axis=0)
+        # Each column's maximum is its value at the first argmax.
+        nxt = cand.max(axis=0) + np.asarray(emission, dtype=float)
+        if not np.isfinite(nxt).any():
+            break
+        v = nxt
+        backs.append(best)
+    j = int(np.argmax(v))
+    score = float(v[j])
+    path = [j]
+    for back in reversed(backs):
+        j = int(back[j])
+        path.append(j)
+    path.reverse()
+    return path, score, len(backs) + 1
+
+
+def decode_run(first, starts, emissions, transitions, lengths):
+    """Viterbi over one run's unpadded lattice, one layer at a time, splitting where it breaks.
+
+    The per-run oracle of ``mapmatch._viterbi``. The run starts at trace
+    point ``first``, and ``starts[k]`` is the first candidate row of
+    layer k; ``emissions[k]`` scores layer k's candidates, and
+    ``transitions[k]`` and ``lengths[k]`` are the (layer k) x (layer k+1)
+    matrices. Each sub-piece decodes a slice of the lattice. Returns
+    (point indices, chosen candidate rows, leg lengths, score) per
+    decoded sub-piece; leg k connects point k to point k+1.
+    """
+    pieces = []
+    start = 0
+    while start < len(emissions):
+        idxs, score, decoded = viterbi_partial(emissions[start:], transitions[start:])
+        points = list(range(first + start, first + start + decoded))
+        chosen = [starts[start + k] + i for k, i in enumerate(idxs)]
+        leg_lens = [float(lengths[start + k][idxs[k], idxs[k + 1]]) for k in range(decoded - 1)]
+        pieces.append((points, chosen, leg_lens, score))
+        start += decoded
+    return pieces
+
+
 def viterbi_decode(
     emissions: list[np.ndarray],
     transitions: list[np.ndarray],
@@ -81,7 +135,7 @@ def viterbi_decode(
         raise InputDataError("need exactly one transition matrix per layer pair")
     if any(len(e) == 0 for e in emissions):
         return None
-    path, score, decoded = mapmatch._viterbi_partial(emissions, transitions)
+    path, score, decoded = viterbi_partial(emissions, transitions)
     if decoded < n_layers or not math.isfinite(score):
         return None
     return path, score
@@ -105,15 +159,15 @@ def score_assignment(
         raise InputDataError("assignment length does not match point count")
     seg = np.array([j for j, _ in assignment], dtype=np.int64)
     off = np.array([o for _, o in assignment], dtype=float)
-    emissions, (transitions,), _ = mapmatch._lattice(
+    emission, (transition,), _ = mapmatch._lattice(
         net, mapmatch._Fixes.of([trace]).take(points), np.ones(len(points), np.int64),
-        [0, len(points)], seg, off, router, [params])
+        [0, len(points)], seg, off, [router], [params])
     # Accumulation order mirrors the Viterbi recursion exactly, so identical
     # assignments under identical times produce the identical float.
-    total = emissions[0][0]
-    for trans, emission in zip(transitions, emissions[1:]):
-        total = total + trans[0, 0]
-        total = total + emission[0]
+    total = emission[0, 0]
+    for k in range(1, len(points)):
+        total = total + transition[k - 1, 0, 0]
+        total = total + emission[k, 0]
     return float(total)
 
 

@@ -6,7 +6,10 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -713,6 +716,36 @@ def test_pipeline_solver_failure_writes_partial_manifest(world, tmp_path):
 # ---------------------------------------------------------------------------
 # Reproducibility
 # ---------------------------------------------------------------------------
+
+
+def test_commands_load_only_the_libraries_they_use(world, tmp_path):
+    """No command loads scipy; refine and complete load no OpenSSL, Expat, numpy.ma or numpy.random.
+
+    Each costs resident memory and start-up time in every process that
+    imports it: scipy tens of MB, OpenSSL (``_hashlib``) 3.6 MB, and
+    numpy.ma 2 MB. A fresh interpreter shows what importing the CLI
+    pulls in, and what running refine and then complete on the test
+    world adds.
+    """
+    code = (
+        "import sys\n"
+        "from probeflow.cli import main\n"
+        "cfg, out, estimates = sys.argv[1:]\n"
+        "unused = ('scipy', '_hashlib', 'xml.etree', 'pyexpat', 'numpy.ma', 'numpy.random')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if any(m == u or m.startswith(u + '.') for u in unused))\n"
+        "assert not loaded(), f'import probeflow.cli loads {loaded()}'\n"
+        "assert main(['refine', '--config', cfg, '--out-dir', out]) == 0\n"
+        "assert main(['complete', '--config', cfg, '--out-dir', out,\n"
+        "             '--estimates', estimates]) == 0\n"
+        "assert not loaded(), f'refine and complete load {loaded()}'\n"
+    )
+    src = str(Path(network.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code, world.cfg, str(tmp_path),
+                    str(world.pipe / "estimates.csv")],
+                   env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
 def test_stage_seed_is_frozen():

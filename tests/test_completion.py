@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probeflow.completion import (
@@ -260,6 +261,29 @@ def test_default_threshold_value_and_run():
     assert res.iterations >= 1
     assert np.array_equal(res.matrix.values[mat.mask], original[mat.mask])
     assert np.all(res.matrix.values >= mat.free_flow[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(st.sampled_from([1.0, 2.5, 7.0]) | st.floats(1e-3, 1e6),
+                                st.booleans()), min_size=1, max_size=36),
+       columns=st.sampled_from([1, 2, 3]))
+@example(cells=[(3.0, True), (1.0, True), (2.0, True)], columns=1)
+@example(cells=[(4.0, True), (1.0, True), (9.0, False), (2.0, True), (3.0, True), (5.0, False)],
+         columns=2)
+@example(cells=[(2.5, True), (7.0, True), (2.5, True), (1.0, True), (2.5, True), (2.5, False)],
+         columns=3)
+def test_default_threshold_equals_np_median_form(cells, columns):
+    """Bit for bit, on odd and even counts of observed entries and on tied values.
+
+    The first cell is always observed; cells past the last full row of
+    ``columns`` are dropped.
+    """
+    rows = max(len(cells) // columns, 1)
+    cells = (cells * columns)[:rows * columns]
+    values = np.array([v for v, _ in cells]).reshape(rows, columns)
+    mask = np.array([k == 0 or seen for k, (_, seen) in enumerate(cells)]).reshape(rows, columns)
+    want = 0.5 * math.sqrt(values.size) * float(np.median(values[mask]))
+    assert default_threshold(values, mask) == want
 
 
 def test_complete_parameter_validation():

@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probeflow import mapmatch
@@ -37,6 +37,7 @@ from probeflow.network import (
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 
 from conftest import (
+    decode_run,
     make_corridor_network as line_net,
     make_grid_network,
     score_assignment,
@@ -195,6 +196,51 @@ def test_viterbi_returns_none_when_no_path():
 def test_viterbi_rejects_mismatched_shapes():
     with pytest.raises(InputDataError):
         viterbi_decode([np.zeros(2)], [np.zeros((2, 2))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6), width=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), holes=st.sampled_from([0.0, 0.2, 0.5]),
+       dead=st.sampled_from([0.0, 0.25]))
+def test_chunk_decoder_equals_per_run_oracle(sizes, width, seed, holes, dead):
+    """``_viterbi`` on a padded chunk equals the per-run oracle, sub-piece by sub-piece.
+
+    Points, candidate rows, leg lengths and score, bit for bit. Layers
+    hold 1 to ``width`` candidates. Scores are small integers, so ties
+    are exact and frequent. A share ``holes`` of the scores is -inf, and
+    a share ``dead`` of the layer pairs has no finite transition, so runs
+    break mid-way; runs of one layer occur. The legs from a run's last
+    layer into the next run hold finite scores here, which the decoder
+    must not read.
+    """
+    rng = np.random.default_rng(seed)
+    runs = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    n = runs[-1]
+    counts = rng.integers(1, width + 1, n)
+    counts[rng.integers(n)] = width
+    emission = np.full((n, width), -np.inf)
+    transition = np.full((n, width, width), -np.inf)
+    length = np.full((n, width, width), np.nan)
+    for k, c in enumerate(counts.tolist()):
+        emission[k, :c] = np.where(rng.random(c) < holes, -np.inf, rng.integers(-3, 1, c))
+        if k + 1 < n:
+            shape = (c, int(counts[k + 1]))
+            trans = np.where(rng.random(shape) < holes, -np.inf, rng.integers(-3, 1, shape))
+            transition[k, :c, :shape[1]] = -np.inf if rng.random() < dead else trans
+            length[k, :c, :shape[1]] = rng.uniform(0.0, 500.0, shape)
+
+    starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    want = []
+    for r, (a, b) in enumerate(zip(runs, runs[1:])):
+        legs = [np.s_[k, :counts[k], :counts[k + 1]] for k in range(a, b - 1)]
+        want.extend((r, *piece) for piece in decode_run(
+            a, starts[a:b], [emission[k, :counts[k]] for k in range(a, b)],
+            [transition[leg] for leg in legs], [length[leg] for leg in legs]))
+    got = [(r, list(range(a, a + len(picked))), [starts[a + i] + c for i, c in enumerate(picked)],
+            leg_lens, score)
+           for r, a, picked, leg_lens, score in mapmatch._viterbi(emission, transition, length,
+                                                                 runs)]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +635,7 @@ def test_legs_equal_per_pair_reference():
                        (float(trace.lats[1]), float(trace.lons[1])))
         _, transitions, lengths = _lattice(net, _Fixes.of([trace]), np.array([6, 6]), [0, 2],
                                            np.concatenate([seg_a, seg_b]),
-                                           np.concatenate([off_a, off_b]), router, param_sets)
+                                           np.concatenate([off_a, off_b]), [router], param_sets)
         for a, b in itertools.product(range(6), range(6)):
             want_len, want_tt = _scalar_leg(net, times, router, seg_a[a], off_a[a],
                                             seg_b[b], off_b[b])
@@ -611,13 +657,15 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, cuts, si
     segment end. The layers form several runs in one call (a new run
     after layer k where ``cuts[k]``), each run the fixes of its own
     trace, so time may run backwards between runs; legs join layers
-    only inside a run.
+    only inside a run. Each run's router is drawn from two with
+    different times, and its legs take that router's routes and times.
+    Every entry without a candidate or a leg holds the padding.
     """
     net = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0,
                             jitter_seed=jitter_seed)
     rng = np.random.default_rng(seed)
-    times = net.seg_fft * rng.uniform(0.5, 3.0, net.n_segments)
-    router = Router(net, times)
+    times = [net.seg_fft * rng.uniform(0.5, 3.0, net.n_segments) for _ in range(2)]
+    pair = [Router(net, t) for t in times]
     n = len(counts)
     pool = rng.choice(net.n_segments, 6, replace=False)
     seg = pool[rng.integers(0, 6, sum(counts))]
@@ -626,15 +674,19 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, cuts, si
     off[end == 0] = 0.0
     off[end == 1] = net.seg_length[seg][end == 1]
     runs = [0, *(k + 1 for k in range(n - 1) if cuts[k]), n]
+    which = rng.integers(0, 2, len(runs) - 1).tolist()
     traces = [GpsTrace(3 + r, rng.uniform(0.0, 1e5) + np.cumsum(rng.uniform(1.0, 120.0, b - a)),
                        rng.uniform(net.node_lat.min(), net.node_lat.max(), b - a),
                        rng.uniform(net.node_lon.min(), net.node_lon.max(), b - a))
               for r, (a, b) in enumerate(zip(runs, runs[1:]))]
     param_sets = [MatchParams(gps_sigma=sigma, tt_tau=tau),
                   MatchParams(gps_sigma=sigma, tt_tau=0.0)]
-    emissions, transitions, lengths = _lattice(net, _Fixes.of(traces), np.array(counts), runs,
-                                               seg, off, router, param_sets)
+    emission, transitions, lengths = _lattice(net, _Fixes.of(traces), np.array(counts), runs,
+                                              seg, off, [pair[r] for r in which], param_sets)
 
+    w = max(counts)
+    assert emission.shape == (n, w)
+    assert lengths.shape == (n, w, w) and all(trans.shape == (n, w, w) for trans in transitions)
     starts = np.concatenate(([0], np.cumsum(counts)))
     lats = np.concatenate([trace.lats for trace in traces]).tolist()
     lons = np.concatenate([trace.lons for trace in traces]).tolist()
@@ -646,18 +698,23 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, cuts, si
             plat, plon = position_on_segment(net, seg[r], off[r])
             d = math.hypot((plat - lats[k]) * mlat, (plon - lons[k]) * mlon)
             want.append(emission_logp(d, sigma))
-        assert emissions[k].tolist() == want
-    assert len(lengths) == n - 1 and all(len(trans) == n - 1 for trans in transitions)
-    for k in range(n - 1):
+        assert emission[k].tolist() == want + [-math.inf] * (w - counts[k])
+    for k in range(n):
         if k + 1 in runs:  # no leg from a run's last layer to the next run
-            assert lengths[k] is None and all(trans[k] is None for trans in transitions)
+            assert np.isnan(lengths[k]).all()
+            assert all((trans[k] == -math.inf).all() for trans in transitions)
             continue
+        r = int(np.searchsorted(runs, k, side="right")) - 1
         gc = haversine((lats[k], lons[k]), (lats[k + 1], lons[k + 1]))
         dt = ts[k + 1] - ts[k]
-        assert lengths[k].shape == (counts[k], counts[k + 1])
+        legs = np.zeros((w, w), dtype=bool)
+        legs[:counts[k], :counts[k + 1]] = True
+        assert np.isnan(lengths[k][~legs]).all()
+        assert all((trans[k][~legs] == -math.inf).all() for trans in transitions)
         for a, b in itertools.product(range(counts[k]), range(counts[k + 1])):
             ra, rb = starts[k] + a, starts[k + 1] + b
-            want_len, want_tt = _scalar_leg(net, times, router, seg[ra], off[ra], seg[rb], off[rb])
+            want_len, want_tt = _scalar_leg(net, times[which[r]], pair[which[r]], seg[ra], off[ra],
+                                            seg[rb], off[rb])
             assert lengths[k][a, b] == want_len
             for params, trans in zip(param_sets, transitions):
                 assert trans[k][a, b] == transition_logp(want_len, gc, want_tt, dt, params)
@@ -676,13 +733,13 @@ def grid_trace(net: RoadNetwork, origin: int, dest: int, period: float, sigma: f
 
 
 def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypatch):
-    """Counts, not timings: one projection per chunk, one ``Router.reach`` per source per chunk.
+    """Counts, not timings: per chunk, one projection and one ``reach`` per (router, source).
 
     Fixes every 5 s at 10 m/s put four fixes on each 200 m segment, so
     the same segment ends start legs of many layer pairs and runs. The
     traces fill several chunks, and one is longer than the chunk bound.
-    They alternate in pairs between two routers, so chunks end where the
-    router changes as well as at the bound.
+    They alternate in pairs between two routers, and chunks end only at
+    the bound, so a chunk holds traces of both routers.
     """
     net = make_grid_network(12, 12, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
     ends = [(13, 130), (0, 143), (11, 132), (60, 71), (130, 13), (5, 138), (24, 35), (100, 43)]
@@ -692,16 +749,18 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
     assert len(traces[3]) > bound and sum(map(len, traces)) > 2 * bound
     pair = [free_flow_router(net), free_flow_router(net)]
     routers = [pair[i // 2 % 2] for i in range(len(traces))]
-    # The traces and router of each chunk, packed as the matcher packs them.
-    chunks: list[tuple[list[GpsTrace], Router]] = []
+    # The traces and routers of each chunk, packed as the matcher packs them.
+    chunks: list[tuple[list[GpsTrace], list[Router]]] = []
     fixes = bound + 1
     for trace, router in zip(traces, routers):
-        if fixes + len(trace) > bound or router is not chunks[-1][1]:
-            chunks.append(([], router))
+        if fixes + len(trace) > bound:
+            chunks.append(([], []))
             fixes = 0
         chunks[-1][0].append(trace)
+        chunks[-1][1].append(router)
         fixes += len(trace)
-    assert len(chunks) == 6  # 4 router changes, and one bound between traces 2 and 3
+    assert len(chunks) == 3  # the bound falls before and after trace 3
+    assert [len(set(map(id, chunk_routers))) for _, chunk_routers in chunks] == [2, 1, 2]
 
     projected: list[int] = []
     sources: list[list[tuple[int, int]]] = []  # (router, source) searched, per chunk
@@ -726,26 +785,28 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
     assert sum(map(len, sources)) >= 10
     assert all(len(chunk) == len(set(chunk)) for chunk in sources)
     assert [{k for k, _ in chunk} for chunk in sources] == [
-        {pair.index(router)} for _, router in chunks]
+        {pair.index(router) for router in chunk_routers} for _, chunk_routers in chunks]
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_traces=st.integers(1, 8),
-       bound=st.sampled_from([1, 5, 17, 40, mapmatch._CHUNK_FIXES]))
-def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound):
+       bound=st.sampled_from([1, 5, 17, 40, mapmatch._CHUNK_FIXES]), cycle=st.booleans())
+@example(seed=779, n_traces=6, bound=mapmatch._CHUNK_FIXES, cycle=True)
+def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound, cycle):
     """Every field of every piece, and of every baseline piece, bit for bit.
 
-    One ``match_traces`` call matches all the traces, each under a router
-    drawn from two with different times, so runs of one router and
-    interleavings (A, B, A, ...) both occur and chunks end where the
-    router changes. The chunk
-    bound is drawn small as well, so chunk boundaries fall between traces
-    and traces run longer than the bound. Some traces have fixes outside
-    the search radius, some only one fix.
+    One ``match_traces`` call matches all the traces, each under one of
+    three routers with different times: drawn at random, so runs of one
+    router and interleavings (A, B, A, ...) both occur, or cycling
+    (A, B, C, A, ...) when ``cycle``. The explicit example's six cycling
+    traces fit in one chunk. The chunk bound is drawn small as well, so
+    chunk boundaries fall between traces and traces run longer than the
+    bound. Some traces have fixes outside the search radius, some only
+    one fix.
     """
     net = make_grid_network(6, 6, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=6)
     rng = np.random.default_rng(seed)
-    times = [net.seg_fft, net.seg_fft * rng.uniform(1.0, 3.0, net.n_segments)]
+    times = [net.seg_fft, *(net.seg_fft * rng.uniform(1.0, 3.0, net.n_segments) for _ in "BC")]
     traces, which = [], []
     for vid in range(n_traces):
         a, b = rng.choice(net.n_nodes, 2, replace=False).tolist()
@@ -755,7 +816,8 @@ def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound):
         lats[rng.random(len(lats)) < 0.15] += 0.02  # about 2 km off the network
         keep = 1 if rng.random() < 0.2 else len(lats)
         traces.append(GpsTrace(vid, trace.timestamps[:keep], lats[:keep], trace.lons[:keep]))
-        which.append(int(rng.integers(2)))
+        drawn = int(rng.integers(3))
+        which.append(vid % 3 if cycle else drawn)
     params = MatchParams(gps_sigma=8.0)
     routers = [Router(net, t) for t in times]
 

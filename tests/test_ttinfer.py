@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import probeflow
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import MatchedPath
 from probeflow.network import TimeGrid
@@ -248,29 +243,6 @@ def test_lawson_hanson_steps_back_where_block_swaps_stall():
     est = infer_times(obs, net, prior, InferParams(lam=0.0))
     _assert_kkt(obs, net, prior, est, 0.0)
     assert np.allclose(est.time, [10.0, 27.5, 10.0, 10.0], rtol=0.0, atol=1e-9)
-
-
-def test_package_does_not_import_scipy():
-    # The package depends on numpy only; importing scipy would add tens of
-    # MB of resident memory to every command. A fresh interpreter shows
-    # what the package and one solve pull in.
-    code = (
-        "import sys\n"
-        "import probeflow.cli\n"
-        "from probeflow.network import Node, RoadNetwork, Segment\n"
-        "from probeflow.ttinfer import IntervalObservations, infer_times\n"
-        "net = RoadNetwork([Node(0, 0.0, 0.0), Node(1, 0.0, 0.001), Node(2, 0.0, 0.002)],\n"
-        "                  [Segment(0, 0, 1, 100.0, 10.0, 1000.0, 'other'),\n"
-        "                   Segment(1, 1, 2, 100.0, 10.0, 1000.0, 'other')])\n"
-        "infer_times(IntervalObservations(0, [({0: 1, 1: 1}, 25.0), ({0: 1}, 11.0)]),\n"
-        "            net, net.seg_fft)\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, f'scipy modules imported: {loaded}'\n"
-    )
-    src = str(Path(probeflow.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                   check=True)
 
 
 def test_residual_sq_matches_manual():
