@@ -61,7 +61,7 @@ from .evaluation import (
     write_report,
     write_voc,
 )
-from .mapmatch import MatchParams, read_matched, write_matched
+from .mapmatch import MatchParams, concat_fixes, read_matched, write_matched
 from .network import RoadNetwork, TimeGrid, import_osm, read_network, read_tazs, write_network
 from .odestim import (
     GravityParams,
@@ -383,13 +383,8 @@ def _cmd_gen_traces(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]
                                rng_seed=stage_seed("gen-traces", cfg.seed))
 
     out = _out(cfg)
-    all_trips, all_traces = [], []
-    for sid in needed:
-        trips, traces = data[sid]
-        all_trips.extend(trips)
-        all_traces.extend(traces)
-    write_traces(all_traces, out / TRACES_FILE)
-    write_trips(all_trips, out / TRIPS_FILE, net)
+    write_traces(concat_fixes([data[sid][1] for sid in needed]), out / TRACES_FILE)
+    write_trips([trip for sid in needed for trip in data[sid][0]], out / TRIPS_FILE, net)
     artifacts.extend([out / TRACES_FILE, out / TRIPS_FILE])
 
 
@@ -409,9 +404,9 @@ def _cmd_refine(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) ->
     go to ``baseline.csv`` beside ``estimates.csv``, where evaluate reads
     them.
     """
-    traces = read_traces(_input(cfg, "traces"))
+    fixes = read_traces(_input(cfg, "traces"))
     baseline: dict[int, SegmentTimeEstimate] = {}
-    pieces, estimates, diag = refine(traces, net, cfg.grid, match_params=cfg.match,
+    pieces, estimates, diag = refine(fixes, net, cfg.grid, match_params=cfg.match,
                                      infer_params=cfg.infer, params=cfg.refine,
                                      baseline=baseline)
     out = _out(cfg)

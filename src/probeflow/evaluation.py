@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputDataError
-from .mapmatch import MatchedPath
+from .mapmatch import Pieces
 from .network import RoadNetwork, TimeGrid
 from .tables import read_table, write_table
 from .tracegen import TruthTrip
@@ -81,7 +81,7 @@ def aggregate_error_pct(est: np.ndarray, truth: np.ndarray) -> float:
 
 
 def per_trip_overlap(
-    matched: list[MatchedPath],
+    matched: Pieces,
     truth: list[TruthTrip],
     net: RoadNetwork,
 ) -> tuple[dict[int, float], int]:
@@ -100,26 +100,25 @@ def per_trip_overlap(
             raise InputDataError(f"truth trip of vehicle {trip.vehicle_id} has no path")
         seen[trip.vehicle_id] = trip
 
-    matched_segs: dict[int, set[int]] = {}
-    for mp in matched:
-        matched_segs.setdefault(mp.vehicle_id, set()).update(mp.segments)
+    got: dict[int, set[int]] = {}
+    for vid, j in zip(matched.vehicle.tolist(), matched.segment.tolist()):
+        got.setdefault(vid, set()).add(j)
 
     overlaps: dict[int, float] = {}
     excluded = 0
-    for vid in sorted(set(seen) | set(matched_segs)):
-        if vid not in seen or vid not in matched_segs:
+    for vid in sorted(set(seen) | set(got)):
+        if vid not in seen or vid not in got:
             excluded += 1
             continue
         true_set = set(seen[vid].path)
-        got_set = matched_segs[vid]
-        inter = math.fsum(net.segments[j].length for j in sorted(true_set & got_set))
-        union = math.fsum(net.segments[j].length for j in sorted(true_set | got_set))
+        inter = math.fsum(net.seg_length[sorted(true_set & got[vid])].tolist())
+        union = math.fsum(net.seg_length[sorted(true_set | got[vid])].tolist())
         overlaps[vid] = 100.0 * inter / union
     return overlaps, excluded
 
 
 def matching_accuracy_pct(
-    matched: list[MatchedPath],
+    matched: Pieces,
     truth: list[TruthTrip],
     net: RoadNetwork,
 ) -> float:

@@ -19,14 +19,16 @@ Traces split into independently matched pieces at long observation gaps
 within the search radius, and wherever the lattice has no routable
 continuation. Pieces with fewer than two points are dropped.
 
-``match_traces`` takes one router per trace and matches in chunks of
-consecutive traces, cut only where the chunk would pass ``_CHUNK_FIXES``
-fixes, whatever the traces' routers. A chunk makes one candidate
-projection, one padded lattice over all its runs (each leg routed and
-timed under its own trace's router, one route resolution per router)
-and one Viterbi pass that steps every run a layer at a time. Every
-piece equals the one a trace matched alone under its router gives, bit
-for bit.
+Probes stay columns from file to file: the fixes come in as one table
+(``Fixes``), and the pieces go out as flat arrays in ``matched.csv``'s
+own layout (``Pieces``). ``match_traces`` takes one router per vehicle
+and matches in chunks of consecutive vehicles, cut from the table's
+offsets only where the chunk would pass ``_CHUNK_FIXES`` fixes, whatever
+the vehicles' routers. A chunk makes one candidate projection, one
+padded lattice over all its runs (each leg routed and timed under its
+own vehicle's router, one route resolution per router) and one Viterbi
+pass that steps every run a layer at a time. Every piece equals the one
+a vehicle matched alone under its router gives, bit for bit.
 
 Emission and transition scores come from one lattice builder
 (``_lattice``), so rescoring a fixed assignment on a one-candidate lattice
@@ -78,55 +80,67 @@ class MatchParams:
             raise InputDataError("gap_factor must be positive")
 
 
-@dataclass
-class GpsTrace:
-    """One vehicle's observations, timestamps strictly increasing."""
+class Fixes(NamedTuple):
+    """GPS fixes of several vehicles, one array per column.
 
-    vehicle_id: int
-    timestamps: np.ndarray
-    lats: np.ndarray
-    lons: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.lats = np.asarray(self.lats, dtype=float)
-        self.lons = np.asarray(self.lons, dtype=float)
-        n = len(self.timestamps)
-        if len(self.lats) != n or len(self.lons) != n:
-            raise InputDataError(f"vehicle {self.vehicle_id}: ragged trace arrays")
-        if n == 0:
-            raise InputDataError(f"vehicle {self.vehicle_id}: empty trace")
-        if not np.all(np.isfinite(self.timestamps)):
-            raise InputDataError(f"vehicle {self.vehicle_id}: non-finite timestamp")
-        if np.any(np.diff(self.timestamps) <= 0):
-            raise InputDataError(f"vehicle {self.vehicle_id}: timestamps must strictly increase")
-        if not (np.all(np.abs(self.lats) <= 90.0) and np.all(np.abs(self.lons) <= 180.0)):
-            raise InputDataError(f"vehicle {self.vehicle_id}: coordinate out of range or NaN")
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-
-@dataclass
-class MatchedPath:
-    """One contiguous matched piece of a trace.
-
-    ``segments`` holds segment indices in traversal order (a segment may
-    repeat on genuine loops); ``entry_times`` gives the interpolated entry
-    instant of each, clamped to the piece's observation window.
-    ``assignment`` holds the chosen (segment index, offset) per point when
-    produced by the matcher; paths read back from CSV carry only segments
-    and entry times.
+    ``vehicle`` holds the vehicle ids, ascending and unique. Vehicle i's
+    fixes are rows ``offsets[i]`` to ``offsets[i + 1]`` of the per-fix
+    columns, in time order: ``t`` (seconds), ``lat`` and ``lon`` (degrees)
+    and ``mlon``, ``meters_per_degree(lat)[1]``.
     """
 
-    vehicle_id: int
-    piece: int
-    segments: list[int]
-    entry_times: list[float]
-    log_score: float = float("nan")
-    first_point: int = -1
-    last_point: int = -1
-    assignment: list[tuple[int, float]] | None = None
+    vehicle: np.ndarray
+    offsets: np.ndarray
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    mlon: np.ndarray
+
+
+def fix_table(vehicle, t, lat, lon) -> Fixes:
+    """The table of per-fix columns, in any vehicle order; a vehicle's fixes keep their order."""
+    vehicle = np.asarray(vehicle, dtype=np.int64)
+    order = np.argsort(vehicle, kind="stable")
+    ids, first = np.unique(vehicle[order], return_index=True)
+    lat = np.asarray(lat, dtype=float)[order]
+    # nan where the latitude is out of range, which read_traces then rejects
+    mlon = [meters_per_degree(x)[1] if abs(x) <= 90.0 else math.nan for x in lat.tolist()]
+    return Fixes(ids, np.append(first, len(order)), np.asarray(t, dtype=float)[order], lat,
+                 np.asarray(lon, dtype=float)[order], np.array(mlon, dtype=float))
+
+
+def concat_fixes(tables: list[Fixes]) -> Fixes:
+    """One table of every fix of ``tables``, whose vehicles must differ."""
+    columns = [(np.repeat(f.vehicle, np.diff(f.offsets)), f.t, f.lat, f.lon) for f in tables]
+    return fix_table(*map(np.concatenate, zip(*columns))) if columns else fix_table([], [], [], [])
+
+
+class Pieces(NamedTuple):
+    """Matched pieces as flat arrays, in ``matched.csv``'s layout.
+
+    Row k is one traversed segment: ``vehicle[k]``, ``piece[k]`` (from 0
+    per vehicle), ``segment[k]`` (an index into ``net.segments``) and
+    ``entry[k]``, the interpolated entry instant, clamped to the piece's
+    observation window. Rows run by vehicle, piece, then traversal order
+    (a segment may repeat on genuine loops). Piece p is rows
+    ``bounds[p]`` to ``bounds[p + 1]``; ``log_score[p]`` is its Viterbi
+    score (nan for pieces read from a file).
+    """
+
+    vehicle: np.ndarray
+    piece: np.ndarray
+    segment: np.ndarray
+    entry: np.ndarray
+    bounds: np.ndarray
+    log_score: np.ndarray
+
+
+def _pieces(vehicle, size, score, segment, entry) -> Pieces:
+    """``Pieces`` of per-piece vehicle ids (ascending), row counts and scores, and per-row columns."""
+    vehicle, size = np.array(vehicle, dtype=np.int64), np.array(size, dtype=np.int64)
+    piece = np.arange(len(vehicle)) - np.searchsorted(vehicle, vehicle)
+    return Pieces(np.repeat(vehicle, size), np.repeat(piece, size), np.array(segment, np.int64),
+                  np.array(entry, float), np.append(0, np.cumsum(size)), np.array(score, float))
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +200,16 @@ def _split_points(timestamps: list[float], counts: list[int],
 
 def _build_path(
     router: Router,
-    points: list[int],
-    trace: GpsTrace,
+    times: list[float],
     segs: list[int],
     offs: list[float],
     leg_lens: list[float],
 ) -> tuple[list[int], list[float]]:
     """Traversed segment indices and entry times of a piece.
 
-    ``segs`` and ``offs`` hold the segment index and offset of the
-    candidate chosen at each point; leg k connects point k to point k+1.
+    ``times``, ``segs`` and ``offs`` hold the timestamp of each point and
+    the segment index and offset of the candidate chosen there; leg k
+    connects point k to point k+1.
     """
     net = router.net
     path: list[int] = [segs[0]]
@@ -222,8 +236,7 @@ def _build_path(
     # Strictly increasing support for interpolation; co-located points
     # keep the earliest timestamp.
     xs, ts = [], []
-    for dist_i, t_i in zip((np.asarray(d) - start_shift).tolist(),
-                           trace.timestamps[points].tolist()):
+    for dist_i, t_i in zip((np.asarray(d) - start_shift).tolist(), times):
         if not xs or dist_i > xs[-1]:
             xs.append(dist_i)
             ts.append(t_i)
@@ -249,111 +262,85 @@ _MAX_CANDIDATES = 8
 _CHUNK_FIXES = 256
 
 
-class _Fixes(NamedTuple):
-    """Timestamps, coordinates and meters per degree of longitude of some fixes."""
-
-    t: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    mlon: np.ndarray
-
-    @classmethod
-    def of(cls, traces: list[GpsTrace]) -> "_Fixes":
-        """Every fix of the traces, in order; ``mlon`` as ``meters_per_degree`` gives it."""
-        lat = np.concatenate([trace.lats for trace in traces])
-        return cls(np.concatenate([trace.timestamps for trace in traces]), lat,
-                   np.concatenate([trace.lons for trace in traces]),
-                   np.array([meters_per_degree(x)[1] for x in lat.tolist()]))
-
-    def take(self, idx) -> "_Fixes":
-        return _Fixes(*(a[idx] for a in self))
-
-
 def match_traces(
     net: RoadNetwork,
-    traces: list[GpsTrace],
+    fixes: Fixes,
     routers: list[Router],
     params: MatchParams = MatchParams(),
-    baseline: list[MatchedPath] | None = None,
-) -> list[MatchedPath]:
-    """Match each trace under its router's travel times; see the module docstring.
+    baseline: list[Pieces] | None = None,
+) -> Pieces:
+    """Match each vehicle's fixes under its router's travel times; see the module docstring.
 
-    ``routers`` holds one router per trace. Chunks hold consecutive traces
-    with at most ``_CHUNK_FIXES`` fixes in all (a longer trace is a chunk
-    of its own), whatever their routers. Pieces come in trace order, each
-    trace's numbered from 0. When ``baseline`` is a list, every trace is
-    decoded a second time with tt_tau = 0 on the same lattices (only the
-    transition scores differ), and those pieces are appended to it. They
-    equal ``match_traces`` under tt_tau = 0 bit for bit; ``refine`` takes
-    the tandem baseline from them.
+    ``routers`` holds one router per vehicle of ``fixes``. A chunk holds
+    at most ``_CHUNK_FIXES`` fixes, or one longer trace. When
+    ``baseline`` is a list, every trace is decoded a second time with
+    tt_tau = 0 on the same lattices (only the transition scores differ),
+    and those pieces are appended to it. They equal ``match_traces``
+    under tt_tau = 0 bit for bit; ``refine`` takes the tandem baseline
+    from them.
     """
+    if len(routers) != len(fixes.vehicle):
+        raise ValueError(f"{len(routers)} routers for {len(fixes.vehicle)} vehicles")
     param_sets = [params] if baseline is None else [params, replace(params, tt_tau=0.0)]
-    outs: list[list[MatchedPath]] = [[] for _ in param_sets]
-    pairs = list(zip(traces, routers, strict=True))
-    first = fixes = 0
-    for i, trace in enumerate(traces):
-        if i > first and fixes + len(trace) > _CHUNK_FIXES:
-            _match_chunk(net, pairs[first:i], param_sets, outs)
-            first, fixes = i, 0
-        fixes += len(trace)
-    if pairs:
-        _match_chunk(net, pairs[first:], param_sets, outs)
+    # Per parameter set: vehicle, size and score per piece; segment and entry per row.
+    outs = [([], [], [], [], []) for _ in param_sets]
+    offsets, firsts = fixes.offsets.tolist(), [0]
+    for i in range(1, len(routers)):
+        if offsets[i + 1] - offsets[firsts[-1]] > _CHUNK_FIXES:
+            firsts.append(i)
+    for first, stop in zip(firsts, firsts[1:] + [len(routers)]):
+        _match_chunk(net, fixes, first, stop, routers, param_sets, outs)
     if baseline is not None:
-        baseline.extend(outs[1])
-    return outs[0]
+        baseline.append(_pieces(*outs[1]))
+    return _pieces(*outs[0])
 
 
-def _match_chunk(net, pairs, param_sets, outs) -> None:
-    """Match consecutive (trace, router) pairs; each of ``outs`` gets one parameter set's pieces."""
+def _match_chunk(net, fixes, first, stop, routers, param_sets, outs) -> None:
+    """Match vehicles ``first`` to ``stop``; each of ``outs`` gets one parameter set's pieces."""
     params = param_sets[0]
-    traces = [trace for trace, _ in pairs]
-    fixes = _Fixes.of(traces)
-    fix, seg, off, _ = project_to_candidates(net, fixes.lat, fixes.lon, fixes.mlon,
-                                             params.radius, _MAX_CANDIDATES)
-    counts = np.bincount(fix, minlength=len(fixes.t))
-    # The runs of every trace as (trace, first point, stop point). Together
-    # they hold each fix with a candidate once, in order: those are the layers.
+    offsets = fixes.offsets[first:stop + 1].tolist()
+    lo, hi = offsets[0], offsets[-1]
+    fix, seg, off, _ = project_to_candidates(net, fixes.lat[lo:hi], fixes.lon[lo:hi],
+                                             fixes.mlon[lo:hi], params.radius, _MAX_CANDIDATES)
+    counts = np.bincount(fix, minlength=hi - lo)
+    # Each vehicle's runs as (vehicle, first row, stop row) of the table. They
+    # hold each fix with a candidate once, in order: those are the layers.
     runs: list[tuple[int, int, int]] = []
-    first = 0
-    for i, trace in enumerate(traces):
-        stop = first + len(trace)
-        runs.extend((i, lo, hi) for lo, hi in _split_points(
-            trace.timestamps.tolist(), counts[first:stop].tolist(), params))
-        first = stop
+    for v, a, b in zip(range(first, stop), offsets, offsets[1:]):
+        runs.extend((v, a + ra, a + rb) for ra, rb in _split_points(
+            fixes.t[a:b].tolist(), counts[a - lo:b - lo].tolist(), params))
     if not runs:
         return
-    layers = np.flatnonzero(counts)
-    bounds = np.cumsum([0] + [hi - lo for _, lo, hi in runs]).tolist()
+    layers = lo + np.flatnonzero(counts)  # the table row of each layer
+    counts = counts[layers - lo]
+    bounds = np.cumsum([0] + [b - a for _, a, b in runs]).tolist()
     emission, transitions, lengths = _lattice(
-        net, fixes.take(layers), counts[layers], bounds, seg, off,
-        [pairs[i][1] for i, _, _ in runs], param_sets)
-    starts = np.concatenate(([0], np.cumsum(counts[layers]))).tolist()  # each layer's first row
-    for out, transition in zip(outs, transitions):
-        current = -1
+        net, fixes, layers, counts, bounds, seg, off, [routers[v] for v, _, _ in runs],
+        param_sets)
+    starts = np.concatenate(([0], np.cumsum(counts))).tolist()  # each layer's first row
+    rows = layers.tolist()
+    for (vehicle, size, scores, segment, entry), transition in zip(outs, transitions):
         for r, a, picked, leg_lens, score in _viterbi(emission, transition, lengths, bounds):
-            i, lo, _ = runs[r]
-            if i != current:  # each trace numbers its pieces from 0
-                current, n0 = i, len(out)
-                trace, router = pairs[i]
             if len(picked) < 2:
                 continue
-            p0 = lo + a - bounds[r]  # the trace point of layer a
-            points = list(range(p0, p0 + len(picked)))
+            v = runs[r][0]
             chosen = [starts[a + k] + c for k, c in enumerate(picked)]
-            segs, offs = seg[chosen].tolist(), off[chosen].tolist()
-            path, entry = _build_path(router, points, trace, segs, offs, leg_lens)
-            out.append(MatchedPath(
-                vehicle_id=trace.vehicle_id, piece=len(out) - n0, segments=path,
-                entry_times=entry, log_score=score, first_point=points[0],
-                last_point=points[-1], assignment=list(zip(segs, offs))))
+            # A run's layers are consecutive rows of the table.
+            path, times = _build_path(routers[v], fixes.t[rows[a]:rows[a] + len(picked)].tolist(),
+                                      seg[chosen].tolist(), off[chosen].tolist(), leg_lens)
+            vehicle.append(int(fixes.vehicle[v]))
+            size.append(len(path))
+            scores.append(score)
+            segment += path
+            entry += times
 
 
-def _lattice(net, fixes, counts, runs, seg, off, routers, param_sets):
+def _lattice(net, fixes, layers, counts, runs, seg, off, routers, param_sets):
     """Emissions, transitions and leg lengths of the candidate lattices of several runs.
 
-    Layer k holds the candidates of fix k of ``fixes``: the next
-    ``counts[k]`` rows of ``seg`` (segment indices) and ``off``
-    (offsets). Run r is layers ``runs[r]`` to ``runs[r + 1]``, routed by
+    Layer k holds the candidates of row ``layers[k]`` of the fix table
+    ``fixes``: the next ``counts[k]`` rows of ``seg`` (segment indices)
+    and ``off`` (offsets). Run r is layers ``runs[r]`` to ``runs[r + 1]``, routed by
     ``routers[r]``, and legs join consecutive layers only inside a run.
     With w the largest count, the emissions are a layers x w array and
     each parameter set's transitions, like the leg lengths, a layers x w
@@ -376,13 +363,14 @@ def _lattice(net, fixes, counts, runs, seg, off, routers, param_sets):
     col = np.arange(len(seg)) - starts[layer]  # each row's candidate index in its layer
     linked = np.ones(n, dtype=bool)  # layer k has legs to layer k+1
     linked[np.asarray(runs[1:]) - 1] = False
+    t, lat, lon, mlon = (column[layers] for column in (fixes.t, fixes.lat, fixes.lon, fixes.mlon))
 
     # Emissions: the elementwise ops of position_on_segment and math.hypot.
     length = net.seg_length[seg]
     frac = np.minimum(np.maximum(off / length, 0.0), 1.0)
     alat, alon = net._seg_alat[seg], net._seg_alon[seg]
-    dy = (alat + frac * (net._seg_blat[seg] - alat) - fixes.lat[layer]) * M_PER_DEG_LAT
-    dx = (alon + frac * (net._seg_blon[seg] - alon) - fixes.lon[layer]) * fixes.mlon[layer]
+    dy = (alat + frac * (net._seg_blat[seg] - alat) - lat[layer]) * M_PER_DEG_LAT
+    dx = (alon + frac * (net._seg_blon[seg] - alon) - lon[layer]) * mlon[layer]
     dist = np.fromiter(map(math.hypot, dy.tolist(), dx.tolist()), float, len(seg))
     emission = np.full((n, w), -math.inf)
     emission[layer, col] = emission_logp(dist, param_sets[0].gps_sigma)
@@ -417,12 +405,12 @@ def _lattice(net, fixes, counts, runs, seg, off, routers, param_sets):
                       t_a * (head / len_a) + mid_tt + t_b * (off_b / length[ib]))
 
     # Great-circle distance and time between the fixes of each linked pair, per leg.
-    la, lo = fixes.lat.tolist(), fixes.lon.tolist()
+    la, lo = lat.tolist(), lon.tolist()
     pairs = np.flatnonzero(linked[:-1])
     gc = np.zeros(n)
     gc[pairs] = [haversine((la[k], lo[k]), (la[k + 1], lo[k + 1])) for k in pairs.tolist()]
     pair = layer[ia]
-    gc, dt = gc[pair], np.diff(fixes.t)[pair]
+    gc, dt = gc[pair], np.diff(t)[pair]
 
     def padded(flat, fill):
         out = np.full((n, w, w), fill)
@@ -522,33 +510,32 @@ def _viterbi(emission, transition, length, runs):
 MATCHED_COLUMNS = (("vehicle_id", int), ("piece", int), ("segment_id", int), ("entry_time_s", float))
 
 
-def write_matched(paths: list[MatchedPath], path: str | os.PathLike, net: RoadNetwork) -> None:
-    ids = net.segment_ids()
-    paths = sorted(paths, key=lambda m: (m.vehicle_id, m.piece))
-    write_table(path, MATCHED_COLUMNS, (
-        [mp.vehicle_id for mp in paths for _ in mp.segments],
-        [mp.piece for mp in paths for _ in mp.segments],
-        [ids[j] for mp in paths for j in mp.segments],
-        [t for mp in paths for t in mp.entry_times]))
+def write_matched(pieces: Pieces, path: str | os.PathLike, net: RoadNetwork) -> None:
+    write_table(path, MATCHED_COLUMNS, (pieces.vehicle, pieces.piece,
+                                        np.asarray(net.segment_ids())[pieces.segment],
+                                        pieces.entry))
 
 
-def read_matched(path: str | os.PathLike, net: RoadNetwork) -> list[MatchedPath]:
-    """Read matched paths; only traversal data survives the CSV.
+def read_matched(path: str | os.PathLike, net: RoadNetwork) -> Pieces:
+    """Read matched pieces; only traversal data survives the CSV.
 
-    Entry times must be finite and must not go backwards within a piece.
+    A piece's rows keep their file order, wherever they stand. Entry times must be
+    finite and must not go backwards within a piece; the first row that breaks either is named.
     """
-    groups: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
-    for vid, piece, sid, t in zip(*read_table(path, MATCHED_COLUMNS)):
-        if not math.isfinite(t):
-            raise InputDataError(f"{path}: vehicle {vid}, piece {piece}: entry time {t} is not finite")
-        segs, times = groups.setdefault((vid, piece), ([], []))
-        if times and t < times[-1]:
-            raise InputDataError(f"{path}: vehicle {vid}, piece {piece}: entry time {t} is "
-                                 f"below the previous entry time {times[-1]}")
-        segs.append(sid)
-        times.append(t)
-    return [
-        MatchedPath(vehicle_id=vid, piece=piece, segments=net.segment_indices(str(path), segs),
-                    entry_times=times)
-        for (vid, piece), (segs, times) in sorted(groups.items())
-    ]
+    vids, pieces, sids, times = read_table(path, MATCHED_COLUMNS)
+    order = np.lexsort((pieces, vids))  # stable, so a piece's rows keep their order
+    vehicle, piece = (np.array(column, dtype=np.int64)[order] for column in (vids, pieces))
+    entry = np.array(times, dtype=float)[order]
+    # A piece's first row, and rows whose entry time is not finite or goes back.
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (vehicle[1:] != vehicle[:-1]) | (piece[1:] != piece[:-1])
+    bad = np.flatnonzero(~np.isfinite(entry) | (~new & (np.diff(entry, prepend=np.nan) < 0.0)))
+    if len(bad):
+        k = int(bad[np.argmin(order[bad])])
+        where = f"{path}: vehicle {vehicle[k]}, piece {piece[k]}: entry time {entry[k]}"
+        if not math.isfinite(entry[k]):
+            raise InputDataError(f"{where} is not finite")
+        raise InputDataError(f"{where} is below the previous entry time {entry[k - 1]}")
+    segment = net.segment_indices(str(path), np.asarray(sids)[order].tolist())
+    return Pieces(vehicle, piece, np.array(segment, dtype=np.int64), entry,
+                  np.append(np.flatnonzero(new), len(order)), np.full(new.sum(), math.nan))

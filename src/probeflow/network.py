@@ -16,10 +16,12 @@ Conventions used throughout the package:
   VOCs, weights) is a numpy array of length ``n_segments`` in
   ``net.segments`` order, which is ascending segment id; id-keyed tables
   exist only in files, and the table readers map them onto that order
-* every sequence of segments inside the package (matched paths, truth
-  trips, observation rows, routes) holds indices into ``net.segments``, so
-  sorted indices run in id order; the table readers map ids to indices
+* every sequence of segments inside the package (matched piece rows,
+  truth trips, observation rows, routes) holds indices into ``net.segments``,
+  so sorted indices run in id order; the table readers map ids to indices
   (``segment_indices``) and the writers map them back (``segment_ids``)
+* probe fixes and matched pieces are column arrays (``mapmatch.Fixes``,
+  ``mapmatch.Pieces``), never one stored object per vehicle or piece
 
 Point geometry uses a local planar approximation (meters per degree at
 the query latitude). At city scale the error is far below GPS noise.
@@ -401,8 +403,8 @@ def project_to_candidates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-segment candidates of the points (lats[i], lons[i]) as flat arrays.
 
-    ``mlon[i]`` is ``meters_per_degree(lats[i])[1]``, which the matcher
-    works out once per fix for this and for its emissions.
+    ``mlon[i]`` is ``meters_per_degree(lats[i])[1]``, which a fix table
+    holds for this and for the matcher's emissions.
 
     Returns (fix, segment, offset, distance), one row per candidate:
     the point index i, the segment index, the offset along the segment

@@ -1,7 +1,8 @@
 """Iterative refinement: alternate map matching and travel-time inference.
 
-Iteration 0 matches every trace under free-flow times (the coarse pass)
-and infers per-interval travel times from the result. Each following
+Iteration 0 matches every vehicle of the fix table under free-flow
+times (the coarse pass) and infers per-interval travel times from the
+resulting piece arrays. Each following
 iteration rematches under the latest times and re-infers, with the
 previous estimate as the inference prior. Two contracted monotonicities
 drive the loop toward a fixed point:
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError
-from .mapmatch import GpsTrace, MatchedPath, MatchParams, match_traces
+from .mapmatch import Fixes, MatchParams, Pieces, match_traces
 from .network import RoadNetwork, Router, TimeGrid
 from .tables import write_table
 from .ttinfer import (
@@ -82,47 +83,58 @@ class RefineParams:
             raise InputDataError("stop_tol must be positive")
 
 
-def _trace_interval(trace: GpsTrace, grid: TimeGrid) -> int:
-    mid = 0.5 * (float(trace.timestamps[0]) + float(trace.timestamps[-1]))
-    return grid.interval_of(mid)
+def _changed(cur: Pieces, prev: Pieces) -> int:
+    """Pieces, by (vehicle, piece), that one pass lacks or holds on other segments than the other."""
+    keys = np.hstack([np.stack((p.vehicle, p.piece))[:, p.bounds[:-1]] for p in (cur, prev)])
+    key = np.unique(keys, axis=1, return_inverse=True)[1]
+    n = len(cur.bounds) - 1
+    both, i, j = np.intersect1d(key[:n], key[n:], assume_unique=True, return_indices=True)
+    size = np.diff(cur.bounds)[i]
+    keep = size == np.diff(prev.bounds)[j]  # pieces of one length, compared row by row
+    i, j, size = i[keep], j[keep], size[keep]
+    pair = np.repeat(np.arange(len(size)), size)
+    step = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
+    differs = cur.segment[cur.bounds[i][pair] + step] != prev.segment[prev.bounds[j][pair] + step]
+    unchanged = np.bincount(pair[differs], minlength=len(size)) == 0
+    return keys.shape[1] - len(both) - int(np.count_nonzero(unchanged))
 
 
 def refine(
-    traces: list[GpsTrace],
+    fixes: Fixes,
     net: RoadNetwork,
     grid: TimeGrid,
     match_params: MatchParams = MatchParams(),
     infer_params: InferParams = InferParams(),
     params: RefineParams = RefineParams(),
     baseline: dict[int, SegmentTimeEstimate] | None = None,
-) -> tuple[list[MatchedPath], dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
+) -> tuple[Pieces, dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
     """Run the refinement loop; see module docstring.
 
-    Returns the final matched paths, the per-interval estimates, and one
-    diagnostics record per iteration. Each trace is matched under the
-    times of the interval containing its midpoint: a pass hands every
-    trace its interval's router to one ``match_traces`` call, which
-    returns the pieces in trace order, so the observation rows keep the
-    order a trace-by-trace pass gives. Paths are compared across passes
-    by (vehicle id, piece), so vehicle ids must be distinct. When
-    ``baseline`` is a dict, it receives the tandem baseline's
-    per-interval estimates, decoded from iteration 0's lattices.
+    Returns the final matched pieces, the per-interval estimates, and one
+    diagnostics record per iteration. Each vehicle is matched under the
+    times of the interval containing the midpoint of its fixes: a pass
+    hands every vehicle its interval's router to one ``match_traces``
+    call, which returns the pieces in vehicle order, so the observation
+    rows keep the order a vehicle-by-vehicle pass gives. Passes are
+    compared piece by piece on (vehicle, piece). When ``baseline`` is a
+    dict, it receives the tandem baseline's per-interval estimates,
+    decoded from iteration 0's lattices.
 
     A pass whose path set equals that of an earlier pass other than the
     previous one closes a limit cycle: it is inferred and recorded as
     usual, and the loop stops there, returning that pass. The result
     therefore does not depend on where ``max_iters`` cuts the cycle.
     """
-    if not traces:
+    if not len(fixes.vehicle):
         raise InputDataError("refine needs at least one trace")
-    if len({trace.vehicle_id for trace in traces}) < len(traces):
-        raise InputDataError("refine needs one trace per vehicle id")
 
     fft = net.seg_fft
+    mid = 0.5 * (fixes.t[fixes.offsets[:-1]] + fixes.t[fixes.offsets[1:] - 1])
+    intervals = [grid.interval_of(t) for t in mid.tolist()]  # each vehicle's
     times: dict[int, np.ndarray] = {}
     estimates: dict[int, SegmentTimeEstimate] = {}
     diagnostics = RefinementDiagnostics()
-    seen: list[dict[tuple[int, int], tuple[int, ...]]] = []  # path set of each inferred pass
+    seen: list[Pieces] = []  # each inferred pass
     last_residual = 0.0
 
     for k in range(params.max_iters):
@@ -130,21 +142,17 @@ def refine(
         # one shared router, so its Dijkstra trees are built once per pass.
         free_flow = Router(net, fft)
         of_interval = {iv: Router(net, t) for iv, t in times.items()}
-        routers = [of_interval.get(_trace_interval(trace, grid), free_flow) for trace in traces]
+        routers = [of_interval.get(iv, free_flow) for iv in intervals]
         base_pieces = [] if k == 0 and baseline is not None else None
-        pieces = []  # the last pass's pieces are freed before this pass matches
-        pieces = match_traces(net, traces, routers, match_params, base_pieces)
+        pieces = match_traces(net, fixes, routers, match_params, base_pieces)
         if base_pieces is not None:
-            base_obs = observations_from_matches(base_pieces, grid)
+            base_obs = observations_from_matches(base_pieces[0], grid)
             for iv in sorted(base_obs):
                 baseline[iv] = infer_times(base_obs[iv], net, fft, infer_params)
             del base_pieces, base_obs  # the later passes need neither
 
-        cur_paths = {(mp.vehicle_id, mp.piece): tuple(mp.segments) for mp in pieces}
-        prev_paths = seen[-1] if seen else {}
-        keys = set(cur_paths) | set(prev_paths)
-        changed = sum(1 for key in keys if cur_paths.get(key) != prev_paths.get(key))
-        viterbi = math.fsum(mp.log_score for mp in pieces)
+        changed = _changed(pieces, seen[-1]) if seen else len(pieces.log_score)
+        viterbi = math.fsum(pieces.log_score.tolist())
 
         if k >= 1 and changed == 0:
             # Nothing to re-infer: the paths, and therefore the system, are
@@ -169,11 +177,11 @@ def refine(
         if max_rel < params.stop_tol:
             logger.info("refinement converged at iteration %d (max change %.2e)", k, max_rel)
             break
-        if cur_paths in seen[:-1]:
-            logger.info("refinement repeats the paths of iteration %d at iteration %d",
-                        seen.index(cur_paths), k)
+        repeat = next((i for i, old in enumerate(seen[:-1]) if not _changed(pieces, old)), None)
+        if repeat is not None:
+            logger.info("refinement repeats the paths of iteration %d at iteration %d", repeat, k)
             break
-        seen.append(cur_paths)
+        seen.append(pieces)
 
     return pieces, estimates, diagnostics
 

@@ -3,7 +3,8 @@
 Produces the three ingredients every experiment needs: ground-truth
 network conditions (system-optimal assignments at a ladder of demand
 levels), truth trips routed on those conditions, and noisy low-rate GPS
-traces sampled from the trips.
+traces sampled from the trips, as fix tables (``mapmatch.Fixes``) from
+sampling to ``traces.csv`` and back; ``read_traces`` checks the columns.
 
 Everything here is deterministic given its rng_seed argument. Trace noise
 uses one generator per vehicle (seed = rng_seed + vehicle_id) so trips
@@ -21,9 +22,9 @@ import numpy as np
 
 from .assignment import AssignParams, DemandMatrix, solve_so
 from .errors import InputDataError
-from .mapmatch import GpsTrace
+from .mapmatch import Fixes, concat_fixes, fix_table
 from .network import RoadNetwork, Router, Taz, TimeGrid, meters_per_degree, position_on_segment
-from .tables import group_rows, read_table, write_table
+from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +140,8 @@ def sample_trace(
     scenario: GroundTruthScenario,
     cfg: ProbeConfig,
     rng_seed: int = 0,
-) -> GpsTrace:
-    """Sample the trip at the probe period (plus the arrival instant).
+) -> Fixes:
+    """Sample the trip at the probe period (plus the arrival instant), as a one-vehicle table.
 
     The position at each sample time is exact on the trip's path; noise is
     isotropic Gaussian with std gps_sigma meters, converted to degrees at
@@ -169,8 +170,7 @@ def sample_trace(
         mlat, mlon = meters_per_degree(lat)
         lats.append(lat + nlat / mlat)
         lons.append(lon + nlon / mlon)
-    return GpsTrace(vehicle_id=trip.vehicle_id, timestamps=np.array(ts),
-                    lats=np.array(lats), lons=np.array(lons))
+    return fix_table([trip.vehicle_id] * len(ts), ts, lats, lons)
 
 
 def with_times(trip: TruthTrip, net: RoadNetwork, scenario: GroundTruthScenario) -> TruthTrip:
@@ -195,7 +195,7 @@ def generate_probe_data(
     grid: TimeGrid,
     cfg: ProbeConfig,
     rng_seed: int = 0,
-) -> dict[int, tuple[list[TruthTrip], list[GpsTrace]]]:
+) -> dict[int, tuple[list[TruthTrip], Fixes]]:
     """Simulate probed trips across the week.
 
     ``schedule[i]`` names the scenario active in interval i (-1 for no
@@ -205,7 +205,7 @@ def generate_probe_data(
     interval. Vehicle ids are assigned in generation order (interval,
     then OD pair), so the whole layout is a pure function of rng_seed.
 
-    Returns trips and traces grouped by scenario id.
+    Returns the trips and the table of their traces, by scenario id.
     """
     if len(schedule) != grid.interval_count:
         raise InputDataError(
@@ -227,9 +227,7 @@ def generate_probe_data(
     )
     routers = {s.id: Router(net, s.time) for s in scenarios}
 
-    out: dict[int, tuple[list[TruthTrip], list[GpsTrace]]] = {
-        s.id: ([], []) for s in scenarios
-    }
+    out: dict[int, tuple[list[TruthTrip], list[Fixes]]] = {s.id: ([], []) for s in scenarios}
     vid = 0
     hours = grid.interval_seconds / 3600.0
     for interval, sid in enumerate(schedule):
@@ -245,13 +243,12 @@ def generate_probe_data(
                 dep = start + float(rng.uniform(0.0, grid.interval_seconds))
                 trip = simulate_trip(net, routers[sid], taz_by_id[od[0]], taz_by_id[od[1]], scen,
                                      dep, vid)
-                trace = sample_trace(trip, net, scen, cfg, rng_seed)
                 out[sid][0].append(trip)
-                out[sid][1].append(trace)
+                out[sid][1].append(sample_trace(trip, net, scen, cfg, rng_seed))
                 vid += 1
     total = sum(len(v[0]) for v in out.values())
     logger.info("generated %d probed trip(s) across %d scenario(s)", total, len(scenarios))
-    return out
+    return {sid: (trips, concat_fixes(traces)) for sid, (trips, traces) in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +265,34 @@ TRIP_COLUMNS = (("vehicle_id", int), ("departure_s", float), ("path", _segment_p
 TRUTH_COLUMNS = (("segment_id", int), ("time_s", float), ("flow_vph", float))
 
 
-def write_traces(traces: list[GpsTrace], path: str | os.PathLike) -> None:
-    traces = sorted(traces, key=lambda t: t.vehicle_id)
-    write_table(path, TRACE_COLUMNS, (
-        [trace.vehicle_id for trace in traces for _ in range(len(trace))],
-        [t for trace in traces for t in trace.timestamps.tolist()],
-        [lat for trace in traces for lat in trace.lats.tolist()],
-        [lon for trace in traces for lon in trace.lons.tolist()]))
+def write_traces(fixes: Fixes, path: str | os.PathLike) -> None:
+    write_table(path, TRACE_COLUMNS, (np.repeat(fixes.vehicle, np.diff(fixes.offsets)), fixes.t,
+                                      fixes.lat, fixes.lon))
 
 
-def read_traces(path: str | os.PathLike) -> list[GpsTrace]:
-    """One trace per vehicle, by ascending id; a trace that ``GpsTrace`` rejects names the file."""
+def read_traces(path: str | os.PathLike) -> Fixes:
+    """Every fix of the file as one table; vehicles' rows may interleave.
+
+    Each vehicle's timestamps must be finite and strictly increasing, and
+    its coordinates in range. An error names the file, the first vehicle
+    (by id) that fails a check, and the first check it fails.
+    """
     vids, *values = read_table(path, TRACE_COLUMNS)
     if not vids:
         raise InputDataError(f"{path}: no trace points")
-    try:
-        return [GpsTrace(vid, *arrays) for vid, arrays in group_rows(vids, *values).items()]
-    except InputDataError as exc:
-        raise InputDataError(f"{path}: {exc}") from None
+    fixes = fix_table(vids, *values)
+    back = np.diff(fixes.t, prepend=np.nan) <= 0.0
+    back[fixes.offsets[:-1]] = False  # a vehicle's first fix
+    vehicle = np.repeat(fixes.vehicle, np.diff(fixes.offsets))
+    faults = [(vehicle[mask.argmax()], k, message) for k, (mask, message) in enumerate((
+        (~np.isfinite(fixes.t), "non-finite timestamp"),
+        (back, "timestamps must strictly increase"),
+        (~((np.abs(fixes.lat) <= 90.0) & (np.abs(fixes.lon) <= 180.0)),
+         "coordinate out of range or NaN"))) if mask.any()]
+    if faults:
+        vid, _, message = min(faults)
+        raise InputDataError(f"{path}: vehicle {vid}: {message}")
+    return fixes
 
 
 def write_trips(trips: list[TruthTrip], path: str | os.PathLike, net: RoadNetwork) -> None:

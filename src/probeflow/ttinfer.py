@@ -65,8 +65,8 @@ class SegmentTimeEstimate:
     interval_index: int
 
 
-def observations_from_matches(matches, grid: TimeGrid) -> dict[int, IntervalObservations]:
-    """Convert matched pieces into per-interval observation rows.
+def observations_from_matches(pieces, grid: TimeGrid) -> dict[int, IntervalObservations]:
+    """Convert matched pieces (``mapmatch.Pieces``) into per-interval observation rows.
 
     A piece whose path holds segments s_0..s_{n-1} entered s_{n-1} at a
     known instant, so the observable quantity is the duration from
@@ -76,14 +76,15 @@ def observations_from_matches(matches, grid: TimeGrid) -> dict[int, IntervalObse
     in the interval containing the midpoint of their observation window.
     """
     out: dict[int, IntervalObservations] = {}
-    for mp in matches:
-        if len(mp.segments) < 2:
+    segment, entry, bounds = (a.tolist() for a in (pieces.segment, pieces.entry, pieces.bounds))
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a < 2:
             continue
-        duration = mp.entry_times[-1] - mp.entry_times[0]
+        duration = entry[b - 1] - entry[a]
         if duration <= 0.0:
             continue
-        multiset = dict(Counter(mp.segments[:-1]))
-        mid = 0.5 * (mp.entry_times[0] + mp.entry_times[-1])
+        multiset = dict(Counter(segment[a:b - 1]))
+        mid = 0.5 * (entry[a] + entry[b - 1])
         interval = grid.interval_of(mid)
         out.setdefault(interval, IntervalObservations(interval)).rows.append(
             (multiset, float(duration))

@@ -13,7 +13,7 @@ import numpy as np
 from probeflow import mapmatch, odestim
 from probeflow.assignment import BPR_ALPHA, BPR_BETA, AssignmentResult, DemandMatrix
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import GpsTrace, MatchedPath, MatchParams
+from probeflow.mapmatch import Fixes, MatchParams, Pieces, concat_fixes, fix_table
 from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Router, Segment, TimeGrid, haversine
 from probeflow.refine import RefinementDiagnostics, RefineParams, refine
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
@@ -141,27 +141,95 @@ def viterbi_decode(
     return path, score
 
 
+def trace_table(vehicle: int, ts, lats, lons) -> Fixes:
+    """The fix table of one vehicle's fixes."""
+    return fix_table([vehicle] * len(ts), ts, lats, lons)
+
+
+class Piece(NamedTuple):
+    """One matched piece read out of ``Pieces``, for assertions."""
+
+    vehicle_id: int
+    piece: int
+    segments: list[int]
+    entry_times: list[float]
+    log_score: float
+
+
+def piece_list(pieces: Pieces) -> list[Piece]:
+    """The pieces one by one, in table order."""
+    bounds = pieces.bounds.tolist()
+    return [Piece(int(pieces.vehicle[a]), int(pieces.piece[a]), pieces.segment[a:b].tolist(),
+                  pieces.entry[a:b].tolist(), float(score))
+            for a, b, score in zip(bounds, bounds[1:], pieces.log_score.tolist())]
+
+
+def pieces_table(pieces: list[tuple]) -> Pieces:
+    """``Pieces`` of (vehicle, segments, entry times[, log score]) tuples, by vehicle.
+
+    Each vehicle numbers its pieces from 0, in the order given.
+    """
+    return mapmatch._pieces([p[0] for p in pieces], [len(p[1]) for p in pieces],
+                            [p[3] if len(p) > 3 else math.nan for p in pieces],
+                            [j for p in pieces for j in p[1]], [t for p in pieces for t in p[2]])
+
+
+def decoded_pieces(
+    net: RoadNetwork,
+    fixes: Fixes,
+    routers: list[Router],
+    params: MatchParams = MatchParams(),
+) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Each piece's fixes and chosen candidates, as ``match_traces`` decodes them.
+
+    Runs the matcher's steps on the whole table as one chunk:
+    ``project_to_candidates``, ``_lattice`` and ``_viterbi``, with
+    ``routers[i]`` routing vehicle i. Returns one (points, segment
+    indices, offsets) per piece, in the order of ``match_traces``'s
+    pieces; the points are rows of ``fixes``.
+    """
+    fix, seg, off, _ = mapmatch.project_to_candidates(
+        net, fixes.lat, fixes.lon, fixes.mlon, params.radius, mapmatch._MAX_CANDIDATES)
+    counts = np.bincount(fix, minlength=len(fixes.t))
+    offsets = fixes.offsets.tolist()
+    runs, run_routers = [0], []
+    for router, a, b in zip(routers, offsets, offsets[1:]):
+        for lo, hi in mapmatch._split_points(fixes.t[a:b].tolist(), counts[a:b].tolist(), params):
+            runs.append(runs[-1] + hi - lo)
+            run_routers.append(router)
+    layers = np.flatnonzero(counts)
+    emission, (transition,), length = mapmatch._lattice(
+        net, fixes, layers, counts[layers], runs, seg, off, run_routers, [params])
+    starts = np.concatenate(([0], np.cumsum(counts[layers])))
+    out = []
+    for _, a, picked, _, _ in mapmatch._viterbi(emission, transition, length, runs):
+        if len(picked) >= 2:
+            chosen = starts[a:a + len(picked)] + picked
+            out.append((layers[a:a + len(picked)].tolist(), seg[chosen], off[chosen]))
+    return out
+
+
 def score_assignment(
     net: RoadNetwork,
-    trace: GpsTrace,
+    fixes: Fixes,
     points: list[int],
-    assignment: list[tuple[int, float]],
+    seg: np.ndarray,
+    off: np.ndarray,
     router: Router,
     params: MatchParams = MatchParams(),
 ) -> float:
-    """Log-score of fixed per-point (segment index, offset) pairs under the router's times.
+    """Log-score of fixed per-point segment indices and offsets under the router's times.
 
-    Builds the matcher's own lattice with one candidate per point, so the
-    value is comparable with ``MatchedPath.log_score``. Returns -inf when
-    some leg is unroutable under those times.
+    ``points`` are rows of ``fixes``. Builds the matcher's own lattice
+    with one candidate per point, so the value is comparable with a
+    piece's ``log_score``. Returns -inf when some leg is unroutable
+    under those times.
     """
-    if len(points) != len(assignment):
+    if not len(points) == len(seg) == len(off):
         raise InputDataError("assignment length does not match point count")
-    seg = np.array([j for j, _ in assignment], dtype=np.int64)
-    off = np.array([o for _, o in assignment], dtype=float)
     emission, (transition,), _ = mapmatch._lattice(
-        net, mapmatch._Fixes.of([trace]).take(points), np.ones(len(points), np.int64),
-        [0, len(points)], seg, off, [router], [params])
+        net, fixes, np.asarray(points), np.ones(len(points), np.int64), [0, len(points)],
+        np.asarray(seg, dtype=np.int64), np.asarray(off, dtype=float), [router], [params])
     # Accumulation order mirrors the Viterbi recursion exactly, so identical
     # assignments under identical times produce the identical float.
     total = emission[0, 0]
@@ -172,19 +240,19 @@ def score_assignment(
 
 
 def run_baseline(
-    traces: list[GpsTrace],
+    fixes: Fixes,
     net: RoadNetwork,
     grid: TimeGrid,
     match_params: MatchParams = MatchParams(),
     infer_params: InferParams = InferParams(),
-) -> tuple[list[MatchedPath], dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
+) -> tuple[Pieces, dict[int, SegmentTimeEstimate], RefinementDiagnostics]:
     """The tandem baseline computed on its own: one geometric matching pass, one inference pass.
 
     The refinement loop stopped after its first iteration with travel
     times stripped out of the transition score; ``refine(..., baseline=)``
     must give the same estimates from its own first pass.
     """
-    return refine(traces, net, grid, match_params=replace(match_params, tt_tau=0.0),
+    return refine(fixes, net, grid, match_params=replace(match_params, tt_tau=0.0),
                   infer_params=infer_params, params=RefineParams(max_iters=1))
 
 
@@ -326,7 +394,7 @@ def make_corridor_network(
 
 class TwoRouteFixture(NamedTuple):
     net: RoadNetwork
-    traces: list[GpsTrace]
+    traces: Fixes
     truth_times: np.ndarray
     truth_paths: dict[int, list[int]]
     ambiguous_ids: list[int]
@@ -368,7 +436,7 @@ def make_two_route_fixture(n_pinned: int = 6, n_ambiguous: int = 8) -> TwoRouteF
 
     pinned_cfg = ProbeConfig(sampling_period=30.0, gps_sigma=0.0)
     endpoint_cfg = ProbeConfig(sampling_period=500.0, gps_sigma=0.0)
-    traces: list[GpsTrace] = []
+    traces: list[Fixes] = []
     truth_paths: dict[int, list[int]] = {}
     vid = 0
     for path, cfg, count in (
@@ -383,6 +451,6 @@ def make_two_route_fixture(n_pinned: int = 6, n_ambiguous: int = 8) -> TwoRouteF
             truth_paths[vid] = list(path)
             vid += 1
     ambiguous_ids = list(range(2 * n_pinned, vid))
-    return TwoRouteFixture(net=net, traces=traces, truth_times=truth_times,
+    return TwoRouteFixture(net=net, traces=concat_fixes(traces), truth_times=truth_times,
                            truth_paths=truth_paths, ambiguous_ids=ambiguous_ids,
                            grid=TimeGrid())

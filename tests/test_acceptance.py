@@ -28,7 +28,7 @@ from probeflow.evaluation import (
     mse,
     read_voc,
 )
-from probeflow.mapmatch import MatchParams, match_traces
+from probeflow.mapmatch import MatchParams, concat_fixes, match_traces
 from probeflow.network import (
     Node,
     RoadNetwork,
@@ -61,11 +61,13 @@ from probeflow.ttinfer import (
 
 from conftest import (
     bpr_time,
+    decoded_pieces,
     kkt_max_violation,
     lag_autocorrelation,
     make_corridor_network,
     make_grid_network,
     make_two_route_fixture,
+    piece_list,
     run_baseline,
     score_assignment,
     total_system_travel_time,
@@ -211,7 +213,7 @@ def test_04_matching_accuracy_degrades_gracefully_with_noise():
             trips.append(trip)
             traces.append(sample_trace(trip, net, scen, cfg, rng_seed=77))
         assert len(traces) >= 200
-        pieces = match_traces(net, traces, [Router(net, fft)] * len(traces), matcher)
+        pieces = match_traces(net, concat_fixes(traces), [Router(net, fft)] * len(traces), matcher)
         return matching_accuracy_pct(pieces, trips, net)
 
     assert accuracy(10.0, 0.0) >= 99.0
@@ -288,7 +290,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
 # ---------------------------------------------------------------------------
 
 
-def _assert_refine_step_invariants(traces, net, grid, params, k):
+def _assert_refine_step_invariants(fixes, net, grid, params, k):
     """One more iteration can only help each step's own objective.
 
     Comparing runs of k and k+1 iterations isolates the final rematch and
@@ -298,23 +300,33 @@ def _assert_refine_step_invariants(traces, net, grid, params, k):
     its own system than the times it replaced.
     """
     fft = net.seg_fft
-    p_old, est_old, _ = refine(traces, net, grid, match_params=params,
+    p_old, est_old, _ = refine(fixes, net, grid, match_params=params,
                                params=RefineParams(max_iters=k, stop_tol=1e-12))
-    p_new, est_new, _ = refine(traces, net, grid, match_params=params,
+    p_new, est_new, _ = refine(fixes, net, grid, match_params=params,
                                params=RefineParams(max_iters=k + 1, stop_tol=1e-12))
-    by_vid = {t.vehicle_id: t for t in traces}
-    new_by_key = {(p.vehicle_id, p.piece): p for p in p_new}
-    routers: dict[int, Router] = {}
-    for old in p_old:
-        tr = by_vid[old.vehicle_id]
-        iv = grid.interval_of(0.5 * (float(tr.timestamps[0]) + float(tr.timestamps[-1])))
-        t_iv = est_old[iv].time if iv in est_old else fft
-        router = routers.get(iv)
-        if router is None:
-            router = Router(net, t_iv)
-            routers[iv] = router
-        points = list(range(old.first_point, old.last_point + 1))
-        rescored = score_assignment(net, tr, points, old.assignment, router, params)
+    mid = 0.5 * (fixes.t[fixes.offsets[:-1]] + fixes.t[fixes.offsets[1:] - 1])
+    intervals = [grid.interval_of(t) for t in mid.tolist()]
+
+    def routers(est):
+        """Each vehicle's router under the estimates of its interval, or free flow."""
+        of_interval = {iv: Router(net, est[iv].time if iv in est else fft)
+                       for iv in set(intervals)}
+        return [of_interval[iv] for iv in intervals]
+
+    # The old assignment: the last pass of the k-iteration run matched
+    # under the estimates of the first k - 1 passes.
+    est_prev = {} if k == 1 else refine(fixes, net, grid, match_params=params, params=RefineParams(
+        max_iters=k - 1, stop_tol=1e-12))[1]
+    matched_under = routers(est_prev)
+    decoded = decoded_pieces(net, fixes, matched_under, params)
+    assert len(decoded) == len(p_old.log_score)
+    new_by_key = {(p.vehicle_id, p.piece): p for p in piece_list(p_new)}
+    rescoring = routers(est_old)
+    for old, (points, seg, off) in zip(piece_list(p_old), decoded):
+        i = int(np.searchsorted(fixes.vehicle, old.vehicle_id))
+        assert score_assignment(net, fixes, points, seg, off, matched_under[i],
+                                params) == old.log_score
+        rescored = score_assignment(net, fixes, points, seg, off, rescoring[i], params)
         fresh = new_by_key.get((old.vehicle_id, old.piece))
         assert fresh is not None
         assert fresh.log_score >= rescored - 1e-9

@@ -302,9 +302,19 @@ def test_refine_on_short_trace_row_exits_2_naming_it(world, tmp_path, capsys):
 
 @pytest.mark.parametrize("rows, message", [
     ("1,0.0,nan,-122.45\n1,30.0,37.75,-122.45", "coordinate out of range or NaN"),
+    ("1,0.0,37.75,-122.45\n1,30.0,37.75,nan", "coordinate out of range or NaN"),
+    ("1,0.0,95.0,-122.45", "coordinate out of range or NaN"),
+    ("1,0.0,37.75,-122.45\n1,30.0,37.75,180.5", "coordinate out of range or NaN"),
     ("1,0.0,37.75,-122.45\n1,inf,37.75,-122.45", "non-finite timestamp"),
     ("1,30.0,37.75,-122.45\n1,0.0,37.75,-122.45", "timestamps must strictly increase"),
-], ids=["nan-latitude", "infinite-timestamp", "decreasing-timestamps"])
+    ("1,30.0,37.75,-122.45\n1,30.0,37.75,-122.44", "timestamps must strictly increase"),
+    # Vehicle 2's fixes are fine; vehicle 1's second fix, after vehicle 2's
+    # rows, repeats its first instant.
+    ("1,0.0,37.75,-122.45\n2,0.0,37.75,-122.45\n2,30.0,37.75,-122.45\n"
+     "1,0.0,37.75,-122.44", "timestamps must strictly increase"),
+], ids=["nan-latitude", "nan-longitude", "latitude-out-of-range", "longitude-out-of-range",
+        "infinite-timestamp", "decreasing-timestamps", "repeated-timestamp",
+        "repeated-timestamp-across-vehicles"])
 def test_refine_on_bad_trace_values_exits_2_naming_the_file(world, tmp_path, capsys, rows,
                                                             message):
     bad = tmp_path / "bad_traces.csv"
@@ -314,6 +324,24 @@ def test_refine_on_bad_trace_values_exits_2_naming_the_file(world, tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert f"bad_traces.csv: vehicle 1: {message}" in err and "Traceback" not in err
+
+
+def test_refine_on_interleaved_trace_rows_equals_the_sorted_file(world, tmp_path):
+    """Vehicles' rows may interleave in traces.csv; each vehicle's keep their order."""
+    lines = Path(world.paths["traces"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    rows: dict[str, list[str]] = {}
+    for line in lines[1:]:
+        rows.setdefault(line.split(",")[0], []).append(line)
+    # Round robin over the vehicles, the last vehicle first.
+    queues = list(rows.values())[::-1]
+    interleaved = [q[k] for k in range(max(map(len, queues))) for q in queues if k < len(q)]
+    assert len(queues) >= 2 and sorted(interleaved) == sorted(lines[1:])
+    traces = tmp_path / "interleaved.csv"
+    traces.write_text(lines[0] + "".join(interleaved), encoding="utf-8")
+    rc = main(["refine", "--config", world.cfg, "--traces", str(traces),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out" / "matched.csv").read_bytes() == (world.pipe / "matched.csv").read_bytes()
 
 
 def test_import_osm_round_trip(tmp_path):
@@ -347,7 +375,7 @@ def test_one_pass_refine_then_infer(world, tmp_path):
     cfg = write_config(tmp_path, refine={"max_iters": 1}, **world.paths)
     assert main(["refine", "--config", cfg, "--out-dir", str(tmp_path / "refine")]) == 0
     matched = tmp_path / "refine" / "matched.csv"
-    assert read_matched(matched, world.net)
+    assert len(read_matched(matched, world.net).log_score)
 
     assert main(["infer", "--config", cfg, "--out-dir", str(tmp_path / "infer"),
                  "--matched", str(matched)]) == 0
@@ -389,7 +417,7 @@ def test_entry_times_going_backwards_exit_2_naming_them(world, tmp_path, capsys,
 def test_refine_outputs(world, tmp_path):
     out = str(tmp_path)
     assert main(["refine", "--config", world.cfg, "--out-dir", out]) == 0
-    assert read_matched(tmp_path / "matched.csv", world.net)
+    assert len(read_matched(tmp_path / "matched.csv", world.net).log_score)
     assert read_estimates(tmp_path / "estimates.csv", world.net, GRID)
     assert read_estimates(tmp_path / "baseline.csv", world.net, GRID)
     assert list(zip(*read_table(tmp_path / "diagnostics.csv", DIAGNOSTICS_COLUMNS)))
@@ -840,7 +868,7 @@ def test_pipeline_matches_under_free_flow_once(world, tmp_path, monkeypatch):
     out = tmp_path / "pipe"
     assert main(["pipeline", "--config", world.cfg, "--out-dir", str(out)]) == 0
     passes = len(list(zip(*read_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS))))
-    points = sum(len(trace) for trace in read_traces(world.paths["traces"]))
+    points = len(read_traces(world.paths["traces"]).t)
     assert passes >= 1 and points > 0
     assert sum(calls) == passes * points
 

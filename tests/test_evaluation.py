@@ -26,7 +26,7 @@ from probeflow.evaluation import (
     write_report,
     write_voc,
 )
-from probeflow.mapmatch import MatchedPath, MatchParams
+from probeflow.mapmatch import MatchParams, Pieces, concat_fixes
 from probeflow.network import Node, RoadNetwork, Router, Segment, Taz, TimeGrid
 from probeflow.refine import RefineParams, refine
 from probeflow.tracegen import (
@@ -42,15 +42,17 @@ from conftest import (
     make_corridor_network,
     make_grid_network,
     make_two_route_fixture,
+    piece_list,
+    pieces_table,
     run_baseline,
 )
 
 GRID8 = TimeGrid(interval_seconds=75600, interval_count=8)
 
 
-def matched_stub(vid: int, segments: list[int], piece: int = 0) -> MatchedPath:
-    return MatchedPath(vehicle_id=vid, piece=piece, segments=list(segments),
-                       entry_times=[0.0] * len(segments))
+def matched_stub(*pieces: tuple[int, list[int]]) -> Pieces:
+    """Pieces of (vehicle, segments) pairs, by vehicle, every entry time 0."""
+    return pieces_table([(vid, segments, [0.0] * len(segments)) for vid, segments in pieces])
 
 
 def truth_stub(vid: int, path: list[int]) -> TruthTrip:
@@ -119,10 +121,10 @@ def test_aggregate_error_values():
 def test_matching_accuracy_perfect_and_disjoint():
     net = make_corridor_network(n_segs=4, length=100.0)
     truth = [truth_stub(1, [0, 1]), truth_stub(2, [2, 3])]
-    perfect = [matched_stub(1, [0, 1]), matched_stub(2, [2, 3])]
+    perfect = matched_stub((1, [0, 1]), (2, [2, 3]))
     assert matching_accuracy_pct(perfect, truth, net) == 100.0
 
-    disjoint = [matched_stub(1, [2, 3]), matched_stub(2, [2, 3])]
+    disjoint = matched_stub((1, [2, 3]), (2, [2, 3]))
     overlaps, _ = per_trip_overlap(disjoint, truth, net)
     assert overlaps[1] == 0.0
     assert overlaps[2] == 100.0
@@ -132,7 +134,7 @@ def test_matching_accuracy_perfect_and_disjoint():
 def test_matching_accuracy_partial_overlap():
     net = make_corridor_network(n_segs=3, length=100.0)
     truth = [truth_stub(7, [0, 1])]
-    matched = [matched_stub(7, [0, 2])]
+    matched = matched_stub((7, [0, 2]))
     got = matching_accuracy_pct(matched, truth, net)
     assert abs(got - 100.0 / 3.0) < 1e-9
 
@@ -141,30 +143,30 @@ def test_matching_accuracy_is_100_iff_sets_equal():
     net = make_corridor_network(n_segs=5, length=100.0)
     truth = [truth_stub(1, [0, 1, 2])]
     # Pieces of one vehicle pool into a set, order and split irrelevant.
-    split = [matched_stub(1, [2, 1], piece=0), matched_stub(1, [0], piece=1)]
+    split = matched_stub((1, [2, 1]), (1, [0]))  # pieces 0 and 1
     assert matching_accuracy_pct(split, truth, net) == 100.0
     for wrong in ([0, 1], [0, 1, 2, 3], [0, 1, 4]):
-        assert matching_accuracy_pct([matched_stub(1, wrong)], truth, net) < 100.0
+        assert matching_accuracy_pct(matched_stub((1, wrong)), truth, net) < 100.0
 
 
 def test_matching_accuracy_exclusions():
     net = make_corridor_network(n_segs=3, length=100.0)
     truth = [truth_stub(1, [0, 1]), truth_stub(2, [1, 2])]
-    matched = [matched_stub(1, [0, 1]), matched_stub(9, [0])]
+    matched = matched_stub((1, [0, 1]), (9, [0]))
     overlaps, excluded = per_trip_overlap(matched, truth, net)
     assert set(overlaps) == {1}
     assert excluded == 2
     assert matching_accuracy_pct(matched, truth, net) == 100.0
     with pytest.raises(InputDataError):
-        matching_accuracy_pct([matched_stub(5, [0])], truth, net)
+        matching_accuracy_pct(matched_stub((5, [0])), truth, net)
 
 
 def test_matching_accuracy_rejects_bad_truth():
     net = make_corridor_network(n_segs=2)
     with pytest.raises(InputDataError):
-        per_trip_overlap([], [truth_stub(1, [0]), truth_stub(1, [1])], net)
+        per_trip_overlap(matched_stub(), [truth_stub(1, [0]), truth_stub(1, [1])], net)
     with pytest.raises(InputDataError):
-        per_trip_overlap([], [truth_stub(1, [])], net)
+        per_trip_overlap(matched_stub(), [truth_stub(1, [])], net)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,7 @@ def test_baseline_is_refine_with_one_geometric_iteration():
         fix.traces, fix.net, fix.grid,
         match_params=replace(params, tt_tau=0.0), params=RefineParams(max_iters=1))
 
+    base_pieces, ref_pieces = piece_list(base_pieces), piece_list(ref_pieces)
     assert len(base_pieces) == len(ref_pieces)
     for got, want in zip(base_pieces, ref_pieces):
         assert got.vehicle_id == want.vehicle_id
@@ -216,7 +219,7 @@ def jittered_grid_world():
                              departure=GRID8.interval_seconds * (vid % 4) + 60.0 * vid,
                              vehicle_id=vid)
         traces.append(sample_trace(trip, net, scen, cfg, rng_seed=3))
-    return traces, net
+    return concat_fixes(traces), net
 
 
 @pytest.mark.parametrize("case", ["two_route", "jittered_grid", "two_route_tt_tau_0"])
@@ -243,9 +246,7 @@ def test_baseline_decoded_in_refine_equals_run_baseline_bitwise(case):
 
     # Asking for the baseline leaves refine's own results as they were.
     plain_pieces, plain_est, plain_diag = refine(traces, net, grid, match_params=params)
-    assert [(mp.vehicle_id, mp.piece, mp.segments, mp.entry_times, mp.log_score)
-            for mp in pieces] == [(mp.vehicle_id, mp.piece, mp.segments, mp.entry_times,
-                                   mp.log_score) for mp in plain_pieces]
+    assert piece_list(pieces) == piece_list(plain_pieces)
     assert sorted(est) == sorted(plain_est)
     for iv in est:
         assert est[iv].time.tobytes() == plain_est[iv].time.tobytes()
@@ -256,14 +257,14 @@ def test_baseline_misassigns_what_refinement_corrects():
     fix = make_two_route_fixture()
     base_pieces, _, _ = run_baseline(fix.traces, fix.net, fix.grid)
     by_vid: dict[int, set[int]] = {}
-    for mp in base_pieces:
+    for mp in piece_list(base_pieces):
         by_vid.setdefault(mp.vehicle_id, set()).update(mp.segments)
     for vid in fix.ambiguous_ids:
         assert 0 in by_vid[vid] and 2 not in by_vid[vid]
 
     ref_pieces, _, _ = refine(fix.traces, fix.net, fix.grid)
     ref_by_vid: dict[int, set[int]] = {}
-    for mp in ref_pieces:
+    for mp in piece_list(ref_pieces):
         ref_by_vid.setdefault(mp.vehicle_id, set()).update(mp.segments)
     for vid in fix.ambiguous_ids:
         assert 2 in ref_by_vid[vid] and 0 not in ref_by_vid[vid]
@@ -280,7 +281,7 @@ def test_full_pipeline_beats_baseline_mse():
 def test_baseline_rejects_empty_traces():
     net = make_corridor_network()
     with pytest.raises(InputDataError):
-        run_baseline([], net, TimeGrid())
+        run_baseline(concat_fixes([]), net, TimeGrid())
 
 
 # ---------------------------------------------------------------------------

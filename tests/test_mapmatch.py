@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from probeflow import mapmatch
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import (
-    GpsTrace,
+    Fixes,
     MatchParams,
-    _Fixes,
     _lattice,
     _split_points,
+    concat_fixes,
     emission_logp,
     match_traces,
     read_matched,
@@ -38,16 +38,19 @@ from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, samp
 
 from conftest import (
     decode_run,
+    decoded_pieces,
     make_corridor_network as line_net,
     make_grid_network,
+    piece_list,
     score_assignment,
+    trace_table,
     viterbi_decode,
 )
 
 
 def corridor_trace(net: RoadNetwork, speed: float, period: float,
                    t_end: float, sigma: float = 0.0, seed: int = 0,
-                   vehicle_id: int = 7) -> GpsTrace:
+                   vehicle_id: int = 7) -> Fixes:
     """Walk a line_net corridor at constant speed, sampling every period."""
     length = float(net.seg_length[0])
     rng = np.random.default_rng(seed)
@@ -66,7 +69,7 @@ def corridor_trace(net: RoadNetwork, speed: float, period: float,
         lats.append(lat)
         lons.append(lon)
         t += period
-    return GpsTrace(vehicle_id, np.array(ts), np.array(lats), np.array(lons))
+    return trace_table(vehicle_id, ts, lats, lons)
 
 
 def free_flow_router(net: RoadNetwork) -> Router:
@@ -116,21 +119,6 @@ def test_match_params_validation():
         MatchParams(gap_factor=0.0)
     with pytest.raises(InputDataError):
         MatchParams(radius=math.nan)  # would make every candidate grid key undefined
-
-
-def test_gps_trace_validation():
-    with pytest.raises(InputDataError):
-        GpsTrace(1, [0.0, 1.0], [0.0], [0.0, 0.0])
-    with pytest.raises(InputDataError):
-        GpsTrace(1, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(InputDataError):
-        GpsTrace(1, [], [], [])
-    with pytest.raises(InputDataError):
-        GpsTrace(1, [0.0], [95.0], [0.0])
-    with pytest.raises(InputDataError):
-        GpsTrace(1, [0.0, 1.0], [0.0, math.nan], [0.0, 0.0])
-    with pytest.raises(InputDataError):
-        GpsTrace(1, [0.0, 1.0], [0.0, 0.0], [math.nan, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +239,20 @@ def test_chunk_decoder_equals_per_run_oracle(sizes, width, seed, holes, dead):
 def test_five_points_on_single_segment():
     net = line_net(n_segs=1, length=500.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=40.0)
-    pieces = match_traces(net, [trace], [free_flow_router(net)])
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)]))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0]
     assert mp.entry_times == [0.0]
-    assert mp.first_point == 0 and mp.last_point == 4
-    offsets = [off for _, off in mp.assignment]
+    [(points, _, offsets)] = decoded_pieces(net, trace, [free_flow_router(net)])
+    assert points[0] == 0 and points[-1] == 4
     assert np.allclose(offsets, [0.0, 100.0, 200.0, 300.0, 400.0], atol=1e-6)
 
 
 def test_corridor_recovers_path_and_entry_times():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0)
-    pieces = match_traces(net, [trace], [free_flow_router(net)])
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)]))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3, 4]
@@ -282,8 +270,8 @@ def test_first_point_mid_segment_extrapolates_entry():
         ts.append(t)
         lats.append(lat)
         lons.append(lon)
-    trace = GpsTrace(9, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_traces(net, [trace], [free_flow_router(net)])
+    trace = trace_table(9, ts, lats, lons)
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)]))
     assert len(pieces) == 1
     mp = pieces[0]
     assert mp.segments == [0, 1, 2, 3]
@@ -302,8 +290,8 @@ def test_two_way_corridor_picks_forward_segments():
         ts.append(10.0 * k)
         lats.append(net.nodes[0].lat)
         lons.append(net.nodes[0].lon + d / mlon)
-    trace = GpsTrace(3, np.array(ts), np.array(lats), np.array(lons))
-    pieces = match_traces(net, [trace], [free_flow_router(net)])
+    trace = trace_table(3, ts, lats, lons)
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)]))
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 2, 4, 6, 8]
     assert np.allclose(pieces[0].entry_times, [0.0, 20.0, 40.0, 60.0, 80.0], atol=1e-3)
@@ -312,7 +300,7 @@ def test_two_way_corridor_picks_forward_segments():
 def test_noisy_corridor_still_matches():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     trace = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=5.0, seed=11)
-    pieces = match_traces(net, [trace], [free_flow_router(net)])
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)]))
     assert len(pieces) == 1
     assert pieces[0].segments == [0, 1, 2, 3, 4]
 
@@ -343,13 +331,9 @@ def fork_net() -> tuple[RoadNetwork, float, float]:
 def test_travel_time_disambiguates_equal_geometry(dt, expected):
     net, _, _ = fork_net()
     router = free_flow_router(net)
-    trace = GpsTrace(
-        1,
-        np.array([0.0, dt]),
-        np.array([net.nodes[0].lat, net.nodes[3].lat]),
-        np.array([net.nodes[0].lon, net.nodes[3].lon]),
-    )
-    pieces = match_traces(net, [trace], [router])
+    trace = trace_table(1, [0.0, dt], [net.nodes[0].lat, net.nodes[3].lat],
+                        [net.nodes[0].lon, net.nodes[3].lon])
+    pieces = piece_list(match_traces(net, trace, [router]))
     assert len(pieces) == 1
     assert pieces[0].segments == expected
 
@@ -358,13 +342,9 @@ def test_tau_zero_falls_back_to_candidate_order():
     # Without the travel-time term the two routes tie on geometry, and the
     # tie resolves to the first candidate, which is the smaller segment id.
     net, _, fast_tt = fork_net()
-    trace = GpsTrace(
-        1,
-        np.array([0.0, fast_tt]),
-        np.array([net.nodes[0].lat, net.nodes[3].lat]),
-        np.array([net.nodes[0].lon, net.nodes[3].lon]),
-    )
-    pieces = match_traces(net, [trace], [free_flow_router(net)], MatchParams(tt_tau=0.0))
+    trace = trace_table(1, [0.0, fast_tt], [net.nodes[0].lat, net.nodes[3].lat],
+                        [net.nodes[0].lon, net.nodes[3].lon])
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)], MatchParams(tt_tau=0.0)))
     assert pieces[0].segments == [0, 1]
 
 
@@ -372,24 +352,25 @@ def test_long_gap_splits_trace():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     base = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0)
     # Repeat the walk after a 1000 s silence; median dt stays 10 s.
-    ts = np.concatenate([base.timestamps, base.timestamps + 1100.0])
-    lats = np.concatenate([base.lats, base.lats])
-    lons = np.concatenate([base.lons, base.lons])
-    pieces = match_traces(net, [GpsTrace(5, ts, lats, lons)], [free_flow_router(net)])
+    trace = trace_table(5, np.concatenate([base.t, base.t + 1100.0]),
+                        np.concatenate([base.lat, base.lat]), np.concatenate([base.lon, base.lon]))
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)]))
     assert [mp.piece for mp in pieces] == [0, 1]
     assert pieces[0].segments == pieces[1].segments == [0, 1, 2, 3, 4]
-    assert pieces[0].last_point == 10 and pieces[1].first_point == 11
+    points = [points for points, _, _ in decoded_pieces(net, trace, [free_flow_router(net)])]
+    assert points[0][-1] == 10 and points[1][0] == 11
 
 
 def test_point_without_candidates_is_dropped_and_splits():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     base = corridor_trace(net, speed=10.0, period=10.0, t_end=100.0)
-    lats = base.lats.copy()
+    lats = base.lat.copy()
     lats[5] += 2000.0 / meters_per_degree(0.0)[0]  # 2 km off the corridor
-    pieces = match_traces(net, [GpsTrace(5, base.timestamps, lats, base.lons)],
-                          [free_flow_router(net)])
-    assert len(pieces) == 2
-    assert pieces[0].last_point == 4 and pieces[1].first_point == 6
+    trace = trace_table(5, base.t, lats, base.lon)
+    assert len(piece_list(match_traces(net, trace, [free_flow_router(net)]))) == 2
+    points = [points for points, _, _ in decoded_pieces(net, trace, [free_flow_router(net)])]
+    assert len(points) == 2
+    assert points[0][-1] == 4 and points[1][0] == 6
 
 
 def test_unroutable_step_splits_lattice():
@@ -414,8 +395,8 @@ def test_unroutable_step_splits_lattice():
         lat, lon = position_on_segment(net, j, off)
         lats.append(lat)
         lons.append(lon)
-    trace = GpsTrace(9, np.array([0.0, 15.0, 30.0, 45.0]), np.array(lats), np.array(lons))
-    pieces = match_traces(net, [trace], [free_flow_router(net)])
+    trace = trace_table(9, [0.0, 15.0, 30.0, 45.0], lats, lons)
+    pieces = piece_list(match_traces(net, trace, [free_flow_router(net)]))
     assert len(pieces) == 2
     assert pieces[0].segments == [0]
     assert pieces[1].segments == [2]
@@ -446,8 +427,8 @@ def test_split_points_equal_np_median_reference(gaps, factor, data):
 
 def test_no_candidates_anywhere_returns_empty():
     net = line_net(n_segs=2)
-    trace = GpsTrace(1, np.array([0.0, 10.0]), np.array([5.0, 5.0]), np.array([5.0, 5.0]))
-    assert match_traces(net, [trace], [free_flow_router(net)]) == []
+    trace = trace_table(1, [0.0, 10.0], [5.0, 5.0], [5.0, 5.0])
+    assert piece_list(match_traces(net, trace, [free_flow_router(net)])) == []
 
 
 def grid_segment(net: RoadNetwork, u: int, v: int) -> int:
@@ -455,7 +436,7 @@ def grid_segment(net: RoadNetwork, u: int, v: int) -> int:
     return next(j for j, seg in enumerate(net.segments) if (seg.from_node, seg.to_node) == (u, v))
 
 
-def sparse_row_trace(net: RoadNetwork, nx: int, stride: int) -> GpsTrace:
+def sparse_row_trace(net: RoadNetwork, nx: int, stride: int) -> Fixes:
     """Fixes mid-segment along a grid's bottom row, ``stride`` segments apart."""
     ts, lats, lons = [], [], []
     for k, ix in enumerate(range(0, nx - 1, stride)):
@@ -464,7 +445,7 @@ def sparse_row_trace(net: RoadNetwork, nx: int, stride: int) -> GpsTrace:
         ts.append(k * stride * 20.0)
         lats.append(lat)
         lons.append(lon)
-    return GpsTrace(4, np.array(ts), np.array(lats), np.array(lons))
+    return trace_table(4, ts, lats, lons)
 
 
 @pytest.mark.parametrize("case", ["dense_corridor", "sparse_jittered_grid"])
@@ -479,31 +460,28 @@ def test_rescore_equals_match_score_bitwise(case):
         net = make_grid_network(22, 2, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=5)
         trace = sparse_row_trace(net, nx=22, stride=10)
     router = free_flow_router(net)
-    pieces = match_traces(net, [trace], [router])
+    pieces = piece_list(match_traces(net, trace, [router]))
     assert len(pieces) == 1
     mp = pieces[0]
     if case == "sparse_jittered_grid":
         assert mp.segments == [grid_segment(net, ix, ix + 1) for ix in range(21)]
-    points = list(range(mp.first_point, mp.last_point + 1))
-    rescored = score_assignment(net, trace, points, mp.assignment, router)
+    [(points, seg, off)] = decoded_pieces(net, trace, [router])
+    rescored = score_assignment(net, trace, points, seg, off, router)
     assert rescored == mp.log_score
 
 
 def test_rescore_under_other_times_changes_score():
     net, _, _ = fork_net()
     truth = net.seg_fft
-    trace = GpsTrace(
-        1,
-        np.array([0.0, 80.0]),
-        np.array([net.nodes[0].lat, net.nodes[3].lat]),
-        np.array([net.nodes[0].lon, net.nodes[3].lon]),
-    )
-    mp = match_traces(net, [trace], [Router(net, truth)])[0]
-    points = [mp.first_point, mp.last_point]
-    same = score_assignment(net, trace, points, mp.assignment, Router(net, truth))
+    trace = trace_table(1, [0.0, 80.0], [net.nodes[0].lat, net.nodes[3].lat],
+                        [net.nodes[0].lon, net.nodes[3].lon])
+    mp = piece_list(match_traces(net, trace, [Router(net, truth)]))[0]
+    [(points, seg, off)] = decoded_pieces(net, trace, [Router(net, truth)])
+    assert points == [0, 1]
+    same = score_assignment(net, trace, points, seg, off, Router(net, truth))
     distorted = truth.copy()
     distorted[0] = 200.0
-    other = score_assignment(net, trace, points, mp.assignment, Router(net, distorted))
+    other = score_assignment(net, trace, points, seg, off, Router(net, distorted))
     assert same == mp.log_score
     assert other < same
 
@@ -511,13 +489,13 @@ def test_rescore_under_other_times_changes_score():
 def test_batch_matching_is_deterministic():
     net = line_net(n_segs=5, length=200.0, speed=10.0)
     times = net.seg_fft
-    traces = [
+    traces = concat_fixes([
         corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=4.0, seed=s,
                        vehicle_id=s)
         for s in range(5)
-    ]
-    a = match_traces(net, traces, [Router(net, times)] * len(traces))
-    b = match_traces(net, traces, [Router(net, times)] * len(traces))
+    ])
+    a = piece_list(match_traces(net, traces, [Router(net, times)] * 5))
+    b = piece_list(match_traces(net, traces, [Router(net, times)] * 5))
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert (x.vehicle_id, x.piece, x.segments) == (y.vehicle_id, y.piece, y.segments)
@@ -571,7 +549,7 @@ def test_matching_a_short_trace_settles_few_nodes():
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=15.0, gps_sigma=5.0),
                          rng_seed=2)
     router = free_flow_router(net)
-    assert match_traces(net, [trace], [router])
+    assert piece_list(match_traces(net, trace, [router]))
     full = len(router._trees) * net.n_nodes
     assert len(router._trees) >= 5
     assert router.settled() < 0.05 * full
@@ -630,10 +608,10 @@ def test_legs_equal_per_pair_reference():
         off_a = rng.uniform(0.0, 1.0, 6) * net.seg_length[seg_a]
         off_b = rng.uniform(0.0, 1.0, 6) * net.seg_length[seg_b]
         u, v = rng.integers(0, net.n_nodes, 2)
-        trace = GpsTrace(1, [0.0, 30.0], net.node_lat[[u, v]], net.node_lon[[u, v]])
-        gc = haversine((float(trace.lats[0]), float(trace.lons[0])),
-                       (float(trace.lats[1]), float(trace.lons[1])))
-        _, transitions, lengths = _lattice(net, _Fixes.of([trace]), np.array([6, 6]), [0, 2],
+        trace = trace_table(1, [0.0, 30.0], net.node_lat[[u, v]], net.node_lon[[u, v]])
+        gc = haversine((float(trace.lat[0]), float(trace.lon[0])),
+                       (float(trace.lat[1]), float(trace.lon[1])))
+        _, transitions, lengths = _lattice(net, trace, np.arange(2), np.array([6, 6]), [0, 2],
                                            np.concatenate([seg_a, seg_b]),
                                            np.concatenate([off_a, off_b]), [router], param_sets)
         for a, b in itertools.product(range(6), range(6)):
@@ -675,22 +653,21 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, cuts, si
     off[end == 1] = net.seg_length[seg][end == 1]
     runs = [0, *(k + 1 for k in range(n - 1) if cuts[k]), n]
     which = rng.integers(0, 2, len(runs) - 1).tolist()
-    traces = [GpsTrace(3 + r, rng.uniform(0.0, 1e5) + np.cumsum(rng.uniform(1.0, 120.0, b - a)),
-                       rng.uniform(net.node_lat.min(), net.node_lat.max(), b - a),
-                       rng.uniform(net.node_lon.min(), net.node_lon.max(), b - a))
-              for r, (a, b) in enumerate(zip(runs, runs[1:]))]
+    fixes = concat_fixes([
+        trace_table(3 + r, rng.uniform(0.0, 1e5) + np.cumsum(rng.uniform(1.0, 120.0, b - a)),
+                    rng.uniform(net.node_lat.min(), net.node_lat.max(), b - a),
+                    rng.uniform(net.node_lon.min(), net.node_lon.max(), b - a))
+        for r, (a, b) in enumerate(zip(runs, runs[1:]))])
     param_sets = [MatchParams(gps_sigma=sigma, tt_tau=tau),
                   MatchParams(gps_sigma=sigma, tt_tau=0.0)]
-    emission, transitions, lengths = _lattice(net, _Fixes.of(traces), np.array(counts), runs,
+    emission, transitions, lengths = _lattice(net, fixes, np.arange(n), np.array(counts), runs,
                                               seg, off, [pair[r] for r in which], param_sets)
 
     w = max(counts)
     assert emission.shape == (n, w)
     assert lengths.shape == (n, w, w) and all(trans.shape == (n, w, w) for trans in transitions)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    lats = np.concatenate([trace.lats for trace in traces]).tolist()
-    lons = np.concatenate([trace.lons for trace in traces]).tolist()
-    ts = np.concatenate([trace.timestamps for trace in traces]).tolist()
+    lats, lons, ts = fixes.lat.tolist(), fixes.lon.tolist(), fixes.t.tolist()
     for k in range(n):
         mlat, mlon = meters_per_degree(lats[k])
         want = []
@@ -721,7 +698,7 @@ def test_flat_lattice_equals_scalar_formulas(jitter_seed, seed, counts, cuts, si
 
 
 def grid_trace(net: RoadNetwork, origin: int, dest: int, period: float, sigma: float,
-               vehicle_id: int, seed: int) -> GpsTrace:
+               vehicle_id: int, seed: int) -> Fixes:
     """A probe trace of the free-flow route between two nodes of a grid network."""
     route = free_flow_router(net).route(net.node_index(origin), net.node_index(dest))
     truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
@@ -742,23 +719,25 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
     the bound, so a chunk holds traces of both routers.
     """
     net = make_grid_network(12, 12, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
-    ends = [(13, 130), (0, 143), (11, 132), (60, 71), (130, 13), (5, 138), (24, 35), (100, 43)]
-    traces = [grid_trace(net, a, b, 5.0, 5.0, vid, 4) for vid, (a, b) in enumerate(ends)]
-    traces.insert(3, grid_trace(net, 0, 143, 1.5, 5.0, 99, 4))
+    ends = [(13, 130, 5.0), (0, 143, 5.0), (11, 132, 5.0), (0, 143, 1.5), (60, 71, 5.0),
+            (130, 13, 5.0), (5, 138, 5.0), (24, 35, 5.0), (100, 43, 5.0)]
+    traces = [grid_trace(net, a, b, period, 5.0, vid, 4)
+              for vid, (a, b, period) in enumerate(ends)]
+    sizes = [len(trace.t) for trace in traces]
     bound = mapmatch._CHUNK_FIXES
-    assert len(traces[3]) > bound and sum(map(len, traces)) > 2 * bound
+    assert sizes[3] > bound and sum(sizes) > 2 * bound
     pair = [free_flow_router(net), free_flow_router(net)]
     routers = [pair[i // 2 % 2] for i in range(len(traces))]
-    # The traces and routers of each chunk, packed as the matcher packs them.
-    chunks: list[tuple[list[GpsTrace], list[Router]]] = []
+    # The fix counts and routers of each chunk, packed as the matcher packs them.
+    chunks: list[tuple[list[int], list[Router]]] = []
     fixes = bound + 1
-    for trace, router in zip(traces, routers):
-        if fixes + len(trace) > bound:
+    for size, router in zip(sizes, routers):
+        if fixes + size > bound:
             chunks.append(([], []))
             fixes = 0
-        chunks[-1][0].append(trace)
+        chunks[-1][0].append(size)
         chunks[-1][1].append(router)
-        fixes += len(trace)
+        fixes += size
     assert len(chunks) == 3  # the bound falls before and after trace 3
     assert [len(set(map(id, chunk_routers))) for _, chunk_routers in chunks] == [2, 1, 2]
 
@@ -780,12 +759,19 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
     monkeypatch.setattr(mapmatch, "project_to_candidates", counted_search)
     for k, router in enumerate(pair):
         monkeypatch.setattr(router, "reach", counted_reach(k, router.reach))
-    assert match_traces(net, traces, routers, baseline=[])
-    assert projected == [sum(map(len, chunk)) for chunk, _ in chunks]
+    assert len(match_traces(net, concat_fixes(traces), routers, baseline=[]).log_score)
+    assert projected == [sum(chunk) for chunk, _ in chunks]
     assert sum(map(len, sources)) >= 10
     assert all(len(chunk) == len(set(chunk)) for chunk in sources)
     assert [{k for k, _ in chunk} for chunk in sources] == [
         {pair.index(router) for router in chunk_routers} for _, chunk_routers in chunks]
+
+
+def vehicle_slice(fixes: Fixes, i: int) -> Fixes:
+    """Vehicle i's rows of a fix table, as a one-vehicle table of its own."""
+    a, b = fixes.offsets[i], fixes.offsets[i + 1]
+    return Fixes(fixes.vehicle[i:i + 1], fixes.offsets[i:i + 2] - a,
+                 *(column[a:b] for column in fixes[2:]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -795,14 +781,16 @@ def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypat
 def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound, cycle):
     """Every field of every piece, and of every baseline piece, bit for bit.
 
-    One ``match_traces`` call matches all the traces, each under one of
-    three routers with different times: drawn at random, so runs of one
-    router and interleavings (A, B, A, ...) both occur, or cycling
-    (A, B, C, A, ...) when ``cycle``. The explicit example's six cycling
-    traces fit in one chunk. The chunk bound is drawn small as well, so
-    chunk boundaries fall between traces and traces run longer than the
-    bound. Some traces have fixes outside the search radius, some only
-    one fix.
+    One ``match_traces`` call matches a fix table of all the traces, each
+    under one of three routers with different times: drawn at random,
+    so runs of one router and interleavings (A, B, A, ...) both occur,
+    or cycling (A, B, C, A, ...) when ``cycle``. Matching "alone" is a
+    call on the one-vehicle slice of the same table, so cutting chunks
+    from the table's offsets is checked against per-vehicle matching.
+    The explicit example's six cycling traces fit in one chunk. The
+    chunk bound is drawn small as well, so chunk boundaries fall between
+    traces and traces run longer than the bound. Some traces have fixes
+    outside the search radius, some only one fix.
     """
     net = make_grid_network(6, 6, spacing=200.0, speed=10.0, jitter=20.0, jitter_seed=6)
     rng = np.random.default_rng(seed)
@@ -812,42 +800,49 @@ def test_batch_matching_equals_matching_each_trace_alone(seed, n_traces, bound, 
         a, b = rng.choice(net.n_nodes, 2, replace=False).tolist()
         trace = grid_trace(net, net.nodes[a].id, net.nodes[b].id, float(rng.uniform(4.0, 40.0)),
                            float(rng.uniform(0.0, 15.0)), vid, int(rng.integers(1000)))
-        lats = trace.lats.copy()
+        lats = trace.lat.copy()
         lats[rng.random(len(lats)) < 0.15] += 0.02  # about 2 km off the network
         keep = 1 if rng.random() < 0.2 else len(lats)
-        traces.append(GpsTrace(vid, trace.timestamps[:keep], lats[:keep], trace.lons[:keep]))
+        traces.append(trace_table(vid, trace.t[:keep], lats[:keep], trace.lon[:keep]))
         drawn = int(rng.integers(3))
         which.append(vid % 3 if cycle else drawn)
+    fixes = concat_fixes(traces)
     params = MatchParams(gps_sigma=8.0)
     routers = [Router(net, t) for t in times]
 
     with patch.object(mapmatch, "_CHUNK_FIXES", bound):
         want, want_base = [], []
-        for trace, r in zip(traces, which):
-            want.append(match_traces(net, [trace], [Router(net, times[r])], params, base := []))
-            want_base.append(base)
+        for i, r in enumerate(which):
+            alone = match_traces(net, vehicle_slice(fixes, i), [Router(net, times[r])], params,
+                                 base := [])
+            want.append(piece_list(alone))
+            want_base.append(piece_list(base[0]))
         base = []
-        got = match_traces(net, traces, [routers[r] for r in which], params, base)
-    assert got == [mp for pieces in want for mp in pieces]
-    assert base == [mp for pieces in want_base for mp in pieces]
+        got = match_traces(net, fixes, [routers[r] for r in which], params, base)
+    assert piece_list(got) == [mp for pieces in want for mp in pieces]
+    assert piece_list(base[0]) == [mp for pieces in want_base for mp in pieces]
     assert all(mp.piece == k for pieces in want for k, mp in enumerate(pieces))
 
 
 def test_matched_csv_round_trip(tmp_path):
     net = line_net(n_segs=5, length=200.0, speed=10.0)
-    traces = [
+    traces = concat_fixes([
         corridor_trace(net, speed=10.0, period=10.0, t_end=100.0, sigma=3.0, seed=s,
                        vehicle_id=s)
         for s in range(3)
-    ]
-    pieces = match_traces(net, traces, [free_flow_router(net)] * len(traces))
+    ])
+    pieces = match_traces(net, traces, [free_flow_router(net)] * 3)
     path = tmp_path / "matched.csv"
     write_matched(pieces, path, net)
-    back = read_matched(path, net)
-    assert len(back) == len(pieces)
-    for x, y in zip(sorted(pieces, key=lambda m: (m.vehicle_id, m.piece)), back):
+    back = piece_list(read_matched(path, net))
+    assert len(back) == len(pieces.log_score) >= 3
+    for x, y in zip(piece_list(pieces), back):
         assert (x.vehicle_id, x.piece, x.segments) == (y.vehicle_id, y.piece, y.segments)
         assert x.entry_times == y.entry_times
+    # No piece at all: a header-only file, read back as no piece.
+    write_matched(match_traces(net, concat_fixes([]), []), path, net)
+    empty = read_matched(path, net)
+    assert empty.bounds.tolist() == [0] and piece_list(empty) == []
 
 
 def test_read_matched_rejects_bad_header(tmp_path):
@@ -862,8 +857,8 @@ def test_read_matched_rejects_entry_times_going_backwards(tmp_path):
     # Equal entry times are legal; a piece of another vehicle starts afresh.
     p.write_text("vehicle_id,piece,segment_id,entry_time_s\n"
                  "1,0,0,100.0\n1,0,1,100.0\n2,0,2,5.0\n1,0,2,120.0\n")
-    assert [mp.entry_times for mp in read_matched(p, line_net())] == [[100.0, 100.0, 120.0],
-                                                                     [5.0]]
+    assert [mp.entry_times for mp in piece_list(read_matched(p, line_net()))] == [
+        [100.0, 100.0, 120.0], [5.0]]
     p.write_text("vehicle_id,piece,segment_id,entry_time_s\n1,0,0,100.0\n1,0,1,120.0\n"
                  "1,0,2,30.0\n")
     with pytest.raises(InputDataError, match=r"matched\.csv: vehicle 1, piece 0: entry time "
@@ -886,7 +881,7 @@ def test_matched_pieces_connect_and_entry_times_nondecreasing(sigma, period, ori
                                 entry_times=None), net, truth)
     trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
                          rng_seed=seed)
-    for mp in match_traces(net, [trace], [router]):
+    for mp in piece_list(match_traces(net, trace, [router])):
         segs = [net.segments[j] for j in mp.segments]
         assert all(a.to_node == b.from_node for a, b in zip(segs, segs[1:]))
         assert all(t0 <= t1 for t0, t1 in zip(mp.entry_times, mp.entry_times[1:]))

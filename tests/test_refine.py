@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow import refine as refine_module
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import MatchedPath, match_traces
+from probeflow.mapmatch import concat_fixes, match_traces
 from probeflow.network import Router, TimeGrid
 from probeflow.refine import (
     DIAGNOSTICS_COLUMNS,
@@ -23,7 +25,14 @@ from probeflow.tables import read_table
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
 from probeflow.ttinfer import infer_times, observations_from_matches, residual_sq
 
-from conftest import make_corridor_network, make_two_route_fixture, score_assignment
+from conftest import (
+    decoded_pieces,
+    make_corridor_network,
+    make_two_route_fixture,
+    piece_list,
+    pieces_table,
+    score_assignment,
+)
 
 
 def congested_corridor(n_traces=4, n_segs=4):
@@ -40,7 +49,7 @@ def congested_corridor(n_traces=4, n_segs=4):
         trip = with_times(TruthTrip(vehicle_id=v, departure=30.0 * v,
                                     path=list(range(n_segs)), entry_times=None), net, truth)
         traces.append(sample_trace(trip, net, truth, cfg))
-    return net, traces
+    return net, concat_fixes(traces)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +63,7 @@ def test_fixed_point_stops_after_unchanged_rematch():
     # Iteration 0 moves times a lot; iteration 1 rematches identical paths
     # (a corridor offers no alternative) and stops there.
     assert len(diag) == 2
-    assert diag.records[0].changed_paths == len(pieces)
+    assert diag.records[0].changed_paths == len(pieces.log_score)
     assert diag.records[1].changed_paths == 0
     assert diag.records[1].max_rel_change == 0.0
     assert diag.records[1].residual == diag.records[0].residual
@@ -75,7 +84,7 @@ def test_small_update_stops_on_tolerance():
         trip = with_times(TruthTrip(vehicle_id=v, departure=10.0 * v,
                                     path=[0, 1, 2], entry_times=None), net, truth)
         traces.append(sample_trace(trip, net, truth, cfg))
-    _, _, diag = refine(traces, net, TimeGrid())
+    _, _, diag = refine(concat_fixes(traces), net, TimeGrid())
     assert len(diag) == 1
     assert diag.records[0].max_rel_change < 1e-3
 
@@ -94,9 +103,9 @@ def test_single_iteration_equals_sequential_pipeline():
     assert len(diag) == 1
 
     fft = fx.net.seg_fft
-    manual_pieces = match_traces(fx.net, fx.traces, [Router(fx.net, fft)] * len(fx.traces))
-    assert [(m.vehicle_id, m.piece, m.segments) for m in manual_pieces] == [
-        (m.vehicle_id, m.piece, m.segments) for m in pieces
+    manual_pieces = match_traces(fx.net, fx.traces, [Router(fx.net, fft)] * len(fx.traces.vehicle))
+    assert [(m.vehicle_id, m.piece, m.segments) for m in piece_list(manual_pieces)] == [
+        (m.vehicle_id, m.piece, m.segments) for m in piece_list(pieces)
     ]
     by_interval = observations_from_matches(manual_pieces, grid)
     for iv, obs in by_interval.items():
@@ -112,7 +121,7 @@ def test_single_iteration_equals_sequential_pipeline():
 
 def ambiguous_assignments(pieces, fx):
     out = {}
-    for mp in pieces:
+    for mp in piece_list(pieces):
         if mp.vehicle_id in fx.ambiguous_ids:
             out[mp.vehicle_id] = mp.segments
     return out
@@ -136,7 +145,7 @@ def test_refinement_flips_ambiguous_to_true_route():
     assert corrected == len(fx.ambiguous_ids)
     assert len(diag) >= 2
     # Pinned vehicles stay on their geometric routes throughout.
-    for mp in pieces:
+    for mp in piece_list(pieces):
         if mp.vehicle_id not in fx.ambiguous_ids:
             assert mp.segments == fx.truth_paths[mp.vehicle_id]
 
@@ -180,27 +189,32 @@ def test_infer_step_never_raises_residual_of_its_system():
 def test_rematch_never_scores_below_previous_paths():
     fx = make_two_route_fixture()
     grid = fx.grid
-    traces_by_vid = {t.vehicle_id: t for t in fx.traces}
-    pieces_0, est_0, _ = refine(fx.traces, fx.net, grid, params=RefineParams(max_iters=1))
-    pieces_1, _, diag_1 = refine(fx.traces, fx.net, grid,
+    fixes = fx.traces
+    pieces_0, est_0, _ = refine(fixes, fx.net, grid, params=RefineParams(max_iters=1))
+    pieces_1, _, diag_1 = refine(fixes, fx.net, grid,
                                  params=RefineParams(max_iters=2, stop_tol=1e-12))
+    # Pass 0 matched every vehicle under free flow.
+    decoded = decoded_pieces(fx.net, fixes, [Router(fx.net, fx.net.seg_fft)] * len(fixes.vehicle))
+    assert len(decoded) == len(pieces_0.log_score)
 
-    new_by_key = {(mp.vehicle_id, mp.piece): mp for mp in pieces_1}
-    for mp in pieces_0:
-        trace = traces_by_vid[mp.vehicle_id]
-        times = est_0[grid.interval_of(0.5 * (trace.timestamps[0] + trace.timestamps[-1]))].time
-        points = list(range(mp.first_point, mp.last_point + 1))
-        rescored = score_assignment(fx.net, trace, points, mp.assignment, Router(fx.net, times))
+    new_by_key = {(mp.vehicle_id, mp.piece): mp for mp in piece_list(pieces_1)}
+    for mp, (points, seg, off) in zip(piece_list(pieces_0), decoded):
+        i = int(np.searchsorted(fixes.vehicle, mp.vehicle_id))
+        first, last = fixes.t[fixes.offsets[i]], fixes.t[fixes.offsets[i + 1] - 1]
+        times = est_0[grid.interval_of(0.5 * (first + last))].time
+        free_flow = Router(fx.net, fx.net.seg_fft)
+        assert score_assignment(fx.net, fixes, points, seg, off, free_flow) == mp.log_score
+        rescored = score_assignment(fx.net, fixes, points, seg, off, Router(fx.net, times))
         fresh = new_by_key[(mp.vehicle_id, mp.piece)]
         assert fresh.log_score >= rescored
-    total_fresh = math.fsum(mp.log_score for mp in pieces_1)
+    total_fresh = math.fsum(pieces_1.log_score.tolist())
     assert diag_1.records[1].viterbi_score == total_fresh
 
 
 def test_refine_validates_arguments():
     fx = make_two_route_fixture(n_pinned=1, n_ambiguous=1)
     with pytest.raises(InputDataError):
-        refine([], fx.net, fx.grid)
+        refine(concat_fixes([]), fx.net, fx.grid)
     with pytest.raises(InputDataError):
         refine(fx.traces, fx.net, fx.grid, params=RefineParams(max_iters=0))
     with pytest.raises(InputDataError):
@@ -228,13 +242,13 @@ def test_limit_cycle_stops_where_the_cycle_closes(monkeypatch):
     # so no pass meets stop_tol: the loop stops at pass 2, which repeats
     # pass 0, whatever max_iters is.
     net, traces = congested_corridor(n_traces=1)
-    cycle = [MatchedPath(0, 0, [0, 1, 2, 3], [0.0, 40.0, 80.0, 120.0], log_score=-1.0),
-             MatchedPath(0, 0, [0, 1, 2], [0.0, 80.0, 160.0], log_score=-2.0)]
+    cycle = [pieces_table([(0, [0, 1, 2, 3], [0.0, 40.0, 80.0, 120.0], -1.0)]),
+             pieces_table([(0, [0, 1, 2], [0.0, 80.0, 160.0], -2.0)])]
     passes: list[int] = []  # match_traces calls of each run
 
     def alternating(net, traces, routers, *args):
         passes[-1] += 1
-        return [cycle[(passes[-1] - 1) % 2]]
+        return cycle[(passes[-1] - 1) % 2]
 
     monkeypatch.setattr(refine_module, "match_traces", alternating)
     runs = []
@@ -245,19 +259,34 @@ def test_limit_cycle_stops_where_the_cycle_closes(monkeypatch):
     (pieces_9, est_9, diag_9), (pieces_10, est_10, diag_10) = runs
     assert diag_9.records == diag_10.records and len(diag_9) == 3
     assert all(r.max_rel_change >= 1e-3 for r in diag_9.records)
-    assert pieces_9 == pieces_10 == [cycle[0]]
+    assert piece_list(pieces_9) == piece_list(pieces_10) == piece_list(cycle[0])
     assert est_9.keys() == est_10.keys()
     for iv in est_9:
         assert np.array_equal(est_9[iv].time, est_10[iv].time)
         assert np.array_equal(est_9[iv].support, est_10[iv].support)
 
 
-def test_refine_rejects_repeated_vehicle_id():
-    # Paths are compared across passes by (vehicle id, piece), so a repeated
-    # id would merge two traces' paths and could stop the loop early.
-    fx = make_two_route_fixture(n_pinned=1, n_ambiguous=1)
-    with pytest.raises(InputDataError, match="one trace per vehicle id"):
-        refine([fx.traces[0], fx.traces[0]], fx.net, fx.grid)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_changed_pieces_equal_the_path_dict_reference(data):
+    """``_changed`` counts the (vehicle, piece) keys whose paths differ between two passes.
+
+    The reference compares one dict of segment tuples per pass, key by
+    key. Both passes draw each vehicle's pieces from a small pool of
+    paths, so equal, missing, extra, longer and shorter pieces all occur.
+    """
+    path = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+    passes = [[(vid, segs) for vid in (-5, 0, 7, 2**40)
+               for segs in data.draw(st.lists(path, max_size=2))] for _ in range(2)]
+    dicts = []
+    for pieces in passes:
+        dicts.append({})
+        for vid, segs in pieces:
+            dicts[-1][(vid, sum(key[0] == vid for key in dicts[-1]))] = tuple(segs)
+    want = sum(dicts[0].get(key) != dicts[1].get(key) for key in set(dicts[0]) | set(dicts[1]))
+    cur, prev = (pieces_table([(vid, segs, [0.0] * len(segs)) for vid, segs in pieces])
+                 for pieces in passes)
+    assert refine_module._changed(cur, prev) == want
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from probeflow.tracegen import (
 )
 from probeflow.ttinfer import write_estimates
 
-from conftest import make_grid_network
+from conftest import make_grid_network, piece_list
 
 GRID = TimeGrid(interval_seconds=75600, interval_count=8)
 
@@ -89,14 +89,13 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
     write_matrix(mat, out / "matrix.csv", net)
     write_completed(done, out / "completed.csv", net)
     # The readers map the ids back onto the indices held in memory.
-    held = sorted(pieces, key=lambda mp: (mp.vehicle_id, mp.piece))
-    assert [mp.segments for mp in read_matched(out / "matched.csv", net)] == [
-        mp.segments for mp in held]
+    assert [mp.segments for mp in piece_list(read_matched(out / "matched.csv", net))] == [
+        mp.segments for mp in piece_list(pieces)]
     assert [trip.path for trip in read_trips(out / "trips.csv", net)] == [
         trip.path for trip in trips]
     return {
         "truth": (scen.time, scen.flow),
-        "traces": [(t.timestamps, t.lats, t.lons) for t in traces],
+        "traces": list(traces),
         "paths": [trip.path for trip in trips],
         "estimates": [(k, est[k].time, est[k].support) for k in sorted(est)],
         "diagnostics": diag.records,

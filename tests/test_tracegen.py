@@ -8,6 +8,7 @@ import pytest
 
 from probeflow.assignment import AssignParams
 from probeflow.errors import InputDataError
+from probeflow.mapmatch import concat_fixes
 from probeflow.network import Node, RoadNetwork, Router, Segment, Taz, TimeGrid, meters_per_degree
 from probeflow.tracegen import (
     GroundTruthScenario,
@@ -128,25 +129,26 @@ def test_sample_trace_noiseless_positions_and_times():
     trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 0)
     cfg = ProbeConfig(sampling_period=25.0, gps_sigma=0.0)
     trace = sample_trace(trip, net, scen, cfg)
-    assert list(trace.timestamps) == [0.0, 25.0, 50.0, 60.0]
+    assert trace.vehicle.tolist() == [0] and trace.offsets.tolist() == [0, 4]
+    assert list(trace.t) == [0.0, 25.0, 50.0, 60.0]
     mlon = meters_per_degree(0.0)[1]
-    dist = (trace.lons - net.nodes[0].lon) * mlon
+    dist = (trace.lon - net.nodes[0].lon) * mlon
     assert np.allclose(dist, [0.0, 250.0, 500.0, 600.0], atol=1e-6)
-    assert np.allclose(trace.lats, 0.0)
+    assert np.allclose(trace.lat, 0.0)
 
 
 def test_sample_trace_period_longer_than_trip():
     net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
     trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 10.0, 0)
     trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=3600.0, gps_sigma=0.0))
-    assert list(trace.timestamps) == [10.0, 70.0]
+    assert list(trace.t) == [10.0, 70.0]
 
 
 def test_sample_trace_exact_multiple_keeps_single_arrival():
     net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
     trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 0)  # 60 s
     trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=30.0, gps_sigma=0.0))
-    assert list(trace.timestamps) == [0.0, 30.0, 60.0]
+    assert list(trace.t) == [0.0, 30.0, 60.0]
 
 
 def test_sample_trace_noise_is_seeded_per_vehicle():
@@ -157,10 +159,10 @@ def test_sample_trace_noise_is_seeded_per_vehicle():
         trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, vid)
         noisy = sample_trace(trip, net, scen, cfg, rng_seed=123)
         clean = sample_trace(trip, net, scen, quiet, rng_seed=123)
-        expected = np.random.default_rng(123 + vid).standard_normal((len(noisy), 2)) * 10.0
+        expected = np.random.default_rng(123 + vid).standard_normal((len(noisy.t), 2)) * 10.0
         mlat, mlon = meters_per_degree(0.0)
-        assert np.allclose((noisy.lats - clean.lats) * mlat, expected[:, 0], atol=1e-9)
-        assert np.allclose((noisy.lons - clean.lons) * mlon, expected[:, 1], atol=1e-9)
+        assert np.allclose((noisy.lat - clean.lat) * mlat, expected[:, 0], atol=1e-9)
+        assert np.allclose((noisy.lon - clean.lon) * mlon, expected[:, 1], atol=1e-9)
 
 
 def test_sample_trace_same_seed_reproduces():
@@ -169,7 +171,7 @@ def test_sample_trace_same_seed_reproduces():
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=8.0)
     a = sample_trace(trip, net, scen, cfg, rng_seed=9)
     b = sample_trace(trip, net, scen, cfg, rng_seed=9)
-    assert np.array_equal(a.lats, b.lats) and np.array_equal(a.lons, b.lons)
+    assert np.array_equal(a.lat, b.lat) and np.array_equal(a.lon, b.lon)
 
 
 def test_sample_trace_requires_entry_times():
@@ -202,7 +204,8 @@ def test_generate_probe_data_counts_and_windows():
     out = generate_probe_data(net, tazs, demand, scens, schedule, grid, cfg, rng_seed=1)
     trips0, traces0 = out[0]
     trips1, traces1 = out[1]
-    assert len(trips0) == len(traces0) and len(trips1) == len(traces1)
+    assert [t.vehicle_id for t in trips0] == traces0.vehicle.tolist()
+    assert [t.vehicle_id for t in trips1] == traces1.vehicle.tolist()
     # Two intervals at multiplier 1 (expected 40 each), one at 2 (expected 80).
     assert 70 <= len(trips0) <= 90
     assert 70 <= len(trips1) <= 90
@@ -225,7 +228,7 @@ def test_generate_probe_data_deterministic():
         assert [t.vehicle_id for t in a[sid][0]] == [t.vehicle_id for t in b[sid][0]]
         assert [t.departure for t in a[sid][0]] == [t.departure for t in b[sid][0]]
         for x, y in zip(a[sid][1], b[sid][1]):
-            assert np.array_equal(x.lats, y.lats)
+            assert np.array_equal(x, y)
 
 
 def test_generate_probe_data_penetration_scales_counts():
@@ -258,19 +261,17 @@ def test_trace_csv_round_trip(tmp_path):
     net, tazs, scen = corridor_setup()
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=5.0)
     router = Router(net, scen.time)
-    traces = [
+    traces = concat_fixes([
         sample_trace(simulate_trip(net, router, tazs[0], tazs[1], scen, 10.0 * v, v), net, scen,
                      cfg, rng_seed=2)
-        for v in range(3)
-    ]
+        for v in (2, 0, 1)
+    ])
     p = tmp_path / "traces.csv"
     write_traces(traces, p)
     back = read_traces(p)
-    assert [t.vehicle_id for t in back] == [0, 1, 2]
-    for x, y in zip(traces, back):
-        assert np.array_equal(x.timestamps, y.timestamps)
-        assert np.array_equal(x.lats, y.lats)
-        assert np.array_equal(x.lons, y.lons)
+    assert back.vehicle.tolist() == [0, 1, 2]
+    for x, y in zip(traces, back):  # every column, mlon too
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_read_traces_rejects_empty(tmp_path):

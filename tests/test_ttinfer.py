@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import MatchedPath
 from probeflow.network import TimeGrid
 from probeflow.ttinfer import (
     InferParams,
@@ -23,7 +22,7 @@ from probeflow.ttinfer import (
     write_estimates,
 )
 
-from conftest import kkt_max_violation, make_corridor_network
+from conftest import kkt_max_violation, make_corridor_network, pieces_table
 
 
 def obs_of(rows, interval=0):
@@ -58,16 +57,16 @@ def test_build_system_rejects_bad_rows():
 
 def test_observations_from_matches_midpoint_and_skips():
     grid = TimeGrid()
-    matches = [
+    matches = pieces_table([
         # Covers segments 0 and 1 between entering 0 and entering 2.
-        MatchedPath(vehicle_id=1, piece=0, segments=[0, 1, 2], entry_times=[10.0, 30.0, 50.0]),
+        (1, [0, 1, 2], [10.0, 30.0, 50.0]),
         # Midpoint lands in the second hour.
-        MatchedPath(vehicle_id=2, piece=0, segments=[3, 4], entry_times=[3590.0, 3710.0]),
+        (2, [3, 4], [3590.0, 3710.0]),
         # Single segment: no duration information.
-        MatchedPath(vehicle_id=3, piece=0, segments=[5], entry_times=[100.0]),
+        (3, [5], [100.0]),
         # Zero-length observation window.
-        MatchedPath(vehicle_id=4, piece=0, segments=[0, 1], entry_times=[5.0, 5.0]),
-    ]
+        (4, [0, 1], [5.0, 5.0]),
+    ])
     by_interval = observations_from_matches(matches, grid)
     assert set(by_interval) == {0, 1}
     assert by_interval[0].rows == [({0: 1, 1: 1}, 40.0)]
@@ -76,9 +75,8 @@ def test_observations_from_matches_midpoint_and_skips():
 
 def test_observations_from_matches_counts_loops():
     grid = TimeGrid()
-    mp = MatchedPath(vehicle_id=1, piece=0, segments=[7, 8, 7, 9],
-                     entry_times=[0.0, 10.0, 20.0, 30.0])
-    rows = observations_from_matches([mp], grid)[0].rows
+    mp = pieces_table([(1, [7, 8, 7, 9], [0.0, 10.0, 20.0, 30.0])])
+    rows = observations_from_matches(mp, grid)[0].rows
     assert rows == [({7: 2, 8: 1}, 30.0)]
 
 
