@@ -112,6 +112,10 @@ REPORT_FILE = "report.json"
 VOC_FILE = "voc.csv"
 GEOJSON_FILE = "voc.geojson"
 MANIFEST_FILE = "manifest.json"
+# The manifest hashes each artifact this many bytes at a time. It runs at
+# the end of a pipeline, where resident memory peaks, so no artifact is
+# read whole.
+_HASH_BLOCK = 1 << 20
 
 
 def truth_file(scenario_id: int) -> str:
@@ -248,11 +252,23 @@ _SECTIONS: dict[str, type] = {f.name: f.default_factory for f in fields(Pipeline
                               if is_dataclass(f.default_factory)}
 
 
+def _sha256():
+    """CPython's built-in SHA-256 constructor.
+
+    ``hashlib`` would map OpenSSL, 3.6 MB of resident memory, for the
+    same digest. The module is ``_sha2`` from Python 3.12 on and
+    ``_sha256`` before: the one ``hashlib`` falls back to without OpenSSL.
+    """
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+    return sha256
+
+
 def stage_seed(stage: str, seed: int) -> int:
     """Per-stage seed: a stable hash of the stage name and the global seed."""
-    import hashlib  # loads OpenSSL, so only gen-traces and pipeline import it
-
-    digest = hashlib.sha256(f"{stage}:{seed}".encode("utf-8")).digest()
+    digest = _sha256()(f"{stage}:{seed}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -541,13 +557,17 @@ def _cmd_export_geojson(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[P
     artifacts.append(out)
 
 
-def _write_manifest(out: Path, artifacts: list[Path], partial: bool) -> None:
-    import hashlib  # loads OpenSSL, so only gen-traces and pipeline import it
+def _file_sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in blocks of ``_HASH_BLOCK`` bytes."""
+    digest = _sha256()()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
-    doc = {"artifacts": {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(set(artifacts))
-    }}
+
+def _write_manifest(out: Path, artifacts: list[Path], partial: bool) -> None:
+    doc = {"artifacts": {path.name: _file_sha256(path) for path in sorted(set(artifacts))}}
     name = MANIFEST_FILE + (".partial" if partial else "")
     with open(out / name, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -561,8 +581,9 @@ def _cmd_pipeline(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     its other inputs from the files the previous stage wrote, exactly as
     the standalone commands would, so a split run and a single run
     produce identical bytes. The manifest records a SHA-256 hash per
-    artifact; on solver failure it is written with a .partial suffix
-    covering whatever completed.
+    artifact, read block by block (``_file_sha256``) so that no artifact
+    is held whole at the run's memory peak; on solver failure it is
+    written with a .partial suffix covering whatever completed.
     """
     for key in _COMMANDS["pipeline"][1]:
         _input(cfg, key)

@@ -207,14 +207,22 @@ def complete(
         row_means = np.array([row[keep].mean() for row, keep in zip(sub, sub_mask)])
         x[~sub_mask] = np.broadcast_to(row_means[:, None], x.shape)[~sub_mask]
         for k in range(1, _MAX_ITER + 1):
+            scale = max(np.linalg.norm(x), 1e-12)
             u, s, vt = np.linalg.svd(x, full_matrices=False)
             kept = s - tau
             rank = int(np.sum(kept > 0.0))
             z = (u[:, :rank] * kept[:rank]) @ vt[:rank]
-            xn = x + _STEP * (z - x)
-            xn[sub_mask] = obs_vals
-            rel = float(np.linalg.norm(xn - x) / max(np.linalg.norm(x), 1e-12))
-            x = xn
+            del u, vt
+            # z becomes x + _STEP * (z - x) and x its negated change, in
+            # place; addition commutes and a - b = -(b - a) exactly, so
+            # every value equals the one the out-of-place step gives.
+            z -= x
+            z *= _STEP
+            z += x
+            z[sub_mask] = obs_vals
+            x -= z
+            rel = float(np.linalg.norm(x) / scale)
+            x = z
             iterations = k
             if rel < _TOL:
                 break

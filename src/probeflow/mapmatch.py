@@ -99,20 +99,30 @@ class Fixes(NamedTuple):
 
 def fix_table(vehicle, t, lat, lon) -> Fixes:
     """The table of per-fix columns, in any vehicle order; a vehicle's fixes keep their order."""
+    lat = np.asarray(lat, dtype=float)
+    # nan where the latitude is out of range, which read_traces then rejects
+    mlon = [meters_per_degree(x)[1] if abs(x) <= 90.0 else math.nan for x in lat.tolist()]
+    return _by_vehicle(vehicle, t, lat, lon, mlon)
+
+
+def _by_vehicle(vehicle, *columns) -> Fixes:
+    """The table of ``vehicle`` and the per-fix columns, stably sorted by vehicle."""
     vehicle = np.asarray(vehicle, dtype=np.int64)
     order = np.argsort(vehicle, kind="stable")
     ids, first = np.unique(vehicle[order], return_index=True)
-    lat = np.asarray(lat, dtype=float)[order]
-    # nan where the latitude is out of range, which read_traces then rejects
-    mlon = [meters_per_degree(x)[1] if abs(x) <= 90.0 else math.nan for x in lat.tolist()]
-    return Fixes(ids, np.append(first, len(order)), np.asarray(t, dtype=float)[order], lat,
-                 np.asarray(lon, dtype=float)[order], np.array(mlon, dtype=float))
+    return Fixes(ids, np.append(first, len(order)),
+                 *(np.asarray(c, dtype=float)[order] for c in columns))
 
 
 def concat_fixes(tables: list[Fixes]) -> Fixes:
-    """One table of every fix of ``tables``, whose vehicles must differ."""
-    columns = [(np.repeat(f.vehicle, np.diff(f.offsets)), f.t, f.lat, f.lon) for f in tables]
-    return fix_table(*map(np.concatenate, zip(*columns))) if columns else fix_table([], [], [], [])
+    """One table of every fix of ``tables``, whose vehicles must differ.
+
+    Each table's ``mlon`` is carried through the sort, not worked out again.
+    """
+    if not tables:
+        return fix_table([], [], [], [])
+    columns = [(np.repeat(f.vehicle, np.diff(f.offsets)), f.t, f.lat, f.lon, f.mlon) for f in tables]
+    return _by_vehicle(*map(np.concatenate, zip(*columns)))
 
 
 class Pieces(NamedTuple):

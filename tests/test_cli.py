@@ -7,21 +7,27 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probeflow import mapmatch, network, refine
 from probeflow.assignment import read_demand
 from probeflow.cli import (
     _COMMANDS,
+    _HASH_BLOCK,
     _SECTIONS,
+    _file_sha256,
     PipelineConfig,
     UsageError,
     build_parser,
@@ -747,20 +753,38 @@ def test_pipeline_solver_failure_writes_partial_manifest(world, tmp_path):
 
 
 def test_commands_load_only_the_libraries_they_use(world, tmp_path):
-    """No command loads scipy; refine and complete load no OpenSSL, Expat, numpy.ma or numpy.random.
+    """No command loads scipy, Expat or numpy.ma, and only gen-traces loads OpenSSL or numpy.random.
 
     Each costs resident memory and start-up time in every process that
     imports it: scipy tens of MB, OpenSSL (``_hashlib``) 3.6 MB, and
     numpy.ma 2 MB. A fresh interpreter shows what importing the CLI
-    pulls in, and what running refine and then complete on the test
-    world adds.
+    pulls in, and what running refine, complete, pipeline and then
+    gen-traces on the test world adds. Refine gets three passes and a
+    stop tolerance no pass reaches, so it compares passes
+    (``refine._changed``) too. The per-stage seed and the manifest hash
+    with CPython's built-in SHA-256; gen-traces still maps OpenSSL, but
+    only through numpy.random (``secrets`` imports ``hmac``).
+
+    The test world's roads are so wide that refine stops after pass 0;
+    here they carry a fortieth of its capacity, so that its times rise
+    above free flow.
     """
+    write_network(make_grid_network(3, 3, spacing=300.0, speed=10.0, capacity=30.0),
+                  tmp_path / "network.json")
+    gen = tmp_path / "gen"
+    paths = {**world.paths, "network": str(tmp_path / "network.json"),
+             **{key: str(gen / Path(world.paths[key]).name)
+                for key in ("demand", "traces", "truth", "trips")}}
+    cfg = write_config(tmp_path, refine={"max_iters": 3, "stop_tol": 1e-12}, **paths)
+    for command in ("gen-demand", "gen-scenarios", "gen-traces"):
+        assert main([command, "--config", cfg, "--out-dir", str(gen)]) == 0
+    out = tmp_path / "out"
     code = (
         "import sys\n"
-        "from probeflow.cli import main\n"
-        "cfg, out, estimates = sys.argv[1:]\n"
+        "from probeflow.cli import main, stage_seed\n"
+        "cfg, out, estimates, truth_dir = sys.argv[1:]\n"
         "unused = ('scipy', '_hashlib', 'xml.etree', 'pyexpat', 'numpy.ma', 'numpy.random')\n"
-        "def loaded():\n"
+        "def loaded(unused=unused):\n"
         "    return sorted(m for m in sys.modules\n"
         "                  if any(m == u or m.startswith(u + '.') for u in unused))\n"
         "assert not loaded(), f'import probeflow.cli loads {loaded()}'\n"
@@ -768,12 +792,35 @@ def test_commands_load_only_the_libraries_they_use(world, tmp_path):
         "assert main(['complete', '--config', cfg, '--out-dir', out,\n"
         "             '--estimates', estimates]) == 0\n"
         "assert not loaded(), f'refine and complete load {loaded()}'\n"
+        "assert main(['pipeline', '--config', cfg, '--out-dir', out + '/pipe']) == 0\n"
+        "stage_seed('gen-traces', 0)\n"
+        "assert not loaded(), f'pipeline or stage_seed loads {loaded()}'\n"
+        "assert main(['gen-traces', '--config', cfg, '--out-dir', out + '/gen',\n"
+        "             '--truth-dir', truth_dir]) == 0\n"
+        "unused = ('scipy', 'xml.etree', 'pyexpat', 'numpy.ma')\n"
+        "assert not loaded(unused), f'gen-traces loads {loaded(unused)}'\n"
     )
     src = str(Path(network.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code, world.cfg, str(tmp_path),
-                    str(world.pipe / "estimates.csv")],
-                   env={**os.environ, "PYTHONPATH": path}, check=True)
+    subprocess.run([sys.executable, "-c", code, cfg, str(out), str(out / "estimates.csv"),
+                    str(gen)], env={**os.environ, "PYTHONPATH": path}, check=True)
+    passes = read_table(out / "diagnostics.csv", DIAGNOSTICS_COLUMNS)[0]
+    assert len(passes) >= 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.binary(max_size=3000))
+@example(data=b"")
+@example(data=b"\x00")
+@example(data=random.Random(_HASH_BLOCK - 1).randbytes(_HASH_BLOCK - 1))
+@example(data=random.Random(_HASH_BLOCK).randbytes(_HASH_BLOCK))
+@example(data=random.Random(_HASH_BLOCK + 1).randbytes(_HASH_BLOCK + 1))
+def test_file_digest_equals_hashlib(data):
+    """The manifest's block-wise digest, at and around one block, equals OpenSSL's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact"
+        path.write_bytes(data)
+        assert _file_sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_stage_seed_is_frozen():

@@ -20,6 +20,7 @@ from probeflow.mapmatch import (
     _split_points,
     concat_fixes,
     emission_logp,
+    fix_table,
     match_traces,
     read_matched,
     transition_logp,
@@ -501,6 +502,25 @@ def test_batch_matching_is_deterministic():
         assert (x.vehicle_id, x.piece, x.segments) == (y.vehicle_id, y.piece, y.segments)
         assert x.entry_times == y.entry_times
         assert x.log_score == y.log_score
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 9), st.floats(), st.floats(), st.floats()),
+                     max_size=30),
+       table_of=st.lists(st.integers(0, 2), min_size=10, max_size=10))
+def test_concat_fixes_equals_the_table_of_the_joined_columns(rows, table_of):
+    """Each vehicle's rows go to table ``table_of[vehicle]``; all six columns match bit for bit.
+
+    ``concat_fixes`` carries each table's ``mlon`` through its sort, so it
+    must hold the values ``fix_table`` works out from the latitudes,
+    nan for latitudes out of range included.
+    """
+    tables = [fix_table(*(zip(*part) if part else ([], [], [], [])))
+              for part in ([r for r in rows if table_of[r[0]] == i] for i in range(3))]
+    got = concat_fixes(tables)
+    want = fix_table(*(zip(*rows) if rows else ([], [], [], [])))
+    for name, a, b in zip(Fixes._fields, got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_router_tree_and_route():
