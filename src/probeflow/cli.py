@@ -29,6 +29,7 @@ tooling never mistakes them for converged results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -112,10 +113,6 @@ REPORT_FILE = "report.json"
 VOC_FILE = "voc.csv"
 GEOJSON_FILE = "voc.geojson"
 MANIFEST_FILE = "manifest.json"
-# The manifest hashes each artifact this many bytes at a time. It runs at
-# the end of a pipeline, where resident memory peaks, so no artifact is
-# read whole.
-_HASH_BLOCK = 1 << 20
 
 
 def truth_file(scenario_id: int) -> str:
@@ -252,17 +249,22 @@ _SECTIONS: dict[str, type] = {f.name: f.default_factory for f in fields(Pipeline
                               if is_dataclass(f.default_factory)}
 
 
+@functools.cache
 def _sha256():
-    """CPython's built-in SHA-256 constructor.
+    """CPython's built-in SHA-256 constructor, or ``hashlib``'s on builds without it.
 
     ``hashlib`` would map OpenSSL, 3.6 MB of resident memory, for the
     same digest. The module is ``_sha2`` from Python 3.12 on and
     ``_sha256`` before: the one ``hashlib`` falls back to without OpenSSL.
+    Builds that leave it out, such as OpenSSL-only ones, get ``hashlib``'s.
     """
-    if sys.version_info >= (3, 12):
-        from _sha2 import sha256
-    else:
-        from _sha256 import sha256
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     return sha256
 
 
@@ -557,17 +559,11 @@ def _cmd_export_geojson(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[P
     artifacts.append(out)
 
 
-def _file_sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, read in blocks of ``_HASH_BLOCK`` bytes."""
-    digest = _sha256()()
-    with open(path, "rb") as fh:
-        while block := fh.read(_HASH_BLOCK):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _write_manifest(out: Path, artifacts: list[Path], partial: bool) -> None:
-    doc = {"artifacts": {path.name: _file_sha256(path) for path in sorted(set(artifacts))}}
+    doc = {"artifacts": {
+        path.name: _sha256()(path.read_bytes()).hexdigest()
+        for path in sorted(set(artifacts))
+    }}
     name = MANIFEST_FILE + (".partial" if partial else "")
     with open(out / name, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -581,9 +577,9 @@ def _cmd_pipeline(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
     its other inputs from the files the previous stage wrote, exactly as
     the standalone commands would, so a split run and a single run
     produce identical bytes. The manifest records a SHA-256 hash per
-    artifact, read block by block (``_file_sha256``) so that no artifact
-    is held whole at the run's memory peak; on solver failure it is
-    written with a .partial suffix covering whatever completed.
+    artifact, with CPython's built-in SHA-256 (``_sha256``) so that the
+    run maps no OpenSSL; on solver failure it is written with a .partial
+    suffix covering whatever completed.
     """
     for key in _COMMANDS["pipeline"][1]:
         _input(cfg, key)

@@ -166,10 +166,11 @@ def refine(
         max_rel = 0.0
         for iv in sorted(by_interval):
             prior = times.get(iv, fft)
-            estimates[iv] = infer_times(by_interval[iv], net, prior, infer_params)
-            times[iv] = estimates[iv].time
-            max_rel = max(max_rel, float(np.max(np.abs(times[iv] - prior) / prior)))
-            residual += residual_sq(times[iv], by_interval[iv], net)
+            est = infer_times(by_interval[iv], net, prior, infer_params)
+            max_rel = max(max_rel, float(np.max(np.abs(est.time - prior) / prior)))
+            estimates[iv] = est
+            times[iv] = est.time
+            residual += residual_sq(est.time, by_interval[iv], net)
         del by_interval  # the next pass builds its routers and lattices without these rows
 
         last_residual = residual

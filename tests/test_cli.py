@@ -7,11 +7,9 @@ import hashlib
 import itertools
 import json
 import os
-import random
 import re
 import subprocess
 import sys
-import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -25,9 +23,8 @@ from probeflow import mapmatch, network, refine
 from probeflow.assignment import read_demand
 from probeflow.cli import (
     _COMMANDS,
-    _HASH_BLOCK,
     _SECTIONS,
-    _file_sha256,
+    _sha256,
     PipelineConfig,
     UsageError,
     build_parser,
@@ -812,15 +809,18 @@ def test_commands_load_only_the_libraries_they_use(world, tmp_path):
 @given(data=st.binary(max_size=3000))
 @example(data=b"")
 @example(data=b"\x00")
-@example(data=random.Random(_HASH_BLOCK - 1).randbytes(_HASH_BLOCK - 1))
-@example(data=random.Random(_HASH_BLOCK).randbytes(_HASH_BLOCK))
-@example(data=random.Random(_HASH_BLOCK + 1).randbytes(_HASH_BLOCK + 1))
-def test_file_digest_equals_hashlib(data):
-    """The manifest's block-wise digest, at and around one block, equals OpenSSL's."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "artifact"
-        path.write_bytes(data)
-        assert _file_sha256(path) == hashlib.sha256(data).hexdigest()
+def test_builtin_digest_equals_hashlib(data):
+    """The built-in SHA-256 that the seeds and the manifest use equals OpenSSL's."""
+    assert _sha256()(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_falls_back_to_hashlib_without_the_builtin_module(monkeypatch):
+    """A build without ``_sha2``/``_sha256`` hashes with ``hashlib`` instead of failing."""
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # None makes the import raise
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    sha256 = _sha256.__wrapped__()
+    assert sha256 is hashlib.sha256
+    assert sha256(b"abc").hexdigest() == hashlib.sha256(b"abc").hexdigest()
 
 
 def test_stage_seed_is_frozen():
