@@ -53,7 +53,6 @@ from .errors import InputDataError, SolverError
 from .evaluation import (
     ScenarioMetrics,
     aggregate_error_pct,
-    build_report,
     export_geojson,
     gain_pct,
     matching_accuracy_pct,
@@ -159,7 +158,6 @@ class PipelineConfig:
 
     seed: int = 0
     out_dir: str = "."
-    scenario_name: str = "default"
     multipliers: list[float] = field(default_factory=lambda: [1.0])
     schedule: list[int] | None = None
     paths: dict[str, str] = field(default_factory=dict)
@@ -177,7 +175,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         known = set(_SECTIONS) | set(_PATH_KEYS) | {
-            "seed", "out_dir", "scenario_name", "multipliers", "schedule",
+            "seed", "out_dir", "multipliers", "schedule",
         }
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -208,11 +206,9 @@ class PipelineConfig:
         kwargs["seed"] = seed
 
         out_dir = doc.get("out_dir", ".")
-        name = doc.get("scenario_name", "default")
-        if not isinstance(out_dir, str) or not isinstance(name, str) or not name:
-            raise UsageError("'out_dir' and 'scenario_name' must be non-empty strings")
+        if not isinstance(out_dir, str):
+            raise UsageError("config key 'out_dir' must be a string")
         kwargs["out_dir"] = out_dir
-        kwargs["scenario_name"] = name
 
         multipliers = doc.get("multipliers", [1.0])
         if (not isinstance(multipliers, list) or not multipliers
@@ -521,9 +517,8 @@ def _cmd_evaluate(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
         aggregate_error_pct=agg,
         matching_accuracy_pct=matching_accuracy_pct(matched, trips, net),
     )
-    report = build_report({cfg.scenario_name: metrics})
     out = _out(cfg) / REPORT_FILE
-    write_report(report, out)
+    write_report({"default": metrics}, out)
     artifacts.append(out)
 
 

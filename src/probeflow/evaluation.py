@@ -25,7 +25,6 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -191,19 +190,8 @@ class ScenarioMetrics(NamedTuple):
     matching_accuracy_pct: float
 
 
-@dataclass
-class MetricReport:
-    """Scenario-mean metrics plus the per-scenario breakdown."""
-
-    mse: float
-    gain_pct: float
-    aggregate_error_pct: float
-    matching_accuracy_pct: float
-    per_scenario: dict[str, ScenarioMetrics]
-
-
-def build_report(per_scenario: dict[str, ScenarioMetrics]) -> MetricReport:
-    """Validate scenario metrics and average them into a report."""
+def build_report(per_scenario: dict[str, ScenarioMetrics]) -> ScenarioMetrics:
+    """Validate scenario metrics and return their means."""
     if not per_scenario:
         raise InputDataError("report needs at least one scenario")
     for name, m in sorted(per_scenario.items()):
@@ -215,33 +203,15 @@ def build_report(per_scenario: dict[str, ScenarioMetrics]) -> MetricReport:
             raise InputDataError(f"scenario {name}: matching accuracy outside [0, 100]")
         if m.mse < 0.0:
             raise InputDataError(f"scenario {name}: negative mse")
-    names = sorted(per_scenario)
-    n = len(names)
-
-    def mean(field: str) -> float:
-        return math.fsum(getattr(per_scenario[k], field) for k in names) / n
-
-    return MetricReport(
-        mse=mean("mse"),
-        gain_pct=mean("gain_pct"),
-        aggregate_error_pct=mean("aggregate_error_pct"),
-        matching_accuracy_pct=mean("matching_accuracy_pct"),
-        per_scenario=dict(per_scenario),
-    )
+    columns = zip(*(per_scenario[k] for k in sorted(per_scenario)))
+    return ScenarioMetrics(*(math.fsum(c) / len(per_scenario) for c in columns))
 
 
-def write_report(report: MetricReport, path: str | os.PathLike) -> None:
+def write_report(per_scenario: dict[str, ScenarioMetrics], path: str | os.PathLike) -> None:
     """Write the report as JSON: scenario means plus per-scenario values."""
     doc = {
-        "mean": {
-            "mse": report.mse,
-            "gain_pct": report.gain_pct,
-            "aggregate_error_pct": report.aggregate_error_pct,
-            "matching_accuracy_pct": report.matching_accuracy_pct,
-        },
-        "scenarios": {
-            name: dict(m._asdict()) for name, m in sorted(report.per_scenario.items())
-        },
+        "mean": build_report(per_scenario)._asdict(),
+        "scenarios": {name: m._asdict() for name, m in sorted(per_scenario.items())},
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

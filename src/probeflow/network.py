@@ -20,8 +20,10 @@ Conventions used throughout the package:
   truth trips, observation rows, routes) holds indices into ``net.segments``,
   so sorted indices run in id order; the table readers map ids to indices
   (``segment_indices``) and the writers map them back (``segment_ids``)
-* probe fixes and matched pieces are column arrays (``mapmatch.Fixes``,
-  ``mapmatch.Pieces``), never one stored object per vehicle or piece
+* probe fixes, matched pieces and observation rows are column arrays
+  (``mapmatch.Fixes``, ``mapmatch.Pieces``,
+  ``ttinfer.IntervalObservations``), never one stored object per
+  vehicle, piece or row
 
 Point geometry uses a local planar approximation (meters per degree at
 the query latitude). At city scale the error is far below GPS noise.

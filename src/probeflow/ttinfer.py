@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,16 +40,18 @@ class InferParams:
             raise InputDataError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
-@dataclass
-class IntervalObservations:
-    """Observations of one time interval.
+class IntervalObservations(NamedTuple):
+    """Observation rows of one time interval, as flat arrays.
 
-    Each row pairs a segment multiset (segment index -> traversal count) with
-    the observed duration in seconds of traversing exactly that multiset.
+    Row r traversed ``segment[bounds[r]:bounds[r + 1]]`` (indices into
+    ``net.segments``; a segment traversed twice is listed twice) in
+    ``duration[r]`` seconds.
     """
 
     interval_index: int
-    rows: list[tuple[dict[int, int], float]] = field(default_factory=list)
+    bounds: np.ndarray
+    segment: np.ndarray
+    duration: np.ndarray
 
 
 @dataclass
@@ -72,52 +74,47 @@ def observations_from_matches(pieces, grid: TimeGrid) -> dict[int, IntervalObser
     known instant, so the observable quantity is the duration from
     entering s_0 to entering s_{n-1}, which covers s_0..s_{n-2} exactly
     once each (with multiplicity on loops). Pieces traversing fewer than
-    two segments carry no duration information and are skipped. Rows land
-    in the interval containing the midpoint of their observation window.
+    two segments carry no duration information and are skipped, as are
+    pieces with no positive duration. Rows land in the interval
+    containing the midpoint of their observation window, in piece order.
     """
-    out: dict[int, IntervalObservations] = {}
-    segment, entry, bounds = (a.tolist() for a in (pieces.segment, pieces.entry, pieces.bounds))
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a < 2:
-            continue
-        duration = entry[b - 1] - entry[a]
-        if duration <= 0.0:
-            continue
-        multiset = dict(Counter(segment[a:b - 1]))
-        mid = 0.5 * (entry[a] + entry[b - 1])
-        interval = grid.interval_of(mid)
-        out.setdefault(interval, IntervalObservations(interval)).rows.append(
-            (multiset, float(duration))
-        )
-    return out
+    first, last = pieces.bounds[:-1], pieces.bounds[1:] - 1
+    duration = pieces.entry[last] - pieces.entry[first]
+    keep = (last > first) & (duration > 0.0)
+    first, last, duration = first[keep], last[keep], duration[keep]
+    mid = 0.5 * (pieces.entry[first] + pieces.entry[last])
+    interval = np.array([grid.interval_of(t) for t in mid.tolist()], dtype=np.int64)
+    order = np.argsort(interval, kind="stable")
+    first, size, duration = first[order], (last - first)[order], duration[order]
+    bounds = np.concatenate(([0], np.cumsum(size)))
+    segment = pieces.segment[np.arange(bounds[-1]) + np.repeat(first - bounds[:-1], size)]
+    ivs, start = np.unique(interval[order], return_index=True)
+    cuts = np.append(start, len(order)).tolist()
+    return {iv: IntervalObservations(iv, bounds[a:b + 1] - bounds[a],
+                                     segment[bounds[a]:bounds[b]], duration[a:b])
+            for iv, a, b in zip(ivs.tolist(), cuts, cuts[1:])}
 
 
 def build_system(
     obs: IntervalObservations, net: RoadNetwork
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack observation rows into (A, b, column segment indices).
 
     A[r, c] counts how many times row r traverses column c's segment;
     columns are the segments with support, ascending (by index and id).
     """
-    columns = sorted({j for multiset, _ in obs.rows for j in multiset})
-    if columns and (columns[0] < 0 or columns[-1] >= net.n_segments):
-        bad = columns[0] if columns[0] < 0 else columns[-1]
+    segment, b = obs.segment, obs.duration
+    if len(segment) and (segment.min() < 0 or segment.max() >= net.n_segments):
+        bad = segment.min() if segment.min() < 0 else segment.max()
         raise InputDataError(f"segment index {bad} outside 0..{net.n_segments - 1}")
-    col_of = {j: c for c, j in enumerate(columns)}
-    A = np.zeros((len(obs.rows), len(columns)))
-    b = []
-    for multiset, duration in obs.rows:
-        if not (duration > 0.0 and math.isfinite(duration)):
-            raise InputDataError(f"observation duration must be positive, got {duration}")
-        if not multiset:
-            continue
-        for j, count in multiset.items():
-            if count <= 0:
-                raise InputDataError(f"traversal count must be positive, got {count}")
-            A[len(b), col_of[j]] = count
-        b.append(duration)
-    return A[:len(b)], np.asarray(b, dtype=float), columns
+    bad = ~((b > 0.0) & np.isfinite(b))
+    if np.any(bad):
+        raise InputDataError(f"observation duration must be positive, got {b[np.argmax(bad)]}")
+    columns = np.unique(segment, return_index=True)[0]  # plain np.unique imports numpy.ma
+    A = np.zeros((len(b), len(columns)))
+    rows = np.repeat(np.arange(len(b)), np.diff(obs.bounds))
+    np.add.at(A, (rows, np.searchsorted(columns, segment)), 1.0)
+    return A, b, columns
 
 
 def _active_set(
@@ -200,11 +197,10 @@ def infer_times(
         raise InputDataError("prior must be at least the free-flow time everywhere")
 
     A, b, columns = build_system(obs, net)
-    idx = np.array(columns, dtype=np.int64)
     support = np.zeros(net.n_segments, dtype=np.int64)
-    support[idx] = np.count_nonzero(A, axis=0)
-    if columns:
-        time[idx] = _active_set(A, b, params.lam, net.seg_fft[idx], time[idx])
+    support[columns] = np.count_nonzero(A, axis=0)
+    if len(columns):
+        time[columns] = _active_set(A, b, params.lam, net.seg_fft[columns], time[columns])
     return SegmentTimeEstimate(time=time, support=support, interval_index=obs.interval_index)
 
 

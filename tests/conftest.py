@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -17,7 +18,7 @@ from probeflow.mapmatch import Fixes, MatchParams, Pieces, concat_fixes, fix_tab
 from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Router, Segment, TimeGrid, haversine
 from probeflow.refine import RefinementDiagnostics, RefineParams, refine
 from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
-from probeflow.ttinfer import InferParams, SegmentTimeEstimate
+from probeflow.ttinfer import InferParams, IntervalObservations, SegmentTimeEstimate
 
 GRID_LAT0 = 37.75
 GRID_LON0 = -122.45
@@ -237,6 +238,55 @@ def score_assignment(
         total = total + transition[k - 1, 0, 0]
         total = total + emission[k, 0]
     return float(total)
+
+
+def interval_observations(rows, interval: int = 0) -> IntervalObservations:
+    """The observation arrays of (segment multiset, duration) rows.
+
+    A multiset maps a segment index to its traversal count; each segment
+    is listed once per traversal, in the multiset's order.
+    """
+    segments = [[j for j, count in multiset.items() for _ in range(count)] for multiset, _ in rows]
+    return IntervalObservations(interval, np.cumsum([0] + [len(s) for s in segments]),
+                                np.array([j for s in segments for j in s], dtype=np.int64),
+                                np.array([duration for _, duration in rows], dtype=float))
+
+
+def dict_observations(pieces: Pieces, grid: TimeGrid) -> dict[int, list[tuple[dict[int, int], float]]]:
+    """Per-interval (segment multiset, duration) rows of matched pieces, one piece at a time.
+
+    The reference for ``ttinfer.observations_from_matches``: a piece of
+    at least two segments with a positive duration gives the multiset of
+    all its segments but the last, in the interval of its window's
+    midpoint.
+    """
+    out: dict[int, list[tuple[dict[int, int], float]]] = {}
+    segment, entry, bounds = (a.tolist() for a in (pieces.segment, pieces.entry, pieces.bounds))
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a < 2:
+            continue
+        duration = entry[b - 1] - entry[a]
+        if duration <= 0.0:
+            continue
+        mid = 0.5 * (entry[a] + entry[b - 1])
+        out.setdefault(grid.interval_of(mid), []).append((dict(Counter(segment[a:b - 1])), duration))
+    return out
+
+
+def dict_system(rows, net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(A, b, columns) of (segment multiset, duration) rows, one row at a time.
+
+    The reference for ``ttinfer.build_system``: A[r, c] is row r's count
+    of column c's segment, and the columns are the segments with
+    support, ascending.
+    """
+    columns = sorted({j for multiset, _ in rows for j in multiset})
+    col_of = {j: c for c, j in enumerate(columns)}
+    A = np.zeros((len(rows), len(columns)))
+    for r, (multiset, _) in enumerate(rows):
+        for j, count in multiset.items():
+            A[r, col_of[j]] = count
+    return A, np.array([duration for _, duration in rows], dtype=float), columns
 
 
 def run_baseline(

@@ -51,7 +51,6 @@ from probeflow.tracegen import (
 )
 from probeflow.ttinfer import (
     InferParams,
-    IntervalObservations,
     SegmentTimeEstimate,
     build_system,
     infer_times,
@@ -62,6 +61,7 @@ from probeflow.ttinfer import (
 from conftest import (
     bpr_time,
     decoded_pieces,
+    interval_observations,
     kkt_max_violation,
     lag_autocorrelation,
     make_corridor_network,
@@ -239,7 +239,7 @@ def _random_observation_instance(rng, n_segs=4, n_rows=6):
         dur = float(counts @ truth + rng.normal(0.0, 2.0))
         rows.append(({j: int(c) for j, c in enumerate(counts) if c}, max(dur, 1.0)))
     prior = np.array([float(10.0 + rng.uniform(0.0, 10.0)) for _ in range(n_segs)])
-    return net, IntervalObservations(interval_index=0, rows=rows), prior
+    return net, interval_observations(rows), prior
 
 
 def test_05_time_inference_matches_hand_and_oracle_solutions():
@@ -247,8 +247,7 @@ def test_05_time_inference_matches_hand_and_oracle_solutions():
     # Two equations, two unknowns, solvable by substitution: x0+x1 = 50
     # and x0 = 20 give (20, 30).
     net = make_corridor_network(n_segs=2, length=200.0, speed=20.0)
-    obs = IntervalObservations(interval_index=0,
-                               rows=[({0: 1, 1: 1}, 50.0), ({0: 1}, 20.0)])
+    obs = interval_observations([({0: 1, 1: 1}, 50.0), ({0: 1}, 20.0)])
     est = infer_times(obs, net, np.array([10.0, 10.0]), InferParams(lam=0.0))
     assert abs(est.time[0] - 20.0) < 1e-6
     assert abs(est.time[1] - 30.0) < 1e-6

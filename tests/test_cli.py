@@ -99,6 +99,31 @@ def world(tmp_path_factory):
     return SimpleNamespace(root=root, net=net, paths=paths, cfg=cfg, gen=gen, pipe=pipe)
 
 
+@pytest.fixture(scope="module")
+def congested_world(world, tmp_path_factory):
+    """The test world on roads of a fortieth of its capacity, plus one pipeline run.
+
+    The test world's roads are so wide that refine stops after pass 0;
+    here the times rise above free flow, and with a stop tolerance no pass
+    reaches, refine makes at least two passes: it rematches under
+    inferred times and compares passes (``refine._changed``).
+    """
+    root = tmp_path_factory.mktemp("cli_congested")
+    write_network(make_grid_network(3, 3, spacing=300.0, speed=10.0, capacity=30.0),
+                  root / "network.json")
+    gen = root / "gen"
+    paths = {**world.paths, "network": str(root / "network.json"),
+             **{key: str(gen / Path(world.paths[key]).name)
+                for key in ("demand", "traces", "truth", "trips")}}
+    cfg = write_config(root, refine={"max_iters": 3, "stop_tol": 1e-12}, **paths)
+    for command in ("gen-demand", "gen-scenarios", "gen-traces"):
+        assert main([command, "--config", cfg, "--out-dir", str(gen)]) == 0
+    pipe = root / "pipe"
+    assert main(["pipeline", "--config", cfg, "--out-dir", str(pipe)]) == 0
+    assert len(read_table(pipe / "diagnostics.csv", DIAGNOSTICS_COLUMNS)[0]) >= 2
+    return SimpleNamespace(cfg=cfg, gen=gen, pipe=pipe)
+
+
 # ---------------------------------------------------------------------------
 # Usage and configuration errors
 # ---------------------------------------------------------------------------
@@ -134,6 +159,7 @@ def test_usage_errors_exit_1(world, tmp_path, capsys):
     for i, text in enumerate([
         json.dumps({"probe": {"rng_seed": 5}}),
         json.dumps({"threads": 2}),
+        json.dumps({"scenario_name": "x"}),
         json.dumps({"spsa": {"max_outer": 2.5}}),
         json.dumps({"od": {"weight_by_support": 1}}),
         json.dumps({"refine": {"max_iters": True}}),
@@ -749,7 +775,7 @@ def test_pipeline_solver_failure_writes_partial_manifest(world, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_commands_load_only_the_libraries_they_use(world, tmp_path):
+def test_commands_load_only_the_libraries_they_use(congested_world, tmp_path):
     """No command loads scipy, Expat or numpy.ma, and only gen-traces loads OpenSSL or numpy.random.
 
     Each costs resident memory and start-up time in every process that
@@ -760,21 +786,10 @@ def test_commands_load_only_the_libraries_they_use(world, tmp_path):
     stop tolerance no pass reaches, so it compares passes
     (``refine._changed``) too. The per-stage seed and the manifest hash
     with CPython's built-in SHA-256; gen-traces still maps OpenSSL, but
-    only through numpy.random (``secrets`` imports ``hmac``).
-
-    The test world's roads are so wide that refine stops after pass 0;
-    here they carry a fortieth of its capacity, so that its times rise
-    above free flow.
+    only through numpy.random (``secrets`` imports ``hmac``). The world
+    is ``congested_world``.
     """
-    write_network(make_grid_network(3, 3, spacing=300.0, speed=10.0, capacity=30.0),
-                  tmp_path / "network.json")
-    gen = tmp_path / "gen"
-    paths = {**world.paths, "network": str(tmp_path / "network.json"),
-             **{key: str(gen / Path(world.paths[key]).name)
-                for key in ("demand", "traces", "truth", "trips")}}
-    cfg = write_config(tmp_path, refine={"max_iters": 3, "stop_tol": 1e-12}, **paths)
-    for command in ("gen-demand", "gen-scenarios", "gen-traces"):
-        assert main([command, "--config", cfg, "--out-dir", str(gen)]) == 0
+    cfg, gen = congested_world.cfg, congested_world.gen
     out = tmp_path / "out"
     code = (
         "import sys\n"
@@ -932,7 +947,10 @@ def test_out_dir_that_cannot_be_a_directory_exits_1_naming_it(world, tmp_path, c
     assert blocker.read_text() == "not a directory\n"
 
 
-def test_pipeline_equals_split_run(world, tmp_path):
+@pytest.mark.parametrize("fixture", ["world", "congested_world"])
+def test_pipeline_equals_split_run(fixture, request, tmp_path):
+    """The standalone commands write the pipeline's bytes, also after several refine passes."""
+    world = request.getfixturevalue(fixture)
     split = tmp_path / "split"
     out = str(split)
     cfg = world.cfg

@@ -11,7 +11,6 @@ import pytest
 
 from probeflow.errors import InputDataError
 from probeflow.evaluation import (
-    MetricReport,
     ScenarioMetrics,
     aggregate_error_pct,
     build_report,
@@ -383,7 +382,6 @@ def test_build_report_means_and_validation():
     assert report.gain_pct == 73.0
     assert report.aggregate_error_pct == 10.0
     assert report.matching_accuracy_pct == 98.0
-    assert report.per_scenario == per
 
     bad = [
         {},
@@ -406,7 +404,7 @@ def test_report_round_trip(tmp_path):
     }
     report = build_report(per)
     p = tmp_path / "report.json"
-    write_report(report, p)
+    write_report(per, p)
     doc = json.loads(p.read_text())
     assert set(doc) == {"mean", "scenarios"}
     assert doc["mean"]["mse"] == 3.0

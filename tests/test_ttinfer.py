@@ -7,12 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow.errors import InputDataError
 from probeflow.network import TimeGrid
 from probeflow.ttinfer import (
     InferParams,
-    IntervalObservations,
     SegmentTimeEstimate,
     build_system,
     infer_times,
@@ -22,11 +23,14 @@ from probeflow.ttinfer import (
     write_estimates,
 )
 
-from conftest import kkt_max_violation, make_corridor_network, pieces_table
-
-
-def obs_of(rows, interval=0):
-    return IntervalObservations(interval_index=interval, rows=rows)
+from conftest import (
+    dict_observations,
+    dict_system,
+    interval_observations,
+    kkt_max_violation,
+    make_corridor_network,
+    pieces_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +40,9 @@ def obs_of(rows, interval=0):
 
 def test_build_system_counts_and_columns():
     net = make_corridor_network(n_segs=3)
-    obs = obs_of([({1: 1, 2: 1}, 50.0), ({2: 2}, 70.0)])
+    obs = interval_observations([({1: 1, 2: 1}, 50.0), ({2: 2}, 70.0)])
     A, b, columns = build_system(obs, net)
-    assert columns == [1, 2]
+    assert columns.tolist() == [1, 2]
     assert A.tolist() == [[1.0, 1.0], [0.0, 2.0]]
     assert b.tolist() == [50.0, 70.0]
     # Support counts rows, not traversals: the loop row {2: 2} adds one.
@@ -48,11 +52,9 @@ def test_build_system_counts_and_columns():
 def test_build_system_rejects_bad_rows():
     net = make_corridor_network(n_segs=2)
     with pytest.raises(InputDataError):
-        build_system(obs_of([({0: 1}, -5.0)]), net)
+        build_system(interval_observations([({0: 1}, -5.0)]), net)
     with pytest.raises(InputDataError):
-        build_system(obs_of([({42: 1}, 10.0)]), net)
-    with pytest.raises(InputDataError):
-        build_system(obs_of([({0: 0}, 10.0)]), net)
+        build_system(interval_observations([({42: 1}, 10.0)]), net)
 
 
 def test_observations_from_matches_midpoint_and_skips():
@@ -69,15 +71,51 @@ def test_observations_from_matches_midpoint_and_skips():
     ])
     by_interval = observations_from_matches(matches, grid)
     assert set(by_interval) == {0, 1}
-    assert by_interval[0].rows == [({0: 1, 1: 1}, 40.0)]
-    assert by_interval[1].rows == [({3: 1}, 120.0)]
+    first, second = by_interval[0], by_interval[1]
+    assert (first.interval_index, second.interval_index) == (0, 1)
+    assert first.bounds.tolist() == [0, 2] and first.segment.tolist() == [0, 1]
+    assert first.duration.tolist() == [40.0]
+    assert second.bounds.tolist() == [0, 1] and second.segment.tolist() == [3]
+    assert second.duration.tolist() == [120.0]
 
 
 def test_observations_from_matches_counts_loops():
     grid = TimeGrid()
     mp = pieces_table([(1, [7, 8, 7, 9], [0.0, 10.0, 20.0, 30.0])])
-    rows = observations_from_matches(mp, grid)[0].rows
-    assert rows == [({7: 2, 8: 1}, 30.0)]
+    obs = observations_from_matches(mp, grid)[0]
+    assert obs.bounds.tolist() == [0, 3] and obs.segment.tolist() == [7, 8, 7]
+    assert obs.duration.tolist() == [30.0]
+
+
+# One piece: its vehicle's serial, segments (with loops) and entry-time steps,
+# from a start that may sit on an interval boundary. Zero steps make
+# zero-length windows, and long steps carry rows into later intervals.
+_piece = st.tuples(
+    st.integers(0, 3),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    st.one_of(st.sampled_from([0.0, 1800.0, 3600.0, 7199.5]), st.floats(0.0, 4 * 3600.0)),
+    st.lists(st.sampled_from([0.0, 0.25, 30.0, 1800.0, 3600.0]), min_size=5, max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_piece, max_size=12))
+def test_observation_arrays_equal_dict_rows(drawn):
+    """The array rows give the very A, b and columns of the per-piece dict rows."""
+    grid, net = TimeGrid(), make_corridor_network(n_segs=6)
+    pieces = pieces_table([
+        (vehicle, segments, np.cumsum([start] + steps[:len(segments) - 1]).tolist())
+        for vehicle, segments, start, steps in sorted(drawn, key=lambda p: p[0])])
+    expected = dict_observations(pieces, grid)
+    by_interval = observations_from_matches(pieces, grid)
+    assert sorted(by_interval) == sorted(expected)
+    for iv, rows in expected.items():
+        assert by_interval[iv].interval_index == iv
+        A, b, columns = build_system(by_interval[iv], net)
+        A_ref, b_ref, columns_ref = dict_system(rows, net)
+        assert columns.tolist() == columns_ref
+        assert A.shape == A_ref.shape and A.tobytes() == A_ref.tobytes()
+        assert b.shape == b_ref.shape and b.tobytes() == b_ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +125,7 @@ def test_observations_from_matches_counts_loops():
 
 def test_two_by_two_hand_solution():
     net = make_corridor_network(n_segs=2, length=200.0, speed=20.0)  # fft = 10 s
-    obs = obs_of([({0: 1, 1: 1}, 50.0), ({0: 1}, 20.0)])
+    obs = interval_observations([({0: 1, 1: 1}, 50.0), ({0: 1}, 20.0)])
     prior = np.array([10.0, 10.0])
     est = infer_times(obs, net, prior, InferParams(lam=0.0))
     assert abs(est.time[0] - 20.0) < 1e-6
@@ -97,7 +135,7 @@ def test_two_by_two_hand_solution():
 
 def test_unsupported_segments_keep_prior():
     net = make_corridor_network(n_segs=3, speed=20.0)
-    obs = obs_of([({0: 1}, 25.0)])
+    obs = interval_observations([({0: 1}, 25.0)])
     prior = np.array([10.0, 17.5, 13.25])
     est = infer_times(obs, net, prior, InferParams(lam=0.05))
     assert est.time[1] == 17.5
@@ -108,7 +146,7 @@ def test_unsupported_segments_keep_prior():
 def test_empty_interval_returns_prior():
     net = make_corridor_network(n_segs=2)
     prior = np.array([21.0, 22.0])
-    est = infer_times(obs_of([]), net, prior)
+    est = infer_times(interval_observations([]), net, prior)
     assert est.time.tolist() == prior.tolist()
     assert est.support.tolist() == [0, 0]
 
@@ -116,14 +154,14 @@ def test_empty_interval_returns_prior():
 def test_lower_bound_is_respected():
     net = make_corridor_network(n_segs=1, length=200.0, speed=10.0)  # fft = 20 s
     # The observation says 5 s, far below free flow.
-    obs = obs_of([({0: 1}, 5.0)])
+    obs = interval_observations([({0: 1}, 5.0)])
     est = infer_times(obs, net, np.array([20.0]), InferParams(lam=0.05))
     assert est.time[0] == 20.0
 
 
 def test_ridge_pulls_toward_prior():
     net = make_corridor_network(n_segs=1, length=200.0, speed=20.0)  # fft = 10 s
-    obs = obs_of([({0: 1}, 40.0)])
+    obs = interval_observations([({0: 1}, 40.0)])
     # lam=1 with prior 20: minimize (x-40)^2 + (x-20)^2 -> x = 30.
     est = infer_times(obs, net, np.array([20.0]), InferParams(lam=1.0))
     assert abs(est.time[0] - 30.0) < 1e-6
@@ -140,7 +178,7 @@ def random_instance(rng, n_segs=4, n_rows=6):
         dur = float(counts @ truth + rng.normal(0.0, 2.0))
         rows.append(({j: int(c) for j, c in enumerate(counts) if c}, max(dur, 1.0)))
     prior = np.array([float(10.0 + rng.uniform(0.0, 10.0)) for _ in range(n_segs)])
-    return net, obs_of(rows), prior
+    return net, interval_observations(rows), prior
 
 
 def test_kkt_holds_on_randomized_instances():
@@ -208,7 +246,7 @@ def test_rank_deficient_without_ridge():
     # their sum is determined; any split satisfying the optimality
     # conditions will do.
     net = make_corridor_network(n_segs=3, length=200.0, speed=20.0)  # fft = 10 s
-    obs = obs_of([({0: 1, 1: 1}, 50.0), ({0: 1, 1: 1}, 54.0), ({2: 1}, 30.0)])
+    obs = interval_observations([({0: 1, 1: 1}, 50.0), ({0: 1, 1: 1}, 54.0), ({2: 1}, 30.0)])
     prior = np.full(3, 10.0)
     est = infer_times(obs, net, prior, InferParams(lam=0.0))
     _assert_kkt(obs, net, prior, est, 0.0)
@@ -221,7 +259,7 @@ def test_column_enters_then_leaves_the_free_set():
     # over both wants y0 = -2.5, so segment 0 returns to its bound. Only
     # segment 1 stays free, at the mean of c = b - A*10 = (0, 15, 5).
     net = make_corridor_network(n_segs=2, length=200.0, speed=20.0)  # fft = 10 s
-    obs = obs_of([({0: 1, 1: 1}, 20.0), ({0: 1, 1: 1}, 35.0), ({0: 2, 1: 1}, 35.0)])
+    obs = interval_observations([({0: 1, 1: 1}, 20.0), ({0: 1, 1: 1}, 35.0), ({0: 2, 1: 1}, 35.0)])
     prior = np.full(2, 10.0)
     est = infer_times(obs, net, prior, InferParams(lam=0.0))
     _assert_kkt(obs, net, prior, est, 0.0)
@@ -236,7 +274,7 @@ def test_lawson_hanson_steps_back_where_block_swaps_stall():
     # to row 0, which is already 5 s over at free flow, so the optimum is
     # y = x - 10 = (0, 17.5, 0, 0): row 1 exact, row 0 left 5 s over.
     net = make_corridor_network(n_segs=4, length=200.0, speed=20.0)  # fft = 10 s
-    obs = obs_of([({0: 2, 2: 1, 3: 1}, 35.0), ({0: 1, 1: 2, 2: 2, 3: 1}, 95.0)])
+    obs = interval_observations([({0: 2, 2: 1, 3: 1}, 35.0), ({0: 1, 1: 2, 2: 2, 3: 1}, 95.0)])
     prior = np.full(4, 10.0)
     est = infer_times(obs, net, prior, InferParams(lam=0.0))
     _assert_kkt(obs, net, prior, est, 0.0)
@@ -245,15 +283,15 @@ def test_lawson_hanson_steps_back_where_block_swaps_stall():
 
 def test_residual_sq_matches_manual():
     net = make_corridor_network(n_segs=2, speed=20.0)
-    obs = obs_of([({0: 1, 1: 1}, 50.0), ({0: 1}, 18.0)])
+    obs = interval_observations([({0: 1, 1: 1}, 50.0), ({0: 1}, 18.0)])
     times = np.array([20.0, 30.0])
     assert abs(residual_sq(times, obs, net) - 4.0) < 1e-12
-    assert residual_sq(times, obs_of([]), net) == 0.0
+    assert residual_sq(times, interval_observations([]), net) == 0.0
 
 
 def test_infer_times_validates_inputs():
     net = make_corridor_network(n_segs=2, length=200.0, speed=10.0)  # fft = 20 s
-    obs = obs_of([({0: 1}, 30.0)])
+    obs = interval_observations([({0: 1}, 30.0)])
     with pytest.raises(InputDataError):
         infer_times(obs, net, np.array([5.0, 20.0]))  # prior below free flow
     with pytest.raises(InputDataError):
