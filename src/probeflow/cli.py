@@ -8,7 +8,8 @@ export-geojson). A single free-flow matching pass is ``refine`` with
 ``pipeline`` chains refine, per-interval demand estimation, completion,
 and evaluation over one input set and writes a manifest of SHA-256
 content hashes for every artifact it produced. Demand estimation starts
-from the seed demand of its ``demand`` input, which ``gen-demand`` writes.
+from the ``demand`` input's seed demand, which ``gen-demand`` writes; its
+equilibrium states go to one ``states.csv``, which both exports read.
 
 One table, ``_COMMANDS``, names each command's handler and the input
 paths it reads; it gives each command its path flags and ``pipeline``
@@ -33,7 +34,6 @@ import functools
 import json
 import logging
 import math
-import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -68,11 +68,11 @@ from .odestim import (
     OdSolveParams,
     SpsaParams,
     estimate_od,
-    read_state,
+    read_states,
     seed_equilibrium,
     seed_gravity,
-    write_objective_trace,
-    write_state,
+    write_objectives,
+    write_states,
 )
 from .refine import RefineParams, refine, write_diagnostics
 from .tracegen import (
@@ -106,6 +106,8 @@ MATCHED_FILE = "matched.csv"
 ESTIMATES_FILE = "estimates.csv"
 BASELINE_FILE = "baseline.csv"
 DIAGNOSTICS_FILE = "diagnostics.csv"
+STATES_FILE = "states.csv"
+OBJECTIVE_FILE = "objective.csv"
 MATRIX_FILE = "matrix.csv"
 COMPLETED_FILE = "completed.csv"
 REPORT_FILE = "report.json"
@@ -120,14 +122,6 @@ def truth_file(scenario_id: int) -> str:
 
 def demand_file(interval: int) -> str:
     return f"od_demand_{interval:03d}.csv"
-
-
-def state_file(interval: int) -> str:
-    return f"state_{interval:03d}.csv"
-
-
-def objective_file(interval: int) -> str:
-    return f"objective_{interval:03d}.csv"
 
 
 class UsageError(Exception):
@@ -433,12 +427,11 @@ def _cmd_refine(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) ->
 
 
 def _cmd_estimate_od(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
-    """Demand estimation per supported interval.
+    """Demand estimation per supported interval, from one solve of the seed equilibrium.
 
-    When the equilibrium solver gives up on an interval, that interval's
-    seed demand is written with a .partial suffix, every other interval
-    keeps its regular output, and the command fails with exit code 3
-    afterwards.
+    An interval the solver gives up on (each one, if the seed's fails) gets
+    its seed demand with a .partial suffix and no rows in the state and
+    objective tables; the command then fails with exit code 3.
     """
     tazs = read_tazs(_input(cfg, "tazs"), net)
     estimates = read_estimates(_input(cfg, "estimates"), net, cfg.grid)
@@ -449,24 +442,25 @@ def _cmd_estimate_od(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path
         raise InputDataError(f"{cfg.paths['estimates']}: no interval has observation support")
 
     out = _out(cfg)
-    failures: dict[int, SolverError] = {}
-    seed_state = None  # the seed's equilibrium, the same for every interval
+    states, objectives = {}, {}  # per converged interval: (flow, time), objective trace
+    try:
+        seed_state, failures = seed_equilibrium(net, tazs, seed_demand, cfg.od), {}
+    except SolverError as exc:
+        failures = dict.fromkeys(intervals, exc)
     for iv in intervals:
-        try:
-            if seed_state is None:
-                seed_state = seed_equilibrium(net, tazs, seed_demand, cfg.od)
-            est = estimate_od(net, tazs, estimates[iv], seed_demand, spsa=cfg.spsa, od=cfg.od,
-                              seed_state=seed_state)
-        except SolverError as exc:
-            failures[iv] = exc
-            partial = out / (demand_file(iv) + ".partial")
-            write_demand(seed_demand, partial)
-            artifacts.append(partial)
-            continue
-        write_demand(est.demand, out / demand_file(iv))
-        write_state(est.result, net, out / state_file(iv))
-        write_objective_trace(est.objective_trace, out / objective_file(iv))
-        artifacts.extend([out / demand_file(iv), out / state_file(iv), out / objective_file(iv)])
+        if iv not in failures:
+            try:
+                est = estimate_od(net, tazs, estimates[iv], seed_demand, spsa=cfg.spsa,
+                                  od=cfg.od, seed_state=seed_state)
+                states[iv], objectives[iv] = (est.result.flow, est.result.time), est.objectives
+            except SolverError as exc:
+                failures[iv] = exc
+        path = out / (demand_file(iv) + (".partial" if iv in failures else ""))
+        write_demand(seed_demand if iv in failures else est.demand, path)
+        artifacts.append(path)
+    write_states(states, net, out / STATES_FILE)
+    write_objectives(objectives, out / OBJECTIVE_FILE)
+    artifacts.extend([out / STATES_FILE, out / OBJECTIVE_FILE])
     if failures:
         first = min(failures)
         raise SolverError(f"interval {first}: {failures[first]}")
@@ -523,22 +517,9 @@ def _cmd_evaluate(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
 
 
 def _cmd_export_voc(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
-    """Per-class mean VOC series from the state files, at most one per grid interval."""
-    states_dir = Path(cfg.paths.get("states_dir", cfg.out_dir))
-    files: dict[int, Path] = {}
-    for path in sorted(states_dir.glob("state_*.csv")):
-        match = re.fullmatch(r"state_(\d+)", path.stem)
-        if match is None:
-            raise InputDataError(f"{path}: not a state_<interval>.csv file name")
-        interval = int(match.group(1))
-        if interval in files:
-            raise InputDataError(f"{files[interval]} and {path} both hold interval {interval}")
-        if interval >= cfg.grid.interval_count:
-            raise InputDataError(f"{path}: interval {interval} not in 0..{cfg.grid.interval_count - 1}")
-        files[interval] = path
-    if not files:
-        raise InputDataError(f"no state files found in {states_dir}")
-    flows_by_interval = {iv: read_state(path, net)[0] for iv, path in files.items()}
+    """Per-class mean VOC series over the grid from the states table."""
+    flows_by_interval = {iv: flows for iv, (flows, _, _) in
+                         read_states(_input(cfg, "states"), net, cfg.grid).items()}
     classes = sorted({s.road_class for s in net.segments})
     series = {cls: voc_series(flows_by_interval, net, cfg.grid, class_filter=cls)
               for cls in classes}
@@ -548,9 +529,10 @@ def _cmd_export_voc(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]
 
 
 def _cmd_export_geojson(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
-    _, _, vocs = read_state(_input(cfg, "state"), net)
+    """Congestion map of each segment's peak VOC over the intervals of the states table."""
+    states = read_states(_input(cfg, "states"), net, cfg.grid)
     out = _out(cfg) / GEOJSON_FILE
-    export_geojson(net, vocs, out)
+    export_geojson(net, np.max([vocs for _, _, vocs in states.values()], axis=0), out)
     artifacts.append(out)
 
 
@@ -607,8 +589,8 @@ _COMMANDS: dict[str, tuple[Callable[[PipelineConfig, RoadNetwork | None, list[Pa
     "estimate-od": (_cmd_estimate_od, ("network", "tazs", "estimates", "demand")),
     "complete": (_cmd_complete, ("network", "estimates")),
     "evaluate": (_cmd_evaluate, ("network", "truth", "trips", "matched", "estimates")),
-    "export-voc": (_cmd_export_voc, ("network", "states_dir")),
-    "export-geojson": (_cmd_export_geojson, ("network", "state")),
+    "export-voc": (_cmd_export_voc, ("network", "states")),
+    "export-geojson": (_cmd_export_geojson, ("network", "states")),
     "pipeline": (_cmd_pipeline, ("network", "tazs", "traces", "truth", "trips", "demand")),
 }
 

@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputDataError
-from .tables import read_table, write_table
+from .tables import group_rows, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -264,6 +264,21 @@ class RoadNetwork:
                                  "has a non-finite value")
         order = np.argsort(positions)
         return tuple(col[order] for col in values)
+
+    def interval_columns(self, source: str, grid: TimeGrid, intervals: Sequence[int],
+                         ids: Sequence[int], *columns: Sequence) -> dict[int, tuple[np.ndarray, ...]]:
+        """``segment_columns`` of each interval of an ``interval, segment_id, ...`` table.
+
+        The table must have rows, and each interval must lie on ``grid``.
+        """
+        groups = group_rows(intervals, ids, *columns)
+        if not groups:
+            raise InputDataError(f"{source}: no rows")
+        off = [iv for iv in groups if not 0 <= iv < grid.interval_count]
+        if off:
+            raise InputDataError(f"{source}: interval {off[0]} not in 0..{grid.interval_count - 1}")
+        return {iv: self.segment_columns(f"{source}, interval {iv}", sids.tolist(), *values)
+                for iv, (sids, *values) in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -878,5 +893,6 @@ def read_tazs(path: str | os.PathLike, net: RoadNetwork | None = None) -> list[T
     if net is not None:
         for taz in tazs:
             if taz.centroid_node not in net.nodes:
-                raise InputDataError(f"TAZ {taz.id}: centroid node {taz.centroid_node} not in network")
+                raise InputDataError(f"{path}: TAZ {taz.id}: centroid node {taz.centroid_node} "
+                                     "not in network")
     return tazs

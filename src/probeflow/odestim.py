@@ -42,7 +42,7 @@ import numpy as np
 
 from .assignment import AssignmentResult, BprCost, DemandMatrix, solve_ue
 from .errors import InputDataError, SolverError
-from .network import RoadNetwork, Taz, haversine
+from .network import RoadNetwork, Taz, TimeGrid, haversine
 from .tables import read_table, write_table
 from .ttinfer import SegmentTimeEstimate
 
@@ -111,7 +111,7 @@ class OdEstimate:
 
     demand: DemandMatrix
     result: AssignmentResult
-    objective_trace: list[ObjectiveRecord]
+    objectives: list[ObjectiveRecord]
 
 
 def seed_gravity(net: RoadNetwork, tazs: list[Taz], params: GravityParams) -> DemandMatrix:
@@ -289,7 +289,7 @@ def estimate_od(
 
     logger.info("demand estimation: objective %.4g -> %.4g over %d trial solves",
                 records[0].objective, f, len(records) - 1)
-    return OdEstimate(demand=demand, result=res, objective_trace=records)
+    return OdEstimate(demand=demand, result=res, objectives=records)
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +297,29 @@ def estimate_od(
 # ---------------------------------------------------------------------------
 
 
-STATE_COLUMNS = (("segment_id", int), ("flow_vph", float), ("time_s", float), ("voc", float))
-OBJECTIVE_COLUMNS = (("outer_iter", int), ("objective", float))
+STATES_COLUMNS = (("interval", int), ("segment_id", int), ("flow_vph", float), ("time_s", float),
+                  ("voc", float))
+OBJECTIVE_COLUMNS = (("interval", int), ("outer_iter", int), ("objective", float))
 
 
-def write_state(result: AssignmentResult, net: RoadNetwork, path: str | os.PathLike) -> None:
-    """Full-network state: flow, time, and volume-over-capacity per segment."""
-    write_table(path, STATE_COLUMNS, (net.segment_ids(), result.flow, result.time,
-                                      result.flow / net.seg_capacity))
+def write_states(states: dict[int, tuple[np.ndarray, np.ndarray]], net: RoadNetwork,
+                 path: str | os.PathLike) -> None:
+    """Each interval's (flow, time) arrays, and volume over capacity, as rows per segment."""
+    intervals = sorted(states)
+    flow = np.array([states[iv][0] for iv in intervals], dtype=float).reshape(-1)
+    time = np.array([states[iv][1] for iv in intervals], dtype=float).reshape(-1)
+    write_table(path, STATES_COLUMNS, (np.repeat(intervals, net.n_segments),
+                                       net.segment_ids() * len(intervals), flow, time,
+                                       flow / np.tile(net.seg_capacity, len(intervals))))
 
 
-def read_state(path: str | os.PathLike,
-               net: RoadNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-segment (flows, times, vocs); the file must list every segment exactly once."""
-    return net.segment_columns(str(path), *read_table(path, STATE_COLUMNS))
+def read_states(path: str | os.PathLike, net: RoadNetwork,
+                grid: TimeGrid) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-interval (flows, times, vocs); each interval lists every segment exactly once."""
+    return net.interval_columns(str(path), grid, *read_table(path, STATES_COLUMNS))
 
 
-def write_objective_trace(records: list[ObjectiveRecord], path: str | os.PathLike) -> None:
-    write_table(path, OBJECTIVE_COLUMNS, ([r.outer_iter for r in records],
-                                          [r.objective for r in records]))
+def write_objectives(traces: dict[int, list[ObjectiveRecord]], path: str | os.PathLike) -> None:
+    """Each interval's objective trace, intervals ascending."""
+    rows = [(iv, *r) for iv in sorted(traces) for r in traces[iv]]
+    write_table(path, OBJECTIVE_COLUMNS, [[row[k] for row in rows] for k in range(3)])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputDataError, SolverError
 from .network import RoadNetwork, TimeGrid
-from .tables import group_rows, read_table, write_table
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -248,18 +248,13 @@ def read_estimates(path: str | os.PathLike, net: RoadNetwork,
     Each interval must lie on the grid and list every segment once, with
     time_s > 0 and support >= 0.
     """
-    groups = group_rows(*read_table(path, ESTIMATE_COLUMNS))
-    off = [iv for iv in groups if not 0 <= iv < grid.interval_count]
-    if off:
-        raise InputDataError(f"{path}: interval {off[0]} not in 0..{grid.interval_count - 1}")
+    groups = net.interval_columns(str(path), grid, *read_table(path, ESTIMATE_COLUMNS))
     estimates = {}
-    for iv, (ids, time, support) in groups.items():
-        source = f"{path}, interval {iv}"
-        time, support = net.segment_columns(source, ids.tolist(), time, support)
+    for iv, (time, support) in groups.items():
         bad = (time <= 0.0) | (support < 0)
         if np.any(bad):
             k = int(np.argmax(bad))
-            raise InputDataError(f"{source}: segment {net.segments[k].id} has time_s {time[k]} "
-                                 f"and support {support[k]}; need time_s > 0 and support >= 0")
+            raise InputDataError(f"{path}, interval {iv}: segment {net.segments[k].id} has time_s "
+                                 f"{time[k]} and support {support[k]}; need time_s > 0 and support >= 0")
         estimates[iv] = SegmentTimeEstimate(time, support, iv)
     return estimates

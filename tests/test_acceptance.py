@@ -415,9 +415,9 @@ def test_07_demand_estimation_recovers_and_improves():
     est4 = estimate_od(net4, tazs4, observed4, seed, SpsaParams(max_outer=100),
                        OdSolveParams(ue_tol=1e-3, ue_max_iter=3000))
     elapsed = time.perf_counter() - t0
-    seed_obj = est4.objective_trace[0].objective
-    best_obj = min(r.objective for r in est4.objective_trace)
-    assert len(est4.objective_trace) <= 101  # one record per solve, within the budget
+    seed_obj = est4.objectives[0].objective
+    best_obj = min(r.objective for r in est4.objectives)
+    assert len(est4.objectives) <= 101  # one record per solve, within the budget
     assert best_obj <= 0.5 * seed_obj
     assert best_obj <= seed_obj  # never worse than not estimating
     assert elapsed < 300.0
@@ -493,7 +493,8 @@ def test_09_pipeline_reproduces_daily_periodicity(tmp_path):
         assert main([cmd, "--config", str(cfg_path)]) == 0
     out = tmp_path / "pipe"
     assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
-    assert main(["export-voc", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert main(["export-voc", "--config", str(cfg_path), "--out-dir", str(out),
+                 "--states", str(out / "states.csv")]) == 0
     series = read_voc(out / "voc.csv")["secondary"]
     assert len(series) == 84
     assert lag_autocorrelation(series, 24) >= 0.8

@@ -15,6 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,9 +34,10 @@ from probeflow.cli import (
 )
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
+from probeflow.odestim import read_states, write_states
 from probeflow.network import Node, RoadNetwork, Taz, TimeGrid, read_network, write_network, write_tazs
 from probeflow.completion import COMPLETED_COLUMNS
-from probeflow.evaluation import read_voc
+from probeflow.evaluation import export_geojson, read_voc
 from probeflow.refine import DIAGNOSTICS_COLUMNS
 from probeflow.tables import read_table
 from probeflow.tracegen import read_traces, read_trips
@@ -282,6 +284,16 @@ def test_readme_lists_every_config_key_and_command():
     assert sorted(readme_column("| Command | What it does |")) == sorted(_COMMANDS)
 
 
+def test_readme_file_formats_name_every_pipeline_artifact(world):
+    """Per-interval names collapse to their ``*`` pattern, as README writes them."""
+    artifacts = {*json.loads((world.pipe / "manifest.json").read_text())["artifacts"],
+                 "manifest.json"}
+    listed = {name.strip().strip("`") for cell in readme_column("| File | Contents |")
+              for name in cell.split(",")}
+    missing = {re.sub(r"_\d+\.csv$", "_*.csv", name) for name in artifacts} - listed
+    assert not missing, missing
+
+
 def test_threads_must_be_positive(world):
     assert main(["infer", "--config", world.cfg, "--threads", "0"]) == 1
 
@@ -473,8 +485,8 @@ def test_evaluate_report_full_beats_or_ties_baseline(world):
 
 def test_export_voc_and_geojson(world, tmp_path):
     out = str(tmp_path)
-    rc = main(["export-voc", "--config", world.cfg, "--out-dir", out,
-               "--states-dir", str(world.pipe)])
+    states = str(world.pipe / "states.csv")
+    rc = main(["export-voc", "--config", world.cfg, "--out-dir", out, "--states", states])
     assert rc == 0
     series = read_voc(tmp_path / "voc.csv")
     assert set(series) == {"secondary"}
@@ -482,41 +494,72 @@ def test_export_voc_and_geojson(world, tmp_path):
     assert all(v >= 0.0 for v in series["secondary"])
     assert series["secondary"][4:] == [0.0] * 4  # no traffic scheduled there
 
-    rc = main(["export-geojson", "--config", world.cfg, "--out-dir", out,
-               "--state", str(world.pipe / "state_000.csv")])
+    rc = main(["export-geojson", "--config", world.cfg, "--out-dir", out, "--states", states])
     assert rc == 0
     doc = json.loads((tmp_path / "voc.geojson").read_text())
     assert len(doc["features"]) == world.net.n_segments
 
+    # A missing input file is a usage error, as for every other input.
     assert main(["export-voc", "--config", world.cfg, "--out-dir", out,
-                 "--states-dir", str(tmp_path / "void")]) == 2
+                 "--states", str(tmp_path / "void.csv")]) == 1
 
 
-def test_export_voc_rejects_stray_state_file(world, tmp_path, capsys):
-    states = tmp_path / "states"
-    states.mkdir()
-    (states / "state_000.csv").write_bytes((world.pipe / "state_000.csv").read_bytes())
-    (states / "state_old.csv").write_bytes((world.pipe / "state_000.csv").read_bytes())
+def geojson_vocs(cfg, states, out) -> list[float]:
+    assert main(["export-geojson", "--config", cfg, "--out-dir", str(out),
+                 "--states", str(states)]) == 0
+    return [f["properties"]["voc"]
+            for f in json.loads((out / "voc.geojson").read_text())["features"]]
+
+
+def test_export_geojson_maps_each_segments_peak_voc(world, tmp_path):
+    """On the pipeline's states table, on one whose peaks fall in different
+    intervals, and on a table of one interval, whose map is that interval's."""
+    table = read_states(world.pipe / "states.csv", world.net, GRID)
+    assert len(table) > 1
+    peak = np.max([voc for _, _, voc in table.values()], axis=0)
+    assert geojson_vocs(world.cfg, world.pipe / "states.csv", tmp_path) == peak.tolist()
+
+    first = min(table)
+    flow, time, voc = table[first]
+    bump = np.resize([100.0, 0.0], len(flow))
+    write_states({first: (flow + bump, time), 7: (flow + 100.0 - bump, time)}, world.net,
+                 tmp_path / "mixed.csv")
+    a, b = (v for _, _, v in read_states(tmp_path / "mixed.csv", world.net, GRID).values())
+    assert np.any(a > b) and np.any(b > a)
+    assert geojson_vocs(world.cfg, tmp_path / "mixed.csv", tmp_path) == np.maximum(a, b).tolist()
+
+    lines = (world.pipe / "states.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    one = tmp_path / "one.csv"
+    one.write_text("".join(lines[:1] + [line for line in lines[1:]
+                                        if line.startswith(f"{first},")]), encoding="utf-8")
+    geojson_vocs(world.cfg, one, tmp_path / "one")
+    export_geojson(world.net, voc, tmp_path / "expected.geojson")
+    assert (tmp_path / "one" / "voc.geojson").read_bytes() == (
+        tmp_path / "expected.geojson").read_bytes()
+
+
+def _off_grid(rows: list[str]) -> list[str]:
+    """The first interval's rows moved to interval 8, one past the grid."""
+    first = rows[0].split(",")[0]
+    return [("8" + row[len(first):]) if row.split(",")[0] == first else row for row in rows]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_off_grid, "interval 8 not in 0..7"),
+    (lambda rows: rows[:1] + rows, "listed more than once"),
+    (lambda rows: rows[1:], "missing"),
+    (lambda rows: [rows[0].rsplit(",", 1)[0] + ",nan", *rows[1:]], "non-finite value"),
+    (lambda rows: [], "no rows"),
+], ids=["off-grid-interval", "repeated-segment", "missing-segment", "non-finite", "header-only"])
+def test_export_voc_rejects_malformed_states_table(world, tmp_path, capsys, edit, message):
+    header, *rows = (world.pipe / "states.csv").read_text(encoding="utf-8").splitlines()
+    states = tmp_path / "states.csv"
+    states.write_text("\n".join([header, *edit(rows)]) + "\n", encoding="utf-8")
     rc = main(["export-voc", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
-               "--states-dir", str(states)])
-    assert rc == 2
-    assert "state_old.csv" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("names,named", [
-    (["state_003.csv", "state_0003.csv"], ["state_003.csv", "state_0003.csv"]),
-    (["state_000.csv", "state_008.csv"], ["state_008.csv"]),
-], ids=["repeated-interval", "outside-grid"])
-def test_export_voc_rejects_repeated_or_off_grid_interval(world, tmp_path, capsys, names, named):
-    states = tmp_path / "states"
-    states.mkdir()
-    for name in names:
-        (states / name).write_bytes((world.pipe / "state_000.csv").read_bytes())
-    rc = main(["export-voc", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
-               "--states-dir", str(states)])
+               "--states", str(states)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert all(name in err for name in named) and "Traceback" not in err
+    assert str(states) in err and message in err and "Traceback" not in err
     assert not (tmp_path / "out" / "voc.csv").exists()
 
 
@@ -721,13 +764,17 @@ def test_estimate_od_solver_failure_exits_3_with_partial(world, tmp_path, capsys
                "--estimates", str(world.pipe / "estimates.csv")])
     assert rc == 3
     partials = sorted(p.name for p in tmp_path.glob("od_demand_*.csv.partial"))
-    assert partials
+    assert len(partials) > 1
     assert "" != capsys.readouterr().err
-    # Each failed interval retried its lower level once, at ten times ue_tol.
+    # The seed equilibrium is solved once, and retried once at ten times
+    # ue_tol; its failure fails every interval.
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"
                 and r.name == "probeflow.odestim"]
-    assert len(warnings) == len(partials)
-    assert all("retrying at 1.0e-11" in w for w in warnings)
+    assert len(warnings) == 1
+    assert "retrying at 1.0e-11" in warnings[0]
+    # The state and objective tables are written, holding no interval.
+    assert (tmp_path / "states.csv").read_text() == "interval,segment_id,flow_vph,time_s,voc\n"
+    assert (tmp_path / "objective.csv").read_text() == "interval,outer_iter,objective\n"
 
 
 def test_gen_scenarios_with_overflowing_costs_exits_3_naming_the_segment(world, tmp_path,
@@ -856,6 +903,17 @@ def test_gen_traces_reruns_are_byte_identical(world, tmp_path):
     assert main(["gen-traces", "--config", world.cfg, "--out-dir", str(c),
                  "--truth-dir", str(world.gen), "--seed", "7"]) == 0
     assert (a / "traces.csv").read_bytes() != (c / "traces.csv").read_bytes()
+
+
+def test_gen_demand_on_unknown_centroid_exits_2_naming_the_file(world, tmp_path, capsys):
+    tazs = tmp_path / "bad.csv"
+    write_tazs([Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=999)], tazs)
+    rc = main(["gen-demand", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--tazs", str(tazs)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{tazs}: TAZ 1: centroid node 999 not in network" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "demand.csv").exists()
 
 
 def test_gen_traces_on_unknown_demand_taz_exits_2_naming_it(world, tmp_path, capsys):

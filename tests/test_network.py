@@ -727,5 +727,5 @@ def test_read_tazs_validates_centroids(tmp_path):
     net = make_grid_network(2, 2)
     path = tmp_path / "tazs.csv"
     write_tazs([Taz(1, 99, "x")], path)
-    with pytest.raises(InputDataError):
+    with pytest.raises(InputDataError, match=r"tazs\.csv: TAZ 1: centroid node 99 not in"):
         read_tazs(path, net)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from probeflow import odestim
 from probeflow.assignment import AssignmentResult, solve_ue
 from probeflow.errors import InputDataError, SolverError
-from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, Taz
+from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Segment, Taz, TimeGrid
 from probeflow.odestim import (
     OBJECTIVE_COLUMNS,
     ObjectiveRecord,
@@ -21,12 +21,12 @@ from probeflow.odestim import (
     OdSolveParams,
     SpsaParams,
     estimate_od,
-    read_state,
+    read_states,
     seed_gravity,
-    write_objective_trace,
-    write_state,
+    write_objectives,
+    write_states,
 )
-from probeflow.tables import read_table
+from probeflow.tables import group_rows, read_table
 from probeflow.ttinfer import SegmentTimeEstimate
 
 from conftest import bpr_time, grid_node, make_corridor_network, make_grid_network, upper_objective
@@ -176,7 +176,7 @@ def test_single_route_demand_recovery():
     assert abs(est.demand[(0, 1)] - truth_flow) / truth_flow < 0.01
     assert est.result.converged
     # The search stops at rounding level, well inside the 100-trial budget.
-    assert len(est.objective_trace) < 101
+    assert len(est.objectives) < 101
 
 
 def test_seed_is_returned_when_already_optimal():
@@ -185,9 +185,9 @@ def test_seed_is_returned_when_already_optimal():
     truth = solve_ue(net, seed, tazs, tol=1e-6)
     observed = observed_everywhere(truth.time)
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=20))
-    assert est.objective_trace[0] == ObjectiveRecord(0, 0.0)
+    assert est.objectives[0] == ObjectiveRecord(0, 0.0)
     assert est.demand == seed
-    assert min(r.objective for r in est.objective_trace) == 0.0
+    assert min(r.objective for r in est.objectives) == 0.0
 
 
 def _two_way_road():
@@ -216,7 +216,7 @@ def test_a_step_that_does_not_lower_the_objective_is_halved(monkeypatch):
     monkeypatch.setattr(odestim, "_objective", first_trial_worse)
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=3, mu=0.0))
     assert len(solved) == 4
-    assert est.objective_trace[1].objective > est.objective_trace[0].objective
+    assert est.objectives[1].objective > est.objectives[0].objective
     for key in seed:
         first = math.log(solved[1][key] / seed[key])
         second = math.log(solved[2][key] / seed[key])
@@ -235,7 +235,7 @@ def test_search_stops_once_the_predicted_decrease_is_rounding():
                              odestim.BprCost(net).slope(res.flow))
     assert np.all(g != 0.0)
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=10))
-    assert len(est.objective_trace) == 1
+    assert len(est.objectives) == 1
     assert est.demand == seed
 
 
@@ -305,9 +305,9 @@ def test_grid_estimation_bookkeeping():
     est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=10),
                       OdSolveParams(ue_tol=1e-3, ue_max_iter=1000))
     # One record per trial solve, the seed first.
-    assert [r.outer_iter for r in est.objective_trace] == list(range(len(est.objective_trace)))
-    assert len(est.objective_trace) <= 11
-    best = min(r.objective for r in est.objective_trace)
+    assert [r.outer_iter for r in est.objectives] == list(range(len(est.objectives)))
+    assert len(est.objectives) <= 11
+    best = min(r.objective for r in est.objectives)
     # The returned demand is the best recorded candidate, and the returned
     # equilibrium state is the one that candidate induces.
     got = upper_objective(est.result, observed, est.demand, seed, mu=SpsaParams().mu)
@@ -321,7 +321,7 @@ def test_grid_estimation_bookkeeping():
     shared = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=10), od,
                          seed_state=odestim.seed_equilibrium(net, tazs, seed, od))
     assert shared.demand == est.demand
-    assert shared.objective_trace == est.objective_trace
+    assert shared.objectives == est.objectives
     assert shared.result.flow.tolist() == est.result.flow.tolist()
 
 
@@ -349,9 +349,9 @@ def test_estimation_contract_on_random_observations(data, max_outer, mu, weight_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(odestim, "solve_ue", counted)
         est = estimate_od(net, tazs, observed, seed, SpsaParams(max_outer=max_outer, mu=mu), od)
-    assert len(solves) == len(est.objective_trace) <= 1 + max_outer
-    best = min(r.objective for r in est.objective_trace)
-    assert best <= est.objective_trace[0].objective
+    assert len(solves) == len(est.objectives) <= 1 + max_outer
+    best = min(r.objective for r in est.objectives)
+    assert best <= est.objectives[0].objective
     assert upper_objective(est.result, observed, est.demand, seed, mu, weight_by_support) == best
     again = solve_ue(net, est.demand, tazs, tol=od.ue_tol, max_iter=od.ue_max_iter)
     assert est.result.flow.tolist() == again.flow.tolist()
@@ -447,23 +447,42 @@ def test_spsa_params_validation():
 
 
 def test_state_csv_round_trip(tmp_path):
+    """Two intervals, written ascending, each listing every segment once."""
     net = make_corridor_network(n_segs=3, capacity=1000.0)
-    result = AssignmentResult(
-        flow=np.array([600.0, 0.0, 250.0]),
-        time=np.array([25.0, 20.0, 21.5]),
-        relative_gap=0.0, iterations=3, converged=True,
-    )
-    p = tmp_path / "state.csv"
-    write_state(result, net, p)
-    flows, times, vocs = read_state(p, net)
-    assert flows.tolist() == result.flow.tolist()
-    assert times.tolist() == result.time.tolist()
-    assert vocs.tolist() == [0.6, 0.0, 0.25]
-    assert p.read_text().splitlines()[0] == "segment_id,flow_vph,time_s,voc"
+    states = {5: (np.array([100.0, 1e-3, 0.0]), np.array([20.0, 20.5, 20.0])),
+              2: (np.array([600.0, 0.0, 250.0]), np.array([25.0, 20.0, 21.5]))}
+    p = tmp_path / "states.csv"
+    write_states(states, net, p)
+    lines = p.read_text().splitlines()
+    assert lines[0] == "interval,segment_id,flow_vph,time_s,voc"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [str(iv), str(sid)] for iv in (2, 5) for sid in net.segment_ids()]
+    back = read_states(p, net, TimeGrid())
+    assert list(back) == [2, 5]
+    for iv, (flow, time) in states.items():
+        flows, times, vocs = back[iv]
+        assert flows.tolist() == flow.tolist() and times.tolist() == time.tolist()
+        assert vocs.tolist() == (flow / net.seg_capacity).tolist()
+    assert back[2][2].tolist() == [0.6, 0.0, 0.25]
 
 
 def test_objective_trace_round_trip(tmp_path):
-    records = [ObjectiveRecord(0, 54.25), ObjectiveRecord(5, 12.0), ObjectiveRecord(10, 3.5)]
-    p = tmp_path / "trace.csv"
-    write_objective_trace(records, p)
-    assert list(zip(*read_table(p, OBJECTIVE_COLUMNS))) == [(0, 54.25), (5, 12.0), (10, 3.5)]
+    traces = {7: [ObjectiveRecord(0, 1.5)],
+              3: [ObjectiveRecord(0, 54.25), ObjectiveRecord(5, 12.0), ObjectiveRecord(10, 3.5)]}
+    p = tmp_path / "objective.csv"
+    write_objectives(traces, p)
+    assert p.read_text().splitlines()[0] == "interval,outer_iter,objective"
+    back = group_rows(*read_table(p, OBJECTIVE_COLUMNS))
+    assert list(back) == [3, 7]
+    assert {iv: list(zip(*cols)) for iv, cols in back.items()} == {
+        iv: [tuple(r) for r in records] for iv, records in traces.items()}
+
+
+def test_state_and_objective_tables_of_no_interval_are_header_only(tmp_path):
+    net = make_corridor_network(n_segs=3)
+    write_states({}, net, tmp_path / "states.csv")
+    write_objectives({}, tmp_path / "objective.csv")
+    assert (tmp_path / "states.csv").read_text() == "interval,segment_id,flow_vph,time_s,voc\n"
+    assert (tmp_path / "objective.csv").read_text() == "interval,outer_iter,objective\n"
+    with pytest.raises(InputDataError, match=r"states\.csv: no rows"):
+        read_states(tmp_path / "states.csv", net, TimeGrid())

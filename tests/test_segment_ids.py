@@ -30,7 +30,7 @@ from probeflow.odestim import (
     SpsaParams,
     estimate_od,
     seed_gravity,
-    write_state,
+    write_states,
 )
 from probeflow.refine import RefineParams, refine
 from probeflow.tracegen import (
@@ -85,7 +85,7 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
     write_matched(pieces, out / "matched.csv", net)
     write_trips(trips, out / "trips.csv", net)
     write_estimates([est[k] for k in sorted(est)], out / "estimates.csv", net)
-    write_state(od.result, net, out / "state.csv")
+    write_states({iv: (od.result.flow, od.result.time)}, net, out / "states.csv")
     write_matrix(mat, out / "matrix.csv", net)
     write_completed(done, out / "completed.csv", net)
     # The readers map the ids back onto the indices held in memory.
@@ -141,6 +141,6 @@ def test_relabeled_ids_give_bit_equal_arrays_and_relabeled_tables(tmp_path):
         assert_same(a[key], b[key])
 
     id_columns = {"truth.csv": 0, "matched.csv": 2, "trips.csv": 2, "estimates.csv": 1,
-                  "state.csv": 0, "matrix.csv": 0, "completed.csv": 0}
+                  "states.csv": 1, "matrix.csv": 0, "completed.csv": 0}
     for name, column in id_columns.items():
         assert rows(tmp_path / "a" / name, column, seg_label) == rows(tmp_path / "b" / name, column)

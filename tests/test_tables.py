@@ -34,7 +34,8 @@ READERS = {
     "demand": (assignment.read_demand, assignment.DEMAND_COLUMNS),
     "voc": (evaluation.read_voc, evaluation.VOC_COLUMNS),
     "matched": (partial(mapmatch.read_matched, net=NET2), mapmatch.MATCHED_COLUMNS),
-    "state": (partial(odestim.read_state, net=NET2), odestim.STATE_COLUMNS),
+    "state": (partial(odestim.read_states, net=NET2, grid=network.TimeGrid()),
+              odestim.STATES_COLUMNS),
     "traces": (tracegen.read_traces, tracegen.TRACE_COLUMNS),
     "trips": (partial(tracegen.read_trips, net=NET2), tracegen.TRIP_COLUMNS),
     "truth": (partial(tracegen.read_truth, net=NET2), tracegen.TRUTH_COLUMNS),
@@ -223,7 +224,7 @@ PER_SEGMENT = {"state": "600.0,25.0,0.6", "truth": "25.0,600.0", "estimates": "2
                          ids=["missing", "unknown"])
 def test_per_segment_readers_reject_missing_and_unknown_segments(tmp_path, name, ids, error):
     reader, columns = READERS[name]
-    prefix = "0," if name == "estimates" else ""
+    prefix = "0," if name in ("estimates", "state") else ""
     body = "".join(f"{prefix}{sid},{PER_SEGMENT[name]}\n" for sid in ids)
     p = tmp_path / f"{name}.csv"
     p.write_bytes(header(columns) + body.encode("utf-8"))
@@ -255,7 +256,7 @@ VALID = {
     "demand": "0,1,30.0\n1,0,12.5\n",
     "voc": "0,secondary,0.5\n1,secondary,0.25\n",
     "matched": "1,0,0,0.0\n1,0,1,20.0\n2,0,1,5.0\n",
-    "state": "0,600.0,25.0,0.6\n1,300.0,21.0,0.3\n",
+    "state": "0,0,600.0,25.0,0.6\n0,1,300.0,21.0,0.3\n",
     "traces": "1,0.0,0.0,0.0005\n1,30.0,0.0,0.002\n",
     "trips": "1,0.0,0/1\n2,10.0,1\n",
     "truth": "0,25.0,600.0\n1,21.0,300.0\n",
