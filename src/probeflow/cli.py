@@ -61,7 +61,7 @@ from .evaluation import (
     write_report,
     write_voc,
 )
-from .mapmatch import MatchParams, concat_fixes, read_matched, write_matched
+from .mapmatch import MatchParams, read_matched, write_matched
 from .network import RoadNetwork, TimeGrid, import_osm, read_network, read_tazs, write_network
 from .odestim import (
     GravityParams,
@@ -376,10 +376,9 @@ def _cmd_gen_traces(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]
     demand = read_demand(_input(cfg, "demand"))
 
     schedule = cfg.schedule if cfg.schedule is not None else [0] * cfg.grid.interval_count
-    needed = sorted({s for s in schedule if s >= 0})
     truth_dir = Path(cfg.paths.get("truth_dir", cfg.out_dir))
     scenarios = []
-    for sid in needed:
+    for sid in sorted({s for s in schedule if s >= 0}):
         path = truth_dir / truth_file(sid)
         if not path.is_file():
             raise UsageError(f"truth file not found: {path}")
@@ -387,12 +386,12 @@ def _cmd_gen_traces(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]
         scenarios.append(GroundTruthScenario(
             id=sid, demand_multiplier=cfg.multipliers[sid], time=times, flow=flows))
 
-    data = generate_probe_data(net, tazs, demand, scenarios, schedule, cfg.grid, cfg.probe,
-                               rng_seed=stage_seed("gen-traces", cfg.seed))
+    trips, fixes = generate_probe_data(net, tazs, demand, scenarios, schedule, cfg.grid,
+                                       cfg.probe, rng_seed=stage_seed("gen-traces", cfg.seed))
 
     out = _out(cfg)
-    write_traces(concat_fixes([data[sid][1] for sid in needed]), out / TRACES_FILE)
-    write_trips([trip for sid in needed for trip in data[sid][0]], out / TRIPS_FILE, net)
+    write_traces(fixes, out / TRACES_FILE)
+    write_trips(trips, out / TRIPS_FILE, net)
     artifacts.extend([out / TRACES_FILE, out / TRIPS_FILE])
 
 
@@ -518,7 +517,7 @@ def _cmd_evaluate(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) 
 
 def _cmd_export_voc(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[Path]) -> None:
     """Per-class mean VOC series over the grid from the states table."""
-    flows_by_interval = {iv: flows for iv, (flows, _, _) in
+    flows_by_interval = {iv: flow for iv, (flow, _) in
                          read_states(_input(cfg, "states"), net, cfg.grid).items()}
     classes = sorted({s.road_class for s in net.segments})
     series = {cls: voc_series(flows_by_interval, net, cfg.grid, class_filter=cls)
@@ -532,7 +531,7 @@ def _cmd_export_geojson(cfg: PipelineConfig, net: RoadNetwork, artifacts: list[P
     """Congestion map of each segment's peak VOC over the intervals of the states table."""
     states = read_states(_input(cfg, "states"), net, cfg.grid)
     out = _out(cfg) / GEOJSON_FILE
-    export_geojson(net, np.max([vocs for _, _, vocs in states.values()], axis=0), out)
+    export_geojson(net, np.max([f / net.seg_capacity for f, _ in states.values()], axis=0), out)
     artifacts.append(out)
 
 

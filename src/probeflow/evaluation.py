@@ -33,7 +33,6 @@ from .errors import InputDataError
 from .mapmatch import Pieces
 from .network import RoadNetwork, TimeGrid
 from .tables import read_table, write_table
-from .tracegen import TruthTrip
 
 logger = logging.getLogger(__name__)
 
@@ -79,9 +78,17 @@ def aggregate_error_pct(est: np.ndarray, truth: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _segment_sets(pieces: Pieces) -> dict[int, set[int]]:
+    """Each vehicle's traversed segment indices, as one set over all its pieces."""
+    sets: dict[int, set[int]] = {}
+    for vid, j in zip(pieces.vehicle.tolist(), pieces.segment.tolist()):
+        sets.setdefault(vid, set()).add(j)
+    return sets
+
+
 def per_trip_overlap(
     matched: Pieces,
-    truth: list[TruthTrip],
+    truth: Pieces,
     net: RoadNetwork,
 ) -> tuple[dict[int, float], int]:
     """Length-weighted overlap percent per vehicle, plus the excluded count.
@@ -91,34 +98,22 @@ def per_trip_overlap(
     either, as sets. Vehicles present on only one side are excluded and
     counted.
     """
-    seen: dict[int, TruthTrip] = {}
-    for trip in truth:
-        if trip.vehicle_id in seen:
-            raise InputDataError(f"duplicate truth trip for vehicle {trip.vehicle_id}")
-        if not trip.path:
-            raise InputDataError(f"truth trip of vehicle {trip.vehicle_id} has no path")
-        seen[trip.vehicle_id] = trip
-
-    got: dict[int, set[int]] = {}
-    for vid, j in zip(matched.vehicle.tolist(), matched.segment.tolist()):
-        got.setdefault(vid, set()).add(j)
-
+    got, true = _segment_sets(matched), _segment_sets(truth)
     overlaps: dict[int, float] = {}
     excluded = 0
-    for vid in sorted(set(seen) | set(got)):
-        if vid not in seen or vid not in got:
+    for vid in sorted(set(true) | set(got)):
+        if vid not in true or vid not in got:
             excluded += 1
             continue
-        true_set = set(seen[vid].path)
-        inter = math.fsum(net.seg_length[sorted(true_set & got[vid])].tolist())
-        union = math.fsum(net.seg_length[sorted(true_set | got[vid])].tolist())
+        inter = math.fsum(net.seg_length[sorted(true[vid] & got[vid])].tolist())
+        union = math.fsum(net.seg_length[sorted(true[vid] | got[vid])].tolist())
         overlaps[vid] = 100.0 * inter / union
     return overlaps, excluded
 
 
 def matching_accuracy_pct(
     matched: Pieces,
-    truth: list[TruthTrip],
+    truth: Pieces,
     net: RoadNetwork,
 ) -> float:
     """Trip-mean of the length-weighted path overlap, in percent."""

@@ -99,30 +99,14 @@ class Fixes(NamedTuple):
 
 def fix_table(vehicle, t, lat, lon) -> Fixes:
     """The table of per-fix columns, in any vehicle order; a vehicle's fixes keep their order."""
+    vehicle = np.asarray(vehicle, dtype=np.int64)
     lat = np.asarray(lat, dtype=float)
     # nan where the latitude is out of range, which read_traces then rejects
     mlon = [meters_per_degree(x)[1] if abs(x) <= 90.0 else math.nan for x in lat.tolist()]
-    return _by_vehicle(vehicle, t, lat, lon, mlon)
-
-
-def _by_vehicle(vehicle, *columns) -> Fixes:
-    """The table of ``vehicle`` and the per-fix columns, stably sorted by vehicle."""
-    vehicle = np.asarray(vehicle, dtype=np.int64)
     order = np.argsort(vehicle, kind="stable")
     ids, first = np.unique(vehicle[order], return_index=True)
     return Fixes(ids, np.append(first, len(order)),
-                 *(np.asarray(c, dtype=float)[order] for c in columns))
-
-
-def concat_fixes(tables: list[Fixes]) -> Fixes:
-    """One table of every fix of ``tables``, whose vehicles must differ.
-
-    Each table's ``mlon`` is carried through the sort, not worked out again.
-    """
-    if not tables:
-        return fix_table([], [], [], [])
-    columns = [(np.repeat(f.vehicle, np.diff(f.offsets)), f.t, f.lat, f.lon, f.mlon) for f in tables]
-    return _by_vehicle(*map(np.concatenate, zip(*columns)))
+                 *(np.asarray(c, dtype=float)[order] for c in (t, lat, lon, mlon)))
 
 
 class Pieces(NamedTuple):
@@ -134,7 +118,9 @@ class Pieces(NamedTuple):
     observation window. Rows run by vehicle, piece, then traversal order
     (a segment may repeat on genuine loops). Piece p is rows
     ``bounds[p]`` to ``bounds[p + 1]``; ``log_score[p]`` is its Viterbi
-    score (nan for pieces read from a file).
+    score (nan for pieces read from a file). The table also holds truth
+    trips (``tracegen``): one piece per vehicle, exact entry instants and
+    a nan score.
     """
 
     vehicle: np.ndarray
@@ -145,7 +131,7 @@ class Pieces(NamedTuple):
     log_score: np.ndarray
 
 
-def _pieces(vehicle, size, score, segment, entry) -> Pieces:
+def piece_table(vehicle, size, score, segment, entry) -> Pieces:
     """``Pieces`` of per-piece vehicle ids (ascending), row counts and scores, and per-row columns."""
     vehicle, size = np.array(vehicle, dtype=np.int64), np.array(size, dtype=np.int64)
     piece = np.arange(len(vehicle)) - np.searchsorted(vehicle, vehicle)
@@ -301,8 +287,8 @@ def match_traces(
     for first, stop in zip(firsts, firsts[1:] + [len(routers)]):
         _match_chunk(net, fixes, first, stop, routers, param_sets, outs)
     if baseline is not None:
-        baseline.append(_pieces(*outs[1]))
-    return _pieces(*outs[0])
+        baseline.append(piece_table(*outs[1]))
+    return piece_table(*outs[0])
 
 
 def _match_chunk(net, fixes, first, stop, routers, param_sets, outs) -> None:
@@ -364,8 +350,9 @@ def _lattice(net, fixes, layers, counts, runs, seg, off, routers, param_sets):
     takes its times from its run's router. The great-circle distance
     and the time between fixes are taken per linked layer pair. The
     parameter sets differ at most in tt_tau. Every float equals the
-    scalar formulas (``position_on_segment``, ``math.hypot``,
-    ``emission_logp``, ``transition_logp`` on one leg), bit for bit.
+    scalar formulas (the test oracle ``position_on_segment``,
+    ``math.hypot``, ``emission_logp``, ``transition_logp`` on one leg),
+    bit for bit.
     """
     n, w = len(counts), int(counts.max())
     layer = np.repeat(np.arange(n), counts)
@@ -375,7 +362,7 @@ def _lattice(net, fixes, layers, counts, runs, seg, off, routers, param_sets):
     linked[np.asarray(runs[1:]) - 1] = False
     t, lat, lon, mlon = (column[layers] for column in (fixes.t, fixes.lat, fixes.lon, fixes.mlon))
 
-    # Emissions: the elementwise ops of position_on_segment and math.hypot.
+    # Emissions: the elementwise ops of a point along its segment's line, and math.hypot.
     length = net.seg_length[seg]
     frac = np.minimum(np.maximum(off / length, 0.0), 1.0)
     alat, alon = net._seg_alat[seg], net._seg_alon[seg]

@@ -20,10 +20,10 @@ Conventions used throughout the package:
   truth trips, observation rows, routes) holds indices into ``net.segments``,
   so sorted indices run in id order; the table readers map ids to indices
   (``segment_indices``) and the writers map them back (``segment_ids``)
-* probe fixes, matched pieces and observation rows are column arrays
-  (``mapmatch.Fixes``, ``mapmatch.Pieces``,
-  ``ttinfer.IntervalObservations``), never one stored object per
-  vehicle, piece or row
+* probe fixes, matched pieces, truth trips and observation rows are
+  column arrays (``mapmatch.Fixes``, ``mapmatch.Pieces`` for both pieces
+  and trips, ``ttinfer.IntervalObservations``), never one stored object
+  per vehicle, piece, trip or row
 
 Point geometry uses a local planar approximation (meters per degree at
 the query latitude). At city scale the error is far below GPS noise.
@@ -488,14 +488,6 @@ def project_to_candidates(
     keep = rank < max_candidates
     fix, seg = fix[keep], seg[keep]
     return fix, seg, t[keep] * net.seg_length[seg], dist[keep]
-
-
-def position_on_segment(net: RoadNetwork, j: int, offset: float) -> tuple[float, float]:
-    """(lat, lon) of the point ``offset`` meters along the line of segment index ``j``."""
-    f = min(max(offset / net.seg_length[j], 0.0), 1.0)
-    lat = net._seg_alat[j] + f * (net._seg_blat[j] - net._seg_alat[j])
-    lon = net._seg_alon[j] + f * (net._seg_blon[j] - net._seg_alon[j])
-    return float(lat), float(lon)
 
 
 # ---------------------------------------------------------------------------

@@ -314,9 +314,19 @@ def write_states(states: dict[int, tuple[np.ndarray, np.ndarray]], net: RoadNetw
 
 
 def read_states(path: str | os.PathLike, net: RoadNetwork,
-                grid: TimeGrid) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-interval (flows, times, vocs); each interval lists every segment exactly once."""
-    return net.interval_columns(str(path), grid, *read_table(path, STATES_COLUMNS))
+                grid: TimeGrid) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per-interval (flow, time) arrays, as ``write_states`` takes them; voc is not read back.
+
+    Each interval must lie on the grid and list every segment once, flow_vph >= 0, time_s > 0.
+    """
+    states = net.interval_columns(str(path), grid, *read_table(path, STATES_COLUMNS))
+    for iv, (flow, time, _) in states.items():
+        bad = (flow < 0.0) | (time <= 0.0)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise InputDataError(f"{path}, interval {iv}: segment {net.segments[k].id}: flow_vph "
+                                 f"{flow[k]}, time_s {time[k]}; need flow_vph >= 0, time_s > 0")
+    return {iv: (flow, time) for iv, (flow, time, _) in states.items()}
 
 
 def write_objectives(traces: dict[int, list[ObjectiveRecord]], path: str | os.PathLike) -> None:

@@ -3,8 +3,10 @@
 Produces the three ingredients every experiment needs: ground-truth
 network conditions (system-optimal assignments at a ladder of demand
 levels), truth trips routed on those conditions, and noisy low-rate GPS
-traces sampled from the trips, as fix tables (``mapmatch.Fixes``) from
-sampling to ``traces.csv`` and back; ``read_traces`` checks the columns.
+traces sampled from the trips. The trips are one ``mapmatch.Pieces``
+table, in ``matched.csv``'s layout, and the traces one fix table
+(``mapmatch.Fixes``), from sampling to ``trips.csv`` and ``traces.csv``
+and back; ``read_trips`` and ``read_traces`` check the columns.
 
 Everything here is deterministic given its rng_seed argument. Trace noise
 uses one generator per vehicle (seed = rng_seed + vehicle_id) so trips
@@ -14,6 +16,7 @@ can be generated in parallel or in any order without changing output.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate
@@ -22,8 +25,8 @@ import numpy as np
 
 from .assignment import AssignParams, DemandMatrix, solve_so
 from .errors import InputDataError
-from .mapmatch import Fixes, concat_fixes, fix_table
-from .network import RoadNetwork, Router, Taz, TimeGrid, meters_per_degree, position_on_segment
+from .mapmatch import Fixes, Pieces, fix_table, piece_table
+from .network import M_PER_DEG_LAT, RoadNetwork, Router, Taz, TimeGrid, meters_per_degree
 from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -56,23 +59,6 @@ class GroundTruthScenario:
     flow: np.ndarray
 
 
-@dataclass
-class TruthTrip:
-    """A simulated vehicle journey with known per-segment entry times.
-
-    ``path`` holds segment indices in traversal order, and
-    ``entry_times[i]`` is when the vehicle enters ``path[i]``; the trip
-    ends at ``arrival``. Trips read back from CSV carry only the path and
-    departure (entry times are None) until rebuilt against a scenario.
-    """
-
-    vehicle_id: int
-    departure: float
-    path: list[int]
-    entry_times: list[float] | None
-    arrival: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # Scenario and trip generation
 # ---------------------------------------------------------------------------
@@ -98,87 +84,48 @@ def gen_scenarios(
     return scenarios
 
 
-def simulate_trip(
-    net: RoadNetwork,
-    router: Router,
-    origin: Taz,
-    dest: Taz,
-    scenario: GroundTruthScenario,
-    departure: float,
-    vehicle_id: int,
-) -> TruthTrip:
-    """Route one vehicle on the scenario's fastest path at its fixed times.
+def probe_trips(net: RoadNetwork, vehicle: list[int], departure: list[float],
+                paths: list[list[int]], times: list[np.ndarray], cfg: ProbeConfig,
+                rng_seed: int = 0) -> tuple[Pieces, Fixes]:
+    """Truth trips and their GPS traces, one table each.
 
-    ``router`` holds the scenario's times; the trips of one scenario share
-    it, so each origin costs one search, grown as far as its trips reach.
+    Vehicle ``vehicle[i]`` (ascending) leaves at ``departure[i]`` along
+    the segment indices ``paths[i]`` (not empty), taking ``times[i][j]``
+    seconds on segment j. It is sampled at the departure plus each whole probe
+    period and at the arrival, which replaces a last period sample
+    within 1e-9 s of it, unless that sample is the departure. Positions
+    are exact on the path; noise is isotropic Gaussian with std
+    gps_sigma meters, converted to degrees at the true position, from a
+    generator seeded with rng_seed + vehicle_id, so trip order never matters.
     """
-    path = router.route(net.node_index(origin.centroid_node), net.node_index(dest.centroid_node))
-    if path is None:
-        raise InputDataError(
-            f"no route from TAZ {origin.id} to TAZ {dest.id} under scenario {scenario.id}"
-        )
-    if not path:
-        raise InputDataError(f"TAZ {origin.id} and TAZ {dest.id} share a centroid; empty trip")
-    return with_times(TruthTrip(vehicle_id=vehicle_id, departure=departure, path=path,
-                                entry_times=None), net, scenario)
-
-
-def _position_at(net: RoadNetwork, trip: TruthTrip, scenario: GroundTruthScenario,
-                 t: float) -> tuple[float, float]:
-    entry = trip.entry_times
-    j = int(np.searchsorted(entry, t, side="right")) - 1
-    j = min(max(j, 0), len(trip.path) - 1)
-    k = trip.path[j]
-    frac = (t - entry[j]) / scenario.time[k]
-    frac = min(max(frac, 0.0), 1.0)
-    return position_on_segment(net, k, frac * net.seg_length[k])
-
-
-def sample_trace(
-    trip: TruthTrip,
-    net: RoadNetwork,
-    scenario: GroundTruthScenario,
-    cfg: ProbeConfig,
-    rng_seed: int = 0,
-) -> Fixes:
-    """Sample the trip at the probe period (plus the arrival instant), as a one-vehicle table.
-
-    The position at each sample time is exact on the trip's path; noise is
-    isotropic Gaussian with std gps_sigma meters, converted to degrees at
-    the true position. The noise generator is seeded with
-    rng_seed + vehicle_id, so regeneration order never matters.
-    """
-    if trip.entry_times is None or trip.arrival is None:
-        raise InputDataError(f"trip {trip.vehicle_id} lacks entry times; rebuild it first")
-    duration = trip.arrival - trip.departure
-    n_whole = int(duration / cfg.sampling_period)
-    ts = [trip.departure + k * cfg.sampling_period for k in range(n_whole + 1)]
-    # Keep the arrival instant, avoiding a duplicate when the duration is
-    # an exact multiple of the period.
-    if trip.arrival - ts[-1] > 1e-9:
-        ts.append(trip.arrival)
-    elif len(ts) >= 2:
-        ts[-1] = trip.arrival
-    else:
-        ts.append(trip.arrival)
-
-    rng = np.random.default_rng(rng_seed + trip.vehicle_id)
-    noise = rng.standard_normal((len(ts), 2)) * cfg.gps_sigma
-    lats, lons = [], []
-    for (t, (nlat, nlon)) in zip(ts, noise):
-        lat, lon = _position_at(net, trip, scenario, t)
-        mlat, mlon = meters_per_degree(lat)
-        lats.append(lat + nlat / mlat)
-        lons.append(lon + nlon / mlon)
-    return fix_table([trip.vehicle_id] * len(ts), ts, lats, lons)
-
-
-def with_times(trip: TruthTrip, net: RoadNetwork, scenario: GroundTruthScenario) -> TruthTrip:
-    """Rebuild entry times of a path-only trip against a scenario."""
-    times = scenario.time[trip.path].tolist()
-    entry = list(accumulate(times[:-1], initial=trip.departure))
-    return TruthTrip(vehicle_id=trip.vehicle_id, departure=trip.departure, path=list(trip.path),
-                     entry_times=entry, arrival=entry[-1] + times[-1])
+    row_time = [time[path].tolist() for path, time in zip(paths, times)]
+    entry = [e for dep, t in zip(departure, row_time) for e in accumulate(t[:-1], initial=dep)]
+    trips = piece_table(vehicle, [len(p) for p in paths], [math.nan] * len(paths),
+                        [j for p in paths for j in p], entry)
+    row_time = np.array([x for t in row_time for x in t])
+    first, last = trips.bounds[:-1], trips.bounds[1:] - 1
+    start, arrival = trips.entry[first], trips.entry[last] + row_time[last]
+    whole = ((arrival - start) / cfg.sampling_period).astype(np.int64)
+    count = whole + 1 + ((arrival - (start + whole * cfg.sampling_period) > 1e-9) | (whole == 0))
+    stop = np.cumsum(count)
+    trip = np.repeat(np.arange(len(count)), count)  # the trip of each fix
+    t = start[trip] + (np.arange(len(trip)) - (stop - count)[trip]) * cfg.sampling_period
+    t[stop - 1] = arrival
+    # Each fix's noise, and the row of the segment it is on.
+    noise, row = np.empty((len(t), 2)), np.empty(len(t), dtype=np.int64)
+    for v, lo, hi, a, b in zip(trips.vehicle[first].tolist(), (stop - count).tolist(),
+                               stop.tolist(), first.tolist(), (last + 1).tolist()):
+        noise[lo:hi] = np.random.default_rng(rng_seed + v).standard_normal((hi - lo, 2))
+        row[lo:hi] = a - 1 + np.searchsorted(trips.entry[a:b], t[lo:hi], side="right")
+    noise *= cfg.gps_sigma
+    # The point at offset frac * length along the segment's line; frac < 0 cannot occur.
+    seg, frac = trips.segment[row], (t - trips.entry[row]) / row_time[row]
+    f = np.clip(frac * net.seg_length[seg] / net.seg_length[seg], 0.0, 1.0)
+    lat = net._seg_alat[seg] + f * (net._seg_blat[seg] - net._seg_alat[seg])
+    lon = net._seg_alon[seg] + f * (net._seg_blon[seg] - net._seg_alon[seg])
+    mlon = np.array([meters_per_degree(x)[1] for x in lat.tolist()])
+    return trips, fix_table(trips.vehicle[first][trip], t, lat + noise[:, 0] / M_PER_DEG_LAT,
+                            lon + noise[:, 1] / mlon)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +142,7 @@ def generate_probe_data(
     grid: TimeGrid,
     cfg: ProbeConfig,
     rng_seed: int = 0,
-) -> dict[int, tuple[list[TruthTrip], Fixes]]:
+) -> tuple[Pieces, Fixes]:
     """Simulate probed trips across the week.
 
     ``schedule[i]`` names the scenario active in interval i (-1 for no
@@ -204,8 +151,11 @@ def generate_probe_data(
     flooring plus one Bernoulli draw; departures are uniform within the
     interval. Vehicle ids are assigned in generation order (interval,
     then OD pair), so the whole layout is a pure function of rng_seed.
+    Trips take their scenario's fastest path, routed once per OD pair on
+    one router per scenario; OD pairs whose zones share a centroid make
+    no trips.
 
-    Returns the trips and the table of their traces, by scenario id.
+    Returns the truth trips and the table of their traces (``probe_trips``).
     """
     if len(schedule) != grid.interval_count:
         raise InputDataError(
@@ -215,20 +165,19 @@ def generate_probe_data(
     for sid in schedule:
         if sid >= 0 and sid not in by_id:
             raise InputDataError(f"schedule references unknown scenario {sid}")
-    taz_by_id = {t.id: t for t in tazs}
+    centroid = {t.id: t.centroid_node for t in tazs}
     for od in sorted(base_demand):
         for taz in od:
-            if taz not in taz_by_id:
+            if taz not in centroid:
                 raise InputDataError(f"demand references unknown TAZ {taz}")
-    centroid = {t.id: t.centroid_node for t in tazs}
     od_pairs = sorted(
         od for od, rate in base_demand.items()
         if rate > 0 and od[0] != od[1] and centroid[od[0]] != centroid[od[1]]
     )
     routers = {s.id: Router(net, s.time) for s in scenarios}
 
-    out: dict[int, tuple[list[TruthTrip], list[Fixes]]] = {s.id: ([], []) for s in scenarios}
-    vid = 0
+    routes: dict = {}  # (scenario, OD pair) -> path
+    departure, paths, times = [], [], []
     hours = grid.interval_seconds / 3600.0
     for interval, sid in enumerate(schedule):
         if sid < 0:
@@ -239,16 +188,17 @@ def generate_probe_data(
         for od in od_pairs:
             expected = cfg.penetration * base_demand[od] * scen.demand_multiplier * hours
             n = int(expected) + (1 if rng.random() < expected - int(expected) else 0)
+            if n and (sid, od) not in routes:
+                routes[sid, od] = routers[sid].route(*(net.node_index(centroid[taz]) for taz in od))
+                if routes[sid, od] is None:
+                    raise InputDataError(
+                        f"no route from TAZ {od[0]} to TAZ {od[1]} under scenario {sid}")
             for _ in range(n):
-                dep = start + float(rng.uniform(0.0, grid.interval_seconds))
-                trip = simulate_trip(net, routers[sid], taz_by_id[od[0]], taz_by_id[od[1]], scen,
-                                     dep, vid)
-                out[sid][0].append(trip)
-                out[sid][1].append(sample_trace(trip, net, scen, cfg, rng_seed))
-                vid += 1
-    total = sum(len(v[0]) for v in out.values())
-    logger.info("generated %d probed trip(s) across %d scenario(s)", total, len(scenarios))
-    return {sid: (trips, concat_fixes(traces)) for sid, (trips, traces) in out.items()}
+                departure.append(start + float(rng.uniform(0.0, grid.interval_seconds)))
+                paths.append(routes[sid, od])
+                times.append(scen.time)
+    logger.info("generated %d probed trip(s) across %d scenario(s)", len(paths), len(scenarios))
+    return probe_trips(net, list(range(len(paths))), departure, paths, times, cfg, rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +245,29 @@ def read_traces(path: str | os.PathLike) -> Fixes:
     return fixes
 
 
-def write_trips(trips: list[TruthTrip], path: str | os.PathLike, net: RoadNetwork) -> None:
-    ids = net.segment_ids()
-    trips = sorted(trips, key=lambda t: t.vehicle_id)
-    write_table(path, TRIP_COLUMNS, ([trip.vehicle_id for trip in trips],
-                                     [trip.departure for trip in trips],
-                                     ["/".join(str(ids[j]) for j in trip.path) for trip in trips]))
+def write_trips(trips: Pieces, path: str | os.PathLike, net: RoadNetwork) -> None:
+    """One row per truth trip: its vehicle, departure (its first entry) and path of segment ids."""
+    ids = np.asarray(net.segment_ids())[trips.segment].tolist()
+    bounds = trips.bounds.tolist()
+    write_table(path, TRIP_COLUMNS, (trips.vehicle[bounds[:-1]], trips.entry[bounds[:-1]],
+                                     ["/".join(map(str, ids[a:b]))
+                                      for a, b in zip(bounds, bounds[1:])]))
 
 
-def read_trips(path: str | os.PathLike, net: RoadNetwork) -> list[TruthTrip]:
-    """Read trips; entry times are not stored, rebuild with ``with_times``."""
-    return [TruthTrip(vehicle_id=vid, departure=departure,
-                      path=net.segment_indices(str(path), seg_path), entry_times=None)
-            for vid, departure, seg_path in zip(*read_table(path, TRIP_COLUMNS))]
+def read_trips(path: str | os.PathLike, net: RoadNetwork) -> Pieces:
+    """Truth trips in vehicle order, one piece per vehicle; a repeated vehicle raises.
+
+    Only the departure survives the CSV: it is each trip's first entry,
+    and its other entries are nan.
+    """
+    rows = sorted(zip(*read_table(path, TRIP_COLUMNS)), key=lambda row: row[0])
+    repeated = [vid for (vid, _, _), (next_vid, _, _) in zip(rows, rows[1:]) if vid == next_vid]
+    if repeated:
+        raise InputDataError(f"{path}: vehicle {repeated[0]} has more than one trip")
+    return piece_table([vid for vid, _, _ in rows], [len(p) for _, _, p in rows],
+                       [math.nan] * len(rows),
+                       net.segment_indices(str(path), [sid for _, _, p in rows for sid in p]),
+                       [e for _, dep, p in rows for e in [dep] + [math.nan] * (len(p) - 1)])
 
 
 def write_truth(scenario: GroundTruthScenario, net: RoadNetwork, path: str | os.PathLike) -> None:

@@ -7,6 +7,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -14,10 +15,19 @@ import numpy as np
 from probeflow import mapmatch, odestim
 from probeflow.assignment import BPR_ALPHA, BPR_BETA, AssignmentResult, DemandMatrix
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import Fixes, MatchParams, Pieces, concat_fixes, fix_table
-from probeflow.network import M_PER_DEG_LAT, Node, RoadNetwork, Router, Segment, TimeGrid, haversine
+from probeflow.mapmatch import Fixes, MatchParams, Pieces, fix_table, piece_table
+from probeflow.network import (
+    M_PER_DEG_LAT,
+    Node,
+    RoadNetwork,
+    Router,
+    Segment,
+    TimeGrid,
+    haversine,
+    meters_per_degree,
+)
 from probeflow.refine import RefinementDiagnostics, RefineParams, refine
-from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
+from probeflow.tracegen import ProbeConfig, probe_trips
 from probeflow.ttinfer import InferParams, IntervalObservations, SegmentTimeEstimate
 
 GRID_LAT0 = 37.75
@@ -147,6 +157,67 @@ def trace_table(vehicle: int, ts, lats, lons) -> Fixes:
     return fix_table([vehicle] * len(ts), ts, lats, lons)
 
 
+def concat_fixes(tables: list[Fixes]) -> Fixes:
+    """One table of every fix of ``tables``, whose vehicles must differ."""
+    columns = [(np.repeat(f.vehicle, np.diff(f.offsets)), f.t, f.lat, f.lon) for f in tables]
+    return fix_table(*(map(np.concatenate, zip(*columns)) if tables else ([], [], [], [])))
+
+
+def position_on_segment(net: RoadNetwork, j: int, offset: float) -> tuple[float, float]:
+    """(lat, lon) of the point ``offset`` meters along the line of segment index ``j``.
+
+    The scalar reference for the positions ``mapmatch._lattice`` and
+    ``tracegen.probe_trips`` work out for whole arrays.
+    """
+    f = min(max(offset / net.seg_length[j], 0.0), 1.0)
+    lat = net._seg_alat[j] + f * (net._seg_blat[j] - net._seg_alat[j])
+    lon = net._seg_alon[j] + f * (net._seg_blon[j] - net._seg_alon[j])
+    return float(lat), float(lon)
+
+
+def sample_trace(net: RoadNetwork, vehicle: int, departure: float, path: list[int],
+                 time: np.ndarray, cfg: ProbeConfig, rng_seed: int = 0) -> Fixes:
+    """One trip's trace, one fix at a time: the reference for ``tracegen.probe_trips``.
+
+    The vehicle leaves at ``departure`` along the segment indices ``path``
+    and spends ``time[j]`` seconds on segment j. It is sampled at the
+    departure plus whole periods, then at the arrival, without a
+    duplicate when the duration is an exact multiple of the period.
+    """
+    times = time[path].tolist()
+    entry = list(accumulate(times[:-1], initial=departure))
+    arrival = entry[-1] + times[-1]
+    n_whole = int((arrival - departure) / cfg.sampling_period)
+    ts = [departure + k * cfg.sampling_period for k in range(n_whole + 1)]
+    if arrival - ts[-1] > 1e-9:
+        ts.append(arrival)
+    elif len(ts) >= 2:
+        ts[-1] = arrival
+    else:
+        ts.append(arrival)
+
+    rng = np.random.default_rng(rng_seed + vehicle)
+    noise = rng.standard_normal((len(ts), 2)) * cfg.gps_sigma
+    lats, lons = [], []
+    for t, (nlat, nlon) in zip(ts, noise):
+        j = int(np.searchsorted(entry, t, side="right")) - 1
+        j = min(max(j, 0), len(path) - 1)
+        k = path[j]
+        frac = min(max((t - entry[j]) / time[k], 0.0), 1.0)
+        lat, lon = position_on_segment(net, k, frac * net.seg_length[k])
+        mlat, mlon = meters_per_degree(lat)
+        lats.append(lat + nlat / mlat)
+        lons.append(lon + nlon / mlon)
+    return trace_table(vehicle, ts, lats, lons)
+
+
+def probe(net: RoadNetwork, time: np.ndarray, trips, cfg: ProbeConfig,
+          rng_seed: int = 0) -> tuple[Pieces, Fixes]:
+    """``tracegen.probe_trips`` of (vehicle, departure, path) triples, all under ``time``."""
+    return probe_trips(net, [v for v, _, _ in trips], [d for _, d, _ in trips],
+                       [list(p) for _, _, p in trips], [time] * len(trips), cfg, rng_seed)
+
+
 class Piece(NamedTuple):
     """One matched piece read out of ``Pieces``, for assertions."""
 
@@ -170,9 +241,9 @@ def pieces_table(pieces: list[tuple]) -> Pieces:
 
     Each vehicle numbers its pieces from 0, in the order given.
     """
-    return mapmatch._pieces([p[0] for p in pieces], [len(p[1]) for p in pieces],
-                            [p[3] if len(p) > 3 else math.nan for p in pieces],
-                            [j for p in pieces for j in p[1]], [t for p in pieces for t in p[2]])
+    return piece_table([p[0] for p in pieces], [len(p[1]) for p in pieces],
+                       [p[3] if len(p) > 3 else math.nan for p in pieces],
+                       [j for p in pieces for j in p[1]], [t for p in pieces for t in p[2]])
 
 
 def decoded_pieces(
@@ -481,8 +552,6 @@ def make_two_route_fixture(n_pinned: int = 6, n_ambiguous: int = 8) -> TwoRouteF
         mk(4, 3, 4, 500.0),
     ])
     truth_times = np.array([40.0, 40.0, 80.0, 80.0, 20.0])
-    truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=truth_times,
-                                flow=np.zeros(len(truth_times)))
 
     pinned_cfg = ProbeConfig(sampling_period=30.0, gps_sigma=0.0)
     endpoint_cfg = ProbeConfig(sampling_period=500.0, gps_sigma=0.0)
@@ -494,12 +563,10 @@ def make_two_route_fixture(n_pinned: int = 6, n_ambiguous: int = 8) -> TwoRouteF
         ([0, 1, 4], pinned_cfg, n_pinned),
         ([2, 3], endpoint_cfg, n_ambiguous),
     ):
-        for i in range(count):
-            trip = with_times(TruthTrip(vehicle_id=vid, departure=40.0 * i + 15.0,
-                                        path=list(path), entry_times=None), net, truth)
-            traces.append(sample_trace(trip, net, truth, cfg))
-            truth_paths[vid] = list(path)
-            vid += 1
+        trips = [(vid + i, 40.0 * i + 15.0, path) for i in range(count)]
+        traces.append(probe(net, truth_times, trips, cfg)[1])
+        truth_paths.update((v, list(path)) for v, _, _ in trips)
+        vid += count
     ambiguous_ids = list(range(2 * n_pinned, vid))
     return TwoRouteFixture(net=net, traces=concat_fixes(traces), truth_times=truth_times,
                            truth_paths=truth_paths, ambiguous_ids=ambiguous_ids,

@@ -28,7 +28,7 @@ from probeflow.evaluation import (
     mse,
     read_voc,
 )
-from probeflow.mapmatch import MatchParams, concat_fixes, match_traces
+from probeflow.mapmatch import MatchParams, match_traces
 from probeflow.network import (
     Node,
     RoadNetwork,
@@ -41,14 +41,7 @@ from probeflow.network import (
 )
 from probeflow.odestim import GravityParams, OdSolveParams, SpsaParams, estimate_od, seed_gravity
 from probeflow.refine import RefineParams, refine
-from probeflow.tracegen import (
-    GroundTruthScenario,
-    ProbeConfig,
-    gen_scenarios,
-    generate_probe_data,
-    sample_trace,
-    simulate_trip,
-)
+from probeflow.tracegen import ProbeConfig, gen_scenarios, generate_probe_data
 from probeflow.ttinfer import (
     InferParams,
     SegmentTimeEstimate,
@@ -68,6 +61,7 @@ from conftest import (
     make_grid_network,
     make_two_route_fixture,
     piece_list,
+    probe,
     run_baseline,
     score_assignment,
     total_system_travel_time,
@@ -192,8 +186,6 @@ def test_04_matching_accuracy_degrades_gracefully_with_noise():
     """
     net = make_grid_network(5, 5, spacing=200.0, jitter=60.0, jitter_seed=5)
     fft = net.seg_fft
-    scen = GroundTruthScenario(id=0, demand_multiplier=1.0, time=fft.copy(),
-                               flow=np.zeros(net.n_segments))
     nodes = net.node_ids()
     prng = np.random.default_rng(1234)
     pairs = []
@@ -201,20 +193,16 @@ def test_04_matching_accuracy_degrades_gracefully_with_noise():
         a, b = prng.choice(nodes, size=2, replace=False)
         pairs.append((int(a), int(b)))
     matcher = MatchParams(gps_sigma=30.0, nk_beta=50.0, tt_tau=120.0, radius=120.0)
-    router = Router(net, scen.time)
+    router = Router(net, fft)
+    trips = [(vid, float(vid * 10), router.route(net.node_index(a), net.node_index(b)))
+             for vid, (a, b) in enumerate(pairs)]
 
     def accuracy(period: float, sigma: float) -> float:
         cfg = ProbeConfig(sampling_period=period, gps_sigma=sigma, penetration=1.0)
-        trips, traces = [], []
-        for vid, (a, b) in enumerate(pairs):
-            trip = simulate_trip(net, router, Taz(id=0, centroid_node=a),
-                                 Taz(id=1, centroid_node=b),
-                                 scen, departure=float(vid * 10), vehicle_id=vid)
-            trips.append(trip)
-            traces.append(sample_trace(trip, net, scen, cfg, rng_seed=77))
-        assert len(traces) >= 200
-        pieces = match_traces(net, concat_fixes(traces), [Router(net, fft)] * len(traces), matcher)
-        return matching_accuracy_pct(pieces, trips, net)
+        truth, traces = probe(net, fft, trips, cfg, rng_seed=77)
+        assert len(traces.vehicle) >= 200
+        pieces = match_traces(net, traces, [Router(net, fft)] * len(traces.vehicle), matcher)
+        return matching_accuracy_pct(pieces, truth, net)
 
     assert accuracy(10.0, 0.0) >= 99.0
     ladder = {sigma: accuracy(60.0, sigma) for sigma in (0.0, 10.0, 30.0)}
@@ -364,10 +352,9 @@ def test_06_refinement_improves_on_single_pass():
     tazs = [Taz(id=0, centroid_node=0, name="sw"), Taz(id=1, centroid_node=8, name="ne")]
     demand = seed_gravity(net, tazs, GravityParams(1000.0, 400.0))
     scens = gen_scenarios(net, demand, [2.0], tazs, AssignParams(tol=1e-5, max_iter=2000))
-    probe = ProbeConfig(sampling_period=30.0, gps_sigma=5.0, penetration=0.1)
-    data = generate_probe_data(net, tazs, demand, scens,
-                               [0, 0, 0, 0, -1, -1, -1, -1], grid, probe, rng_seed=4319)
-    _, traces = data[0]
+    probe_cfg = ProbeConfig(sampling_period=30.0, gps_sigma=5.0, penetration=0.1)
+    _, traces = generate_probe_data(net, tazs, demand, scens,
+                                    [0, 0, 0, 0, -1, -1, -1, -1], grid, probe_cfg, rng_seed=4319)
     _, est, _ = refine(traces, net, grid,
                        match_params=MatchParams(gps_sigma=5.0),
                        params=RefineParams(max_iters=3))

@@ -516,15 +516,23 @@ def test_export_geojson_maps_each_segments_peak_voc(world, tmp_path):
     intervals, and on a table of one interval, whose map is that interval's."""
     table = read_states(world.pipe / "states.csv", world.net, GRID)
     assert len(table) > 1
-    peak = np.max([voc for _, _, voc in table.values()], axis=0)
+    cap = world.net.seg_capacity
+    peak = np.max([flow / cap for flow, _ in table.values()], axis=0)
     assert geojson_vocs(world.cfg, world.pipe / "states.csv", tmp_path) == peak.tolist()
 
+    # The map takes VOC from flow_vph, as export-voc does, not from the voc column.
+    header, *rows = (world.pipe / "states.csv").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "zeroed.csv").write_text(
+        "\n".join([header, *(row.rsplit(",", 1)[0] + ",0.0" for row in rows)]) + "\n")
+    assert geojson_vocs(world.cfg, tmp_path / "zeroed.csv", tmp_path / "z") == peak.tolist()
+
     first = min(table)
-    flow, time, voc = table[first]
+    flow, time = table[first]
+    voc = flow / cap
     bump = np.resize([100.0, 0.0], len(flow))
     write_states({first: (flow + bump, time), 7: (flow + 100.0 - bump, time)}, world.net,
                  tmp_path / "mixed.csv")
-    a, b = (v for _, _, v in read_states(tmp_path / "mixed.csv", world.net, GRID).values())
+    a, b = (f / cap for f, _ in read_states(tmp_path / "mixed.csv", world.net, GRID).values())
     assert np.any(a > b) and np.any(b > a)
     assert geojson_vocs(world.cfg, tmp_path / "mixed.csv", tmp_path) == np.maximum(a, b).tolist()
 
@@ -544,14 +552,28 @@ def _off_grid(rows: list[str]) -> list[str]:
     return [("8" + row[len(first):]) if row.split(",")[0] == first else row for row in rows]
 
 
+def _first_row(flow: str, time: str):
+    """An edit that sets the flow_vph and time_s fields of the first row."""
+    def edit(rows: list[str]) -> list[str]:
+        iv, sid, old_flow, old_time, voc = rows[0].split(",")
+        return [",".join([iv, sid, flow or old_flow, time or old_time, voc]), *rows[1:]]
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (_off_grid, "interval 8 not in 0..7"),
     (lambda rows: rows[:1] + rows, "listed more than once"),
     (lambda rows: rows[1:], "missing"),
     (lambda rows: [rows[0].rsplit(",", 1)[0] + ",nan", *rows[1:]], "non-finite value"),
     (lambda rows: [], "no rows"),
-], ids=["off-grid-interval", "repeated-segment", "missing-segment", "non-finite", "header-only"])
+    (_first_row("-50", "-7"), "interval {0}: segment {1}: flow_vph -50.0, time_s -7.0; "
+                              "need flow_vph >= 0, time_s > 0"),
+    (_first_row("-50", ""), "interval {0}: segment {1}: flow_vph -50.0, time_s "),
+    (_first_row("", "0"), "interval {0}: segment {1}: flow_vph {2}, time_s 0.0"),
+], ids=["off-grid-interval", "repeated-segment", "missing-segment", "non-finite", "header-only",
+        "negative-flow-and-time", "negative-flow", "zero-time"])
 def test_export_voc_rejects_malformed_states_table(world, tmp_path, capsys, edit, message):
+    """A bad table exits 2 naming the file, and for a bad value the interval and the segment."""
     header, *rows = (world.pipe / "states.csv").read_text(encoding="utf-8").splitlines()
     states = tmp_path / "states.csv"
     states.write_text("\n".join([header, *edit(rows)]) + "\n", encoding="utf-8")
@@ -559,6 +581,7 @@ def test_export_voc_rejects_malformed_states_table(world, tmp_path, capsys, edit
                "--states", str(states)])
     assert rc == 2
     err = capsys.readouterr().err
+    message = message.format(*rows[0].split(","))  # the first row's interval, segment, flow
     assert str(states) in err and message in err and "Traceback" not in err
     assert not (tmp_path / "out" / "voc.csv").exists()
 
@@ -583,6 +606,20 @@ def test_evaluate_on_unknown_trip_segment_exits_2_naming_it(world, tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad_trips.csv: unknown segment id 99999" in err and "Traceback" not in err
+
+
+def test_evaluate_on_repeated_trip_exits_2_naming_the_file(world, tmp_path, capsys):
+    text = Path(world.paths["trips"]).read_text(encoding="utf-8")
+    trips = tmp_path / "twice.csv"
+    trips.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
+    vid = text.splitlines()[1].split(",")[0]
+    rc = main(["evaluate", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--trips", str(trips), "--matched", str(world.pipe / "matched.csv"),
+               "--estimates", str(world.pipe / "estimates.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{trips}: vehicle {vid} has more than one trip" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_evaluate_scores_files_without_matching(world, tmp_path, monkeypatch):
@@ -918,7 +955,7 @@ def test_gen_demand_on_unknown_centroid_exits_2_naming_the_file(world, tmp_path,
 
 def test_gen_traces_on_unknown_demand_taz_exits_2_naming_it(world, tmp_path, capsys):
     demand = tmp_path / "demand.csv"
-    demand.write_text(open(world.paths["demand"]).read() + "0,99,5.0\n")
+    demand.write_text(Path(world.paths["demand"]).read_text() + "0,99,5.0\n")
     cfg = write_config(tmp_path, **{**world.paths, "demand": str(demand)})
     rc = main(["gen-traces", "--config", cfg, "--out-dir", str(tmp_path),
                "--truth-dir", str(world.gen)])
@@ -957,9 +994,9 @@ def test_gen_traces_builds_one_tree_per_scenario_and_origin(world, tmp_path, mon
     assert main(["gen-traces", "--config", world.cfg, "--out-dir", str(out),
                  "--truth-dir", str(world.gen)]) == 0
     trips = read_trips(out / "trips.csv", world.net)
-    origins = {world.net.segments[trip.path[0]].from_node for trip in trips}
+    origins = {world.net.segments[j].from_node for j in trips.segment[trips.bounds[:-1]].tolist()}
     scenarios = len({sid for sid in BASE_CONFIG["schedule"] if sid >= 0})
-    assert len(trips) > scenarios * len(origins)
+    assert len(trips.log_score) > scenarios * len(origins)
     assert len(calls) <= scenarios * len(origins)
 
 

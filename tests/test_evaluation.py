@@ -25,24 +25,20 @@ from probeflow.evaluation import (
     write_report,
     write_voc,
 )
-from probeflow.mapmatch import MatchParams, Pieces, concat_fixes
-from probeflow.network import Node, RoadNetwork, Router, Segment, Taz, TimeGrid
+from probeflow.mapmatch import MatchParams, Pieces
+from probeflow.network import Node, RoadNetwork, Router, Segment, TimeGrid
 from probeflow.refine import RefineParams, refine
-from probeflow.tracegen import (
-    GroundTruthScenario,
-    ProbeConfig,
-    TruthTrip,
-    sample_trace,
-    simulate_trip,
-)
+from probeflow.tracegen import ProbeConfig
 
 from conftest import (
+    concat_fixes,
     lag_autocorrelation,
     make_corridor_network,
     make_grid_network,
     make_two_route_fixture,
     piece_list,
     pieces_table,
+    probe,
     run_baseline,
 )
 
@@ -50,12 +46,8 @@ GRID8 = TimeGrid(interval_seconds=75600, interval_count=8)
 
 
 def matched_stub(*pieces: tuple[int, list[int]]) -> Pieces:
-    """Pieces of (vehicle, segments) pairs, by vehicle, every entry time 0."""
+    """Pieces (or truth trips) of (vehicle, segments) pairs, by vehicle, every entry time 0."""
     return pieces_table([(vid, segments, [0.0] * len(segments)) for vid, segments in pieces])
-
-
-def truth_stub(vid: int, path: list[int]) -> TruthTrip:
-    return TruthTrip(vehicle_id=vid, departure=0.0, path=list(path), entry_times=None)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +111,7 @@ def test_aggregate_error_values():
 
 def test_matching_accuracy_perfect_and_disjoint():
     net = make_corridor_network(n_segs=4, length=100.0)
-    truth = [truth_stub(1, [0, 1]), truth_stub(2, [2, 3])]
+    truth = matched_stub((1, [0, 1]), (2, [2, 3]))
     perfect = matched_stub((1, [0, 1]), (2, [2, 3]))
     assert matching_accuracy_pct(perfect, truth, net) == 100.0
 
@@ -132,7 +124,7 @@ def test_matching_accuracy_perfect_and_disjoint():
 
 def test_matching_accuracy_partial_overlap():
     net = make_corridor_network(n_segs=3, length=100.0)
-    truth = [truth_stub(7, [0, 1])]
+    truth = matched_stub((7, [0, 1]))
     matched = matched_stub((7, [0, 2]))
     got = matching_accuracy_pct(matched, truth, net)
     assert abs(got - 100.0 / 3.0) < 1e-9
@@ -140,7 +132,7 @@ def test_matching_accuracy_partial_overlap():
 
 def test_matching_accuracy_is_100_iff_sets_equal():
     net = make_corridor_network(n_segs=5, length=100.0)
-    truth = [truth_stub(1, [0, 1, 2])]
+    truth = matched_stub((1, [0, 1, 2]))
     # Pieces of one vehicle pool into a set, order and split irrelevant.
     split = matched_stub((1, [2, 1]), (1, [0]))  # pieces 0 and 1
     assert matching_accuracy_pct(split, truth, net) == 100.0
@@ -150,7 +142,7 @@ def test_matching_accuracy_is_100_iff_sets_equal():
 
 def test_matching_accuracy_exclusions():
     net = make_corridor_network(n_segs=3, length=100.0)
-    truth = [truth_stub(1, [0, 1]), truth_stub(2, [1, 2])]
+    truth = matched_stub((1, [0, 1]), (2, [1, 2]))
     matched = matched_stub((1, [0, 1]), (9, [0]))
     overlaps, excluded = per_trip_overlap(matched, truth, net)
     assert set(overlaps) == {1}
@@ -158,14 +150,6 @@ def test_matching_accuracy_exclusions():
     assert matching_accuracy_pct(matched, truth, net) == 100.0
     with pytest.raises(InputDataError):
         matching_accuracy_pct(matched_stub((5, [0])), truth, net)
-
-
-def test_matching_accuracy_rejects_bad_truth():
-    net = make_corridor_network(n_segs=2)
-    with pytest.raises(InputDataError):
-        per_trip_overlap(matched_stub(), [truth_stub(1, [0]), truth_stub(1, [1])], net)
-    with pytest.raises(InputDataError):
-        per_trip_overlap(matched_stub(), [truth_stub(1, [])], net)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +188,15 @@ def jittered_grid_world():
     """
     net = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=1)
     rng = np.random.default_rng(8)
-    scen = GroundTruthScenario(id=0, demand_multiplier=1.0,
-                               time=net.seg_fft * rng.uniform(1.0, 2.5, net.n_segments),
-                               flow=np.zeros(net.n_segments))
+    time = net.seg_fft * rng.uniform(1.0, 2.5, net.n_segments)
     cfg = ProbeConfig(sampling_period=20.0, gps_sigma=8.0, penetration=1.0)
-    nodes = net.node_ids()
-    router = Router(net, scen.time)
-    traces = []
+    router = Router(net, time)
+    trips = []
     for vid in range(24):
-        a, b = rng.choice(nodes, size=2, replace=False)
-        trip = simulate_trip(net, router, Taz(id=0, centroid_node=int(a)),
-                             Taz(id=1, centroid_node=int(b)), scen,
-                             departure=GRID8.interval_seconds * (vid % 4) + 60.0 * vid,
-                             vehicle_id=vid)
-        traces.append(sample_trace(trip, net, scen, cfg, rng_seed=3))
-    return concat_fixes(traces), net
+        a, b = rng.choice(net.node_ids(), size=2, replace=False)
+        trips.append((vid, GRID8.interval_seconds * (vid % 4) + 60.0 * vid,
+                      router.route(net.node_index(int(a)), net.node_index(int(b)))))
+    return probe(net, time, trips, cfg, rng_seed=3)[1], net
 
 
 @pytest.mark.parametrize("case", ["two_route", "jittered_grid", "two_route_tt_tau_0"])

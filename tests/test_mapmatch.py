@@ -18,9 +18,7 @@ from probeflow.mapmatch import (
     MatchParams,
     _lattice,
     _split_points,
-    concat_fixes,
     emission_logp,
-    fix_table,
     match_traces,
     read_matched,
     transition_logp,
@@ -33,16 +31,18 @@ from probeflow.network import (
     Segment,
     haversine,
     meters_per_degree,
-    position_on_segment,
 )
-from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
+from probeflow.tracegen import ProbeConfig
 
 from conftest import (
+    concat_fixes,
     decode_run,
     decoded_pieces,
     make_corridor_network as line_net,
     make_grid_network,
     piece_list,
+    position_on_segment,
+    probe,
     score_assignment,
     trace_table,
     viterbi_decode,
@@ -504,25 +504,6 @@ def test_batch_matching_is_deterministic():
         assert x.log_score == y.log_score
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 9), st.floats(), st.floats(), st.floats()),
-                     max_size=30),
-       table_of=st.lists(st.integers(0, 2), min_size=10, max_size=10))
-def test_concat_fixes_equals_the_table_of_the_joined_columns(rows, table_of):
-    """Each vehicle's rows go to table ``table_of[vehicle]``; all six columns match bit for bit.
-
-    ``concat_fixes`` carries each table's ``mlon`` through its sort, so it
-    must hold the values ``fix_table`` works out from the latitudes,
-    nan for latitudes out of range included.
-    """
-    tables = [fix_table(*(zip(*part) if part else ([], [], [], [])))
-              for part in ([r for r in rows if table_of[r[0]] == i] for i in range(3))]
-    got = concat_fixes(tables)
-    want = fix_table(*(zip(*rows) if rows else ([], [], [], [])))
-    for name, a, b in zip(Fixes._fields, got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-
-
 def test_router_tree_and_route():
     net = line_net(n_segs=3)
     with pytest.raises(InputDataError):
@@ -562,12 +543,8 @@ def test_matching_a_short_trace_settles_few_nodes():
     """
     net = make_grid_network(30, 30, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=3)
     route = free_flow_router(net).route(net.node_index(460), net.node_index(523))
-    truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
-                                flow=np.zeros(net.n_segments))
-    trip = with_times(TruthTrip(vehicle_id=1, departure=0.0, path=list(route),
-                                entry_times=None), net, truth)
-    trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=15.0, gps_sigma=5.0),
-                         rng_seed=2)
+    _, trace = probe(net, net.seg_fft, [(1, 0.0, route)],
+                     ProbeConfig(sampling_period=15.0, gps_sigma=5.0), rng_seed=2)
     router = free_flow_router(net)
     assert piece_list(match_traces(net, trace, [router]))
     full = len(router._trees) * net.n_nodes
@@ -721,12 +698,8 @@ def grid_trace(net: RoadNetwork, origin: int, dest: int, period: float, sigma: f
                vehicle_id: int, seed: int) -> Fixes:
     """A probe trace of the free-flow route between two nodes of a grid network."""
     route = free_flow_router(net).route(net.node_index(origin), net.node_index(dest))
-    truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
-                                flow=np.zeros(net.n_segments))
-    trip = with_times(TruthTrip(vehicle_id=vehicle_id, departure=100.0 * vehicle_id,
-                                path=list(route), entry_times=None), net, truth)
-    return sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
-                        rng_seed=seed)
+    return probe(net, net.seg_fft, [(vehicle_id, 100.0 * vehicle_id, route)],
+                 ProbeConfig(sampling_period=period, gps_sigma=sigma), rng_seed=seed)[1]
 
 
 def test_matching_projects_once_and_queries_each_source_once_per_chunk(monkeypatch):
@@ -895,12 +868,8 @@ def test_matched_pieces_connect_and_entry_times_nondecreasing(sigma, period, ori
     route = router.route(net.node_index(origin), net.node_index(dest))
     if not route:  # origin == dest, or unreachable
         return
-    truth = GroundTruthScenario(id=0, demand_multiplier=1.0, time=net.seg_fft,
-                                flow=np.zeros(net.n_segments))
-    trip = with_times(TruthTrip(vehicle_id=1, departure=100.0, path=list(route),
-                                entry_times=None), net, truth)
-    trace = sample_trace(trip, net, truth, ProbeConfig(sampling_period=period, gps_sigma=sigma),
-                         rng_seed=seed)
+    _, trace = probe(net, net.seg_fft, [(1, 100.0, route)],
+                     ProbeConfig(sampling_period=period, gps_sigma=sigma), rng_seed=seed)
     for mp in piece_list(match_traces(net, trace, [router])):
         segs = [net.segments[j] for j in mp.segments]
         assert all(a.to_node == b.from_node for a, b in zip(segs, segs[1:]))

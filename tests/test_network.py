@@ -24,7 +24,6 @@ from probeflow.network import (
     haversine,
     import_osm,
     meters_per_degree,
-    position_on_segment,
     project_to_candidates,
     read_network,
     read_tazs,
@@ -33,7 +32,7 @@ from probeflow.network import (
 )
 from probeflow.network import _candidate_grid
 
-from conftest import make_grid_network
+from conftest import make_grid_network, position_on_segment
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from probeflow import refine as refine_module
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import concat_fixes, match_traces
+from probeflow.mapmatch import match_traces
 from probeflow.network import Router, TimeGrid
 from probeflow.refine import (
     DIAGNOSTICS_COLUMNS,
@@ -22,15 +22,17 @@ from probeflow.refine import (
     write_diagnostics,
 )
 from probeflow.tables import read_table
-from probeflow.tracegen import GroundTruthScenario, ProbeConfig, TruthTrip, sample_trace, with_times
+from probeflow.tracegen import ProbeConfig
 from probeflow.ttinfer import infer_times, observations_from_matches, residual_sq
 
 from conftest import (
+    concat_fixes,
     decoded_pieces,
     make_corridor_network,
     make_two_route_fixture,
     piece_list,
     pieces_table,
+    probe,
     score_assignment,
 )
 
@@ -38,18 +40,9 @@ from conftest import (
 def congested_corridor(n_traces=4, n_segs=4):
     """Corridor where true times are double free flow; paths are forced."""
     net = make_corridor_network(n_segs=n_segs, length=200.0, speed=10.0)  # fft 20 s
-    truth = GroundTruthScenario(
-        id=0, demand_multiplier=1.0,
-        time=np.full(net.n_segments, 40.0),
-        flow=np.zeros(net.n_segments),
-    )
     cfg = ProbeConfig(sampling_period=20.0, gps_sigma=0.0)
-    traces = []
-    for v in range(n_traces):
-        trip = with_times(TruthTrip(vehicle_id=v, departure=30.0 * v,
-                                    path=list(range(n_segs)), entry_times=None), net, truth)
-        traces.append(sample_trace(trip, net, truth, cfg))
-    return net, concat_fixes(traces)
+    trips = [(v, 30.0 * v, range(n_segs)) for v in range(n_traces)]
+    return net, probe(net, np.full(net.n_segments, 40.0), trips, cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +68,9 @@ def test_fixed_point_stops_after_unchanged_rematch():
 def test_small_update_stops_on_tolerance():
     # Truth at free flow: iteration 0 infers times that barely move.
     net = make_corridor_network(n_segs=3, length=200.0, speed=10.0)
-    truth = GroundTruthScenario(id=0, demand_multiplier=1.0,
-                                time=net.seg_fft.copy(),
-                                flow=np.zeros(net.n_segments))
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=0.0)
-    traces = []
-    for v in range(3):
-        trip = with_times(TruthTrip(vehicle_id=v, departure=10.0 * v,
-                                    path=[0, 1, 2], entry_times=None), net, truth)
-        traces.append(sample_trace(trip, net, truth, cfg))
-    _, _, diag = refine(concat_fixes(traces), net, TimeGrid())
+    _, traces = probe(net, net.seg_fft, [(v, 10.0 * v, [0, 1, 2]) for v in range(3)], cfg)
+    _, _, diag = refine(traces, net, TimeGrid())
     assert len(diag) == 1
     assert diag.records[0].max_rel_change < 1e-3
 

@@ -71,7 +71,7 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
     scen = gen_scenarios(net, demand, [2.0], tazs, AssignParams(tol=1e-5, max_iter=2000))[0]
     probe = ProbeConfig(sampling_period=30.0, gps_sigma=5.0, penetration=0.01)
     trips, traces = generate_probe_data(net, tazs, demand, [scen], [0, 0, 0, -1, -1, -1, -1, -1],
-                                        GRID, probe, rng_seed=4319)[0]
+                                        GRID, probe, rng_seed=4319)
     pieces, est, diag = refine(traces, net, GRID, MatchParams(gps_sigma=5.0),
                                params=RefineParams(max_iters=2))
     iv = min(est)
@@ -91,12 +91,11 @@ def run_chain(net: RoadNetwork, centroids: list[int], out) -> dict:
     # The readers map the ids back onto the indices held in memory.
     assert [mp.segments for mp in piece_list(read_matched(out / "matched.csv", net))] == [
         mp.segments for mp in piece_list(pieces)]
-    assert [trip.path for trip in read_trips(out / "trips.csv", net)] == [
-        trip.path for trip in trips]
+    assert read_trips(out / "trips.csv", net).segment.tolist() == trips.segment.tolist()
     return {
         "truth": (scen.time, scen.flow),
         "traces": list(traces),
-        "paths": [trip.path for trip in trips],
+        "paths": [trip.segments for trip in piece_list(trips)],
         "estimates": [(k, est[k].time, est[k].support) for k in sorted(est)],
         "diagnostics": diag.records,
         "demand": od.demand,

@@ -2,32 +2,41 @@
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow.assignment import AssignParams
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import concat_fixes
+from probeflow.mapmatch import Fixes, Pieces
 from probeflow.network import Node, RoadNetwork, Router, Segment, Taz, TimeGrid, meters_per_degree
 from probeflow.tracegen import (
     GroundTruthScenario,
     ProbeConfig,
-    TruthTrip,
     gen_scenarios,
     generate_probe_data,
     read_traces,
     read_trips,
     read_truth,
-    sample_trace,
-    simulate_trip,
-    with_times,
     write_traces,
     write_trips,
     write_truth,
 )
 
-from conftest import make_corridor_network
+from conftest import (
+    concat_fixes,
+    make_corridor_network,
+    make_grid_network,
+    piece_list,
+    probe,
+    sample_trace,
+)
+
+HOURLY = TimeGrid(interval_seconds=3600, interval_count=168)
 
 
 def corridor_setup(n_segs=3, length=200.0, speed=10.0):
@@ -87,36 +96,44 @@ def test_gen_scenarios_times_grow_with_demand():
 # ---------------------------------------------------------------------------
 
 
+def first_hour(net, tazs, scen, demand, cfg=ProbeConfig(gps_sigma=0.0), rng_seed=5):
+    """``generate_probe_data`` of one scenario active in the week's first hour only."""
+    schedule = [0] + [-1] * (HOURLY.interval_count - 1)
+    return generate_probe_data(net, tazs, demand, [scen], schedule, HOURLY, cfg, rng_seed)
+
+
 def test_simulate_trip_on_corridor():
     net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, departure=100.0,
-                         vehicle_id=4)
-    assert trip.path == [0, 1, 2]
-    assert trip.entry_times == [100.0, 120.0, 140.0]
-    assert trip.arrival == 160.0
+    trips, fixes = first_hour(net, tazs, scen, {(0, 1): 1.0})  # exactly one trip
+    [trip] = piece_list(trips)
+    departure = trip.entry_times[0]
+    assert trip.segments == [0, 1, 2] and 0.0 <= departure < 3600.0
+    assert trip.entry_times == list(accumulate([20.0, 20.0], initial=departure))
+    assert fixes.t[-1] == trip.entry_times[-1] + 20.0  # the arrival
+    assert math.isnan(trip.log_score)
+
+    trips, fixes = probe(net, scen.time, [(4, 100.0, [0, 1, 2])], ProbeConfig(gps_sigma=0.0))
+    [trip] = piece_list(trips)
+    assert trip[:4] == (4, 0, [0, 1, 2], [100.0, 120.0, 140.0])
+    assert fixes.vehicle.tolist() == [4] and fixes.t[-1] == 160.0
 
 
 def test_simulate_trip_rejects_shared_centroid():
+    """An OD pair whose zones share a centroid makes no trips; the other pairs still do."""
     net, _, scen = corridor_setup()
-    a = Taz(id=0, centroid_node=0)
-    b = Taz(id=1, centroid_node=0)
-    with pytest.raises(InputDataError):
-        simulate_trip(net, Router(net, scen.time), a, b, scen, 0.0, 0)
+    tazs = [Taz(id=0, centroid_node=0), Taz(id=1, centroid_node=0), Taz(id=2, centroid_node=3)]
+    trips, fixes = first_hour(net, tazs, scen, {(0, 1): 30.0})
+    assert trips.bounds.tolist() == [0] and len(trips.segment) == 0
+    assert fixes.vehicle.tolist() == [] and fixes.offsets.tolist() == [0]
+    trips, fixes = first_hour(net, tazs, scen, {(0, 1): 30.0, (1, 2): 2.0})
+    assert [trip.segments for trip in piece_list(trips)] == [[0, 1, 2]] * 2
+    assert fixes.vehicle.tolist() == [0, 1]
 
 
 def test_simulate_trip_rejects_unreachable():
     net, tazs, scen = corridor_setup()
-    with pytest.raises(InputDataError):  # one-way corridor
-        simulate_trip(net, Router(net, scen.time), tazs[1], tazs[0], scen, 0.0, 0)
-
-
-def test_with_times_rebuilds_simulation():
-    net, tazs, scen = corridor_setup()
-    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 50.0, 2)
-    stripped = TruthTrip(vehicle_id=2, departure=50.0, path=list(trip.path), entry_times=None)
-    rebuilt = with_times(stripped, net, scen)
-    assert rebuilt.entry_times == trip.entry_times
-    assert rebuilt.arrival == trip.arrival
+    with pytest.raises(InputDataError, match="no route from TAZ 1 to TAZ 0 under scenario 0"):
+        first_hour(net, tazs, scen, {(1, 0): 1.0})  # one-way corridor
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +142,9 @@ def test_with_times_rebuilds_simulation():
 
 
 def test_sample_trace_noiseless_positions_and_times():
-    net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 0)
+    net, _, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
     cfg = ProbeConfig(sampling_period=25.0, gps_sigma=0.0)
-    trace = sample_trace(trip, net, scen, cfg)
+    _, trace = probe(net, scen.time, [(0, 0.0, [0, 1, 2])], cfg)
     assert trace.vehicle.tolist() == [0] and trace.offsets.tolist() == [0, 4]
     assert list(trace.t) == [0.0, 25.0, 50.0, 60.0]
     mlon = meters_per_degree(0.0)[1]
@@ -138,47 +154,83 @@ def test_sample_trace_noiseless_positions_and_times():
 
 
 def test_sample_trace_period_longer_than_trip():
-    net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 10.0, 0)
-    trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=3600.0, gps_sigma=0.0))
+    net, _, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
+    _, trace = probe(net, scen.time, [(0, 10.0, [0, 1, 2])],
+                     ProbeConfig(sampling_period=3600.0, gps_sigma=0.0))
     assert list(trace.t) == [10.0, 70.0]
 
 
 def test_sample_trace_exact_multiple_keeps_single_arrival():
-    net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
-    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 0)  # 60 s
-    trace = sample_trace(trip, net, scen, ProbeConfig(sampling_period=30.0, gps_sigma=0.0))
+    net, _, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
+    _, trace = probe(net, scen.time, [(0, 0.0, [0, 1, 2])],  # 60 s
+                     ProbeConfig(sampling_period=30.0, gps_sigma=0.0))
     assert list(trace.t) == [0.0, 30.0, 60.0]
 
 
 def test_sample_trace_noise_is_seeded_per_vehicle():
-    net, tazs, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
+    net, _, scen = corridor_setup(n_segs=3, length=200.0, speed=10.0)
     cfg = ProbeConfig(sampling_period=20.0, gps_sigma=10.0)
     quiet = ProbeConfig(sampling_period=20.0, gps_sigma=0.0)
-    for vid in (0, 5):
-        trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, vid)
-        noisy = sample_trace(trip, net, scen, cfg, rng_seed=123)
-        clean = sample_trace(trip, net, scen, quiet, rng_seed=123)
-        expected = np.random.default_rng(123 + vid).standard_normal((len(noisy.t), 2)) * 10.0
+    trips = [(0, 0.0, [0, 1, 2]), (5, 0.0, [0, 1, 2])]
+    _, noisy = probe(net, scen.time, trips, cfg, rng_seed=123)
+    _, clean = probe(net, scen.time, trips, quiet, rng_seed=123)
+    assert noisy.vehicle.tolist() == [0, 5]
+    for i, vid in enumerate((0, 5)):
+        rows = slice(noisy.offsets[i], noisy.offsets[i + 1])
+        expected = np.random.default_rng(123 + vid).standard_normal((rows.stop - rows.start, 2))
         mlat, mlon = meters_per_degree(0.0)
-        assert np.allclose((noisy.lat - clean.lat) * mlat, expected[:, 0], atol=1e-9)
-        assert np.allclose((noisy.lon - clean.lon) * mlon, expected[:, 1], atol=1e-9)
+        assert np.allclose((noisy.lat - clean.lat)[rows] * mlat, 10.0 * expected[:, 0], atol=1e-9)
+        assert np.allclose((noisy.lon - clean.lon)[rows] * mlon, 10.0 * expected[:, 1], atol=1e-9)
 
 
 def test_sample_trace_same_seed_reproduces():
-    net, tazs, scen = corridor_setup()
-    trip = simulate_trip(net, Router(net, scen.time), tazs[0], tazs[1], scen, 0.0, 3)
+    net, _, scen = corridor_setup()
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=8.0)
-    a = sample_trace(trip, net, scen, cfg, rng_seed=9)
-    b = sample_trace(trip, net, scen, cfg, rng_seed=9)
+    _, a = probe(net, scen.time, [(3, 0.0, [0, 1, 2])], cfg, rng_seed=9)
+    _, b = probe(net, scen.time, [(3, 0.0, [0, 1, 2])], cfg, rng_seed=9)
     assert np.array_equal(a.lat, b.lat) and np.array_equal(a.lon, b.lon)
 
 
-def test_sample_trace_requires_entry_times():
-    net, tazs, scen = corridor_setup()
-    bare = TruthTrip(vehicle_id=0, departure=0.0, path=[0, 1, 2], entry_times=None)
-    with pytest.raises(InputDataError):
-        sample_trace(bare, net, scen, ProbeConfig())
+GRID_NET = make_grid_network(5, 5, spacing=200.0, speed=10.0, jitter=25.0, jitter_seed=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trips=st.integers(1, 6), sigma=st.sampled_from([0.0, 5.0]),
+       period=st.one_of(st.floats(1.0, 400.0), st.sampled_from(["multiple", "longer"])))
+def test_probe_trips_equal_the_per_trip_oracle(seed, n_trips, sigma, period):
+    """Every column of the trace table, bit for bit, against ``sample_trace`` trip by trip.
+
+    Trips follow fastest routes between random nodes of a grid under
+    random times (whole seconds in half the cases), leave at random
+    instants and have ascending, not consecutive, vehicle ids. The
+    period is drawn, or the first trip's duration over 1, 2, 4 or 8 (so
+    that the duration is an exact multiple of it), or longer than every
+    trip.
+    """
+    net = GRID_NET
+    rng = np.random.default_rng(seed)
+    time = net.seg_fft * rng.uniform(1.0, 3.0, net.n_segments)
+    if rng.random() < 0.5:  # whole seconds, so that a duration / 2**k is exact
+        time = np.ceil(time)
+    router = Router(net, time)
+    trips = []
+    for vid in np.cumsum(rng.integers(1, 4, n_trips)).tolist():
+        a, b = rng.choice(net.n_nodes, 2, replace=False).tolist()
+        trips.append((vid, float(rng.uniform(0.0, 6e5)), router.route(a, b)))
+    duration = math.fsum(time[trips[0][2]].tolist())
+    if period == "multiple":
+        period = duration / 2 ** int(rng.integers(0, 4))
+    elif period == "longer":
+        period = 2.0 * max(math.fsum(time[path].tolist()) for _, _, path in trips)
+    cfg = ProbeConfig(sampling_period=period, gps_sigma=sigma)
+
+    got_trips, got = probe(net, time, trips, cfg, rng_seed=seed)
+    want = concat_fixes([sample_trace(net, vid, dep, path, time, cfg, rng_seed=seed)
+                         for vid, dep, path in trips])
+    for name, a, b in zip(Fixes._fields, got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert [(trip.vehicle_id, trip.segments) for trip in piece_list(got_trips)] == [
+        (vid, path) for vid, _, path in trips]
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +253,20 @@ def small_week():
 def test_generate_probe_data_counts_and_windows():
     net, tazs, demand, scens, grid, schedule = small_week()
     cfg = ProbeConfig(sampling_period=60.0, gps_sigma=0.0, penetration=1.0)
-    out = generate_probe_data(net, tazs, demand, scens, schedule, grid, cfg, rng_seed=1)
-    trips0, traces0 = out[0]
-    trips1, traces1 = out[1]
-    assert [t.vehicle_id for t in trips0] == traces0.vehicle.tolist()
-    assert [t.vehicle_id for t in trips1] == traces1.vehicle.tolist()
+    trips, traces = generate_probe_data(net, tazs, demand, scens, schedule, grid, cfg, rng_seed=1)
+    first = trips.bounds[:-1]
+    vids, departures = trips.vehicle[first].tolist(), trips.entry[first]
+    assert vids == traces.vehicle.tolist() == list(range(len(vids)))
+    assert trips.piece.tolist() == [0] * len(trips.piece)
+    assert np.isnan(trips.log_score).all()
     # Two intervals at multiplier 1 (expected 40 each), one at 2 (expected 80).
-    assert 70 <= len(trips0) <= 90
-    assert 70 <= len(trips1) <= 90
-    for trip in trips0:
-        start = 8 * 3600.0 if trip.departure < 30 * 3600.0 else 30 * 3600.0
-        assert start <= trip.departure < start + 3600.0
-    for trip in trips1:
-        assert 9 * 3600.0 <= trip.departure < 10 * 3600.0
-    vids = [t.vehicle_id for t in trips0 + trips1]
-    assert len(set(vids)) == len(vids)
-    assert sorted(vids) == list(range(len(vids)))
+    hour = (departures // 3600.0).astype(int)
+    assert set(hour.tolist()) == {8, 9, 30}
+    assert 70 <= np.isin(hour, [8, 30]).sum() <= 90
+    assert 70 <= (hour == 9).sum() <= 90
+    # Each trip's last fix is its arrival, its first its departure.
+    assert traces.t[traces.offsets[:-1]].tolist() == departures.tolist()
+    assert np.all(traces.t[traces.offsets[1:] - 1] > trips.entry[trips.bounds[1:] - 1])
 
 
 def test_generate_probe_data_deterministic():
@@ -224,21 +274,17 @@ def test_generate_probe_data_deterministic():
     cfg = ProbeConfig(sampling_period=60.0, gps_sigma=5.0, penetration=0.4)
     a = generate_probe_data(net, tazs, demand, scens, schedule, grid, cfg, rng_seed=7)
     b = generate_probe_data(net, tazs, demand, scens, schedule, grid, cfg, rng_seed=7)
-    for sid in a:
-        assert [t.vehicle_id for t in a[sid][0]] == [t.vehicle_id for t in b[sid][0]]
-        assert [t.departure for t in a[sid][0]] == [t.departure for t in b[sid][0]]
-        for x, y in zip(a[sid][1], b[sid][1]):
-            assert np.array_equal(x, y)
+    for x, y in zip((*a[0], *a[1]), (*b[0], *b[1])):
+        assert np.array_equal(x, y, equal_nan=True)
 
 
 def test_generate_probe_data_penetration_scales_counts():
     net, tazs, demand, scens, grid, schedule = small_week()
-    full = generate_probe_data(net, tazs, demand, scens, schedule, grid,
-                               ProbeConfig(penetration=1.0), rng_seed=3)
-    tenth = generate_probe_data(net, tazs, demand, scens, schedule, grid,
-                                ProbeConfig(penetration=0.1), rng_seed=3)
-    n_full = sum(len(v[0]) for v in full.values())
-    n_tenth = sum(len(v[0]) for v in tenth.values())
+    full, _ = generate_probe_data(net, tazs, demand, scens, schedule, grid,
+                                  ProbeConfig(penetration=1.0), rng_seed=3)
+    tenth, _ = generate_probe_data(net, tazs, demand, scens, schedule, grid,
+                                   ProbeConfig(penetration=0.1), rng_seed=3)
+    n_full, n_tenth = len(full.log_score), len(tenth.log_score)
     assert 0.05 * n_full < n_tenth < 0.2 * n_full
 
 
@@ -258,14 +304,10 @@ def test_generate_probe_data_validates_schedule():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    net, tazs, scen = corridor_setup()
+    net, _, scen = corridor_setup()
     cfg = ProbeConfig(sampling_period=15.0, gps_sigma=5.0)
-    router = Router(net, scen.time)
-    traces = concat_fixes([
-        sample_trace(simulate_trip(net, router, tazs[0], tazs[1], scen, 10.0 * v, v), net, scen,
-                     cfg, rng_seed=2)
-        for v in (2, 0, 1)
-    ])
+    _, traces = probe(net, scen.time, [(v, 10.0 * v, [0, 1, 2]) for v in range(3)], cfg,
+                      rng_seed=2)
     p = tmp_path / "traces.csv"
     write_traces(traces, p)
     back = read_traces(p)
@@ -282,17 +324,32 @@ def test_read_traces_rejects_empty(tmp_path):
 
 
 def test_trip_csv_round_trip(tmp_path):
-    net, tazs, scen = corridor_setup()
-    router = Router(net, scen.time)
-    trips = [simulate_trip(net, router, tazs[0], tazs[1], scen, 5.0 * v, v) for v in range(3)]
+    """Vehicle, path and departure survive; the later entries read back as nan."""
+    net, tazs, demand, scens, grid, schedule = small_week()
+    trips, _ = generate_probe_data(net, tazs, demand, scens, schedule, grid,
+                                   ProbeConfig(penetration=0.1), rng_seed=2)
     p = tmp_path / "trips.csv"
     write_trips(trips, p, net)
     back = read_trips(p, net)
-    for x, y in zip(trips, back):
-        assert (x.vehicle_id, x.departure, x.path) == (y.vehicle_id, y.departure, y.path)
-        assert y.entry_times is None
-    rebuilt = with_times(back[1], net, scen)
-    assert rebuilt.entry_times == trips[1].entry_times
+    assert isinstance(back, Pieces) and len(back.log_score) == len(trips.log_score) > 1
+    for name in ("vehicle", "piece", "segment", "bounds"):
+        assert getattr(back, name).tolist() == getattr(trips, name).tolist(), name
+    first = trips.bounds[:-1]
+    assert back.entry[first].tolist() == trips.entry[first].tolist()
+    later = np.ones(len(back.entry), dtype=bool)
+    later[first] = False
+    assert np.isnan(back.entry[later]).all() and np.isnan(back.log_score).all()
+
+    # Rows come back in vehicle order, whatever their order in the file.
+    header, *rows = p.read_text().splitlines()
+    p.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    assert read_trips(p, net).segment.tolist() == trips.segment.tolist()
+    p.write_text("\n".join([header, *rows, rows[0]]) + "\n")
+    with pytest.raises(InputDataError, match=r"trips\.csv: vehicle 0 has more than one trip"):
+        read_trips(p, net)
+    p.write_text(f"{header}\n7,0.0,\n")  # a trip without a path
+    with pytest.raises(InputDataError, match=r"trips\.csv, line 2"):
+        read_trips(p, net)
 
 
 def test_truth_csv_round_trip(tmp_path):
