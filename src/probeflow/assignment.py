@@ -49,18 +49,6 @@ _LINE_SEARCH_TOL = 1e-10
 DemandMatrix = dict[tuple[int, int], float]
 
 
-@dataclass(frozen=True)
-class AssignParams:
-    """Convergence settings for ground-truth scenario assignment."""
-
-    tol: float = 1e-5
-    max_iter: int = 800
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0) or self.max_iter < 1:
-            raise InputDataError("tol must be positive and max_iter at least 1")
-
-
 # BPR curve t = t0 * (1 + alpha * (v/c)**beta) with the standard coefficients
 # (Bureau of Public Roads 1964, Traffic Assignment Manual). BPR_BETA stays the
 # float 4.0: numpy may evaluate an int exponent with other last bits.
@@ -341,7 +329,7 @@ def solve_so(
 # ---------------------------------------------------------------------------
 
 
-DEMAND_COLUMNS = (("origin_taz", int), ("dest_taz", int), ("trips_per_hour", float))
+DEMAND_COLUMNS = (("origin_taz", int), ("dest_taz", int), ("trips_per_hour", float, ">= 0"))
 
 
 def write_demand(demand: DemandMatrix, path: str | os.PathLike) -> None:
@@ -355,7 +343,5 @@ def read_demand(path: str | os.PathLike) -> DemandMatrix:
     for o, d, rate in zip(*read_table(path, DEMAND_COLUMNS)):
         if (o, d) in demand:
             raise InputDataError(f"{path}: duplicate OD pair {(o, d)}")
-        if not (rate >= 0.0 and math.isfinite(rate)):
-            raise InputDataError(f"{path}: demand for {(o, d)} must be finite and >= 0")
         demand[(o, d)] = rate
     return demand

@@ -41,9 +41,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import AssignParams, read_demand, write_demand
+from . import params
+from .assignment import read_demand, write_demand
 from .completion import (
-    CompletionParams,
     assemble_matrix,
     complete,
     write_completed,
@@ -61,12 +61,9 @@ from .evaluation import (
     write_report,
     write_voc,
 )
-from .mapmatch import MatchParams, read_matched, write_matched
+from .mapmatch import read_matched, write_matched
 from .network import RoadNetwork, TimeGrid, import_osm, read_network, read_tazs, write_network
 from .odestim import (
-    GravityParams,
-    OdSolveParams,
-    SpsaParams,
     estimate_od,
     read_states,
     seed_equilibrium,
@@ -74,10 +71,9 @@ from .odestim import (
     write_objectives,
     write_states,
 )
-from .refine import RefineParams, refine, write_diagnostics
+from .refine import refine, write_diagnostics
 from .tracegen import (
     GroundTruthScenario,
-    ProbeConfig,
     gen_scenarios,
     generate_probe_data,
     read_traces,
@@ -88,7 +84,6 @@ from .tracegen import (
     write_truth,
 )
 from .ttinfer import (
-    InferParams,
     SegmentTimeEstimate,
     infer_times,
     observations_from_matches,
@@ -133,12 +128,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# JSON value types each annotated section field accepts (bools only for bool).
-_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
-    "int": int, "float": (int, float), "float | None": (int, float, type(None)), "bool": bool,
-}
-
-
 @dataclass
 class PipelineConfig:
     """Everything a command needs: file paths, parameters, and the seed.
@@ -156,15 +145,15 @@ class PipelineConfig:
     schedule: list[int] | None = None
     paths: dict[str, str] = field(default_factory=dict)
     grid: TimeGrid = field(default_factory=TimeGrid)
-    match: MatchParams = field(default_factory=MatchParams)
-    infer: InferParams = field(default_factory=InferParams)
-    spsa: SpsaParams = field(default_factory=SpsaParams)
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
-    refine: RefineParams = field(default_factory=RefineParams)
-    od: OdSolveParams = field(default_factory=OdSolveParams)
-    completion: CompletionParams = field(default_factory=CompletionParams)
-    assignment: AssignParams = field(default_factory=AssignParams)
-    gravity: GravityParams = field(default_factory=GravityParams)
+    match: params.MatchParams = field(default_factory=params.MatchParams)
+    infer: params.InferParams = field(default_factory=params.InferParams)
+    spsa: params.SpsaParams = field(default_factory=params.SpsaParams)
+    probe: params.ProbeConfig = field(default_factory=params.ProbeConfig)
+    refine: params.RefineParams = field(default_factory=params.RefineParams)
+    od: params.OdSolveParams = field(default_factory=params.OdSolveParams)
+    completion: params.CompletionParams = field(default_factory=params.CompletionParams)
+    assignment: params.AssignParams = field(default_factory=params.AssignParams)
+    gravity: params.GravityParams = field(default_factory=params.GravityParams)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -183,12 +172,6 @@ class PipelineConfig:
             unknown = sorted(set(section) - {f.name for f in fields(section_type)})
             if unknown:
                 raise UsageError(f"config section {key!r}: unknown key {unknown[0]!r}")
-            for f in fields(section_type):
-                value = section.get(f.name)
-                if f.name in section and (isinstance(value, bool) != (f.type == "bool")
-                                          or not isinstance(value, _FIELD_TYPES[f.type])):
-                    raise UsageError(f"config section {key!r}: {f.name} must be {f.type}, "
-                                     f"got {value!r}")
             try:
                 kwargs[key] = section_type(**section)
             except InputDataError as exc:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import InputDataError
 from .network import RoadNetwork, TimeGrid
+from .params import CompletionParams
 from .tables import write_table
 
 logger = logging.getLogger(__name__)
@@ -148,18 +149,6 @@ _STEP = 1.2
 # stop within 25 iterations, so 500 only bounds a pathological solve.
 _TOL = 1e-4
 _MAX_ITER = 500
-
-
-@dataclass(frozen=True)
-class CompletionParams:
-    """Singular value threshold of the matrix completion stage."""
-
-    svt_threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.svt_threshold is not None and not (0.0 < self.svt_threshold < math.inf):
-            raise InputDataError(
-                f"svt_threshold must be finite and positive when given, got {self.svt_threshold}")
 
 
 def default_threshold(values: np.ndarray, mask: np.ndarray) -> float:

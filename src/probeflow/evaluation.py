@@ -213,7 +213,7 @@ def write_report(per_scenario: dict[str, ScenarioMetrics], path: str | os.PathLi
         fh.write("\n")
 
 
-VOC_COLUMNS = (("interval", int), ("road_class", str), ("mean_voc", float))
+VOC_COLUMNS = (("interval", int), ("road_class", str), ("mean_voc", float, ">= 0"))
 
 
 def write_voc(series_by_class: dict[str, list[float]], path: str | os.PathLike) -> None:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,30 +54,12 @@ from .network import (
     meters_per_degree,
     project_to_candidates,
 )
+from .params import MatchParams
 from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class MatchParams:
-    """Tuning knobs for the matcher; defaults suit 10-60 s probe data."""
-
-    gps_sigma: float = 10.0
-    nk_beta: float = 200.0
-    tt_tau: float = 0.5
-    radius: float = 50.0
-    gap_factor: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not (self.gps_sigma > 0 and self.nk_beta > 0 and self.radius > 0):
-            raise InputDataError("gps_sigma, nk_beta, and radius must be positive")
-        if not (self.tt_tau >= 0 and math.isfinite(self.tt_tau)):
-            raise InputDataError("tt_tau must be finite and >= 0")
-        if not (self.gap_factor > 0):
-            raise InputDataError("gap_factor must be positive")
 
 
 class Fixes(NamedTuple):
@@ -101,8 +83,7 @@ def fix_table(vehicle, t, lat, lon) -> Fixes:
     """The table of per-fix columns, in any vehicle order; a vehicle's fixes keep their order."""
     vehicle = np.asarray(vehicle, dtype=np.int64)
     lat = np.asarray(lat, dtype=float)
-    # nan where the latitude is out of range, which read_traces then rejects
-    mlon = [meters_per_degree(x)[1] if abs(x) <= 90.0 else math.nan for x in lat.tolist()]
+    mlon = [meters_per_degree(x)[1] for x in lat.tolist()]
     order = np.argsort(vehicle, kind="stable")
     ids, first = np.unique(vehicle[order], return_index=True)
     return Fixes(ids, np.append(first, len(order)),
@@ -504,7 +485,8 @@ def _viterbi(emission, transition, length, runs):
 # ---------------------------------------------------------------------------
 
 
-MATCHED_COLUMNS = (("vehicle_id", int), ("piece", int), ("segment_id", int), ("entry_time_s", float))
+MATCHED_COLUMNS = (("vehicle_id", int), ("piece", int), ("segment_id", int),
+                   ("entry_time_s", float, "finite"))
 
 
 def write_matched(pieces: Pieces, path: str | os.PathLike, net: RoadNetwork) -> None:
@@ -516,23 +498,21 @@ def write_matched(pieces: Pieces, path: str | os.PathLike, net: RoadNetwork) -> 
 def read_matched(path: str | os.PathLike, net: RoadNetwork) -> Pieces:
     """Read matched pieces; only traversal data survives the CSV.
 
-    A piece's rows keep their file order, wherever they stand. Entry times must be
-    finite and must not go backwards within a piece; the first row that breaks either is named.
+    A piece's rows keep their file order, wherever they stand. Entry times must
+    not go backwards within a piece; the first row that does is named.
     """
     vids, pieces, sids, times = read_table(path, MATCHED_COLUMNS)
     order = np.lexsort((pieces, vids))  # stable, so a piece's rows keep their order
     vehicle, piece = (np.array(column, dtype=np.int64)[order] for column in (vids, pieces))
     entry = np.array(times, dtype=float)[order]
-    # A piece's first row, and rows whose entry time is not finite or goes back.
+    # A piece's first row, and rows whose entry time goes back.
     new = np.ones(len(order), dtype=bool)
     new[1:] = (vehicle[1:] != vehicle[:-1]) | (piece[1:] != piece[:-1])
-    bad = np.flatnonzero(~np.isfinite(entry) | (~new & (np.diff(entry, prepend=np.nan) < 0.0)))
+    bad = np.flatnonzero(~new & (np.diff(entry, prepend=np.nan) < 0.0))
     if len(bad):
         k = int(bad[np.argmin(order[bad])])
-        where = f"{path}: vehicle {vehicle[k]}, piece {piece[k]}: entry time {entry[k]}"
-        if not math.isfinite(entry[k]):
-            raise InputDataError(f"{where} is not finite")
-        raise InputDataError(f"{where} is below the previous entry time {entry[k - 1]}")
+        raise InputDataError(f"{path}: vehicle {vehicle[k]}, piece {piece[k]}: entry time "
+                             f"{entry[k]} is below the previous entry time {entry[k - 1]}")
     segment = net.segment_indices(str(path), np.asarray(sids)[order].tolist())
     return Pieces(vehicle, piece, np.array(segment, dtype=np.int64), entry,
                   np.append(np.flatnonzero(new), len(order)), np.full(new.sum(), math.nan))

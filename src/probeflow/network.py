@@ -42,6 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputDataError
+from .params import Params, param
 from .tables import group_rows, read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -243,9 +244,9 @@ class RoadNetwork:
         """Value columns of a per-segment table, in ``segments`` order.
 
         ``ids`` and each value column hold one entry per table row, one
-        row per network segment; an empty table, an unknown, repeated or
-        missing segment, or a nan or infinite value raises InputDataError
-        naming ``source`` and the first such segment in table order.
+        row per network segment; an empty table, or an unknown, repeated
+        or missing segment raises InputDataError naming ``source`` and the
+        first such segment in table order.
         """
         if not len(ids):
             raise InputDataError(f"{source}: no segment rows")
@@ -257,13 +258,8 @@ class RoadNetwork:
         if np.any(counts == 0):
             sid = self.segments[int(np.argmax(counts == 0))].id
             raise InputDataError(f"{source}: segment {sid} missing")
-        values = [np.array(col) for col in columns]
-        finite = np.logical_and.reduce([np.isfinite(col) for col in values])
-        if not np.all(finite):
-            raise InputDataError(f"{source}: segment {ids[int(np.argmin(finite))]} "
-                                 "has a non-finite value")
         order = np.argsort(positions)
-        return tuple(col[order] for col in values)
+        return tuple(np.array(col)[order] for col in columns)
 
     def interval_columns(self, source: str, grid: TimeGrid, intervals: Sequence[int],
                          ids: Sequence[int], *columns: Sequence) -> dict[int, tuple[np.ndarray, ...]]:
@@ -291,20 +287,17 @@ class Taz:
 
 
 @dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Params):
     """Uniform partition of one week into analysis intervals."""
 
-    interval_seconds: int = 3600
-    interval_count: int = 168
+    interval_seconds: int = param(3600, "> 0")
+    interval_count: int = param(168, "> 0")
 
     def __post_init__(self) -> None:
-        if self.interval_seconds <= 0 or self.interval_count <= 0:
-            raise InputDataError("time grid dimensions must be positive")
+        super().__post_init__()
         if self.interval_seconds * self.interval_count != WEEK_SECONDS:
-            raise InputDataError(
-                f"time grid must cover one week: {self.interval_seconds} * "
-                f"{self.interval_count} != {WEEK_SECONDS}"
-            )
+            raise InputDataError(f"time grid must cover one week: {self.interval_seconds} * "
+                                 f"{self.interval_count} != {WEEK_SECONDS}")
 
     def interval_of(self, t: float) -> int:
         """Interval index containing time ``t`` (seconds into the week).

@@ -43,6 +43,7 @@ import numpy as np
 from .assignment import AssignmentResult, BprCost, DemandMatrix, solve_ue
 from .errors import InputDataError, SolverError
 from .network import RoadNetwork, Taz, TimeGrid, haversine
+from .params import GravityParams, OdSolveParams, SpsaParams
 from .tables import read_table, write_table
 from .ttinfer import SegmentTimeEstimate
 
@@ -53,49 +54,6 @@ _EPS = float(np.finfo(float).eps)
 # Gradients swing by orders of magnitude when congestion is light, and an
 # uncapped step would send exp(theta) out of float range.
 _MAX_LOG_STEP = 0.5
-
-
-@dataclass(frozen=True)
-class SpsaParams:
-    """Upper-level settings: trial solves per interval and seed regularization weight.
-
-    The class and its config section ``spsa`` keep the name of the SPSA
-    solver the upper level used to run; the bench configs set them.
-    """
-
-    max_outer: int = 100
-    mu: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.max_outer < 1:
-            raise InputDataError("max_outer must be at least 1")
-        if not (self.mu >= 0):
-            raise InputDataError("mu must be >= 0")
-
-
-@dataclass(frozen=True)
-class OdSolveParams:
-    """Lower-level equilibrium settings used inside demand estimation."""
-
-    ue_tol: float = 1e-4
-    ue_max_iter: int = 500
-    weight_by_support: bool = False
-
-    def __post_init__(self) -> None:
-        if not (self.ue_tol > 0) or self.ue_max_iter < 1:
-            raise InputDataError("ue_tol must be positive and ue_max_iter at least 1")
-
-
-@dataclass(frozen=True)
-class GravityParams:
-    """Distance-decay seed demand settings."""
-
-    deterrence_scale: float = 2000.0
-    total_trips: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if not (self.deterrence_scale > 0 and self.total_trips > 0):
-            raise InputDataError("deterrence_scale and total_trips must be positive")
 
 
 class ObjectiveRecord(NamedTuple):
@@ -297,8 +255,8 @@ def estimate_od(
 # ---------------------------------------------------------------------------
 
 
-STATES_COLUMNS = (("interval", int), ("segment_id", int), ("flow_vph", float), ("time_s", float),
-                  ("voc", float))
+STATES_COLUMNS = (("interval", int), ("segment_id", int), ("flow_vph", float, ">= 0"),
+                  ("time_s", float, "> 0"), ("voc", float, "finite"))
 OBJECTIVE_COLUMNS = (("interval", int), ("outer_iter", int), ("objective", float))
 
 
@@ -317,15 +275,9 @@ def read_states(path: str | os.PathLike, net: RoadNetwork,
                 grid: TimeGrid) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per-interval (flow, time) arrays, as ``write_states`` takes them; voc is not read back.
 
-    Each interval must lie on the grid and list every segment once, flow_vph >= 0, time_s > 0.
+    Each interval must lie on the grid and list every segment once.
     """
     states = net.interval_columns(str(path), grid, *read_table(path, STATES_COLUMNS))
-    for iv, (flow, time, _) in states.items():
-        bad = (flow < 0.0) | (time <= 0.0)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise InputDataError(f"{path}, interval {iv}: segment {net.segments[k].id}: flow_vph "
-                                 f"{flow[k]}, time_s {time[k]}; need flow_vph >= 0, time_s > 0")
     return {iv: (flow, time) for iv, (flow, time, _) in states.items()}
 
 

@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError
-from .mapmatch import Fixes, MatchParams, Pieces, match_traces
+from .mapmatch import Fixes, Pieces, match_traces
 from .network import RoadNetwork, Router, TimeGrid
+from .params import InferParams, MatchParams, RefineParams
 from .tables import write_table
 from .ttinfer import (
-    InferParams,
     SegmentTimeEstimate,
     infer_times,
     observations_from_matches,
@@ -69,20 +69,6 @@ class RefinementDiagnostics:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class RefineParams:
-    """Loop budget and stop thresholds of the refinement stage."""
-
-    max_iters: int = 10
-    stop_tol: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise InputDataError("max_iters must be at least 1")
-        if not (self.stop_tol > 0):
-            raise InputDataError("stop_tol must be positive")
-
-
 def _changed(cur: Pieces, prev: Pieces) -> int:
     """Pieces, by (vehicle, piece), that one pass lacks or holds on other segments than the other."""
     keys = np.hstack([np.stack((p.vehicle, p.piece))[:, p.bounds[:-1]] for p in (cur, prev)])
@@ -97,6 +83,12 @@ def _changed(cur: Pieces, prev: Pieces) -> int:
     differs = cur.segment[cur.bounds[i][pair] + step] != prev.segment[prev.bounds[j][pair] + step]
     unchanged = np.bincount(pair[differs], minlength=len(size)) == 0
     return keys.shape[1] - len(both) - int(np.count_nonzero(unchanged))
+
+
+def _path_set(p: Pieces) -> tuple[bytes, ...]:
+    """A pass's paths as bytes, equal exactly when ``_changed`` finds no piece changed."""
+    first = p.bounds[:-1]
+    return tuple(a.tobytes() for a in (p.vehicle[first], p.piece[first], p.bounds, p.segment))
 
 
 def refine(
@@ -134,7 +126,8 @@ def refine(
     times: dict[int, np.ndarray] = {}
     estimates: dict[int, SegmentTimeEstimate] = {}
     diagnostics = RefinementDiagnostics()
-    seen: list[Pieces] = []  # each inferred pass
+    prev: Pieces | None = None  # the previous pass, for its changed pieces
+    passes: dict[tuple[bytes, ...], int] = {}  # each inferred pass's path set -> its iteration
     last_residual = 0.0
 
     for k in range(params.max_iters):
@@ -151,7 +144,7 @@ def refine(
                 baseline[iv] = infer_times(base_obs[iv], net, fft, infer_params)
             del base_pieces, base_obs  # the later passes need neither
 
-        changed = _changed(pieces, seen[-1]) if seen else len(pieces.log_score)
+        changed = _changed(pieces, prev) if prev is not None else len(pieces.log_score)
         viterbi = math.fsum(pieces.log_score.tolist())
 
         if k >= 1 and changed == 0:
@@ -178,11 +171,13 @@ def refine(
         if max_rel < params.stop_tol:
             logger.info("refinement converged at iteration %d (max change %.2e)", k, max_rel)
             break
-        repeat = next((i for i, old in enumerate(seen[:-1]) if not _changed(pieces, old)), None)
-        if repeat is not None:
-            logger.info("refinement repeats the paths of iteration %d at iteration %d", repeat, k)
+        paths = _path_set(pieces)
+        if paths in passes:
+            logger.info("refinement repeats the paths of iteration %d at iteration %d",
+                        passes[paths], k)
             break
-        seen.append(pieces)
+        passes[paths] = k
+        prev = pieces
 
     return pieces, estimates, diagnostics
 

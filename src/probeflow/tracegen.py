@@ -23,30 +23,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .assignment import AssignParams, DemandMatrix, solve_so
+from .assignment import DemandMatrix, solve_so
 from .errors import InputDataError
 from .mapmatch import Fixes, Pieces, fix_table, piece_table
 from .network import M_PER_DEG_LAT, RoadNetwork, Router, Taz, TimeGrid, meters_per_degree
+from .params import AssignParams, ProbeConfig
 from .tables import read_table, write_table
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """How trips are probed: sampling rate, GPS noise, fleet penetration."""
-
-    sampling_period: float = 60.0
-    gps_sigma: float = 10.0
-    penetration: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.sampling_period > 0):
-            raise InputDataError("sampling_period must be positive")
-        if not (self.gps_sigma >= 0):
-            raise InputDataError("gps_sigma must be >= 0")
-        if not (0.0 < self.penetration <= 1.0):
-            raise InputDataError("penetration must be in (0, 1]")
 
 
 @dataclass
@@ -210,9 +194,10 @@ def _segment_path(text: str) -> list[int]:
     return [int(s) for s in text.split("/")]
 
 
-TRACE_COLUMNS = (("vehicle_id", int), ("timestamp", float), ("lat", float), ("lon", float))
-TRIP_COLUMNS = (("vehicle_id", int), ("departure_s", float), ("path", _segment_path))
-TRUTH_COLUMNS = (("segment_id", int), ("time_s", float), ("flow_vph", float))
+TRACE_COLUMNS = (("vehicle_id", int), ("timestamp", float, "finite"), ("lat", float, "in [-90, 90]"),
+                 ("lon", float, "in [-180, 180]"))
+TRIP_COLUMNS = (("vehicle_id", int), ("departure_s", float, "finite"), ("path", _segment_path))
+TRUTH_COLUMNS = (("segment_id", int), ("time_s", float, "> 0"), ("flow_vph", float, ">= 0"))
 
 
 def write_traces(fixes: Fixes, path: str | os.PathLike) -> None:
@@ -223,9 +208,7 @@ def write_traces(fixes: Fixes, path: str | os.PathLike) -> None:
 def read_traces(path: str | os.PathLike) -> Fixes:
     """Every fix of the file as one table; vehicles' rows may interleave.
 
-    Each vehicle's timestamps must be finite and strictly increasing, and
-    its coordinates in range. An error names the file, the first vehicle
-    (by id) that fails a check, and the first check it fails.
+    Each vehicle's timestamps must strictly increase; an error names the lowest id whose do not.
     """
     vids, *values = read_table(path, TRACE_COLUMNS)
     if not vids:
@@ -233,15 +216,9 @@ def read_traces(path: str | os.PathLike) -> Fixes:
     fixes = fix_table(vids, *values)
     back = np.diff(fixes.t, prepend=np.nan) <= 0.0
     back[fixes.offsets[:-1]] = False  # a vehicle's first fix
-    vehicle = np.repeat(fixes.vehicle, np.diff(fixes.offsets))
-    faults = [(vehicle[mask.argmax()], k, message) for k, (mask, message) in enumerate((
-        (~np.isfinite(fixes.t), "non-finite timestamp"),
-        (back, "timestamps must strictly increase"),
-        (~((np.abs(fixes.lat) <= 90.0) & (np.abs(fixes.lon) <= 180.0)),
-         "coordinate out of range or NaN"))) if mask.any()]
-    if faults:
-        vid, _, message = min(faults)
-        raise InputDataError(f"{path}: vehicle {vid}: {message}")
+    if back.any():
+        vid = np.repeat(fixes.vehicle, np.diff(fixes.offsets))[back.argmax()]
+        raise InputDataError(f"{path}: vehicle {vid}: timestamps must strictly increase")
     return fixes
 
 
@@ -275,9 +252,5 @@ def write_truth(scenario: GroundTruthScenario, net: RoadNetwork, path: str | os.
 
 
 def read_truth(path: str | os.PathLike, net: RoadNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment (times, flows); the file must list every segment exactly once, times > 0."""
-    times, flows = net.segment_columns(str(path), *read_table(path, TRUTH_COLUMNS))
-    if np.any(times <= 0.0):
-        k = int(np.argmax(times <= 0.0))
-        raise InputDataError(f"{path}: segment {net.segments[k].id} has time_s {times[k]}, not > 0")
-    return times, flows
+    """Per-segment (times, flows); the file must list every segment exactly once."""
+    return net.segment_columns(str(path), *read_table(path, TRUTH_COLUMNS))

@@ -17,7 +17,6 @@ feasible, the optimum never leaves the objective worse than the prior.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,18 +25,8 @@ import numpy as np
 
 from .errors import InputDataError, SolverError
 from .network import RoadNetwork, TimeGrid
+from .params import InferParams
 from .tables import read_table, write_table
-
-
-@dataclass(frozen=True)
-class InferParams:
-    """Solver settings: the ridge weight toward the prior (0 is allowed)."""
-
-    lam: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise InputDataError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
 class IntervalObservations(NamedTuple):
@@ -216,7 +205,8 @@ def residual_sq(times: np.ndarray, obs: IntervalObservations, net: RoadNetwork) 
 # ---------------------------------------------------------------------------
 
 
-ESTIMATE_COLUMNS = (("interval", int), ("segment_id", int), ("time_s", float), ("support", int))
+ESTIMATE_COLUMNS = (("interval", int), ("segment_id", int), ("time_s", float, "> 0"),
+                    ("support", int, ">= 0"))
 
 
 def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLike,
@@ -243,18 +233,6 @@ def write_estimates(estimates: list[SegmentTimeEstimate], path: str | os.PathLik
 
 def read_estimates(path: str | os.PathLike, net: RoadNetwork,
                    grid: TimeGrid) -> dict[int, SegmentTimeEstimate]:
-    """Per-interval estimates, keyed by interval.
-
-    Each interval must lie on the grid and list every segment once, with
-    time_s > 0 and support >= 0.
-    """
+    """Per-interval estimates, keyed by interval; each on the grid, listing each segment once."""
     groups = net.interval_columns(str(path), grid, *read_table(path, ESTIMATE_COLUMNS))
-    estimates = {}
-    for iv, (time, support) in groups.items():
-        bad = (time <= 0.0) | (support < 0)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise InputDataError(f"{path}, interval {iv}: segment {net.segments[k].id} has time_s "
-                                 f"{time[k]} and support {support[k]}; need time_s > 0 and support >= 0")
-        estimates[iv] = SegmentTimeEstimate(time, support, iv)
-    return estimates
+    return {iv: SegmentTimeEstimate(time, support, iv) for iv, (time, support) in groups.items()}

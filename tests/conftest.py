@@ -15,7 +15,7 @@ import numpy as np
 from probeflow import mapmatch, odestim
 from probeflow.assignment import BPR_ALPHA, BPR_BETA, AssignmentResult, DemandMatrix
 from probeflow.errors import InputDataError
-from probeflow.mapmatch import Fixes, MatchParams, Pieces, fix_table, piece_table
+from probeflow.mapmatch import Fixes, Pieces, fix_table, piece_table
 from probeflow.network import (
     M_PER_DEG_LAT,
     Node,
@@ -26,9 +26,10 @@ from probeflow.network import (
     haversine,
     meters_per_degree,
 )
-from probeflow.refine import RefinementDiagnostics, RefineParams, refine
-from probeflow.tracegen import ProbeConfig, probe_trips
-from probeflow.ttinfer import InferParams, IntervalObservations, SegmentTimeEstimate
+from probeflow.params import InferParams, MatchParams, ProbeConfig, RefineParams
+from probeflow.refine import RefinementDiagnostics, refine
+from probeflow.tracegen import probe_trips
+from probeflow.ttinfer import IntervalObservations, SegmentTimeEstimate
 
 GRID_LAT0 = 37.75
 GRID_LON0 = -122.45
@@ -404,20 +405,20 @@ def write_rows(path, columns, rows) -> None:
     Each value is formatted by its column's type: ``repr(float(x))`` for
     floats, ``int(x)`` for ints and ``str(x)`` otherwise.
     """
-    formats = [{float: lambda x: repr(float(x)), int: int}.get(kind, str) for _, kind in columns]
+    formats = [{float: lambda x: repr(float(x)), int: int}.get(spec[1], str) for spec in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
+        writer.writerow([name for name, *_ in columns])
         for row in rows:
             writer.writerow([fmt(value) for fmt, value in zip(formats, row)])
 
 
 def read_rows(path, columns) -> list[tuple]:
     """The typed rows of a table, read one row at a time: the reference for ``read_table``."""
-    kinds = [kind for _, kind in columns]
+    kinds = [kind for _, kind, *_ in columns]
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        assert next(reader) == [name for name, _ in columns]
+        assert next(reader) == [name for name, *_ in columns]
         return [tuple(kind(field) for kind, field in zip(kinds, row)) for row in reader if row]
 
 

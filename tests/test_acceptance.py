@@ -15,20 +15,16 @@ import time
 
 import numpy as np
 
-from probeflow.assignment import (
-    AssignParams,
-    solve_so,
-    solve_ue,
-)
+from probeflow.assignment import solve_so, solve_ue
 from probeflow.cli import main
-from probeflow.completion import CompletionParams, TravelTimeMatrix, complete
+from probeflow.completion import TravelTimeMatrix, complete
 from probeflow.evaluation import (
     aggregate_error_pct,
     matching_accuracy_pct,
     mse,
     read_voc,
 )
-from probeflow.mapmatch import MatchParams, match_traces
+from probeflow.mapmatch import match_traces
 from probeflow.network import (
     Node,
     RoadNetwork,
@@ -39,11 +35,21 @@ from probeflow.network import (
     write_network,
     write_tazs,
 )
-from probeflow.odestim import GravityParams, OdSolveParams, SpsaParams, estimate_od, seed_gravity
-from probeflow.refine import RefineParams, refine
-from probeflow.tracegen import ProbeConfig, gen_scenarios, generate_probe_data
-from probeflow.ttinfer import (
+from probeflow.odestim import estimate_od, seed_gravity
+from probeflow.params import (
+    AssignParams,
+    CompletionParams,
+    GravityParams,
     InferParams,
+    MatchParams,
+    OdSolveParams,
+    ProbeConfig,
+    RefineParams,
+    SpsaParams,
+)
+from probeflow.refine import refine
+from probeflow.tracegen import gen_scenarios, generate_probe_data
+from probeflow.ttinfer import (
     SegmentTimeEstimate,
     build_system,
     infer_times,

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -35,6 +36,7 @@ from probeflow.cli import (
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import read_matched
 from probeflow.odestim import read_states, write_states
+from probeflow.params import RANGES
 from probeflow.network import Node, RoadNetwork, Taz, TimeGrid, read_network, write_network, write_tazs
 from probeflow.completion import COMPLETED_COLUMNS
 from probeflow.evaluation import export_geojson, read_voc
@@ -217,17 +219,29 @@ def test_parameter_dataclasses_reject_nan(cls, name):
         cls(**{name: float("nan")})
 
 
+def test_every_config_field_but_a_bool_declares_its_range():
+    for name, cls in _SECTIONS.items():
+        # The sections are declared in one module; the grid keeps its own.
+        assert cls.__module__ == ("probeflow.network" if cls is TimeGrid else "probeflow.params")
+        for f in fields(cls):
+            assert (f.type == "bool") == ("range" not in f.metadata), f"{name}.{f.name}"
+            assert f.type == "bool" or f.metadata["range"] in RANGES, f"{name}.{f.name}"
+
+
 # Config values of the wrong JSON type for each annotated field type.
 _WRONG_TYPES = {"int": (2.5, True), "float": (True, "1"), "float | None": (True, "1"),
                 "bool": (1,)}
+# A value just outside each range, of the type the field takes.
+_OUTSIDE = {"> 0": 0, ">= 0": -5e-324, ">= 1": 0, "in (0, 1]": math.nextafter(1.0, 2.0)}
 
 
 @pytest.mark.parametrize("section, f", [
     pytest.param(name, f, id=f"{name}.{f.name}")
     for name, cls in _SECTIONS.items() for f in fields(cls)])
 def test_config_rejects_wrong_value_types(section, f):
-    for value in _WRONG_TYPES[f.type]:
-        with pytest.raises(UsageError, match=f.name):
+    outside = [_OUTSIDE[f.metadata["range"]]] if "range" in f.metadata else []
+    for value in [*_WRONG_TYPES[f.type], *outside]:
+        with pytest.raises(UsageError, match=rf"^config section '{section}': {f.name} must be "):
             PipelineConfig.from_dict({section: {f.name: value}})
 
 
@@ -269,18 +283,24 @@ def test_missing_demand_exits_1_before_any_output(world, tmp_path, capsys, comma
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_column(header: str) -> list[str]:
-    """The first cells, backticks stripped, of README's table with this header row."""
+def readme_column(header: str, column: int = 0) -> list[str]:
+    """One column's cells, backticks stripped, of README's table with this header row."""
     lines = README.read_text(encoding="utf-8").splitlines()
     rows = itertools.takewhile(lambda line: line.startswith("|"),
                                lines[lines.index(header) + 2:])
-    return [row.split("|")[1].strip().strip("`") for row in rows]
+    return [row.split("|")[column + 1].strip().strip("`") for row in rows]
 
 
 def test_readme_lists_every_config_key_and_command():
-    keys = [f"{name}.{f.name}" for name, cls in _SECTIONS.items() for f in fields(cls)]
-    assert len(keys) == 23
-    assert readme_column("| Key | Default | What it sets |") == keys
+    params = [(f"{name}.{f.name}", f) for name, cls in _SECTIONS.items() for f in fields(cls)]
+    assert len(params) == 23
+    header = "| Key | Default | Allowed | What it sets |"
+    assert readme_column(header) == [key for key, _ in params]
+    defaults = [json.loads(cell) for cell in readme_column(header, 1)]
+    assert [(type(d), d) for d in defaults] == [(type(f.default), f.default) for _, f in params]
+    assert readme_column(header, 2) == [
+        "true or false" if f.type == "bool" else
+        f.metadata["range"] + (" or null" if f.type == "float | None" else "") for _, f in params]
     assert sorted(readme_column("| Command | What it does |")) == sorted(_COMMANDS)
 
 
@@ -341,18 +361,20 @@ def test_refine_on_short_trace_row_exits_2_naming_it(world, tmp_path, capsys):
     assert "short_traces.csv, line 3" in capsys.readouterr().err
 
 
+# A value out of its range is named by line; timestamps that do not increase, by vehicle.
 @pytest.mark.parametrize("rows, message", [
-    ("1,0.0,nan,-122.45\n1,30.0,37.75,-122.45", "coordinate out of range or NaN"),
-    ("1,0.0,37.75,-122.45\n1,30.0,37.75,nan", "coordinate out of range or NaN"),
-    ("1,0.0,95.0,-122.45", "coordinate out of range or NaN"),
-    ("1,0.0,37.75,-122.45\n1,30.0,37.75,180.5", "coordinate out of range or NaN"),
-    ("1,0.0,37.75,-122.45\n1,inf,37.75,-122.45", "non-finite timestamp"),
-    ("1,30.0,37.75,-122.45\n1,0.0,37.75,-122.45", "timestamps must strictly increase"),
-    ("1,30.0,37.75,-122.45\n1,30.0,37.75,-122.44", "timestamps must strictly increase"),
+    ("1,0.0,nan,-122.45\n1,30.0,37.75,-122.45", ", line 2: lat must be in [-90, 90], got nan"),
+    ("1,0.0,37.75,-122.45\n1,30.0,37.75,nan", ", line 3: lon must be in [-180, 180], got nan"),
+    ("1,0.0,95.0,-122.45", ", line 2: lat must be in [-90, 90], got 95.0"),
+    ("1,0.0,37.75,-122.45\n1,30.0,37.75,180.5", ", line 3: lon must be in [-180, 180], got 180.5"),
+    ("1,0.0,37.75,-122.45\n1,inf,37.75,-122.45", ", line 3: timestamp must be finite, got inf"),
+    ("1,30.0,37.75,-122.45\n1,0.0,37.75,-122.45", ": vehicle 1: timestamps must strictly increase"),
+    ("1,30.0,37.75,-122.45\n1,30.0,37.75,-122.44",
+     ": vehicle 1: timestamps must strictly increase"),
     # Vehicle 2's fixes are fine; vehicle 1's second fix, after vehicle 2's
     # rows, repeats its first instant.
     ("1,0.0,37.75,-122.45\n2,0.0,37.75,-122.45\n2,30.0,37.75,-122.45\n"
-     "1,0.0,37.75,-122.44", "timestamps must strictly increase"),
+     "1,0.0,37.75,-122.44", ": vehicle 1: timestamps must strictly increase"),
 ], ids=["nan-latitude", "nan-longitude", "latitude-out-of-range", "longitude-out-of-range",
         "infinite-timestamp", "decreasing-timestamps", "repeated-timestamp",
         "repeated-timestamp-across-vehicles"])
@@ -364,7 +386,7 @@ def test_refine_on_bad_trace_values_exits_2_naming_the_file(world, tmp_path, cap
                "--traces", str(bad), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"bad_traces.csv: vehicle 1: {message}" in err and "Traceback" not in err
+    assert f"bad_traces.csv{message}" in err and "Traceback" not in err
 
 
 def test_refine_on_interleaved_trace_rows_equals_the_sorted_file(world, tmp_path):
@@ -564,16 +586,16 @@ def _first_row(flow: str, time: str):
     (_off_grid, "interval 8 not in 0..7"),
     (lambda rows: rows[:1] + rows, "listed more than once"),
     (lambda rows: rows[1:], "missing"),
-    (lambda rows: [rows[0].rsplit(",", 1)[0] + ",nan", *rows[1:]], "non-finite value"),
+    (lambda rows: [rows[0].rsplit(",", 1)[0] + ",nan", *rows[1:]],
+     ", line 2: voc must be finite, got nan"),
     (lambda rows: [], "no rows"),
-    (_first_row("-50", "-7"), "interval {0}: segment {1}: flow_vph -50.0, time_s -7.0; "
-                              "need flow_vph >= 0, time_s > 0"),
-    (_first_row("-50", ""), "interval {0}: segment {1}: flow_vph -50.0, time_s "),
-    (_first_row("", "0"), "interval {0}: segment {1}: flow_vph {2}, time_s 0.0"),
+    (_first_row("-50", "-7"), ", line 2: flow_vph must be >= 0, got -50.0"),
+    (_first_row("-50", ""), ", line 2: flow_vph must be >= 0, got -50.0"),
+    (_first_row("", "0"), ", line 2: time_s must be > 0, got 0.0"),
 ], ids=["off-grid-interval", "repeated-segment", "missing-segment", "non-finite", "header-only",
         "negative-flow-and-time", "negative-flow", "zero-time"])
 def test_export_voc_rejects_malformed_states_table(world, tmp_path, capsys, edit, message):
-    """A bad table exits 2 naming the file, and for a bad value the interval and the segment."""
+    """A bad table exits 2 naming the file, and for a bad value its line."""
     header, *rows = (world.pipe / "states.csv").read_text(encoding="utf-8").splitlines()
     states = tmp_path / "states.csv"
     states.write_text("\n".join([header, *edit(rows)]) + "\n", encoding="utf-8")
@@ -581,7 +603,6 @@ def test_export_voc_rejects_malformed_states_table(world, tmp_path, capsys, edit
                "--states", str(states)])
     assert rc == 2
     err = capsys.readouterr().err
-    message = message.format(*rows[0].split(","))  # the first row's interval, segment, flow
     assert str(states) in err and message in err and "Traceback" not in err
     assert not (tmp_path / "out" / "voc.csv").exists()
 
@@ -619,6 +640,19 @@ def test_evaluate_on_repeated_trip_exits_2_naming_the_file(world, tmp_path, caps
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{trips}: vehicle {vid} has more than one trip" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+    # A departure is the one time a trip keeps; nan is no departure.
+    header, first, *rest = text.splitlines()
+    vid, _, path = first.split(",")
+    nan = tmp_path / "nan.csv"
+    nan.write_text("\n".join([header, f"{vid},nan,{path}", *rest]) + "\n", encoding="utf-8")
+    rc = main(["evaluate", "--config", world.cfg, "--out-dir", str(tmp_path / "out"),
+               "--trips", str(nan), "--matched", str(world.pipe / "matched.csv"),
+               "--estimates", str(world.pipe / "estimates.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{nan}, line 2: departure_s must be finite, got nan" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -723,7 +757,9 @@ def test_estimate_od_on_nan_time_exits_2_naming_it(world, tmp_path, capsys):
                "--estimates", str(estimates)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "estimates.csv" in err and f"segment {bad[1]}" in err and "Traceback" not in err
+    line = 2 + fields.index(bad)
+    assert f"estimates.csv, line {line}: time_s must be > 0, got nan" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["estimate-od", "complete", "evaluate"])
@@ -746,9 +782,9 @@ def test_estimates_off_the_grid_exit_2_naming_file_and_interval(world, tmp_path,
 
 
 @pytest.mark.parametrize("row, message", [
-    ("0,0,-5.0,3", "segment 0 has time_s -5.0 and support 3"),
-    ("0,0,0.0,3", "segment 0 has time_s 0.0 and support 3"),
-    ("0,1,10.0,-2", "segment 1 has time_s 10.0 and support -2"),
+    ("0,0,-5.0,3", "time_s must be > 0, got -5.0"),
+    ("0,0,0.0,3", "time_s must be > 0, got 0.0"),
+    ("0,1,10.0,-2", "support must be >= 0, got -2"),
 ], ids=["negative-time", "zero-time", "negative-support"])
 def test_complete_on_bad_estimate_row_exits_2_naming_it(world, tmp_path, capsys, row, message):
     # Unchecked, a non-positive time would become an observed free-flow
@@ -756,6 +792,7 @@ def test_complete_on_bad_estimate_row_exits_2_naming_it(world, tmp_path, capsys,
     header, *rows = (world.pipe / "estimates.csv").read_text().splitlines()
     prefix = row[:row.index(",", 2) + 1]  # the interval and segment the row replaces
     assert sum(r.startswith(prefix) for r in rows) == 1
+    line = 2 + next(i for i, r in enumerate(rows) if r.startswith(prefix))
     estimates = tmp_path / "bad_estimates.csv"
     estimates.write_text("\n".join([header, *(row if r.startswith(prefix) else r for r in rows)])
                          + "\n")
@@ -764,7 +801,7 @@ def test_complete_on_bad_estimate_row_exits_2_naming_it(world, tmp_path, capsys,
                "--estimates", str(estimates)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"bad_estimates.csv, interval 0: {message}" in err and "Traceback" not in err
+    assert f"bad_estimates.csv, line {line}: {message}" in err and "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -973,7 +1010,7 @@ def test_gen_traces_on_zero_truth_time_exits_2_naming_it(world, tmp_path, capsys
                "--truth-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(tmp_path / "truth_000.csv") in err and f"segment {sid}" in err
+    assert f"{tmp_path / 'truth_000.csv'}, line 2: time_s must be > 0, got 0.0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "traces.csv").exists()
 

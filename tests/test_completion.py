@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from probeflow.completion import (
     COMPLETED_COLUMNS,
     MATRIX_COLUMNS,
-    CompletionParams,
     TravelTimeMatrix,
     assemble_matrix,
     complete,
@@ -23,6 +22,7 @@ from probeflow.completion import (
 )
 from probeflow.errors import InputDataError
 from probeflow.network import TimeGrid
+from probeflow.params import CompletionParams
 from probeflow.tables import read_table
 
 from conftest import make_corridor_network

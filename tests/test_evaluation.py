@@ -25,10 +25,10 @@ from probeflow.evaluation import (
     write_report,
     write_voc,
 )
-from probeflow.mapmatch import MatchParams, Pieces
+from probeflow.mapmatch import Pieces
 from probeflow.network import Node, RoadNetwork, Router, Segment, TimeGrid
-from probeflow.refine import RefineParams, refine
-from probeflow.tracegen import ProbeConfig
+from probeflow.params import MatchParams, ProbeConfig, RefineParams
+from probeflow.refine import refine
 
 from conftest import (
     concat_fixes,

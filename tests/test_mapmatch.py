@@ -15,7 +15,6 @@ from probeflow import mapmatch
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import (
     Fixes,
-    MatchParams,
     _lattice,
     _split_points,
     emission_logp,
@@ -32,7 +31,7 @@ from probeflow.network import (
     haversine,
     meters_per_degree,
 )
-from probeflow.tracegen import ProbeConfig
+from probeflow.params import MatchParams, ProbeConfig
 
 from conftest import (
     concat_fixes,

@@ -131,9 +131,6 @@ def test_network_adjacency_and_arrays():
     assert list(times) == [5.0, 7.0]
     with pytest.raises(InputDataError):
         net.segment_columns("times.csv", [0], [5.0])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(InputDataError, match="times.csv: segment 1"):
-            net.segment_columns("times.csv", [0, 1], [5.0, bad], [2, 3])
     with pytest.raises(InputDataError, match="times.csv: unknown segment id 99"):
         net.segment_indices("times.csv", [0, 99])
 

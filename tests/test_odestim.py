@@ -17,15 +17,13 @@ from probeflow.odestim import (
     OBJECTIVE_COLUMNS,
     ObjectiveRecord,
     OdEstimate,
-    GravityParams,
-    OdSolveParams,
-    SpsaParams,
     estimate_od,
     read_states,
     seed_gravity,
     write_objectives,
     write_states,
 )
+from probeflow.params import GravityParams, OdSolveParams, SpsaParams
 from probeflow.tables import group_rows, read_table
 from probeflow.ttinfer import SegmentTimeEstimate
 

@@ -13,16 +13,15 @@ from probeflow import refine as refine_module
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import match_traces
 from probeflow.network import Router, TimeGrid
+from probeflow.params import ProbeConfig, RefineParams
 from probeflow.refine import (
     DIAGNOSTICS_COLUMNS,
     IterationRecord,
     RefinementDiagnostics,
-    RefineParams,
     refine,
     write_diagnostics,
 )
 from probeflow.tables import read_table
-from probeflow.tracegen import ProbeConfig
 from probeflow.ttinfer import infer_times, observations_from_matches, residual_sq
 
 from conftest import (
@@ -260,6 +259,7 @@ def test_changed_pieces_equal_the_path_dict_reference(data):
     The reference compares one dict of segment tuples per pass, key by
     key. Both passes draw each vehicle's pieces from a small pool of
     paths, so equal, missing, extra, longer and shorter pieces all occur.
+    ``_path_set`` must tell two passes apart exactly when that count is not 0.
     """
     path = st.lists(st.integers(0, 2), min_size=1, max_size=3)
     passes = [[(vid, segs) for vid in (-5, 0, 7, 2**40)
@@ -273,6 +273,8 @@ def test_changed_pieces_equal_the_path_dict_reference(data):
     cur, prev = (pieces_table([(vid, segs, [0.0] * len(segs)) for vid, segs in pieces])
                  for pieces in passes)
     assert refine_module._changed(cur, prev) == want
+    # refine detects a repeated pass by its path set's bytes.
+    assert (refine_module._path_set(cur) == refine_module._path_set(prev)) == (want == 0)
 
 
 # ---------------------------------------------------------------------------

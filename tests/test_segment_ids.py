@@ -13,28 +13,28 @@ import csv
 
 import numpy as np
 
-from probeflow.assignment import AssignParams
 from probeflow.completion import (
-    CompletionParams,
     assemble_matrix,
     complete,
     write_completed,
     write_matrix,
 )
 from probeflow.evaluation import mse, voc_series
-from probeflow.mapmatch import MatchParams, read_matched, write_matched
+from probeflow.mapmatch import read_matched, write_matched
 from probeflow.network import Node, RoadNetwork, Segment, Taz, TimeGrid
-from probeflow.odestim import (
+from probeflow.odestim import estimate_od, seed_gravity, write_states
+from probeflow.params import (
+    AssignParams,
+    CompletionParams,
     GravityParams,
+    MatchParams,
     OdSolveParams,
-    SpsaParams,
-    estimate_od,
-    seed_gravity,
-    write_states,
-)
-from probeflow.refine import RefineParams, refine
-from probeflow.tracegen import (
     ProbeConfig,
+    RefineParams,
+    SpsaParams,
+)
+from probeflow.refine import refine
+from probeflow.tracegen import (
     gen_scenarios,
     generate_probe_data,
     read_trips,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import probeflow
 from probeflow import assignment, evaluation, mapmatch, network, odestim, tracegen, ttinfer
 from probeflow.errors import InputDataError
+from probeflow.params import RANGES
 from probeflow.tables import read_table, write_table
 
 from conftest import make_corridor_network, read_rows, write_rows
@@ -89,7 +90,7 @@ def test_only_table_readers_and_writers_map_segment_ids():
 
 
 def header(columns) -> bytes:
-    return (",".join(name for name, _ in columns) + "\n").encode("utf-8")
+    return (",".join(name for name, *_ in columns) + "\n").encode("utf-8")
 
 
 def test_write_table_formats_by_declared_type(tmp_path):
@@ -181,6 +182,17 @@ def test_read_table_names_a_bad_line_past_the_first_block(tmp_path, bad):
         read_table(p, COLUMNS)
 
 
+def test_read_table_names_a_value_out_of_range_past_the_first_block(tmp_path):
+    p = tmp_path / "t.csv"
+    rows = [b"%d,%d.5,r%d" % (i, i, i) for i in range(6000)]
+    rows[4998] = b"7,-1.5,a"
+    p.write_bytes(b"id,value,label\n" + b"\n".join(rows) + b"\n")
+    ranged = (COLUMNS[0], ("value", float, ">= 0"), COLUMNS[2])
+    with pytest.raises(InputDataError, match=r"t\.csv, line 5000: value must be >= 0, got -1\.5$"):
+        read_table(p, ranged)
+    assert read_table(p, COLUMNS)[1][4998] == -1.5  # a column without a range takes it
+
+
 def test_read_table_skips_blank_lines_and_names_bad_line(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("id,value,label\n1,2.0,a\n\n2,x,b\n")
@@ -262,6 +274,39 @@ VALID = {
     "truth": "0,25.0,600.0\n1,21.0,300.0\n",
     "estimates": "0,0,20.5,3\n0,1,20.5,0\n",
 }
+
+
+
+def test_every_float_column_of_a_reader_declares_its_range():
+    # A column without a range takes any value its type parses, nan included.
+    for name, (_, columns) in READERS.items():
+        for column, kind, *allowed in columns:
+            assert not allowed or allowed[0] in RANGES, (name, column)
+            assert kind is not float or allowed, (name, column)
+
+
+# A field just outside each range.
+OUTSIDE = {"finite": "inf", "> 0": "0", ">= 0": "-1", "in [-90, 90]": "90.5",
+           "in [-180, 180]": "-180.5"}
+
+
+@pytest.mark.parametrize("name, column", [
+    pytest.param(name, k, id=f"{name}.{spec[0]}") for name, (_, columns) in sorted(READERS.items())
+    for k, spec in enumerate(columns) if len(spec) == 3])
+def test_every_reader_names_the_line_of_a_value_out_of_its_range(tmp_path, name, column):
+    reader, columns = READERS[name]
+    col, kind, allowed = columns[column]
+    *rows, last = VALID[name].splitlines()
+    fields = last.split(",")
+    fields[column] = OUTSIDE[allowed]
+    p = tmp_path / f"{name}.csv"
+    p.write_text("\n".join([header(columns).decode().strip(), *rows, ",".join(fields)]) + "\n")
+    line = len(rows) + 2
+    with pytest.raises(InputDataError) as info:
+        reader(p)
+    assert str(info.value) == (f"{p}, line {line}: {col} must be {allowed}, "
+                               f"got {kind(OUTSIDE[allowed])!r}")
+
 
 # Field values no writer produces: beyond float and int64, not integers, or not numbers.
 ODD_FIELDS = ["1e400", "-1e400", "9" * 30, "-" + "9" * 30, "9" * 5000, "1.5", "nan", "inf",

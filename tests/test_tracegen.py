@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probeflow.assignment import AssignParams
 from probeflow.errors import InputDataError
 from probeflow.mapmatch import Fixes, Pieces
 from probeflow.network import Node, RoadNetwork, Router, Segment, Taz, TimeGrid, meters_per_degree
+from probeflow.params import AssignParams, ProbeConfig
 from probeflow.tracegen import (
     GroundTruthScenario,
-    ProbeConfig,
     gen_scenarios,
     generate_probe_data,
     read_traces,

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from probeflow.errors import InputDataError
 from probeflow.network import TimeGrid
+from probeflow.params import InferParams
 from probeflow.ttinfer import (
-    InferParams,
     SegmentTimeEstimate,
     build_system,
     infer_times,
